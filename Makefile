@@ -124,9 +124,12 @@ bench:
 # allocation-free: TestSteadyStateDecodeAllocs pins the decode side,
 # TestDataPlaneAllocs pins the whole batched ingest+egress round trip at
 # 0 allocs/op, and TestSealOpenAllocs pins the in-place session crypto
-# (the -benchtime=1x pass catches benchmarks that rot).
+# (the -benchtime=1x pass catches benchmarks that rot). The bn256 and sgs
+# benchmarks mirror the attach ledger's crypto rows (pairing, combined
+# Miller, PrepareG2, sign, verify, 16-token sweep) and run once as well.
 bench-smoke:
 	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs)$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1
 
 experiments:

@@ -6,6 +6,7 @@
 //
 //	peacebench              # run every experiment
 //	peacebench -exp e3      # run one experiment
+//	peacebench -exp e10,e14 # run several
 //	peacebench -exp e3 -url 0,1,2,5,10,20,50 -iters 3
 //	peacebench -exp e13             # UDP loopback handshake throughput
 //	peacebench -json BENCH_results.json   # also write machine-readable results
@@ -60,7 +61,7 @@ type ablationRow struct {
 var collect *benchJSON
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: e1..e19 or all")
+	exp := flag.String("exp", "all", "experiments to run: comma-separated e1..e19, or all")
 	urlSizes := flag.String("url", "0,1,2,5,10,20", "comma-separated |URL| sweep for e3/e15")
 	grtSizes := flag.String("grt", "4,8,16,32,64", "comma-separated |grt| sweep for e7")
 	floods := flag.String("floods", "50,200", "comma-separated flood sizes for e6")
@@ -125,7 +126,11 @@ func parseInts(s string) []int {
 
 func run(exp string, urlSizes, grtSizes, floods, attacks []int, iters int) error {
 	runAll := exp == "all"
-	ran := false
+	want := map[string]bool{}
+	for _, name := range strings.Split(exp, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	ran := 0
 	for _, e := range []struct {
 		name string
 		fn   func() error
@@ -150,15 +155,15 @@ func run(exp string, urlSizes, grtSizes, floods, attacks []int, iters int) error
 		{"e18", func() error { return runE18(iters) }},
 		{"e19", func() error { return runE19(attacks, iters) }},
 	} {
-		if runAll || exp == e.name {
-			ran = true
+		if runAll || want[e.name] {
+			ran++
 			if err := e.fn(); err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)
 			}
 		}
 	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want e1..e19 or all)", exp)
+	if !runAll && ran != len(want) {
+		return fmt.Errorf("unknown experiment in %q (want comma-separated e1..e19, or all)", exp)
 	}
 	return nil
 }

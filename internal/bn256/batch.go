@@ -7,7 +7,7 @@ type Pairing struct {
 }
 
 // MillerBatch accumulates the Miller values of all pairs into a single
-// un-finalized GT element: Π f_{T,Q_i}(P_i). Identity arguments
+// un-finalized GT element, the product of their Miller values. Identity arguments
 // contribute the neutral element, matching Miller. Finalize the result
 // once to obtain Π e(G1_i, G2_i) at the cost of a single final
 // exponentiation instead of one per pair.

@@ -43,6 +43,28 @@ func BenchmarkPreparedMiller(b *testing.B) {
 	}
 }
 
+func BenchmarkPrepareG2(b *testing.B) {
+	_, q, _ := RandomG2(rand.Reader)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PrepareG2(q)
+	}
+}
+
+// BenchmarkMillerCombined2 is the verifier's pairing side: two prepared
+// Miller loops sharing one squaring chain (no final exponentiation).
+func BenchmarkMillerCombined2(b *testing.B) {
+	_, p0, _ := RandomG1(rand.Reader)
+	_, p1, _ := RandomG1(rand.Reader)
+	_, q, _ := RandomG2(rand.Reader)
+	preps := []*PreparedG2{PrepareG2(new(G2).Base()), PrepareG2(q)}
+	points := []*G1{p0, p1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MillerCombined(preps, points)
+	}
+}
+
 func BenchmarkG1VariableMul(b *testing.B) {
 	a, _ := RandomScalar(rand.Reader)
 	k, _ := RandomScalar(rand.Reader)

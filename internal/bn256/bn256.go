@@ -425,7 +425,7 @@ func (e *GT) Unmarshal(m []byte) (*GT, error) {
 	return e, nil
 }
 
-// Pair computes the ate pairing e(g1, g2) ∈ GT.
+// Pair computes the optimal ate pairing e(g1, g2) ∈ GT.
 func Pair(g1 *G1, g2 *G2) *GT {
 	return &GT{p: atePairing(g2.p, g1.p)}
 }

@@ -12,9 +12,10 @@ var P = bnPrime()
 // Order is the number of elements in G1, G2 and GT: 36u⁴+36u³+18u²+6u+1.
 var Order = bnOrder()
 
-// ateLoopCount is the Miller loop length for the (plain) ate pairing,
-// T = t − 1 = 6u² where t = 6u² + 1 is the trace of Frobenius.
-var ateLoopCount = new(big.Int).Mul(big.NewInt(6), new(big.Int).Mul(u, u))
+// sixuPlus2NAF is the non-adjacent form of 6u+2, the Miller loop length of
+// the optimal ate pairing, least significant digit first: 66 digits, 19 of
+// them non-zero (6 negative). Shared by the limb and reference cores.
+var sixuPlus2NAF = nafDigits(bnPoly(0, 0, 0, 6, 2))
 
 // curveB is the constant of E: y² = x³ + curveB over F_p.
 var curveB = big.NewInt(3)

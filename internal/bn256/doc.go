@@ -10,14 +10,15 @@
 //   - G2, a prime-order subgroup of the sextic twist E'(F_p²) where
 //     E': y² = x³ + 3/ξ with ξ = i + 3,
 //   - GT, the order-n subgroup of F_p¹²*, and
-//   - a non-degenerate bilinear map Pair: G1 × G2 → GT (the ate pairing).
+//   - a non-degenerate bilinear map Pair: G1 × G2 → GT, the optimal ate
+//     pairing (6u+2 NAF Miller loop + two Frobenius lines).
 //
 // All derived constants (p, the group order n, the twist coefficient, the
 // Frobenius twist factors) are computed from u at package initialization
 // rather than transcribed, eliminating a whole class of constant-typo bugs.
 // The package additionally implements hash-to-group for G1 and G2 and a
 // slow, textbook Tate pairing used by the test suite to cross-check the
-// optimized ate pairing.
+// optimal ate pairing.
 //
 // The API mirrors the classic bn256 interface (Add/ScalarMult/Marshal on
 // wrapper types G1, G2, GT) but is written in multiplicative notation-aware

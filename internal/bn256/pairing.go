@@ -2,16 +2,23 @@ package bn256
 
 import "math/big"
 
-// This file implements the (plain) ate pairing
+// This file implements the optimal ate pairing (Vercauteren)
 //
-//	e(Q, P) = f_{T,Q}(P)^((p¹²−1)/n),  T = t − 1 = 6u²,
+//	e(Q, P) = (f_{6u+2,Q}(P) · l_{[6u+2]Q, π(Q)}(P) · l_{[6u+2]Q+π(Q), −π²(Q)}(P))^((p¹²−1)/n)
 //
-// for Q in the order-n subgroup of the twist and P ∈ E(F_p). The Miller
-// loop uses the inversion-free projective line functions of Costello et al.
-// ("Faster Computation of the Tate Pairing", arXiv:0904.0854): the running
-// point R stays in Jacobian coordinates on the twist (with t caching z²)
-// and every doubling/addition step emits the three F_p² coefficients of the
-// sparse line element
+// for Q in the order-n subgroup of the twist and P ∈ E(F_p), where π is the
+// p-power Frobenius carried over to the twist. The loop walks the 66-digit
+// NAF of 6u+2 (±Q additions) instead of the 128-bit T = t − 1 = 6u² of the
+// plain ate pairing, and closes with two Frobenius line additions: 65
+// doublings + 18 additions + 2 Frobenius lines, 64 squarings of the
+// accumulator. The value is a fixed power of the plain ate pairing's, so it
+// is bilinear and non-degenerate on the same groups.
+//
+// The Miller loop uses the inversion-free projective line functions of
+// Costello et al. ("Faster Computation of the Tate Pairing",
+// arXiv:0904.0854): the running point R stays in Jacobian coordinates on the
+// twist (with t caching z²) and every doubling/addition step emits the three
+// F_p² coefficients of the sparse line element
 //
 //	l(P) = c0·y_P + c1·x_P·w + c3·w³,
 //
@@ -20,10 +27,43 @@ import "math/big"
 // factor lies in a proper subfield of F_p¹² and is erased by the final
 // exponentiation.
 //
-// Line coefficients depend only on Q, so the doubling/addition schedule for
-// the fixed loop count T can be computed once per Q and replayed against
-// many P — that is exactly what PreparedG2 does. miller() itself is just
-// prepareLines + evalMiller.
+// Line coefficients depend only on Q, so the schedule can be computed once
+// per Q and replayed against many P — that is exactly what PreparedG2 does.
+// miller() itself is just prepareLines + evalMiller.
+
+// millerOp is one step of the Miller schedule. Every step moves the running
+// twist point R and emits exactly one line.
+type millerOp uint8
+
+const (
+	opDouble millerOp = iota // R ← 2R, tangent line; the accumulator is squared first
+	opAddQ                   // R ← R + Q, chord line (NAF digit +1)
+	opSubQ                   // R ← R − Q, chord line (NAF digit −1)
+	opAddQ1                  // R ← R + π(Q), first Frobenius line
+	opSubQ2                  // R ← R − π²(Q), second Frobenius line
+)
+
+// millerSchedule is the optimal ate loop flattened into one op per line, in
+// evaluation order. prepareLines emits the i-th line for the i-th op and
+// evalMiller / MillerCombined consume them in the same order, so the
+// schedule exists in one place only.
+var millerSchedule = buildMillerSchedule()
+
+func buildMillerSchedule() []millerOp {
+	naf := sixuPlus2NAF
+	ops := make([]millerOp, 0, 2*len(naf))
+	// The top NAF digit is always 1: it is the initial R = Q.
+	for i := len(naf) - 2; i >= 0; i-- {
+		ops = append(ops, opDouble)
+		switch naf[i] {
+		case 1:
+			ops = append(ops, opAddQ)
+		case -1:
+			ops = append(ops, opSubQ)
+		}
+	}
+	return append(ops, opAddQ1, opSubQ2)
+}
 
 // preparedLine holds the P-independent coefficients of one Miller-loop line.
 // At evaluation time c1 is scaled by x_P and c0 by y_P (both base-field
@@ -163,65 +203,89 @@ func lineAdd(r, q *twistPoint, qy2 *gfP2) preparedLine {
 	return line
 }
 
-// prepareLines runs the Miller doubling/addition schedule for the fixed
-// loop count T = ateLoopCount over q alone, recording one preparedLine per
-// step in loop order. evalMiller replays the same schedule, so the i-th
-// recorded line is consumed at the i-th step.
+// frobeniusTwist returns π(Q) for an affine twist point Q: the p-power
+// Frobenius of the untwisted point (x·w², y·w³), twisted back. Conjugation
+// is the Frobenius of F_p², and w^(2(p−1)) = ξ^((p−1)/3), w^(3(p−1)) =
+// ξ^((p−1)/2) absorb the powers of w. π(Q) = [p]Q on G2.
+func frobeniusTwist(q *twistPoint) *twistPoint {
+	r := newTwistPoint()
+	r.x.Conjugate(&q.x)
+	r.x.Mul(&r.x, xiToPMinus1Over3)
+	r.y.Conjugate(&q.y)
+	r.y.Mul(&r.y, xiToPMinus1Over2)
+	r.z.SetOne()
+	r.t.SetOne()
+	return r
+}
+
+// negFrobeniusP2Twist returns −π²(Q) for an affine twist point Q. The two
+// conjugations cancel; x picks up ξ^((p²−1)/3) and y picks up
+// ξ^((p²−1)/2) = −1, which the negation cancels.
+func negFrobeniusP2Twist(q *twistPoint) *twistPoint {
+	r := newTwistPoint()
+	r.x.Mul(&q.x, xiToPSquaredMinus1Over3)
+	r.y.Set(&q.y)
+	r.z.SetOne()
+	r.t.SetOne()
+	return r
+}
+
+// prepareLines walks millerSchedule over q alone, recording one
+// preparedLine per op.
 func prepareLines(q *twistPoint) []preparedLine {
 	qa := newTwistPoint().Set(q)
 	qa.MakeAffine()
-	qy2 := newGFp2().Square(&qa.y)
+	negQ := newTwistPoint().Negative(qa)
+	q1 := frobeniusTwist(qa)
+	negQ2 := negFrobeniusP2Twist(qa)
+	qy2 := newGFp2().Square(&qa.y) // also (−y_Q)² and the y² of −π²(Q)
+	q1y2 := newGFp2().Square(&q1.y)
 
 	r := newTwistPoint().Set(qa)
-	t := ateLoopCount
-	steps := make([]preparedLine, 0, t.BitLen()+popCount(t))
-	for i := t.BitLen() - 2; i >= 0; i-- {
-		steps = append(steps, lineDouble(r))
-		if t.Bit(i) != 0 {
-			steps = append(steps, lineAdd(r, qa, qy2))
+	steps := make([]preparedLine, len(millerSchedule))
+	for i, op := range millerSchedule {
+		switch op {
+		case opDouble:
+			steps[i] = lineDouble(r)
+		case opAddQ:
+			steps[i] = lineAdd(r, qa, qy2)
+		case opSubQ:
+			steps[i] = lineAdd(r, negQ, qy2)
+		case opAddQ1:
+			steps[i] = lineAdd(r, q1, q1y2)
+		case opSubQ2:
+			steps[i] = lineAdd(r, negQ2, qy2)
 		}
 	}
 	return steps
 }
 
-func popCount(n *big.Int) int {
-	c := 0
-	for _, w := range n.Bits() {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
-	}
-	return c
+// mulPreparedLine multiplies f by the line s evaluated at the affine G1
+// point (x, y).
+func (f *gfP12) mulPreparedLine(s *preparedLine, x, y *gfP) {
+	var c0, c1 gfP2
+	c1.MulScalar(&s.c1, x)
+	c0.MulScalar(&s.c0, y)
+	f.MulLine(f, &c0, &c1, &s.c3)
 }
 
-// evalMiller computes f_{T,Q}(P) from Q's precomputed line schedule.
+// evalMiller computes the optimal ate Miller value of (Q, P) from Q's
+// precomputed lines.
 func evalMiller(steps []preparedLine, p *curvePoint) *gfP12 {
 	pa := newCurvePoint().Set(p)
 	pa.MakeAffine()
 
 	f := newGFp12().SetOne()
-	var c0, c1 gfP2
-	idx := 0
-	t := ateLoopCount
-	for i := t.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		s := &steps[idx]
-		idx++
-		c1.MulScalar(&s.c1, &pa.x)
-		c0.MulScalar(&s.c0, &pa.y)
-		f.MulLine(f, &c0, &c1, &s.c3)
-		if t.Bit(i) != 0 {
-			s = &steps[idx]
-			idx++
-			c1.MulScalar(&s.c1, &pa.x)
-			c0.MulScalar(&s.c0, &pa.y)
-			f.MulLine(f, &c0, &c1, &s.c3)
+	for i, op := range millerSchedule {
+		if op == opDouble && i > 0 { // the first squaring would square 1
+			f.Square(f)
 		}
+		f.mulPreparedLine(&steps[i], &pa.x, &pa.y)
 	}
 	return f
 }
 
-// miller computes f_{T,Q}(P) for T = ateLoopCount.
+// miller computes the optimal ate Miller value of (Q, P).
 func miller(q *twistPoint, p *curvePoint) *gfP12 {
 	return evalMiller(prepareLines(q), p)
 }

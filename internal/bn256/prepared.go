@@ -1,12 +1,13 @@
 package bn256
 
 // PreparedG2 caches the Miller-loop line computations for a fixed G2
-// argument. The ate Miller loop walks a fixed doubling/addition schedule
-// over the twist point Q, and the projective line coefficients of every
-// step depend only on Q; the two G1-dependent coefficients are cheap
-// per-evaluation scalar products with x_P and y_P. Precomputing the Q-side
-// halves the cost of evaluating e(·, Q) against many G1 points (batch
-// verification, revocation sweeps against a fixed û).
+// argument. The optimal ate Miller loop walks a fixed schedule (doublings,
+// ±Q additions, two Frobenius additions) over the twist point Q, and the
+// projective line coefficients of every step depend only on Q; the two
+// G1-dependent coefficients are cheap per-evaluation scalar products with
+// x_P and y_P. Precomputing the Q-side takes about a third off evaluating
+// e(·, Q) against many G1 points (batch verification, revocation sweeps
+// against a fixed û).
 //
 // A PreparedG2 is immutable after construction and safe for concurrent
 // use by multiple goroutines.
@@ -15,8 +16,8 @@ type PreparedG2 struct {
 	steps    []preparedLine
 }
 
-// PrepareG2 runs the Miller doubling/addition schedule once for q and
-// records the line coefficients. The cost is comparable to one Miller loop.
+// PrepareG2 runs the Miller schedule once for q and records the line
+// coefficients. The cost is about a third of one Miller loop.
 func PrepareG2(q *G2) *PreparedG2 {
 	if q.p.IsInfinity() {
 		return &PreparedG2{infinity: true}
@@ -25,8 +26,8 @@ func PrepareG2(q *G2) *PreparedG2 {
 }
 
 // Miller evaluates the recorded lines at g1, returning the un-finalized
-// Miller value f_{T,Q}(P) exactly as Miller(g1, q) would. Combine values
-// with GT.Add and reduce once with GT.Finalize.
+// Miller value exactly as Miller(g1, q) would. Combine values with GT.Add
+// and reduce once with GT.Finalize.
 func (pq *PreparedG2) Miller(g1 *G1) *GT {
 	if pq.infinity || g1.p.IsInfinity() {
 		return &GT{p: newGFp12().SetOne()}
@@ -39,14 +40,13 @@ func (pq *PreparedG2) Pair(g1 *G1) *GT {
 	return pq.Miller(g1).Finalize()
 }
 
-// MillerCombined evaluates the product Π f_{T,Q_i}(P_i) for several
-// prepared Q_i in a single pass. All ate Miller loops walk the same
-// doubling/addition schedule, so the per-bit squaring of the accumulator
-// can be shared across the product: n pairings cost one squaring chain plus
-// n sets of line multiplications, instead of n of each. Identity arguments
-// on either side contribute the neutral element. The result is
-// un-finalized; reduce it with GT.Finalize (possibly after multiplying
-// in further Miller values).
+// MillerCombined evaluates the product of the Miller values of (Q_i, P_i)
+// for several prepared Q_i in a single pass. All Miller loops walk the same
+// schedule, so the per-digit squaring of the accumulator can be shared
+// across the product: n pairings cost one squaring chain plus n sets of
+// line multiplications, instead of n of each. Identity arguments on either
+// side contribute the neutral element. The result is un-finalized; reduce
+// it with GT.Finalize (possibly after multiplying in further Miller values).
 //
 // It panics if the slices have different lengths.
 func MillerCombined(preps []*PreparedG2, points []*G1) *GT {
@@ -71,24 +71,13 @@ func MillerCombined(preps []*PreparedG2, points []*G1) *GT {
 	if len(acts) == 0 {
 		return &GT{p: f}
 	}
-	var c0, c1 gfP2
-	idx := 0
-	t := ateLoopCount
-	mulLines := func() {
-		for i := range acts {
-			a := &acts[i]
-			s := &a.steps[idx]
-			c1.MulScalar(&s.c1, &a.x)
-			c0.MulScalar(&s.c0, &a.y)
-			f.MulLine(f, &c0, &c1, &s.c3)
+	for i, op := range millerSchedule {
+		if op == opDouble && i > 0 {
+			f.Square(f)
 		}
-		idx++
-	}
-	for i := t.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		mulLines()
-		if t.Bit(i) != 0 {
-			mulLines()
+		for j := range acts {
+			a := &acts[j]
+			f.mulPreparedLine(&a.steps[i], &a.x, &a.y)
 		}
 	}
 	return &GT{p: f}

@@ -4,7 +4,7 @@ import "math/big"
 
 // Constants for the retained big.Int reference core (ref_*.go). They mirror
 // the limb core's constants exactly: the shared big.Int parameters (u, P,
-// Order, ateLoopCount, curveB) live in constants.go, and the generators are
+// Order, sixuPlus2NAF, curveB) live in constants.go, and the generators are
 // converted from the limb core so both cores agree on every canonical point
 // by construction — the differential tests then verify the arithmetic on
 // top of them.

@@ -2,9 +2,9 @@ package bn256
 
 import "math/big"
 
-// This file implements the (plain) ate pairing
+// This file implements the optimal ate pairing
 //
-//	e(Q, P) = f_{T,Q}(P)^((p¹²−1)/n),  T = t − 1 = 6u²,
+//	e(Q, P) = (f_{6u+2,Q}(P) · l_{[6u+2]Q, π(Q)}(P) · l_{[6u+2]Q+π(Q), −π²(Q)}(P))^((p¹²−1)/n)
 //
 // for Q in the order-n subgroup of the twist and P ∈ E(F_p). The Miller
 // loop works on affine twist coordinates: the untwist map for our tower is
@@ -15,7 +15,10 @@ import "math/big"
 //
 // where λ' ∈ F_p² is the twist-coordinate slope and S is the point the line
 // passes through. Vertical lines lie in the even subalgebra F_p⁶ and are
-// eliminated by the final exponentiation, so they are omitted.
+// eliminated by the final exponentiation, so they are omitted. The loop is
+// the textbook one over the NAF digits of 6u+2 — deliberately not the limb
+// core's flattened millerSchedule — so the differential tests also pin that
+// table.
 
 // refLineValue assembles the sparse line element from its three coefficients:
 // c0 at w⁰ (a base-field scalar), c1 at w¹ and c3 at w³ (both F_p²).
@@ -87,7 +90,7 @@ func (r *refAffineTwist) addStep(q *refAffineTwist, p *refCurvePoint) (*big.Int,
 	return p.y, c1, c3
 }
 
-// refMiller computes f_{T,Q}(P) for T = ateLoopCount.
+// refMiller computes the optimal ate Miller value of (Q, P).
 func refMiller(q *refTwistPoint, p *refCurvePoint) *refGfP12 {
 	qa := newRefTwistPoint().Set(q)
 	qa.MakeAffine()
@@ -95,19 +98,42 @@ func refMiller(q *refTwistPoint, p *refCurvePoint) *refGfP12 {
 	pa.MakeAffine()
 
 	base := &refAffineTwist{x: newRefGFp2().Set(qa.x), y: newRefGFp2().Set(qa.y)}
+	negBase := &refAffineTwist{x: base.x, y: newRefGFp2().Neg(base.y)}
 	r := &refAffineTwist{x: newRefGFp2().Set(qa.x), y: newRefGFp2().Set(qa.y)}
 
 	f := newRefGFp12().SetOne()
-	t := ateLoopCount
-	for i := t.BitLen() - 2; i >= 0; i-- {
+	naf := sixuPlus2NAF
+	for i := len(naf) - 2; i >= 0; i-- {
 		f.Square(f)
 		c0, c1, c3 := r.doubleStep(pa)
 		f.MulLine(f, c0, c1, c3)
-		if t.Bit(i) != 0 {
+		switch naf[i] {
+		case 1:
 			c0, c1, c3 = r.addStep(base, pa)
-			f.MulLine(f, c0, c1, c3)
+		case -1:
+			c0, c1, c3 = r.addStep(negBase, pa)
+		default:
+			continue
 		}
+		f.MulLine(f, c0, c1, c3)
 	}
+
+	// Q1 = π(Q) = (x̄·ξ^((p−1)/3), ȳ·ξ^((p−1)/2)) and
+	// −Q2 = −π²(Q) = (x·ξ^((p²−1)/3), y).
+	q1 := &refAffineTwist{
+		x: newRefGFp2().Conjugate(base.x),
+		y: newRefGFp2().Conjugate(base.y),
+	}
+	q1.x.Mul(q1.x, refXiToPMinus1Over3)
+	q1.y.Mul(q1.y, refXiToPMinus1Over2)
+	negQ2 := &refAffineTwist{
+		x: newRefGFp2().Mul(base.x, refXiToPSquaredMinus1Over3),
+		y: base.y,
+	}
+	c0, c1, c3 := r.addStep(q1, pa)
+	f.MulLine(f, c0, c1, c3)
+	c0, c1, c3 = r.addStep(negQ2, pa)
+	f.MulLine(f, c0, c1, c3)
 	return f
 }
 

@@ -54,7 +54,6 @@ func (n *NetworkOperator) RotateGroupSecret() (*sgs.PublicKey, error) {
 func (r *MeshRouter) UpdateGroupKey(gpk *sgs.PublicKey) {
 	sweep := sgs.NewSweepState(gpk)
 	r.mu.Lock()
-	r.gpk = gpk
 	r.sweep = sweep
 	r.mu.Unlock()
 	// Best effort: entries were validated when the snapshot was installed.

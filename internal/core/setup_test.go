@@ -56,6 +56,36 @@ func TestEnrollmentAssemblesValidKey(t *testing.T) {
 	}
 }
 
+// TestCredentialCopiesDoNotShareKeys checks that the provisioning surface
+// (Credentials / InstallCredential) hands over copies of the key material:
+// a device never shares a *sgs.PrivateKey — and with it the key's signing
+// cache — with the user it was exported from.
+func TestCredentialCopiesDoNotShareKeys(t *testing.T) {
+	tb := newTestbed(t, 1, 1, 0)
+	u := tb.user("0", 0)
+	own := u.creds["grp-0"].Key
+
+	exported := u.Credentials()[0]
+	if exported.Key == own || exported.Key.A == own.A {
+		t.Fatal("Credentials aliases the user's key")
+	}
+
+	device, err := NewUser(tb.cfg, Identity{Essential: "device"}, tb.no.Authority(), tb.no.GroupPublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := device.InstallCredential(exported); err != nil {
+		t.Fatal(err)
+	}
+	installed := device.creds["grp-0"]
+	if installed.Key == exported.Key || installed.Key.A == exported.Key.A {
+		t.Fatal("InstallCredential aliases the provisioned key")
+	}
+	if !installed.Key.A.Equal(own.A) || installed.Index != exported.Index || installed.Group != "grp-0" {
+		t.Fatal("installed credential differs from the exported one")
+	}
+}
+
 func TestEnrollmentCapacityExhausted(t *testing.T) {
 	clock := &FixedClock{T: testbedEpoch}
 	cfg := Config{Clock: clock}

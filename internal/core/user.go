@@ -23,6 +23,12 @@ type Credential struct {
 	Key   *sgs.PrivateKey
 }
 
+// clone returns a credential with its own copy of the key material, so the
+// holder's signing cache is never shared with the source.
+func (c *Credential) clone() *Credential {
+	return &Credential{Group: c.Group, Index: c.Index, Key: c.Key.Clone()}
+}
+
 // User is a network user: it enrolls with one or more user groups,
 // authenticates to mesh routers (Section IV.B) and to peer users (Section
 // IV.C), and maintains its established sessions.
@@ -169,8 +175,7 @@ func (u *User) Credentials() []*Credential {
 	defer u.mu.Unlock()
 	out := make([]*Credential, 0, len(u.creds))
 	for _, c := range u.creds {
-		cp := *c
-		out = append(out, &cp)
+		out = append(out, c.clone())
 	}
 	return out
 }
@@ -186,10 +191,10 @@ func (u *User) InstallCredential(c *Credential) error {
 	if err := sgs.CheckKey(u.gpk, c.Key); err != nil {
 		return fmt.Errorf("user %q: provisioned key invalid: %w", u.ID(), err)
 	}
-	cp := *c
+	cp := c.clone()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.creds[c.Group] = &cp
+	u.creds[c.Group] = cp
 	return nil
 }
 

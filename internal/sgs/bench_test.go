@@ -72,6 +72,31 @@ func BenchmarkRevocationCheckPerToken(b *testing.B) {
 	}
 }
 
+// BenchmarkSweep16 is the router's per-M.2 URL check as it runs on the ack
+// path: SweepState.Check of a per-message-generator signature against 16
+// installed tokens, none of them the signer's (every token is tested).
+func BenchmarkSweep16(b *testing.B) {
+	pk, keys := benchSetup(b, 17)
+	msg := []byte("benchmark message")
+	sig, err := Sign(rand.Reader, pk, keys[0], msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tokens := make([]*RevocationToken, 0, 16)
+	for _, k := range keys[1:] {
+		tokens = append(tokens, k.Token())
+	}
+	sweep := NewSweepState(pk)
+	sweep.Update(1, tokens)
+	sweep.Verifier()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if revoked, _ := sweep.Check(msg, sig); revoked {
+			b.Fatal("unexpected revocation")
+		}
+	}
+}
+
 func BenchmarkOpen(b *testing.B) {
 	pk, keys := benchSetup(b, 8)
 	msg := []byte("benchmark message")

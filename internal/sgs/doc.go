@@ -19,10 +19,12 @@
 // by grp + x.
 //
 // The paper's isomorphism ψ: G2 → G1 is only ever applied to outputs of the
-// hash H0. On a type-3 curve (no computable ψ) the standard port is used:
-// H0 returns scalars (a, b), the G2 bases are û = g2^a, v̂ = g2^b, and
-// ψ(û) := g1^a by construction. All protocol equations (Eq.1–Eq.3 of the
-// paper) hold verbatim.
+// hash H0. On a type-3 curve (no computable ψ) H0 returns scalars (a, b),
+// the G2 bases are û = g2^a, v̂ = g2^b, and ψ(û) := g1^a by construction.
+// The protocol equations (Eq.1–Eq.3 of the paper) hold verbatim, but the
+// construction has a known privacy gap: (a, b) are public, so anyone can
+// compute A = T2 − (b/a)·T1 from a signature and link all signatures of one
+// key. See DESIGN.md §2 and TestKnownGapTokenRecoverableFromSignature.
 //
 // Two generator-derivation modes are supported:
 //
@@ -37,4 +39,6 @@
 // reports how many group exponentiations and pairings were performed, used
 // by the benchmark harness to reproduce the paper's operation-count claims
 // (8 exp + 2 pairings to sign; 6 exp + (3+2|URL|) pairings to verify).
+// Sign computes one live pairing: e(A, g2) is cached on the PrivateKey and
+// charged as the second (see OpCounts).
 package sgs

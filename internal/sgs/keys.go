@@ -89,10 +89,37 @@ func (pk *PublicKey) EGG() *bn256.GT {
 }
 
 // PrivateKey is a group member's key gsk[i,j] = (A_{i,j}, grp_i, x_j).
+// The fields are immutable once the key has signed. A PrivateKey must not
+// be copied by value; use Clone.
 type PrivateKey struct {
 	A   *bn256.G1
 	Grp *big.Int
 	X   *big.Int
+
+	// eAg2 caches e(A, g2), the signer-side precomputation of BS04 §6,
+	// built by the first Sign. It is a function of A alone, is never
+	// serialized, and Clone does not carry it.
+	eAg2Once sync.Once
+	eAg2     *bn256.GT
+}
+
+// pairingAG2 returns the cached e(A, g2), computing it on first use. The
+// returned value is shared and must not be modified.
+func (k *PrivateKey) pairingAG2() *bn256.GT {
+	k.eAg2Once.Do(func() {
+		k.eAg2 = bn256.Pair(k.A, new(bn256.G2).Base())
+	})
+	return k.eAg2
+}
+
+// Clone returns an independent copy of the key material (A, grp, x). The
+// copy shares nothing with k and starts with an empty signing cache.
+func (k *PrivateKey) Clone() *PrivateKey {
+	return &PrivateKey{
+		A:   new(bn256.G1).Set(k.A),
+		Grp: new(big.Int).Set(k.Grp),
+		X:   new(big.Int).Set(k.X),
+	}
 }
 
 // Token returns the revocation token grt[i,j] = A_{i,j} for this key.

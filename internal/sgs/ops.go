@@ -10,6 +10,15 @@ package sgs
 // product of powers such as u^{s_α}·T1^{−c}) counts as one exponentiation,
 // and an exponentiation of a cached pairing value in GT is counted
 // separately as GTExps so both accounting conventions can be reported.
+//
+// Cached pairing values are charged the way the paper charges them, as if
+// they were computed on the spot. verify exponentiates the cached e(g1, g2):
+// 2 live Pairings + 1 GTExps, read as the paper's 3 pairings. Sign
+// exponentiates the e(A, g2) cached on the PrivateKey: it reports that value
+// as one of its 2 Pairings and the exponentiation as one of its 8 Exps, so
+// SignCounted keeps the paper's 8 + 2 although only one Miller loop and one
+// final exponentiation run per signature (the first signature of a key also
+// fills the cache).
 type OpCounts struct {
 	// Exps counts (multi-)exponentiations in G1 and G2.
 	Exps int

@@ -161,22 +161,29 @@ func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode Genera
 	r1 := new(bn256.G1).ScalarMult(u, rAlpha) // exp 5
 	ct.exp(1)
 
-	// R2 = e(T2, g2)^{r_x} · e(v, w)^{−r_α} · e(v, g2)^{−r_δ}
-	//    = e(T2, g2)^{r_x} · e(v, w^{−r_α} · g2^{−r_δ}),
-	// two pairings as in the paper's accounting.
+	// R2 = e(T2, g2)^{r_x} · e(v, w)^{−r_α} · e(v, g2)^{−r_δ}. With
+	// T2 = A · v^α the first factor splits into e(A, g2)^{r_x} ·
+	// e(v, g2)^{α·r_x}, so (BS04 §6)
+	//
+	//	R2 = e(A, g2)^{r_x} · e(v, g2^{α·r_x − r_δ} · w^{−r_α}):
+	//
+	// one exponentiation of the pairing cached on the key plus one live
+	// pairing. The paper's accounting (two pairings) charges the cached
+	// value as a pairing; see OpCounts.
 	negRAlpha := new(big.Int).Sub(bn256.Order, rAlpha)
 	negRDelta := new(big.Int).Sub(bn256.Order, rDelta)
+	g2Exp := mulMod(alpha, rX)
+	g2Exp.Add(g2Exp, negRDelta)
+	g2Exp.Mod(g2Exp, bn256.Order)
 	combined := pk.wTab().Mul(new(bn256.G2), negRAlpha) // exp 6 (multi-exp)
-	combined.Add(combined, new(bn256.G2).ScalarBaseMult(negRDelta))
+	combined.Add(combined, new(bn256.G2).ScalarBaseMult(g2Exp))
 	ct.exp(1)
 
-	r2 := bn256.Pair(t2, new(bn256.G2).Base()) // pairing 1
-	r2.ScalarMult(r2, rX)                      // exp 7
+	r2 := new(bn256.GT).ScalarMultCyclo(key.pairingAG2(), rX) // cached pairing 1, exp 7
 	ct.pairing(1)
 	ct.exp(1)
-	r2b := bn256.Pair(v, combined) // pairing 2
+	r2.Add(r2, bn256.Pair(v, combined)) // pairing 2
 	ct.pairing(1)
-	r2.Add(r2, r2b)
 
 	// R3 = T1^{r_x} · u^{−r_δ} (one multi-exp).
 	r3 := new(bn256.G1).ScalarMult(t1, rX) // exp 8 (multi-exp)

@@ -129,6 +129,9 @@ func UnmarshalResumeRequestInto(data []byte, m *ResumeRequest) error {
 	if err != nil {
 		return err
 	}
+	if has > 1 {
+		return fmt.Errorf("transport: resume solution flag %d", has)
+	}
 	m.HasSolution = has == 1
 	if m.HasSolution {
 		if m.Solution, err = r.Uint64(); err != nil {
