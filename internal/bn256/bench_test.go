@@ -118,3 +118,36 @@ func BenchmarkHashToG2(b *testing.B) {
 		HashToG2(msg)
 	}
 }
+
+// Field-level benchmarks: every row above is a few thousand of these. Each
+// iteration feeds the result back in, so the figure is the latency of one
+// dependent operation, which is what the tower arithmetic sees.
+func benchFieldOperands() (x, y gfP) {
+	a, _ := RandomScalar(rand.Reader)
+	b, _ := RandomScalar(rand.Reader)
+	return gfPFromBig(a), gfPFromBig(b)
+}
+
+func BenchmarkGfpMul(b *testing.B) {
+	x, y := benchFieldOperands()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gfpMul(&x, &x, &y)
+	}
+}
+
+func BenchmarkGfpAdd(b *testing.B) {
+	x, y := benchFieldOperands()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gfpAdd(&x, &x, &y)
+	}
+}
+
+func BenchmarkGfpSub(b *testing.B) {
+	x, y := benchFieldOperands()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gfpSub(&x, &x, &y)
+	}
+}

@@ -2,9 +2,12 @@ package bn256
 
 import "math/big"
 
+// uCubeRoot is the integer the BN parameter is the cube of.
+const uCubeRoot = 1868033
+
 // u is the BN parameter that determines the prime: u = 1868033³.
 // Every other constant in this file is derived from it.
-var u = new(big.Int).Exp(big.NewInt(1868033), big.NewInt(3), nil)
+var u = new(big.Int).Exp(big.NewInt(uCubeRoot), big.NewInt(3), nil)
 
 // P is the prime over which the base field is formed: 36u⁴+36u³+24u²+6u+1.
 var P = bnPrime()

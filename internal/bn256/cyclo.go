@@ -118,16 +118,21 @@ func nafDigits(k *big.Int) []int8 {
 	return digits
 }
 
-// uNAF is the NAF recoding of the curve parameter u, computed once: the
-// final exponentiation raises to the power u three times per invocation.
-var uNAF = nafDigits(u)
+// uCubeRootNAF is the NAF of 1868033 = 2²¹ − 2¹⁸ + 2¹⁵ + 2⁸ + 1. The final
+// exponentiation raises to the power u = 1868033³ three times per
+// invocation, and three walks over these 22 digits (weight 5) cost
+// 63 squarings + 12 multiplications against the 63 + 22 of one walk over
+// the 64 digits of NAF(u) (weight 23).
+var uCubeRootNAF = nafDigits(big.NewInt(uCubeRoot))
 
 // cyclotomicExp sets e = a^k for a in the cyclotomic subgroup and k ≥ 0,
 // combining Granger–Scott squarings with NAF recoding (conjugate in place
 // of inverse for the negative digits).
 func (e *gfP12) cyclotomicExp(a *gfP12, k *big.Int) *gfP12 {
 	if k == u {
-		return e.cyclotomicExpNAF(a, uNAF)
+		e.cyclotomicExpNAF(a, uCubeRootNAF)
+		e.cyclotomicExpNAF(e, uCubeRootNAF)
+		return e.cyclotomicExpNAF(e, uCubeRootNAF)
 	}
 	return e.cyclotomicExpNAF(a, nafDigits(k))
 }

@@ -52,7 +52,8 @@ func TestCyclotomicExpMatchesExp(t *testing.T) {
 		big.NewInt(1),
 		big.NewInt(2),
 		big.NewInt(3),
-		new(big.Int).Set(u),
+		new(big.Int).Set(u), // one walk over NAF(u)
+		u,                   // the variable itself: three walks over NAF(∛u)
 		new(big.Int).Sub(Order, big.NewInt(1)),
 	} {
 		want := newGFp12().Exp(a, k).Minimal()
@@ -77,6 +78,21 @@ func TestNAFDigits(t *testing.T) {
 		}
 		if acc.Int64() != k {
 			t.Fatalf("k=%d: NAF recomposes to %v", k, acc)
+		}
+	}
+}
+
+// TestUCubeRootNAF pins the digit string the final exponentiation walks
+// three times: 2²¹ − 2¹⁸ + 2¹⁵ + 2⁸ + 1.
+func TestUCubeRootNAF(t *testing.T) {
+	want := make([]int8, 22)
+	want[21], want[18], want[15], want[8], want[0] = 1, -1, 1, 1, 1
+	if len(uCubeRootNAF) != len(want) {
+		t.Fatalf("NAF(∛u) has %d digits, want %d", len(uCubeRootNAF), len(want))
+	}
+	for i := range want {
+		if uCubeRootNAF[i] != want[i] {
+			t.Fatalf("NAF(∛u) digit %d is %d, want %d", i, uCubeRootNAF[i], want[i])
 		}
 	}
 }

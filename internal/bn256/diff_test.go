@@ -160,6 +160,14 @@ func TestDiffCyclotomic(t *testing.T) {
 		if !refGfP12FromLimb(lexp).Equal(rexp) {
 			t.Fatalf("cyclotomicExp mismatch (iteration %d)", i)
 		}
+
+		// The final exponentiation's x^u: the limb core cubes x^∛u, the
+		// reference walks NAF(u).
+		lu := newGFp12().cyclotomicExp(lz, u)
+		ru := newRefGFp12().cyclotomicExp(rz, u)
+		if !refGfP12FromLimb(lu).Equal(ru) {
+			t.Fatalf("cyclotomicExp by u mismatch (iteration %d)", i)
+		}
 	}
 }
 

@@ -20,6 +20,15 @@
 // slow, textbook Tate pairing used by the test suite to cross-check the
 // optimal ate pairing.
 //
+// Arithmetic in F_p runs on gfP, four 64-bit limbs in Montgomery form
+// (gfp.go); math/big survives at the API boundary (scalars) and in the
+// ref_*.go reference core that the differential tests compare against.
+// The field multiplication gfpMul has two implementations and one rule
+// choosing between them: on amd64 it is the MULX/ADX assembly kernel in
+// gfp_amd64.s, which falls through to gfpMulGeneric on a CPU that CPUID
+// reports without BMI2 and ADX; on every other GOARCH, and under
+// -tags purego, gfpMul is gfpMulGeneric, the same CIOS algorithm in Go.
+//
 // The API mirrors the classic bn256 interface (Add/ScalarMult/Marshal on
 // wrapper types G1, G2, GT) but is written in multiplicative notation-aware
 // terms for the PEACE protocol layer: "exponentiation" in the paper maps to

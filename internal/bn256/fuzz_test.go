@@ -6,8 +6,10 @@ import (
 )
 
 // FuzzGfPvsBigInt differentially fuzzes the Montgomery limb core against
-// big.Int arithmetic mod P. The op selector picks mul/add/sub/inv, and one
-// expensive branch cross-checks a full pairing against the reference core.
+// big.Int arithmetic mod P. The op selector picks mul/add/sub/inv (mul also
+// compares gfpMul, the assembly kernel on amd64, with gfpMulGeneric), and
+// one expensive branch cross-checks a full pairing against the reference
+// core.
 // Run as a short smoke in CI: go test -run=^$ -fuzz=FuzzGfPvsBigInt -fuzztime=10s
 func FuzzGfPvsBigInt(f *testing.F) {
 	f.Add([]byte{1}, []byte{2}, byte(0))
@@ -19,6 +21,11 @@ func FuzzGfPvsBigInt(f *testing.F) {
 	// the six −1 digits of the 6u+2 NAF and both Frobenius lines; this one
 	// uses multi-limb scalars so Q, −Q, π(Q) and −π²(Q) are all generic.
 	f.Add(Order.Bytes()[1:], P.Bytes()[2:], byte(4))
+	// Largest operands, and R mod p whose Montgomery form is R² mod p.
+	pMinus1 := new(big.Int).Sub(P, big.NewInt(1)).Bytes()
+	f.Add(pMinus1, pMinus1, byte(0))
+	f.Add(pMinus1, []byte{1}, byte(0))
+	f.Add(new(big.Int).Mod(montR(), P).Bytes(), pMinus1, byte(0))
 
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte, op byte) {
 		if len(aRaw) > 64 || len(bRaw) > 64 {
@@ -35,6 +42,11 @@ func FuzzGfPvsBigInt(f *testing.F) {
 		case 0:
 			gfpMul(&r, &ga, &gb)
 			want = new(big.Int).Mod(new(big.Int).Mul(a, b), P)
+			var gen gfP
+			gfpMulGeneric(&gen, &ga, &gb)
+			if gen != r {
+				t.Fatalf("gfpMul=%x gfpMulGeneric=%x (a=%v b=%v)", r, gen, a, b)
+			}
 		case 1:
 			gfpAdd(&r, &ga, &gb)
 			want = new(big.Int).Mod(new(big.Int).Add(a, b), P)

@@ -13,22 +13,45 @@ import (
 // products, and addition/subtraction/negation reduce with a single
 // conditional subtraction selected by mask (no branches on secret data).
 //
+// gfpMul has exactly two implementations: the MULX/ADX assembly kernel in
+// gfp_amd64.s and gfpMulGeneric below, which runs on every other GOARCH,
+// under -tags purego, and on amd64 CPUs without BMI2+ADX.
+//
 // The big.Int implementation this replaces is retained in the ref_*.go
 // files as the differential-testing reference.
 type gfP [4]uint64
 
+// The modulus p as little-endian limbs, and np = −p⁻¹ mod 2⁶⁴, the per-limb
+// reduction factor of Montgomery multiplication. They are constants so the
+// compiler folds them into the add/sub/mul code as immediates (the hot
+// functions read no global), and the assembly kernel carries its own copy.
+// init below pins these to the values derived from P, and the tests that
+// compare gfpMul with gfpMulGeneric pin the kernel's copy to these, so none
+// can drift from constants.go.
+const (
+	p0 = 0x185cac6c5e089667
+	p1 = 0xee5b88d120b5b59e
+	p2 = 0xaa6fecb86184dc21
+	p3 = 0x8fb501e34aa387f9
+	np = 0x2387f9007f17daa9
+)
+
 // Montgomery parameters, derived from P at package initialization so the
 // limb core cannot drift from the big.Int constants.
 var (
-	pLimbs = limbsOf(P)                // the modulus p
-	np     = negPInvMod64()            // −p⁻¹ mod 2⁶⁴
-	r2     = gfPRawMod(montRSquared()) // R² mod p (raw limbs)
-	rOne   = gfPRawMod(montR())        // R mod p: the Montgomery form of 1
+	r2   = gfPRawMod(montRSquared()) // R² mod p (raw limbs)
+	rOne = gfPRawMod(montR())        // R mod p: the Montgomery form of 1
 
 	// Fixed exponents for Fermat inversion and square roots (p ≡ 3 mod 4).
 	pMinus2Big     = new(big.Int).Sub(P, big.NewInt(2))
 	pPlus1Over4Big = new(big.Int).Rsh(new(big.Int).Add(P, big.NewInt(1)), 2)
 )
+
+func init() {
+	if limbsOf(P) != (gfP{p0, p1, p2, p3}) || negPInvMod64() != np {
+		panic("bn256: field constants in gfp.go do not match P")
+	}
+}
 
 func montR() *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), 256)
@@ -68,19 +91,6 @@ func negPInvMod64() uint64 {
 	return inv.Uint64()
 }
 
-// ctMask returns all-ones when sel is 1 and zero when sel is 0.
-func ctMask(sel uint64) uint64 { return -sel }
-
-// gfpSelect sets c = a when sel is 1 and c = b when sel is 0, in constant
-// time.
-func gfpSelect(c, a, b *gfP, sel uint64) {
-	m := ctMask(sel)
-	c[0] = (a[0] & m) | (b[0] &^ m)
-	c[1] = (a[1] & m) | (b[1] &^ m)
-	c[2] = (a[2] & m) | (b[2] &^ m)
-	c[3] = (a[3] & m) | (b[3] &^ m)
-}
-
 // gfpAdd sets c = a + b mod p. Because 2p > 2²⁵⁶ the raw sum can carry out
 // of the fourth limb, so the conditional subtraction keys on the carry bit
 // as well as the comparison with p.
@@ -90,15 +100,18 @@ func gfpAdd(c, a, b *gfP) {
 	t2, carry := bits.Add64(a[2], b[2], carry)
 	t3, carry := bits.Add64(a[3], b[3], carry)
 
-	u0, borrow := bits.Sub64(t0, pLimbs[0], 0)
-	u1, borrow := bits.Sub64(t1, pLimbs[1], borrow)
-	u2, borrow := bits.Sub64(t2, pLimbs[2], borrow)
-	u3, borrow := bits.Sub64(t3, pLimbs[3], borrow)
+	u0, borrow := bits.Sub64(t0, p0, 0)
+	u1, borrow := bits.Sub64(t1, p1, borrow)
+	u2, borrow := bits.Sub64(t2, p2, borrow)
+	u3, borrow := bits.Sub64(t3, p3, borrow)
 
-	// The sum exceeds p exactly when the addition carried or the
-	// subtraction did not borrow.
-	sel := carry | (borrow ^ 1)
-	gfpSelect(c, &gfP{u0, u1, u2, u3}, &gfP{t0, t1, t2, t3}, sel)
+	// The sum is below p, and the unreduced t is kept, exactly when the
+	// addition did not carry and the subtraction borrowed.
+	m := -(borrow &^ carry)
+	c[0] = u0 ^ ((u0 ^ t0) & m)
+	c[1] = u1 ^ ((u1 ^ t1) & m)
+	c[2] = u2 ^ ((u2 ^ t2) & m)
+	c[3] = u3 ^ ((u3 ^ t3) & m)
 }
 
 // gfpSub sets c = a − b mod p.
@@ -109,28 +122,26 @@ func gfpSub(c, a, b *gfP) {
 	t3, borrow := bits.Sub64(a[3], b[3], borrow)
 
 	// Add p back when the subtraction went negative.
-	m := ctMask(borrow)
+	m := -borrow
 	var carry uint64
-	c[0], carry = bits.Add64(t0, pLimbs[0]&m, 0)
-	c[1], carry = bits.Add64(t1, pLimbs[1]&m, carry)
-	c[2], carry = bits.Add64(t2, pLimbs[2]&m, carry)
-	c[3], _ = bits.Add64(t3, pLimbs[3]&m, carry)
+	c[0], carry = bits.Add64(t0, p0&m, 0)
+	c[1], carry = bits.Add64(t1, p1&m, carry)
+	c[2], carry = bits.Add64(t2, p2&m, carry)
+	c[3], _ = bits.Add64(t3, p3&m, carry)
 }
 
 // gfpNeg sets c = −a mod p.
 func gfpNeg(c, a *gfP) {
-	t0, borrow := bits.Sub64(pLimbs[0], a[0], 0)
-	t1, borrow := bits.Sub64(pLimbs[1], a[1], borrow)
-	t2, borrow := bits.Sub64(pLimbs[2], a[2], borrow)
-	t3, _ := bits.Sub64(pLimbs[3], a[3], borrow)
-
-	// p − 0 = p must canonicalize to 0.
+	// p − 0 = p must canonicalize to 0: subtract from 0 instead of from p.
+	// nz | −nz has its top bit set exactly when a ≠ 0.
 	nz := a[0] | a[1] | a[2] | a[3]
-	sel := uint64(1)
-	if nz == 0 {
-		sel = 0
-	}
-	gfpSelect(c, &gfP{t0, t1, t2, t3}, &gfP{}, sel)
+	m := -((nz | -nz) >> 63)
+
+	var borrow uint64
+	c[0], borrow = bits.Sub64(p0&m, a[0], 0)
+	c[1], borrow = bits.Sub64(p1&m, a[1], borrow)
+	c[2], borrow = bits.Sub64(p2&m, a[2], borrow)
+	c[3], _ = bits.Sub64(p3&m, a[3], borrow)
 }
 
 // gfpDouble sets c = 2a mod p.
@@ -147,13 +158,15 @@ func madd(a, b, c, d uint64) (uint64, uint64) {
 	return hi, lo
 }
 
-// gfpMul sets c = a·b·R⁻¹ mod p: CIOS (coarsely integrated operand
-// scanning) Montgomery multiplication. p occupies the full 256 bits
-// (2p > 2²⁵⁶), so the goff/gnark "no-carry" shortcut does not apply and the
-// accumulator keeps an explicit fifth limb; the loop invariant t < 2p means
-// that limb is at most 1, and one carry-aware conditional subtraction at
-// the end lands the result in [0, p).
-func gfpMul(c, a, b *gfP) {
+// gfpMulGeneric sets c = a·b·R⁻¹ mod p: CIOS (coarsely integrated operand
+// scanning) Montgomery multiplication, the portable counterpart of the
+// assembly kernel. p occupies the full 256 bits (2p > 2²⁵⁶), so the
+// goff/gnark "no-carry" shortcut does not apply and the accumulator keeps
+// an explicit fifth limb: between rounds t < p + b < 2p, so that limb is at
+// most 1. After the last round t = (a·b + m·p)/R < (p/R + 1)·p < 2²⁵⁶ for
+// reduced a and b, the fifth limb is 0 again, and one conditional
+// subtraction over four limbs lands the result in [0, p).
+func gfpMulGeneric(c, a, b *gfP) {
 	var t0, t1, t2, t3, t4 uint64
 
 	for i := 0; i < 4; i++ {
@@ -167,20 +180,25 @@ func gfpMul(c, a, b *gfP) {
 
 		// t += m·p, then shift one limb: m cancels the low limb exactly.
 		m := u0 * np
-		C, _ = madd(m, pLimbs[0], u0, 0)
-		C, t0 = madd(m, pLimbs[1], u1, C)
-		C, t1 = madd(m, pLimbs[2], u2, C)
-		C, t2 = madd(m, pLimbs[3], u3, C)
+		C, _ = madd(m, p0, u0, 0)
+		C, t0 = madd(m, p1, u1, C)
+		C, t1 = madd(m, p2, u2, C)
+		C, t2 = madd(m, p3, u3, C)
 		t3, C = bits.Add64(u4, C, 0)
 		t4 = u5 + C
 	}
 
-	u0, borrow := bits.Sub64(t0, pLimbs[0], 0)
-	u1, borrow := bits.Sub64(t1, pLimbs[1], borrow)
-	u2, borrow := bits.Sub64(t2, pLimbs[2], borrow)
-	u3, borrow := bits.Sub64(t3, pLimbs[3], borrow)
-	sel := t4 | (borrow ^ 1)
-	gfpSelect(c, &gfP{u0, u1, u2, u3}, &gfP{t0, t1, t2, t3}, sel)
+	u0, borrow := bits.Sub64(t0, p0, 0)
+	u1, borrow := bits.Sub64(t1, p1, borrow)
+	u2, borrow := bits.Sub64(t2, p2, borrow)
+	u3, borrow := bits.Sub64(t3, p3, borrow)
+
+	// Keep t when it is below p.
+	m := -borrow
+	c[0] = u0 ^ ((u0 ^ t0) & m)
+	c[1] = u1 ^ ((u1 ^ t1) & m)
+	c[2] = u2 ^ ((u2 ^ t2) & m)
+	c[3] = u3 ^ ((u3 ^ t3) & m)
 }
 
 // montEncode converts raw limbs into Montgomery form: c = a·R mod p.
@@ -312,10 +330,10 @@ func (e *gfP) Unmarshal(in []byte) error {
 			uint64(in[8*i+6])<<8 | uint64(in[8*i+7])
 	}
 	// raw must be < p.
-	_, borrow := bits.Sub64(raw[0], pLimbs[0], 0)
-	_, borrow = bits.Sub64(raw[1], pLimbs[1], borrow)
-	_, borrow = bits.Sub64(raw[2], pLimbs[2], borrow)
-	_, borrow = bits.Sub64(raw[3], pLimbs[3], borrow)
+	_, borrow := bits.Sub64(raw[0], p0, 0)
+	_, borrow = bits.Sub64(raw[1], p1, borrow)
+	_, borrow = bits.Sub64(raw[2], p2, borrow)
+	_, borrow = bits.Sub64(raw[3], p3, borrow)
 	if borrow == 0 {
 		return ErrMalformedPoint
 	}

@@ -88,6 +88,11 @@ func (e *refGfP12) CyclotomicSquare(a *refGfP12) *refGfP12 {
 	return e
 }
 
+// uNAF is the NAF recoding of the curve parameter u (64 digits, weight 23).
+// The reference core walks it whole; the limb core's chain of three
+// exponentiations by ∛u must produce the same bytes.
+var uNAF = nafDigits(u)
+
 // cyclotomicExp sets e = a^k for a in the cyclotomic subgroup and k ≥ 0,
 // combining Granger–Scott squarings with NAF recoding (conjugate in place
 // of inverse for the negative digits).
