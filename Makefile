@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint meshd-loopback meshd-drill chaos-soak metro-soak attack-soak
+.PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint harness-lint meshd-loopback meshd-drill chaos-soak restart-soak metro-soak attack-soak
 
 all: build test
 
@@ -17,6 +17,7 @@ ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(MAKE) metrics-lint
+	$(MAKE) harness-lint
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) build ./...
@@ -27,6 +28,7 @@ ci:
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz
 	$(MAKE) chaos-soak
+	$(MAKE) restart-soak
 	$(MAKE) metro-soak
 	$(MAKE) attack-soak
 
@@ -63,6 +65,14 @@ fuzz:
 metrics-lint:
 	$(GO) test ./internal/metrics/ -run='^(TestRegistrationRules|TestInstrumentNamingLint)$$' -count=1
 
+# harness-lint keeps drivers out of what ships: the daemon, the key tool
+# and the two production packages under them may not depend, even
+# transitively, on the fault-injection testbed, the simulator or the
+# experiments.
+harness-lint:
+	@bad="$$($(GO) list -deps ./cmd/meshd ./cmd/peacekeys ./internal/transport ./internal/backbone | grep -E 'internal/(chaos|mesh|experiments)$$')"; \
+	if [ -n "$$bad" ]; then echo "harness imported by a production package:"; echo "$$bad"; exit 1; fi
+
 # staticcheck runs when the binary is present and is skipped (loudly) when
 # it is not — the container image does not ship it and ci must not fetch
 # tools from the network.
@@ -76,13 +86,13 @@ staticcheck:
 # meshd-loopback is the transport acceptance drill: 100 concurrent users
 # through full M.1–M.3 over real UDP loopback at 5% induced datagram loss.
 meshd-loopback:
-	$(GO) run ./cmd/meshd -mode loopback -users 100 -loss 0.05
+	$(GO) run ./cmd/meshsoak loopback -users 100 -loss 0.05
 
 # meshd-drill is the revocation acceptance drill: the URL grows by two
 # entries per round across four epochs while eight clients re-attach;
 # clients must converge via deltas after one cold-start snapshot per list.
 meshd-drill:
-	$(GO) run ./cmd/meshd -mode drill -users 8 -rounds 4 -revoke 2
+	$(GO) run ./cmd/meshsoak drill -users 8 -rounds 4 -revoke 2
 
 # chaos-soak is the self-healing acceptance drill: 100 maintained clients
 # under 10% loss + 5% corruption + 2% duplication survive a mid-run
@@ -90,7 +100,14 @@ meshd-drill:
 # fleet, and every client must re-establish with zero invariant
 # violations. Deterministic fault decisions from -seed.
 chaos-soak:
-	$(GO) run ./cmd/meshd -mode chaos -users 100 -seed 42 -storm 2s -partition 5s
+	$(GO) run ./cmd/meshsoak chaos -users 100 -seed 42 -storm 2s -partition 5s
+
+# restart-soak is the resumption acceptance drill: 12 maintained clients
+# ride three server restarts sharing one STEK ring. Gate: one pairing per
+# client, ever — every restart is recovered over the ticket path — and
+# both halves of every final session agree on keys.
+restart-soak:
+	$(GO) run ./cmd/meshsoak restart -users 12 -seed 11
 
 # metro-soak is the roaming acceptance drill: 8 backbone routers under
 # lossy/corrupting/duplicating inter-router links, one router partitioned
@@ -99,7 +116,7 @@ chaos-soak:
 # zero resume fallbacks) and every router refuses a revocation rollback
 # after a fleet-wide epoch bump.
 metro-soak:
-	$(GO) run ./cmd/meshd -mode metro -routers 8 -users 200 -moves 3 -soak -partition 2s
+	$(GO) run ./cmd/meshsoak metro -routers 8 -users 200 -moves 3 -partition 2s
 
 # attack-soak is the adaptive-DoS acceptance drill: a seeded attacker
 # fleet (spoofed-source garbage floods, solution-less skeleton M.2s,
@@ -110,7 +127,7 @@ metro-soak:
 # and decays to 0 within the bound after it, replayed solutions are
 # refused, and the flood buys the attacker no pairings.
 attack-soak:
-	$(GO) run ./cmd/meshd -mode attack -users 16 -seed 42 -storm 2s
+	$(GO) run ./cmd/meshsoak attack -users 16 -seed 42 -storm 2s
 
 build:
 	$(GO) build ./...

@@ -1,41 +1,21 @@
-// Command meshd runs the PEACE transport over real UDP sockets.
+// Command meshd is the PEACE router daemon, and the client that attaches
+// to it, over real UDP sockets.
 //
-// Serve mode provisions a network, writes the users' credentials to a
+// meshd serve provisions a network, writes the users' credentials to a
 // provision file and answers M.1–M.3 handshakes on a listen socket,
 // printing router and transport counters as periodic JSON; on SIGTERM or
 // SIGINT it drains gracefully (new attaches refused with a transient
-// reject, in-flight replies delivered) before exiting. Client mode
+// reject, in-flight replies delivered) before exiting. meshd client
 // imports that provision file and drives N concurrent users through the
-// full AKA against a remote meshd. Loopback mode runs both ends in one
-// process over 127.0.0.1 with induced datagram loss — the acceptance
-// drill for the retransmission machinery. Drill mode grows the URL
-// across epochs between attachment rounds and reports how clients
-// converged (delta fetches vs full snapshot fetches) — the acceptance
-// drill for the epoch-based revocation distribution. Chaos mode runs the
-// full fault-injection soak: a fleet of self-healing clients under
-// sustained drop/corruption/duplication, a mid-run revocation bump, a
-// server restart and a partition, reporting the recovery counters and
-// every invariant violation. Metro mode boots an N-router backbone ring
-// in one process and roams M users across it via ticket handoffs,
-// printing the wave report plus every router's counters; with -soak it
-// adds backbone fault injection, a mid-wave link partition and a closing
-// revocation anti-rollback probe on every router. Attack mode runs the
-// adaptive-DoS acceptance soak: a spoofed-source attacker fleet floods
-// the attach ingress while a legitimate fleet holds and establishes
-// sessions through the storm; the run judges the suspicion→puzzle loop
-// (difficulty ratchet, bounded decay, replay refusal, attacker cost
-// scaling, legit-fleet survival) and exits non-zero on any violation.
+// full AKA against a remote meshd.
+//
+// The acceptance drills that used to be further modes (loopback, drill,
+// chaos, metro, attack) live in cmd/meshsoak.
 //
 // Usage:
 //
-//	meshd -mode serve -listen 127.0.0.1:7464 -provision /tmp/peace.prov -users 100
-//	meshd -mode client -addr 127.0.0.1:7464 -provision /tmp/peace.prov -users 100 -loss 0.05
-//	meshd -mode loopback -users 100 -loss 0.05
-//	meshd -mode drill -users 8 -rounds 4 -revoke 2
-//	meshd -mode chaos -users 100 -drop 0.10 -corrupt 0.05 -dup 0.02 -partition 5s
-//	meshd -mode metro -routers 8 -users 200 -moves 3
-//	meshd -mode metro -routers 8 -users 200 -moves 3 -soak -partition 2s
-//	meshd -mode attack -users 16 -flooders 3 -sources 8 -storm 2s -dosbase 3 -dosmax 8
+//	meshd serve -listen 127.0.0.1:7464 -provision /tmp/peace.prov -users 100
+//	meshd client -addr 127.0.0.1:7464 -provision /tmp/peace.prov -users 100
 package main
 
 import (
@@ -54,101 +34,75 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/backbone"
-	"github.com/peace-mesh/peace/internal/chaos"
 	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/metrics"
 	"github.com/peace-mesh/peace/internal/transport"
 )
 
 // metricsHub backs the /metrics endpoint on the debug HTTP server: serve
-// mode adds the transport and router registries once they exist, so the
+// adds the transport and router registries once they exist, so the
 // handler can be installed before the server boots.
 var metricsHub = metrics.NewHub()
 
+const usage = `usage: meshd serve|client [flags]   (meshd serve -h, meshd client -h)`
+
 func main() {
-	mode := flag.String("mode", "loopback", "serve, client, loopback or drill")
-	listen := flag.String("listen", "127.0.0.1:7464", "serve: UDP listen address")
-	addr := flag.String("addr", "127.0.0.1:7464", "client: meshd address to attach to")
-	users := flag.Int("users", 100, "users to provision (serve) or drive (client, loopback)")
-	loss := flag.Float64("loss", 0.05, "client, loopback: induced datagram loss probability [0,1)")
-	seed := flag.Int64("seed", 1, "seed for induced loss")
-	provision := flag.String("provision", "peace.prov", "serve: credentials file to write; client: to read")
-	group := flag.String("group", "grp-0", "group to authenticate under")
-	statsEvery := flag.Duration("stats", 5*time.Second, "serve: stats emission period")
-	shards := flag.Int("shards", 1, "serve: ingest read loops (SO_REUSEPORT multi-sockets where available)")
-	duration := flag.Duration("duration", 0, "serve: exit after this long (0 = until signal)")
-	timeout := flag.Duration("timeout", 30*time.Second, "client, loopback, drill: per-handshake timeout")
-	rounds := flag.Int("rounds", 4, "drill: attachment rounds (URL epochs)")
-	revoke := flag.Int("revoke", 2, "drill: revocations between rounds")
-	drop := flag.Float64("drop", 0.10, "chaos: datagram drop probability per direction")
-	corrupt := flag.Float64("corrupt", 0.05, "chaos: bit-corruption probability per direction")
-	dup := flag.Float64("dup", 0.02, "chaos: duplication probability per direction")
-	storm := flag.Duration("storm", 2*time.Second, "chaos: keepalive soak length before the restart")
-	partition := flag.Duration("partition", 5*time.Second, "chaos: partition length after the restart; metro: backbone partition length")
-	routers := flag.Int("routers", 8, "metro: backbone routers in the ring")
-	moves := flag.Int("moves", 3, "metro: cross-router handoffs per user")
-	soak := flag.Bool("soak", false, "metro: add backbone fault injection, a mid-wave partition and the anti-rollback probe")
-	pprofAddr := flag.String("pprof", "", "expose net/http/pprof and Prometheus /metrics on this address (e.g. 127.0.0.1:6060); empty disables")
-	ratelimit := flag.Float64("ratelimit", 0, "serve: per-source attach/resume datagrams per second admitted (0 disables); attack: same, armed by default")
-	rateburst := flag.Int("rateburst", 0, "serve: per-source burst above -ratelimit (0 = 2x the rate)")
-	flooders := flag.Int("flooders", 3, "attack: flooder goroutines spraying the attach ingress")
-	sources := flag.Int("sources", 8, "attack: spoofed source addresses per flooder")
-	doswindow := flag.Duration("doswindow", 1500*time.Millisecond, "attack: suspicion sliding window")
-	dosthreshold := flag.Int("dosthreshold", 8, "attack: failed requests within -doswindow that trip suspicion")
-	dosquiet := flag.Duration("dosquiet", time.Second, "attack: quiet period before suspicion clears")
-	dosbase := flag.Int("dosbase", 3, "attack: puzzle difficulty demanded the moment suspicion trips")
-	dosmax := flag.Int("dosmax", 8, "attack: difficulty cap for the load-driven ratchet")
-	dosstep := flag.Duration("dosstep", 150*time.Millisecond, "attack: minimum spacing between ratchet-up steps")
-	dosdecay := flag.Duration("dosdecay", 200*time.Millisecond, "attack: spacing between decay steps once load subsides")
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		// The default mux carries the pprof handlers via the blank import;
-		// /metrics serves every registry the running mode adds to the hub.
-		http.Handle("/metrics", metricsHub)
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("meshd: debug http listener: %v", err)
-			}
-		}()
-		log.Printf("meshd: pprof on http://%s/debug/pprof/, metrics on http://%s/metrics", *pprofAddr, *pprofAddr)
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
 	}
+	cmd := os.Args[1]
+	fs := flag.NewFlagSet("meshd "+cmd, flag.ExitOnError) // bad flags exit 2 with the command's usage
+	users := fs.Int("users", 100, "users to provision (serve) or drive (client)")
+	provision := fs.String("provision", "peace.prov", "serve: credentials file to write; client: to read")
 
-	var err error
-	switch *mode {
+	var run func() error
+	switch cmd {
 	case "serve":
-		err = runServe(*listen, *provision, *users, *shards, *statsEvery, *duration, *ratelimit, *rateburst)
+		listen := fs.String("listen", "127.0.0.1:7464", "UDP listen address")
+		statsEvery := fs.Duration("stats", 5*time.Second, "stats emission period")
+		shards := fs.Int("shards", 1, "ingest read loops (SO_REUSEPORT multi-sockets where available)")
+		duration := fs.Duration("duration", 0, "exit after this long (0 = until signal)")
+		pprofAddr := fs.String("pprof", "", "expose net/http/pprof and Prometheus /metrics on this address (e.g. 127.0.0.1:6060); empty disables")
+		ratelimit := fs.Float64("ratelimit", 0, "per-source attach/resume datagrams per second admitted (0 disables)")
+		rateburst := fs.Int("rateburst", 0, "per-source burst above -ratelimit (0 = 2x the rate)")
+		run = func() error {
+			if *pprofAddr != "" {
+				serveDebug(*pprofAddr)
+			}
+			return runServe(*listen, *provision, *users, *shards, *statsEvery, *duration, *ratelimit, *rateburst)
+		}
 	case "client":
-		err = runClient(*addr, *provision, *users, *loss, *seed, core.GroupID(*group), *timeout)
-	case "loopback":
-		err = runLoopback(*users, *loss, *seed, *timeout)
-	case "drill":
-		err = runDrill(*users, *rounds, *revoke, *timeout)
-	case "chaos":
-		err = runChaos(*users, *seed, *drop, *corrupt, *dup, *storm, *partition)
-	case "metro":
-		err = runMetro(*routers, *users, *moves, *seed, *soak, *partition)
-	case "attack":
-		err = runAttack(*users, *flooders, *sources, *seed, *storm, *ratelimit, core.DoSPolicy{
-			Enabled:            true,
-			Window:             *doswindow,
-			SuspicionThreshold: *dosthreshold,
-			QuietPeriod:        *dosquiet,
-			BaseDifficulty:     uint8(*dosbase),
-			MaxDifficulty:      uint8(*dosmax),
-			StepInterval:       *dosstep,
-			DecayInterval:      *dosdecay,
-		})
+		addr := fs.String("addr", "127.0.0.1:7464", "meshd address to attach to")
+		group := fs.String("group", "grp-0", "group to authenticate under")
+		timeout := fs.Duration("timeout", 30*time.Second, "per-handshake timeout")
+		run = func() error {
+			return runClient(*addr, *provision, *users, core.GroupID(*group), *timeout)
+		}
 	default:
-		err = fmt.Errorf("unknown -mode %q (serve, client, loopback, drill, chaos, metro, attack)", *mode)
+		fmt.Fprintf(os.Stderr, "meshd: unknown command %q\n%s\n", cmd, usage)
+		os.Exit(2)
 	}
-	if err != nil {
+	_ = fs.Parse(os.Args[2:]) // ExitOnError
+	if err := run(); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// statsLine is one periodic JSON record emitted by serve mode. The
+// serveDebug starts the debug HTTP listener: the default mux carries the
+// pprof handlers via the blank import, /metrics serves every registry
+// serve adds to the hub.
+func serveDebug(addr string) {
+	http.Handle("/metrics", metricsHub)
+	go func() {
+		if err := http.ListenAndServe(addr, nil); err != nil {
+			log.Printf("meshd: debug http listener: %v", err)
+		}
+	}()
+	log.Printf("meshd: pprof on http://%s/debug/pprof/, metrics on http://%s/metrics", addr, addr)
+}
+
+// statsLine is one periodic JSON record emitted by serve. The
 // data-plane rates are derived between successive emissions: DataPPS is
 // delivered data frames per second over the last period, DataBytes the
 // cumulative plaintext bytes delivered, and BatchFillAvg the average
@@ -164,7 +118,7 @@ type statsLine struct {
 }
 
 func runServe(listen, provisionPath string, users, shards int, statsEvery, duration time.Duration, ratelimit float64, rateburst int) error {
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-0", "grp-0", users)
+	ln, err := transport.NewLocalNetwork(core.Config{}, "grp-0", 1, users)
 	if err != nil {
 		return fmt.Errorf("provision: %w", err)
 	}
@@ -181,7 +135,7 @@ func runServe(listen, provisionPath string, users, shards int, statsEvery, durat
 	if err != nil {
 		return err
 	}
-	srv := transport.NewShardedServer(conns, ln.Router, transport.ServerConfig{
+	srv := transport.NewShardedServer(conns, ln.Routers[0], transport.ServerConfig{
 		Shards:          shards,
 		RateLimitPerSec: ratelimit,
 		RateLimitBurst:  rateburst,
@@ -195,7 +149,7 @@ func runServe(listen, provisionPath string, users, shards int, statsEvery, durat
 	// the peacebench experiments all read these two registries. The
 	// OnScrape hook refreshes the stored gauges (reply-cache size) that
 	// mirror live structures.
-	metricsHub.Add(srv.Stats().Registry(), ln.Router.Metrics())
+	metricsHub.Add(srv.Stats().Registry(), ln.Routers[0].Metrics())
 	metricsHub.OnScrape(func() { srv.Stats() })
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -216,7 +170,7 @@ func runServe(listen, provisionPath string, users, shards int, statsEvery, durat
 			At:        now.UTC().Format(time.RFC3339),
 			DataBytes: st.DataBytes(),
 			Transport: st.Snapshot(),
-			Router:    ln.Router.Metrics().Snapshot(),
+			Router:    ln.Routers[0].Metrics().Snapshot(),
 		}
 		delivered := st.DataDelivered()
 		if dt := now.Sub(lastAt).Seconds(); dt > 0 {
@@ -250,7 +204,7 @@ func runServe(listen, provisionPath string, users, shards int, statsEvery, durat
 	}
 }
 
-// clientReport is the JSON summary client mode prints on exit.
+// clientReport is the JSON summary client prints on exit.
 type clientReport struct {
 	Users             int      `json:"users"`
 	Established       int64    `json:"established"`
@@ -259,11 +213,10 @@ type clientReport struct {
 	HandshakesPerSec  float64  `json:"handshakes_per_sec"`
 	ClientRetransmits int64    `json:"client_retransmits"`
 	ClientTimeouts    int64    `json:"client_timeouts"`
-	DatagramsDropped  int64    `json:"datagrams_dropped"`
 	Errors            []string `json:"errors,omitempty"`
 }
 
-func runClient(addr, provisionPath string, users int, loss float64, seed int64, group core.GroupID, timeout time.Duration) error {
+func runClient(addr, provisionPath string, users int, group core.GroupID, timeout time.Duration) error {
 	blob, err := os.ReadFile(provisionPath)
 	if err != nil {
 		return err
@@ -283,7 +236,7 @@ func runClient(addr, provisionPath string, users int, loss float64, seed int64, 
 	rep := clientReport{Users: users}
 	var mu sync.Mutex
 	var established, failed atomic.Int64
-	var retransmits, timeouts, dropped atomic.Int64
+	var retransmits, timeouts atomic.Int64
 	cfg := transport.ClientConfig{Group: group}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -297,13 +250,7 @@ func runClient(addr, provisionPath string, users int, loss float64, seed int64, 
 				return
 			}
 			defer conn.Close()
-			cconn := net.PacketConn(conn)
-			if loss > 0 {
-				lossy := transport.NewLossyConn(conn, loss, seed+int64(i)+1)
-				cconn = lossy
-				defer func() { dropped.Add(lossy.Dropped()) }()
-			}
-			cl := transport.NewClient(cconn, raddr, provisioned[i], cfg)
+			cl := transport.NewClient(conn, raddr, provisioned[i], cfg)
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
 			_, err = cl.Attach(ctx)
@@ -327,7 +274,6 @@ func runClient(addr, provisionPath string, users int, loss float64, seed int64, 
 	rep.ElapsedNs = elapsed.Nanoseconds()
 	rep.ClientRetransmits = retransmits.Load()
 	rep.ClientTimeouts = timeouts.Load()
-	rep.DatagramsDropped = dropped.Load()
 	if elapsed > 0 {
 		rep.HandshakesPerSec = float64(rep.Established) / elapsed.Seconds()
 	}
@@ -339,187 +285,5 @@ func runClient(addr, provisionPath string, users int, loss float64, seed int64, 
 	if rep.Failed > 0 {
 		return fmt.Errorf("%d/%d handshakes failed", rep.Failed, users)
 	}
-	return nil
-}
-
-func runLoopback(users int, loss float64, seed int64, timeout time.Duration) error {
-	rep, err := transport.RunLoopback(transport.LoopbackConfig{
-		Users:         users,
-		Loss:          loss,
-		Seed:          seed,
-		AttachTimeout: timeout,
-	})
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if rep.Failed > 0 {
-		return fmt.Errorf("%d/%d handshakes failed", rep.Failed, rep.Users)
-	}
-	log.Printf("meshd: %d/%d handshakes established at %.0f%% loss (%.1f/s, %d retransmits, %d datagrams dropped)",
-		rep.Established, rep.Users, loss*100, rep.HandshakesPerSec, rep.ClientRetransmits, rep.DatagramsDropped)
-	return nil
-}
-
-// runDrill attaches -users clients per round while the NO revokes
-// -revoke tokens between rounds, then prints the convergence report:
-// clients should ride deltas after their first full snapshot.
-func runDrill(users, rounds, revoke int, timeout time.Duration) error {
-	rep, err := transport.RunRevocationDrill(transport.DrillConfig{
-		Users:          users,
-		Rounds:         rounds,
-		RevokePerRound: revoke,
-		AttachTimeout:  timeout,
-	})
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if len(rep.Errors) > 0 {
-		return fmt.Errorf("%d attachment failures", len(rep.Errors))
-	}
-	log.Printf("meshd: %d attachments over %d epochs converged with %d delta fetches, %d snapshot fetches (max %d full snapshots per client)",
-		rep.Established, rep.FinalURLEpoch, rep.DeltaFetches, rep.SnapshotFetches, rep.SnapshotsPerClientMax)
-	return nil
-}
-
-// runChaos executes the fault-injection soak and prints its report: the
-// acceptance drill for the self-healing session machinery.
-func runChaos(users int, seed int64, drop, corrupt, dup float64, storm, partition time.Duration) error {
-	rep, err := chaos.RunSoak(chaos.SoakConfig{
-		Users:        users,
-		Seed:         seed,
-		Faults:       chaos.FaultPlan{Drop: drop, Corrupt: corrupt, Duplicate: dup, Reorder: 0.02},
-		StormLen:     storm,
-		PartitionLen: partition,
-		Logf:         log.Printf,
-	})
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if rep.Failed() {
-		return fmt.Errorf("chaos soak violated %d invariants", len(rep.Violations))
-	}
-	log.Printf("meshd: chaos soak clean: %d/%d clients re-established across restart+partition (%d reattaches, %d keepalives acked, %d faults injected)",
-		rep.Established, rep.Users, rep.Reattaches, rep.KeepalivesAcked,
-		rep.Injected.Dropped+rep.Injected.Corrupted+rep.Injected.Duplicated+rep.Injected.Reordered)
-	return nil
-}
-
-// runAttack executes the adaptive-DoS attack soak and prints its report:
-// the acceptance drill for the suspicion-driven client-puzzle defense.
-func runAttack(users, flooders, sources int, seed int64, storm time.Duration, ratelimit float64, policy core.DoSPolicy) error {
-	rep, err := chaos.RunAttackSoak(chaos.AttackConfig{
-		LegitUsers:      users,
-		Flooders:        flooders,
-		SpoofedSources:  sources,
-		Seed:            seed,
-		StormLen:        storm,
-		Policy:          policy,
-		RateLimitPerSec: ratelimit,
-		Logf:            log.Printf,
-	})
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if rep.Failed() {
-		return fmt.Errorf("attack soak violated %d invariants", len(rep.Violations))
-	}
-	log.Printf("meshd: attack soak clean: %d/%d legit clients alive through a %d-datagram flood; difficulty %d->%d->0 (decayed in %v), %d solution replays refused",
-		rep.LegitAlive, rep.LegitUsers, rep.AttackerDatagrams,
-		rep.BaseDifficulty, rep.PeakDifficulty, rep.DecayedIn.Round(time.Millisecond), rep.SolutionReplays)
-	return nil
-}
-
-// metroLine is the JSON record metro mode emits: the wave (or soak)
-// report plus every router's transport counters, handoff and gossip
-// gauges included.
-type metroLine struct {
-	Report  any                `json:"report"`
-	Routers []metrics.Snapshot `json:"routers"`
-}
-
-// runMetro boots an N-router metro backbone in one process and roams M
-// users across it; with soak it additionally runs backbone fault
-// injection, a mid-wave link partition and the closing anti-rollback
-// probe. Exits non-zero on any session-continuity violation.
-func runMetro(routers, users, moves int, seed int64, soak bool, partition time.Duration) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-
-	if soak {
-		rep, err := chaos.RunMetroSoak(chaos.MetroSoakConfig{
-			Routers:      routers,
-			Users:        users,
-			Moves:        moves,
-			Seed:         seed,
-			PartitionLen: partition,
-			Logf:         log.Printf,
-		})
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		if rep.Failed() {
-			return fmt.Errorf("metro soak violated %d invariants", len(rep.Violations))
-		}
-		log.Printf("meshd: metro soak clean: %d users × %d moves over %d routers, %d handoffs, %d frames relayed, %d/%d rollbacks refused",
-			rep.Users, rep.Moves, rep.Routers, rep.Wave.HandoffsIn, rep.Wave.FramesRelayed,
-			rep.RollbacksRefused, rep.Routers)
-		return nil
-	}
-
-	m, err := backbone.StartMetro(backbone.MetroConfig{
-		Routers:        routers,
-		Users:          users,
-		Moves:          moves,
-		GossipInterval: 100 * time.Millisecond,
-		GraceWindow:    30 * time.Second,
-		Logf:           nil,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	log.Printf("meshd: metro up: %d routers in a ring, %d users, %d moves each", routers, users, moves)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Minute)
-	defer cancel()
-	rep, err := m.RoamingWave(ctx)
-	if err != nil {
-		return err
-	}
-	line := metroLine{Report: rep}
-	for _, s := range m.Servers {
-		line.Routers = append(line.Routers, s.Stats().Snapshot())
-	}
-	if err := enc.Encode(line); err != nil {
-		return err
-	}
-	if len(rep.Violations) > 0 {
-		return fmt.Errorf("metro wave violated %d invariants", len(rep.Violations))
-	}
-	log.Printf("meshd: metro wave clean: %d pairings, %d ticket handoffs, %d frames relayed, %d delivered",
-		rep.Pairings, rep.Resumed, rep.FramesRelayed, rep.Delivered)
 	return nil
 }

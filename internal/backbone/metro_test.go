@@ -1,16 +1,27 @@
-package backbone
+package backbone_test
 
 import (
 	"context"
-	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/core"
+	"github.com/peace-mesh/peace/internal/chaos"
 	"github.com/peace-mesh/peace/internal/transport"
 )
+
+// The metro tests drive real backbone nodes through chaos.Testbed, which
+// imports this package — hence the external test package.
+
+func newMetro(t *testing.T, cfg chaos.TestbedConfig) *chaos.Testbed {
+	t.Helper()
+	tb, err := chaos.NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	return tb
+}
 
 func testCtx(t *testing.T) context.Context {
 	t.Helper()
@@ -38,55 +49,12 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// bumpRevocationOn revokes a spare credential slot at the operator and
-// installs the advanced bundles on only the given routers — the rest of
-// the metro keeps the older epochs.
-func bumpRevocationOn(t *testing.T, n *MetroNetwork, routers ...*core.MeshRouter) {
-	t.Helper()
-	spare := 0
-	for _, u := range n.Users {
-		for _, c := range u.Credentials() {
-			if c.Index >= spare {
-				spare = c.Index + 1
-			}
-		}
-	}
-	tok, err := n.NO.TokenOf(n.GM.ID(), spare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.NO.RevokeUserKey(tok)
-	crl, url, err := n.NO.RevocationBundles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range routers {
-		if err := r.UpdateRevocations(crl, url); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestMetroRoamingWave drives the full harness: a small metro, every
 // user roaming through several cross-router handoffs, every invariant
 // asserted by the report.
 func TestMetroRoamingWave(t *testing.T) {
-	m, err := StartMetro(MetroConfig{
-		Routers:        4,
-		Users:          6,
-		Moves:          3,
-		GossipInterval: 50 * time.Millisecond,
-		GraceWindow:    30 * time.Second,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	rep, err := m.RoamingWave(testCtx(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMetro(t, chaos.TestbedConfig{Routers: 4, Users: 6})
+	rep := m.RoamingWave(testCtx(t), 3)
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
@@ -116,15 +84,7 @@ func TestMetroRoamingWave(t *testing.T) {
 // the resume is refused (anti-rollback on session state) and the client
 // falls back to one — exactly one — fresh pairing.
 func TestStaleEpochPinsAtAdoptingRouter(t *testing.T) {
-	m, err := StartMetro(MetroConfig{
-		Routers:        2,
-		Users:          1,
-		GossipInterval: 50 * time.Millisecond,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := newMetro(t, chaos.TestbedConfig{Routers: 2})
 	ctx := testCtx(t)
 
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -138,8 +98,9 @@ func TestStaleEpochPinsAtAdoptingRouter(t *testing.T) {
 	}
 
 	// Only the adopting router advances its revocation epochs.
-	bumpRevocationOn(t, m.Net, m.Net.Routers[1])
-	m.Servers[1].InvalidateBeacon()
+	if err := m.BumpRevocation(1, 1); err != nil {
+		t.Fatal(err)
+	}
 
 	cl.Retarget(m.Servers[1].Addr())
 	if _, err := cl.Resume(ctx); err == nil {
@@ -161,29 +122,6 @@ func TestStaleEpochPinsAtAdoptingRouter(t *testing.T) {
 	}
 }
 
-// blackholeConn drops every datagram in both directions while tripped —
-// a backbone partition for exactly one router.
-type blackholeConn struct {
-	net.PacketConn
-	drop atomic.Bool
-}
-
-func (c *blackholeConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	if c.drop.Load() {
-		return len(p), nil
-	}
-	return c.PacketConn.WriteTo(p, addr)
-}
-
-func (c *blackholeConn) ReadFrom(p []byte) (int, net.Addr, error) {
-	for {
-		n, addr, err := c.PacketConn.ReadFrom(p)
-		if err != nil || !c.drop.Load() {
-			return n, addr, err
-		}
-	}
-}
-
 // TestHandoffDuringBackbonePartition cuts the previous router off the
 // backbone while the user roams. The handoff itself succeeds (the user
 // plane is unaffected), the ownership announcement cannot reach the old
@@ -191,23 +129,9 @@ func (c *blackholeConn) ReadFrom(p []byte) (int, net.Addr, error) {
 // the one-shot flood, which was lost — delivers it, after which in-flight
 // frames forward.
 func TestHandoffDuringBackbonePartition(t *testing.T) {
-	holes := make([]*blackholeConn, 3)
-	m, err := StartMetro(MetroConfig{
-		Routers:        3,
-		Users:          1,
-		GossipInterval: 50 * time.Millisecond,
-		GraceWindow:    30 * time.Second,
-		WrapBackbone: func(i int, conn net.PacketConn) net.PacketConn {
-			holes[i] = &blackholeConn{PacketConn: conn}
-			return holes[i]
-		},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := newMetro(t, chaos.TestbedConfig{Routers: 3})
 	ctx := testCtx(t)
-	if !m.WaitConverged(30 * time.Second) {
+	if !m.WaitConverged() {
 		t.Fatal("backbone never converged")
 	}
 
@@ -222,7 +146,7 @@ func TestHandoffDuringBackbonePartition(t *testing.T) {
 	}
 
 	// Partition the old router's backbone, then roam away from it.
-	holes[0].drop.Store(true)
+	m.Backbone[0].PartitionFor(time.Hour)
 	cl.Retarget(m.Servers[1].Addr())
 	sess, err := cl.Resume(ctx)
 	if err != nil {
@@ -242,7 +166,7 @@ func TestHandoffDuringBackbonePartition(t *testing.T) {
 	}
 
 	// Heal. Gossip re-advertises the unexpired owner ad until it lands.
-	holes[0].drop.Store(false)
+	m.Backbone[0].PartitionFor(0)
 	waitFor(t, func() bool {
 		owner, ok := m.Nodes[0].OwnerOf(sess.ID)
 		return ok && owner == m.Nodes[1].ID()
@@ -259,18 +183,9 @@ func TestHandoffDuringBackbonePartition(t *testing.T) {
 	}
 }
 
-// dupConn duplicates every outgoing datagram — the harshest sustained
-// duplication a UDP path can produce.
-type dupConn struct {
-	net.PacketConn
-}
-
-func (c *dupConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	if _, err := c.PacketConn.WriteTo(p, addr); err != nil {
-		return 0, err
-	}
-	return c.PacketConn.WriteTo(p, addr)
-}
+// duplicating sends every outgoing datagram twice — the harshest
+// sustained duplication a UDP path can produce.
+var duplicating = chaos.FaultPlan{Duplicate: 1}
 
 // TestDuplicateHandoffIdempotence doubles every client datagram and
 // every backbone datagram. The resume reply cache must serve the
@@ -278,21 +193,12 @@ func (c *dupConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 // count one handoff, and duplicated ownership announcements must not
 // double handoffs_out or the grace-window release.
 func TestDuplicateHandoffIdempotence(t *testing.T) {
-	m, err := StartMetro(MetroConfig{
-		Routers:        2,
-		Users:          1,
-		GossipInterval: 50 * time.Millisecond,
-		GraceWindow:    30 * time.Second,
-		WrapBackbone: func(i int, conn net.PacketConn) net.PacketConn {
-			return &dupConn{PacketConn: conn}
-		},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	m := newMetro(t, chaos.TestbedConfig{Routers: 2})
+	for _, bb := range m.Backbone {
+		bb.SetPlans(chaos.FaultPlan{}, duplicating)
 	}
-	defer m.Close()
 	ctx := testCtx(t)
-	if !m.WaitConverged(30 * time.Second) {
+	if !m.WaitConverged() {
 		t.Fatal("backbone never converged")
 	}
 
@@ -301,7 +207,7 @@ func TestDuplicateHandoffIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	cl := transport.NewClient(&dupConn{PacketConn: raw}, m.Servers[0].Addr(), m.Net.Users[0], testClientConfig())
+	cl := transport.NewClient(chaos.Wrap(raw, chaos.FaultPlan{}, duplicating, 1), m.Servers[0].Addr(), m.Net.Users[0], testClientConfig())
 	if _, err := cl.Attach(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -333,17 +239,5 @@ func TestDuplicateHandoffIdempotence(t *testing.T) {
 		// The grace window is long; the previous session must still be
 		// resident exactly once (released only after the window closes).
 		t.Fatalf("old router sessions = %d, want 1", m.Net.Routers[0].Sessions())
-	}
-}
-
-// TestMetroReportJSONShape pins the report field names meshd serializes.
-func TestMetroReportJSONShape(t *testing.T) {
-	rep := &MetroReport{Routers: 8, Users: 200, Moves: 3}
-	rep.violate("example %d", 1)
-	if len(rep.Violations) != 1 || rep.Violations[0] != "example 1" {
-		t.Fatalf("violate() = %v", rep.Violations)
-	}
-	if s := fmt.Sprintf("%d/%d/%d", rep.Routers, rep.Users, rep.Moves); s != "8/200/3" {
-		t.Fatal(s)
 	}
 }

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -27,42 +26,63 @@ var ErrSpoofedBindUnsupported = errors.New("chaos: cannot bind spoofed loopback 
 // fleet flooding the attach ingress from spoofed sources while a
 // legitimate fleet attaches and keeps sessions alive through the storm.
 type AttackConfig struct {
-	// LegitUsers is the legitimate fleet size; half attach before the
-	// storm, half must attach through it. Default 8.
-	LegitUsers int
+	// TestbedConfig sizes the legitimate fleet (default 8 users, at least
+	// 2): half attach before the storm, half must attach through it.
+	// Server.RateLimitPerSec arms the per-source ingress limiter, whose
+	// drop stream is the controller's main load signal; default
+	// attackRateLimit.
+	TestbedConfig
 	// Flooders is how many attacker goroutines spray garbage and
 	// solution-less access requests. Default 3.
 	Flooders int
 	// SpoofedSources is how many distinct source IPs each flooder rotates
 	// through. Default 8.
 	SpoofedSources int
-	// Replayers is how many distinct spoofed sources replay one solved
-	// puzzle (the solution-replay attack). Default 6.
-	Replayers int
-	// Seed drives every pseudo-random stream. Default 1.
-	Seed int64
 	// StormLen is how long the flood lasts. Default 2s.
 	StormLen time.Duration
-	// Policy is the adaptive defense installed on the router. The zero
-	// value gets a fast test policy (base 3, cap 8, 150ms ratchet steps).
-	Policy core.DoSPolicy
-	// RateLimitPerSec arms the server's per-source ingress limiter — the
-	// drop stream is the controller's main load signal. Default 400.
-	RateLimitPerSec float64
-	// DecayBound caps how long after the storm the demanded difficulty
-	// may take to return to zero. Default Window + QuietPeriod + 3s.
-	DecayBound time.Duration
-	// SettleTimeout bounds each convergence wait. Default 60s.
-	SettleTimeout time.Duration
-	// Keepalive is the legit fleet's keepalive interval. Default 150ms.
-	Keepalive time.Duration
-	// Logf, when set, receives phase-by-phase progress.
-	Logf func(format string, args ...any)
+}
+
+// attackPolicy is the adaptive defense the attack drills install on the
+// router: a fast test policy whose whole suspicion → ratchet → decay
+// cycle fits a two-second storm.
+var attackPolicy = core.DoSPolicy{
+	Enabled:            true,
+	Window:             1500 * time.Millisecond,
+	SuspicionThreshold: 8,
+	QuietPeriod:        time.Second,
+	BaseDifficulty:     3,
+	MaxDifficulty:      8,
+	StepInterval:       150 * time.Millisecond,
+	DecayInterval:      200 * time.Millisecond,
+}
+
+const (
+	// attackRateLimit is low enough that each spoofed source's flood rate
+	// exceeds it by an order of magnitude (the drop stream drives the
+	// ratchet), high enough that the legit fleet — which shares one
+	// loopback source — never exhausts its bucket with handshake traffic.
+	attackRateLimit = 50
+	// attackReplayers is how many distinct spoofed sources replay one
+	// solved puzzle (the solution-replay attack).
+	attackReplayers = 6
+	// attackDecayBound caps how long after the storm the demanded
+	// difficulty may take to return to zero.
+	attackDecayBound = 5500 * time.Millisecond
+)
+
+// withAttackDefaults arms the server side of both attack drills.
+func (c TestbedConfig) withAttackDefaults() TestbedConfig {
+	c.Routers = 1
+	if c.Server.RateLimitPerSec <= 0 {
+		c.Server.RateLimitPerSec = attackRateLimit
+	}
+	c.Server.DoSSampleInterval = 25 * time.Millisecond
+	return c.withFleetClient().withDefaults()
 }
 
 func (c AttackConfig) withDefaults() AttackConfig {
-	if c.LegitUsers < 2 {
-		c.LegitUsers = 8
+	if c.Users < 2 {
+		c.Users = 8
 	}
 	if c.Flooders < 1 {
 		c.Flooders = 3
@@ -70,52 +90,20 @@ func (c AttackConfig) withDefaults() AttackConfig {
 	if c.SpoofedSources < 1 {
 		c.SpoofedSources = 8
 	}
-	if c.Replayers < 2 {
-		c.Replayers = 6
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.StormLen <= 0 {
 		c.StormLen = 2 * time.Second
-	}
-	if !c.Policy.Enabled {
-		c.Policy = core.DoSPolicy{
-			Enabled:            true,
-			Window:             1500 * time.Millisecond,
-			SuspicionThreshold: 8,
-			QuietPeriod:        time.Second,
-			BaseDifficulty:     3,
-			MaxDifficulty:      8,
-			StepInterval:       150 * time.Millisecond,
-			DecayInterval:      200 * time.Millisecond,
-		}
-	}
-	if c.RateLimitPerSec <= 0 {
-		// Low enough that each spoofed source's flood rate exceeds it by
-		// an order of magnitude (the drop stream drives the ratchet), high
-		// enough that the legit fleet — which shares one loopback source —
-		// never exhausts its bucket with handshake traffic.
-		c.RateLimitPerSec = 50
-	}
-	if c.DecayBound <= 0 {
-		c.DecayBound = c.Policy.Window + c.Policy.QuietPeriod + 3*time.Second
-		if c.DecayBound < 5*time.Second {
-			c.DecayBound = 5 * time.Second
-		}
 	}
 	if c.SettleTimeout <= 0 {
 		c.SettleTimeout = 60 * time.Second
 	}
-	if c.Keepalive <= 0 {
-		c.Keepalive = 150 * time.Millisecond
-	}
+	c.TestbedConfig = c.withAttackDefaults()
 	return c
 }
 
-// AttackReport is the outcome of an attack soak. A clean run has an
-// empty Violations list.
+// AttackReport is the outcome of an attack soak.
 type AttackReport struct {
+	Verdict
+
 	LegitUsers int
 
 	// Attack volume and what it bought.
@@ -154,15 +142,6 @@ type AttackReport struct {
 	// surviving client must converge onto it.
 	InitialURLEpoch uint64
 	FinalURLEpoch   uint64
-
-	Violations []string
-}
-
-// Failed reports whether the run violated any invariant.
-func (r *AttackReport) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *AttackReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
 // garbageAccessFrame is an undecodable access-request datagram — the
@@ -248,7 +227,7 @@ func measureSolveCost(seed int64, difficulty uint8, trials int) uint64 {
 	return total / uint64(trials)
 }
 
-// RunAttackSoak executes the adaptive-DoS attack scenario:
+// AttackSoak executes the adaptive-DoS attack scenario:
 //
 //  1. provision a network with the adaptive puzzle policy, start the
 //     server with its ingress rate limiter armed, and attach half the
@@ -260,120 +239,50 @@ func measureSolveCost(seed int64, difficulty uint8, trials int) uint64 {
 //     solves one challenge and sprays the same solution from many
 //     sources;
 //  3. the storm stops; the demanded difficulty must decay to zero within
-//     DecayBound;
+//     attackDecayBound;
 //  4. invariants: the whole legit fleet (above the 95% floor) holds
 //     working, key-agreeing sessions; the difficulty ratcheted at least
 //     two steps above base during the storm; measured attacker cost
 //     scales with 2^difficulty; cross-source solution replays were
 //     refused; the flood bought (almost) no pairings; every client
 //     converged onto the bumped revocation epoch.
-func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
+func AttackSoak(cfg AttackConfig) (*AttackReport, error) {
 	cfg = cfg.withDefaults()
 	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	rep := &AttackReport{LegitUsers: cfg.LegitUsers, BaseDifficulty: cfg.Policy.BaseDifficulty}
+	rep := &AttackReport{LegitUsers: cfg.Users, BaseDifficulty: attackPolicy.BaseDifficulty}
 
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-ATTACK", "grp-attack", cfg.LegitUsers)
+	tb, err := NewTestbed(cfg.TestbedConfig)
 	if err != nil {
 		return nil, err
 	}
-	ln.Router.SetDoSPolicy(cfg.Policy)
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{
-		BootEpoch:         1,
-		RateLimitPerSec:   cfg.RateLimitPerSec,
-		DoSSampleInterval: 25 * time.Millisecond,
-	})
-	defer srv.Close()
-	addr := srv.Addr()
-	rep.InitialURLEpoch = ln.Router.RevocationEpoch(revocation.ListURL)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	clients := make([]*transport.Client, cfg.LegitUsers)
-	var fleet sync.WaitGroup
-	startClient := func(i int) error {
-		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		clients[i] = transport.NewClient(conn, addr, ln.Users[i], transport.ClientConfig{
-			RetransmitTimeout: 60 * time.Millisecond,
-			MaxTimeout:        time.Second,
-			MaxRetries:        12,
-			Seed:              cfg.Seed*2_000_003 + int64(i),
-		})
-		fleet.Add(1)
-		go func(cl *transport.Client, conn net.PacketConn) {
-			defer fleet.Done()
-			defer conn.Close()
-			_ = cl.Maintain(ctx, transport.MaintainConfig{
-				KeepaliveInterval: cfg.Keepalive,
-				PingTimeout:       2 * cfg.Keepalive,
-				MaxMissed:         3,
-				ReattachMin:       50 * time.Millisecond,
-				ReattachMax:       500 * time.Millisecond,
-				AttachTimeout:     cfg.SettleTimeout / 3,
-			})
-		}(clients[i], conn)
-		return nil
-	}
-	defer func() {
-		cancel()
-		fleet.Wait()
-	}()
-
-	alive := func() int {
-		n := 0
-		for _, cl := range clients {
-			if cl != nil && cl.Session() != nil {
-				n++
-			}
-		}
-		return n
-	}
-	settle := func(what string, cond func() bool) bool {
-		deadline := time.Now().Add(cfg.SettleTimeout)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		rep.violate("timed out settling: %s", what)
-		return false
-	}
+	defer tb.Close()
+	router := tb.Net.Routers[0]
+	router.SetDoSPolicy(attackPolicy)
+	addr := tb.Servers[0].Addr()
+	rep.InitialURLEpoch = router.RevocationEpoch(revocation.ListURL)
 
 	// Phase 1: half the fleet attaches on a calm network.
-	preStorm := cfg.LegitUsers / 2
-	if preStorm < 1 {
-		preStorm = 1
+	preStorm := cfg.Users / 2
+	if err := tb.Launch(0, preStorm); err != nil {
+		return nil, err
 	}
-	for i := 0; i < preStorm; i++ {
-		if err := startClient(i); err != nil {
-			return nil, err
-		}
-	}
-	logf("attack: attaching %d/%d clients pre-storm", preStorm, cfg.LegitUsers)
-	if !settle("pre-storm fleet attach", func() bool { return alive() == preStorm }) {
+	logf("attack: attaching %d/%d clients pre-storm", preStorm, cfg.Users)
+	if !tb.Settle(&rep.Verdict, "pre-storm fleet attach", func() bool { return tb.Established() == preStorm }) {
 		return rep, nil
 	}
-	if got := ln.Router.RequiredDifficulty(); got != 0 {
+	if got := router.RequiredDifficulty(); got != 0 {
 		rep.violate("calm network already demands difficulty %d", got)
 	}
 
 	// Phase 2: the storm. Flooders spray from spoofed sources; the rest
 	// of the fleet attaches through it; a replay attacker waits for the
 	// first challenge.
-	stormCtx, stopStorm := context.WithCancel(ctx)
-	defer stopStorm()
+	stormCtx, stopStorm := context.WithCancel(context.Background())
 	var attackers sync.WaitGroup
+	defer func() {
+		stopStorm()
+		attackers.Wait()
+	}()
 	var attackerDatagrams atomic.Int64
 	var attackerSolved atomic.Int64
 
@@ -382,7 +291,6 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 		for s := 0; s < cfg.SpoofedSources; s++ {
 			conn, err := listenSpoofed(f, s)
 			if err != nil {
-				stopStorm()
 				return nil, err
 			}
 			conns = append(conns, conn)
@@ -420,13 +328,13 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 	go func() {
 		defer attackers.Done()
 		prng := mrand.New(mrand.NewSource(cfg.Seed * 7_000_003))
-		conns := make([]net.PacketConn, 0, cfg.Replayers)
+		conns := make([]net.PacketConn, 0, attackReplayers)
 		defer func() {
 			for _, c := range conns {
 				_ = c.Close()
 			}
 		}()
-		for s := 0; s < cfg.Replayers; s++ {
+		for s := 0; s < attackReplayers; s++ {
 			conn, err := listenSpoofed(cfg.Flooders, s)
 			if err != nil {
 				return
@@ -444,7 +352,7 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 		// verifiable, so the refusals the run must witness are the
 		// cross-source ones.
 		for stormCtx.Err() == nil {
-			p := ln.Router.CurrentPuzzle()
+			p := router.CurrentPuzzle()
 			if p == nil {
 				time.Sleep(10 * time.Millisecond)
 				continue
@@ -465,18 +373,14 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 	}()
 
 	// Peak-difficulty tracker.
-	var peakMu sync.Mutex
-	var peak uint8
+	var peak atomic.Uint32
 	attackers.Add(1)
 	go func() {
 		defer attackers.Done()
 		for stormCtx.Err() == nil {
-			d := ln.Router.RequiredDifficulty()
-			peakMu.Lock()
-			if d > peak {
-				peak = d
+			if d := uint32(router.RequiredDifficulty()); d > peak.Load() {
+				peak.Store(d)
 			}
-			peakMu.Unlock()
 			time.Sleep(10 * time.Millisecond)
 		}
 	}()
@@ -486,17 +390,12 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 	// attaches through the flood — every joiner signs against the bumped
 	// list, so a joiner left on the old epoch would be rollback evidence.
 	time.Sleep(cfg.StormLen / 4)
-	if err := bumpRevocation(ln); err != nil {
-		stopStorm()
+	if err := tb.BumpRevocation(1); err != nil {
 		return nil, err
 	}
-	srv.InvalidateBeacon()
-	rep.FinalURLEpoch = ln.Router.RevocationEpoch(revocation.ListURL)
-	for i := preStorm; i < cfg.LegitUsers; i++ {
-		if err := startClient(i); err != nil {
-			stopStorm()
-			return nil, err
-		}
+	rep.FinalURLEpoch = router.RevocationEpoch(revocation.ListURL)
+	if err := tb.Launch(preStorm, cfg.Users); err != nil {
+		return nil, err
 	}
 	time.Sleep(3 * cfg.StormLen / 4)
 
@@ -505,38 +404,32 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 	stormEnd := time.Now()
 	rep.AttackerDatagrams = attackerDatagrams.Load()
 	rep.AttackerSolved = attackerSolved.Load()
-	peakMu.Lock()
-	rep.PeakDifficulty = peak
-	peakMu.Unlock()
+	rep.PeakDifficulty = uint8(peak.Load())
 	logf("attack: storm over (%d attacker datagrams, peak difficulty %d), decaying",
 		rep.AttackerDatagrams, rep.PeakDifficulty)
 
 	// Phase 3: the whole fleet must be (or get) established, and the
 	// demanded difficulty must return to zero within the bound.
-	settle("full fleet attach", func() bool { return alive() == cfg.LegitUsers })
-	decayDeadline := stormEnd.Add(cfg.DecayBound)
+	tb.Settle(&rep.Verdict, "full fleet attach", func() bool { return tb.Established() == cfg.Users })
+	decayDeadline := stormEnd.Add(attackDecayBound)
 	for time.Now().Before(decayDeadline) {
-		if ln.Router.RequiredDifficulty() == 0 && !ln.Router.DoSDefenseActive() {
+		if router.RequiredDifficulty() == 0 && !router.DoSDefenseActive() {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	rep.DecayedIn = time.Since(stormEnd)
-	rep.FinalDifficulty = ln.Router.RequiredDifficulty()
+	rep.FinalDifficulty = router.RequiredDifficulty()
 
 	// Harvest.
-	rep.LegitAlive = 0
-	for i, cl := range clients {
-		if cl == nil {
-			continue
-		}
+	for i, cl := range tb.Clients {
 		rep.KeepalivesAcked += cl.Stats().KeepalivesAcked()
 		// Anti-rollback: nobody regresses below the epoch they started
 		// with, and every mid-storm joiner — whose whole attach happened
 		// after the bump — must have converged onto the bumped epoch.
 		// (Pre-storm clients that never re-attached legitimately stay on
 		// the epoch they were verified against.)
-		got := ln.Users[i].RevocationEpoch(revocation.ListURL)
+		got := tb.Net.Users[i].RevocationEpoch(revocation.ListURL)
 		if got < rep.InitialURLEpoch || got > rep.FinalURLEpoch {
 			rep.violate("client %d URL epoch %d outside [%d, %d] (rollback)", i, got, rep.InitialURLEpoch, rep.FinalURLEpoch)
 		}
@@ -544,34 +437,15 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 			rep.violate("mid-storm joiner %d attached against URL epoch %d, want %d (rollback or missed sync)",
 				i, got, rep.FinalURLEpoch)
 		}
-		sess := cl.Session()
-		if sess == nil {
-			continue
-		}
-		routerSess, ok := ln.Router.SessionByID(sess.ID)
-		if !ok {
-			rep.violate("client %d session %s unknown to router", i, sess.ID)
-			continue
-		}
-		probe := []byte(fmt.Sprintf("probe-%d", i))
-		frame, err := routerSess.SealData(rand.Reader, probe)
-		if err != nil {
-			rep.violate("client %d: router seal: %v", i, err)
-			continue
-		}
-		if pt, err := sess.OpenData(frame); err != nil || string(pt) != string(probe) {
-			rep.violate("client %d: session keys disagree: %v", i, err)
-			continue
-		}
-		rep.LegitAlive++
 	}
-	st := srv.Stats()
+	rep.LegitAlive = tb.ProbeKeys(&rep.Verdict)
+	st := tb.Servers[0].Stats()
 	rep.PuzzlesIssued = st.DoSPuzzlesIssued()
 	rep.PuzzlesVerified = st.DoSPuzzlesVerified()
 	rep.PuzzlesRejected = st.DoSPuzzlesRejected()
 	rep.SolutionReplays = st.DoSSolutionReplays()
 	rep.RatelimitDropped = st.RatelimitDropped()
-	rstats := ln.Router.Stats()
+	rstats := router.Stats()
 	rep.SessionsEstablished = rstats.SessionsEstablished
 	rep.ExpensiveVerifications = rstats.ExpensiveVerifications
 
@@ -583,13 +457,13 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 		rep.violate("difficulty peaked at %d, want >= base %d + 2 ratchet steps",
 			rep.PeakDifficulty, rep.BaseDifficulty)
 	}
-	if rep.FinalDifficulty != 0 || ln.Router.DoSDefenseActive() {
+	if rep.FinalDifficulty != 0 || router.DoSDefenseActive() {
 		rep.violate("difficulty still %d (defense active) %v after the storm (bound %v)",
-			rep.FinalDifficulty, rep.DecayedIn, cfg.DecayBound)
+			rep.FinalDifficulty, rep.DecayedIn, attackDecayBound)
 	}
-	if floor := (cfg.LegitUsers*95 + 99) / 100; rep.LegitAlive < floor {
+	if floor := (cfg.Users*95 + 99) / 100; rep.LegitAlive < floor {
 		rep.violate("only %d/%d legit clients hold working sessions (floor %d)",
-			rep.LegitAlive, cfg.LegitUsers, floor)
+			rep.LegitAlive, cfg.Users, floor)
 	}
 	if rep.KeepalivesAcked == 0 {
 		rep.violate("no keepalive was acknowledged through the storm")
@@ -607,7 +481,7 @@ func RunAttackSoak(cfg AttackConfig) (*AttackReport, error) {
 	}
 	// Pairing economics: the flood must not buy verifications. Allow a
 	// small slack for legitimate attaches that raced the revocation bump.
-	if slack := cfg.LegitUsers; rep.ExpensiveVerifications > rep.SessionsEstablished+slack {
+	if slack := cfg.Users; rep.ExpensiveVerifications > rep.SessionsEstablished+slack {
 		rep.violate("%d expensive verifications for %d sessions: the flood bought pairings",
 			rep.ExpensiveVerifications, rep.SessionsEstablished)
 	}

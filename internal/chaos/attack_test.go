@@ -17,18 +17,16 @@ import (
 // configuration; short mode and the race detector shrink it.
 func TestAttackSoak(t *testing.T) {
 	cfg := AttackConfig{
-		LegitUsers: 16,
-		Seed:       42,
-		StormLen:   2 * time.Second,
-		Logf:       t.Logf,
+		TestbedConfig: TestbedConfig{Users: 16, Seed: 42, Logf: t.Logf},
+		StormLen:      2 * time.Second,
 	}
 	if testing.Short() || raceEnabled {
-		cfg.LegitUsers = 6
+		cfg.Users = 6
 		cfg.Flooders = 2
 		cfg.SpoofedSources = 4
 		cfg.StormLen = 1500 * time.Millisecond
 	}
-	rep, err := RunAttackSoak(cfg)
+	rep, err := AttackSoak(cfg)
 	if err != nil {
 		if errors.Is(err, ErrSpoofedBindUnsupported) {
 			t.Skipf("host cannot bind secondary loopback addresses: %v", err)

@@ -9,9 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/peace-mesh/peace/internal/core"
-	"github.com/peace-mesh/peace/internal/transport"
 )
 
 // AttackLatencyConfig scripts one point of the attach-latency-vs-attack-
@@ -19,46 +16,31 @@ import (
 // legitimate attaches measured while Intensity spoofed sources flood the
 // ingress at full rate.
 type AttackLatencyConfig struct {
+	// TestbedConfig sets the seed and the per-attach SettleTimeout
+	// (default 30s); the samples cycle through a fixed fleet of 4 users
+	// against the same defense as AttackConfig.
+	TestbedConfig
 	// Intensity is how many spoofed sources flood the attach ingress for
 	// the whole measurement (0 = calm baseline).
 	Intensity int
 	// Samples is how many legitimate attaches are timed. Default 12.
 	Samples int
-	// Seed drives every pseudo-random stream. Default 1.
-	Seed int64
-	// Policy is the adaptive defense installed on the router; the zero
-	// value gets the same fast policy as AttackConfig.
-	Policy core.DoSPolicy
-	// RateLimitPerSec arms the server's per-source ingress limiter.
-	// Default 50, as in AttackConfig.
-	RateLimitPerSec float64
-	// Warmup is how long the flood runs before the first timed attach, so
-	// suspicion has tripped and the measured clients pay the real puzzle
-	// price. Default 500ms (skipped when Intensity is 0).
-	Warmup time.Duration
-	// AttachTimeout bounds each timed attach. Default 30s.
-	AttachTimeout time.Duration
 }
 
+// attackWarmup is how long the flood runs before the first timed attach,
+// so suspicion has tripped and the measured clients pay the real puzzle
+// price (skipped when Intensity is 0).
+const attackWarmup = 500 * time.Millisecond
+
 func (c AttackLatencyConfig) withDefaults() AttackLatencyConfig {
+	c.Users = 4
 	if c.Samples < 1 {
 		c.Samples = 12
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if c.SettleTimeout <= 0 {
+		c.SettleTimeout = 30 * time.Second
 	}
-	if !c.Policy.Enabled {
-		c.Policy = AttackConfig{}.withDefaults().Policy
-	}
-	if c.RateLimitPerSec <= 0 {
-		c.RateLimitPerSec = 50
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 500 * time.Millisecond
-	}
-	if c.AttachTimeout <= 0 {
-		c.AttachTimeout = 30 * time.Second
-	}
+	c.TestbedConfig = c.withAttackDefaults()
 	return c
 }
 
@@ -79,41 +61,33 @@ type AttackLatencyReport struct {
 	PuzzlesVerified int64
 }
 
-// RunAttackLatency measures legitimate-client attach latency at one
-// attack intensity: Intensity spoofed sources spray garbage and
-// skeleton M.2s at the ingress while Samples sequential attaches are
-// timed over real UDP loopback.
-func RunAttackLatency(cfg AttackLatencyConfig) (*AttackLatencyReport, error) {
+// AttackLatency measures legitimate-client attach latency at one attack
+// intensity: Intensity spoofed sources spray garbage and skeleton M.2s
+// at the ingress while Samples sequential attaches are timed over real
+// UDP loopback.
+func AttackLatency(cfg AttackLatencyConfig) (*AttackLatencyReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &AttackLatencyReport{Intensity: cfg.Intensity, Samples: cfg.Samples}
 
-	const fleet = 4 // credentialed users the samples cycle through
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-E19", "grp-e19", fleet)
+	tb, err := NewTestbed(cfg.TestbedConfig)
 	if err != nil {
 		return nil, err
 	}
-	ln.Router.SetDoSPolicy(cfg.Policy)
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{
-		BootEpoch:         1,
-		RateLimitPerSec:   cfg.RateLimitPerSec,
-		DoSSampleInterval: 25 * time.Millisecond,
-	})
-	defer srv.Close()
-	addr := srv.Addr()
+	defer tb.Close()
+	router := tb.Net.Routers[0]
+	router.SetDoSPolicy(attackPolicy)
+	addr := tb.Servers[0].Addr()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var flood sync.WaitGroup
+	defer func() {
+		cancel()
+		flood.Wait()
+	}()
 	var floodDatagrams atomic.Int64
 	for i := 0; i < cfg.Intensity; i++ {
 		conn, err := listenSpoofed(i/200, i%200)
 		if err != nil {
-			cancel()
-			flood.Wait()
 			return nil, err
 		}
 		flood.Add(1)
@@ -141,33 +115,23 @@ func RunAttackLatency(cfg AttackLatencyConfig) (*AttackLatencyReport, error) {
 			}
 		}(i, conn)
 	}
-	defer func() {
-		cancel()
-		flood.Wait()
-	}()
 	if cfg.Intensity > 0 {
-		time.Sleep(cfg.Warmup)
+		time.Sleep(attackWarmup)
 	}
 
 	latencies := make([]time.Duration, 0, cfg.Samples)
 	var lastErr error
 	for i := 0; i < cfg.Samples; i++ {
-		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+		cl, err := tb.Dial(i % cfg.Users)
 		if err != nil {
 			return nil, err
 		}
-		cl := transport.NewClient(conn, addr, ln.Users[i%fleet], transport.ClientConfig{
-			RetransmitTimeout: 60 * time.Millisecond,
-			MaxTimeout:        time.Second,
-			MaxRetries:        12,
-			Seed:              cfg.Seed*4_000_037 + int64(i),
-		})
 		// The sample is time-to-session, attempts included: under a heavy
 		// flood single attach attempts can exhaust their retransmit budget
 		// to kernel-level receive drops, and a real client simply tries
 		// again — the latency the row reports is what that client
 		// experiences.
-		sctx, scancel := context.WithTimeout(ctx, cfg.AttachTimeout)
+		sctx, scancel := context.WithTimeout(ctx, cfg.SettleTimeout)
 		start := time.Now()
 		for {
 			if _, err = cl.Attach(sctx); err == nil || sctx.Err() != nil {
@@ -181,8 +145,7 @@ func RunAttackLatency(cfg AttackLatencyConfig) (*AttackLatencyReport, error) {
 		} else {
 			lastErr = err
 		}
-		_ = conn.Close()
-		if d := ln.Router.RequiredDifficulty(); d > rep.PeakDifficulty {
+		if d := router.RequiredDifficulty(); d > rep.PeakDifficulty {
 			rep.PeakDifficulty = d
 		}
 	}
@@ -193,6 +156,6 @@ func RunAttackLatency(cfg AttackLatencyConfig) (*AttackLatencyReport, error) {
 	rep.P50 = latencies[len(latencies)/2]
 	rep.P99 = latencies[(len(latencies)*99)/100]
 	rep.FloodDatagrams = floodDatagrams.Load()
-	rep.PuzzlesVerified = srv.Stats().DoSPuzzlesVerified()
+	rep.PuzzlesVerified = tb.Servers[0].Stats().DoSPuzzlesVerified()
 	return rep, nil
 }

@@ -17,7 +17,7 @@ import (
 // apply), and every fault class still injects per datagram underneath
 // ReadBatch/WriteBatch — batching must never bypass the chaos layer.
 func TestBatchPathFaultInjection(t *testing.T) {
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-BATCH", "grp-batch", 1)
+	ln, err := transport.NewLocalNetwork(core.Config{}, "grp-batch", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestBatchPathFaultInjection(t *testing.T) {
 	}
 	faults := FaultPlan{Drop: 0.05, Corrupt: 0.10}
 	link := Wrap(raw, faults, faults, 99)
-	srv := transport.NewServer(link, ln.Router, transport.ServerConfig{
+	srv := transport.NewServer(link, ln.Routers[0], transport.ServerConfig{
 		BootEpoch: 1,
 		EchoData:  true,
 	})

@@ -65,15 +65,9 @@ type Conn struct {
 	heldRead    *packet  // reorder: incoming datagram awaiting its successor
 	pendingRead []packet // duplicates and released reorders to deliver next
 
-	// The injection counters are children of one chaos_injected{fault=...}
-	// registry family, so the soak judges (via Counters) and a /metrics
-	// scrape read the same instrument.
-	dropped        *metrics.Counter
-	corrupted      *metrics.Counter
-	duplicated     *metrics.Counter
-	reordered      *metrics.Counter
-	delayed        *metrics.Counter
-	partitionDrops *metrics.Counter
+	// The soak judges (via Counters) and a /metrics scrape read the same
+	// instruments.
+	injected
 }
 
 // Wrap puts a fault-injecting layer around conn. in and out may differ,
@@ -92,18 +86,48 @@ func WrapInRegistry(conn net.PacketConn, in, out FaultPlan, seed int64, reg *met
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	vec := reg.CounterVec("chaos_injected", "faults injected by the chaos wrapper", "fault")
 	return &Conn{
-		inner:          conn,
-		rng:            rand.New(rand.NewSource(seed)),
-		in:             in,
-		out:            out,
+		inner:    conn,
+		rng:      rand.New(rand.NewSource(seed)),
+		in:       in,
+		out:      out,
+		injected: injectedIn(reg),
+	}
+}
+
+// injected is the chaos_injected{fault=...} counter family resolved in
+// one registry.
+type injected struct {
+	dropped        *metrics.Counter
+	corrupted      *metrics.Counter
+	duplicated     *metrics.Counter
+	reordered      *metrics.Counter
+	delayed        *metrics.Counter
+	partitionDrops *metrics.Counter
+}
+
+func injectedIn(reg *metrics.Registry) injected {
+	vec := reg.CounterVec("chaos_injected", "faults injected by the chaos wrapper", "fault")
+	return injected{
 		dropped:        vec.With("drop"),
 		corrupted:      vec.With("corrupt"),
 		duplicated:     vec.With("duplicate"),
 		reordered:      vec.With("reorder"),
 		delayed:        vec.With("delay"),
 		partitionDrops: vec.With("partition"),
+	}
+}
+
+// Counters snapshots the injected-fault counters — of one Conn, or of
+// every Conn wrapped in the same registry.
+func (c injected) Counters() Counters {
+	return Counters{
+		Dropped:        c.dropped.Load(),
+		Corrupted:      c.corrupted.Load(),
+		Duplicated:     c.duplicated.Load(),
+		Reordered:      c.reordered.Load(),
+		Delayed:        c.delayed.Load(),
+		PartitionDrops: c.partitionDrops.Load(),
 	}
 }
 
@@ -188,18 +212,6 @@ func (c *Conn) Partitioned() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return time.Now().Before(c.partitionUntil)
-}
-
-// Counters snapshots the injected-fault counters.
-func (c *Conn) Counters() Counters {
-	return Counters{
-		Dropped:        c.dropped.Load(),
-		Corrupted:      c.corrupted.Load(),
-		Duplicated:     c.duplicated.Load(),
-		Reordered:      c.reordered.Load(),
-		Delayed:        c.delayed.Load(),
-		PartitionDrops: c.partitionDrops.Load(),
-	}
 }
 
 // roll draws one uniform variate under mu.

@@ -1,16 +1,8 @@
 package chaos
 
 import (
-	"context"
 	"crypto/rand"
 	"fmt"
-	"net"
-	"sync"
-	"time"
-
-	"github.com/peace-mesh/peace/internal/core"
-	"github.com/peace-mesh/peace/internal/symcrypto"
-	"github.com/peace-mesh/peace/internal/transport"
 )
 
 // RestartSoakConfig scripts the resumption-under-restart soak: a fleet of
@@ -19,8 +11,8 @@ import (
 // on the symmetric ticket path — the expensive pairing runs once per
 // client per STEK retirement, never per restart.
 type RestartSoakConfig struct {
-	// Users is the fleet size. Default 12.
-	Users int
+	// TestbedConfig sizes the fleet (default 12 users, clean links).
+	TestbedConfig
 	// Restarts is how many times the server is killed and reincarnated.
 	// Default 3.
 	Restarts int
@@ -29,37 +21,24 @@ type RestartSoakConfig struct {
 	// held ticket: the fleet must then fall back to exactly one full
 	// handshake each and resume normally afterwards. 0 disables rotation.
 	RotateBeforeRestart int
-	// Seed de-correlates client jitter streams. Default 1.
-	Seed int64
-	// Keepalive is the fleet's keepalive interval. Default 100ms.
-	Keepalive time.Duration
-	// SettleTimeout bounds each convergence wait. Default 90s.
-	SettleTimeout time.Duration
-	// Logf, when set, receives phase-by-phase progress.
-	Logf func(format string, args ...any)
 }
 
 func (c RestartSoakConfig) withDefaults() RestartSoakConfig {
+	c.Routers = 1
 	if c.Users < 1 {
 		c.Users = 12
 	}
 	if c.Restarts < 1 {
 		c.Restarts = 3
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Keepalive <= 0 {
-		c.Keepalive = 100 * time.Millisecond
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 90 * time.Second
-	}
+	c.TestbedConfig = c.withFleetClient().withDefaults()
 	return c
 }
 
 // RestartSoakReport is the outcome of a restart soak.
 type RestartSoakReport struct {
+	Verdict
+
 	Users    int
 	Restarts int
 
@@ -74,20 +53,11 @@ type RestartSoakReport struct {
 	SessionsResumed int
 	// TicketsIssued sums the ticket counters of every incarnation.
 	TicketsIssued int64
-
-	Violations []string
 }
 
-// Failed reports whether the run violated any invariant.
-func (r *RestartSoakReport) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *RestartSoakReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-// RunRestartSoak executes the scripted restart scenario:
+// RestartSoak executes the scripted restart scenario:
 //
-//  1. provision a network and a STEK ring that will outlive every server
+//  1. provision a network whose STEK ring outlives every server
 //     incarnation (the operator's persisted ticket key);
 //  2. launch the fleet's Maintain loops and wait for the initial full
 //     attach — the only pairing each client should ever need;
@@ -98,150 +68,59 @@ func (r *RestartSoakReport) violate(format string, args ...any) {
 //     fallback handshake per client;
 //  5. judge: full handshakes ≤ 1 (+1 if rotated) per client, all other
 //     re-attaches on the ticket path, keys agreeing end to end.
-func RunRestartSoak(cfg RestartSoakConfig) (*RestartSoakReport, error) {
+func RestartSoak(cfg RestartSoakConfig) (*RestartSoakReport, error) {
 	cfg = cfg.withDefaults()
 	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	rep := &RestartSoakReport{Users: cfg.Users, Restarts: cfg.Restarts}
 
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-RESTART", "grp-restart", cfg.Users)
+	tb, err := NewTestbed(cfg.TestbedConfig)
 	if err != nil {
 		return nil, err
 	}
-	ring, err := symcrypto.NewTicketKeyRing(rand.Reader)
-	if err != nil {
+	defer tb.Close()
+	if err := tb.Launch(0, cfg.Users); err != nil {
 		return nil, err
 	}
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{BootEpoch: 1, TicketKeys: ring})
-	addr := srv.Addr()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	clients := make([]*transport.Client, cfg.Users)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Users; i++ {
-		raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
-		clients[i] = transport.NewClient(raw, addr, ln.Users[i], transport.ClientConfig{
-			RetransmitTimeout: 60 * time.Millisecond,
-			MaxTimeout:        time.Second,
-			MaxRetries:        12,
-			Seed:              cfg.Seed*2_000_003 + int64(i),
-		})
-		wg.Add(1)
-		go func(cl *transport.Client, conn net.PacketConn) {
-			defer wg.Done()
-			defer conn.Close()
-			_ = cl.Maintain(ctx, transport.MaintainConfig{
-				KeepaliveInterval: cfg.Keepalive,
-				PingTimeout:       2 * cfg.Keepalive,
-				MaxMissed:         2,
-				ReattachMin:       30 * time.Millisecond,
-				ReattachMax:       300 * time.Millisecond,
-				AttachTimeout:     cfg.SettleTimeout / 3,
-			})
-		}(clients[i], raw)
-	}
-	defer func() {
-		cancel()
-		wg.Wait()
-	}()
-
-	established := func(epoch uint64) int {
-		n := 0
-		for _, cl := range clients {
-			if cl.Session() != nil && cl.BootEpoch() == epoch {
-				n++
-			}
-		}
-		return n
-	}
-	settle := func(what string, cond func() bool) bool {
-		deadline := time.Now().Add(cfg.SettleTimeout)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		rep.violate("timed out settling: %s", what)
-		return false
-	}
+	fleetUp := func() bool { return tb.Established() == cfg.Users }
 
 	logf("restart-soak: attaching %d clients", cfg.Users)
-	settle("initial fleet attach", func() bool { return established(1) == cfg.Users })
+	tb.Settle(&rep.Verdict, "initial fleet attach", fleetUp)
 
 	for k := 1; k <= cfg.Restarts; k++ {
 		if k == cfg.RotateBeforeRestart {
 			// Rotate past the one-generation grace window: every held
 			// ticket's sealing key leaves the ring.
-			if err := ring.Rotate(rand.Reader); err != nil {
-				srv.Close()
-				return nil, err
-			}
-			if err := ring.Rotate(rand.Reader); err != nil {
-				srv.Close()
-				return nil, err
+			for i := 0; i < 2; i++ {
+				if err := tb.Ring.Rotate(rand.Reader); err != nil {
+					return nil, err
+				}
 			}
 			logf("restart-soak: STEK retired before restart %d", k)
 		}
-		rep.TicketsIssued += srv.Stats().TicketsIssued()
-		srv.Close()
-		ln.Router.Reboot()
-		conn, err := rebindPacket(addr)
-		if err != nil {
+		if err := tb.Restart(0); err != nil {
 			return nil, err
 		}
-		epoch := uint64(k + 1)
-		srv = transport.NewServer(conn, ln.Router, transport.ServerConfig{BootEpoch: epoch, TicketKeys: ring})
+		epoch := tb.Servers[0].BootEpoch()
 		logf("restart-soak: incarnation %d up, settling", epoch)
-		if !settle(fmt.Sprintf("fleet re-established on incarnation %d", epoch),
-			func() bool { return established(epoch) == cfg.Users }) {
+		if !tb.Settle(&rep.Verdict, fmt.Sprintf("fleet re-established on incarnation %d", epoch), fleetUp) {
 			break
 		}
 	}
-	rep.TicketsIssued += srv.Stats().TicketsIssued()
-	defer srv.Close()
 
 	// Harvest and judge.
-	for i, cl := range clients {
+	for i, cl := range tb.Clients {
 		st := cl.Stats()
 		rep.FullHandshakes += st.AttachSuccesses()
 		rep.Resumes += st.ResumeSuccesses()
-
-		sess := cl.Session()
-		if sess == nil {
+		if cl.Session() == nil {
 			rep.violate("client %d finished detached", i)
-			continue
-		}
-		routerSess, ok := ln.Router.SessionByID(sess.ID)
-		if !ok {
-			rep.violate("client %d session %s unknown to router", i, sess.ID)
-			continue
-		}
-		probe := []byte(fmt.Sprintf("probe-%d", i))
-		frame, err := routerSess.SealData(rand.Reader, probe)
-		if err != nil {
-			rep.violate("client %d: router seal: %v", i, err)
-			continue
-		}
-		if pt, err := sess.OpenData(frame); err != nil || string(pt) != string(probe) {
-			rep.violate("client %d: session keys disagree: %v", i, err)
 		}
 	}
-	stats := ln.Router.Stats()
+	tb.ProbeKeys(&rep.Verdict)
+	stats := tb.Net.Routers[0].Stats()
 	rep.ExpensiveVerifications = stats.ExpensiveVerifications
 	rep.SessionsResumed = stats.SessionsResumed
+	rep.TicketsIssued = tb.Servers[0].Stats().TicketsIssued()
 
 	// The re-attach economics under test: at most one full handshake per
 	// client per STEK retirement — so 1 each without rotation, 2 each with.

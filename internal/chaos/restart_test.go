@@ -9,12 +9,12 @@ import (
 // the resumption subsystem: one pairing per client total, every restart
 // recovered over the symmetric ticket path.
 func TestRestartSoakResumesViaTickets(t *testing.T) {
-	cfg := RestartSoakConfig{Users: 12, Restarts: 3, Seed: 11, Logf: t.Logf}
+	cfg := RestartSoakConfig{TestbedConfig: TestbedConfig{Users: 12, Seed: 11, Logf: t.Logf}, Restarts: 3}
 	if testing.Short() || raceEnabled {
 		cfg.Users = 6
 		cfg.Restarts = 2
 	}
-	rep, err := RunRestartSoak(cfg)
+	rep, err := RestartSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestRestartSoakSTEKRetirement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rotation soak in -short mode")
 	}
-	cfg := RestartSoakConfig{Users: 8, Restarts: 3, RotateBeforeRestart: 2, Seed: 13, Logf: t.Logf}
+	cfg := RestartSoakConfig{TestbedConfig: TestbedConfig{Users: 8, Seed: 13, Logf: t.Logf}, Restarts: 3, RotateBeforeRestart: 2}
 	if raceEnabled {
 		cfg.Users = 4
 	}
-	rep, err := RunRestartSoak(cfg)
+	rep, err := RestartSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

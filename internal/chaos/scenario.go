@@ -2,57 +2,40 @@ package chaos
 
 import (
 	"context"
-	"crypto/rand"
-	"fmt"
 	mrand "math/rand"
-	"net"
-	"sync"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/revocation"
-	"github.com/peace-mesh/peace/internal/transport"
 )
 
 // SoakConfig scripts one chaos soak: a fleet of self-healing clients
 // against a live server, with sustained datagram faults, a mid-run
 // revocation bump, a server restart and a timed partition.
 type SoakConfig struct {
-	// Users is the fleet size. Default 24.
-	Users int
-	// Seed drives every pseudo-random stream in the run. Default 1.
-	Seed int64
-	// Faults is the per-direction schedule installed on every client link
-	// during the storm phase. Default: 10% drop, 5% corrupt, 2% duplicate,
-	// 2% reorder.
-	Faults FaultPlan
+	// TestbedConfig sizes the fleet (default 24 users) and sets the
+	// client-link schedule of the storm phase (default soakFaults).
+	TestbedConfig
 	// StormLen is how long the fleet soaks under faults before the restart.
 	// Default 1500ms.
 	StormLen time.Duration
 	// PartitionLen is how long the partitioned subset stays blackholed
 	// after the restart. Default 1s.
 	PartitionLen time.Duration
-	// PartitionFrac is the fraction of clients partitioned. Default 0.3.
-	PartitionFrac float64
-	// SettleTimeout bounds each convergence wait (initial attach, final
-	// re-establishment). Default 90s.
-	SettleTimeout time.Duration
-	// Keepalive is the fleet's keepalive interval. Default 150ms.
-	Keepalive time.Duration
-	// Logf, when set, receives phase-by-phase progress.
-	Logf func(format string, args ...any)
 }
 
+// soakFaults is the chaos soak's default client-link schedule.
+var soakFaults = FaultPlan{Drop: 0.10, Corrupt: 0.05, Duplicate: 0.02, Reorder: 0.02}
+
+// soakPartitionFrac is the fraction of the fleet the soak partitions.
+const soakPartitionFrac = 0.3
+
 func (c SoakConfig) withDefaults() SoakConfig {
+	c.Routers = 1
 	if c.Users < 1 {
 		c.Users = 24
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	zero := FaultPlan{}
-	if c.Faults == zero {
-		c.Faults = FaultPlan{Drop: 0.10, Corrupt: 0.05, Duplicate: 0.02, Reorder: 0.02}
+	if c.Faults == (FaultPlan{}) {
+		c.Faults = soakFaults
 	}
 	if c.StormLen <= 0 {
 		c.StormLen = 1500 * time.Millisecond
@@ -60,25 +43,15 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.PartitionLen <= 0 {
 		c.PartitionLen = time.Second
 	}
-	if c.PartitionFrac <= 0 {
-		c.PartitionFrac = 0.3
-	}
-	if c.PartitionFrac > 1 {
-		c.PartitionFrac = 1
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 90 * time.Second
-	}
-	if c.Keepalive <= 0 {
-		c.Keepalive = 150 * time.Millisecond
-	}
+	c.TestbedConfig = c.withFleetClient().withDefaults()
 	return c
 }
 
 // SoakReport is the outcome of a soak run: aggregate fleet and server
-// counters plus every invariant violation found. A clean run has an empty
-// Violations list.
+// counters plus every invariant violation found.
 type SoakReport struct {
+	Verdict
+
 	Users          int
 	FinalBootEpoch uint64
 	Established    int
@@ -93,7 +66,7 @@ type SoakReport struct {
 	// Injected faults, summed over all client links.
 	Injected Counters
 
-	// Server-side evidence that the chaos reached it.
+	// Server-side evidence that the chaos reached it, both incarnations.
 	ServerDecodeErrors   int64
 	DuplicatesSuppressed int64
 	DrainRejects         int64
@@ -105,21 +78,12 @@ type SoakReport struct {
 	// Revocation anti-rollback evidence.
 	InitialURLEpoch uint64
 	FinalURLEpoch   uint64
-
-	Violations []string
 }
 
-// Failed reports whether the run violated any invariant.
-func (r *SoakReport) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *SoakReport) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-// RunSoak executes the scripted chaos scenario:
+// Soak executes the scripted chaos scenario:
 //
-//  1. provision a network, start the server (boot epoch 1), launch every
-//     client's Maintain loop over a fault-injecting link;
+//  1. provision a network, start the server, launch every client's
+//     Maintain loop over a fault-injecting link;
 //  2. wait for the whole fleet to attach, then soak under faults for
 //     StormLen of keepalive traffic;
 //  3. bump the revocation epoch (a key is revoked mid-run), then drain
@@ -130,151 +94,72 @@ func (r *SoakReport) violate(format string, args ...any) {
 //     re-attaches through the still-faulty network;
 //  5. heal the links and wait for every client to re-establish against
 //     the new incarnation, then check the invariants.
-func RunSoak(cfg SoakConfig) (*SoakReport, error) {
+func Soak(cfg SoakConfig) (*SoakReport, error) {
 	cfg = cfg.withDefaults()
 	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	rep := &SoakReport{Users: cfg.Users}
 
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-CHAOS", "grp-chaos", cfg.Users)
+	tb, err := NewTestbed(cfg.TestbedConfig)
 	if err != nil {
 		return nil, err
 	}
-	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
+	defer tb.Close()
+	router := tb.Net.Routers[0]
+	rep.InitialURLEpoch = router.RevocationEpoch(revocation.ListURL)
+	if err := tb.Launch(0, cfg.Users); err != nil {
 		return nil, err
 	}
-	const epoch1, epoch2 = 1, 2
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{BootEpoch: epoch1})
-	addr := srv.Addr()
-	rep.InitialURLEpoch = ln.Router.RevocationEpoch(revocation.ListURL)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	clients := make([]*transport.Client, cfg.Users)
-	links := make([]*Conn, cfg.Users)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Users; i++ {
-		raw, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			cancel()
-			srv.Close()
-			return nil, err
-		}
-		link := Wrap(raw, cfg.Faults, cfg.Faults, cfg.Seed*1_000_003+int64(i))
-		links[i] = link
-		clients[i] = transport.NewClient(link, addr, ln.Users[i], transport.ClientConfig{
-			RetransmitTimeout: 60 * time.Millisecond,
-			MaxTimeout:        time.Second,
-			MaxRetries:        12,
-			Seed:              cfg.Seed*2_000_003 + int64(i),
-		})
-		wg.Add(1)
-		go func(cl *transport.Client) {
-			defer wg.Done()
-			_ = cl.Maintain(ctx, transport.MaintainConfig{
-				KeepaliveInterval: cfg.Keepalive,
-				PingTimeout:       2 * cfg.Keepalive,
-				MaxMissed:         3,
-				ReattachMin:       50 * time.Millisecond,
-				ReattachMax:       500 * time.Millisecond,
-				AttachTimeout:     cfg.SettleTimeout / 3,
-			})
-		}(clients[i])
-	}
-	defer func() {
-		cancel()
-		wg.Wait()
-		for _, l := range links {
-			_ = l.Close()
-		}
-	}()
-
-	established := func(epoch uint64) int {
-		n := 0
-		for _, cl := range clients {
-			if cl.Session() != nil && cl.BootEpoch() == epoch {
-				n++
-			}
-		}
-		return n
-	}
-	settle := func(what string, cond func() bool) bool {
-		deadline := time.Now().Add(cfg.SettleTimeout)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		rep.violate("timed out settling: %s", what)
-		return false
-	}
+	fleetUp := func() bool { return tb.Established() == cfg.Users }
 
 	// Phase 1+2: attach through the faulty network, then soak.
 	logf("chaos: attaching %d clients through faults %+v", cfg.Users, cfg.Faults)
-	settle("initial fleet attach", func() bool { return established(epoch1) == cfg.Users })
+	tb.Settle(&rep.Verdict, "initial fleet attach", fleetUp)
 	logf("chaos: fleet attached, storming for %v", cfg.StormLen)
 	time.Sleep(cfg.StormLen)
 
 	// Phase 3: revocation bump, then drain + restart.
-	if err := bumpRevocation(ln); err != nil {
-		srv.Close()
+	if err := tb.BumpRevocation(1); err != nil {
 		return nil, err
 	}
-	srv.InvalidateBeacon()
-	rep.FinalURLEpoch = ln.Router.RevocationEpoch(revocation.ListURL)
+	rep.FinalURLEpoch = router.RevocationEpoch(revocation.ListURL)
 	if rep.FinalURLEpoch <= rep.InitialURLEpoch {
 		rep.violate("revocation bump did not advance the URL epoch (%d -> %d)", rep.InitialURLEpoch, rep.FinalURLEpoch)
 	}
 	logf("chaos: revocation bumped to epoch %d, restarting server", rep.FinalURLEpoch)
 
-	dctx, dcancel := context.WithTimeout(ctx, 10*time.Second)
-	err = srv.Drain(dctx)
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	err = tb.Servers[0].Drain(dctx)
 	dcancel()
 	if err != nil {
 		rep.violate("drain before restart: %v", err)
 	}
-	rep.DrainRejects = srv.Stats().DrainRejects()
-	// The first incarnation's counters die with its registry; bank the
-	// judged ones before Close.
-	firstDecodeErrors := srv.Stats().DecodeErrors()
-	firstDuplicates := srv.Stats().Duplicates()
-	srv.Close()
-	ln.Router.Reboot()
-	serverConn2, err := rebindPacket(addr)
-	if err != nil {
+	if err := tb.Restart(0); err != nil {
 		return nil, err
 	}
-	srv2 := transport.NewServer(serverConn2, ln.Router, transport.ServerConfig{BootEpoch: epoch2})
-	defer srv2.Close()
 
 	// Phase 4: partition a deterministic subset while the fleet re-attaches.
 	prng := mrand.New(mrand.NewSource(cfg.Seed * 3_000_017))
-	nPart := int(float64(cfg.Users) * cfg.PartitionFrac)
+	nPart := int(float64(cfg.Users) * soakPartitionFrac)
 	for _, i := range prng.Perm(cfg.Users)[:nPart] {
-		links[i].PartitionFor(cfg.PartitionLen)
+		tb.Links[i].PartitionFor(cfg.PartitionLen)
 	}
 	logf("chaos: partitioned %d/%d clients for %v", nPart, cfg.Users, cfg.PartitionLen)
 	time.Sleep(cfg.PartitionLen)
 
 	// Phase 5: heal the links and wait for full recovery.
-	for _, l := range links {
+	for _, l := range tb.Links {
 		l.SetPlans(FaultPlan{}, FaultPlan{})
 	}
 	logf("chaos: links healed, settling")
-	settle("fleet re-established on new incarnation", func() bool { return established(epoch2) == cfg.Users })
+	tb.Settle(&rep.Verdict, "fleet re-established on new incarnation", fleetUp)
 
 	// Harvest and judge.
-	rep.FinalBootEpoch = epoch2
-	rep.Established = established(epoch2)
+	rep.FinalBootEpoch = tb.Servers[0].BootEpoch()
+	rep.Established = tb.Established()
 	if rep.Established != cfg.Users {
 		rep.violate("%d/%d clients re-established after restart", rep.Established, cfg.Users)
 	}
-	for i, cl := range clients {
+	for i, cl := range tb.Clients {
 		st := cl.Stats()
 		rep.Reattaches += st.Reattaches()
 		rep.RestartsDetected += st.RestartsDetected()
@@ -284,43 +169,17 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 		// Anti-rollback: every surviving client must have converged onto
 		// the bumped epoch despite restart and partition racing the bump.
-		if got := ln.Users[i].RevocationEpoch(revocation.ListURL); got != rep.FinalURLEpoch {
+		if got := tb.Net.Users[i].RevocationEpoch(revocation.ListURL); got != rep.FinalURLEpoch {
 			rep.violate("client %d URL epoch %d, want %d (rollback or missed sync)", i, got, rep.FinalURLEpoch)
 		}
-
-		// Key agreement: the only way a session exists is a completed,
-		// uncorrupted handshake — prove it end to end.
-		sess := cl.Session()
-		if sess == nil {
-			continue
-		}
-		routerSess, ok := ln.Router.SessionByID(sess.ID)
-		if !ok {
-			rep.violate("client %d session %s unknown to router", i, sess.ID)
-			continue
-		}
-		probe := []byte(fmt.Sprintf("probe-%d", i))
-		frame, err := routerSess.SealData(rand.Reader, probe)
-		if err != nil {
-			rep.violate("client %d: router seal: %v", i, err)
-			continue
-		}
-		if pt, err := sess.OpenData(frame); err != nil || string(pt) != string(probe) {
-			rep.violate("client %d: session keys disagree: %v", i, err)
-		}
 	}
-	for _, l := range links {
-		c := l.Counters()
-		rep.Injected.Dropped += c.Dropped
-		rep.Injected.Corrupted += c.Corrupted
-		rep.Injected.Duplicated += c.Duplicated
-		rep.Injected.Reordered += c.Reordered
-		rep.Injected.Delayed += c.Delayed
-		rep.Injected.PartitionDrops += c.PartitionDrops
-	}
-	rep.ServerDecodeErrors = firstDecodeErrors + srv2.Stats().DecodeErrors()
-	rep.DuplicatesSuppressed = firstDuplicates + srv2.Stats().Duplicates()
-	stats := ln.Router.Stats()
+	tb.ProbeKeys(&rep.Verdict)
+	rep.Injected = tb.Injected()
+	srv := tb.Servers[0].Stats()
+	rep.ServerDecodeErrors = srv.DecodeErrors()
+	rep.DuplicatesSuppressed = srv.Duplicates()
+	rep.DrainRejects = srv.DrainRejects()
+	stats := router.Stats()
 	rep.SessionsEstablished = stats.SessionsEstablished
 	rep.ExpensiveVerifications = stats.ExpensiveVerifications
 
@@ -341,37 +200,4 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		rep.violate("no keepalive was ever acknowledged")
 	}
 	return rep, nil
-}
-
-// bumpRevocation revokes a spare (unused) credential slot so the URL
-// epoch advances without knocking out any fleet member.
-func bumpRevocation(ln *transport.LocalNetwork) error {
-	spare := 0
-	for _, u := range ln.Users {
-		for _, c := range u.Credentials() {
-			if c.Index >= spare {
-				spare = c.Index + 1
-			}
-		}
-	}
-	tok, err := ln.NO.TokenOf(ln.GM.ID(), spare)
-	if err != nil {
-		return fmt.Errorf("chaos: spare token: %w", err)
-	}
-	ln.NO.RevokeUserKey(tok)
-	return ln.RefreshRevocations()
-}
-
-// rebindPacket re-listens on the exact address a closed server vacated.
-func rebindPacket(addr net.Addr) (net.PacketConn, error) {
-	var lastErr error
-	for i := 0; i < 100; i++ {
-		conn, err := net.ListenPacket("udp", addr.String())
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-		time.Sleep(20 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("chaos: rebind %v: %w", addr, lastErr)
 }

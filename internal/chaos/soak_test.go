@@ -14,19 +14,16 @@ import (
 // runs the full 100-client configuration.
 func TestChaosSoak(t *testing.T) {
 	cfg := SoakConfig{
-		Users:         100,
-		Seed:          42,
+		TestbedConfig: TestbedConfig{Users: 100, Seed: 42, Logf: t.Logf},
 		StormLen:      2 * time.Second,
 		PartitionLen:  5 * time.Second,
-		PartitionFrac: 0.3,
-		Logf:          t.Logf,
 	}
 	if testing.Short() || raceEnabled {
 		cfg.Users = 24
 		cfg.StormLen = time.Second
 		cfg.PartitionLen = 1500 * time.Millisecond
 	}
-	rep, err := RunSoak(cfg)
+	rep, err := Soak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +49,10 @@ func TestSoakDeterministicInjection(t *testing.T) {
 		t.Skip("duplicate soak run in -short mode")
 	}
 	run := func() *SoakReport {
-		rep, err := RunSoak(SoakConfig{
-			Users:        8,
-			Seed:         7,
-			StormLen:     500 * time.Millisecond,
-			PartitionLen: 500 * time.Millisecond,
+		rep, err := Soak(SoakConfig{
+			TestbedConfig: TestbedConfig{Users: 8, Seed: 7},
+			StormLen:      500 * time.Millisecond,
+			PartitionLen:  500 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -23,20 +23,6 @@ func fastPair(t *testing.T) (*Session, *Session) {
 		ResumeSession(SessionID{}, secret, cn, sn, "b", now)
 }
 
-// The append-style AAD must be byte-identical to the Writer-built one —
-// otherwise frames sealed by one path would not open under the other.
-func TestAppendFrameAADMatchesWriter(t *testing.T) {
-	var id SessionID
-	rand.Read(id[:])
-	for _, seq := range []uint64{0, 1, 255, 1 << 40, ^uint64(0)} {
-		want := frameAAD(id, seq)
-		got := appendFrameAAD(nil, id, seq)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("seq %d: append AAD %x != writer AAD %x", seq, got, want)
-		}
-	}
-}
-
 // AppendSealedData emits the exact marshaled-DataFrame wire format:
 // SealedDataLen is exact, and the standard decode+OpenData path accepts
 // the frames.

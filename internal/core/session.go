@@ -138,21 +138,12 @@ func UnmarshalDataFrameInto(data []byte, f *DataFrame) error {
 	return r.Finish()
 }
 
-// aad binds a frame to its session and sequence number.
-func frameAAD(id SessionID, seq uint64) []byte {
-	w := wire.NewWriter(48)
-	w.BytesField(id[:])
-	w.Uint64(seq)
-	return w.Bytes()
-}
-
-// frameAADSize is the encoded size of frameAAD: a length-prefixed
+// frameAADSize is the encoded size of a frame's AAD: a length-prefixed
 // session id plus the big-endian sequence number.
 const frameAADSize = 4 + len(SessionID{}) + 8
 
-// appendFrameAAD is frameAAD without the Writer allocation; the layouts
-// are byte-identical (pinned by a test), so frames sealed by either
-// path open under the other.
+// appendFrameAAD appends the AAD binding a frame to its session and
+// sequence number.
 func appendFrameAAD(dst []byte, id SessionID, seq uint64) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(id)))
 	dst = append(dst, id[:]...)
@@ -174,8 +165,8 @@ func SealedDataLen(n int) int {
 // appends the complete marshaled DataFrame to dst, returning the
 // extended slice. It is the zero-allocation twin of SealData+Marshal:
 // same wire format, deterministic nonce (nonceBase XOR seq) instead of
-// a drawn one, no per-frame key schedule, no intermediate frame. Give
-// dst SealedDataLen(len(payload)) spare capacity to avoid growth.
+// a drawn one, no intermediate frame. Give dst
+// SealedDataLen(len(payload)) spare capacity to avoid growth.
 func (s *Session) AppendSealedData(dst, payload []byte) ([]byte, error) {
 	if s.aead == nil {
 		return dst, fmt.Errorf("session %s: sealing unavailable", s.ID)
@@ -203,34 +194,34 @@ func (s *Session) AppendSealedData(dst, payload []byte) ([]byte, error) {
 	return append(dst, zeroTag[:]...), nil
 }
 
-// OpenDataInto verifies and decrypts an encrypted frame under the
-// cached AEAD, appending the plaintext to dst — the zero-allocation
-// twin of OpenData for the batched ingest path. Replay enforcement is
-// identical. dst needs len(f.Payload) spare capacity to stay
-// allocation-free; MAC-only frames fall back to the general path.
+// OpenDataInto verifies (and if encrypted, decrypts under the cached
+// AEAD) an incoming frame, enforcing strictly increasing sequence numbers
+// as replay defense, and appends the plaintext to dst. With
+// len(f.Payload) spare capacity in dst it does not allocate — the batched
+// ingest path relies on that.
 func (s *Session) OpenDataInto(f *DataFrame, dst []byte) ([]byte, error) {
 	if f.Session != s.ID {
 		return nil, fmt.Errorf("session %s: %w", s.ID, ErrNoSession)
 	}
-	if !f.Encrypted || s.aead == nil {
-		pt, err := s.OpenData(f)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, pt...), nil
-	}
-	if len(f.Payload) < symcrypto.GCMNonceSize+symcrypto.GCMOverhead {
-		return nil, fmt.Errorf("session %s: %w", s.ID, symcrypto.ErrDecrypt)
-	}
-	nonce := f.Payload[:symcrypto.GCMNonceSize]
-	ct := f.Payload[symcrypto.GCMNonceSize:]
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	aad := appendFrameAAD(s.aadScratch[:0], s.ID, f.Seq)
-	pt, err := s.aead.Open(dst, nonce, ct, aad)
-	if err != nil {
-		return nil, fmt.Errorf("session %s: %w", s.ID, symcrypto.ErrDecrypt)
+	var pt []byte
+	if f.Encrypted {
+		if s.aead == nil || len(f.Payload) < symcrypto.GCMNonceSize+symcrypto.GCMOverhead {
+			return nil, fmt.Errorf("session %s: %w", s.ID, symcrypto.ErrDecrypt)
+		}
+		nonce := f.Payload[:symcrypto.GCMNonceSize]
+		ct := f.Payload[symcrypto.GCMNonceSize:]
+		aad := appendFrameAAD(s.aadScratch[:0], s.ID, f.Seq)
+		var err error
+		if pt, err = s.aead.Open(dst, nonce, ct, aad); err != nil {
+			return nil, fmt.Errorf("session %s: %w", s.ID, symcrypto.ErrDecrypt)
+		}
+	} else {
+		if err := symcrypto.VerifyMAC(s.keys.Mac, f.Seq, f.Payload, f.Tag); err != nil {
+			return nil, fmt.Errorf("session %s: %w", s.ID, err)
+		}
+		pt = append(dst, f.Payload...)
 	}
 	if s.recvAny && f.Seq <= s.recvHigh {
 		return nil, fmt.Errorf("session %s: seq %d: %w", s.ID, f.Seq, ErrReplay)
@@ -240,17 +231,28 @@ func (s *Session) OpenDataInto(f *DataFrame, dst []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// SealData encrypts and authenticates payload (AES-GCM path).
+// OpenData is OpenDataInto with a freshly allocated plaintext.
+func (s *Session) OpenData(f *DataFrame) ([]byte, error) {
+	return s.OpenDataInto(f, nil)
+}
+
+// SealData encrypts and authenticates payload under the cached AEAD with
+// a nonce drawn from rng — AppendSealedData's wire format, as a frame
+// the caller can still inspect or marshal.
 func (s *Session) SealData(rng io.Reader, payload []byte) (*DataFrame, error) {
+	if s.aead == nil {
+		return nil, fmt.Errorf("session %s: sealing unavailable", s.ID)
+	}
+	ct := make([]byte, symcrypto.GCMNonceSize, symcrypto.GCMNonceSize+len(payload)+symcrypto.GCMOverhead)
+	if _, err := io.ReadFull(rng, ct); err != nil {
+		return nil, fmt.Errorf("session %s: nonce: %w", s.ID, err)
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	seq := s.sendSeq
 	s.sendSeq++
-	s.mu.Unlock()
-
-	ct, err := symcrypto.Seal(rng, s.keys.Enc, payload, frameAAD(s.ID, seq))
-	if err != nil {
-		return nil, fmt.Errorf("session %s: %w", s.ID, err)
-	}
+	aad := appendFrameAAD(s.aadScratch[:0], s.ID, seq)
+	ct = s.aead.Seal(ct, ct[:symcrypto.GCMNonceSize], payload, aad)
 	return &DataFrame{Session: s.ID, Seq: seq, Encrypted: true, Payload: ct}, nil
 }
 
@@ -264,37 +266,6 @@ func (s *Session) AuthData(payload []byte) *DataFrame {
 
 	tag := symcrypto.MAC(s.keys.Mac, seq, payload)
 	return &DataFrame{Session: s.ID, Seq: seq, Payload: append([]byte(nil), payload...), Tag: tag}
-}
-
-// OpenData verifies (and if encrypted, decrypts) an incoming frame,
-// enforcing strictly increasing sequence numbers as replay defense.
-func (s *Session) OpenData(f *DataFrame) ([]byte, error) {
-	if f.Session != s.ID {
-		return nil, fmt.Errorf("session %s: %w", s.ID, ErrNoSession)
-	}
-
-	var payload []byte
-	if f.Encrypted {
-		pt, err := symcrypto.Open(s.keys.Enc, f.Payload, frameAAD(s.ID, f.Seq))
-		if err != nil {
-			return nil, fmt.Errorf("session %s: %w", s.ID, err)
-		}
-		payload = pt
-	} else {
-		if err := symcrypto.VerifyMAC(s.keys.Mac, f.Seq, f.Payload, f.Tag); err != nil {
-			return nil, fmt.Errorf("session %s: %w", s.ID, err)
-		}
-		payload = append([]byte(nil), f.Payload...)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.recvAny && f.Seq <= s.recvHigh {
-		return nil, fmt.Errorf("session %s: seq %d: %w", s.ID, f.Seq, ErrReplay)
-	}
-	s.recvHigh = f.Seq
-	s.recvAny = true
-	return payload, nil
 }
 
 // RecvSeq reports the highest data-frame sequence number accepted so far

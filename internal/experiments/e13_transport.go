@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"github.com/peace-mesh/peace/internal/transport"
+	"github.com/peace-mesh/peace/internal/chaos"
 )
 
 // E13TransportRow is one loopback handshake run at a given concurrency
@@ -35,10 +35,10 @@ func RunE13Transport(userCounts []int, losses []float64) (*E13TransportReport, e
 	rep := &E13TransportReport{}
 	for _, users := range userCounts {
 		for _, loss := range losses {
-			lb, err := transport.RunLoopback(transport.LoopbackConfig{
-				Users: users,
-				Loss:  loss,
-				Seed:  1,
+			lb, err := chaos.Loopback(chaos.TestbedConfig{
+				Users:  users,
+				Faults: chaos.FaultPlan{Drop: loss},
+				Seed:   1,
 			})
 			if err != nil {
 				return nil, err
@@ -47,7 +47,7 @@ func RunE13Transport(userCounts []int, losses []float64) (*E13TransportReport, e
 				Users:            users,
 				Loss:             loss,
 				Established:      lb.Established,
-				Failed:           lb.Failed,
+				Failed:           users - lb.Established,
 				Elapsed:          lb.Elapsed,
 				HandshakesPerSec: lb.HandshakesPerSec,
 				P50:              lb.P50,

@@ -45,7 +45,7 @@ type E16ResumeReport struct {
 	BytesPerSession    int64
 	MemPer100kSessions int64
 
-	// Restart-soak summary (see chaos.RunRestartSoak): FullHandshakes must
+	// Restart-soak summary (see chaos.RestartSoak): FullHandshakes must
 	// stay at one per client across SoakRestarts restarts.
 	SoakUsers          int
 	SoakRestarts       int
@@ -66,7 +66,7 @@ func RunE16Resume(shardCounts []int, iters int) (*E16ResumeReport, error) {
 	rep := &E16ResumeReport{NumCPU: runtime.NumCPU()}
 
 	// --- Latency: full attach vs ticket resume, one client, serial. ---
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-E16", "grp-e16", 1)
+	ln, err := transport.NewLocalNetwork(core.Config{}, "grp-e16", 1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func RunE16Resume(shardCounts []int, iters int) (*E16ResumeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := transport.NewServer(serverConn, ln.Router, transport.ServerConfig{BootEpoch: 1})
+	srv := transport.NewServer(serverConn, ln.Routers[0], transport.ServerConfig{BootEpoch: 1})
 	defer srv.Close()
 
 	clientConn, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -124,7 +124,7 @@ func RunE16Resume(shardCounts []int, iters int) (*E16ResumeReport, error) {
 	rep.MemPer100kSessions = rep.BytesPerSession * 100_000
 
 	// --- Restart soak: the fleet re-attaches via tickets only. ---
-	soak, err := chaos.RunRestartSoak(chaos.RestartSoakConfig{Users: 8, Restarts: 2, Seed: 16})
+	soak, err := chaos.RestartSoak(chaos.RestartSoakConfig{TestbedConfig: chaos.TestbedConfig{Users: 8, Seed: 16}, Restarts: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func RunE16Resume(shardCounts []int, iters int) (*E16ResumeReport, error) {
 // resumes for a fixed window and reports the sustained rate.
 func e16ShardThroughput(shards, iters int) (*E16ShardRow, error) {
 	const fleet = 8
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-E16S", "grp-e16s", fleet)
+	ln, err := transport.NewLocalNetwork(core.Config{}, "grp-e16s", 1, fleet)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func e16ShardThroughput(shards, iters int) (*E16ShardRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := transport.NewShardedServer(conns, ln.Router, transport.ServerConfig{BootEpoch: 1, Shards: shards})
+	srv := transport.NewShardedServer(conns, ln.Routers[0], transport.ServerConfig{BootEpoch: 1, Shards: shards})
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -218,7 +218,7 @@ func e16SessionTableBytes(ln *transport.LocalNetwork, n int) int64 {
 	for i := 0; i < n; i++ {
 		cn[0], cn[1], cn[2] = byte(i), byte(i>>8), byte(i>>16)
 		sess := core.ResumeSession(prev, secret, cn, sn, "user", now)
-		ln.Router.AdoptResumedSession(sess, nil)
+		ln.Routers[0].AdoptResumedSession(sess, nil)
 		sessions = append(sessions, sess)
 	}
 	runtime.GC()

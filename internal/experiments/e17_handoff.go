@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/backbone"
-	"github.com/peace-mesh/peace/internal/transport"
+	"github.com/peace-mesh/peace/internal/chaos"
 )
 
 // E17HandoffReport compares the three ways a metro user (re)gains
@@ -50,23 +48,16 @@ func RunE17Handoff(iters int) (*E17HandoffReport, error) {
 	if iters < 1 {
 		iters = 1
 	}
-	m, err := backbone.StartMetro(backbone.MetroConfig{
-		Routers:        2,
-		Users:          1,
-		GossipInterval: 100 * time.Millisecond,
-		GraceWindow:    time.Minute,
-	}, nil)
+	m, err := chaos.NewTestbed(chaos.TestbedConfig{Routers: 2})
 	if err != nil {
 		return nil, err
 	}
 	defer m.Close()
 
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	cl, err := m.Dial(0)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	cl := transport.NewClient(conn, m.Servers[0].Addr(), m.Net.Users[0], transport.ClientConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 

@@ -90,7 +90,7 @@ func RunE18DataPlane(shardCounts, batchSizes []int, iters int) (*E18DataPlaneRep
 // syscalls exactly as hard as the server under test.
 func e18EchoThroughput(shards, batch, payloadBytes, iters int) (*E18Row, bool, error) {
 	const fleet = 4
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-E18", "grp-e18", fleet)
+	ln, err := transport.NewLocalNetwork(core.Config{}, "grp-e18", 1, fleet)
 	if err != nil {
 		return nil, false, err
 	}
@@ -98,7 +98,7 @@ func e18EchoThroughput(shards, batch, payloadBytes, iters int) (*E18Row, bool, e
 	if err != nil {
 		return nil, false, err
 	}
-	srv := transport.NewShardedServer(conns, ln.Router, transport.ServerConfig{
+	srv := transport.NewShardedServer(conns, ln.Routers[0], transport.ServerConfig{
 		BootEpoch: 1,
 		Shards:    shards,
 		IOBatch:   batch,

@@ -32,10 +32,10 @@ func RunE19AttackLatency(intensities []int, iters int) ([]E19AttackRow, error) {
 	}
 	rows := make([]E19AttackRow, 0, len(intensities))
 	for _, intensity := range intensities {
-		rep, err := chaos.RunAttackLatency(chaos.AttackLatencyConfig{
-			Intensity: intensity,
-			Samples:   8 * iters,
-			Seed:      19,
+		rep, err := chaos.AttackLatency(chaos.AttackLatencyConfig{
+			TestbedConfig: chaos.TestbedConfig{Seed: 19},
+			Intensity:     intensity,
+			Samples:       8 * iters,
 		})
 		if err != nil {
 			return nil, err

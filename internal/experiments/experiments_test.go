@@ -236,9 +236,14 @@ func TestE11Ablations(t *testing.T) {
 			t.Errorf("%s: non-positive gain", r.Name)
 		}
 	}
-	// Shared final exponentiation must actually win.
-	if rows[0].Speedup < 1.1 {
-		t.Errorf("shared final exp gain only %.2f×", rows[0].Speedup)
+	// Shared final exponentiation: same verdict on the same inputs from
+	// half the final exponentiations. The measured ratio is peacebench
+	// -exp e11's business, where -iters makes it meaningful.
+	if r := rows[0]; !r.BaselineHolds || !r.OptimizedHolds {
+		t.Errorf("e(P,Q)·e(−P,Q) = 1: two pairings say %v, shared accumulator says %v", r.BaselineHolds, r.OptimizedHolds)
+	}
+	if r := rows[0]; r.BaselineFinalExps != 2 || r.OptimizedFinalExps != 1 {
+		t.Errorf("final exponentiations %d vs %d, want 2 vs 1", r.BaselineFinalExps, r.OptimizedFinalExps)
 	}
 	// Compressed encoding must shrink the signature.
 	if rows[2].Speedup <= 1.0 {

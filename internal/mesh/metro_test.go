@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/backbone"
+	"github.com/peace-mesh/peace/internal/chaos"
 	"github.com/peace-mesh/peace/internal/transport"
 )
 
@@ -24,13 +24,7 @@ func TestRoamingWaveExactlyOnePairing(t *testing.T) {
 		users   = 10
 		moves   = 4
 	)
-	m, err := backbone.StartMetro(backbone.MetroConfig{
-		Routers:        routers,
-		Users:          users,
-		Moves:          moves,
-		GossipInterval: 50 * time.Millisecond,
-		GraceWindow:    30 * time.Second,
-	}, nil)
+	m, err := chaos.NewTestbed(chaos.TestbedConfig{Routers: routers, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +32,7 @@ func TestRoamingWaveExactlyOnePairing(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	rep, err := m.RoamingWave(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := m.RoamingWave(ctx, moves)
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
@@ -78,11 +69,7 @@ func TestRoamingWaveExactlyOnePairing(t *testing.T) {
 // session at the router actually serving it — continuity never opens an
 // accountability gap.
 func TestHandoffReEscrowsAccountability(t *testing.T) {
-	m, err := backbone.StartMetro(backbone.MetroConfig{
-		Routers:        2,
-		Users:          1,
-		GossipInterval: 50 * time.Millisecond,
-	}, nil)
+	m, err := chaos.NewTestbed(chaos.TestbedConfig{Routers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

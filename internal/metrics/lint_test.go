@@ -17,7 +17,7 @@ import (
 // those two into one /metrics exposition, where a shared name would
 // silently shadow).
 func TestInstrumentNamingLint(t *testing.T) {
-	ln, err := transport.NewLocalNetwork(core.Config{}, "MR-LINT", "grp-lint", 1)
+	ln, err := transport.NewLocalNetwork(core.Config{}, "grp-lint", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestInstrumentNamingLint(t *testing.T) {
 
 	regs := map[string]metrics.Snapshot{
 		"transport": transport.NewStats(nil).Snapshot(),
-		"router":    ln.Router.Metrics().Snapshot(),
+		"router":    ln.Routers[0].Metrics().Snapshot(),
 		"chaos":     chaosReg.Snapshot(),
 	}
 	for layer, snap := range regs {

@@ -89,15 +89,15 @@ func readMessage(t *testing.T, conn net.PacketConn, want Kind) any {
 // to the very same signed M.2 — the solution rides outside the signed
 // transcript — gets the session established.
 func TestPuzzleGateLiveWire(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-DOS", "grp-dos", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-dos", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ln.SeedUserRevocations(); err != nil {
 		t.Fatal(err)
 	}
-	ln.Router.SetDoSPolicy(testDoSPolicy())
-	srv := NewServer(mustListen(t), ln.Router, ServerConfig{
+	ln.Routers[0].SetDoSPolicy(testDoSPolicy())
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{
 		BootEpoch:         1,
 		DoSSampleInterval: 10 * time.Millisecond,
 	})
@@ -128,7 +128,7 @@ func TestPuzzleGateLiveWire(t *testing.T) {
 	}
 
 	floodGarbageAccess(t, raw, srv.Addr(), 6)
-	need := awaitDifficulty(t, ln.Router)
+	need := awaitDifficulty(t, ln.Routers[0])
 	if want := testDoSPolicy().BaseDifficulty; need != want {
 		t.Fatalf("demanded difficulty %d, want base %d", need, want)
 	}
@@ -208,12 +208,12 @@ func TestPuzzleGateLiveWire(t *testing.T) {
 // the client's budgeted solver answers it off the hot path, and the
 // handshake completes without RejectPuzzle round trips.
 func TestClientAttachUnderActiveDefense(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-DOS", "grp-dos", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-dos", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln.Router.SetDoSPolicy(testDoSPolicy())
-	srv := NewServer(mustListen(t), ln.Router, ServerConfig{
+	ln.Routers[0].SetDoSPolicy(testDoSPolicy())
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{
 		BootEpoch:         1,
 		DoSSampleInterval: 10 * time.Millisecond,
 	})
@@ -222,7 +222,7 @@ func TestClientAttachUnderActiveDefense(t *testing.T) {
 	attacker := mustListen(t)
 	defer attacker.Close()
 	floodGarbageAccess(t, attacker, srv.Addr(), 6)
-	awaitDifficulty(t, ln.Router)
+	awaitDifficulty(t, ln.Routers[0])
 	// Wait for the sampler to invalidate the cached beacon so the client
 	// solicits one that already carries the challenge.
 	deadline := time.Now().Add(5 * time.Second)
@@ -248,12 +248,12 @@ func TestClientAttachUnderActiveDefense(t *testing.T) {
 // with RejectPuzzle, and the client's retry — fresh nonce, solved
 // challenge under the request MAC — completes the cheap path.
 func TestClientResumeUnderActiveDefense(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-DOS", "grp-dos", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-dos", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln.Router.SetDoSPolicy(testDoSPolicy())
-	srv := NewServer(mustListen(t), ln.Router, ServerConfig{
+	ln.Routers[0].SetDoSPolicy(testDoSPolicy())
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{
 		BootEpoch:         1,
 		DoSSampleInterval: 10 * time.Millisecond,
 	})
@@ -274,7 +274,7 @@ func TestClientResumeUnderActiveDefense(t *testing.T) {
 	attacker := mustListen(t)
 	defer attacker.Close()
 	floodGarbageAccess(t, attacker, srv.Addr(), 6)
-	awaitDifficulty(t, ln.Router)
+	awaitDifficulty(t, ln.Routers[0])
 
 	rejected := srv.Stats().DoSPuzzlesRejected()
 	if _, err := cl.Resume(ctx); err != nil {

@@ -120,7 +120,7 @@ func TestRejectRoundTrip(t *testing.T) {
 // TestMessageCodecRoundTrip frames and decodes every protocol message a
 // provisioned network can produce.
 func TestMessageCodecRoundTrip(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-T", "grp-t", 2)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-t", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 	u, peer := ln.Users[0], ln.Users[1]
 
-	beacon, err := ln.Router.Beacon()
+	beacon, err := ln.Routers[0].Beacon()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, _, err := ln.Router.HandleAccessRequest(m2)
+	m3, _, err := ln.Routers[0].HandleAccessRequest(m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url, ok := ln.Router.RevocationSnapshot(revocation.ListURL)
+	url, ok := ln.Routers[0].RevocationSnapshot(revocation.ListURL)
 	if !ok {
 		t.Fatal("router has no URL snapshot")
 	}
-	crl, ok := ln.Router.RevocationSnapshot(revocation.ListCRL)
+	crl, ok := ln.Routers[0].RevocationSnapshot(revocation.ListCRL)
 	if !ok {
 		t.Fatal("router has no CRL snapshot")
 	}
@@ -206,7 +206,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 }
 
 func TestExportImportCredentials(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-P", "grp-p", 3)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-p", 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +223,12 @@ func TestExportImportCredentials(t *testing.T) {
 	}
 	// An imported user must be able to complete the AKA (after the
 	// bootstrap snapshot install a provisioning service performs).
-	beacon, err := ln.Router.Beacon()
+	beacon, err := ln.Routers[0].Beacon()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range []revocation.List{revocation.ListURL, revocation.ListCRL} {
-		snap, ok := ln.Router.RevocationSnapshot(l)
+		snap, ok := ln.Routers[0].RevocationSnapshot(l)
 		if !ok {
 			t.Fatalf("router has no %v snapshot", l)
 		}
@@ -240,7 +240,7 @@ func TestExportImportCredentials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, _, err := ln.Router.HandleAccessRequest(m2)
+	m3, _, err := ln.Routers[0].HandleAccessRequest(m2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,23 +10,30 @@ import (
 	"github.com/peace-mesh/peace/internal/wire"
 )
 
-// LocalNetwork is a fully provisioned single-router deployment: operator,
-// TTP, one user group with enrolled members, and a certified router with
-// fresh revocation state — everything meshd and the loopback experiments
-// need before any datagram flows.
+// LocalNetwork is a fully provisioned deployment under one operator: TTP,
+// one user group with enrolled members, and certified routers with
+// identical fresh revocation state — everything meshd, the drills and
+// the loopback experiments need before any datagram flows.
 type LocalNetwork struct {
-	Cfg    core.Config
-	NO     *core.NetworkOperator
-	TTP    *core.TTP
-	GM     *core.GroupManager
-	Router *core.MeshRouter
-	Users  []*core.User
+	Cfg     core.Config
+	NO      *core.NetworkOperator
+	TTP     *core.TTP
+	GM      *core.GroupManager
+	Routers []*core.MeshRouter
+	Users   []*core.User
+
+	// InitialCRL / InitialURL are the bundles installed at provisioning
+	// time — soak scenarios re-offer them later and expect every router
+	// to refuse the rollback.
+	InitialCRL *revocation.Bundle
+	InitialURL *revocation.Bundle
 }
 
-// NewLocalNetwork provisions nUsers members of one group and a certified
-// router. Extra key slots are issued so revocation scenarios have
-// headroom.
-func NewLocalNetwork(cfg core.Config, routerID string, group core.GroupID, nUsers int) (*LocalNetwork, error) {
+// NewLocalNetwork provisions nUsers members of one group and nRouters
+// certified routers named MR-0, MR-1, …. Every router gets the same
+// revocation bundles, so ticket epoch pins line up across a metro. Extra
+// key slots are issued so revocation scenarios have headroom.
+func NewLocalNetwork(cfg core.Config, group core.GroupID, nRouters, nUsers int) (*LocalNetwork, error) {
 	no, err := core.NewNetworkOperator(cfg)
 	if err != nil {
 		return nil, err
@@ -58,41 +65,55 @@ func NewLocalNetwork(cfg core.Config, routerID string, group core.GroupID, nUser
 		n.Users = append(n.Users, u)
 	}
 
-	r, err := core.NewMeshRouter(cfg, routerID, no.Authority(), no.GroupPublicKey())
-	if err != nil {
+	if n.InitialCRL, n.InitialURL, err = no.RevocationBundles(); err != nil {
 		return nil, err
 	}
-	c, err := no.EnrollRouter(routerID, r.Public())
-	if err != nil {
-		return nil, err
-	}
-	r.SetCertificate(c)
-	n.Router = r
-	if err := n.RefreshRevocations(); err != nil {
-		return nil, err
+	for i := 0; i < nRouters; i++ {
+		id := fmt.Sprintf("MR-%d", i)
+		r, err := core.NewMeshRouter(cfg, id, no.Authority(), no.GroupPublicKey())
+		if err != nil {
+			return nil, err
+		}
+		c, err := no.EnrollRouter(id, r.Public())
+		if err != nil {
+			return nil, err
+		}
+		r.SetCertificate(c)
+		if err := r.UpdateRevocations(n.InitialCRL, n.InitialURL); err != nil {
+			return nil, err
+		}
+		n.Routers = append(n.Routers, r)
 	}
 	return n, nil
 }
 
-// RefreshRevocations pushes freshly signed CRL/URL bundles to the router
-// (the operator's periodic secure channel). Users are NOT updated here:
-// they converge over the wire via deltas, which is the point of the
-// distribution subsystem.
-func (n *LocalNetwork) RefreshRevocations() error {
+// RefreshRevocations pushes freshly signed CRL/URL bundles to the given
+// routers, all of them when none is named (the operator's periodic
+// secure channel). Users are NOT updated here: they converge over the
+// wire via deltas, which is the point of the distribution subsystem.
+func (n *LocalNetwork) RefreshRevocations(routers ...*core.MeshRouter) error {
 	crl, url, err := n.NO.RevocationBundles()
 	if err != nil {
 		return err
 	}
-	return n.Router.UpdateRevocations(crl, url)
+	if len(routers) == 0 {
+		routers = n.Routers
+	}
+	for _, r := range routers {
+		if err := r.UpdateRevocations(crl, url); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// SeedUserRevocations installs the router's current revocation snapshots
+// SeedUserRevocations installs the routers' current revocation snapshots
 // directly into every provisioned user — the out-of-band bootstrap a
 // real deployment performs at enrollment time. Skip it to exercise the
 // in-band path, where clients converge via delta fetches.
 func (n *LocalNetwork) SeedUserRevocations() error {
 	for _, l := range []revocation.List{revocation.ListURL, revocation.ListCRL} {
-		snap, ok := n.Router.RevocationSnapshot(l)
+		snap, ok := n.Routers[0].RevocationSnapshot(l)
 		if !ok {
 			return fmt.Errorf("provision: router has no %v snapshot", l)
 		}

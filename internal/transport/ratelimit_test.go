@@ -137,11 +137,11 @@ func TestRateLimiterChurnBoundedGrowth(t *testing.T) {
 // resume datagrams from one socket. Exactly one reaches the decoder; the
 // other nine die at the limiter and land in ratelimit_dropped.
 func TestServerRateLimitBurst(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-RL", "grp-rl", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-rl", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(mustListen(t), ln.Router, ServerConfig{
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{
 		BootEpoch:       1,
 		RateLimitPerSec: 0.0001,
 		RateLimitBurst:  1,

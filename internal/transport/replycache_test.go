@@ -20,15 +20,15 @@ import (
 func TestReplyCacheIdempotence(t *testing.T) {
 	const users = 6
 	const dups = 4
-	ln, err := NewLocalNetwork(core.Config{}, "MR-RC", "grp-0", users)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, users)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serverConn := mustListen(t)
-	srv := NewServer(serverConn, ln.Router, ServerConfig{BootEpoch: 61})
+	srv := NewServer(serverConn, ln.Routers[0], ServerConfig{BootEpoch: 61})
 	defer srv.Close()
 
-	b, err := ln.Router.Beacon()
+	b, err := ln.Routers[0].Beacon()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestReplyCacheIdempotence(t *testing.T) {
 		// This test bypasses Client.Attach (it hand-delivers raw frames), so
 		// converge revocation state the way phase 1.5 would have.
 		for _, l := range []revocation.List{revocation.ListURL, revocation.ListCRL} {
-			if snap, ok := ln.Router.RevocationSnapshot(l); ok {
+			if snap, ok := ln.Routers[0].RevocationSnapshot(l); ok {
 				if err := ln.Users[i].InstallRevocationSnapshot(snap); err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestReplyCacheIdempotence(t *testing.T) {
 		t.Fatalf("replies for %d sessions, want %d", len(replies), users)
 	}
 
-	stats := ln.Router.Stats()
+	stats := ln.Routers[0].Stats()
 	if stats.SessionsEstablished != users {
 		t.Fatalf("sessions established = %d, want %d", stats.SessionsEstablished, users)
 	}

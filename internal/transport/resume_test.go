@@ -24,7 +24,7 @@ type resumeRig struct {
 
 func newResumeRig(t *testing.T, cfg ServerConfig) *resumeRig {
 	t.Helper()
-	ln, err := NewLocalNetwork(core.Config{}, "MR-RS", "grp-0", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func newResumeRig(t *testing.T, cfg ServerConfig) *resumeRig {
 	if cfg.BootEpoch == 0 {
 		cfg.BootEpoch = 71
 	}
-	srv := NewServer(mustListen(t), ln.Router, cfg)
+	srv := NewServer(mustListen(t), ln.Routers[0], cfg)
 	t.Cleanup(srv.Close)
 
 	conn := mustListen(t)
@@ -63,7 +63,7 @@ func (r *resumeRig) detach() { r.cl.setSession(nil, 0) }
 // the accountability escrow survived, and no second pairing ran.
 func TestResumeRoundTrip(t *testing.T) {
 	rig := newResumeRig(t, ServerConfig{})
-	verifications := rig.ln.Router.Stats().ExpensiveVerifications
+	verifications := rig.ln.Routers[0].Stats().ExpensiveVerifications
 	rig.detach()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -77,7 +77,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 
 	// Key agreement on the NEW session, both directions.
-	routerSess, ok := rig.ln.Router.SessionByID(sess.ID)
+	routerSess, ok := rig.ln.Routers[0].SessionByID(sess.ID)
 	if !ok {
 		t.Fatal("router did not adopt the resumed session")
 	}
@@ -91,12 +91,12 @@ func TestResumeRoundTrip(t *testing.T) {
 
 	// Accountability: the escrowed M.2 follows the resumed session, so an
 	// audit of the new session id still opens the original signer.
-	if _, ok := rig.ln.Router.LoggedAccessRequest(sess.ID); !ok {
+	if _, ok := rig.ln.Routers[0].LoggedAccessRequest(sess.ID); !ok {
 		t.Fatal("resumed session has no escrowed access request")
 	}
 
 	// The whole point: zero additional pairings.
-	rs := rig.ln.Router.Stats()
+	rs := rig.ln.Routers[0].Stats()
 	if rs.ExpensiveVerifications != verifications {
 		t.Fatalf("resume ran %d expensive verifications", rs.ExpensiveVerifications-verifications)
 	}
@@ -227,7 +227,7 @@ func TestResumeReplayIdempotence(t *testing.T) {
 
 	// Capture the resume request on its way out.
 	var captured []byte
-	rig.cl.conn = NewScriptedConn(rig.cl.conn, func(p []byte) bool {
+	rig.cl.conn = newScriptedConn(rig.cl.conn, func(p []byte) bool {
 		if k, _, err := DecodeFrame(p); err == nil && k == KindResumeRequest {
 			captured = append([]byte(nil), p...)
 		}
@@ -241,7 +241,7 @@ func TestResumeReplayIdempotence(t *testing.T) {
 	if captured == nil {
 		t.Fatal("no resume request captured")
 	}
-	resumed := rig.ln.Router.Stats().SessionsResumed
+	resumed := rig.ln.Routers[0].Stats().SessionsResumed
 
 	// Replay twice from a fresh socket.
 	attacker := mustListen(t)
@@ -265,7 +265,7 @@ func TestResumeReplayIdempotence(t *testing.T) {
 	if string(replies[0]) != string(replies[1]) {
 		t.Fatal("replayed confirms differ")
 	}
-	if got := rig.ln.Router.Stats().SessionsResumed; got != resumed {
+	if got := rig.ln.Routers[0].Stats().SessionsResumed; got != resumed {
 		t.Fatalf("replay minted %d extra sessions", got-resumed)
 	}
 	if rig.srv.Stats().Duplicates() < 2 {
@@ -297,7 +297,7 @@ func TestResumeTamperedTicketRefused(t *testing.T) {
 // same STEK ring, same socket address) and expects Maintain to re-attach
 // via the ticket path — zero additional full handshakes.
 func TestMaintainResumesAfterRestart(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-MR", "grp-0", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestMaintainResumesAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	serverConn := mustListen(t)
-	srv := NewServer(serverConn, ln.Router, ServerConfig{BootEpoch: 1, TicketKeys: ring})
+	srv := NewServer(serverConn, ln.Routers[0], ServerConfig{BootEpoch: 1, TicketKeys: ring})
 
 	conn := mustListen(t)
 	defer conn.Close()
@@ -345,12 +345,12 @@ func TestMaintainResumesAfterRestart(t *testing.T) {
 	// the same address with the same ticket ring but a new boot epoch.
 	addr := srv.Addr().String()
 	srv.Close()
-	ln.Router.Reboot()
+	ln.Routers[0].Reboot()
 	serverConn2, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := NewServer(serverConn2, ln.Router, ServerConfig{BootEpoch: 2, TicketKeys: ring})
+	srv2 := NewServer(serverConn2, ln.Routers[0], ServerConfig{BootEpoch: 2, TicketKeys: ring})
 	defer srv2.Close()
 
 	waitFor(func() bool { return cl.BootEpoch() == 2 && cl.Session() != nil }, "re-attach to new incarnation")

@@ -47,12 +47,12 @@ func rebind(t *testing.T, addr net.Addr) net.PacketConn {
 // the restart through the authenticated boot-epoch change and re-attaches
 // on its own.
 func TestMaintainSurvivesServerRestart(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-SH", "grp-0", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serverConn := mustListen(t)
-	srv := NewServer(serverConn, ln.Router, ServerConfig{BootEpoch: 100})
+	srv := NewServer(serverConn, ln.Routers[0], ServerConfig{BootEpoch: 100})
 
 	conn := mustListen(t)
 	defer conn.Close()
@@ -85,8 +85,8 @@ func TestMaintainSurvivesServerRestart(t *testing.T) {
 	// listen address survives, and the new incarnation has a new epoch.
 	addr := srv.Addr()
 	srv.Close()
-	ln.Router.Reboot()
-	srv2 := NewServer(rebind(t, addr), ln.Router, ServerConfig{BootEpoch: 200})
+	ln.Routers[0].Reboot()
+	srv2 := NewServer(rebind(t, addr), ln.Routers[0], ServerConfig{BootEpoch: 200})
 	defer srv2.Close()
 
 	waitFor(t, 15*time.Second, "re-attach to new incarnation", func() bool {
@@ -104,7 +104,7 @@ func TestMaintainSurvivesServerRestart(t *testing.T) {
 
 	// The healed session is fully functional end to end.
 	sess := cl.Session()
-	routerSess, ok := ln.Router.SessionByID(sess.ID)
+	routerSess, ok := ln.Routers[0].SessionByID(sess.ID)
 	if !ok {
 		t.Fatalf("router has no session %s after re-attach", sess.ID)
 	}
@@ -126,12 +126,12 @@ func TestMaintainSurvivesServerRestart(t *testing.T) {
 // the client must declare the peer dead after MaxMissed silent rounds,
 // then recover once a server comes back.
 func TestMaintainDeadPeerDetection(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-DP", "grp-0", 1)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serverConn := mustListen(t)
-	srv := NewServer(serverConn, ln.Router, ServerConfig{BootEpoch: 31})
+	srv := NewServer(serverConn, ln.Routers[0], ServerConfig{BootEpoch: 31})
 
 	conn := mustListen(t)
 	defer conn.Close()
@@ -162,7 +162,7 @@ func TestMaintainDeadPeerDetection(t *testing.T) {
 		return cl.Stats().DeadPeerEvents() >= 1 && cl.Session() == nil
 	})
 
-	srv2 := NewServer(rebind(t, addr), ln.Router, ServerConfig{BootEpoch: 32})
+	srv2 := NewServer(rebind(t, addr), ln.Routers[0], ServerConfig{BootEpoch: 32})
 	defer srv2.Close()
 	waitFor(t, 15*time.Second, "recovery after outage", func() bool {
 		return cl.Session() != nil && cl.BootEpoch() == 32
@@ -265,12 +265,12 @@ func (p *rejectingProxy) backLoop() {
 // requests than one retry budget holds, and the attach still succeeds
 // because the budget is re-armed (a bounded number of times).
 func TestTransientRejectReArmsRetryBudget(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-QF", "grp-0", 2)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serverConn := mustListen(t)
-	srv := NewServer(serverConn, ln.Router, ServerConfig{BootEpoch: 41})
+	srv := NewServer(serverConn, ln.Routers[0], ServerConfig{BootEpoch: 41})
 	defer srv.Close()
 
 	// 6 rejections > the 3 sends of one (MaxRetries=2) budget: without
@@ -323,12 +323,12 @@ func TestTransientRejectReArmsRetryBudget(t *testing.T) {
 // sessions keep their keepalives answered while fresh attaches are
 // refused with the transient draining code.
 func TestDrainRefusesNewServesOld(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "MR-DR", "grp-0", 2)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serverConn := mustListen(t)
-	srv := NewServer(serverConn, ln.Router, ServerConfig{BootEpoch: 51})
+	srv := NewServer(serverConn, ln.Routers[0], ServerConfig{BootEpoch: 51})
 	defer srv.Close()
 
 	conn0 := mustListen(t)

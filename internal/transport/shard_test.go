@@ -17,7 +17,7 @@ import (
 func TestShardedServerHandshakes(t *testing.T) {
 	const users = 6
 	const shards = 4
-	ln, err := NewLocalNetwork(core.Config{}, "MR-SH", "grp-0", users)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, users)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestShardedServerHandshakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewShardedServer(conns, ln.Router, ServerConfig{BootEpoch: 5})
+	srv := NewShardedServer(conns, ln.Routers[0], ServerConfig{BootEpoch: 5})
 	defer srv.Close()
 	if reusePortAvailable && srv.Shards() != shards {
 		t.Fatalf("shards = %d, want %d", srv.Shards(), shards)
@@ -66,7 +66,7 @@ func TestShardedServerHandshakes(t *testing.T) {
 		}
 	}
 
-	rs := ln.Router.Stats()
+	rs := ln.Routers[0].Stats()
 	if rs.SessionsEstablished != users {
 		t.Fatalf("sessions established = %d, want %d", rs.SessionsEstablished, users)
 	}
