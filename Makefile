@@ -9,10 +9,14 @@ all: build test
 # ci is the full gate: static checks, build, tests, the race detector
 # over every package with concurrent paths (batch verifier, ingest queue,
 # transport datapath, mesh forwarding, relay), and a short fuzz smoke of
-# every wire-facing decoder. The bn256 field kernel has an assembly path
-# and a Go one: the purego run keeps the Go path green on the machine that
-# normally runs the assembly, and the arm64 build proves it compiles where
-# it is the only path.
+# every wire-facing decoder. The bn256 kernels (field multiplication, and
+# the AVX-512 IFMA lanes the revocation scan runs on) have an assembly path
+# and a Go one, so bn256 and sgs are tested three ways: natively; under
+# purego, which keeps the Go paths green on the machine that normally runs
+# the assembly; and with the IFMA bit masked (-maskifma, a flag of those two
+# test binaries on amd64), which runs the assembly build as a CPU without
+# the extension would. The arm64 build proves everything compiles where the
+# Go paths are the only ones.
 ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -24,6 +28,9 @@ ci:
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/bn256/ ./internal/sgs/
+	@if [ "$$($(GO) env GOARCH)" = amd64 ]; then \
+		echo "$(GO) test ./internal/bn256/ ./internal/sgs/ -args -maskifma"; \
+		$(GO) test ./internal/bn256/ ./internal/sgs/ -args -maskifma; fi
 	$(GO) test -race ./internal/core/ ./internal/mesh/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz
@@ -32,10 +39,12 @@ ci:
 	$(MAKE) metro-soak
 	$(MAKE) attack-soak
 
-# fuzz smoke: each wire-facing decoder gets a short randomized run, plus a
-# differential fuzz of the Montgomery field core against big.Int.
+# fuzz smoke: each wire-facing decoder gets a short randomized run, plus
+# differential fuzzes of the Montgomery field core against big.Int and of
+# the lane kernels against their twins, the scalar tower and big.Int.
 fuzz:
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzGfPvsBigInt$$' -fuzztime=10s
+	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzX8VsGfP$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzUnmarshalBeacon$$' -fuzztime=10s
@@ -149,9 +158,15 @@ bench:
 # (the -benchtime=1x pass catches benchmarks that rot). The bn256 and sgs
 # benchmarks mirror the attach ledger's crypto rows (pairing, combined
 # Miller, PrepareG2, sign, verify, 16-token sweep) and run once as well.
+# The last two lines are the revocation scan's per-token ratio in one
+# command: an eight-lane pass against the scalar Miller loop and final
+# exponentiation it replaces eight of, and the 16-token sweep at one and
+# two CPUs.
 bench-smoke:
 	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
+	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|PreparedMiller|FinalExponentiation)$$' -benchtime=200x
+	$(GO) test ./internal/sgs/ -run='^$$' -bench='^BenchmarkSweep16$$' -cpu 1,2 -benchtime=50x
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1
 
 experiments:

@@ -43,6 +43,20 @@ func BenchmarkPreparedMiller(b *testing.B) {
 	}
 }
 
+// BenchmarkPairLanes8 is one pass of the lane-parallel tower: eight points
+// through the prepared Miller loop and the final exponentiation. Divided by
+// eight it is the per-token cost to hold against BenchmarkPreparedMiller
+// plus BenchmarkFinalExponentiation.
+func BenchmarkPairLanes8(b *testing.B) {
+	_, q, _ := RandomG2(rand.Reader)
+	pq := PrepareG2(q)
+	l := packG1Lanes(randG1s(b, Lanes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pq.PairLanes(l, 0, nil)
+	}
+}
+
 func BenchmarkPrepareG2(b *testing.B) {
 	_, q, _ := RandomG2(rand.Reader)
 	b.ResetTimer()

@@ -29,6 +29,20 @@
 // reports without BMI2 and ADX; on every other GOARCH, and under
 // -tags purego, gfpMul is gfpMulGeneric, the same CIOS algorithm in Go.
 //
+// A second, lane-parallel tower (gfpx8.go, towerx8.go, lanes.go) does one
+// job: PreparedG2.PairLanes pairs eight G1 points against one prepared G2
+// point in a single pass, eight field elements to a vector in five 52-bit
+// limbs, on six AVX-512 IFMA kernels (gfpx8_amd64.s). It returns the same
+// GT elements as Pair, byte for byte, at about a fifth of the cost per
+// point, and is what the revocation scan of internal/sgs runs on.
+// PackG1Lanes holds the one rule that selects it: the CPU has AVX-512F and
+// IFMA with ZMM state enabled (CPUID leaf 7 and XGETBV, read once at init)
+// and there are at least two points; otherwise it returns nil and the
+// caller pairs point by point on the scalar tower, which is also the only
+// path on other GOARCH and under -tags purego. Every kernel has a Go twin,
+// a lane loop over the scalar tower, so the lane-parallel tower itself runs
+// and is tested on every platform.
+//
 // The API mirrors the classic bn256 interface (Add/ScalarMult/Marshal on
 // wrapper types G1, G2, GT) but is written in multiplicative notation-aware
 // terms for the PEACE protocol layer: "exponentiation" in the paper maps to

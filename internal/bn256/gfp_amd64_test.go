@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestCPUIDMatchesKernelFlags holds the CPUID stub to the kernel's own
-// reading of the same bits: a stub that wrongly said no would silently run
-// every test and benchmark on gfpMulGeneric.
-func TestCPUIDMatchesKernelFlags(t *testing.T) {
+// cpuinfoHasAll reports whether the kernel lists every named CPU flag, or
+// skips the test where /proc/cpuinfo does not say.
+func cpuinfoHasAll(t *testing.T, names ...string) bool {
+	t.Helper()
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
@@ -26,15 +26,23 @@ func TestCPUIDMatchesKernelFlags(t *testing.T) {
 	if flags == nil {
 		t.Skip("no flags line in /proc/cpuinfo")
 	}
-	has := func(name string) bool {
+	for _, name := range names {
+		found := false
 		for _, f := range flags {
-			if f == name {
-				return true
-			}
+			found = found || f == name
 		}
-		return false
+		if !found {
+			return false
+		}
 	}
-	if want := has("bmi2") && has("adx"); supportsMULXADX != want {
+	return true
+}
+
+// TestCPUIDMatchesKernelFlags holds the CPUID stub to the kernel's own
+// reading of the same bits: a stub that wrongly said no would silently run
+// every test and benchmark on gfpMulGeneric.
+func TestCPUIDMatchesKernelFlags(t *testing.T) {
+	if want := cpuinfoHasAll(t, "bmi2", "adx"); supportsMULXADX != want {
 		t.Fatalf("supportsMULXADX = %v, /proc/cpuinfo says bmi2&&adx = %v", supportsMULXADX, want)
 	}
 	t.Logf("gfpMul kernel: assembly = %v", supportsMULXADX)

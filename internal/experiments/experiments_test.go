@@ -55,7 +55,10 @@ func TestE2OpCounts(t *testing.T) {
 }
 
 func TestE3RevocationSweepShape(t *testing.T) {
-	pts, err := RunE3RevocationSweep([]int{0, 2, 6}, 1)
+	// 32 tokens, not a handful: the scan tests eight tokens to a pass where
+	// the CPU has the lane kernels, so the clock checks below need several
+	// passes' worth of list to have the margin six tokens used to give them.
+	pts, err := RunE3RevocationSweep([]int{0, 2, 32}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +81,9 @@ func TestE3RevocationSweepShape(t *testing.T) {
 	if pts[2].FastTime > 3*pts[0].FastTime {
 		t.Errorf("fast revocation time grew with |URL|: %v → %v", pts[0].FastTime, pts[2].FastTime)
 	}
-	// Crossover: by |URL| = 6 the fast variant must win.
+	// Crossover: by |URL| = 32 the fast variant must win.
 	if pts[2].FastTime >= pts[2].LinearTime {
-		t.Errorf("fast variant no faster at |URL|=6: fast=%v linear=%v", pts[2].FastTime, pts[2].LinearTime)
+		t.Errorf("fast variant no faster at |URL|=32: fast=%v linear=%v", pts[2].FastTime, pts[2].LinearTime)
 	}
 }
 
@@ -109,12 +112,26 @@ func TestE5HybridShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hybrid design's whole point: MAC auth must be at least 1000×
-	// cheaper than group-signature verification.
-	if rep.SpeedupAuth < 1000 {
-		t.Errorf("MAC speedup only %.0f×; expected orders of magnitude", rep.SpeedupAuth)
+	// The hybrid design's whole point, in what it computes per message: a
+	// group-signature verification is 6 exponentiations and 3 pairings (one
+	// of them the cached e(g1, g2) raised in GT), the symmetric path none of
+	// either. The measured ratio is peacebench -exp e5's business, where
+	// -iters makes it meaningful; 64 sub-microsecond MAC checks do not.
+	if c := rep.GroupVerifyCounts; c.Exps != 6 || c.Pairings+c.GTExps != 3 {
+		t.Errorf("group verification counts %+v, want 6 exponentiations and 3 pairings", c)
 	}
-	if rep.MACVerifyTime <= 0 || rep.GroupVerifyTime <= 0 {
+	if rep.SymmetricGroupVerifications != 0 {
+		t.Errorf("router ran %d group-signature verifications while opening MAC and AEAD frames, want 0",
+			rep.SymmetricGroupVerifications)
+	}
+	if !rep.GroupAccepts || !rep.MACAccepts {
+		t.Errorf("genuine message: group signature accepts = %v, MAC accepts = %v", rep.GroupAccepts, rep.MACAccepts)
+	}
+	if !rep.GroupRejectsTampered || !rep.MACRejectsTampered {
+		t.Errorf("flipped payload bit: group signature rejects = %v, MAC rejects = %v",
+			rep.GroupRejectsTampered, rep.MACRejectsTampered)
+	}
+	if rep.SpeedupAuth <= 0 || rep.MACVerifyTime <= 0 || rep.GroupVerifyTime <= 0 {
 		t.Error("degenerate timings")
 	}
 }
@@ -146,12 +163,14 @@ func TestE6DoSShape(t *testing.T) {
 }
 
 func TestE7AuditShape(t *testing.T) {
-	pts, err := RunE7AuditSweep([]int{4, 16})
+	// One pass of eight tokens against eight passes: 4 and 16 would be one
+	// pass against two side by side on two CPUs, which no clock separates.
+	pts, err := RunE7AuditSweep([]int{8, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].TokensScanned != 4 || pts[1].TokensScanned != 16 {
-		t.Errorf("scans = %d, %d; want full-population scans 4, 16",
+	if pts[0].TokensScanned != 8 || pts[1].TokensScanned != 64 {
+		t.Errorf("scans = %d, %d; want full-population scans 8, 64",
 			pts[0].TokensScanned, pts[1].TokensScanned)
 	}
 	if pts[1].AuditTime <= pts[0].AuditTime {

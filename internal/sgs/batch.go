@@ -225,10 +225,8 @@ func (v *Verifier) batchVerify(items []BatchItem, counted bool) ([]error, OpCoun
 }
 
 // SweepURL scans the revocation list for the signer of sig (the paper's
-// Eq.3) using all CPUs. It returns whether a token matched and, if so, the
-// smallest matching index. The e(T1, v̂)⁻¹ Miller value is computed once
-// and shared read-only by every worker; each token then costs one prepared
-// Miller loop and a final exponentiation.
+// Eq.3, see scan) using all CPUs. It returns whether a token matched and,
+// if so, the smallest matching index.
 func (v *Verifier) SweepURL(msg []byte, sig *Signature, tokens []*RevocationToken) (bool, int) {
 	return v.SweepURLWorkers(msg, sig, tokens, runtime.GOMAXPROCS(0))
 }
@@ -237,75 +235,24 @@ func (v *Verifier) SweepURL(msg []byte, sig *Signature, tokens []*RevocationToke
 // It exists so benchmarks can pin the parallelism; SweepURL is the
 // convenience form.
 func (v *Verifier) SweepURLWorkers(msg []byte, sig *Signature, tokens []*RevocationToken, workers int) (bool, int) {
-	if len(tokens) == 0 {
-		return false, -1
-	}
+	idx := v.sweep(msg, sig, newTokenSet(tokens), workers)
+	return idx >= 0, idx
+}
 
-	// Fixed-generator signatures reuse the prepared û and v̂ built at
-	// construction; per-message ones pay one preparation per sweep,
-	// amortized over the whole list.
+// sweep runs scan with the verifier's bases. Fixed-generator signatures
+// reuse the prepared û and v̂ built at construction; per-message ones pay
+// one derivation and preparation per sweep, amortized over the whole list.
+func (v *Verifier) sweep(msg []byte, sig *Signature, set tokenSet, workers int) int {
+	if len(set.tokens) == 0 {
+		return -1
+	}
 	uhatPrep, vhatPrep := v.uhatPrep, v.vhatPrep
 	if sig.Mode != FixedGenerators {
 		uhat, vhat := deriveG2Generators(v.pk, sig.Mode, msg, sig.R, counter{})
 		uhatPrep = bn256.PrepareG2(uhat)
 		vhatPrep = bn256.PrepareG2(vhat)
 	}
-
-	// Shared right side: e(T1, v̂)⁻¹ as an un-finalized Miller value.
-	mRight := vhatPrep.Miller(new(bn256.G1).Neg(sig.T1))
-
-	if workers < 1 {
-		workers = 1
-	}
-	// More workers than cores only adds scheduler churn on this CPU-bound
-	// loop; more workers than tokens leaves goroutines with nothing to do.
-	if procs := runtime.GOMAXPROCS(0); workers > procs {
-		workers = procs
-	}
-	if workers > len(tokens) {
-		workers = len(tokens)
-	}
-
-	n := int64(len(tokens))
-	var found atomic.Int64
-	found.Store(n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch point, reused across every token this
-			// worker examines instead of allocating one per token.
-			quot := new(bn256.G1)
-			for {
-				i := next.Add(1) - 1
-				// Indices are dispensed in order and found only decreases,
-				// so skipping i ≥ found never skips a smaller match.
-				if i >= n || i >= found.Load() {
-					return
-				}
-				quot.Neg(tokens[i].A)
-				quot.Add(sig.T2, quot) // T2/A in multiplicative notation
-				acc := uhatPrep.Miller(quot)
-				acc.Add(acc, mRight)
-				if acc.Finalize().IsOne() {
-					for {
-						cur := found.Load()
-						if i >= cur || found.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx := found.Load(); idx < n {
-		return true, int(idx)
-	}
-	return false, -1
+	return scan(sig, uhatPrep, vhatPrep, set, workers)
 }
 
 // BatchCheckKeys verifies the SDH equation e(A_i, w·g2^{grp_i+x_i}) =

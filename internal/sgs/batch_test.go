@@ -177,8 +177,9 @@ func TestBatchVerifyAttributesBadSignature(t *testing.T) {
 	}
 }
 
-// TestSweepURLMatchesIsRevoked cross-checks the parallel sweep against the
-// sequential reference for hits, misses and the smallest-index guarantee.
+// TestSweepURLMatchesIsRevoked cross-checks the Verifier's sweep against
+// IsRevoked for hits, misses and the smallest-index guarantee at pinned
+// worker counts.
 func TestSweepURLMatchesIsRevoked(t *testing.T) {
 	s := newTestSetup(t, 5)
 	ver := NewVerifier(s.pk)
@@ -191,7 +192,7 @@ func TestSweepURLMatchesIsRevoked(t *testing.T) {
 		}
 
 		// Token list with the signer listed twice: the sweep must report
-		// the smallest matching index, like the sequential scan.
+		// the smallest matching index however many workers share it.
 		tokens := []*RevocationToken{
 			s.keys[0].Token(),
 			s.keys[2].Token(),

@@ -35,6 +35,19 @@
 //     its "far more efficient revocation check" ("with a little bit
 //     sacrifice on user privacy").
 //
+// Revocation checking, auditing and tracing are one computation, the
+// paper's Eq.3 over a token list — does e(T2/A_i, û) = e(T1, v̂) hold for
+// some listed A_i, and for which first — and have one implementation, scan
+// (scan.go), behind IsRevoked, VerifyWithRevocation, Open, TraceSigner,
+// BlindTokenCheck, Verifier.SweepURL and SweepState.Check. What a signature
+// shares across the list is computed once; the tokens are then tested eight
+// to a pass on bn256's lane-parallel tower where the CPU has it, one at a
+// time on the scalar tower elsewhere, with the same verdict, the same index
+// and the same operation counts. Verifier cost stays linear in the list:
+// the scan must refute a disjunction (some token matches), which no
+// randomized pairing product can do — a product proves a conjunction — so
+// what can shrink is the constant, not the shape.
+//
 // Every signing/verification entry point has a *Counted variant that
 // reports how many group exponentiations and pairings were performed, used
 // by the benchmark harness to reproduce the paper's operation-count claims

@@ -45,10 +45,5 @@ func SignerMatchesKey(pk *PublicKey, msg []byte, sig *Signature, key *PrivateKey
 // for the audit protocol in the core layer, which re-derives (û, v̂) from a
 // logged authentication transcript.
 func BlindTokenCheck(t1, t2 *bn256.G1, uhat, vhat *bn256.G2, tok *RevocationToken) bool {
-	quot := new(bn256.G1).Neg(tok.A)
-	quot.Add(t2, quot)
-	acc := bn256.Miller(quot, uhat)
-	t1Neg := new(bn256.G1).Neg(t1)
-	acc.Add(acc, bn256.Miller(t1Neg, vhat))
-	return acc.Finalize().IsOne()
+	return scanBases(&Signature{T1: t1, T2: t2}, uhat, vhat, []*RevocationToken{tok}, counter{}) == 0
 }

@@ -9,12 +9,11 @@ import (
 
 // IsRevoked scans the token list and reports whether the signer of sig is
 // one of the listed (revoked) keys, and if so at which index. It implements
-// the paper's Eq.3: token A matches iff e(T2/A, û) = e(T1, v̂).
-//
-// The Miller value of the (T1, v̂) side is computed once and shared across
-// all tokens, and the lines of the fixed û side are prepared once, so each
-// token costs one (cheapened) Miller loop plus one final exponentiation
-// (the paper charges two pairings per token).
+// the paper's Eq.3: token A matches iff e(T2/A, û) = e(T1, v̂). The scan
+// itself is scan (scan.go): what is shared across the list is computed once
+// per signature, and each token then costs one Miller loop and one final
+// exponentiation, or an eighth of a lane-parallel pass (the paper charges
+// two pairings per token).
 func IsRevoked(pk *PublicKey, msg []byte, sig *Signature, tokens []*RevocationToken) (bool, int) {
 	revoked, idx, _ := isRevoked(pk, msg, sig, tokens, nil)
 	return revoked, idx
@@ -36,33 +35,8 @@ func isRevoked(pk *PublicKey, msg []byte, sig *Signature, tokens []*RevocationTo
 	}
 
 	uhat, vhat := deriveG2Generators(pk, sig.Mode, msg, sig.R, ct)
-	revoked, idx := isRevokedWithBases(sig, uhat, vhat, tokens, ct)
-	return revoked, idx, *counts
-}
-
-// isRevokedWithBases runs the Eq.3 scan against pre-derived bases û, v̂.
-func isRevokedWithBases(sig *Signature, uhat, vhat *bn256.G2, tokens []*RevocationToken, ct counter) (bool, int) {
-	if len(tokens) == 0 {
-		return false, -1
-	}
-
-	// Shared right side: e(T1, v̂)^(−1) as an un-finalized Miller value,
-	// and the û line coefficients prepared once for the whole list.
-	t1Neg := new(bn256.G1).Neg(sig.T1)
-	mRight := bn256.Miller(t1Neg, vhat)
-	uhatPrep := bn256.PrepareG2(uhat)
-
-	for i, tok := range tokens {
-		quot := new(bn256.G1).Neg(tok.A)
-		quot.Add(sig.T2, quot) // T2/A in multiplicative notation
-		acc := uhatPrep.Miller(quot)
-		acc.Add(acc, mRight)
-		ct.pairing(2) // paper convention: two pairings per token test
-		if acc.Finalize().IsOne() {
-			return true, i
-		}
-	}
-	return false, -1
+	idx := scanBases(sig, uhat, vhat, tokens, ct)
+	return idx >= 0, idx, *counts
 }
 
 // FastRevocationChecker implements the constant-pairings-per-signature
@@ -84,15 +58,27 @@ type FastRevocationChecker struct {
 // NewFastRevocationChecker precomputes the lookup table for the given
 // tokens (one pairing per token, paid once).
 func NewFastRevocationChecker(pk *PublicKey, tokens []*RevocationToken) *FastRevocationChecker {
+	return newFastRevocationChecker(pk, newTokenSet(tokens))
+}
+
+func newFastRevocationChecker(pk *PublicKey, set tokenSet) *FastRevocationChecker {
 	uhat, vhat := deriveG2Generators(pk, FixedGenerators, nil, nil, counter{})
 	f := &FastRevocationChecker{
 		pk:       pk,
 		uhatPrep: bn256.PrepareG2(uhat),
 		vhatPrep: bn256.PrepareG2(vhat),
-		index:    make(map[string]int, len(tokens)),
+		index:    make(map[string]int, len(set.tokens)),
 	}
-	for _, tok := range tokens {
-		f.AddToken(tok)
+	if set.lanes == nil {
+		for _, tok := range set.tokens {
+			f.AddToken(tok)
+		}
+		return f
+	}
+	for chunk := 0; chunk < set.lanes.Chunks(); chunk++ {
+		for _, v := range f.uhatPrep.PairLanes(set.lanes, chunk, nil) {
+			f.add(v)
+		}
 	}
 	return f
 }
@@ -100,7 +86,12 @@ func NewFastRevocationChecker(pk *PublicKey, tokens []*RevocationToken) *FastRev
 // AddToken registers an additional revoked token. It is safe to call
 // concurrently with IsRevoked.
 func (f *FastRevocationChecker) AddToken(tok *RevocationToken) {
-	key := string(f.uhatPrep.Pair(tok.A).Marshal())
+	f.add(f.uhatPrep.Pair(tok.A))
+}
+
+// add indexes e(A, û) for the next token.
+func (f *FastRevocationChecker) add(v *bn256.GT) {
+	key := string(v.Marshal())
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, dup := f.index[key]; !dup {

@@ -6,12 +6,14 @@ import (
 	"testing"
 )
 
-// TestSweepDifferential is the differential pin between the three
-// revocation-check implementations: the sequential reference scan
-// (IsRevoked), the parallel sweep (SweepURLWorkers at several worker
-// counts), and the epoch-cached SweepState. All must agree on the
-// (revoked, index) verdict in both signature modes, including the
-// empty-list, first-token, last-token and not-listed cases.
+// TestSweepDifferential pins the three ways into the revocation check to
+// one another: IsRevoked (bases derived per call), SweepURLWorkers at
+// several worker counts (a Verifier's cached bases) and the epoch-cached
+// SweepState (packed tokens, and the e(A, û) index for fixed generators).
+// All run the one scan (TestScanMatchesEq3 holds that to the paper's
+// equation) and must agree on the (revoked, index) verdict in both
+// signature modes, including the empty-list, first-token, last-token and
+// not-listed cases.
 func TestSweepDifferential(t *testing.T) {
 	const nKeys = 6
 	s := newTestSetup(t, nKeys)

@@ -1,16 +1,21 @@
 package sgs
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // SweepState is the router-side revocation sweep cache, keyed by the
 // epoch of the installed URL snapshot. It owns the shared Verifier (built
-// lazily — construction costs a few pairings) plus the parsed token list
-// for the current epoch, so per-request work never re-derives what the
-// epoch already fixes:
+// lazily — construction costs a few pairings) plus the token list for the
+// current epoch in the form the Eq.3 scan reads (a tokenSet: the A_i
+// already packed in lane form when the scan will test them eight at a
+// time), so per-request work never re-derives what the epoch already
+// fixes:
 //
-//   - PerMessageGenerators signatures run the parallel Eq.3 sweep
-//     (Verifier.SweepURL) over the cached tokens; the per-worker scratch
-//     points inside the sweep are reused across the whole list.
+//   - PerMessageGenerators signatures run the parallel Eq.3 scan over the
+//     cached set; what a signature adds is its own û, v̂ and the Miller
+//     product every token's pairing is multiplied by.
 //   - FixedGenerators signatures use a FastRevocationChecker whose
 //     e(A, û) index is built once per epoch (one pairing per token,
 //     amortized) and answers each check with two pairings and a hash
@@ -25,9 +30,9 @@ type SweepState struct {
 	vOnce sync.Once
 	v     *Verifier
 
-	mu     sync.RWMutex
-	epoch  uint64
-	tokens []*RevocationToken
+	mu    sync.RWMutex
+	epoch uint64
+	set   tokenSet
 
 	fastMu    sync.Mutex
 	fastEpoch uint64
@@ -52,17 +57,36 @@ func (s *SweepState) Verifier() *Verifier {
 // immutable per epoch). The caller keeps ownership of nothing: the slice
 // is stored as-is and must not be mutated afterwards.
 func (s *SweepState) Update(epoch uint64, tokens []*RevocationToken) bool {
+	s.mu.RLock()
+	done, ok := s.settled(epoch)
+	s.mu.RUnlock()
+	if done {
+		return ok
+	}
+	// Packing costs an inversion per token; do it before taking the write
+	// lock so concurrent Checks wait only for the install. Two Updates racing
+	// here waste one pack, and the re-check below keeps the outcome the same
+	// as if they had run one after the other.
+	set := newTokenSet(tokens)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if epoch < s.epoch {
-		return false
-	}
-	if epoch == s.epoch && s.tokens != nil {
-		return true
+	if done, ok := s.settled(epoch); done {
+		return ok
 	}
 	s.epoch = epoch
-	s.tokens = tokens
+	s.set = set
 	return true
+}
+
+// settled reports, with s.mu held, whether an Update to epoch has nothing
+// to install, and if so what it returns: false for an epoch lower than the
+// installed one, true for the installed epoch once it has a token list.
+func (s *SweepState) settled(epoch uint64) (done, ok bool) {
+	if epoch < s.epoch {
+		return true, false
+	}
+	return epoch == s.epoch && s.set.tokens != nil, true
 }
 
 // Epoch returns the installed epoch (0 before the first Update).
@@ -76,7 +100,7 @@ func (s *SweepState) Epoch() uint64 {
 func (s *SweepState) Tokens() []*RevocationToken {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tokens
+	return s.set.tokens
 }
 
 // Check reports whether the signer of sig is revoked and, if so, the
@@ -90,30 +114,31 @@ func (s *SweepState) Check(msg []byte, sig *Signature) (bool, int) {
 // GOMAXPROCS); the FixedGenerators path is single-lookup and ignores it.
 func (s *SweepState) CheckWorkers(msg []byte, sig *Signature, workers int) (bool, int) {
 	s.mu.RLock()
-	epoch, tokens := s.epoch, s.tokens
+	epoch, set := s.epoch, s.set
 	s.mu.RUnlock()
-	if len(tokens) == 0 {
+	if len(set.tokens) == 0 {
 		return false, -1
 	}
 	if sig.Mode == FixedGenerators {
-		if revoked, idx, err := s.fastChecker(epoch, tokens).IsRevoked(sig); err == nil {
+		if revoked, idx, err := s.fastChecker(epoch, set).IsRevoked(sig); err == nil {
 			return revoked, idx
 		}
 	}
 	if workers <= 0 {
-		return s.Verifier().SweepURL(msg, sig, tokens)
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return s.Verifier().SweepURLWorkers(msg, sig, tokens, workers)
+	idx := s.Verifier().sweep(msg, sig, set, workers)
+	return idx >= 0, idx
 }
 
 // fastChecker returns the per-epoch e(A, û) index, building it when the
 // epoch moved since the last build. Concurrent callers at the same epoch
 // share one build.
-func (s *SweepState) fastChecker(epoch uint64, tokens []*RevocationToken) *FastRevocationChecker {
+func (s *SweepState) fastChecker(epoch uint64, set tokenSet) *FastRevocationChecker {
 	s.fastMu.Lock()
 	defer s.fastMu.Unlock()
 	if s.fast == nil || s.fastEpoch != epoch {
-		s.fast = NewFastRevocationChecker(s.pk, tokens)
+		s.fast = newFastRevocationChecker(s.pk, set)
 		s.fastEpoch = epoch
 	}
 	return s.fast

@@ -57,7 +57,7 @@ func verifyWithRevocation(pk *PublicKey, msg []byte, sig *Signature, url []*Revo
 	uhat := new(bn256.G2).ScalarBaseMult(a)
 	vhat := new(bn256.G2).ScalarBaseMult(b)
 	ct.exp(2)
-	if revoked, _ := isRevokedWithBases(sig, uhat, vhat, url, ct); revoked {
+	if scanBases(sig, uhat, vhat, url, ct) >= 0 {
 		return ErrRevoked
 	}
 	return nil

@@ -64,11 +64,6 @@ type ServerConfig struct {
 	// 1 forces the portable single-datagram path — the unbatched
 	// baseline E18 compares against. Default 32.
 	IOBatch int
-	// FlushDelay bounds how long a reply may sit in the egress spooler
-	// waiting for batch-mates; read loops flush after every ingest batch,
-	// so the delay only governs asynchronously produced frames (access
-	// confirms). Default 100µs.
-	FlushDelay time.Duration
 	// EchoData makes the server seal each delivered data-frame payload
 	// back to its sender — the application-level echo sink E18 and the
 	// data-plane drills measure round trips against.
@@ -126,9 +121,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.IOBatch < 1 {
 		c.IOBatch = 32
-	}
-	if c.FlushDelay <= 0 {
-		c.FlushDelay = 100 * time.Microsecond
 	}
 	if c.DoSSampleInterval <= 0 {
 		c.DoSSampleInterval = 250 * time.Millisecond
@@ -461,8 +453,11 @@ func (s *Server) readLoop(conn net.PacketConn) {
 	l := &shardLoop{
 		bc:   bc,
 		ring: batchio.NewRing(s.cfg.IOBatch, s.ingestPool),
-		eg:   batchio.NewEgress(bc, s.cfg.IOBatch, s.cfg.FlushDelay, s.framePool, s.noteFlush),
-		pt:   make([]byte, 0, 65536),
+		// No flush deadline: every frame is queued either by this loop,
+		// which flushes after each ingest batch, or by an access-request
+		// reply goroutine, which flushes what it queued.
+		eg: batchio.NewEgress(bc, s.cfg.IOBatch, 0, s.framePool, s.noteFlush),
+		pt: make([]byte, 0, 65536),
 	}
 	defer l.ring.Close()
 	defer l.eg.Close()
@@ -775,7 +770,12 @@ func (s *Server) handleAccessRequest(l *shardLoop, m *core.AccessRequest, addr n
 			return
 		}
 		s.replies.fulfill(sid, frame)
+		// This goroutine is the one producer outside the read loop, and
+		// nothing else will send the frame for it: the loop flushes only
+		// after a datagram arrives, and a sub-millisecond timer in an idle
+		// process fires a millisecond late (epoll_wait's granularity).
 		l.eg.Queue(frame, addr)
+		l.eg.Flush()
 	}()
 }
 

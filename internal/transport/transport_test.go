@@ -91,6 +91,34 @@ func TestHandshakeOverUDP(t *testing.T) {
 	}
 }
 
+// TestLoneAttachNeedsNoRetransmit pins that an access confirm leaves the
+// server without help. The server's egress has no flush timer and its read
+// loop flushes only after a datagram arrives, so on an otherwise silent
+// socket an M.3 that its reply goroutine merely queued could leave only
+// when the client's retransmitted M.2 replayed the reply cache. The
+// retransmit timeout is far beyond any handshake, so a retransmit here can
+// mean nothing else.
+func TestLoneAttachNeedsNoRetransmit(t *testing.T) {
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{})
+	defer srv.Close()
+
+	conn := mustListen(t)
+	defer conn.Close()
+	cl := NewClient(conn, srv.Addr(), ln.Users[0], ClientConfig{RetransmitTimeout: 10 * time.Second, MaxRetries: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := cl.Attach(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := cl.Stats().Retransmits(); n != 0 {
+		t.Fatalf("a lone attach needed %d retransmits: its M.3 waited in the egress spooler", n)
+	}
+}
+
 // scriptedConn drops the outgoing datagrams its policy picks, reporting
 // a successful send — a test's exact loss pattern ("drop the first M.2").
 // Random loss is chaos.Conn's job; see drill_test.go.
