@@ -10,13 +10,13 @@ all: build test
 # over every package with concurrent paths (batch verifier, ingest queue,
 # transport datapath, mesh forwarding, relay), and a short fuzz smoke of
 # every wire-facing decoder. The bn256 kernels (field multiplication, and
-# the AVX-512 IFMA lanes the revocation scan runs on) have an assembly path
-# and a Go one, so bn256 and sgs are tested three ways: natively; under
-# purego, which keeps the Go paths green on the machine that normally runs
-# the assembly; and with the IFMA bit masked (-maskifma, a flag of those two
-# test binaries on amd64), which runs the assembly build as a CPU without
-# the extension would. The arm64 build proves everything compiles where the
-# Go paths are the only ones.
+# the AVX-512 IFMA lanes the revocation scan and grouped verification run
+# on) have an assembly path and a Go one, so bn256 and sgs are tested three
+# ways: natively; under purego, which keeps the Go paths green on the
+# machine that normally runs the assembly; and with the IFMA bit masked
+# (-maskifma, a flag of those two test binaries on amd64), which runs the
+# assembly build as a CPU without the extension would. The arm64 build
+# proves everything compiles where the Go paths are the only ones.
 ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -158,15 +158,18 @@ bench:
 # (the -benchtime=1x pass catches benchmarks that rot). The bn256 and sgs
 # benchmarks mirror the attach ledger's crypto rows (pairing, combined
 # Miller, PrepareG2, sign, verify, 16-token sweep) and run once as well.
-# The last two lines are the revocation scan's per-token ratio in one
-# command: an eight-lane pass against the scalar Miller loop and final
-# exponentiation it replaces eight of, and the 16-token sweep at one and
-# two CPUs.
+# Then the revocation scan's per-token ratio in one command — an eight-lane
+# pass against the scalar Miller loop and final exponentiation it replaces
+# eight of — and, at one and two CPUs, the 16-token sweep, a group of eight
+# signatures through one verify lane pass against one signature alone, and
+# the router's whole M.2 path per request for 1, 8, 16 and 32 wire-decoded
+# requests against a 16-token URL.
 bench-smoke:
 	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|PreparedMiller|FinalExponentiation)$$' -benchtime=200x
-	$(GO) test ./internal/sgs/ -run='^$$' -bench='^BenchmarkSweep16$$' -cpu 1,2 -benchtime=50x
+	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x
+	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkHandleM2Batch$$' -cpu 1,2 -benchtime=10x
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1
 
 experiments:

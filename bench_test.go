@@ -327,8 +327,9 @@ func BenchmarkE10Primitives(b *testing.B) {
 // BenchmarkE11BatchVerify compares sixteen independent sgs.Verify calls
 // against one Verifier.BatchVerify over the same sixteen signatures. The
 // batch path combines the rearranged Eq.2 pairings into a single Miller
-// pass per signature, amortizes the fixed-base tables across the batch
-// and shards the work over the CPUs; the acceptance target is >=2x.
+// pass — eight signatures to a pass where the lane kernels exist, one
+// elsewhere — amortizes the fixed-base tables across the batch and spreads
+// the groups over the CPUs; the acceptance target is >=2x.
 func BenchmarkE11BatchVerify(b *testing.B) {
 	const batch = 16
 	g := newBenchGroup(b, batch)

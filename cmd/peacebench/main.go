@@ -521,6 +521,9 @@ func runE12(iters int) error {
 	fmt.Fprintf(w, "sequential Verify ×%d\t%v\t1.00x\n", rep.BatchSize, rep.SequentialPer)
 	fmt.Fprintf(w, "BatchVerify(%d)\t%v\t%.2fx\n", rep.BatchSize, rep.BatchPer, rep.Speedup)
 	w.Flush()
+	fmt.Printf("per signature: Verify %d exps + %d pairings, BatchVerify %d + %d; slot %d forged: Verify rejects %v, BatchVerify rejects %v\n",
+		rep.ReferenceCounts.Exps, rep.ReferenceCounts.Pairings+rep.ReferenceCounts.GTExps,
+		rep.BatchCounts.Exps, rep.BatchCounts.Pairings, rep.ForgedSlot, rep.ReferenceRejects, rep.BatchRejects)
 	fmt.Printf("\nrevocation sweep over %d tokens:\n", rep.URLSize)
 	w = table()
 	fmt.Fprintln(w, "workers\tper token")

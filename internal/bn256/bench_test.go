@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"crypto/rand"
+	"fmt"
 	"testing"
 )
 
@@ -44,17 +45,32 @@ func BenchmarkPreparedMiller(b *testing.B) {
 }
 
 // BenchmarkPairLanes8 is one pass of the lane-parallel tower: eight points
-// through the prepared Miller loop and the final exponentiation. Divided by
-// eight it is the per-token cost to hold against BenchmarkPreparedMiller
-// plus BenchmarkFinalExponentiation.
+// a factor through the prepared Miller loop and the final exponentiation.
+// With one factor (the Eq.3 scan's pass), divided by eight, it is the
+// per-token cost to hold against BenchmarkPreparedMiller plus
+// BenchmarkFinalExponentiation; with two (the verifier's Eq.2 product) the
+// per-signature cost to hold against BenchmarkMillerCombined2 plus
+// BenchmarkFinalExponentiation. Packing the points, which a verifier pays
+// per group and the scan once per epoch, is timed by itself.
 func BenchmarkPairLanes8(b *testing.B) {
-	_, q, _ := RandomG2(rand.Reader)
-	pq := PrepareG2(q)
-	l := packG1Lanes(randG1s(b, Lanes))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pq.PairLanes(l, 0, nil)
+	var preps []*PreparedG2
+	var lanes []*G1Lanes
+	for k := 1; k <= 2; k++ {
+		_, q, _ := RandomG2(rand.Reader)
+		preps = append(preps, PrepareG2(q))
+		lanes = append(lanes, packG1Lanes(randG1s(b, Lanes)))
+		b.Run(fmt.Sprintf("factors=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				PairProductLanes(preps, lanes, 0, nil)
+			}
+		})
 	}
+	pts := randG1s(b, Lanes)
+	b.Run("pack", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			packG1Lanes(pts)
+		}
+	})
 }
 
 func BenchmarkPrepareG2(b *testing.B) {

@@ -30,11 +30,14 @@
 // -tags purego, gfpMul is gfpMulGeneric, the same CIOS algorithm in Go.
 //
 // A second, lane-parallel tower (gfpx8.go, towerx8.go, lanes.go) does one
-// job: PreparedG2.PairLanes pairs eight G1 points against one prepared G2
-// point in a single pass, eight field elements to a vector in five 52-bit
-// limbs, on six AVX-512 IFMA kernels (gfpx8_amd64.s). It returns the same
-// GT elements as Pair, byte for byte, at about a fifth of the cost per
-// point, and is what the revocation scan of internal/sgs runs on.
+// job: PairProductLanes computes eight pairing products ∏ₖ e(P_k, Q_k) over
+// the same prepared G2 points Q_k in a single pass, eight field elements to
+// a vector in five 52-bit limbs, on six AVX-512 IFMA kernels
+// (gfpx8_amd64.s). It returns the same GT elements as MillerCombined and
+// Finalize (as Pair, for one factor), byte for byte, at about a fifth of the
+// cost per product, and is what the revocation scan (one factor, eight
+// tokens) and the grouped signature verification (two factors, eight
+// signatures) of internal/sgs run on.
 // PackG1Lanes holds the one rule that selects it: the CPU has AVX-512F and
 // IFMA with ZMM state enabled (CPUID leaf 7 and XGETBV, read once at init)
 // and there are at least two points; otherwise it returns nil and the

@@ -5,8 +5,9 @@ import "sync"
 // This file is the lane-parallel tower: F_p⁶ and F_p¹² over gfP2x8, eight
 // independent field elements per value, with the same construction and the
 // same formulas as gfp6.go, gfp12.go, cyclo.go and pairing.go. It exists for
-// one computation, pairing eight G1 points against one prepared G2 point
-// (lanes.go), and holds only the operations that computation performs:
+// one computation, eight pairing products over the same prepared G2 points
+// (PairProductLanes in lanes.go), and holds only the operations that
+// computation performs:
 // nothing here is exported, printed, marshaled, square-rooted or raised to a
 // general power, and the scalar tower remains the implementation of
 // everything else.
@@ -45,7 +46,12 @@ type laneWork struct {
 
 var laneWorkPool = sync.Pool{New: func() any { return new(laneWork) }}
 
-var zeroFp2x8 gfP2x8
+var (
+	zeroFp2x8 gfP2x8
+
+	fp2Zero gfP2
+	fp2One  = gfP2{y: rOne}
+)
 
 func (e *gfP2x8) Add(a, b *gfP2x8) { gfp2x8Add(e, a, b) }
 func (e *gfP2x8) Sub(a, b *gfP2x8) { gfp2x8Sub(e, a, b) }
@@ -78,27 +84,41 @@ func (e *gfP2x8) Invert(a *gfP2x8) {
 }
 
 // invertLanes replaces every lane by its inverse (zero stays zero) with one
-// gfP inversion for all eight: Montgomery's trick, run in the scalar field
-// because a Fermat inversion has nothing for lanes to share.
+// gfP inversion for all eight, run in the scalar field because a Fermat
+// inversion has nothing for lanes to share.
 func (e *gfPx8) invertLanes() {
 	var v, prefix [8]gfP
-	acc := rOne
 	for i := range v {
 		v[i] = e.lane(i)
+	}
+	invertAll(v[:], prefix[:])
+	for i := range v {
+		e.setLane(i, &v[i])
+	}
+}
+
+// invertAll replaces every element of v by its inverse (zero stays zero)
+// with one Fermat inversion for all of them, Montgomery's trick: prefix[i]
+// (scratch, as long as v) is the product of the non-zero elements before
+// v[i], the whole product is inverted, and a walk back peels one inverse
+// off at a time.
+func invertAll(v, prefix []gfP) {
+	acc := rOne
+	for i := range v {
 		prefix[i] = acc
 		if !v[i].IsZero() {
 			gfpMul(&acc, &acc, &v[i])
 		}
 	}
 	acc.Invert(&acc)
-	for i := 7; i >= 0; i-- {
+	for i := len(v) - 1; i >= 0; i-- {
 		if v[i].IsZero() {
 			continue
 		}
 		var inv gfP
 		gfpMul(&inv, &acc, &prefix[i])
 		gfpMul(&acc, &acc, &v[i])
-		e.setLane(i, &inv)
+		v[i] = inv
 	}
 }
 
@@ -283,14 +303,25 @@ func (e *gfP12x8) MulLine(a *gfP12x8, c0, c1, c3 *gfP2x8, w *laneWork) {
 }
 
 // mulPreparedLine multiplies f by the line s, the same in every lane,
-// evaluated at the lanes' affine G1 points (x, y).
-func (f *gfP12x8) mulPreparedLine(s *preparedLine, x, y *gfPx8, w *laneWork) {
+// evaluated at the lanes' affine G1 points. In a lane whose point is the
+// identity the line is 1, so that lane of f stays what it was: the identity
+// drops out of a lane's product as it does out of MillerCombined's.
+func (f *gfP12x8) mulPreparedLine(s *preparedLine, p *g1x8, w *laneWork) {
 	c := &w.coeff
 	c.c3.splat(&s.c3)
 	c.c1.splat(&s.c1)
 	c.c0.splat(&s.c0)
-	c.c1.MulScalar(&c.c1, x)
-	c.c0.MulScalar(&c.c0, y)
+	c.c1.MulScalar(&c.c1, &p.x)
+	c.c0.MulScalar(&c.c0, &p.y)
+	if p.infinity != [Lanes]bool{} {
+		for i, inf := range p.infinity {
+			if inf {
+				c.c0.setLane(i, &fp2One)
+				c.c1.setLane(i, &fp2Zero)
+				c.c3.setLane(i, &fp2Zero)
+			}
+		}
+	}
 	f.MulLine(f, &c.c0, &c.c1, &c.c3, w)
 }
 

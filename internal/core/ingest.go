@@ -1,65 +1,70 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"time"
+
+	"github.com/peace-mesh/peace/internal/bn256"
 )
 
-// IngestResult delivers the outcome of a queued access request.
-type IngestResult struct {
-	Confirm *AccessConfirm
-	Session *Session
-	Err     error
-}
-
-// ingestJob pairs a submitted request with its reply channel.
+// ingestJob pairs a submitted request with its reply channel and the time
+// it entered the queue.
 type ingestJob struct {
-	m     *AccessRequest
-	reply chan IngestResult
+	m      *AccessRequest
+	reply  chan AccessResult
+	queued time.Time
 }
 
-// IngestQueue feeds bursts of M.2 access requests through a router's batch
-// verification pipeline. Submissions beyond the queue's capacity are
-// rejected immediately with ErrQueueFull — bounded backpressure, in the
-// spirit of the paper's DoS discussion, instead of unbounded buffering. A
-// single drainer goroutine collects whatever has accumulated (up to
-// maxBatch requests) and hands it to HandleAccessRequestBatch, so under
-// load the expensive signature checks run batched across all CPUs while
-// light load degenerates to batches of one.
+// IngestQueue feeds M.2 access requests to a router's M.2 pipeline.
+// Submissions beyond the queue's capacity are rejected immediately with
+// ErrQueueFull — bounded backpressure, in the spirit of the paper's DoS
+// discussion, instead of unbounded buffering. GOMAXPROCS drainer goroutines
+// serve the queue, and each is a whole pipeline: it takes a group of waiting
+// requests and carries it through precheck, verification, revocation scan
+// and session establishment (MeshRouter.handleGroup) before it takes the
+// next, so no stage waits for another group to reach it and no core idles
+// while one request's serial work runs.
+//
+// A group is what one lane pass of the verifier holds, bn256.Lanes
+// signatures, when that many are waiting for every drainer; a shorter queue
+// is shared, each drainer taking ⌈waiting/GOMAXPROCS⌉, not hoarded by the
+// first to wake. A request that arrives alone on an idle router is a group of
+// one and runs the scalar verifier with the scan on all its workers.
 type IngestQueue struct {
-	router   *MeshRouter
-	jobs     chan ingestJob
-	maxBatch int
+	router *MeshRouter
+	jobs   chan ingestJob
 
-	mu     sync.Mutex
-	closed bool
-	done   chan struct{}
+	mu       sync.Mutex
+	closed   bool
+	drainers sync.WaitGroup
 }
 
-// NewIngestQueue starts the drainer for router. capacity bounds the number
-// of requests waiting to be verified (minimum 1); maxBatch bounds how many
-// are verified in one batch (minimum 1, typically a small multiple of the
-// CPU count).
-func NewIngestQueue(router *MeshRouter, capacity, maxBatch int) *IngestQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	q := &IngestQueue{
-		router:   router,
-		jobs:     make(chan ingestJob, capacity),
-		maxBatch: maxBatch,
-		done:     make(chan struct{}),
-	}
+// NewIngestQueue starts the drainers for router. capacity bounds the number
+// of requests waiting to be taken (minimum 1).
+func NewIngestQueue(router *MeshRouter, capacity int) *IngestQueue {
+	q := newIngestQueue(router, capacity)
 	// The depth gauge lives in the router's registry and re-binds to the
 	// newest queue (a restarted transport builds a fresh one).
 	router.Metrics().GaugeFunc("router_ingest_queue_depth",
-		"access requests waiting for batch verification", func() int64 {
+		"access requests waiting for a pipeline to take them", func() int64 {
 			return int64(q.Depth())
 		})
-	go q.drain()
+	q.start()
 	return q
+}
+
+func newIngestQueue(router *MeshRouter, capacity int) *IngestQueue {
+	return &IngestQueue{router: router, jobs: make(chan ingestJob, max(1, capacity))}
+}
+
+// start launches the drainers.
+func (q *IngestQueue) start() {
+	procs := runtime.GOMAXPROCS(0)
+	q.drainers.Add(procs)
+	for i := 0; i < procs; i++ {
+		go q.drain(procs)
+	}
 }
 
 // Depth returns how many submitted requests are waiting to be drained.
@@ -68,24 +73,22 @@ func (q *IngestQueue) Depth() int { return len(q.jobs) }
 // Submit enqueues an access request. It never blocks: a full queue returns
 // ErrQueueFull and a closed queue ErrQueueClosed. On success the result
 // arrives exactly once on the returned channel.
-func (q *IngestQueue) Submit(m *AccessRequest) (<-chan IngestResult, error) {
-	job := ingestJob{m: m, reply: make(chan IngestResult, 1)}
+func (q *IngestQueue) Submit(m *AccessRequest) (<-chan AccessResult, error) {
+	job := ingestJob{m: m, reply: make(chan AccessResult, 1), queued: q.router.cfg.Clock.Now()}
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		return nil, ErrQueueClosed
 	}
 	select {
 	case q.jobs <- job:
-		q.mu.Unlock()
 		return job.reply, nil
 	default:
-		q.mu.Unlock()
 		return nil, ErrQueueFull
 	}
 }
 
-// Close stops the drainer after the already-accepted requests have been
+// Close stops the drainers after the already-accepted requests have been
 // answered. It is idempotent and safe to call concurrently with Submit.
 func (q *IngestQueue) Close() {
 	q.mu.Lock()
@@ -94,43 +97,42 @@ func (q *IngestQueue) Close() {
 		close(q.jobs)
 	}
 	q.mu.Unlock()
-	<-q.done
+	q.drainers.Wait()
 }
 
-// drain collects accumulated jobs into batches and runs them through the
-// router until the queue closes.
-func (q *IngestQueue) drain() {
-	defer close(q.done)
-	for {
-		job, ok := <-q.jobs
-		if !ok {
-			return
-		}
-		batch := []ingestJob{job}
+// drain is one pipeline: it takes its share of the waiting requests, runs
+// the group through the router and answers it, until the queue closes and
+// empties. procs is the number of drainers sharing the queue.
+func (q *IngestQueue) drain(procs int) {
+	defer q.drainers.Done()
+	r := q.router
+	group := make([]ingestJob, 0, bn256.Lanes)
+	for job := range q.jobs {
+		group = append(group[:0], job)
+		share := min(bn256.Lanes, (1+len(q.jobs)+procs-1)/procs)
 	fill:
-		for len(batch) < q.maxBatch {
+		for len(group) < share {
 			select {
-			case extra, more := <-q.jobs:
-				if !more {
+			case extra, open := <-q.jobs:
+				if !open {
 					break fill
 				}
-				batch = append(batch, extra)
+				group = append(group, extra)
 			default:
 				break fill
 			}
 		}
 
-		ms := make([]*AccessRequest, len(batch))
-		for i, j := range batch {
+		now := r.cfg.Clock.Now()
+		ms := make([]*AccessRequest, len(group))
+		for i, j := range group {
+			r.stages.ingestWait.Observe(now.Sub(j.queued))
 			ms[i] = j.m
 		}
-		results := q.router.HandleAccessRequestBatch(ms)
-		for i, j := range batch {
-			j.reply <- IngestResult{
-				Confirm: results[i].Confirm,
-				Session: results[i].Session,
-				Err:     results[i].Err,
-			}
+		out := make([]AccessResult, len(group))
+		r.handleGroup(ms, out)
+		for i, j := range group {
+			j.reply <- out[i]
 		}
 	}
 }

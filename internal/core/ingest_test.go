@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/peace-mesh/peace/internal/bn256"
 )
@@ -134,7 +135,7 @@ func TestIngestQueueServesBurst(t *testing.T) {
 	}
 	ms := batchM2s(t, tb, r, users)
 
-	q := NewIngestQueue(r, n, 4)
+	q := NewIngestQueue(r, n)
 	defer q.Close()
 
 	var wg sync.WaitGroup
@@ -177,12 +178,7 @@ func TestIngestQueueBackpressure(t *testing.T) {
 	m := batchM2s(t, tb, r, []*User{tb.user("0", 0)})[0]
 
 	// No drainer: submissions accumulate so capacity is hit deterministically.
-	q := &IngestQueue{
-		router:   r,
-		jobs:     make(chan ingestJob, 2),
-		maxBatch: 4,
-		done:     make(chan struct{}),
-	}
+	q := newIngestQueue(r, 2)
 	if _, err := q.Submit(m); err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +189,173 @@ func TestIngestQueueBackpressure(t *testing.T) {
 		t.Fatalf("over-capacity submit: %v", err)
 	}
 
-	// Start the drainer; the queued submissions are answered and then the
+	// Start the drainers; the queued submissions are answered and then the
 	// queue shuts down cleanly.
-	go q.drain()
+	q.start()
 	q.Close()
 	if _, err := q.Submit(m); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("closed submit: %v", err)
+	}
+}
+
+// verdict reduces an M.2 outcome to its class: nil, or the sentinel the
+// transport maps to a reject code.
+func verdict(err error) error {
+	for _, class := range []error{ErrBadAccessRequest, ErrRevokedUser, ErrReplay} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
+// TestIngestPipelineExactlyOnce submits 64 distinct M.2s from 8 goroutines
+// to a queue whose drainers group them as they find them — valid ones,
+// forged signatures, a revoked signer and answers to a retired beacon mixed
+// — and checks that every reply arrives exactly once, with the verdict
+// HandleAccessRequest gives the same request alone, that a working session
+// comes with every confirm, that a signature was verified for exactly the
+// requests that passed precheck, that Close answers everything accepted, and
+// that the stage histograms counted what went through.
+func TestIngestPipelineExactlyOnce(t *testing.T) {
+	const n, submitters = 64, 8
+	tb := newTestbed(t, 1, 4, 1)
+	r := tb.routers["MR-0"]
+	tok, err := tb.no.TokenOf("grp-0", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.no.RevokeUserKey(tok)
+	tb.pushRevocations(t)
+
+	live, err := r.Beacon()
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired, err := r.Beacon()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RetireBeacon(retired.GR)
+
+	ms := make([]*AccessRequest, n)
+	signers := make([]*User, n)
+	want := make([]error, n)
+	prechecked := 0
+	for i := range ms {
+		beacon, user := live, tb.user("0", i%3)
+		switch i % 8 {
+		case 3, 4: // forged below
+			want[i] = ErrBadAccessRequest
+		case 5:
+			user, want[i] = tb.user("0", 3), ErrRevokedUser
+		case 6:
+			beacon, want[i] = retired, ErrReplay
+		}
+		m2, err := user.HandleBeacon(beacon, "grp-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i] == ErrBadAccessRequest {
+			m2.Sig.SX = new(big.Int).Xor(m2.Sig.SX, big.NewInt(1))
+		}
+		if want[i] != ErrReplay {
+			prechecked++
+		}
+		ms[i], signers[i] = m2, user
+	}
+
+	q := NewIngestQueue(r, n)
+	replies := make([]<-chan AccessResult, n)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += submitters {
+				ch, err := q.Submit(ms[i])
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				replies[i] = ch
+			}
+		}(g)
+	}
+	wg.Wait()
+	q.Close() // returns once every accepted request has been answered
+	if t.Failed() {
+		return
+	}
+
+	for i, ch := range replies {
+		var res AccessResult
+		select {
+		case res = <-ch:
+		default:
+			t.Fatalf("request %d: no reply after Close", i)
+		}
+		select {
+		case <-ch:
+			t.Fatalf("request %d answered twice", i)
+		default:
+		}
+		if got := verdict(res.Err); got != want[i] {
+			t.Errorf("request %d: %v, want %v", i, res.Err, want[i])
+			continue
+		}
+		if res.Err != nil {
+			continue
+		}
+		us, err := signers[i].HandleAccessConfirm(res.Confirm)
+		if err != nil {
+			t.Errorf("request %d: confirm refused: %v", i, err)
+		} else if us.ID != res.Session.ID || !us.keysEqual(res.Session) {
+			t.Errorf("request %d: session halves disagree", i)
+		}
+	}
+
+	stats := r.Stats()
+	if stats.ExpensiveVerifications != prechecked {
+		t.Errorf("expensive verifications = %d, want %d (requests past precheck)", stats.ExpensiveVerifications, prechecked)
+	}
+	if stats.RequestsSeen != n {
+		t.Errorf("requests seen = %d, want %d", stats.RequestsSeen, n)
+	}
+
+	// Stage counts: every request waited once; the verified groups add up to
+	// the requests past precheck; a scan ran for every signature that
+	// verified and a session was established for every one not revoked.
+	hist := func(name string) (count int64, sum time.Duration) {
+		sm, ok := r.Metrics().Snapshot().Get(name)
+		if !ok {
+			t.Fatalf("no instrument %s", name)
+		}
+		return sm.Hist.Count, time.Duration(sm.Hist.Sum)
+	}
+	forged, revoked := n/8*2, n/8
+	if c, _ := hist("router_ingest_wait_seconds"); c != n {
+		t.Errorf("ingest-wait observations = %d, want %d", c, n)
+	}
+	groups, sizes := hist("router_verify_group_size")
+	if sizes != time.Duration(prechecked)*time.Second {
+		t.Errorf("group sizes add up to %v signatures, want %d", sizes.Seconds(), prechecked)
+	}
+	if c, _ := hist("router_verify_seconds"); c != groups || groups < int64(prechecked+bn256.Lanes-1)/bn256.Lanes {
+		t.Errorf("%d verify observations for %d groups over %d signatures", c, groups, prechecked)
+	}
+	if c, _ := hist("router_sweep_seconds"); c != int64(prechecked-forged) {
+		t.Errorf("sweep observations = %d, want %d", c, prechecked-forged)
+	}
+	if c, _ := hist("router_establish_seconds"); c != int64(prechecked-forged-revoked) {
+		t.Errorf("establish observations = %d, want %d", c, prechecked-forged-revoked)
+	}
+
+	// The same requests one at a time: the verdict a request gets does not
+	// depend on the company it was verified in.
+	for i, m := range ms {
+		if _, _, err := r.HandleAccessRequest(m); verdict(err) != want[i] {
+			t.Errorf("request %d alone: %v, want %v", i, err, want[i])
+		}
 	}
 }

@@ -76,6 +76,41 @@ func (c *routerCounters) snapshot() RouterStats {
 	}
 }
 
+// routerStages times the stages an M.2 passes on its way to M.3, one
+// histogram per stage, so the share of each in an attach is readable from
+// the running router (the attach ledger in bench/ sees them only from
+// outside). They are aggregates: no session, user or source labels them.
+type routerStages struct {
+	ingestWait *metrics.Histogram
+	verify     *metrics.Histogram
+	groupSize  *metrics.Histogram
+	sweep      *metrics.Histogram
+	establish  *metrics.Histogram
+}
+
+func newRouterStages(reg *metrics.Registry) routerStages {
+	return routerStages{
+		ingestWait: reg.Histogram("router_ingest_wait_seconds", "time an access request waited in the ingest queue before a drainer took it"),
+		verify:     reg.Histogram("router_verify_seconds", "group-signature verification (Eq.2) of one group of access requests"),
+		groupSize:  reg.Histogram("router_verify_group_size", "signatures verified side by side in one group, one unit per signature (1: the scalar path; 2 to 8: one lane pass)"),
+		sweep:      reg.Histogram("router_sweep_seconds", "URL revocation scan (Eq.3) of one verified access request"),
+		establish:  reg.Histogram("router_establish_seconds", "session key computation and M.3 sealing of one admitted access request"),
+	}
+}
+
+// stopwatch times consecutive stages on the router's clock.
+type stopwatch struct {
+	clock Clock
+	last  time.Time
+}
+
+// lap records in h the time since the previous lap (or since start).
+func (s *stopwatch) lap(h *metrics.Histogram) {
+	now := s.clock.Now()
+	h.Observe(now.Sub(s.last))
+	s.last = now
+}
+
 // MeshRouter is a PEACE mesh router MR_k: it broadcasts signed beacons
 // (M.1), answers access requests (M.2 → M.3), and maintains the sessions
 // of attached users. Routers receive epoch-numbered CRL/URL snapshot and
@@ -122,10 +157,12 @@ type MeshRouter struct {
 	sessions   *shardedMap[*Session]
 	sessionLog *shardedMap[*AccessRequest]
 
-	// metrics is the router-owned registry behind stats and the session /
-	// ingest-queue gauges; it outlives any serving transport.
+	// metrics is the router-owned registry behind stats, the stage
+	// histograms and the session / ingest-queue gauges; it outlives any
+	// serving transport.
 	metrics *metrics.Registry
 	stats   routerCounters
+	stages  routerStages
 }
 
 // beaconState remembers the secrets behind one broadcast beacon. Puzzles
@@ -171,6 +208,7 @@ func NewMeshRouter(cfg Config, id string, noPub cert.PublicKey, gpk *sgs.PublicK
 		sessionLog:  newShardedMap[*AccessRequest](),
 		metrics:     reg,
 		stats:       newRouterCounters(reg),
+		stages:      newRouterStages(reg),
 	}
 	if _, err := io.ReadFull(cfg.Rand, r.puzzleKey[:]); err != nil {
 		return nil, fmt.Errorf("router %q: puzzle key: %w", id, err)
@@ -448,59 +486,80 @@ type AccessResult struct {
 	Err     error
 }
 
-// HandleAccessRequestBatch drains a burst of M.2 messages through the
-// batch verification pipeline: cheap per-request checks (freshness,
-// puzzles) run first, the surviving signatures are verified concurrently
-// across all CPUs with the precomputed-table verifier, revocation scans
-// use the parallel URL sweep, and sessions are established for the
-// survivors. Results are positional — out[i] belongs to ms[i] — and one
-// bad request never affects its neighbors.
+// HandleAccessRequestBatch answers a burst of M.2 messages: the slice is cut
+// into groups (sgs.ForEachGroup: as many signatures to a group as one lane
+// pass verifies, but no core left without a group) and every group runs the
+// whole M.2 path on its own goroutine, with no barrier between the stages
+// or between the groups. It is the ingest queue's code for a caller-supplied
+// slice. Results are positional — out[i] belongs to ms[i] — and one bad
+// request never affects its neighbors.
 func (r *MeshRouter) HandleAccessRequestBatch(ms []*AccessRequest) []AccessResult {
 	out := make([]AccessResult, len(ms))
-	states := make([]*beaconState, len(ms))
-	times := make([]time.Time, len(ms))
+	sgs.ForEachGroup(len(ms), func(lo, hi int) { r.handleGroup(ms[lo:hi], out[lo:hi]) })
+	return out
+}
 
+// handleGroup is the M.2 path, for one group of requests on the calling
+// goroutine: the cheap per-request checks (freshness, puzzles); the
+// survivors' signatures verified side by side (sgs.Verifier.VerifyGroup —
+// one lane pass for a group of two to eight, the scalar verifier for a lone
+// request); then, for each signature that verified and only for those, so a
+// forged M.2 never costs more than its verification, the URL revocation scan
+// on all the scan's workers and the session establishment. out[i] receives
+// the outcome of ms[i].
+func (r *MeshRouter) handleGroup(ms []*AccessRequest, out []AccessResult) {
+	type admitted struct {
+		slot int
+		st   *beaconState
+		now  time.Time
+	}
 	items := make([]sgs.BatchItem, 0, len(ms))
-	idxs := make([]int, 0, len(ms))
+	adm := make([]admitted, 0, len(ms))
 	for i, m := range ms {
 		st, now, err := r.precheckAccessRequest(m)
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
-		states[i], times[i] = st, now
 		items = append(items, sgs.BatchItem{Msg: m.SignedTranscript(), Sig: m.Sig})
-		idxs = append(idxs, i)
+		adm = append(adm, admitted{i, st, now})
 	}
 	if len(items) == 0 {
-		return out
+		return
 	}
 
 	sweep := r.sweepState()
 	r.stats.expensiveVerifications.Add(int64(len(items)))
-	errs := sweep.Verifier().BatchVerify(items)
+	sw := stopwatch{r.cfg.Clock, r.cfg.Clock.Now()}
+	errs := sweep.Verifier().VerifyGroup(items)
+	sw.lap(r.stages.verify)
+	// A count in a histogram of durations: one second stands for one
+	// signature, so the exposition's sum over count is the mean group size.
+	r.stages.groupSize.Observe(time.Duration(len(items)) * time.Second)
 
 	for j, verr := range errs {
-		i := idxs[j]
-		m := ms[i]
+		a := adm[j]
+		m := ms[a.slot]
 		if verr != nil {
-			// The batch verifier's error is final: re-running the reference
+			// The group verifier's error is final: re-running the reference
 			// verifier here would make a forged signature cost more than a
 			// good one (sgs pins the two to the same rejection classes).
 			r.stats.rejectedAuth.Add(1)
 			r.noteFailure()
-			out[i].Err = fmt.Errorf("router %q: %w: %v", r.id, ErrBadAccessRequest, verr)
+			out[a.slot].Err = fmt.Errorf("router %q: %w: %v", r.id, ErrBadAccessRequest, verr)
 			continue
 		}
-		if revoked, _ := sweep.Check(items[j].Msg, m.Sig); revoked {
+		revoked, _ := sweep.Check(items[j].Msg, m.Sig)
+		sw.lap(r.stages.sweep)
+		if revoked {
 			r.stats.rejectedRevoked.Add(1)
-			out[i].Err = fmt.Errorf("router %q: %w", r.id, ErrRevokedUser)
+			out[a.slot].Err = fmt.Errorf("router %q: %w", r.id, ErrRevokedUser)
 			continue
 		}
-		confirm, sess, err := r.establishSession(m, states[i], times[i])
-		out[i] = AccessResult{Confirm: confirm, Session: sess, Err: err}
+		confirm, sess, err := r.establishSession(m, a.st, a.now)
+		sw.lap(r.stages.establish)
+		out[a.slot] = AccessResult{Confirm: confirm, Session: sess, Err: err}
 	}
-	return out
 }
 
 // precheckAccessRequest runs the cheap, pre-pairing checks of Step 3.1

@@ -90,65 +90,147 @@ func (v *Verifier) VerifyCounted(msg []byte, sig *Signature) (OpCounts, error) {
 	return counts, err
 }
 
+// VerifyGroup checks the items side by side on the calling goroutine and
+// returns one error slot per item (nil for valid signatures), each the
+// verdict Verify gives that item alone. Side by side means SIMD, not
+// aggregation: every signature keeps its own R̃2 and its own challenge
+// comparison, and what a group shares is the pass of the lane-parallel
+// tower (bn256.PairProductLanes) that computes up to bn256.Lanes of those
+// R̃2 at once — one squaring chain and one final exponentiation for eight
+// pairing products. A bad signature therefore costs what a good one does,
+// is attributed directly, and leaves its neighbours' verdicts alone.
+func (v *Verifier) VerifyGroup(items []BatchItem) []error {
+	errs := make([]error, len(items))
+	v.verifyGroup(items, errs, counter{})
+	return errs
+}
+
+// verifyOne is verifyGroup for a group of one.
 func (v *Verifier) verifyOne(msg []byte, sig *Signature, ct counter) error {
-	if err := checkSignatureShape(sig); err != nil {
-		return err
+	var err [1]error
+	v.verifyGroup([]BatchItem{{Msg: msg, Sig: sig}}, err[:], ct)
+	return err[0]
+}
+
+// verifyGroup is the verifier: Eq.2 in three steps, of which the first and
+// the last run a signature at a time and the pairing step in the middle is
+// the only one that looks at the size of the group. errs has a slot per
+// item.
+func (v *Verifier) verifyGroup(items []BatchItem, errs []error, ct counter) {
+	// Step 1, per signature: shape check, bases, and the eight G1
+	// exponentiations that give R̃1, R̃3 and the G1 sides A, B of the
+	// pairing product. A misshapen signature stops here.
+	eqs := make([]*eq2, len(items)) // nil where the shape check failed
+	live := make([]*eq2, 0, len(items))
+	for i, it := range items {
+		if eqs[i], errs[i] = v.prepare(it.Msg, it.Sig, ct); errs[i] == nil {
+			live = append(live, eqs[i])
+		}
 	}
 
-	// Work on copies of the curve points: marshaling (in the challenge
-	// hash) normalizes points in place, and the same *Signature may appear
-	// in several batch slots being verified on different goroutines.
-	t1 := new(bn256.G1).Set(sig.T1)
-	t2 := new(bn256.G1).Set(sig.T2)
+	// Step 2, the group at once: every R̃2.
+	v.pairingProducts(live)
+	ct.pairing(2 * len(live))
+
+	// Step 3, per signature: the challenge equation.
+	for i, e := range eqs {
+		if e != nil {
+			errs[i] = v.finish(items[i].Msg, items[i].Sig, e, ct)
+		}
+	}
+}
+
+// pairingProducts sets R̃2 = e(A, g2) · e(B, w) for every signature of a
+// group: two prepared Miller loops sharing the squaring chain and one final
+// exponentiation — on the lane-parallel tower eight signatures to a pass
+// where bn256.PackG1Lanes says that is the faster way (the rule is its own:
+// the kernels exist and there are at least two signatures), one signature
+// at a time on the scalar tower otherwise. Both give the same GT element,
+// byte for byte.
+func (v *Verifier) pairingProducts(eqs []*eq2) {
+	preps := []*bn256.PreparedG2{v.g2Prep, v.wPrep}
+	as, bs := make([]*bn256.G1, len(eqs)), make([]*bn256.G1, len(eqs))
+	for j, e := range eqs {
+		as[j], bs[j] = e.a, e.b
+	}
+	aLanes, bLanes := bn256.PackG1Lanes(as), bn256.PackG1Lanes(bs)
+	if aLanes == nil {
+		for _, e := range eqs {
+			e.r2 = bn256.MillerCombined(preps, []*bn256.G1{e.a, e.b}).Finalize()
+		}
+		return
+	}
+	lanes := []*bn256.G1Lanes{aLanes, bLanes}
+	for c := 0; c < aLanes.Chunks(); c++ {
+		for j, r2 := range bn256.PairProductLanes(preps, lanes, c, nil) {
+			eqs[c*bn256.Lanes+j].r2 = r2
+		}
+	}
+}
+
+// eq2 is one signature between the steps of verifyGroup: the recovered
+// helper values of Eq.2. t1 and t2 are copies of the signature's points:
+// marshaling (in the challenge hash) normalizes points in place, and the
+// same *Signature may appear in several slots being verified on different
+// goroutines.
+type eq2 struct {
+	t1, t2 *bn256.G1
+	r1, r3 *bn256.G1
+	a, b   *bn256.G1 // R̃2 = e(a, g2) · e(b, w)
+	r2     *bn256.GT
+}
+
+// prepare runs the G1 side of Eq.2 for one signature.
+func (v *Verifier) prepare(msg []byte, sig *Signature, ct counter) (*eq2, error) {
+	if err := checkSignatureShape(sig); err != nil {
+		return nil, err
+	}
+	e := &eq2{t1: new(bn256.G1).Set(sig.T1), t2: new(bn256.G1).Set(sig.T2)}
 
 	negC := new(big.Int).Sub(bn256.Order, sig.C)
 	negC.Mod(negC, bn256.Order)
 	negSAlpha := new(big.Int).Sub(bn256.Order, sig.SAlpha)
 	negSDelta := new(big.Int).Sub(bn256.Order, sig.SDelta)
 
-	var r1, r3, lhsA, lhsB *bn256.G1
 	if sig.Mode == FixedGenerators {
 		// Dedicated per-key window tables for u and v.
-		r1 = v.uTable.Mul(new(bn256.G1), sig.SAlpha)
-		r3 = v.uTable.Mul(new(bn256.G1), negSDelta)
-		lhsA = v.vTable.Mul(new(bn256.G1), negSDelta)
-		lhsA.Add(lhsA, new(bn256.G1).ScalarBaseMult(negC))
-		lhsB = v.vTable.Mul(new(bn256.G1), negSAlpha)
+		e.r1 = v.uTable.Mul(new(bn256.G1), sig.SAlpha)
+		e.r3 = v.uTable.Mul(new(bn256.G1), negSDelta)
+		e.a = v.vTable.Mul(new(bn256.G1), negSDelta)
+		e.a.Add(e.a, new(bn256.G1).ScalarBaseMult(negC))
+		e.b = v.vTable.Mul(new(bn256.G1), negSAlpha)
 	} else {
 		// Per-message generators: u = g1^a, v = g1^b, so every u/v power
 		// folds into the generator table (u^{s_α} = g1^{a·s_α}).
 		a, b := deriveScalars(v.pk, sig.Mode, msg, sig.R, ct) // hash 1
-		r1 = new(bn256.G1).ScalarBaseMult(mulMod(a, sig.SAlpha))
-		r3 = new(bn256.G1).ScalarBaseMult(mulMod(a, negSDelta))
+		e.r1 = new(bn256.G1).ScalarBaseMult(mulMod(a, sig.SAlpha))
+		e.r3 = new(bn256.G1).ScalarBaseMult(mulMod(a, negSDelta))
 		bnd := mulMod(b, negSDelta)
 		bnd.Add(bnd, negC)
-		lhsA = new(bn256.G1).ScalarBaseMult(bnd.Mod(bnd, bn256.Order))
-		lhsB = new(bn256.G1).ScalarBaseMult(mulMod(b, negSAlpha))
+		e.a = new(bn256.G1).ScalarBaseMult(bnd.Mod(bnd, bn256.Order))
+		e.b = new(bn256.G1).ScalarBaseMult(mulMod(b, negSAlpha))
 	}
 
 	// R̃1 = u^{s_α} · T1^{−c} and R̃3 = T1^{s_x} · u^{−s_δ}.
-	r1.Add(r1, new(bn256.G1).ScalarMult(t1, negC))
+	e.r1.Add(e.r1, new(bn256.G1).ScalarMult(e.t1, negC))
 	ct.exp(1)
-	r3.Add(r3, new(bn256.G1).ScalarMult(t1, sig.SX))
+	e.r3.Add(e.r3, new(bn256.G1).ScalarMult(e.t1, sig.SX))
 	ct.exp(1)
 
 	// A = T2^{s_x} · v^{−s_δ} · g1^{−c} and B = T2^{c} · v^{−s_α}: the G1
 	// sides of the rearranged pairing product.
-	lhsA.Add(lhsA, new(bn256.G1).ScalarMult(t2, sig.SX))
+	e.a.Add(e.a, new(bn256.G1).ScalarMult(e.t2, sig.SX))
 	ct.exp(1)
-	lhsB.Add(lhsB, new(bn256.G1).ScalarMult(t2, sig.C))
+	e.b.Add(e.b, new(bn256.G1).ScalarMult(e.t2, sig.C))
 	ct.exp(1)
+	return e, nil
+}
 
-	// R̃2 = e(A, g2) · e(B, w): two prepared Miller loops sharing the
-	// squaring chain and one final exponentiation.
-	r2 := bn256.MillerCombined(
-		[]*bn256.PreparedG2{v.g2Prep, v.wPrep},
-		[]*bn256.G1{lhsA, lhsB},
-	).Finalize()
-	ct.pairing(2)
-
+// finish compares the challenge recomputed from the recovered values with
+// the signature's (Step 3.2.3).
+func (v *Verifier) finish(msg []byte, sig *Signature, e *eq2, ct counter) error {
 	ct.hash(1)
-	c := challenge(v.pk, msg, sig.R, t1, t2, r1, r2, r3)
+	c := challenge(v.pk, msg, sig.R, e.t1, e.t2, e.r1, e.r2, e.r3)
 	if c.Cmp(sig.C) != 0 {
 		return ErrInvalidSignature
 	}
@@ -161,66 +243,65 @@ func mulMod(a, b *big.Int) *big.Int {
 	return out.Mod(out, bn256.Order)
 }
 
-// BatchVerify checks every item concurrently across GOMAXPROCS workers and
-// returns one error slot per item (nil for valid signatures). Signatures
-// are verified independently — a cross-signature pairing product is not
-// possible here because each challenge c_i binds its own R̃2_i — so a bad
-// signature is attributed directly without any fallback re-verification.
-func (v *Verifier) BatchVerify(items []BatchItem) []error {
-	errs, _ := v.batchVerify(items, false)
-	return errs
-}
+// ForEachGroup cuts n signatures into consecutive groups for VerifyGroup
+// and calls fn(lo, hi) once per group [lo, hi), on up to GOMAXPROCS
+// goroutines, returning when every call has. The cut is the one a batch
+// wants on this verifier: a group's lane pass costs the same for two
+// signatures as for eight, while everything else about a signature is
+// serial, so groups are as large as bn256.Lanes allows — but never so
+// large that a core is left without one, and their number is a multiple of
+// the cores, so the cores finish together. Two signatures on two cores are
+// two groups of one.
+func ForEachGroup(n int, fn func(lo, hi int)) {
+	procs := runtime.GOMAXPROCS(0)
+	groups := (n + bn256.Lanes - 1) / bn256.Lanes
+	groups = min(n, (groups+procs-1)/procs*procs)
+	bounds := func(g int) (lo, hi int) { return g * n / groups, (g + 1) * n / groups }
 
-// BatchVerifyCounted is BatchVerify with aggregate operation counts.
-func (v *Verifier) BatchVerifyCounted(items []BatchItem) ([]error, OpCounts) {
-	return v.batchVerify(items, true)
-}
-
-func (v *Verifier) batchVerify(items []BatchItem, counted bool) ([]error, OpCounts) {
-	errs := make([]error, len(items))
-	var total OpCounts
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(items) {
-		workers = len(items)
-	}
+	workers := min(procs, groups)
 	if workers <= 1 {
-		ct := counter{}
-		if counted {
-			ct = counter{&total}
+		for g := 0; g < groups; g++ {
+			fn(bounds(g))
 		}
-		for i := range items {
-			errs[i] = v.verifyOne(items[i].Msg, items[i].Sig, ct)
-		}
-		return errs, total
+		return
 	}
-
 	var next atomic.Int64
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local OpCounts
-			ct := counter{}
-			if counted {
-				ct = counter{&local}
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					break
-				}
-				errs[i] = v.verifyOne(items[i].Msg, items[i].Sig, ct)
-			}
-			if counted {
-				mu.Lock()
-				total.Add(local)
-				mu.Unlock()
+			for g := int(next.Add(1)) - 1; g < groups; g = int(next.Add(1)) - 1 {
+				fn(bounds(g))
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// BatchVerify checks every item and returns one error slot per item (nil
+// for valid signatures): the items cut into groups by ForEachGroup, each
+// group verified by VerifyGroup's code on its own goroutine. Signatures
+// are verified independently — a cross-signature pairing product is not
+// possible here because each challenge c_i binds its own R̃2_i — so a bad
+// signature is attributed directly without any fallback re-verification.
+func (v *Verifier) BatchVerify(items []BatchItem) []error {
+	errs, _ := v.BatchVerifyCounted(items)
+	return errs
+}
+
+// BatchVerifyCounted is BatchVerify with aggregate operation counts.
+func (v *Verifier) BatchVerifyCounted(items []BatchItem) ([]error, OpCounts) {
+	errs := make([]error, len(items))
+	var total OpCounts
+	var mu sync.Mutex
+	ForEachGroup(len(items), func(lo, hi int) {
+		var local OpCounts
+		v.verifyGroup(items[lo:hi], errs[lo:hi], counter{&local})
+		mu.Lock()
+		total.Add(local)
+		mu.Unlock()
+	})
 	return errs, total
 }
 

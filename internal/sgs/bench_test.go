@@ -2,6 +2,7 @@ package sgs
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -46,6 +47,45 @@ func BenchmarkVerify(b *testing.B) {
 		if err := Verify(pk, msg, sig); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVerifyGroup8 is one full group through Verifier.VerifyGroup on
+// one goroutine — eight wire-decoded signatures, eight scalar prepares, one
+// lane pass for the eight pairing products, eight challenge hashes — and
+// reports the time per signature next to what Verifier.Verify costs the
+// same signature alone (BenchmarkVerify times the reference verifier).
+func BenchmarkVerifyGroup8(b *testing.B) {
+	pk, keys := benchSetup(b, 2)
+	items := make([]BatchItem, 8)
+	for i := range items {
+		msg := []byte(fmt.Sprintf("benchmark message %d", i))
+		sig, err := Sign(rand.Reader, pk, keys[i%2], msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sig, err = ParseSignature(sig.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		items[i] = BatchItem{Msg: msg, Sig: sig}
+	}
+	ver := NewVerifier(pk)
+	for _, bc := range []struct {
+		name   string
+		sigs   int
+		verify func() error
+	}{
+		{"group", len(items), func() error { return errors.Join(ver.VerifyGroup(items)...) }},
+		{"alone", 1, func() error { return ver.Verify(items[0].Msg, items[0].Sig) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := bc.verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*bc.sigs), "µs/sig")
+		})
 	}
 }
 

@@ -48,6 +48,19 @@
 // randomized pairing product can do — a product proves a conjunction — so
 // what can shrink is the constant, not the shape.
 //
+// Verification has a reference, Verify, that keeps the paper's layout of
+// Eq.2, and the Verifier (batch.go), which routers use: one implementation,
+// verifyGroup, in three steps — the G1 side of a signature (4
+// multi-exponentiations), the pairing product R̃2 = e(A, g2)·e(B, w) against
+// two prepared G2 points, the challenge comparison. Only the middle step
+// looks at how many signatures there are: two or more go through one pass of
+// the lane-parallel tower, eight R̃2 to a pass; one, or any number where the
+// CPU lacks the kernels, through MillerCombined and Finalize each. That is
+// SIMD over independent signatures, not aggregation — every challenge still
+// binds its own R̃2, so every slot keeps its own verdict, the verdict it
+// would get alone. Verify, VerifyGroup, BatchVerify and the router's M.2
+// path are all this code.
+//
 // Every signing/verification entry point has a *Counted variant that
 // reports how many group exponentiations and pairings were performed, used
 // by the benchmark harness to reproduce the paper's operation-count claims

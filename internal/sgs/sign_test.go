@@ -164,10 +164,11 @@ func TestSignConcurrentColdKey(t *testing.T) {
 	}
 }
 
-// TestVerifiersAgreeOnRejections pins the precomputed-table Verifier (single
-// and batch) to the reference Verify on every rejection class, with the same
-// error text. The router reports the batch verifier's error as is; this
-// table is what lets it skip a reference re-check on the reject path.
+// TestVerifiersAgreeOnRejections pins the precomputed-table Verifier (single,
+// batch, and one group through the lane pass) to the reference Verify on
+// every rejection class, with the same error text. The router reports the
+// group verifier's error as is; this table is what lets it skip a reference
+// re-check on the reject path.
 func TestVerifiersAgreeOnRejections(t *testing.T) {
 	s := newTestSetup(t, 1)
 	other := newTestSetup(t, 1)
@@ -230,19 +231,17 @@ func TestVerifiersAgreeOnRejections(t *testing.T) {
 		}
 	}
 
-	same := func(a, b error) bool {
-		if a == nil || b == nil {
-			return a == b
-		}
-		return a.Error() == b.Error() && errors.Is(a, ErrInvalidSignature)
-	}
 	batchErrs := ver.BatchVerify(items)
+	groupErrs := ver.VerifyGroup(items)
 	for i, tc := range cases {
-		if got := ver.Verify(items[i].Msg, items[i].Sig); !same(got, refErrs[i]) {
+		if got := ver.Verify(items[i].Msg, items[i].Sig); !sameVerdict(got, refErrs[i]) {
 			t.Errorf("%s: Verifier.Verify = %v, reference = %v", tc.name, got, refErrs[i])
 		}
-		if !same(batchErrs[i], refErrs[i]) {
+		if !sameVerdict(batchErrs[i], refErrs[i]) {
 			t.Errorf("%s: BatchVerify = %v, reference = %v", tc.name, batchErrs[i], refErrs[i])
+		}
+		if !sameVerdict(groupErrs[i], refErrs[i]) {
+			t.Errorf("%s: VerifyGroup = %v, reference = %v", tc.name, groupErrs[i], refErrs[i])
 		}
 	}
 }

@@ -171,11 +171,18 @@ func TestPuzzleGateLiveWire(t *testing.T) {
 		t.Fatal("confirm for the wrong session")
 	}
 
-	// A fresh beacon now advertises the challenge to everyone.
-	if _, err := raw.WriteTo(breq, srv.Addr()); err != nil {
-		t.Fatal(err)
+	// A fresh beacon now advertises the challenge to everyone — once the
+	// sampler's next tick has seen the difficulty move and dropped the cached
+	// calm-network frame, which a warm run reaches this line ahead of.
+	var b2 *core.Beacon
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if _, err := raw.WriteTo(breq, srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if b2 = readMessage(t, raw, KindBeacon).(*core.Beacon); b2.Puzzle != nil {
+			break
+		}
 	}
-	b2 := readMessage(t, raw, KindBeacon).(*core.Beacon)
 	if b2.Puzzle == nil || b2.Puzzle.Difficulty != need {
 		t.Fatalf("storm beacon puzzle %+v, want difficulty %d", b2.Puzzle, need)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +31,6 @@ type ServerConfig struct {
 	// QueueCapacity bounds the ingest queue (backpressure under
 	// overload). Default 1024.
 	QueueCapacity int
-	// MaxBatch bounds one verification batch. Default 4 × NumCPU.
-	MaxBatch int
 	// ReplyCacheSize bounds the duplicate-suppression cache of answered
 	// exchanges (striped FIFO eviction). Default 4096.
 	ReplyCacheSize int
@@ -101,9 +98,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.QueueCapacity < 1 {
 		c.QueueCapacity = 1024
 	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 4 * runtime.NumCPU()
-	}
 	if c.ReplyCacheSize < 1 {
 		c.ReplyCacheSize = 4096
 	}
@@ -141,7 +135,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // datagrams, decode frames with per-shard scratch state, answer beacon
 // solicitations from a cached frame, serve ticket resumptions inline
 // (symmetric crypto only), and feed access requests through the router's
-// bounded ingest queue so bursts hit the batch-verification pipeline.
+// bounded ingest queue, whose drainers verify what a burst leaves waiting
+// side by side.
 type Server struct {
 	cfg     ServerConfig
 	conns   []net.PacketConn
@@ -221,7 +216,7 @@ func newServer(conns []net.PacketConn, router *core.MeshRouter, cfg ServerConfig
 		cfg:        cfg,
 		conns:      conns,
 		router:     router,
-		queue:      core.NewIngestQueue(router, cfg.QueueCapacity, cfg.MaxBatch),
+		queue:      core.NewIngestQueue(router, cfg.QueueCapacity),
 		stats:      NewStats(cfg.Metrics),
 		tickets:    cfg.TicketKeys,
 		replies:    newReplyCache(cfg.ReplyCacheSize),
@@ -433,7 +428,7 @@ type shardLoop struct {
 // longer takes explicit ownership (Ring.Retain / clone) — there is no
 // implicit "finish before the next read reuses buf" contract anymore.
 // Expensive work (signature verification) happens on the ingest queue's
-// drainer and the per-reply goroutines; resumes, keepalives, and data
+// drainers and the per-reply goroutines; resumes, keepalives, and data
 // frames are symmetric-crypto cheap and are served inline with per-loop
 // scratch state, so the steady-state decode, open, and sealed-echo paths
 // allocate nothing. Replies coalesce in the egress and leave in one
