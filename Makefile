@@ -2,6 +2,10 @@
 
 GO ?= go
 
+# The backbone control-plane tests that run several nodes' read loops,
+# tickers and floods against each other; the race runs repeat them.
+BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce)$$
+
 .PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint harness-lint meshd-loopback meshd-drill chaos-soak restart-soak metro-soak attack-soak
 
 all: build test
@@ -31,7 +35,7 @@ ci:
 	@if [ "$$($(GO) env GOARCH)" = amd64 ]; then \
 		echo "$(GO) test ./internal/bn256/ ./internal/sgs/ -args -maskifma"; \
 		$(GO) test ./internal/bn256/ ./internal/sgs/ -args -maskifma; fi
-	$(GO) test -race ./internal/core/ ./internal/mesh/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/
+	$(MAKE) race
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz
 	$(MAKE) chaos-soak
@@ -61,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalRouterWelcome$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalLinkEnvelope$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalGossipBody$$' -fuzztime=10s
+	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalOwnerAds$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalRelayBody$$' -fuzztime=10s
 	$(GO) test ./internal/puzzle/ -run='^$$' -fuzz='^FuzzUnmarshalPuzzle$$' -fuzztime=10s
 	$(GO) test ./internal/puzzle/ -run='^$$' -fuzz='^FuzzVerifySolution$$' -fuzztime=10s
@@ -146,6 +151,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/mesh/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/
+	$(GO) test -race -count=10 ./internal/backbone/ -run='$(BACKBONE_PLANE_TESTS)'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -163,13 +169,16 @@ bench:
 # eight of — and, at one and two CPUs, the 16-token sweep, a group of eight
 # signatures through one verify lane pass against one signature alone, and
 # the router's whole M.2 path per request for 1, 8, 16 and 32 wire-decoded
-# requests against a 16-token URL.
+# requests against a 16-token URL. Last the backbone: one tick of a
+# two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
+# in time and in bytes), and a link from AddPeer to reachable.
 bench-smoke:
 	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|PreparedMiller|FinalExponentiation)$$' -benchtime=200x
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x
 	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkHandleM2Batch$$' -cpu 1,2 -benchtime=10x
+	$(GO) test ./internal/backbone/ -run='^$$' -bench='^Benchmark(NodeTick|LinkUp)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1
 
 experiments:

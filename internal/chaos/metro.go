@@ -71,6 +71,9 @@ type MetroReport struct {
 	HandoffsOut   int64 `json:"handoffs_out"`
 	FramesRelayed int64 `json:"frames_relayed"`
 	Delivered     int64 `json:"data_delivered"`
+	// OversizeDrops counts backbone envelopes some router could not fit
+	// into a datagram; it must be zero.
+	OversizeDrops int64 `json:"backbone_oversize_drops"`
 
 	// Injected sums the fault counters over every backbone socket.
 	Injected Counters `json:"injected"`
@@ -242,6 +245,14 @@ func (tb *Testbed) RoamingWave(ctx context.Context, moves int) *MetroReport {
 	}
 	if rep.Delivered < wantDelivered {
 		rep.violate("delivered = %d, want ≥ %d", rep.Delivered, wantDelivered)
+	}
+	// Rounds and announces are cut to the egress buffer class, far below a
+	// datagram; a refusal means some backbone message grew past both.
+	for _, s := range tb.Servers {
+		rep.OversizeDrops += s.Stats().Snapshot().Value("backbone_oversize_drops")
+	}
+	if rep.OversizeDrops != 0 {
+		rep.violate("backbone_oversize_drops = %d: a backbone envelope outgrew a datagram", rep.OversizeDrops)
 	}
 	return rep
 }

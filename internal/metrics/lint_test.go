@@ -4,6 +4,7 @@ import (
 	"net"
 	"testing"
 
+	"github.com/peace-mesh/peace/internal/backbone"
 	"github.com/peace-mesh/peace/internal/chaos"
 	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/metrics"
@@ -30,8 +31,26 @@ func TestInstrumentNamingLint(t *testing.T) {
 	chaosReg := metrics.NewRegistry()
 	chaos.WrapInRegistry(pc, chaos.FaultPlan{}, chaos.FaultPlan{}, 1, chaosReg)
 
+	// A router's backbone node registers its instruments in its server's
+	// registry, so that is the transport namespace to lint.
+	srvConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewServer(srvConn, ln.Routers[0], transport.ServerConfig{})
+	defer srv.Close()
+	bbConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := backbone.NewNode(bbConn, srv, backbone.Config{})
+	defer node.Close()
+	if _, ok := srv.Stats().Snapshot().Get("backbone_oversize_drops"); !ok {
+		t.Error("the backbone node's instruments are missing from its server's registry")
+	}
+
 	regs := map[string]metrics.Snapshot{
-		"transport": transport.NewStats(nil).Snapshot(),
+		"transport": srv.Stats().Snapshot(),
 		"router":    ln.Routers[0].Metrics().Snapshot(),
 		"chaos":     chaosReg.Snapshot(),
 	}

@@ -233,29 +233,66 @@ func FuzzUnmarshalLinkEnvelope(f *testing.F) {
 
 // FuzzUnmarshalGossipBody covers the gossip-round decoder. The body is
 // authenticated link plaintext, but a hostile (certified-then-compromised)
-// peer controls it fully, so it must fail cleanly on any mutation.
+// peer controls it fully, so it must fail cleanly on any mutation —
+// a truncated acknowledgement or base field included.
 func FuzzUnmarshalGossipBody(f *testing.F) {
-	var next, prev [32]byte
-	next[0], prev[0] = 1, 2
 	body := &GossipBody{
 		BootEpoch: 42,
+		AdAck:     6000,
+		AdBase:    17,
 		Routes:    []RouteAd{{Router: "metro-r02", Hops: 2}},
-		Owners: []OwnerAd{{
-			Next: next, Prev: prev,
-			Owner: "metro-r01", PrevRouter: "metro-r00",
-			Expires: time.Unix(1700000003, 0).UTC(),
-		}},
 	}
 	f.Add(body.Marshal())
 	f.Add((&GossipBody{}).Marshal())
 	f.Add([]byte{})
+	f.Add(body.Marshal()[:12]) // cut inside the acknowledgement
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalGossipBody(data)
 		if err != nil {
 			return
 		}
+		if len(data) < 28 {
+			t.Fatalf("accepted a %d-byte body: epoch, ack, base and route count need 28", len(data))
+		}
 		if !bytes.Equal(m.Marshal(), data) {
 			t.Fatal("gossip body decode/encode round trip not identical")
+		}
+	})
+}
+
+// FuzzUnmarshalOwnerAds covers the handoff-announce plaintext: the
+// numbered owner ads of a flood, a retransmission or a link-up backlog.
+// Like the gossip body it is peer-controlled link plaintext; the ad count
+// must be bounded by the bytes present and a truncated sequence refused.
+func FuzzUnmarshalOwnerAds(f *testing.F) {
+	var next, prev [32]byte
+	next[0], prev[0] = 1, 2
+	ad := OwnerAd{
+		Seq:  7,
+		Next: next, Prev: prev,
+		Owner: "metro-r01", PrevRouter: "metro-r00",
+		Expires: time.Unix(1700000003, 0).UTC(),
+	}
+	one := AppendOwnerAds(nil, []OwnerAd{ad})
+	f.Add(one)
+	f.Add(AppendOwnerAds(nil, []OwnerAd{ad, {Seq: 8}}))
+	f.Add(AppendOwnerAds(nil, nil))
+	f.Add([]byte{})
+	f.Add(one[:8])                        // cut inside the sequence
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // four billion ads in four bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ads, err := UnmarshalOwnerAds(data)
+		if err != nil {
+			return
+		}
+		if len(ads)*ownerAdMinLen > len(data) {
+			t.Fatalf("%d ads accepted from %d bytes", len(ads), len(data))
+		}
+		if !bytes.Equal(AppendOwnerAds(nil, ads), data) {
+			t.Fatal("owner ads decode/encode round trip not identical")
+		}
+		if n := OwnerAdsFit(ads, len(data)); n != len(ads) {
+			t.Fatalf("OwnerAdsFit says %d of %d ads fit the %d bytes they decoded from", n, len(ads), len(data))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/cert"
@@ -20,7 +21,8 @@ import (
 //     handshake between two routers of one NO.
 //   - LinkEnvelope is the AEAD-sealed carrier of everything the two
 //     routers exchange after the handshake; its plaintext is a
-//     GossipBody, a RelayBody or an OwnerAd depending on the frame kind.
+//     GossipBody, a RelayBody or a list of OwnerAds depending on the
+//     frame kind.
 
 // SessionData is established-session user traffic: the payload is a
 // core.DataFrame sealed under the session key, exactly like a keepalive
@@ -297,10 +299,15 @@ type RouteAd struct {
 // OwnerAd advertises that Owner adopted the session Next (resumed from
 // Prev, previously attached at PrevRouter) and owns it until Expires —
 // the grace window during which the previous router forwards in-flight
-// frames instead of rejecting them. OwnerAd is both the plaintext of a
-// KindHandoffAnnounce envelope (immediate flood) and an element of the
-// periodic GossipBody (the eventual path that heals partitions).
+// frames instead of rejecting them.
+//
+// Seq numbers one copy of the ad on the link it is sealed for: every
+// link direction counts its ads from 1, the receiver acknowledges the
+// highest sequence below which it misses nothing (GossipBody.AdAck), and
+// the sender re-sends what stays unacknowledged. It is not part of the
+// ownership record; a stored record carries 0.
 type OwnerAd struct {
+	Seq        uint64
 	Next       core.SessionID
 	Prev       core.SessionID
 	Owner      string
@@ -308,15 +315,33 @@ type OwnerAd struct {
 	Expires    time.Time
 }
 
-func (a *OwnerAd) append(w *wire.Writer) {
-	w.BytesField(a.Next[:])
-	w.BytesField(a.Prev[:])
-	w.StringField(a.Owner)
-	w.StringField(a.PrevRouter)
-	w.Time(a.Expires)
+// ownerAdMinLen is the encoded size of an OwnerAd with empty router IDs:
+// the sequence, two length-prefixed 32-byte session IDs, two string
+// headers and the expiry.
+const ownerAdMinLen = 8 + 2*(4+32) + 2*4 + 8
+
+func (a *OwnerAd) encodedLen() int {
+	return ownerAdMinLen + len(a.Owner) + len(a.PrevRouter)
+}
+
+func appendOwnerAd(dst []byte, a *OwnerAd) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, a.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Next)))
+	dst = append(dst, a.Next[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Prev)))
+	dst = append(dst, a.Prev[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Owner)))
+	dst = append(dst, a.Owner...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.PrevRouter)))
+	dst = append(dst, a.PrevRouter...)
+	return binary.BigEndian.AppendUint64(dst, uint64(a.Expires.UnixNano()))
 }
 
 func readOwnerAd(r *wire.Reader, a *OwnerAd) error {
+	var err error
+	if a.Seq, err = r.Uint64(); err != nil {
+		return err
+	}
 	next, err := r.BytesField()
 	if err != nil {
 		return err
@@ -345,48 +370,84 @@ func readOwnerAd(r *wire.Reader, a *OwnerAd) error {
 	return nil
 }
 
-// Marshal encodes one owner ad (the handoff-announce plaintext).
-func (a *OwnerAd) Marshal() []byte {
-	w := wire.NewWriter(128 + len(a.Owner) + len(a.PrevRouter))
-	a.append(w)
-	return w.Bytes()
+// OwnerAdsFit returns how many of the leading ads one handoff-announce
+// plaintext of at most max bytes can list — at least one, so a sender
+// cutting a backlog into announces always makes progress.
+func OwnerAdsFit(ads []OwnerAd, max int) int {
+	size := 4
+	for n := range ads {
+		size += ads[n].encodedLen()
+		if size > max && n > 0 {
+			return n
+		}
+	}
+	return len(ads)
 }
 
-// UnmarshalOwnerAd decodes one owner ad.
-func UnmarshalOwnerAd(data []byte) (*OwnerAd, error) {
+// AppendOwnerAds appends the handoff-announce plaintext listing ads to
+// dst. Every owner ad travels this way and no other: the immediate flood
+// of a fresh handoff lists one, a retransmission round or the backlog of
+// a new link as many as OwnerAdsFit allows per envelope.
+func AppendOwnerAds(dst []byte, ads []OwnerAd) []byte {
+	size := 4
+	for i := range ads {
+		size += ads[i].encodedLen()
+	}
+	dst = slices.Grow(dst, size)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ads)))
+	for i := range ads {
+		dst = appendOwnerAd(dst, &ads[i])
+	}
+	return dst
+}
+
+// UnmarshalOwnerAds decodes a handoff-announce plaintext.
+func UnmarshalOwnerAds(data []byte) ([]OwnerAd, error) {
 	r := wire.NewReader(data)
-	a := &OwnerAd{}
-	if err := readOwnerAd(r, a); err != nil {
+	n, err := r.Count(ownerAdMinLen)
+	if err != nil {
 		return nil, err
+	}
+	ads := make([]OwnerAd, n)
+	for i := range ads {
+		if err := readOwnerAd(r, &ads[i]); err != nil {
+			return nil, err
+		}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	return a, nil
+	return ads, nil
 }
 
-// GossipBody is one periodic gossip round on a link: the sender's boot
-// epoch, its distance-vector view of router reachability, and the owner
-// ads it still holds (so a router that missed the immediate announce —
-// e.g. across a partition — converges on the next round).
+// GossipBody is one gossip round on a link: the sender's boot epoch, its
+// acknowledgement of the receiver's owner ads, and its distance-vector
+// view of router reachability. It carries no owner ads itself, so its
+// size depends on the number of routers, never on the handoff rate.
 type GossipBody struct {
 	BootEpoch uint64
-	Routes    []RouteAd
-	Owners    []OwnerAd
+	// AdAck is the highest ad sequence such that the sender holds every
+	// ad the receiver numbered at or below it on this link (or the
+	// receiver gave it up, see AdBase).
+	AdAck uint64
+	// AdBase is the lowest ad sequence the sender still holds
+	// unacknowledged for the receiver; one past the last it assigned when
+	// it holds none. Everything below is acknowledged or expired, so the
+	// receiver stops waiting for it.
+	AdBase uint64
+	Routes []RouteAd
 }
 
 // Marshal encodes the gossip body.
 func (m *GossipBody) Marshal() []byte {
-	w := wire.NewWriter(64 + 32*len(m.Routes) + 160*len(m.Owners))
+	w := wire.NewWriter(32 + 32*len(m.Routes))
 	w.Uint64(m.BootEpoch)
+	w.Uint64(m.AdAck)
+	w.Uint64(m.AdBase)
 	w.Uint32(uint32(len(m.Routes)))
 	for i := range m.Routes {
 		w.StringField(m.Routes[i].Router)
 		w.Uint32(m.Routes[i].Hops)
-	}
-	w.Uint32(uint32(len(m.Owners)))
-	for i := range m.Owners {
-		m.Owners[i].append(w)
 	}
 	return w.Bytes()
 }
@@ -399,6 +460,12 @@ func UnmarshalGossipBody(data []byte) (*GossipBody, error) {
 	if m.BootEpoch, err = r.Uint64(); err != nil {
 		return nil, err
 	}
+	if m.AdAck, err = r.Uint64(); err != nil {
+		return nil, err
+	}
+	if m.AdBase, err = r.Uint64(); err != nil {
+		return nil, err
+	}
 	nr, err := r.Count(8) // ≥ 4-byte string header + 4-byte hops each
 	if err != nil {
 		return nil, err
@@ -409,16 +476,6 @@ func UnmarshalGossipBody(data []byte) (*GossipBody, error) {
 			return nil, err
 		}
 		if m.Routes[i].Hops, err = r.Uint32(); err != nil {
-			return nil, err
-		}
-	}
-	no, err := r.Count(96) // two 32-byte ids + headers + time, at least
-	if err != nil {
-		return nil, err
-	}
-	m.Owners = make([]OwnerAd, no)
-	for i := range m.Owners {
-		if err := readOwnerAd(r, &m.Owners[i]); err != nil {
 			return nil, err
 		}
 	}

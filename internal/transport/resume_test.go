@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -366,5 +367,114 @@ func TestMaintainResumesAfterRestart(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("maintain exited with %v", err)
+	}
+}
+
+// handoffRecorder is a HandoffObserver that notes, each time it runs,
+// which replies the server's cache holds at that moment. The server calls
+// it on a shard loop; the test reads it through seen.
+type handoffRecorder struct {
+	srv      *Server
+	mu       sync.Mutex
+	calls    int
+	confirms int // cached ResumeConfirm frames seen by the last call
+	inFlight int // claimed exchanges without a reply seen by the last call
+}
+
+func (h *handoffRecorder) HandoffAdopted(prev, next core.SessionID, prevRouter string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.calls++
+	h.confirms, h.inFlight = 0, 0 // of this call
+	for i := range h.srv.replies.stripes {
+		s := &h.srv.replies.stripes[i]
+		s.mu.Lock()
+		for _, e := range s.m {
+			if e.frame == nil {
+				h.inFlight++
+			} else if k, _, err := DecodeFrame(e.frame); err == nil && k == KindResumeConfirm {
+				h.confirms++
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
+func (h *handoffRecorder) seen() (calls, confirms, inFlight int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.calls, h.confirms, h.inFlight
+}
+
+// TestHandoffAnnouncedAfterConfirm roams a ticket to a second router and
+// checks the order of the adopting server's work: by the time the
+// backbone observer runs — and seals its flood — the confirm is already
+// in the reply cache, so the announcement costs the client's round trip
+// nothing and a request whose confirm failed would have announced
+// nothing. The adoption is still counted, and a replayed request gets
+// the cached confirm without a second announcement.
+func TestHandoffAnnouncedAfterConfirm(t *testing.T) {
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := symcrypto.NewTicketKeyRing(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := NewServer(mustListen(t), ln.Routers[0], ServerConfig{TicketKeys: ring, BootEpoch: 71})
+	t.Cleanup(home.Close)
+	away := NewServer(mustListen(t), ln.Routers[1], ServerConfig{TicketKeys: ring, BootEpoch: 72})
+	t.Cleanup(away.Close)
+	rec := &handoffRecorder{srv: away}
+	away.SetBackbone(nil, rec)
+
+	conn := mustListen(t)
+	t.Cleanup(func() { conn.Close() })
+	var captured []byte
+	cl := NewClient(newScriptedConn(conn, func(p []byte) bool {
+		if k, _, err := DecodeFrame(p); err == nil && k == KindResumeRequest {
+			captured = append([]byte(nil), p...)
+		}
+		return false
+	}), home.Addr(), ln.Users[0], testClientConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := cl.Attach(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cl.Retarget(away.Addr())
+	if _, err := cl.Resume(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	calls, confirms, inFlight := rec.seen()
+	if calls != 1 {
+		t.Fatalf("observer ran %d times, want 1", calls)
+	}
+	if confirms != 1 || inFlight != 0 {
+		t.Fatalf("observer ran with %d cached confirms and %d exchanges still in flight, want 1 and 0",
+			confirms, inFlight)
+	}
+	if got := away.Stats().HandoffsIn(); got != 1 {
+		t.Fatalf("handoffs_in = %d, want 1", got)
+	}
+
+	attacker := mustListen(t)
+	defer attacker.Close()
+	if _, err := attacker.WriteTo(captured, away.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	_ = attacker.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 65536)
+	n, _, err := attacker.ReadFrom(buf)
+	if err != nil {
+		t.Fatalf("replayed request: expected the cached confirm: %v", err)
+	}
+	if k, _, err := DecodeFrame(buf[:n]); err != nil || k != KindResumeConfirm {
+		t.Fatalf("replay answered with %v, %v", k, err)
+	}
+	if calls, _, _ := rec.seen(); calls != 1 || away.Stats().HandoffsIn() != 1 {
+		t.Fatalf("replay announced again: observer calls %d, handoffs_in %d", calls, away.Stats().HandoffsIn())
 	}
 }

@@ -865,14 +865,10 @@ func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.
 	}
 	sess := core.ResumeSession(t.Prev, t.Secret[:], req.Nonce[:], serverNonce[:], "user", now)
 	s.router.AdoptResumedSession(sess, escrow)
-	// A ticket another router of this NO issued means the user roamed:
-	// count the adoption and let the backbone announce the ownership
-	// transfer so the previous router forwards in-flight frames.
-	if t.Router != "" && t.Router != s.router.ID() {
+	// A ticket another router of this NO issued means the user roamed.
+	roamed := t.Router != "" && t.Router != s.router.ID()
+	if roamed {
 		s.stats.handoffsIn.Add(1)
-		if hooks := s.backbone.Load(); hooks != nil && hooks.observe != nil {
-			hooks.observe.HandoffAdopted(t.Prev, sess.ID, t.Router)
-		}
 	}
 
 	newTicket, err := s.issueTicket(sess, t.Escrow)
@@ -899,6 +895,16 @@ func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.
 	s.stats.ticketsIssued.Add(1)
 	s.replies.fulfill(sid, frame)
 	l.eg.Queue(frame, addr)
+	// Only now, with the confirm cached and queued, does the backbone
+	// announce the ownership transfer (so the previous router forwards
+	// in-flight frames): sealing the flood stays off the client's round
+	// trip, and a request whose confirm could not be built announces
+	// nothing.
+	if roamed {
+		if hooks := s.backbone.Load(); hooks != nil && hooks.observe != nil {
+			hooks.observe.HandoffAdopted(t.Prev, sess.ID, t.Router)
+		}
+	}
 }
 
 // handleSessionPing answers a keepalive ping. Only a server that still
