@@ -12,7 +12,7 @@ all: build test
 
 # ci is the full gate: static checks, build, tests, the race detector
 # over every package with concurrent paths (batch verifier, ingest queue,
-# transport datapath, mesh forwarding, relay), and a short fuzz smoke of
+# transport datapath, backbone, relay), and a short fuzz smoke of
 # every wire-facing decoder. The bn256 kernels (field multiplication, and
 # the AVX-512 IFMA lanes the revocation scan and grouped verification run
 # on) have an assembly path and a Go one, so bn256 and sgs are tested three
@@ -83,10 +83,9 @@ metrics-lint:
 
 # harness-lint keeps drivers out of what ships: the daemon, the key tool
 # and the two production packages under them may not depend, even
-# transitively, on the fault-injection testbed, the simulator or the
-# experiments.
+# transitively, on the fault-injection testbed or the experiments.
 harness-lint:
-	@bad="$$($(GO) list -deps ./cmd/meshd ./cmd/peacekeys ./internal/transport ./internal/backbone | grep -E 'internal/(chaos|mesh|experiments)$$')"; \
+	@bad="$$($(GO) list -deps ./cmd/meshd ./cmd/peacekeys ./internal/transport ./internal/backbone | grep -E 'internal/(chaos|experiments)$$')"; \
 	if [ -n "$$bad" ]; then echo "harness imported by a production package:"; echo "$$bad"; exit 1; fi
 
 # staticcheck runs when the binary is present and is skipped (loudly) when
@@ -152,7 +151,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/mesh/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/
+	$(GO) test -race ./internal/core/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/
 	$(GO) test -race -count=10 ./internal/backbone/ -run='$(BACKBONE_PLANE_TESTS)'
 
 bench:
@@ -193,10 +192,8 @@ experiments:
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/audittrace
-	$(GO) run ./examples/dosdefense
 	$(GO) run ./examples/keyrotation
 	$(GO) run ./examples/anoncomm
-	$(GO) run ./examples/citymesh
 
 vet:
 	$(GO) vet ./...

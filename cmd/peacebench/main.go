@@ -20,12 +20,14 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/experiments"
+	"github.com/peace-mesh/peace/internal/transport"
 )
 
 // benchJSON is the machine-readable record written by -json: op counts,
@@ -322,34 +324,33 @@ func runE3(urlSizes []int, iters int) error {
 }
 
 func runE4() error {
-	header("E4: three-message AKA over the simulated mesh (paper V.C)")
-	rep, err := experiments.RunE4Handshake(4, 5_000_000 /* 5ms */)
+	header("E4: three-message AKA on a tapped UDP testbed link (paper V.C)")
+	rep, err := experiments.RunE4Handshake()
 	if err != nil {
 		return err
 	}
+	kinds := make([]transport.Kind, 0, len(rep.Frames))
+	for k := range rep.Frames {
+		kinds = append(kinds, k)
+	}
+	slices.Sort(kinds)
 	w := table()
-	fmt.Fprintln(w, "uplink hops\tattach delay (virtual)\tAKA messages on air")
-	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%d\t%v\t%d (+1 shared beacon)\n", r.Hops, r.AttachDelay, r.MessagesSent)
+	fmt.Fprintln(w, "message\tframes\tbytes")
+	for _, k := range kinds {
+		fmt.Fprintf(w, "%s\t%d\t%d\n", k, rep.Frames[k], rep.Bytes[k])
 	}
 	w.Flush()
-	fmt.Printf("three-message property observed: %v\n", rep.ThreeMessages)
+	fmt.Printf("three-message property observed (1 M.1 + 1 M.2 + 1 M.3): %v\n", rep.ThreeMessages)
 
 	lossy, err := experiments.RunE4Lossy([]float64{0, 0.1, 0.3, 0.5})
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nlossy-link attachment (beacon-driven retry):")
+	fmt.Println("\nlossy client links (drop per datagram, each direction):")
 	w = table()
-	fmt.Fprintln(w, "loss\tattached\tframes lost")
+	fmt.Fprintln(w, "loss\tattached\tattach attempts\tretransmits\tdatagrams dropped")
 	for _, r := range lossy {
-		fmt.Fprintf(w, "%.0f%%\t%d/%d\t%d\n", r.Loss*100, r.Attached, r.Users, r.FramesLost)
-	}
-	w.Flush()
-	fmt.Println("\ntraffic totals:")
-	w = table()
-	for k, v := range rep.FramesByMessage {
-		fmt.Fprintf(w, "  %s\tframes=%d\tbytes=%d\n", k, v, rep.BytesByMessage[k])
+		fmt.Fprintf(w, "%.0f%%\t%d/%d\t%d\t%d\t%d\n", r.Loss*100, r.Attached, r.Users, r.Attempts, r.Retransmits, r.Dropped)
 	}
 	w.Flush()
 	return nil
@@ -379,7 +380,7 @@ func runE5(iters int) error {
 }
 
 func runE6(floods []int) error {
-	header("E6: DoS flooding with and without client puzzles (paper V.A)")
+	header("E6: forged-M.2 flood with and without client puzzles, UDP testbed (paper V.A)")
 	rows, err := experiments.RunE6DoS(floods)
 	if err != nil {
 		return err
@@ -418,7 +419,7 @@ func runE7(grtSizes []int) error {
 }
 
 func runE8() error {
-	header("E8: attack-resilience scenarios (paper V.A)")
+	header("E8: attack-resilience scenarios, UDP testbed and in-process (paper V.A)")
 	rows, err := experiments.RunE8Attacks()
 	if err != nil {
 		return err
@@ -527,9 +528,7 @@ func runE12(iters int) error {
 	fmt.Fprintf(w, "sequential Verify ×%d\t%v\t1.00x\n", rep.BatchSize, rep.SequentialPer)
 	fmt.Fprintf(w, "BatchVerify(%d)\t%v\t%.2fx\n", rep.BatchSize, rep.BatchPer, rep.Speedup)
 	w.Flush()
-	fmt.Printf("per signature: Verify %d exps + %d pairings, BatchVerify %d + %d; slot %d forged: Verify rejects %v, BatchVerify rejects %v\n",
-		rep.ReferenceCounts.Exps, rep.ReferenceCounts.Pairings+rep.ReferenceCounts.GTExps,
-		rep.BatchCounts.Exps, rep.BatchCounts.Pairings, rep.ForgedSlot, rep.ReferenceRejects, rep.BatchRejects)
+	fmt.Printf("slot %d forged: BatchVerify rejects %v\n", rep.ForgedSlot, rep.BatchRejects)
 	fmt.Printf("\nrevocation sweep over %d tokens:\n", rep.URLSize)
 	w = table()
 	fmt.Fprintln(w, "workers\tper token")

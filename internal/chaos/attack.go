@@ -2,17 +2,22 @@ package chaos
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 	mrand "math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/peace-mesh/peace/internal/bn256"
+	"github.com/peace-mesh/peace/internal/cert"
 	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/puzzle"
 	"github.com/peace-mesh/peace/internal/revocation"
+	"github.com/peace-mesh/peace/internal/sgs"
 	"github.com/peace-mesh/peace/internal/transport"
 	"github.com/peace-mesh/peace/internal/wire"
 )
@@ -176,6 +181,171 @@ func skeletonAccessFrame(prng *mrand.Rand) []byte {
 		panic(err)
 	}
 	return frame
+}
+
+// Recorder keeps a copy of every datagram a tap shows it: the passive
+// eavesdropper of Section V.A on the links it is installed on
+// (conn.Tap(rec.Record)). It is safe for concurrent use.
+type Recorder struct {
+	mu        sync.Mutex
+	datagrams [][]byte
+}
+
+// Record is the TapFunc.
+func (r *Recorder) Record(_ Direction, _ net.Addr, data []byte) {
+	cp := append([]byte(nil), data...)
+	r.mu.Lock()
+	r.datagrams = append(r.datagrams, cp)
+	r.mu.Unlock()
+}
+
+// Datagrams returns what was recorded so far, in order.
+func (r *Recorder) Datagrams() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([][]byte(nil), r.datagrams...)
+}
+
+// Frames returns the recorded datagrams that decode as frames of kind k.
+func (r *Recorder) Frames(k transport.Kind) [][]byte {
+	var out [][]byte
+	for _, d := range r.Datagrams() {
+		if kind, _, err := transport.DecodeFrame(d); err == nil && kind == k {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// SolicitBeacon asks the router at addr for its current beacon (M.1) over
+// conn, as any station in range can, and returns it unverified.
+func SolicitBeacon(conn net.PacketConn, addr net.Addr) (*core.Beacon, error) {
+	solicit, err := transport.EncodeMessage(&transport.BeaconRequest{})
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, transport.HeaderSize+transport.MaxPayload)
+	for try := 0; try < 10; try++ {
+		if _, err := conn.WriteTo(solicit, addr); err != nil {
+			return nil, err
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+			return nil, err
+		}
+		for {
+			n, _, err := conn.ReadFrom(buf)
+			if err != nil {
+				break // solicit again
+			}
+			if kind, payload, err := transport.DecodeFrame(buf[:n]); err == nil && kind == transport.KindBeacon {
+				return core.UnmarshalBeacon(payload)
+			}
+		}
+	}
+	return nil, fmt.Errorf("chaos: no beacon from %v", addr)
+}
+
+// ForgedAccessFrame is the outsider injector's M.2 (Section V.A): it
+// decodes, echoes the g^{r_R} of a beacon the attacker solicited itself and
+// carries a fresh timestamp, so it passes every cheap check and reaches
+// group-signature verification — with a signature of random components, the
+// best a non-member can make, and no puzzle solution.
+func ForgedAccessFrame(gr *bn256.G1) ([]byte, error) {
+	// The exponents of g^{r_j}, T1 and T2, then r, c, s_α, s_x and s_δ.
+	var k [8]*big.Int
+	for i := range k {
+		var err error
+		if k[i], err = bn256.RandomScalar(rand.Reader); err != nil {
+			return nil, err
+		}
+	}
+	return transport.EncodeMessage(&core.AccessRequest{
+		GJ:        new(bn256.G1).ScalarBaseMult(k[0]),
+		GR:        gr,
+		Timestamp: time.Now(),
+		Sig: &sgs.Signature{
+			Mode: sgs.PerMessageGenerators,
+			T1:   new(bn256.G1).ScalarBaseMult(k[1]),
+			T2:   new(bn256.G1).ScalarBaseMult(k[2]),
+			R:    k[3], C: k[4], SAlpha: k[5], SX: k[6], SDelta: k[7],
+		},
+	})
+}
+
+// injectWindow is how many injected access requests may await their answer.
+const injectWindow = 16
+
+// Inject writes frames of access requests to the router at addr, never
+// more than injectWindow of them unanswered, and returns how many the
+// router answered. The router answers every access request it decodes, with
+// an M.3 or a Reject, so the window paces a flood to what the router's
+// socket buffer holds and every frame is accounted for.
+func Inject(conn net.PacketConn, addr net.Addr, frames [][]byte) (int, error) {
+	buf := make([]byte, transport.HeaderSize+transport.MaxPayload)
+	sent, answered := 0, 0
+	for answered < len(frames) {
+		for ; sent < len(frames) && sent-answered < injectWindow; sent++ {
+			if _, err := conn.WriteTo(frames[sent], addr); err != nil {
+				return answered, err
+			}
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			return answered, err
+		}
+		n, _, err := conn.ReadFrom(buf)
+		if err != nil {
+			return answered, fmt.Errorf("chaos: %d of %d injected frames unanswered: %w", len(frames)-answered, len(frames), err)
+		}
+		if kind, _, err := transport.DecodeFrame(buf[:n]); err == nil && (kind == transport.KindReject || kind == transport.KindAccessConfirm) {
+			answered++
+		}
+	}
+	return answered, nil
+}
+
+// Replay re-sends captured frames, byte for byte, to addr over conn — the
+// replay attacker, who holds nothing but what a tap recorded.
+func Replay(conn net.PacketConn, addr net.Addr, frames [][]byte) error {
+	for _, f := range frames {
+		if _, err := conn.WriteTo(f, addr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// NewRogueRouter serves the phishing router of Section V.A on loopback: a
+// real core.MeshRouter named id behind transport.NewServer, holding a
+// certificate it issued itself (it has no NSK) and ln's genuine revocation
+// bundles, which are public. Victims must refuse its beacon in Step 2.1,
+// before any M.2: its router's RequestsSeen counts the M.2s it lured. The
+// caller closes the server.
+func NewRogueRouter(ln *transport.LocalNetwork, id string) (*transport.Server, error) {
+	r, err := core.NewMeshRouter(ln.Cfg, id, ln.NO.Authority(), ln.NO.GroupPublicKey())
+	if err != nil {
+		return nil, err
+	}
+	self, err := cert.GenerateKeyPair(rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	c, err := cert.IssueCertificate(rand.Reader, self, id, r.Public(), time.Now().Add(time.Hour))
+	if err != nil {
+		return nil, err
+	}
+	r.SetCertificate(c)
+	crl, url, err := ln.NO.RevocationBundles()
+	if err != nil {
+		return nil, err
+	}
+	if err := r.UpdateRevocations(crl, url); err != nil {
+		return nil, err
+	}
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewServer(conn, r, transport.ServerConfig{}), nil
 }
 
 // replayResumeFrame grafts a solved puzzle triple onto a garbage resume

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/metrics"
@@ -65,9 +66,40 @@ type Conn struct {
 	heldRead    *packet  // reorder: incoming datagram awaiting its successor
 	pendingRead []packet // duplicates and released reorders to deliver next
 
+	// tap, when set, sees every datagram in the clear (see Tap).
+	tap atomic.Pointer[TapFunc]
+
 	// The soak judges (via Counters) and a /metrics scrape read the same
 	// instruments.
 	injected
+}
+
+// Direction says which way a tapped datagram crossed a Conn.
+type Direction uint8
+
+const (
+	// Sent is a datagram this endpoint wrote, as written: before the Out
+	// faults.
+	Sent Direction = iota + 1
+	// Received is a datagram this endpoint read, as delivered: after the In
+	// faults.
+	Received
+)
+
+// TapFunc observes one datagram crossing a Conn: its direction, the remote
+// address it went to or came from, and its bytes, which are only valid
+// during the call. Decode them with transport.DecodeFrame.
+type TapFunc func(dir Direction, peer net.Addr, data []byte)
+
+// Tap installs fn on the link, replacing any earlier tap; nil removes it.
+// It is the passive eavesdropper's vantage point: every datagram this
+// endpoint writes, before faults, and every one it reads, after them.
+func (c *Conn) Tap(fn TapFunc) { c.tap.Store(&fn) }
+
+func (c *Conn) tapped(dir Direction, peer net.Addr, data []byte) {
+	if fn := c.tap.Load(); fn != nil && *fn != nil {
+		(*fn)(dir, peer, data)
+	}
 }
 
 // Wrap puts a fault-injecting layer around conn. in and out may differ,
@@ -237,6 +269,7 @@ func clonePacket(p []byte, addr net.Addr) packet {
 // Faulted datagrams still report a successful send — exactly what a lossy
 // radio link looks like to the sender.
 func (c *Conn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	c.tapped(Sent, addr, p)
 	c.mu.Lock()
 	_, plan, partitionUntil := c.faultsFor(addr)
 	if time.Now().Before(partitionUntil) {
@@ -312,6 +345,14 @@ func (c *Conn) flush(extra, release *packet, n int) (int, error) {
 // deadline), corruption mangles the delivered bytes, duplicates and
 // released reorders are queued for the next call.
 func (c *Conn) ReadFrom(p []byte) (int, net.Addr, error) {
+	n, addr, err := c.readFrom(p)
+	if err == nil {
+		c.tapped(Received, addr, p[:n])
+	}
+	return n, addr, err
+}
+
+func (c *Conn) readFrom(p []byte) (int, net.Addr, error) {
 	for {
 		c.mu.Lock()
 		if len(c.pendingRead) > 0 {

@@ -1,10 +1,13 @@
 // Package chaos is the fault-injection harness for the PEACE transport:
 // a deterministic, seeded net.PacketConn wrapper (Conn) that drops,
 // duplicates, reorders, delays and bit-corrupts datagrams and cuts timed
-// bidirectional partitions; one fleet driver (Testbed) that provisions
-// 1..N routers and their users, serves them on loopback UDP — with a
-// backbone ring when N > 1 — and dials, maintains, restarts, re-keys and
-// probes them; and the acceptance drills, each a script over the testbed
+// bidirectional partitions, and whose tap (Conn.Tap, Recorder) is the
+// passive eavesdropper of the paper's Section V.A; that section's active
+// adversaries as plain functions over ordinary sockets (ForgedAccessFrame
+// with Inject, Replay, NewRogueRouter); one fleet driver (Testbed) that
+// provisions 1..N routers and their users, serves them on loopback UDP —
+// with a backbone ring when N > 1 — and dials, maintains, restarts, re-keys
+// and probes them; and the acceptance drills, each a script over the testbed
 // whose report embeds one Verdict: Loopback, RevocationDrill, Soak,
 // RestartSoak, MetroSoak, AttackSoak and AttackLatency. cmd/meshsoak and
 // the tests run them. The invariants they judge:

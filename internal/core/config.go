@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// Clock abstracts time so protocols are testable and the mesh simulator
-// can run on virtual time.
+// Clock abstracts time so protocols are testable on a settable clock.
 type Clock interface {
 	Now() time.Time
 }
@@ -18,7 +17,7 @@ type SystemClock struct{}
 // Now returns the current wall-clock time.
 func (SystemClock) Now() time.Time { return time.Now() }
 
-// FixedClock is a settable clock for tests and simulation.
+// FixedClock is a settable clock for tests.
 type FixedClock struct {
 	T time.Time
 }

@@ -34,6 +34,5 @@
 //     (router.go).
 //
 // All entities are safe for concurrent use unless noted otherwise; time
-// and randomness are injected (Config) so tests and the mesh simulator can
-// run deterministically.
+// and randomness are injected (Config) so tests can run deterministically.
 package core

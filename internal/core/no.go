@@ -299,8 +299,8 @@ func (n *NetworkOperator) GrtSize() int {
 	return len(n.grt)
 }
 
-// TokenOf exposes the token at [group, index]; used by tests and the
-// simulator's adversary to model operator compromise.
+// TokenOf exposes the token at [group, index]; used by tests, drills and
+// experiments to revoke a chosen key or model operator compromise.
 func (n *NetworkOperator) TokenOf(group GroupID, index int) (*sgs.RevocationToken, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -633,8 +633,8 @@ func (r *MeshRouter) LoggedAccessRequest(id SessionID) (*AccessRequest, bool) {
 }
 
 // RetireBeacon marks a beacon's DH share as no longer acceptable (e.g.
-// after its period elapsed). Kept simple: routers in the simulator retire
-// beacons when emitting new ones beyond a window.
+// after its period elapsed). The transport server retires the oldest
+// beacon once more than its BeaconHistory are outstanding.
 func (r *MeshRouter) RetireBeacon(gr *bn256.G1) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -20,9 +20,8 @@ type E12SweepRow struct {
 // Verifier.BatchVerify pipeline (fixed-base tables, both pairings against
 // prepared G2 points under one squaring chain, groups of up to eight
 // signatures to a lane pass), plus the parallel URL sweep at several worker
-// counts. What a test can hold it to is not on the clock: the two verifiers'
-// verdicts on the batch with one slot forged, and the operations each
-// charges per signature.
+// counts. What a test can hold it to is not on the clock: the verdicts on
+// the batch with one slot forged.
 type E12BatchReport struct {
 	BatchSize     int
 	SequentialPer time.Duration
@@ -31,18 +30,10 @@ type E12BatchReport struct {
 	URLSize       int
 	Sweep         []E12SweepRow
 
-	// ForgedSlot is the slot whose signature was damaged for the verdict
-	// comparison; ReferenceRejects and BatchRejects list the slots each
-	// verifier refused.
-	ForgedSlot       int
-	ReferenceRejects []int
-	BatchRejects     []int
-	// ReferenceCounts and BatchCounts are the operations charged per
-	// signature of the untouched batch (the paper's 6 exponentiations and 3
-	// pairings, the third a GT exponentiation of the cached e(g1, g2);
-	// 4 and 2 on the rearranged equation).
-	ReferenceCounts sgs.OpCounts
-	BatchCounts     sgs.OpCounts
+	// ForgedSlot is the slot whose signature was damaged; BatchRejects
+	// lists the slots BatchVerify refused.
+	ForgedSlot   int
+	BatchRejects []int
 }
 
 // RunE12Batch measures a burst of batchSize signatures (distinct signers,
@@ -110,18 +101,6 @@ func RunE12Batch(batchSize, urlSize, iters int) (*E12BatchReport, error) {
 		ForgedSlot:    batchSize / 2,
 	}
 
-	// Operation counts on the untouched batch, then both verifiers' verdicts
-	// with one slot forged.
-	if rep.ReferenceCounts, err = sgs.VerifyCounted(pub, items[0].Msg, items[0].Sig); err != nil {
-		return nil, err
-	}
-	_, total := ver.BatchVerifyCounted(items)
-	rep.BatchCounts = sgs.OpCounts{
-		Exps:     total.Exps / batchSize,
-		GTExps:   total.GTExps / batchSize,
-		Pairings: total.Pairings / batchSize,
-		Hashes:   total.Hashes / batchSize,
-	}
 	forged := append([]sgs.BatchItem(nil), items...)
 	damaged := *forged[rep.ForgedSlot].Sig
 	damaged.SX = new(big.Int).Xor(damaged.SX, big.NewInt(1))
@@ -129,9 +108,6 @@ func RunE12Batch(batchSize, urlSize, iters int) (*E12BatchReport, error) {
 	for i, err := range ver.BatchVerify(forged) {
 		if err != nil {
 			rep.BatchRejects = append(rep.BatchRejects, i)
-		}
-		if sgs.Verify(pub, forged[i].Msg, forged[i].Sig) != nil {
-			rep.ReferenceRejects = append(rep.ReferenceRejects, i)
 		}
 	}
 

@@ -1,165 +1,125 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"github.com/peace-mesh/peace/internal/core"
-	"github.com/peace-mesh/peace/internal/mesh"
+	"github.com/peace-mesh/peace/internal/chaos"
+	"github.com/peace-mesh/peace/internal/transport"
 )
 
-// E4HandshakeRow is one row of the AKA-over-the-mesh experiment: a user at
-// the given uplink hop count, the virtual-time authentication delay, and
-// the exact number of protocol messages it took.
-type E4HandshakeRow struct {
-	Hops        int
-	AttachDelay time.Duration
-	// MessagesSent is the per-AKA message count seen on the medium
-	// attributable to this user's handshake (excluding the shared beacon).
-	MessagesSent int
-}
-
-// E4HandshakeReport aggregates the hop sweep plus global traffic.
+// E4HandshakeReport is what one attach put on its tapped link of a
+// one-router UDP testbed, both directions, by message kind.
 type E4HandshakeReport struct {
-	Rows []E4HandshakeRow
-	// BytesByMessage records total bytes per protocol message type.
-	BytesByMessage map[string]int
-	// FramesByMessage records frame counts per type.
-	FramesByMessage map[string]int
-	// ThreeMessages asserts the paper's claim: each AKA is exactly three
-	// messages (one beacon + one M.2 + one M.3 per user at hop 1).
+	// Frames and Bytes count the datagrams of each kind: M.1 (beacon), M.2
+	// (access request) and M.3 (access confirm), and what unicast UDP adds
+	// under its own names — the beacon solicit, and the revocation fetches
+	// of a user enrolled without revocation state.
+	Frames map[transport.Kind]int
+	Bytes  map[transport.Kind]int
+	// ThreeMessages is the paper's claim: exactly one M.1, one M.2 and one
+	// M.3 per AKA.
 	ThreeMessages bool
 }
 
-// RunE4Handshake attaches one user per hop depth (1..maxHops) on a chain
-// with the given per-hop latency and reports delays and traffic.
-func RunE4Handshake(maxHops int, hopLatency time.Duration) (*E4HandshakeReport, error) {
-	d, err := mesh.NewDeployment(mesh.DeploymentSpec{
-		Seed:         1,
-		Groups:       1,
-		KeysPerGroup: maxHops + 2,
-		Routers:      1,
+// RunE4Handshake attaches one user over a tapped link and counts the link's
+// frames.
+func RunE4Handshake() (*E4HandshakeReport, error) {
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{
+		Seed: 4,
+		// No retransmission on a clean link: every frame counted is one the
+		// handshake needed.
+		Client: transport.ClientConfig{RetransmitTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	ids := make([]mesh.NodeID, maxHops)
-	for i := range ids {
-		ids[i] = mesh.NodeID(fmt.Sprintf("u%d", i+1))
-	}
-	for i, id := range ids {
-		next := mesh.NodeID("MR-0")
-		if i > 0 {
-			next = ids[i-1]
-		}
-		if _, err := d.AddUser(id, core.GroupID("grp-0"), next, true); err != nil {
-			return nil, err
-		}
-	}
-	d.BuildChain("MR-0", ids, mesh.Link{Latency: hopLatency})
-
-	d.Routers["MR-0"].StartBeacons(time.Second, 2)
-	d.Net.RunFor(10 * time.Second)
-
-	rep := &E4HandshakeReport{
-		BytesByMessage:  map[string]int{},
-		FramesByMessage: map[string]int{},
-	}
-	for i, id := range ids {
-		st := d.Users[id].Stats()
-		if !st.Attached {
-			return nil, fmt.Errorf("e4: user %s at hop %d did not attach", id, i+1)
-		}
-		rep.Rows = append(rep.Rows, E4HandshakeRow{
-			Hops:        i + 1,
-			AttachDelay: st.AttachDelay,
-			// One M.2 and one M.3 traverse (i+1) hops each.
-			MessagesSent: 2 * (i + 1),
-		})
-	}
-	m := d.Net.Metrics()
-	for _, k := range []mesh.FrameKind{
-		mesh.KindBeacon, mesh.KindAccessRequest, mesh.KindAccessConfirm, mesh.KindData,
-	} {
-		rep.FramesByMessage[k.String()] = m.FramesByKind[k]
-		rep.BytesByMessage[k.String()] = m.BytesByKind[k]
-	}
-
-	// The three-message claim, measured on a dedicated single-user run.
-	solo, err := mesh.NewDeployment(mesh.DeploymentSpec{
-		Seed: 2, Groups: 1, KeysPerGroup: 2, Routers: 1,
-	})
+	defer tb.Close()
+	cl, err := tb.Dial(0)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := solo.AddUser("x", core.GroupID("grp-0"), "MR-0", true); err != nil {
-		return nil, err
+	var rec chaos.Recorder
+	tb.Links[0].Tap(rec.Record)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := cl.Attach(ctx); err != nil {
+		return nil, fmt.Errorf("e4: attach: %w", err)
 	}
-	solo.Net.Connect("x", "MR-0", mesh.Link{Latency: hopLatency})
-	solo.Routers["MR-0"].StartBeacons(time.Second, 1)
-	solo.Net.RunFor(5 * time.Second)
-	sm := solo.Net.Metrics()
-	rep.ThreeMessages = sm.FramesByKind[mesh.KindBeacon] == 1 &&
-		sm.FramesByKind[mesh.KindAccessRequest] == 1 &&
-		sm.FramesByKind[mesh.KindAccessConfirm] == 1 &&
-		solo.Users["x"].Attached()
+
+	rep := &E4HandshakeReport{Frames: map[transport.Kind]int{}, Bytes: map[transport.Kind]int{}}
+	for _, d := range rec.Datagrams() {
+		kind, _, err := transport.DecodeFrame(d)
+		if err != nil {
+			return nil, fmt.Errorf("e4: undecodable datagram on the link: %w", err)
+		}
+		rep.Frames[kind]++
+		rep.Bytes[kind] += len(d)
+	}
+	rep.ThreeMessages = rep.Frames[transport.KindBeacon] == 1 &&
+		rep.Frames[transport.KindAccessRequest] == 1 &&
+		rep.Frames[transport.KindAccessConfirm] == 1
 	return rep, nil
 }
 
-// E4LossyRow measures attachment resilience on lossy links: the paper's
-// mesh assumptions include unreliable radio, and PEACE's stateless retry
-// (a fresh AKA per beacon) must still attach everyone.
+// E4LossyRow is the outcome of attaching a few users over client links that
+// drop each datagram, in each direction, with probability Loss: PEACE's
+// stateless retry (a retransmitted solicit or M.2, or a fresh AKA) must
+// still attach everyone.
 type E4LossyRow struct {
-	Loss float64
-	// Attached / Users is the attach success after the beacon budget.
+	Loss     float64
 	Attached int
 	Users    int
-	// BeaconsSent is how many beacon rounds ran.
-	BeaconsSent int
-	// FramesLost counts radio losses during the run.
-	FramesLost int
+	// Attempts counts the attaches started, Retransmits the handshake
+	// messages re-sent, Dropped the datagrams the links lost.
+	Attempts    int64
+	Retransmits int64
+	Dropped     int64
 }
 
 // RunE4Lossy sweeps link-loss probabilities.
 func RunE4Lossy(losses []float64) ([]E4LossyRow, error) {
 	var out []E4LossyRow
 	for _, loss := range losses {
-		d, err := mesh.NewDeployment(mesh.DeploymentSpec{
-			Seed:         int64(100 + loss*1000),
-			Groups:       1,
-			KeysPerGroup: 6,
-			Routers:      1,
-		})
+		row, err := runE4Lossy(loss)
 		if err != nil {
 			return nil, err
 		}
-		const users = 3
-		for i := 0; i < users; i++ {
-			id := mesh.NodeID(fmt.Sprintf("u%d", i))
-			if _, err := d.AddUser(id, core.GroupID("grp-0"), "MR-0", true); err != nil {
-				return nil, err
-			}
-			d.Net.Connect(id, "MR-0", mesh.Link{Latency: 2 * time.Millisecond, Loss: loss})
-		}
-		const beacons = 25
-		d.Routers["MR-0"].StartBeacons(300*time.Millisecond, beacons)
-		d.Net.RunFor(30 * time.Second)
-
-		attached := 0
-		for _, u := range d.Users {
-			if u.Attached() {
-				attached++
-			}
-		}
-		m := d.Net.Metrics()
-		out = append(out, E4LossyRow{
-			Loss:        loss,
-			Attached:    attached,
-			Users:       users,
-			BeaconsSent: beacons,
-			FramesLost:  m.FramesLost,
-		})
+		out = append(out, row)
 	}
 	return out, nil
+}
+
+func runE4Lossy(loss float64) (E4LossyRow, error) {
+	const users = 3
+	row := E4LossyRow{Loss: loss, Users: users}
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{
+		Users:  users,
+		Seed:   int64(100 + loss*1000),
+		Faults: chaos.FaultPlan{Drop: loss},
+		Client: transport.ClientConfig{RetransmitTimeout: 60 * time.Millisecond, MaxTimeout: time.Second, MaxRetries: 12},
+	})
+	if err != nil {
+		return row, err
+	}
+	defer tb.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for i := 0; i < users; i++ {
+		cl, err := tb.Dial(i)
+		if err != nil {
+			return row, err
+		}
+		for ctx.Err() == nil {
+			if _, err := cl.Attach(ctx); err == nil {
+				row.Attached++
+				break
+			}
+		}
+		row.Attempts += cl.Stats().AttachAttempts()
+		row.Retransmits += cl.Stats().Retransmits()
+	}
+	row.Dropped = tb.Injected().Dropped
+	return row, nil
 }

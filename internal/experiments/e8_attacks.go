@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
+	"github.com/peace-mesh/peace/internal/chaos"
 	"github.com/peace-mesh/peace/internal/core"
-	"github.com/peace-mesh/peace/internal/mesh"
-	"github.com/peace-mesh/peace/internal/revocation"
 )
 
 // E8AttackRow is the outcome of one attack scenario from Section V.A.
@@ -27,34 +27,11 @@ func RunE8Attacks() ([]E8AttackRow, error) {
 	var out []E8AttackRow
 
 	// --- Scenario 1: outsider bogus-data injection. -------------------
-	{
-		d, err := mesh.NewDeployment(mesh.DeploymentSpec{Seed: 81, Groups: 1, KeysPerGroup: 4, Routers: 1})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := d.AddUser("honest", core.GroupID("grp-0"), "MR-0", true); err != nil {
-			return nil, err
-		}
-		hop := mesh.Link{Latency: time.Millisecond}
-		d.Net.Connect("honest", "MR-0", hop)
-		attacker := mesh.NewInjector(d.Net, "outsider", "MR-0")
-		d.Net.Connect("outsider", "MR-0", hop)
-
-		d.Routers["MR-0"].StartBeacons(100*time.Millisecond, 2)
-		d.Net.RunFor(200 * time.Millisecond)
-		attacker.Flood(20, time.Millisecond)
-		d.Net.RunFor(10 * time.Second)
-
-		st := d.Routers["MR-0"].Router().Stats()
-		// Success for the attacker = established sessions beyond the
-		// honest user's.
-		out = append(out, E8AttackRow{
-			Scenario:  "outsider bogus injection",
-			Attempts:  attacker.Sent,
-			Succeeded: st.SessionsEstablished - 1,
-			Detail:    "forged M.2s rejected by group-signature verification",
-		})
+	row, err := e8Injection()
+	if err != nil {
+		return nil, err
 	}
+	out = append(out, row)
 
 	// --- Scenario 2: revoked user re-entry. ----------------------------
 	{
@@ -98,47 +75,10 @@ func RunE8Attacks() ([]E8AttackRow, error) {
 	}
 
 	// --- Scenario 3: rogue (phishing) router. --------------------------
-	{
-		d, err := mesh.NewDeployment(mesh.DeploymentSpec{Seed: 83, Groups: 1, KeysPerGroup: 6, Routers: 1})
-		if err != nil {
-			return nil, err
-		}
-		hop := mesh.Link{Latency: time.Millisecond}
-		for _, id := range []mesh.NodeID{"a", "b", "c"} {
-			if _, err := d.AddUser(id, core.GroupID("grp-0"), "MR-0", true); err != nil {
-				return nil, err
-			}
-			d.Net.Connect(id, "MR-0", hop)
-			d.Net.Connect(id, "MR-phish", hop)
-		}
-		// The phisher replays epoch refs captured from legitimate beacons.
-		legit := d.Routers["MR-0"].Router()
-		urlSnap, ok := legit.RevocationSnapshot(revocation.ListURL)
-		if !ok {
-			return nil, fmt.Errorf("e8: router has no URL snapshot")
-		}
-		crlSnap, ok := legit.RevocationSnapshot(revocation.ListCRL)
-		if !ok {
-			return nil, fmt.Errorf("e8: router has no CRL snapshot")
-		}
-		rogue, err := mesh.NewRogueRouter(d.Net, "MR-phish", urlSnap.Ref(), crlSnap.Ref())
-		if err != nil {
-			return nil, err
-		}
-		attempts := 5
-		for i := 0; i < attempts; i++ {
-			d.Net.Schedule(time.Duration(i)*100*time.Millisecond, func() {
-				_ = rogue.BroadcastPhishingBeacon()
-			})
-		}
-		d.Net.RunFor(10 * time.Second)
-		out = append(out, E8AttackRow{
-			Scenario:  "rogue router phishing",
-			Attempts:  attempts,
-			Succeeded: min(rogue.Lured, attempts),
-			Detail:    "self-signed certificate fails NPK validation in Step 2.1",
-		})
+	if row, err = e8RogueRouter(); err != nil {
+		return nil, err
 	}
+	out = append(out, row)
 
 	// --- Scenario 4: revoked router service. ---------------------------
 	{
@@ -191,4 +131,66 @@ func RunE8Attacks() ([]E8AttackRow, error) {
 	}
 
 	return out, nil
+}
+
+// e8Injection floods the router of a one-router UDP testbed, holding one
+// honest session, with 20 forged M.2s; the attacker succeeds with any
+// session beyond the honest user's.
+func e8Injection() (E8AttackRow, error) {
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{Seed: 81})
+	if err != nil {
+		return E8AttackRow{}, err
+	}
+	defer tb.Close()
+	if err := attach(tb, 0); err != nil {
+		return E8AttackRow{}, fmt.Errorf("e8: honest attach: %w", err)
+	}
+	sent, err := floodForged(tb, 20)
+	if err != nil {
+		return E8AttackRow{}, err
+	}
+	return E8AttackRow{
+		Scenario:  "outsider bogus injection",
+		Attempts:  sent,
+		Succeeded: tb.Net.Routers[0].Stats().SessionsEstablished - 1,
+		Detail:    "forged M.2s rejected by group-signature verification",
+	}, nil
+}
+
+// e8RogueRouter points three enrolled users of a UDP testbed at a phishing
+// router (chaos.NewRogueRouter), five attaches each. Every attach must end
+// in the user refusing the beacon; the phisher succeeds with every M.2 it
+// receives.
+func e8RogueRouter() (E8AttackRow, error) {
+	const users, attempts = 3, 5
+	tb, err := chaos.NewTestbed(chaos.TestbedConfig{Users: users, Seed: 83})
+	if err != nil {
+		return E8AttackRow{}, err
+	}
+	defer tb.Close()
+	rogue, err := chaos.NewRogueRouter(tb.Net, "MR-phish")
+	if err != nil {
+		return E8AttackRow{}, err
+	}
+	defer rogue.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := 0; i < users; i++ {
+		cl, err := tb.Dial(i)
+		if err != nil {
+			return E8AttackRow{}, err
+		}
+		cl.Retarget(rogue.Addr())
+		for k := 0; k < attempts; k++ {
+			if _, err := cl.Attach(ctx); !errors.Is(err, core.ErrBadBeacon) {
+				return E8AttackRow{}, fmt.Errorf("e8: user %d at the rogue router: %v, want the beacon refused", i, err)
+			}
+		}
+	}
+	return E8AttackRow{
+		Scenario:  "rogue router phishing",
+		Attempts:  users * attempts,
+		Succeeded: rogue.Router().Stats().RequestsSeen,
+		Detail:    "self-signed certificate fails NPK validation in Step 2.1",
+	}, nil
 }

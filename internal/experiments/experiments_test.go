@@ -3,7 +3,8 @@ package experiments
 import (
 	"slices"
 	"testing"
-	"time"
+
+	"github.com/peace-mesh/peace/internal/transport"
 )
 
 func TestE1SignatureSize(t *testing.T) {
@@ -88,23 +89,18 @@ func TestE3RevocationSweepShape(t *testing.T) {
 	}
 }
 
+// TestE4HandshakeShape counts one attach on a tapped testbed link: one M.1,
+// one M.2 and one M.3, next to the solicit that unicast UDP adds.
 func TestE4HandshakeShape(t *testing.T) {
-	rep, err := RunE4Handshake(3, 5*time.Millisecond)
+	rep, err := RunE4Handshake()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.ThreeMessages {
-		t.Error("three-message property not observed")
+		t.Errorf("three-message property not observed: %v", rep.Frames)
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	// Delay grows linearly: hop h costs 2·h·5ms.
-	for _, row := range rep.Rows {
-		want := time.Duration(2*row.Hops) * 5 * time.Millisecond
-		if row.AttachDelay != want {
-			t.Errorf("hop %d delay = %v, want %v", row.Hops, row.AttachDelay, want)
-		}
+	if n := rep.Frames[transport.KindBeaconRequest]; n != 1 {
+		t.Errorf("beacon solicits = %d, want 1", n)
 	}
 }
 
@@ -137,8 +133,12 @@ func TestE5HybridShape(t *testing.T) {
 	}
 }
 
+// TestE6DoSShape holds the flood to exact counts: off, every forged M.2
+// costs a verification; on, the router verifies the legitimate attach and
+// nothing else, and sheds the whole flood at the puzzle gate.
 func TestE6DoSShape(t *testing.T) {
-	rows, err := RunE6DoS([]int{20})
+	const flood = 20
+	rows, err := RunE6DoS([]int{flood})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,15 @@ func TestE6DoSShape(t *testing.T) {
 	if !off.LegitimateAttached || !on.LegitimateAttached {
 		t.Error("legitimate user failed to attach")
 	}
-	// Defense must slash expensive work by at least 10×.
-	if on.ExpensiveVerifications*10 > off.ExpensiveVerifications {
-		t.Errorf("puzzles did not shed the flood: off=%d on=%d",
-			off.ExpensiveVerifications, on.ExpensiveVerifications)
+	if off.ExpensiveVerifications != flood+1 {
+		t.Errorf("puzzles off: %d expensive verifications, want %d (flood + the legitimate attach)",
+			off.ExpensiveVerifications, flood+1)
 	}
-	if on.ShedCheaply < 20 {
-		t.Errorf("cheap sheds = %d, want ≥ flood size", on.ShedCheaply)
+	if on.ExpensiveVerifications != 1 {
+		t.Errorf("puzzles on: %d expensive verifications, want 1 (the legitimate attach)", on.ExpensiveVerifications)
+	}
+	if on.ShedCheaply != flood {
+		t.Errorf("puzzles on: %d shed cheaply, want the flood's %d", on.ShedCheaply, flood)
 	}
 }
 
@@ -291,18 +293,11 @@ func TestE12BatchPipeline(t *testing.T) {
 	if rep.SequentialPer <= 0 || rep.BatchPer <= 0 || rep.Speedup <= 0 {
 		t.Fatal("non-positive timings")
 	}
-	// What the pipeline is, off the clock (the ratio is peacebench -exp
-	// e12's business, where -iters makes it meaningful): the same verdict as
-	// the reference verifier on every slot, the forged one included, from
-	// 4 exponentiations and 2 pairings a signature against 6 and 3.
-	if want := []int{rep.ForgedSlot}; !slices.Equal(rep.BatchRejects, want) || !slices.Equal(rep.ReferenceRejects, want) {
-		t.Errorf("slot %d forged: BatchVerify rejects %v, Verify rejects %v", rep.ForgedSlot, rep.BatchRejects, rep.ReferenceRejects)
-	}
-	if c := rep.BatchCounts; c.Exps != 4 || c.Pairings != 2 || c.GTExps != 0 {
-		t.Errorf("BatchVerify charges %+v per signature, want 4 exps and 2 pairings", c)
-	}
-	if c := rep.ReferenceCounts; c.Exps != 6 || c.Pairings+c.GTExps != 3 {
-		t.Errorf("Verify charges %+v per signature, want 6 exps and 3 pairings", c)
+	// What the pipeline does, off the clock (the ratio is peacebench -exp
+	// e12's business, where -iters makes it meaningful): it refuses the
+	// forged slot and only that one.
+	if want := []int{rep.ForgedSlot}; !slices.Equal(rep.BatchRejects, want) {
+		t.Errorf("slot %d forged: BatchVerify rejects %v", rep.ForgedSlot, rep.BatchRejects)
 	}
 	if len(rep.Sweep) != 3 {
 		t.Fatalf("sweep rows = %d, want 3", len(rep.Sweep))
@@ -357,11 +352,10 @@ func TestE4LossyAttachment(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.Attached != r.Users {
-			t.Errorf("loss=%.1f: attached %d/%d despite %d beacon retries",
-				r.Loss, r.Attached, r.Users, r.BeaconsSent)
+			t.Errorf("loss=%.1f: attached %d/%d in %d attempts", r.Loss, r.Attached, r.Users, r.Attempts)
 		}
 	}
-	if rows[1].FramesLost == 0 {
-		t.Error("lossy run lost no frames")
+	if rows[0].Dropped != 0 || rows[1].Dropped == 0 {
+		t.Errorf("datagrams dropped: %d at no loss, %d at 30%%", rows[0].Dropped, rows[1].Dropped)
 	}
 }

@@ -25,7 +25,7 @@ type BatchItem struct {
 //	   = e(T2^{s_x} · v^{−s_δ} · g1^{−c}, g2) · e(T2^{c} · v^{−s_α}, w)
 //
 // which eliminates both G2 exponentiations and the GT exponentiation of the
-// reference verifier: the g1^{−c} term absorbs e(g1,g2)^{−c}, and the fixed
+// equation as written: the g1^{−c} term absorbs e(g1,g2)^{−c}, and the fixed
 // G2 sides (g2, w) let the Miller-loop line functions be precomputed once.
 // Both Miller loops walk the same addition chain, so they are evaluated
 // simultaneously with a shared squaring chain and share one final
@@ -36,7 +36,8 @@ type BatchItem struct {
 // the Verifier holds dedicated window tables for u and v. Either way each
 // signature costs 4 G1 multi-exponentiations and 2 pairings — against the
 // paper's 6 exponentiations and 3 pairings — and the batch path spreads
-// the work across all CPUs.
+// the work across all CPUs. It is the package's only Eq.2: the free
+// functions Verify and VerifyWithRevocation run on the key's own Verifier.
 //
 // A Verifier is safe for concurrent use.
 type Verifier struct {

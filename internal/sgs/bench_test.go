@@ -54,7 +54,7 @@ func BenchmarkVerify(b *testing.B) {
 // one goroutine — eight wire-decoded signatures, eight scalar prepares, one
 // lane pass for the eight pairing products, eight challenge hashes — and
 // reports the time per signature next to what Verifier.Verify costs the
-// same signature alone (BenchmarkVerify times the reference verifier).
+// same signature alone (BenchmarkVerify times the same through Verify).
 func BenchmarkVerifyGroup8(b *testing.B) {
 	pk, keys := benchSetup(b, 2)
 	items := make([]BatchItem, 8)

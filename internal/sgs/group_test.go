@@ -194,7 +194,7 @@ func TestVerifyGroupMatchesVerifyOne(t *testing.T) {
 			if at := n - 1 - 2*k; at >= 0 {
 				items[at].Sig = identitySided(t, s.pk, items[at].Msg, sides[0], sides[1])
 				bad[at] = true
-				if err := Verify(s.pk, items[at].Msg, items[at].Sig); !errors.Is(err, ErrInvalidSignature) {
+				if err := verifyReference(s.pk, items[at].Msg, items[at].Sig); !errors.Is(err, ErrInvalidSignature) {
 					t.Fatalf("reference verifier on an identity-sided signature: %v", err)
 				}
 			}

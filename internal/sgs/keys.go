@@ -54,10 +54,11 @@ type PublicKey struct {
 	// in place, which would race under concurrent verification).
 	enc []byte
 
-	// wTable is a fixed-base window table for W, built lazily on the
-	// first exponentiation of W by the reference verifier.
-	wOnce  sync.Once
-	wTable *bn256.G2Table
+	// ver is the key's own Verifier, behind the free functions Verify and
+	// VerifyWithRevocation, so that its FixedGenerators tables are built
+	// once per key rather than once per call.
+	verOnce sync.Once
+	ver     *Verifier
 
 	// lines are the prepared Miller lines of g2 and W, built on first use
 	// and shared by the signer's R2 and the Verifier's R̃2: both are a
@@ -80,13 +81,10 @@ func (pk *PublicKey) Bytes() []byte {
 	return pk.enc
 }
 
-// wTab returns the fixed-base table for W, building it on first use. The
-// table is immutable once built and safe for concurrent use.
-func (pk *PublicKey) wTab() *bn256.G2Table {
-	pk.wOnce.Do(func() {
-		pk.wTable = bn256.NewG2Table(pk.W)
-	})
-	return pk.wTable
+// verifier returns the key's own Verifier, creating it on first use.
+func (pk *PublicKey) verifier() *Verifier {
+	pk.verOnce.Do(func() { pk.ver = NewVerifier(pk) })
+	return pk.ver
 }
 
 // g2Lines are the prepared lines of g2, the same for every key.

@@ -12,8 +12,9 @@ package sgs
 // separately as GTExps so both accounting conventions can be reported.
 //
 // Cached pairing values are charged the way the paper charges them, as if
-// they were computed on the spot. verify exponentiates the cached e(g1, g2):
-// 2 live Pairings + 1 GTExps, read as the paper's 3 pairings. Sign runs
+// they were computed on the spot. VerifyCounted charges the paper's Eq.2
+// (eq2Counts): 6 Exps, and 2 live Pairings + 1 GTExps of the cached
+// e(g1, g2), read as the paper's 3 pairings. Sign runs
 // eight G1 (multi-)exponentiations and one prepared two-factor pairing
 // product (two Miller loops, one final exponentiation) and reports exactly
 // that, 8 Exps + 2 Pairings: the paper's figures.

@@ -86,12 +86,18 @@ func scanBases(sig *Signature, uhat, vhat *bn256.G2, tokens []*RevocationToken, 
 		return -1
 	}
 	idx := scan(sig, bn256.PrepareG2(uhat), bn256.PrepareG2(vhat), newTokenSet(tokens), runtime.GOMAXPROCS(0))
-	if idx < 0 {
-		ct.pairing(2 * len(tokens))
-	} else {
-		ct.pairing(2 * (idx + 1))
-	}
+	ct.pairing(scanPairings(idx, len(tokens)))
 	return idx
+}
+
+// scanPairings is what a scan of n tokens that returned idx costs in the
+// paper's accounting: two pairings for every token up to and including the
+// match, all of them on a miss.
+func scanPairings(idx, n int) int {
+	if idx < 0 {
+		return 2 * n
+	}
+	return 2 * (idx + 1)
 }
 
 // firstMatch runs test on units 0..units−1, each covering stride

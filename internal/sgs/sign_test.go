@@ -78,6 +78,43 @@ func signReference(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mo
 	}
 }
 
+// verifyReference is Eq.2 as the paper writes it: the bases recomputed,
+// R̃1 and R̃3 as two multi-exponentiations, and
+//
+//	R̃2 = e(T2, g2^{s_x} · w^c) · e(v, w^{−s_α} · g2^{−s_δ}) · e(g1,g2)^{−c}
+//
+// with two live pairings and the cached e(g1, g2). It is the oracle the
+// Verifier is held to.
+func verifyReference(pk *PublicKey, msg []byte, sig *Signature) error {
+	if err := checkSignatureShape(sig); err != nil {
+		return err
+	}
+	u, v := deriveG1Generators(pk, sig.Mode, msg, sig.R, counter{})
+	negC := new(big.Int).Sub(bn256.Order, sig.C)
+	negC.Mod(negC, bn256.Order) // c = 0 wraps to Order
+	negSAlpha := new(big.Int).Sub(bn256.Order, sig.SAlpha)
+	negSDelta := new(big.Int).Sub(bn256.Order, sig.SDelta)
+
+	r1 := new(bn256.G1).ScalarMult(u, sig.SAlpha)
+	r1.Add(r1, new(bn256.G1).ScalarMult(sig.T1, negC))
+	r3 := new(bn256.G1).ScalarMult(sig.T1, sig.SX)
+	r3.Add(r3, new(bn256.G1).ScalarMult(u, negSDelta))
+
+	rhs1 := new(bn256.G2).ScalarBaseMult(sig.SX)
+	rhs1.Add(rhs1, new(bn256.G2).ScalarMult(pk.W, sig.C))
+	rhs2 := new(bn256.G2).ScalarMult(pk.W, negSAlpha)
+	rhs2.Add(rhs2, new(bn256.G2).ScalarBaseMult(negSDelta))
+	acc := bn256.Miller(sig.T2, rhs1)
+	acc.Add(acc, bn256.Miller(v, rhs2))
+	r2 := acc.Finalize()
+	r2.Add(r2, new(bn256.GT).ScalarMultCyclo(pk.egg, negC))
+
+	if challenge(pk, msg, sig.R, sig.T1, sig.T2, r1, r2, r3).Cmp(sig.C) != 0 {
+		return ErrInvalidSignature
+	}
+	return nil
+}
+
 // checkSignMatches checks that Sign's prepared-product R2 and
 // one-exponentiation R3 are a pure refactoring: on the same RNG stream it
 // emits the bytes of the reference signer with R2 computed by form, on a
@@ -97,7 +134,7 @@ func checkSignMatches(t *testing.T, form r2Form) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("%v round %d: Sign differs from the reference form", mode, round)
 			}
-			if err := Verify(s.pk, msg, got); err != nil {
+			if err := verifyReference(s.pk, msg, got); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,11 +189,11 @@ func TestSignConcurrentColdKey(t *testing.T) {
 	wg.Wait()
 }
 
-// TestVerifiersAgreeOnRejections pins the precomputed-table Verifier (single,
-// batch, and one group through the lane pass) to the reference Verify on
-// every rejection class, with the same error text. The router reports the
-// group verifier's error as is; this table is what lets it skip a reference
-// re-check on the reject path.
+// TestVerifiersAgreeOnRejections pins the Verifier (single, batch, one group
+// through the lane pass, and the free Verify on top of it) to the oracle
+// verifyReference on every rejection class, with the same error text. The
+// router reports the group verifier's error as is; this table is what lets
+// it skip a re-check on the reject path.
 func TestVerifiersAgreeOnRejections(t *testing.T) {
 	s := newTestSetup(t, 1)
 	other := newTestSetup(t, 1)
@@ -210,7 +247,7 @@ func TestVerifiersAgreeOnRejections(t *testing.T) {
 		}
 		sig := tc.mutate(fresh)
 		items[i] = BatchItem{Msg: tc.msg, Sig: sig}
-		refErrs[i] = Verify(s.pk, tc.msg, sig)
+		refErrs[i] = verifyReference(s.pk, tc.msg, sig)
 		if (refErrs[i] == nil) != (tc.name == "valid") {
 			t.Fatalf("%s: reference verifier returned %v", tc.name, refErrs[i])
 		}
@@ -224,6 +261,9 @@ func TestVerifiersAgreeOnRejections(t *testing.T) {
 	for i, tc := range cases {
 		if got := ver.Verify(items[i].Msg, items[i].Sig); !sameVerdict(got, refErrs[i]) {
 			t.Errorf("%s: Verifier.Verify = %v, reference = %v", tc.name, got, refErrs[i])
+		}
+		if got := Verify(s.pk, items[i].Msg, items[i].Sig); !sameVerdict(got, refErrs[i]) {
+			t.Errorf("%s: Verify = %v, reference = %v", tc.name, got, refErrs[i])
 		}
 		if !sameVerdict(batchErrs[i], refErrs[i]) {
 			t.Errorf("%s: BatchVerify = %v, reference = %v", tc.name, batchErrs[i], refErrs[i])

@@ -102,7 +102,7 @@ type (
 type (
 	// Config carries injected dependencies and protocol knobs.
 	Config = core.Config
-	// Clock abstracts time for tests and simulation.
+	// Clock abstracts time for tests.
 	Clock = core.Clock
 	// SystemClock is the wall-clock Clock.
 	SystemClock = core.SystemClock
