@@ -20,7 +20,9 @@ all: build test
 # machine that normally runs the assembly; and with the IFMA bit masked
 # (-maskifma, a flag of those two test binaries on amd64), which runs the
 # assembly build as a CPU without the extension would. The arm64 build
-# proves everything compiles where the Go paths are the only ones.
+# proves everything compiles where the Go paths are the only ones; the
+# 386 and darwin builds do the same for batchio's portable side, which
+# has no recvmmsg path and a no-op EnableGRO.
 ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -30,6 +32,8 @@ ci:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -tags purego ./internal/bn256/ ./internal/sgs/
 	@if [ "$$($(GO) env GOARCH)" = amd64 ]; then \
@@ -45,8 +49,9 @@ ci:
 
 # fuzz smoke: each wire-facing decoder gets a short randomized run, plus
 # differential fuzzes of the Montgomery field core against big.Int, of
-# the lane kernels against their twins, the scalar tower and big.Int, and
-# of G2.Unmarshal's ψ subgroup test against [n]Q = ∞.
+# the lane kernels against their twins, the scalar tower and big.Int, of
+# G2.Unmarshal's ψ subgroup test against [n]Q = ∞, and of the cut that
+# splits a UDP GRO train against a byte-wise walk.
 fuzz:
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzGfPvsBigInt$$' -fuzztime=10s
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzX8VsGfP$$' -fuzztime=10s
@@ -72,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/puzzle/ -run='^$$' -fuzz='^FuzzUnmarshalPuzzle$$' -fuzztime=10s
 	$(GO) test ./internal/puzzle/ -run='^$$' -fuzz='^FuzzVerifySolution$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzPeekAccessRequest$$' -fuzztime=10s
+	$(GO) test ./internal/transport/batchio/ -run='^$$' -fuzz='^FuzzSplitCoalesced$$' -fuzztime=10s
 
 # metrics-lint gates the instrument namespace: the registry itself
 # panics on non-snake_case or kind-conflicting names at registration, and
@@ -160,8 +166,8 @@ bench:
 # bench-smoke compiles and runs every transport/wire benchmark once with
 # allocation accounting, then gates on the steady-state paths staying
 # allocation-free: TestSteadyStateDecodeAllocs pins the decode side,
-# TestDataPlaneAllocs pins the whole batched ingest+egress round trip at
-# 0 allocs/op, and TestSealOpenAllocs pins the in-place session crypto
+# TestDataPlaneAllocs pins the whole batched ingest+egress round trip, and
+# a GSO train read back through ReadBatch with UDP GRO, at 0 allocs/op, and TestSealOpenAllocs pins the in-place session crypto
 # (the -benchtime=1x pass catches benchmarks that rot). The bn256 and sgs
 # benchmarks mirror the attach ledger's crypto rows (pairing, combined
 # Miller, PrepareG2, sign, verify, 16-token sweep) and run once as well.

@@ -222,7 +222,14 @@ func NewNode(conn net.PacketConn, server *transport.Server, cfg Config) *Node {
 	n.handshakesDone = reg.Counter("backbone_handshakes", "backbone link handshakes completed")
 	n.envelopeDrops = reg.Counter("backbone_envelope_drops", "sealed backbone envelopes dropped before dispatch")
 	n.oversizeDrops = reg.Counter("backbone_oversize_drops", "backbone envelopes refused at sealing: larger than a datagram")
-	n.bc, _ = batchio.Upgrade(conn)
+	var batched bool
+	n.bc, batched = batchio.Upgrade(conn)
+	if batched {
+		// The read loop is the socket's only reader and reads it into
+		// 64 KiB slots, so GSO trains from the peers' egress may arrive
+		// whole and be split there.
+		batchio.EnableGRO(n.bc, n.stats.NoteRxSplit)
+	}
 	n.eg = batchio.NewEgress(n.bc, backboneIOBatch, backboneFlushDelay, n.framePool, nil)
 	server.SetBackbone(n, n)
 	n.wg.Add(2)

@@ -158,6 +158,74 @@ func TestDataPlaneAllocs(t *testing.T) {
 	if out := pool.Outstanding(); out != 0 {
 		t.Fatalf("egress leaked %d pooled buffers", out)
 	}
+
+	// The ingest side with a GSO train: one op is a burst of trainLen
+	// frames leaving in one segmented send and coming back out of
+	// ReadBatch one per ring slot — split, carried past the 32 slots,
+	// decoded and opened.
+	const trainLen, runs = 40, 100
+	rxConn, txConn := mustListen(t), mustListen(t)
+	defer rxConn.Close()
+	defer txConn.Close()
+	rx, _ := batchio.Upgrade(rxConn)
+	if !batchio.EnableGRO(rx, stats.NoteRxSplit) {
+		t.Log("no UDP GRO on this platform; the train phase is skipped")
+		return
+	}
+	tx, _ := batchio.Upgrade(txConn)
+	bursts := make([][]batchio.Message, runs+1)
+	for i := range bursts {
+		bursts[i] = make([]batchio.Message, trainLen)
+		for j := range bursts[i] {
+			buf, err := AppendFrameHeader(nil, KindSessionData, core.SealedDataLen(len(payload)))
+			if err == nil {
+				buf, err = client.AppendSealedData(buf, payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			bursts[i][j].Set(buf, rxConn.LocalAddr())
+		}
+	}
+	ingest := batchio.NewPool(65536)
+	ring := batchio.NewRing(32, ingest)
+	rx.SetReadDeadline(time.Now().Add(time.Minute))
+	burst := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		if n, err := tx.WriteBatch(bursts[burst]); err != nil || n != trainLen {
+			t.Fatalf("WriteBatch = %d, %v", n, err)
+		}
+		burst++
+		for got := 0; got < trainLen; {
+			ms := ring.Prepare()
+			n, err := rx.ReadBatch(ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				_, framePayload, err := DecodeFrame(ms[i].Payload())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := core.UnmarshalDataFrameInto(framePayload, &scratch); err != nil {
+					t.Fatal(err)
+				}
+				if pt, err = server.OpenDataInto(&scratch, pt[:0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got += n
+		}
+	}); avg != 0 {
+		t.Fatalf("train ingest path allocates %.1f/op, want 0", avg)
+	}
+	ring.Close()
+	if out := ingest.Outstanding(); out != 0 {
+		t.Fatalf("ingest ring leaked %d pooled buffers", out)
+	}
+	if stats.RxTrains() == 0 {
+		t.Fatal("the bursts never arrived as trains")
+	}
 }
 
 // BenchmarkDecodeDataFrame measures the steady-state data-path decode

@@ -60,6 +60,15 @@ func (m *Message) setIPPort(ip []byte, port int) {
 	m.Addr = &m.ua
 }
 
+// copyAddr gives m the source address of the read slot src.
+func (m *Message) copyAddr(src *Message) {
+	if src.Addr == nil {
+		m.Addr = nil
+		return
+	}
+	m.setIPPort(src.ua.IP, src.ua.Port)
+}
+
 // CloneAddr returns a heap copy of a read-slot address that stays valid
 // after the slot is reused (e.g. for an async reply goroutine).
 func CloneAddr(addr net.Addr) net.Addr {
@@ -75,8 +84,12 @@ func CloneAddr(addr net.Addr) net.Addr {
 // at least one datagram is available (or the read deadline passes, or
 // the conn is closed) and fills as many slots as the kernel has queued;
 // oversize datagrams are silently truncated to the slot buffer, exactly
-// like net.PacketConn.ReadFrom. WriteBatch sends every staged slot and
-// returns how many went out.
+// like net.PacketConn.ReadFrom. On a socket with EnableGRO, a slot may
+// come back from the kernel holding a train of datagrams: ReadBatch
+// returns them one per slot as sent, carries what does not fit into the
+// next call, and drops a train too large for its slot. Slots of one call
+// are expected to be the same size. WriteBatch sends every staged slot
+// and returns how many went out.
 type Conn interface {
 	ReadBatch(ms []Message) (int, error)
 	WriteBatch(ms []Message) (int, error)

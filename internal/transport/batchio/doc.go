@@ -5,7 +5,10 @@
 // falls back to a portable loop of single ReadFrom/WriteTo calls on
 // every other platform and on wrapped conns (e.g. the chaos
 // fault-injecting PacketConn). Both implementations satisfy the same
-// contract tests.
+// contract tests. On the mmsg path, writes coalesce equal-size runs to
+// one destination into UDP GSO trains, and EnableGRO lets a socket take
+// such trains whole: ReadBatch cuts them back into datagrams, carrying
+// what does not fit into the next call.
 //
 // Around the socket sit the allocation-free plumbing pieces the server,
 // shard loops, and backbone node share:

@@ -17,6 +17,11 @@ import (
 // stack. The syscall package predates it, so the constant lives here.
 const udpSegment = 103
 
+// UDP_GRO is the socket option (and cmsg type) for UDP generic receive
+// offload: the kernel may deliver a sender's GSO train, or segments it
+// merged itself, as one read whose cmsg names the segment size.
+const udpGRO = 104
+
 // gsoMaxSegs caps one coalesced send below the kernel's
 // UDP_MAX_SEGMENTS (64); gsoMaxBytes keeps the train inside one UDP
 // payload.
@@ -25,12 +30,16 @@ const (
 	gsoMaxBytes = 64000
 )
 
-// cmsgSeg is one control-message block carrying the uint16 GSO segment
-// size, padded so a slice of them keeps each cmsghdr 8-byte aligned.
+// cmsgSeg is one control-message block carrying a segment size — the
+// uint16 of UDP_SEGMENT on writes, the int of UDP_GRO on reads — padded
+// so a slice of them keeps each cmsghdr 8-byte aligned.
 type cmsgSeg struct {
 	hdr  syscall.Cmsghdr
 	data [8]byte
 }
+
+// cmsgSegSize is the control buffer each read header offers the kernel.
+const cmsgSegSize = int(unsafe.Sizeof(cmsgSeg{}))
 
 // mmsghdr mirrors struct mmsghdr on 64-bit Linux: a msghdr plus the
 // kernel-written datagram length, padded to 8-byte alignment. The layout
@@ -50,12 +59,20 @@ type hdrBlock struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names [][syscall.SizeofSockaddrAny]byte
-	// ctrls and runs serve the write direction's GSO coalescing: one
-	// control block per potential train, and the datagram count behind
-	// each mmsg header so partial sendmmsg results map back to datagrams.
+	// ctrls holds one control block per header: the UDP_SEGMENT of a
+	// write train, or the UDP_GRO segment size a read may come back with.
+	// runs is the datagram count behind each write header, so partial
+	// sendmmsg results map back to datagrams; rx is what the read split
+	// learned about each received slot.
 	ctrls []cmsgSeg
 	runs  []int
+	rx    []rxSlot
 }
+
+// rxSlot is one received slot as the split sees it: its length, the
+// size of its segments (the whole length for a lone datagram), and how
+// many datagrams it holds.
+type rxSlot struct{ n, seg, segs int }
 
 func (b *hdrBlock) ensure(n int) {
 	if cap(b.hdrs) >= n {
@@ -64,6 +81,7 @@ func (b *hdrBlock) ensure(n int) {
 		b.names = b.names[:n]
 		b.ctrls = b.ctrls[:n]
 		b.runs = b.runs[:n]
+		b.rx = b.rx[:n]
 		return
 	}
 	b.hdrs = make([]mmsghdr, n)
@@ -71,6 +89,7 @@ func (b *hdrBlock) ensure(n int) {
 	b.names = make([][syscall.SizeofSockaddrAny]byte, n)
 	b.ctrls = make([]cmsgSeg, n)
 	b.runs = make([]int, n)
+	b.rx = make([]rxSlot, n)
 }
 
 // mmsgConn moves batches of datagrams with one recvmmsg/sendmmsg per
@@ -82,9 +101,23 @@ type mmsgConn struct {
 
 	rmu sync.Mutex
 	rbl hdrBlock
+	// carried holds the segments of trains that did not fit the caller's
+	// slots; observe sees each read that split or dropped a train.
+	carried carry
+	observe func(trains, segments, truncated int)
 
 	wmu sync.Mutex
 	wbl hdrBlock
+
+	// The syscall callbacks are built once, so a batch hands RawConn the
+	// same func value every time instead of a closure that escapes to the
+	// heap per call. Their arguments and results ride in rx and tx,
+	// guarded by the direction's mutex.
+	recvFn  func(fd uintptr) bool
+	topUpFn func(fd uintptr)
+	sendFn  func(fd uintptr) bool
+	rx      sysCall
+	tx      sysCall
 
 	// gso is the segmentation-offload probe state: 0 untried, 1
 	// confirmed by a successful train, -1 refused by the kernel (old
@@ -93,14 +126,57 @@ type mmsgConn struct {
 	gso atomic.Int32
 }
 
+// sysCall is one recvmmsg/sendmmsg: the headers it passes, whether a
+// read may park on the netpoller when nothing is queued, and its result.
+type sysCall struct {
+	hdrs []mmsghdr
+	wait bool
+	n    int
+	err  syscall.Errno
+}
+
 func upgradeUDP(uc *net.UDPConn) (Conn, bool) {
 	rc, err := uc.SyscallConn()
 	if err != nil {
 		return nil, false
 	}
-	return &mmsgConn{uc: uc, rc: rc}, true
+	c := &mmsgConn{uc: uc, rc: rc}
+	c.recvFn = c.recvOnce
+	c.topUpFn = func(fd uintptr) { c.recvOnce(fd) }
+	c.sendFn = c.sendOnce
+	return c, true
 }
 
+// EnableGRO turns on UDP generic receive offload for the socket behind c
+// and reports whether it is on. It is for a socket whose every read is a
+// ReadBatch into slots large enough for a whole train (64 KiB): ReadBatch
+// cuts each train back into its datagrams, while a plain ReadFrom — the
+// Single fallback, a wrapped conn — would return the train as one merged
+// datagram. Conns without the mmsg path are left alone. observe, when
+// non-nil, sees every ReadBatch on c that split or dropped a train.
+//
+// The option belongs to the socket, so every Upgrade of it splits trains,
+// whichever one turned it on.
+func EnableGRO(c Conn, observe func(trains, segments, truncated int)) bool {
+	mc, ok := c.(*mmsgConn)
+	if !ok {
+		return false
+	}
+	var serr error
+	if err := mc.rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
+	}); err != nil || serr != nil {
+		return false
+	}
+	mc.rmu.Lock()
+	mc.observe = observe
+	mc.rmu.Unlock()
+	return true
+}
+
+// ReadBatch hands out carried segments first, then reads the socket
+// into the slots left: with nothing delivered yet it waits, otherwise it
+// only tops the batch up with what is already queued.
 func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -108,45 +184,231 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	c.rbl.ensure(len(ms))
+	k := c.carried.take(ms)
+	for k < len(ms) {
+		n, err := c.recv(ms[k:], k == 0)
+		if err != nil {
+			if k > 0 {
+				return k, nil // the next call reports it
+			}
+			return 0, err
+		}
+		if n == 0 {
+			break
+		}
+		k += c.split(ms[k:], n)
+		if k > 0 {
+			break
+		}
+		// Every slot held a truncated train: nothing to hand back yet.
+	}
+	return k, nil
+}
+
+// recv runs one recvmmsg into ms, each header offering a control block
+// for the UDP_GRO segment size. With wait it parks until a datagram
+// arrives; without, an empty socket returns 0. The top-up runs under
+// Control rather than Read: Read holds the descriptor's read lock, which
+// another conn's read loop on the same socket keeps while it is parked,
+// so a top-up through it would wait for that loop's next datagram.
+func (c *mmsgConn) recv(ms []Message, wait bool) (int, error) {
+	b := &c.rbl
 	for i := range ms {
 		buf := ms[i].Buf
-		iov := &c.rbl.iovs[i]
+		iov := &b.iovs[i]
 		iov.Base = &buf[0]
 		iov.SetLen(len(buf))
-		h := &c.rbl.hdrs[i]
+		h := &b.hdrs[i]
 		h.hdr = syscall.Msghdr{
-			Name:    &c.rbl.names[i][0],
+			Name:    &b.names[i][0],
 			Namelen: syscall.SizeofSockaddrAny,
 			Iov:     iov,
 			Iovlen:  1,
+			Control: (*byte)(unsafe.Pointer(&b.ctrls[i])),
 		}
+		h.hdr.SetControllen(cmsgSegSize)
 		h.len = 0
 	}
-	var n int
-	var operr syscall.Errno
-	err := c.rc.Read(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&c.rbl.hdrs[0])), uintptr(len(ms)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false
-		}
-		operr = e
-		n = int(r1)
-		return true
-	})
+	c.rx = sysCall{hdrs: b.hdrs[:len(ms)], wait: wait}
+	var err error
+	if wait {
+		err = c.rc.Read(c.recvFn)
+	} else {
+		err = c.rc.Control(c.topUpFn)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if operr != 0 {
-		return 0, operr
+	if c.rx.err != 0 {
+		return 0, c.rx.err
 	}
+	return c.rx.n, nil
+}
+
+func (c *mmsgConn) recvOnce(fd uintptr) bool {
+	r := &c.rx
+	r1, _, e := syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		if r.wait {
+			return false
+		}
+		e, r1 = 0, 0
+	}
+	r.err = e
+	if e == 0 {
+		r.n = int(r1)
+	}
+	return true
+}
+
+// split turns the n slots recvmmsg filled at the head of ms into
+// datagrams and returns how many slots now hold one. A slot whose
+// UDP_GRO segment size is below its length is a train: its first
+// segment stays in place and each further one is copied once into the
+// slots that follow, after the slots received behind it have been moved
+// out of the way. Segments beyond the caller's slots go to the carry, in
+// order, ahead of everything received after them. A train the kernel
+// truncated (MSG_TRUNC) is dropped whole; a lone datagram that did not
+// fit keeps ReadFrom's silent truncation.
+func (c *mmsgConn) split(ms []Message, n int) int {
+	b := &c.rbl
+	trains, segments, truncated := 0, 0, 0
+	// Size every slot up, closing the gaps dropped trains leave.
+	w := 0
 	for i := 0; i < n; i++ {
-		m := &ms[i]
-		m.N = int(c.rbl.hdrs[i].len)
-		parseSockaddr(m, &c.rbl.names[i])
+		h := &b.hdrs[i]
+		size, gso := int(h.len), groSize(h, &b.ctrls[i])
+		if gso > 0 && h.hdr.Flags&syscall.MSG_TRUNC != 0 {
+			truncated++
+			continue
+		}
+		if w != i {
+			size = copy(ms[w].Buf, ms[i].Buf[:size])
+		}
+		parseSockaddr(&ms[w], &b.names[i])
+		segs, _, _ := splitCoalesced(size, gso, 0)
+		seg := size
+		if segs > 1 {
+			seg = gso
+			trains++
+			segments += segs
+		}
+		b.rx[w] = rxSlot{n: size, seg: seg, segs: segs}
+		w++
 	}
-	return n, nil
+	// Find where the caller's slots run out; from there on, carry.
+	total := 0
+	for i := 0; i < w; i++ {
+		r := &b.rx[i]
+		if total+r.segs <= len(ms) {
+			total += r.segs
+			continue
+		}
+		_, fit, cut := splitCoalesced(r.n, r.seg, len(ms)-total)
+		c.carried.push(ms[i].Buf[cut:r.n], r.seg, &ms[i])
+		for j := i + 1; j < w; j++ {
+			c.carried.push(ms[j].Buf[:b.rx[j].n], b.rx[j].seg, &ms[j])
+		}
+		r.n, r.segs = cut, fit
+		total += fit
+		w = i + 1
+		break
+	}
+	// Lay the segments out back to front: slot i's datagrams start at the
+	// number of datagrams ahead of it, which is never below i, so every
+	// slot written is either i itself or one already emptied.
+	p := total
+	for i := w - 1; i >= 0; i-- {
+		r := b.rx[i]
+		if r.segs == 0 {
+			continue
+		}
+		src := &ms[i]
+		dst := p - r.segs
+		for j := r.segs - 1; j >= 0; j-- {
+			lo := j * r.seg
+			hi := min(lo+r.seg, r.n)
+			if dst+j == i {
+				src.N = hi
+				continue
+			}
+			d := &ms[dst+j]
+			d.N = copy(d.Buf, src.Buf[lo:hi])
+			d.copyAddr(src)
+		}
+		p = dst
+	}
+	if c.observe != nil && trains+truncated > 0 {
+		c.observe(trains, segments, truncated)
+	}
+	return total
+}
+
+// groSize returns the UDP_GRO segment size a read header came back with,
+// or 0 when the kernel attached none.
+func groSize(h *mmsghdr, ctrl *cmsgSeg) int {
+	if h.hdr.Controllen < uint64(syscall.CmsgLen(4)) ||
+		ctrl.hdr.Level != syscall.IPPROTO_UDP || ctrl.hdr.Type != udpGRO {
+		return 0
+	}
+	return int(*(*int32)(unsafe.Pointer(&ctrl.data[0])))
+}
+
+// carry holds, in arrival order, the segments a ReadBatch could not fit
+// into its caller's slots; the next ReadBatch hands them out before it
+// reads the socket again. Both slices keep their capacity, so a steady
+// state carries without allocating.
+type carry struct {
+	bytes []byte
+	segs  []carriedSeg
+	next  int
+}
+
+// carriedSeg is one carried datagram: where its bytes sit in carry.bytes
+// and its source address (ipLen 0 when the kernel reported none).
+type carriedSeg struct {
+	off, n int
+	ipLen  int
+	ip     [16]byte
+	port   int
+}
+
+// push queues the datagrams of data, segments of seg bytes each, as
+// received from src's address.
+func (k *carry) push(data []byte, seg int, src *Message) {
+	base := len(k.bytes)
+	k.bytes = append(k.bytes, data...)
+	segs, _, _ := splitCoalesced(len(data), seg, 0)
+	for j := 0; j < segs; j++ {
+		lo := j * seg
+		s := carriedSeg{off: base + lo, n: min(seg, len(data)-lo)}
+		if src.Addr != nil {
+			s.ipLen = copy(s.ip[:], src.ua.IP)
+			s.port = src.ua.Port
+		}
+		k.segs = append(k.segs, s)
+	}
+}
+
+// take fills ms with carried segments and returns how many it filled.
+func (k *carry) take(ms []Message) int {
+	i := 0
+	for ; i < len(ms) && k.next < len(k.segs); i++ {
+		s := &k.segs[k.next]
+		m := &ms[i]
+		m.N = copy(m.Buf, k.bytes[s.off:s.off+s.n])
+		m.Addr = nil
+		if s.ipLen > 0 {
+			m.setIPPort(s.ip[:s.ipLen], s.port)
+		}
+		k.next++
+	}
+	if k.next == len(k.segs) {
+		k.bytes, k.segs, k.next = k.bytes[:0], k.segs[:0], 0
+	}
+	return i
 }
 
 func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
@@ -245,31 +507,34 @@ func (c *mmsgConn) buildCoalesced(ms []Message) (nh int, hadTrain bool, err erro
 func (c *mmsgConn) sendHdrs(nh int) (int, error) {
 	datagrams, sentH := 0, 0
 	for sentH < nh {
-		var n int
-		var operr syscall.Errno
-		err := c.rc.Write(func(fd uintptr) bool {
-			r1, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&c.wbl.hdrs[sentH])), uintptr(nh-sentH),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false
-			}
-			operr = e
-			n = int(r1)
-			return true
-		})
-		if err != nil {
+		c.tx = sysCall{hdrs: c.wbl.hdrs[sentH:nh]}
+		if err := c.rc.Write(c.sendFn); err != nil {
 			return datagrams, err
 		}
-		if operr != 0 {
-			return datagrams, operr
+		if c.tx.err != 0 {
+			return datagrams, c.tx.err
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < c.tx.n; i++ {
 			datagrams += c.wbl.runs[sentH+i]
 		}
-		sentH += n
+		sentH += c.tx.n
 	}
 	return datagrams, nil
+}
+
+func (c *mmsgConn) sendOnce(fd uintptr) bool {
+	t := &c.tx
+	r1, _, e := syscall.Syscall6(sysSENDMMSG, fd,
+		uintptr(unsafe.Pointer(&t.hdrs[0])), uintptr(len(t.hdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false
+	}
+	t.err = e
+	if e == 0 {
+		t.n = int(r1)
+	}
+	return true
 }
 
 // sameUDPAddr reports whether two write targets (already vetted as

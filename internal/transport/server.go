@@ -488,6 +488,10 @@ func (s *Server) readLoop(conn net.PacketConn) {
 		bc, batched = batchio.Upgrade(conn)
 		if batched {
 			s.stats.batchedIO.Store(1)
+			// Every read of this socket is a recvmmsg into a 64 KiB ingest
+			// slot, so the kernel may hand a sender's GSO train over whole;
+			// ReadBatch cuts it back into the datagrams dispatch serves.
+			batchio.EnableGRO(bc, s.stats.NoteRxSplit)
 		}
 	} else {
 		bc = batchio.Single(conn)

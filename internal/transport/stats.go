@@ -88,6 +88,13 @@ type Stats struct {
 	writeBatches   *metrics.Counter
 	writeDatagrams *metrics.Counter
 	dataBytes      *metrics.Counter
+	// Receive-offload observability: UDP GRO trains the router's sockets
+	// split back into datagrams, the datagrams they held, and trains
+	// dropped whole for not fitting their slot. rx_trains staying at 0
+	// under batched senders means coalescing is not engaged.
+	rxTrains        *metrics.Counter
+	rxTrainSegments *metrics.Counter
+	rxTruncated     *metrics.Counter
 
 	// Adaptive DoS-defense observability: the suspicion flag and currently
 	// demanded puzzle difficulty (mirrored from the router's controller by
@@ -174,6 +181,9 @@ func NewStats(reg *metrics.Registry) *Stats {
 	s.writeBatches = reg.Counter("write_batches", "egress flushes completed")
 	s.writeDatagrams = reg.Counter("write_datagrams", "datagrams moved by egress flushes")
 	s.dataBytes = reg.Counter("data_bytes", "plaintext payload bytes delivered to the local sink")
+	s.rxTrains = reg.Counter("rx_trains", "UDP GRO trains split back into datagrams on receive")
+	s.rxTrainSegments = reg.Counter("rx_train_segments", "datagrams the split UDP GRO trains held")
+	s.rxTruncated = reg.Counter("rx_truncated", "UDP GRO trains dropped whole for not fitting their receive slot")
 
 	s.dosSuspicion = reg.Gauge("dos_suspicion", "1 while the adaptive DoS monitor is suspicious")
 	s.dosDifficulty = reg.Gauge("dos_difficulty", "puzzle difficulty currently demanded from access requests")
@@ -317,6 +327,23 @@ func (s *Stats) WriteDatagrams() int64 { return s.writeDatagrams.Load() }
 
 // DataBytes returns the plaintext bytes delivered to the local sink.
 func (s *Stats) DataBytes() int64 { return s.dataBytes.Load() }
+
+// RxTrains returns how many UDP GRO trains the receive side split.
+func (s *Stats) RxTrains() int64 { return s.rxTrains.Load() }
+
+// RxTrainSegments returns how many datagrams the split trains held.
+func (s *Stats) RxTrainSegments() int64 { return s.rxTrainSegments.Load() }
+
+// RxTruncated returns how many trains were dropped for not fitting.
+func (s *Stats) RxTruncated() int64 { return s.rxTruncated.Load() }
+
+// NoteRxSplit is the batchio.EnableGRO observer of the router's sockets
+// (the server's read loops and the backbone node's).
+func (s *Stats) NoteRxSplit(trains, segments, truncated int) {
+	s.rxTrains.Add(int64(trains))
+	s.rxTrainSegments.Add(int64(segments))
+	s.rxTruncated.Add(int64(truncated))
+}
 
 // DoSSuspicion reports whether the mirrored adaptive monitor is suspicious.
 func (s *Stats) DoSSuspicion() bool { return s.dosSuspicion.Load() != 0 }
