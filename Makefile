@@ -50,8 +50,9 @@ ci:
 # fuzz smoke: each wire-facing decoder gets a short randomized run, plus
 # differential fuzzes of the Montgomery field core against big.Int, of
 # the lane kernels against their twins, the scalar tower and big.Int, of
-# G2.Unmarshal's ψ subgroup test against [n]Q = ∞, and of the cut that
-# splits a UDP GRO train against a byte-wise walk.
+# G2.Unmarshal's ψ subgroup test against [n]Q = ∞, of the cut that
+# splits a UDP GRO train against a byte-wise walk, and of the stack-held
+# HMAC under every key derivation and MAC against crypto/hmac.
 fuzz:
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzGfPvsBigInt$$' -fuzztime=10s
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzX8VsGfP$$' -fuzztime=10s
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/puzzle/ -run='^$$' -fuzz='^FuzzVerifySolution$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzPeekAccessRequest$$' -fuzztime=10s
 	$(GO) test ./internal/transport/batchio/ -run='^$$' -fuzz='^FuzzSplitCoalesced$$' -fuzztime=10s
+	$(GO) test ./internal/symcrypto/ -run='^$$' -fuzz='^FuzzHMACvsStdlib$$' -fuzztime=10s
 
 # metrics-lint gates the instrument namespace: the registry itself
 # panics on non-snake_case or kind-conflicting names at registration, and
@@ -157,7 +159,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/
+	$(GO) test -race ./internal/core/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/ ./internal/symcrypto/
 	$(GO) test -race -count=10 ./internal/backbone/ -run='$(BACKBONE_PLANE_TESTS)'
 
 bench:
@@ -167,9 +169,13 @@ bench:
 # allocation accounting, then gates on the steady-state paths staying
 # allocation-free: TestSteadyStateDecodeAllocs pins the decode side,
 # TestDataPlaneAllocs pins the whole batched ingest+egress round trip, and
-# a GSO train read back through ReadBatch with UDP GRO, at 0 allocs/op, and TestSealOpenAllocs pins the in-place session crypto
-# (the -benchtime=1x pass catches benchmarks that rot). The bn256 and sgs
-# benchmarks mirror the attach ledger's crypto rows (pairing, combined
+# a GSO train read back through ReadBatch with UDP GRO, at 0 allocs/op,
+# TestResumeExchangeAllocs holds one in-process ticket resume (both ends)
+# to its allocation ceiling, and TestSealOpenAllocs pins the in-place
+# session crypto (the -benchtime=1x pass catches benchmarks that rot).
+# TestKDFAllocs pins key derivation, MACs and the STEK lookup at 0
+# allocs/op, and BenchmarkResumeExchange prints the resume's µs/op. The
+# bn256 and sgs benchmarks mirror the attach ledger's crypto rows (pairing, combined
 # Miller, PrepareG2, sign, verify, 16-token sweep) and run once as well.
 # Then the revocation scan's per-token ratio in one command — an eight-lane
 # pass against the scalar Miller loop and final exponentiation it replaces
@@ -182,7 +188,9 @@ bench:
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
 # in time and in bytes), and a link from AddPeer to reachable.
 bench-smoke:
-	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs)$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestResumeExchangeAllocs)$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
+	$(GO) test ./internal/transport/ -run='^$$' -bench='^BenchmarkResumeExchange$$' -benchmem -benchtime=2000x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|PreparedMiller|FinalExponentiation)$$' -benchtime=200x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(HashToG2|G2ScalarMult|G2Unmarshal)$$' -benchtime=200x

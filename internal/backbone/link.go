@@ -4,7 +4,6 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"errors"
-	"io"
 	"net"
 	"slices"
 	"sync"
@@ -138,7 +137,7 @@ type pendingAd struct {
 }
 
 // link is one established router-to-router association: the peer's
-// identity and address, the derived symmetric keys, a send sequence and
+// identity and address, the AEAD under the derived link key, a send sequence and
 // a receive replay window, and the owner ads in flight in both
 // directions. A re-handshake (peer restart, link timeout) replaces the
 // whole link object, resetting every sequence space with the keys — the
@@ -147,9 +146,8 @@ type pendingAd struct {
 type link struct {
 	peer string
 	addr net.Addr
-	keys symcrypto.SessionKeys
 
-	// aead is the cached AES-GCM instance for keys.Enc (one key schedule
+	// aead is the cached AES-GCM instance for the link's Enc key (one key schedule
 	// per handshake, not per envelope). nonceBase is this end's random
 	// nonce prefix; sealAppend XORs the sequence number into it, keeping
 	// deterministic nonces disjoint between the two ends even though both
@@ -175,30 +173,16 @@ type link struct {
 }
 
 func newLink(peer string, addr net.Addr, keys symcrypto.SessionKeys, now time.Time) *link {
-	l := &link{peer: peer, addr: addr, keys: keys, lastSeen: now}
+	l := &link{peer: peer, addr: addr, lastSeen: now}
 	l.aead, _ = symcrypto.NewAEAD(keys.Enc) // never fails for a 32-byte key
 	rand.Read(l.nonceBase[:])
 	l.aadScratch = make([]byte, 0, 64+len(peer))
 	return l
 }
 
-// seal wraps plaintext in a LinkEnvelope of the given kind from self.
-func (l *link) seal(rng io.Reader, kind transport.Kind, self string, plaintext []byte) (*transport.LinkEnvelope, error) {
-	l.mu.Lock()
-	l.sendSeq++
-	seq := l.sendSeq
-	l.mu.Unlock()
-	ct, err := symcrypto.Seal(rng, l.keys.Enc, plaintext, transport.LinkEnvelopeAAD(kind, self, seq))
-	if err != nil {
-		return nil, err
-	}
-	return &transport.LinkEnvelope{From: self, Seq: seq, Ciphertext: ct}, nil
-}
-
 // sealAppend seals plaintext on this link and appends the complete
-// marshaled LinkEnvelope to dst — the zero-allocation twin of
-// seal+Marshal for the batched egress path: same wire format,
-// deterministic nonce (nonceBase XOR seq) instead of a drawn one. Give
+// marshaled LinkEnvelope to dst, allocation-free for the batched egress
+// path, under a deterministic nonce (nonceBase XOR seq). Give
 // dst transport.LinkEnvelopeLen(self, len(plaintext)) spare capacity to
 // avoid growth.
 func (l *link) sealAppend(dst []byte, kind transport.Kind, self string, plaintext []byte) []byte {
@@ -220,8 +204,8 @@ func (l *link) sealAppend(dst []byte, kind transport.Kind, self string, plaintex
 
 // open authenticates and decrypts an envelope received on this link at
 // now, enforcing the replay window, and refreshes the liveness clock. The
-// cached AEAD skips the per-envelope key schedule; the wire format is
-// symcrypto.Open's (nonce ‖ ct ‖ tag).
+// cached AEAD skips the per-envelope key schedule; the ciphertext field
+// is nonce ‖ ct ‖ tag.
 func (l *link) open(kind transport.Kind, env *transport.LinkEnvelope, now time.Time) ([]byte, error) {
 	if len(env.Ciphertext) < symcrypto.GCMNonceSize+symcrypto.GCMOverhead {
 		return nil, symcrypto.ErrDecrypt

@@ -2,7 +2,6 @@ package backbone
 
 import (
 	"bytes"
-	"crypto/rand"
 	"net"
 	"testing"
 	"time"
@@ -50,10 +49,7 @@ func TestLinkSealOpenReplayAndKindBinding(t *testing.T) {
 	a := newLink("r1", addr, keys, time.Now()) // r0's view
 	b := newLink("r0", addr, keys, time.Now()) // r1's view
 
-	env, err := a.seal(rand.Reader, transport.KindGossip, "r0", []byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := sealEnvelope(t, a, transport.KindGossip, "r0", []byte("hello"))
 	pt, err := b.open(transport.KindGossip, env, time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +63,7 @@ func TestLinkSealOpenReplayAndKindBinding(t *testing.T) {
 	}
 	// The kind is bound into the AAD: a gossip envelope replayed as a
 	// relay fails authentication outright.
-	env2, err := a.seal(rand.Reader, transport.KindGossip, "r0", []byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env2 := sealEnvelope(t, a, transport.KindGossip, "r0", []byte("hello"))
 	if _, err := b.open(transport.KindRelay, env2, time.Now()); err == nil {
 		t.Fatal("kind confusion accepted")
 	}
@@ -81,10 +74,21 @@ func TestLinkSealOpenReplayAndKindBinding(t *testing.T) {
 	}
 }
 
+// sealEnvelope seals plaintext on l and decodes the envelope back, the
+// way the receiving node sees it.
+func sealEnvelope(t *testing.T, l *link, kind transport.Kind, self string, plaintext []byte) *transport.LinkEnvelope {
+	t.Helper()
+	env, err := transport.UnmarshalLinkEnvelope(l.sealAppend(nil, kind, self, plaintext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 // sealAppend must produce exactly the marshaled-LinkEnvelope wire
-// format the random-nonce seal path produces: LinkEnvelopeLen is exact,
-// the standard decode+open path accepts the envelopes, and the AAD
-// append twin stays byte-identical to the Writer-built one.
+// format: LinkEnvelopeLen is exact, the standard decode+open path
+// accepts the envelopes, and the AAD append twin stays byte-identical
+// to the Writer-built one.
 func TestLinkSealAppendWireCompatible(t *testing.T) {
 	keys := deriveLinkKeys([]byte("dh"), "r0", "r1", []byte("sA"), []byte("sB"),
 		[]byte("aaaaaaaaaaaaaaaa"), []byte("bbbbbbbbbbbbbbbb"))

@@ -56,14 +56,15 @@ func (n *NetworkOperator) auditTranscript(transcript []byte, sig *sgs.Signature)
 	for i := range entries {
 		tokens[i] = entries[i].token
 	}
-	idx := sgs.Open(n.issuer.PublicKey(), transcript, sig, tokens)
+	idx, counts := sgs.OpenCounted(n.issuer.PublicKey(), transcript, sig, tokens)
 	if idx < 0 {
-		return AuditResult{TokensScanned: len(tokens)}, ErrAuditFailed
+		return AuditResult{TokensScanned: len(tokens), Pairings: counts.Pairings}, ErrAuditFailed
 	}
 	return AuditResult{
 		Group:         entries[idx].group,
 		KeyIndex:      entries[idx].index,
 		TokensScanned: idx + 1,
+		Pairings:      counts.Pairings,
 	}, nil
 }
 

@@ -85,6 +85,9 @@ type AuditResult struct {
 	// TokensScanned records how much of grt was scanned (for the
 	// performance experiments).
 	TokensScanned int
+	// Pairings is what the scan charged in the paper's accounting: two
+	// pairings per token tested.
+	Pairings int
 }
 
 // TraceResult is what the law authority learns from a full trace: the

@@ -19,10 +19,10 @@ const ResumeSecretSize = 32
 // AKA run; it is the symmetric stand-in for the group signature on the
 // re-attach path.
 func (s *Session) ResumptionSecret() []byte {
-	w := wire.NewWriter(2 * symcrypto.KeySize)
-	w.BytesField(s.keys.Enc[:])
-	w.BytesField(s.keys.Mac[:])
-	out := symcrypto.DeriveKey(w.Bytes(), "peace/resume-secret:v1")
+	// Enc and Mac as two wire byte fields, encoded on the stack.
+	var buf [2 * (4 + symcrypto.KeySize)]byte
+	enc := wire.AppendBytesField(buf[:0], s.keys.Enc[:])
+	out := symcrypto.DeriveKey(wire.AppendBytesField(enc, s.keys.Mac[:]), "peace/resume-secret:v1")
 	return out[:ResumeSecretSize]
 }
 
@@ -40,6 +40,9 @@ func ResumeSessionID(prev SessionID, clientNonce, serverNonce []byte) SessionID 
 	return id
 }
 
+// resumeTranscriptLabel versions the resumed session's key transcript.
+const resumeTranscriptLabel = "peace/resume-transcript:v1"
+
 // ResumeSession derives a fresh session from a resumption secret and the
 // two nonces of one resume exchange. Both endpoints call this with the
 // same inputs and obtain identical keys; the transcript binds the keys to
@@ -47,12 +50,14 @@ func ResumeSessionID(prev SessionID, clientNonce, serverNonce []byte) SessionID 
 // into a key it did not negotiate.
 func ResumeSession(prev SessionID, secret, clientNonce, serverNonce []byte, peer string, now time.Time) *Session {
 	id := ResumeSessionID(prev, clientNonce, serverNonce)
-	w := wire.NewWriter(128)
-	w.StringField("peace/resume-transcript:v1")
-	w.BytesField(prev[:])
-	w.BytesField(clientNonce)
-	w.BytesField(serverNonce)
-	return newSession(id, peer, secret, w.Bytes(), now)
+	// The transcript is four wire byte fields; it fits the stack buffer
+	// for nonces of up to 16 bytes and grows onto the heap past that.
+	var buf [4*4 + len(resumeTranscriptLabel) + len(SessionID{}) + 2*16]byte
+	w := wire.AppendStringField(buf[:0], resumeTranscriptLabel)
+	w = wire.AppendBytesField(w, prev[:])
+	w = wire.AppendBytesField(w, clientNonce)
+	w = wire.AppendBytesField(w, serverNonce)
+	return newSession(id, peer, secret, w, now)
 }
 
 // AdoptSession installs a session the transport established out of band

@@ -12,7 +12,6 @@ import (
 	"github.com/peace-mesh/peace/internal/metrics"
 	"github.com/peace-mesh/peace/internal/revocation"
 	"github.com/peace-mesh/peace/internal/sgs"
-	"github.com/peace-mesh/peace/internal/symcrypto"
 	"github.com/peace-mesh/peace/internal/wire"
 )
 
@@ -612,7 +611,7 @@ func (r *MeshRouter) establishSession(m *AccessRequest, st *beaconState, now tim
 	payload.StringField(r.id)
 	payload.BytesField(m.GJ.Marshal())
 	payload.BytesField(m.GR.Marshal())
-	ct, err := symcrypto.Seal(r.cfg.Rand, sess.keys.Enc, payload.Bytes(), id[:])
+	ct, err := sess.sealBlob(r.cfg.Rand, payload.Bytes(), id[:])
 	if err != nil {
 		return nil, nil, fmt.Errorf("router %q: confirm: %w", r.id, err)
 	}

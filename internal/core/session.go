@@ -173,14 +173,7 @@ func (s *Session) AppendSealedData(dst, payload []byte) ([]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.sendSeq
-	s.sendSeq++
-
-	s.nonceScratch = s.nonceBase
-	for i := 0; i < 8; i++ {
-		s.nonceScratch[symcrypto.GCMNonceSize-1-i] ^= byte(seq >> (8 * i))
-	}
-	aad := appendFrameAAD(s.aadScratch[:0], s.ID, seq)
+	seq, aad := s.nextSealLocked()
 
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.ID)))
 	dst = append(dst, s.ID[:]...)
@@ -192,6 +185,39 @@ func (s *Session) AppendSealedData(dst, payload []byte) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, symcrypto.MACSize)
 	var zeroTag [symcrypto.MACSize]byte
 	return append(dst, zeroTag[:]...), nil
+}
+
+// SealInPlace seals buf[GCMNonceSize:], a plaintext the caller encoded
+// straight into its frame behind a GCMNonceSize gap, as the session's
+// next data sequence number: AppendSealedData's nonce and AAD, the
+// ciphertext written over the plaintext. It returns nonce ‖ ciphertext ‖
+// tag in buf's array when buf has GCMOverhead spare capacity; that is
+// the payload of an encrypted DataFrame at the sequence number taken.
+func (s *Session) SealInPlace(buf []byte) ([]byte, error) {
+	if s.aead == nil {
+		return nil, fmt.Errorf("session %s: sealing unavailable", s.ID)
+	}
+	if len(buf) < symcrypto.GCMNonceSize {
+		return nil, fmt.Errorf("session %s: sealing buffer of %d bytes", s.ID, len(buf))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, aad := s.nextSealLocked()
+	nonce := buf[:symcrypto.GCMNonceSize]
+	copy(nonce, s.nonceScratch[:])
+	return s.aead.Seal(nonce, nonce, buf[symcrypto.GCMNonceSize:], aad), nil
+}
+
+// nextSealLocked takes the next send sequence number and fills the nonce
+// scratch (nonceBase XOR seq) and the AAD for it. s.mu must be held.
+func (s *Session) nextSealLocked() (seq uint64, aad []byte) {
+	seq = s.sendSeq
+	s.sendSeq++
+	s.nonceScratch = s.nonceBase
+	for i := 0; i < 8; i++ {
+		s.nonceScratch[symcrypto.GCMNonceSize-1-i] ^= byte(seq >> (8 * i))
+	}
+	return seq, appendFrameAAD(s.aadScratch[:0], s.ID, seq)
 }
 
 // OpenDataInto verifies (and if encrypted, decrypts under the cached
@@ -240,20 +266,42 @@ func (s *Session) OpenData(f *DataFrame) ([]byte, error) {
 // a nonce drawn from rng — AppendSealedData's wire format, as a frame
 // the caller can still inspect or marshal.
 func (s *Session) SealData(rng io.Reader, payload []byte) (*DataFrame, error) {
-	if s.aead == nil {
-		return nil, fmt.Errorf("session %s: sealing unavailable", s.ID)
-	}
-	ct := make([]byte, symcrypto.GCMNonceSize, symcrypto.GCMNonceSize+len(payload)+symcrypto.GCMOverhead)
-	if _, err := io.ReadFull(rng, ct); err != nil {
-		return nil, fmt.Errorf("session %s: nonce: %w", s.ID, err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.sendSeq
+	ct, err := s.sealBlob(rng, payload, appendFrameAAD(s.aadScratch[:0], s.ID, seq))
+	if err != nil {
+		return nil, err
+	}
 	s.sendSeq++
-	aad := appendFrameAAD(s.aadScratch[:0], s.ID, seq)
-	ct = s.aead.Seal(ct, ct[:symcrypto.GCMNonceSize], payload, aad)
 	return &DataFrame{Session: s.ID, Seq: seq, Encrypted: true, Payload: ct}, nil
+}
+
+// sealBlob encrypts payload under the cached AEAD with a nonce drawn
+// from rng, binding aad: nonce ‖ ciphertext ‖ tag, the layout of the key
+// confirmations M.3 and M̃.3.
+func (s *Session) sealBlob(rng io.Reader, payload, aad []byte) ([]byte, error) {
+	if s.aead == nil {
+		return nil, fmt.Errorf("session %s: sealing unavailable", s.ID)
+	}
+	out := make([]byte, symcrypto.GCMNonceSize, symcrypto.GCMNonceSize+len(payload)+symcrypto.GCMOverhead)
+	if _, err := io.ReadFull(rng, out); err != nil {
+		return nil, fmt.Errorf("session %s: nonce: %w", s.ID, err)
+	}
+	return s.aead.Seal(out, out, payload, aad), nil
+}
+
+// openBlob authenticates and decrypts a sealBlob output; any failure is
+// symcrypto.ErrDecrypt.
+func (s *Session) openBlob(blob, aad []byte) ([]byte, error) {
+	if s.aead == nil || len(blob) < symcrypto.GCMNonceSize+symcrypto.GCMOverhead {
+		return nil, symcrypto.ErrDecrypt
+	}
+	pt, err := s.aead.Open(nil, blob[:symcrypto.GCMNonceSize], blob[symcrypto.GCMNonceSize:], aad)
+	if err != nil {
+		return nil, symcrypto.ErrDecrypt
+	}
+	return pt, nil
 }
 
 // AuthData authenticates payload without encrypting it (the MAC-only path

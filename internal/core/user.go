@@ -11,7 +11,6 @@ import (
 	"github.com/peace-mesh/peace/internal/puzzle"
 	"github.com/peace-mesh/peace/internal/revocation"
 	"github.com/peace-mesh/peace/internal/sgs"
-	"github.com/peace-mesh/peace/internal/symcrypto"
 	"github.com/peace-mesh/peace/internal/wire"
 )
 
@@ -473,7 +472,7 @@ func (u *User) HandleAccessConfirm(m *AccessConfirm) (*Session, error) {
 	}
 
 	sess := newSession(id, pend.routerID, pend.dh, sessionTranscript(pend.gr, pend.gj), u.cfg.Clock.Now())
-	pt, err := symcrypto.Open(sess.keys.Enc, m.Ciphertext, id[:])
+	pt, err := sess.openBlob(m.Ciphertext, id[:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfirmation, err)
 	}
@@ -649,7 +648,7 @@ func (u *User) HandlePeerResponse(m *PeerResponse) (*PeerConfirm, *Session, erro
 	payload.BytesField(m.GL.Marshal())
 	payload.Uint64(uint64(pend.ts))
 	payload.Time(m.Timestamp)
-	ct, err := symcrypto.Seal(u.cfg.Rand, sess.keys.Enc, payload.Bytes(), id[:])
+	ct, err := sess.sealBlob(u.cfg.Rand, payload.Bytes(), id[:])
 	if err != nil {
 		return nil, nil, fmt.Errorf("user %q: confirm: %w", u.ID(), err)
 	}
@@ -672,7 +671,7 @@ func (u *User) HandlePeerConfirm(m *PeerConfirm) (*Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: no session for M̃.3", ErrNoSession)
 	}
-	pt, err := symcrypto.Open(sess.keys.Enc, m.Ciphertext, id[:])
+	pt, err := sess.openBlob(m.Ciphertext, id[:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfirmation, err)
 	}

@@ -20,6 +20,9 @@ type E7AuditPoint struct {
 	TokensScanned int
 	// PerTokenTime = AuditTime / TokensScanned.
 	PerTokenTime time.Duration
+	// PairingsCharged is what the audit's scan charged: two pairings per
+	// token tested.
+	PairingsCharged int
 }
 
 // E7TraceReport is the end-to-end law-authority trace measurement.
@@ -113,9 +116,10 @@ func RunE7AuditSweep(grtSizes []int) ([]E7AuditPoint, error) {
 		elapsed := time.Since(start)
 
 		pt := E7AuditPoint{
-			GrtSize:       no.GrtSize(),
-			AuditTime:     elapsed,
-			TokensScanned: res.TokensScanned,
+			GrtSize:         no.GrtSize(),
+			AuditTime:       elapsed,
+			TokensScanned:   res.TokensScanned,
+			PairingsCharged: res.Pairings,
 		}
 		if res.TokensScanned > 0 {
 			pt.PerTokenTime = elapsed / time.Duration(res.TokensScanned)

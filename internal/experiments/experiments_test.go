@@ -57,9 +57,6 @@ func TestE2OpCounts(t *testing.T) {
 }
 
 func TestE3RevocationSweepShape(t *testing.T) {
-	// 32 tokens, not a handful: the scan tests eight tokens to a pass where
-	// the CPU has the lane kernels, so the clock checks below need several
-	// passes' worth of list to have the margin six tokens used to give them.
 	pts, err := RunE3RevocationSweep([]int{0, 2, 32}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -76,16 +73,11 @@ func TestE3RevocationSweepShape(t *testing.T) {
 			t.Errorf("|URL|=%d: fast pairings = %d, want 5", pt.URLSize, pt.FastPairings)
 		}
 	}
-	// Shape: linear time grows with |URL|; fast time stays flat-ish.
-	if pts[2].LinearTime <= pts[0].LinearTime {
-		t.Error("linear revocation time did not grow with |URL|")
-	}
-	if pts[2].FastTime > 3*pts[0].FastTime {
-		t.Errorf("fast revocation time grew with |URL|: %v → %v", pts[0].FastTime, pts[2].FastTime)
-	}
-	// Crossover: by |URL| = 32 the fast variant must win.
-	if pts[2].FastTime >= pts[2].LinearTime {
-		t.Errorf("fast variant no faster at |URL|=32: fast=%v linear=%v", pts[2].FastTime, pts[2].LinearTime)
+	// Shape, counted rather than timed: the linear check grows with |URL|
+	// (above), the fast one stays at 5 (above), and by |URL| = 32 the
+	// fast variant charges fewer pairings.
+	if pts[2].FastPairings >= pts[2].LinearPairings {
+		t.Errorf("fast variant no cheaper at |URL|=32: fast=%d linear=%d pairings", pts[2].FastPairings, pts[2].LinearPairings)
 	}
 }
 
@@ -176,8 +168,16 @@ func TestE7AuditShape(t *testing.T) {
 		t.Errorf("scans = %d, %d; want full-population scans 8, 64",
 			pts[0].TokensScanned, pts[1].TokensScanned)
 	}
-	if pts[1].AuditTime <= pts[0].AuditTime {
-		t.Error("audit time did not grow with |grt|")
+	// The cost, counted: two pairings per token scanned, so the charge
+	// grows 16 → 128 as the population does.
+	for _, pt := range pts {
+		if pt.PairingsCharged != 2*pt.TokensScanned {
+			t.Errorf("|grt|=%d: %d pairings charged for %d tokens scanned, want two per token",
+				pt.GrtSize, pt.PairingsCharged, pt.TokensScanned)
+		}
+	}
+	if pts[1].PairingsCharged <= pts[0].PairingsCharged {
+		t.Errorf("pairings charged did not grow with |grt|: %d → %d", pts[0].PairingsCharged, pts[1].PairingsCharged)
 	}
 }
 
@@ -260,10 +260,10 @@ func TestE11Ablations(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
-	for _, r := range rows {
-		if r.Speedup <= 0 {
-			t.Errorf("%s: non-positive gain", r.Name)
-		}
+	// Rows 0 and 2 are held to counts below (final exponentiations, bytes);
+	// nothing counts the fixed-generator row, so its clock check stays.
+	if r := rows[1]; r.Speedup <= 0 {
+		t.Errorf("%s: non-positive gain", r.Name)
 	}
 	// Shared final exponentiation: same verdict on the same inputs from
 	// half the final exponentiations. The measured ratio is peacebench

@@ -1,6 +1,7 @@
 package symcrypto
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,12 +18,18 @@ var ErrUnknownTicketKey = errors.New("symcrypto: unknown ticket key generation")
 // stekIDSize is the length of the key-generation prefix on sealed blobs.
 const stekIDSize = 8
 
+// SealHeaderSize is where the plaintext starts in a ticket sealing
+// buffer and the ciphertext in a sealed blob: the generation identifier,
+// then the nonce.
+const SealHeaderSize = stekIDSize + GCMNonceSize
+
 // stekKey is one STEK generation: a random 64-bit identifier (carried in
 // the clear on every sealed blob so Open can pick the right generation)
-// and the AEAD key itself.
+// and the AEAD built once from the generation's key, so no seal or open
+// pays a key schedule.
 type stekKey struct {
-	id  uint64
-	key Key
+	id   uint64
+	aead cipher.AEAD
 }
 
 // TicketKeyRing holds the server's rotating Session Ticket Encryption
@@ -57,9 +64,15 @@ func newStekKey(rng io.Reader) (stekKey, error) {
 		return k, fmt.Errorf("symcrypto: ticket key id: %w", err)
 	}
 	k.id = binary.BigEndian.Uint64(idb[:])
-	if _, err := io.ReadFull(rng, k.key[:]); err != nil {
+	var key Key
+	if _, err := io.ReadFull(rng, key[:]); err != nil {
 		return k, fmt.Errorf("symcrypto: ticket key: %w", err)
 	}
+	aead, err := NewAEAD(key)
+	if err != nil {
+		return k, err
+	}
+	k.aead = aead
 	return k, nil
 }
 
@@ -95,42 +108,65 @@ func (r *TicketKeyRing) Generations() int {
 }
 
 // Seal encrypts plaintext under the current generation, binding aad, and
-// prepends the generation identifier in the clear.
+// prepends the generation identifier in the clear: id ‖ nonce ‖ ct ‖ tag.
 func (r *TicketKeyRing) Seal(rng io.Reader, plaintext, aad []byte) ([]byte, error) {
+	buf := make([]byte, SealHeaderSize, SealHeaderSize+len(plaintext)+GCMOverhead)
+	return r.SealInPlace(rng, append(buf, plaintext...), aad)
+}
+
+// SealInPlace is Seal for a caller that encoded its plaintext straight
+// into the blob: buf[SealHeaderSize:] is the plaintext, buf[:SealHeaderSize]
+// is overwritten with the generation identifier and a nonce drawn from
+// rng, and the plaintext is encrypted where it lies. Give buf GCMOverhead
+// spare capacity and the sealed blob comes back in the same array.
+func (r *TicketKeyRing) SealInPlace(rng io.Reader, buf, aad []byte) ([]byte, error) {
+	if len(buf) < SealHeaderSize {
+		return nil, fmt.Errorf("symcrypto: sealing buffer of %d bytes", len(buf))
+	}
 	r.mu.RLock()
 	k := r.keys[0]
 	r.mu.RUnlock()
 
-	ct, err := Seal(rng, k.key, plaintext, aad)
-	if err != nil {
-		return nil, err
+	binary.BigEndian.PutUint64(buf, k.id)
+	nonce := buf[stekIDSize:SealHeaderSize]
+	if _, err := io.ReadFull(rng, nonce); err != nil {
+		return nil, fmt.Errorf("symcrypto: nonce: %w", err)
 	}
-	out := make([]byte, stekIDSize, stekIDSize+len(ct))
-	binary.BigEndian.PutUint64(out, k.id)
-	return append(out, ct...), nil
+	pt := buf[SealHeaderSize:]
+	return k.aead.Seal(buf[:SealHeaderSize], nonce, pt, aad), nil
 }
 
 // Open decrypts a Seal output, selecting the generation named by the blob
 // prefix. A generation outside the grace window yields
-// ErrUnknownTicketKey; a tampered blob yields ErrDecrypt.
+// ErrUnknownTicketKey; a tampered blob yields ErrDecrypt. The plaintext
+// is a fresh slice the caller owns.
 func (r *TicketKeyRing) Open(blob, aad []byte) ([]byte, error) {
 	if len(blob) < stekIDSize {
 		return nil, ErrUnknownTicketKey
 	}
-	id := binary.BigEndian.Uint64(blob[:stekIDSize])
-
-	r.mu.RLock()
-	var key Key
-	found := false
-	for _, k := range r.keys {
-		if k.id == id {
-			key, found = k.key, true
-			break
-		}
-	}
-	r.mu.RUnlock()
-	if !found {
+	aead := r.generation(binary.BigEndian.Uint64(blob[:stekIDSize]))
+	if aead == nil {
 		return nil, ErrUnknownTicketKey
 	}
-	return Open(key, blob[stekIDSize:], aad)
+	if len(blob) < SealHeaderSize+GCMOverhead {
+		return nil, ErrDecrypt
+	}
+	pt, err := aead.Open(nil, blob[stekIDSize:SealHeaderSize], blob[SealHeaderSize:], aad)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	return pt, nil
+}
+
+// generation returns the AEAD of the generation named id, or nil when
+// the ring no longer (or never) held it.
+func (r *TicketKeyRing) generation(id uint64) cipher.AEAD {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, k := range r.keys {
+		if k.id == id {
+			return k.aead
+		}
+	}
+	return nil
 }

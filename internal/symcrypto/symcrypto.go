@@ -13,12 +13,11 @@ package symcrypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Exported errors.
@@ -44,26 +43,64 @@ type SessionKeys struct {
 	Mac Key
 }
 
-// extract implements HKDF-Extract with a fixed protocol salt.
-func extract(secret []byte) []byte {
-	mac := hmac.New(sha256.New, []byte("peace/symcrypto:extract:v1"))
-	mac.Write(secret)
-	return mac.Sum(nil)
+// extractSalt is the fixed protocol salt of HKDF-Extract.
+var extractSalt = []byte("peace/symcrypto:extract:v1")
+
+// hmacSHA256 computes HMAC-SHA256(key, head ‖ tail[0] ‖ tail[1] ‖ …)
+// into out, which may alias a message part: it is written last.
+// Both hash states are locals that never leave this frame, so the whole
+// computation stays on the stack at any key or message length: a message
+// of any size streams through the inner digest, and a key longer than a
+// block is hashed first (RFC 2104). It runs the same compressions as
+// crypto/hmac, which instead heap-allocates a keyed object (two digests
+// and both pads) per call.
+func hmacSHA256(out *[sha256.Size]byte, key, head []byte, tail ...[]byte) {
+	var pad [sha256.BlockSize]byte
+	if len(key) > sha256.BlockSize {
+		k := sha256.Sum256(key)
+		copy(pad[:], k[:])
+	} else {
+		copy(pad[:], key)
+	}
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	h := sha256.New()
+	h.Write(pad[:])
+	h.Write(head)
+	for _, p := range tail {
+		h.Write(p)
+	}
+	var inner [sha256.Size]byte
+	h.Sum(inner[:0])
+
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	h.Reset()
+	h.Write(pad[:])
+	h.Write(inner[:])
+	h.Sum(out[:0])
 }
 
-// expand implements HKDF-Expand for up to 255 blocks.
-func expand(prk []byte, info string, length int) []byte {
-	out := make([]byte, 0, length)
-	var block []byte
-	for counter := byte(1); len(out) < length; counter++ {
-		mac := hmac.New(sha256.New, prk)
-		mac.Write(block)
-		mac.Write([]byte(info))
-		mac.Write([]byte{counter})
-		block = mac.Sum(nil)
-		out = append(out, block...)
+// extract implements HKDF-Extract with a fixed protocol salt.
+func extract(secret []byte) (prk [sha256.Size]byte) {
+	hmacSHA256(&prk, extractSalt, secret)
+	return prk
+}
+
+// expand implements HKDF-Expand for up to 255 blocks, filling out. The
+// info string is label ‖ context, so no caller concatenates it first.
+func expand(prk *[sha256.Size]byte, out, label, context []byte) {
+	var block [sha256.Size]byte
+	var counter [1]byte
+	prev := block[:0] // T(0) is empty
+	for len(out) > 0 {
+		counter[0]++
+		hmacSHA256(&block, prk[:], prev, label, context, counter[:])
+		out = out[copy(out, block[:]):]
+		prev = block[:]
 	}
-	return out[:length]
 }
 
 // Stream derives a deterministic keystream of the requested length from a
@@ -71,13 +108,17 @@ func expand(prk []byte, info string, length int) []byte {
 // the bit-lengths of A and x differ (the pad is expanded from x, so the
 // TTP still learns nothing about A without x, and x never reaches the TTP).
 func Stream(secret []byte, label string, length int) []byte {
-	return expand(extract(secret), "stream:"+label, length)
+	prk := extract(secret)
+	out := make([]byte, length)
+	expand(&prk, out, []byte("stream:"), []byte(label))
+	return out
 }
 
 // DeriveKey derives a single labeled key from a shared secret.
 func DeriveKey(secret []byte, label string) Key {
+	prk := extract(secret)
 	var k Key
-	copy(k[:], expand(extract(secret), label, KeySize))
+	expand(&prk, k[:], []byte(label), nil)
 	return k
 }
 
@@ -86,66 +127,27 @@ func DeriveKey(secret []byte, label string) Key {
 // binds the keys to the session identifier (g^{r_R}, g^{r_j}).
 func DeriveSessionKeys(dhSecret, transcript []byte) SessionKeys {
 	prk := extract(dhSecret)
-	info := "peace/session:" + string(hashBytes(transcript))
-	material := expand(prk, info, 2*KeySize)
+	th := sha256.Sum256(transcript)
+	var material [2 * KeySize]byte
+	expand(&prk, material[:], []byte("peace/session:"), th[:])
 	var sk SessionKeys
 	copy(sk.Enc[:], material[:KeySize])
 	copy(sk.Mac[:], material[KeySize:])
 	return sk
 }
 
-func hashBytes(b []byte) []byte {
-	d := sha256.Sum256(b)
-	return d[:]
-}
-
-// Seal encrypts and authenticates plaintext with the key, binding aad.
-// The random nonce is prepended to the ciphertext.
-func Seal(rng io.Reader, key Key, plaintext, aad []byte) ([]byte, error) {
-	aead, err := newAEAD(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := io.ReadFull(rng, nonce); err != nil {
-		return nil, fmt.Errorf("symcrypto: nonce: %w", err)
-	}
-	out := aead.Seal(nonce, nonce, plaintext, aad)
-	return out, nil
-}
-
-// Open authenticates and decrypts a Seal output.
-func Open(key Key, ciphertext, aad []byte) ([]byte, error) {
-	aead, err := newAEAD(key)
-	if err != nil {
-		return nil, err
-	}
-	if len(ciphertext) < aead.NonceSize() {
-		return nil, ErrDecrypt
-	}
-	nonce, rest := ciphertext[:aead.NonceSize()], ciphertext[aead.NonceSize():]
-	pt, err := aead.Open(nil, nonce, rest, aad)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
-}
-
-// GCMNonceSize and GCMOverhead expose the AEAD geometry of Seal/Open
-// output (nonce prefix + ciphertext + tag) so hot paths can size
-// buffers without constructing an AEAD.
+// GCMNonceSize and GCMOverhead are the AEAD geometry of every sealed
+// blob (nonce prefix + ciphertext + tag), so hot paths can size buffers
+// without constructing an AEAD.
 const (
 	GCMNonceSize = 12
 	GCMOverhead  = 16
 )
 
-// NewAEAD builds the AES-256-GCM AEAD for key. Hot paths cache the
-// result per session instead of paying the key schedule on every Seal
-// and Open; the sealed wire format (nonce || ciphertext) is identical
-// to Seal's.
-func NewAEAD(key Key) (cipher.AEAD, error) { return newAEAD(key) }
-
-func newAEAD(key Key) (cipher.AEAD, error) {
+// NewAEAD builds the AES-256-GCM AEAD for key. Every holder of a key
+// caches the result — a session, a backbone link, a STEK generation — so
+// the key schedule is paid once per key, never per seal or open.
+func NewAEAD(key Key) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("symcrypto: cipher: %w", err)
@@ -158,22 +160,21 @@ func newAEAD(key Key) (cipher.AEAD, error) {
 }
 
 // MAC computes the session MAC over a sequence-numbered message, the
-// MAC-based per-packet authentication of the hybrid design.
-func MAC(key Key, seq uint64, msg []byte) [MACSize]byte {
-	mac := hmac.New(sha256.New, key[:])
+// MAC-based per-packet authentication of the hybrid design. The message
+// may be given in consecutive parts; the tag is the same as over their
+// concatenation.
+func MAC(key Key, seq uint64, msg ...[]byte) [MACSize]byte {
 	var s [8]byte
 	binary.BigEndian.PutUint64(s[:], seq)
-	mac.Write(s[:])
-	mac.Write(msg)
 	var out [MACSize]byte
-	mac.Sum(out[:0])
+	hmacSHA256(&out, key[:], s[:], msg...)
 	return out
 }
 
 // VerifyMAC checks a MAC tag in constant time.
 func VerifyMAC(key Key, seq uint64, msg []byte, tag [MACSize]byte) error {
 	want := MAC(key, seq, msg)
-	if !hmac.Equal(want[:], tag[:]) {
+	if subtle.ConstantTimeCompare(want[:], tag[:]) != 1 {
 		return ErrBadMAC
 	}
 	return nil

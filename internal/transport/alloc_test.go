@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"context"
 	"crypto/rand"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/core"
+	"github.com/peace-mesh/peace/internal/symcrypto"
 	"github.com/peace-mesh/peace/internal/transport/batchio"
 )
 
@@ -277,4 +279,136 @@ func BenchmarkReplyCacheBegin(b *testing.B) {
 		sid[1] = byte(i >> 8)
 		c.begin(sid)
 	}
+}
+
+// resumeExchange is one ticket resume run in process: the client builds,
+// signs and frames a request; the server decodes it into its loop's
+// scratch and runs handleResumeRequest; the client decodes the confirm
+// the server's egress flushed and opens it. Only the socket hops are
+// missing from the round trip a roaming user pays.
+type resumeExchange struct {
+	srv  *Server
+	cl   *Client
+	t    *resumeTicket
+	l    *shardLoop
+	out  *lastDatagramConn
+	addr net.Addr
+}
+
+// lastDatagramConn keeps the last datagram an egress flush wrote.
+type lastDatagramConn struct {
+	nullBatchConn
+	last []byte
+}
+
+func (c *lastDatagramConn) WriteBatch(ms []batchio.Message) (int, error) {
+	if len(ms) > 0 {
+		c.last = ms[len(ms)-1].Payload()
+	}
+	return len(ms), nil
+}
+
+// newResumeExchange attaches one client over loopback to a
+// ticket-issuing server, then takes its ticket.
+func newResumeExchange(tb testing.TB) *resumeExchange {
+	tb.Helper()
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ring, err := symcrypto.NewTicketKeyRing(rand.Reader)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	listen := func() net.PacketConn {
+		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return conn
+	}
+	srv := NewServer(listen(), ln.Routers[0], ServerConfig{TicketKeys: ring, BootEpoch: 7})
+	tb.Cleanup(srv.Close)
+	conn := listen()
+	tb.Cleanup(func() { conn.Close() })
+	cl := NewClient(conn, srv.Addr(), ln.Users[0], testClientConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := cl.Attach(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	out := &lastDatagramConn{}
+	eg := batchio.NewEgress(out, 32, time.Hour, batchio.NewPool(egressFrameSize), nil)
+	tb.Cleanup(eg.Close)
+	return &resumeExchange{
+		srv: srv, cl: cl, t: cl.heldTicket(), out: out,
+		l:    &shardLoop{eg: eg},
+		addr: &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9},
+	}
+}
+
+// run performs one exchange and returns the session the client derived.
+func (x *resumeExchange) run(tb testing.TB) *core.Session {
+	req, frame, err := x.cl.resumeRequest(x.t, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dedup := resumeDedupID(x.t.blob, req.Nonce[:])
+
+	_, payload, err := DecodeFrame(frame)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := UnmarshalResumeRequestInto(payload, &x.l.scratchResume); err != nil {
+		tb.Fatal(err)
+	}
+	x.srv.handleResumeRequest(x.l, &x.l.scratchResume, x.addr)
+	x.l.eg.Flush()
+
+	kind, payload, err := DecodeFrame(x.out.last)
+	if err != nil || kind != KindResumeConfirm {
+		tb.Fatalf("server answered %v: %v", kind, err)
+	}
+	var confirm ResumeConfirm
+	if err := UnmarshalResumeConfirmInto(payload, &confirm); err != nil || confirm.Dedup != dedup {
+		tb.Fatalf("confirm: %v (dedup match %v)", err, confirm.Dedup == dedup)
+	}
+	sess, body, err := openResumeConfirm(x.t, &req.Nonce, &confirm)
+	if err != nil || len(body.Ticket) == 0 {
+		tb.Fatalf("open confirm: %v", err)
+	}
+	return sess
+}
+
+// resumeExchangeAllocs is the allocation ceiling of one in-process
+// resume round trip, both ends together. Almost half is the escrowed
+// M.2's decode (group signature and curve points); the rest is the two
+// new sessions with their AEADs, the opened and the reissued ticket, the
+// confirm frame and the request.
+const resumeExchangeAllocs = 39
+
+// TestResumeExchangeAllocs gates the allocations of one ticket resume,
+// client and server together, at resumeExchangeAllocs.
+func TestResumeExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	x := newResumeExchange(t)
+	x.run(t)
+	avg := testing.AllocsPerRun(200, func() { x.run(t) })
+	t.Logf("resume exchange: %.1f allocs/op", avg)
+	if avg > resumeExchangeAllocs {
+		t.Fatalf("resume exchange allocates %.1f/op, ceiling %d", avg, resumeExchangeAllocs)
+	}
+}
+
+// BenchmarkResumeExchange times one in-process resume round trip.
+func BenchmarkResumeExchange(b *testing.B) {
+	x := newResumeExchange(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.run(b)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/op")
 }

@@ -305,7 +305,12 @@ func EncodeMessage(msg any) ([]byte, error) {
 	case *SessionPong:
 		return EncodeFrame(KindSessionPong, m.Frame.Marshal())
 	case *ResumeRequest:
-		return EncodeFrame(KindResumeRequest, m.Marshal())
+		n := m.marshaledLen()
+		frame, err := AppendFrameHeader(make([]byte, 0, HeaderSize+n), KindResumeRequest, n)
+		if err != nil {
+			return nil, err
+		}
+		return m.appendTo(frame), nil
 	case *ResumeConfirm:
 		return EncodeFrame(KindResumeConfirm, m.Marshal())
 	case *SessionData:

@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"crypto/rand"
+	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -38,50 +40,74 @@ type ResumeRequest struct {
 	PuzzleDifficulty uint8
 }
 
-// macBody is the byte string the request tag covers.
-func (m *ResumeRequest) macBody() []byte {
-	w := wire.NewWriter(96 + len(m.Ticket))
-	w.StringField("peace/resume-req:v2")
-	w.BytesField(m.Ticket)
-	w.BytesField(m.Nonce[:])
-	w.Time(m.Timestamp)
-	if m.HasSolution {
-		w.Byte(1)
-		w.Uint64(m.Solution)
-		w.Time(m.PuzzleIssuedAt)
-		w.Byte(m.PuzzleDifficulty)
-	} else {
-		w.Byte(0)
+// resumeMACLabel versions the request tag.
+const resumeMACLabel = "peace/resume-req:v2"
+
+// mac computes the request tag over the label, the ticket, the nonce,
+// the timestamp and the puzzle solution, each as a wire field. The
+// fields around the ticket are encoded on the stack and the ticket is
+// MACed where it lies, so no message body is built.
+func (m *ResumeRequest) mac(secret []byte) [symcrypto.MACSize]byte {
+	var head [4 + len(resumeMACLabel) + 4]byte
+	h := wire.AppendStringField(head[:0], resumeMACLabel)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(m.Ticket)))
+	var tail [4 + ResumeNonceSize + 8 + resumeSolutionMaxLen]byte
+	tl := wire.AppendBytesField(tail[:0], m.Nonce[:])
+	tl = m.appendSolution(wire.AppendTime(tl, m.Timestamp))
+	return symcrypto.MAC(resumeMACKey(secret), 0, h, m.Ticket, tl)
+}
+
+// resumeSolutionMaxLen is the encoded size of a puzzle solution block.
+const resumeSolutionMaxLen = 1 + 8 + 8 + 1
+
+// appendSolution appends the solution flag and, when set, the solution
+// and the echoed puzzle parameters.
+func (m *ResumeRequest) appendSolution(dst []byte) []byte {
+	if !m.HasSolution {
+		return append(dst, 0)
 	}
-	return w.Bytes()
+	dst = append(dst, 1)
+	dst = binary.BigEndian.AppendUint64(dst, m.Solution)
+	dst = wire.AppendTime(dst, m.PuzzleIssuedAt)
+	return append(dst, m.PuzzleDifficulty)
 }
 
 // sign computes and installs the request tag.
 func (m *ResumeRequest) sign(secret []byte) {
-	m.Tag = symcrypto.MAC(resumeMACKey(secret), 0, m.macBody())
+	m.Tag = m.mac(secret)
 }
 
-// verify checks the request tag against the ticket's secret.
+// verify checks the request tag against the ticket's secret, in
+// constant time.
 func (m *ResumeRequest) verify(secret []byte) error {
-	return symcrypto.VerifyMAC(resumeMACKey(secret), 0, m.macBody(), m.Tag)
+	want := m.mac(secret)
+	if subtle.ConstantTimeCompare(want[:], m.Tag[:]) != 1 {
+		return symcrypto.ErrBadMAC
+	}
+	return nil
+}
+
+// marshaledLen is the size of the encoded request.
+func (m *ResumeRequest) marshaledLen() int {
+	n := 4 + len(m.Ticket) + 4 + ResumeNonceSize + 8 + 4 + symcrypto.MACSize + 1
+	if m.HasSolution {
+		n += 8 + 8 + 1
+	}
+	return n
+}
+
+// appendTo appends the encoded request to dst.
+func (m *ResumeRequest) appendTo(dst []byte) []byte {
+	dst = wire.AppendBytesField(dst, m.Ticket)
+	dst = wire.AppendBytesField(dst, m.Nonce[:])
+	dst = wire.AppendTime(dst, m.Timestamp)
+	dst = wire.AppendBytesField(dst, m.Tag[:])
+	return m.appendSolution(dst)
 }
 
 // Marshal encodes the resume request.
 func (m *ResumeRequest) Marshal() []byte {
-	w := wire.NewWriter(128 + len(m.Ticket))
-	w.BytesField(m.Ticket)
-	w.BytesField(m.Nonce[:])
-	w.Time(m.Timestamp)
-	w.BytesField(m.Tag[:])
-	if m.HasSolution {
-		w.Byte(1)
-		w.Uint64(m.Solution)
-		w.Time(m.PuzzleIssuedAt)
-		w.Byte(m.PuzzleDifficulty)
-	} else {
-		w.Byte(0)
-	}
-	return w.Bytes()
+	return m.appendTo(make([]byte, 0, m.marshaledLen()))
 }
 
 // UnmarshalResumeRequest decodes a resume request, copying the ticket so
@@ -169,35 +195,67 @@ func (m *ResumeConfirm) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalResumeConfirm decodes a resume confirm.
+// UnmarshalResumeConfirm decodes a resume confirm, copying the
+// ciphertext so the result outlives the input buffer.
 func UnmarshalResumeConfirm(data []byte) (*ResumeConfirm, error) {
-	r := wire.NewReader(data)
 	m := &ResumeConfirm{}
-	d, err := r.BytesField()
-	if err != nil {
+	if err := UnmarshalResumeConfirmInto(data, m); err != nil {
 		return nil, err
 	}
+	m.Ciphertext = append([]byte(nil), m.Ciphertext...)
+	return m, nil
+}
+
+// UnmarshalResumeConfirmInto decodes a resume confirm into m without
+// allocating: m.Ciphertext aliases data, so the caller must finish with
+// m before reusing the receive buffer.
+func UnmarshalResumeConfirmInto(data []byte, m *ResumeConfirm) error {
+	r := wire.NewReader(data)
+	d, err := r.BytesField()
+	if err != nil {
+		return err
+	}
 	if len(d) != len(m.Dedup) {
-		return nil, fmt.Errorf("transport: resume dedup size %d", len(d))
+		return fmt.Errorf("transport: resume dedup size %d", len(d))
 	}
 	copy(m.Dedup[:], d)
 	nonce, err := r.BytesField()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(nonce) != ResumeNonceSize {
-		return nil, fmt.Errorf("transport: resume nonce size %d", len(nonce))
+		return fmt.Errorf("transport: resume nonce size %d", len(nonce))
 	}
 	copy(m.Nonce[:], nonce)
-	ct, err := r.BytesField()
+	if m.Ciphertext, err = r.BytesField(); err != nil {
+		return err
+	}
+	return r.Finish()
+}
+
+// encodeResumeConfirm builds the KindResumeConfirm frame answering one
+// resume in a single buffer: the frame header, the dedup and server
+// nonce fields, and body encoded straight into the ciphertext field and
+// sealed there under the new session — as its first data sequence
+// number, 0, which is the one the client opens it at.
+func encodeResumeConfirm(sess *core.Session, dedup core.SessionID, serverNonce *[ResumeNonceSize]byte, body *resumeOK) ([]byte, error) {
+	ctLen := symcrypto.GCMNonceSize + body.marshaledLen() + symcrypto.GCMOverhead
+	payloadLen := 4 + len(dedup) + 4 + ResumeNonceSize + 4 + ctLen
+	frame, err := AppendFrameHeader(make([]byte, 0, HeaderSize+payloadLen), KindResumeConfirm, payloadLen)
 	if err != nil {
 		return nil, err
 	}
-	m.Ciphertext = append([]byte(nil), ct...)
-	if err := r.Finish(); err != nil {
+	frame = wire.AppendBytesField(frame, dedup[:])
+	frame = wire.AppendBytesField(frame, serverNonce[:])
+	frame = binary.BigEndian.AppendUint32(frame, uint32(ctLen))
+	at := len(frame)
+	var gap [symcrypto.GCMNonceSize]byte
+	frame = body.appendTo(append(frame, gap[:]...))
+	sealed, err := sess.SealInPlace(frame[at:])
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	return frame[:at+len(sealed)], nil
 }
 
 // resumeOKTag versions the sealed confirm body.
@@ -214,49 +272,71 @@ type resumeOK struct {
 	Ticket    []byte
 }
 
-func (b *resumeOK) marshal() []byte {
-	w := wire.NewWriter(96 + len(b.Ticket))
-	w.StringField(resumeOKTag)
-	w.StringField(b.RouterID)
-	w.Uint64(b.BootEpoch)
-	w.BytesField(b.Nonce[:])
-	w.BytesField(b.Ticket)
-	return w.Bytes()
+// marshaledLen is the size of the encoded body.
+func (b *resumeOK) marshaledLen() int {
+	return 4 + len(resumeOKTag) + 4 + len(b.RouterID) + 8 + 4 + ResumeNonceSize + 4 + len(b.Ticket)
 }
 
-func unmarshalResumeOK(data []byte) (*resumeOK, error) {
+// appendTo appends the encoded body to dst.
+func (b *resumeOK) appendTo(dst []byte) []byte {
+	dst = wire.AppendStringField(dst, resumeOKTag)
+	dst = wire.AppendStringField(dst, b.RouterID)
+	dst = binary.BigEndian.AppendUint64(dst, b.BootEpoch)
+	dst = wire.AppendBytesField(dst, b.Nonce[:])
+	return wire.AppendBytesField(dst, b.Ticket)
+}
+
+// unmarshalResumeOK decodes a confirm body into b; b.Ticket aliases data.
+func unmarshalResumeOK(data []byte, b *resumeOK) error {
 	r := wire.NewReader(data)
-	tag, err := r.StringField()
+	tag, err := r.BytesField()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if tag != resumeOKTag {
-		return nil, fmt.Errorf("transport: resume body tag %q", tag)
+	if string(tag) != resumeOKTag {
+		return fmt.Errorf("transport: resume body tag %q", tag)
 	}
-	b := &resumeOK{}
 	if b.RouterID, err = r.StringField(); err != nil {
-		return nil, err
+		return err
 	}
 	if b.BootEpoch, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	nonce, err := r.BytesField()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(nonce) != ResumeNonceSize {
-		return nil, fmt.Errorf("transport: resume body nonce size %d", len(nonce))
+		return fmt.Errorf("transport: resume body nonce size %d", len(nonce))
 	}
 	copy(b.Nonce[:], nonce)
-	tk, err := r.BytesField()
+	if b.Ticket, err = r.BytesField(); err != nil {
+		return err
+	}
+	return r.Finish()
+}
+
+// openResumeConfirm derives the candidate session a confirm names and
+// demands key confirmation: only a server that opened the ticket and
+// derived the same keys can seal a body that opens under the new session
+// id and echoes the client's nonce. The body's ticket aliases the
+// freshly opened plaintext, which belongs to the caller.
+func openResumeConfirm(t *resumeTicket, clientNonce *[ResumeNonceSize]byte, m *ResumeConfirm) (*core.Session, *resumeOK, error) {
+	cand := core.ResumeSession(t.prev, t.secret, clientNonce[:], m.Nonce[:], "router", time.Now())
+	pt, err := cand.OpenDataInto(&core.DataFrame{
+		Session: cand.ID, Seq: 0, Encrypted: true, Payload: m.Ciphertext,
+	}, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b.Ticket = append([]byte(nil), tk...)
-	if err := r.Finish(); err != nil {
-		return nil, err
+	b := &resumeOK{}
+	if err := unmarshalResumeOK(pt, b); err != nil {
+		return nil, nil, err
 	}
-	return b, nil
+	if b.Nonce != *clientNonce {
+		return nil, nil, errors.New("transport: resume body echoes another nonce")
+	}
+	return cand, b, nil
 }
 
 // resumeTicket is the client's held resumption state: the opaque sealed
@@ -356,57 +436,30 @@ func (c *Client) Resume(ctx context.Context) (*core.Session, error) {
 // the old nonce would only replay the cached RejectPuzzle. A non-nil
 // challenge is solved (within budget) and attached under the request MAC.
 func (c *Client) resumeOnce(ctx context.Context, t *resumeTicket, challenge *puzzle.Puzzle, sessOut **core.Session, bodyOut **resumeOK) error {
-	req := &ResumeRequest{Ticket: t.blob, Timestamp: time.Now()}
-	if _, err := rand.Read(req.Nonce[:]); err != nil {
-		return fmt.Errorf("transport: resume nonce: %w", err)
-	}
-	if challenge != nil {
-		sol, ok := c.solvePuzzle(challenge)
-		if !ok {
-			return fmt.Errorf("transport: resume: %w: solve budget exhausted at difficulty %d",
-				core.ErrPuzzleRequired, challenge.Difficulty)
-		}
-		req.HasSolution = true
-		req.Solution = sol
-		req.PuzzleIssuedAt = challenge.IssuedAt
-		req.PuzzleDifficulty = challenge.Difficulty
-	}
-	req.sign(t.secret)
-	frame, err := EncodeMessage(req)
+	req, frame, err := c.resumeRequest(t, challenge)
 	if err != nil {
 		return err
 	}
 	dedup := resumeDedupID(t.blob, req.Nonce[:])
 
+	var confirm ResumeConfirm
 	return c.exchange(ctx, frame, func(kind Kind, payload []byte) (bool, error) {
 		switch kind {
 		case KindResumeConfirm:
-			m, err := UnmarshalResumeConfirm(payload)
-			if err != nil {
+			if err := UnmarshalResumeConfirmInto(payload, &confirm); err != nil {
 				c.stats.decodeErrors.Add(1)
 				return false, nil
 			}
-			if m.Dedup != dedup {
+			if confirm.Dedup != dedup {
 				c.stats.unhandled.Add(1)
 				return false, nil
 			}
-			// Derive the candidate session, then demand key confirmation:
-			// only a server that opened the ticket and derived the same
-			// keys can seal a body that opens under the new session id.
-			cand := core.ResumeSession(t.prev, t.secret, req.Nonce[:], m.Nonce[:], "router", time.Now())
-			pt, err := cand.OpenData(&core.DataFrame{
-				Session: cand.ID, Seq: 0, Encrypted: true, Payload: m.Ciphertext,
-			})
+			sess, body, err := openResumeConfirm(t, &req.Nonce, &confirm)
 			if err != nil {
 				c.stats.decodeErrors.Add(1)
 				return false, nil
 			}
-			b, err := unmarshalResumeOK(pt)
-			if err != nil || b.Nonce != req.Nonce {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
-			}
-			*sessOut, *bodyOut = cand, b
+			*sessOut, *bodyOut = sess, body
 			return true, nil
 		case KindReject:
 			rej, err := UnmarshalReject(payload)
@@ -431,6 +484,33 @@ func (c *Client) resumeOnce(ctx context.Context, t *resumeTicket, challenge *puz
 			return false, nil
 		}
 	})
+}
+
+// resumeRequest builds, signs and frames one resume request on t. Each
+// call draws a FRESH nonce. A non-nil challenge is solved (within budget)
+// and attached under the request MAC.
+func (c *Client) resumeRequest(t *resumeTicket, challenge *puzzle.Puzzle) (*ResumeRequest, []byte, error) {
+	req := &ResumeRequest{Ticket: t.blob, Timestamp: time.Now()}
+	if _, err := rand.Read(req.Nonce[:]); err != nil {
+		return nil, nil, fmt.Errorf("transport: resume nonce: %w", err)
+	}
+	if challenge != nil {
+		sol, ok := c.solvePuzzle(challenge)
+		if !ok {
+			return nil, nil, fmt.Errorf("transport: resume: %w: solve budget exhausted at difficulty %d",
+				core.ErrPuzzleRequired, challenge.Difficulty)
+		}
+		req.HasSolution = true
+		req.Solution = sol
+		req.PuzzleIssuedAt = challenge.IssuedAt
+		req.PuzzleDifficulty = challenge.Difficulty
+	}
+	req.sign(t.secret)
+	frame, err := EncodeMessage(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	return req, frame, nil
 }
 
 // AttachOrResume tries the cheap ticket path first and falls back to the

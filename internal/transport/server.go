@@ -935,15 +935,8 @@ func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.
 		s.logf("transport: reissue ticket: %v", err)
 		return
 	}
-	body := &resumeOK{RouterID: s.router.ID(), BootEpoch: s.cfg.BootEpoch, Nonce: req.Nonce, Ticket: newTicket}
-	df, err := sess.SealData(rand.Reader, body.marshal())
-	if err != nil {
-		s.replies.forget(sid)
-		s.logf("transport: seal resume confirm: %v", err)
-		return
-	}
-	confirm := &ResumeConfirm{Dedup: sid, Nonce: serverNonce, Ciphertext: df.Payload}
-	frame, err := EncodeMessage(confirm)
+	body := resumeOK{RouterID: s.router.ID(), BootEpoch: s.cfg.BootEpoch, Nonce: req.Nonce, Ticket: newTicket}
+	frame, err := encodeResumeConfirm(sess, sid, &serverNonce, &body)
 	if err != nil {
 		s.replies.forget(sid)
 		s.logf("transport: encode resume confirm: %v", err)

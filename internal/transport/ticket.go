@@ -2,6 +2,7 @@ package transport
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -55,88 +56,109 @@ type Ticket struct {
 	Escrow    []byte // marshaled core.AccessRequest (M.2)
 }
 
+// marshaledLen is the size of the encoded ticket plaintext.
+func (t *Ticket) marshaledLen() int {
+	return 4 + len(ticketTag) + 4 + len(t.Router) + 4 + len(t.Secret) + 4 + len(t.Prev) +
+		3*8 + 8 + 4 + len(t.Escrow)
+}
+
+// appendTo appends the encoded ticket plaintext to dst.
+func (t *Ticket) appendTo(dst []byte) []byte {
+	dst = wire.AppendStringField(dst, ticketTag)
+	dst = wire.AppendStringField(dst, t.Router)
+	dst = wire.AppendBytesField(dst, t.Secret[:])
+	dst = wire.AppendBytesField(dst, t.Prev[:])
+	dst = binary.BigEndian.AppendUint64(dst, t.URLEpoch)
+	dst = binary.BigEndian.AppendUint64(dst, t.CRLEpoch)
+	dst = binary.BigEndian.AppendUint64(dst, t.BootEpoch)
+	dst = wire.AppendTime(dst, t.Expiry)
+	return wire.AppendBytesField(dst, t.Escrow)
+}
+
 // Marshal encodes the ticket plaintext.
 func (t *Ticket) Marshal() []byte {
-	w := wire.NewWriter(160 + len(t.Router) + len(t.Escrow))
-	w.StringField(ticketTag)
-	w.StringField(t.Router)
-	w.BytesField(t.Secret[:])
-	w.BytesField(t.Prev[:])
-	w.Uint64(t.URLEpoch)
-	w.Uint64(t.CRLEpoch)
-	w.Uint64(t.BootEpoch)
-	w.Time(t.Expiry)
-	w.BytesField(t.Escrow)
-	return w.Bytes()
+	return t.appendTo(make([]byte, 0, t.marshaledLen()))
 }
 
 // UnmarshalTicket decodes a ticket plaintext. The escrow bytes are
 // copied, so the result outlives the decryption buffer.
 func UnmarshalTicket(data []byte) (*Ticket, error) {
-	r := wire.NewReader(data)
-	tag, err := r.StringField()
-	if err != nil {
-		return nil, err
-	}
-	if tag != ticketTag {
-		return nil, fmt.Errorf("transport: ticket tag %q", tag)
-	}
 	t := &Ticket{}
-	if t.Router, err = r.StringField(); err != nil {
+	if err := unmarshalTicketInto(data, t); err != nil {
 		return nil, err
+	}
+	t.Escrow = append([]byte(nil), t.Escrow...)
+	return t, nil
+}
+
+// unmarshalTicketInto decodes a ticket plaintext into t; t.Escrow
+// aliases data.
+func unmarshalTicketInto(data []byte, t *Ticket) error {
+	r := wire.NewReader(data)
+	tag, err := r.BytesField()
+	if err != nil {
+		return err
+	}
+	if string(tag) != ticketTag {
+		return fmt.Errorf("transport: ticket tag %q", tag)
+	}
+	if t.Router, err = r.StringField(); err != nil {
+		return err
 	}
 	sec, err := r.BytesField()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(sec) != len(t.Secret) {
-		return nil, fmt.Errorf("transport: ticket secret size %d", len(sec))
+		return fmt.Errorf("transport: ticket secret size %d", len(sec))
 	}
 	copy(t.Secret[:], sec)
 	prev, err := r.BytesField()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(prev) != len(t.Prev) {
-		return nil, fmt.Errorf("transport: ticket session id size %d", len(prev))
+		return fmt.Errorf("transport: ticket session id size %d", len(prev))
 	}
 	copy(t.Prev[:], prev)
 	if t.URLEpoch, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if t.CRLEpoch, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if t.BootEpoch, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if t.Expiry, err = r.Time(); err != nil {
-		return nil, err
+		return err
 	}
-	esc, err := r.BytesField()
-	if err != nil {
-		return nil, err
+	if t.Escrow, err = r.BytesField(); err != nil {
+		return err
 	}
-	t.Escrow = append([]byte(nil), esc...)
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return r.Finish()
 }
 
-// Seal encrypts the ticket under the ring's current STEK generation.
+// Seal encrypts the ticket under the ring's current STEK generation. The
+// plaintext is encoded straight into the blob and sealed where it lies.
 func (t *Ticket) Seal(rng io.Reader, ring *symcrypto.TicketKeyRing) ([]byte, error) {
-	return ring.Seal(rng, t.Marshal(), ticketAAD)
+	buf := make([]byte, symcrypto.SealHeaderSize, symcrypto.SealHeaderSize+t.marshaledLen()+symcrypto.GCMOverhead)
+	return ring.SealInPlace(rng, t.appendTo(buf), ticketAAD)
 }
 
-// OpenTicket decrypts and decodes a sealed ticket blob.
+// OpenTicket decrypts and decodes a sealed ticket blob. The escrow aliases
+// the decrypted plaintext, which belongs to the result alone.
 // symcrypto.ErrUnknownTicketKey means the STEK generation rotated out.
 func OpenTicket(blob []byte, ring *symcrypto.TicketKeyRing) (*Ticket, error) {
 	pt, err := ring.Open(blob, ticketAAD)
 	if err != nil {
 		return nil, err
 	}
-	return UnmarshalTicket(pt)
+	t := &Ticket{}
+	if err := unmarshalTicketInto(pt, t); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // resumeMACKey derives the key authenticating resume requests from the

@@ -62,19 +62,41 @@ func (w *Writer) Uint64(v uint64) *Writer {
 
 // Bytes appends a length-prefixed byte string.
 func (w *Writer) BytesField(p []byte) *Writer {
-	w.Uint32(uint32(len(p)))
-	w.buf = append(w.buf, p...)
+	w.buf = AppendBytesField(w.buf, p)
 	return w
 }
 
 // String appends a length-prefixed string.
 func (w *Writer) StringField(s string) *Writer {
-	return w.BytesField([]byte(s))
+	w.buf = AppendStringField(w.buf, s)
+	return w
 }
 
 // Time appends a timestamp with nanosecond precision.
 func (w *Writer) Time(t time.Time) *Writer {
-	return w.Uint64(uint64(t.UnixNano()))
+	w.buf = AppendTime(w.buf, t)
+	return w
+}
+
+// AppendBytesField, AppendStringField and AppendTime are the Writer's
+// encodings for a caller that sizes its own buffer — a stack array, or
+// the frame a message is sealed in — and appends to it directly.
+
+// AppendBytesField appends p as a length-prefixed byte string.
+func AppendBytesField(dst, p []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p)))
+	return append(dst, p...)
+}
+
+// AppendStringField appends s as a length-prefixed string.
+func AppendStringField(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
+
+// AppendTime appends a timestamp with nanosecond precision.
+func AppendTime(dst []byte, t time.Time) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(t.UnixNano()))
 }
 
 // Reader consumes a message produced by Writer.
