@@ -45,6 +45,7 @@ type routerCounters struct {
 	sessionsEstablished    *metrics.Counter
 	sessionsResumed        *metrics.Counter
 	expensiveVerifications *metrics.Counter
+	dosFailures            *metrics.Counter
 }
 
 func newRouterCounters(reg *metrics.Registry) routerCounters {
@@ -58,6 +59,7 @@ func newRouterCounters(reg *metrics.Registry) routerCounters {
 		sessionsEstablished:    reg.Counter("router_sessions_established", "sessions established via the full AKA"),
 		sessionsResumed:        reg.Counter("router_sessions_resumed", "sessions established via ticket resumption, no pairing"),
 		expensiveVerifications: reg.Counter("router_expensive_verifications", "group-signature verifications performed"),
+		dosFailures:            reg.Counter("router_dos_failures", "failed or malformed handshakes recorded as DoS evidence"),
 	}
 }
 
@@ -645,6 +647,7 @@ func (r *MeshRouter) RetireBeacon(gr *bn256.G1) {
 // noteFailure feeds one rejected access request to the adaptive DoS
 // monitor (which keeps its sliding window under r.mu).
 func (r *MeshRouter) noteFailure() {
+	r.stats.dosFailures.Add(1)
 	r.mu.Lock()
 	r.observeFailure(r.cfg.Clock.Now())
 	r.mu.Unlock()
