@@ -81,7 +81,6 @@ func (c TestbedConfig) withAttackDefaults() TestbedConfig {
 	if c.Server.RateLimitPerSec <= 0 {
 		c.Server.RateLimitPerSec = attackRateLimit
 	}
-	c.Server.DoSSampleInterval = 25 * time.Millisecond
 	return c.withFleetClient().withDefaults()
 }
 

@@ -230,6 +230,15 @@ func (r *MeshRouter) Metrics() *metrics.Registry { return r.metrics }
 // ID returns the router identifier MR_k.
 func (r *MeshRouter) ID() string { return r.id }
 
+// Now reads the router's clock, the protocol time of everything serving
+// it: ticket issue and expiry, resume freshness, beacon refresh and the
+// ingress rate limit.
+func (r *MeshRouter) Now() time.Time { return r.cfg.Clock.Now() }
+
+// FreshnessWindow is the bound on |now − ts| the router accepts on
+// timestamped requests, resumes included.
+func (r *MeshRouter) FreshnessWindow() time.Duration { return r.cfg.FreshnessWindow }
+
 // Public returns RPK_k for certificate enrollment.
 func (r *MeshRouter) Public() cert.PublicKey { return r.keyPair.Public() }
 

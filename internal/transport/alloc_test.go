@@ -86,76 +86,67 @@ func (nullBatchConn) Close() error                                 { return nil 
 
 // TestDataPlaneAllocs is the end-to-end allocs/op gate of the batched
 // data plane: one op is everything the server does for one sealed
-// data-frame datagram in steady state — frame demux, zero-copy decode,
-// OpenDataInto, then the echo egress (header-first encode, in-place
-// AppendSealedData into a pooled buffer, queue, sendmmsg flush). Must
-// stay at exactly 0 allocations per op.
+// data-frame datagram in steady state — dispatch's frame demux and table
+// row, zero-copy decode, OpenDataInto, the counters, then the echo
+// egress (header-first encode, in-place AppendSealedData into a pooled
+// buffer, queue, sendmmsg flush). Must stay at exactly 0 allocations per
+// op.
 func TestDataPlaneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
-	secret := make([]byte, core.ResumeSecretSize)
-	cn, sn := []byte("client-nonce-16b"), []byte("server-nonce-16b")
-	now := time.Unix(1700000000, 0)
-	client := core.ResumeSession(core.SessionID{}, secret, cn, sn, "client", now)
-	server := core.ResumeSession(core.SessionID{}, secret, cn, sn, "server", now)
+	rig := newGateRig(t, nil)
+	rig.serve(ServerConfig{EchoData: true})
+	srv := rig.srv
 	payload := []byte("steady-state payload of a modest size")
-
-	// Pre-encode the ingest datagrams: the replay rule consumes one
-	// sequence number per op, and AllocsPerRun executes runs+1 times.
-	const n = 1100
-	datagrams := make([][]byte, n)
-	for i := range datagrams {
+	seal := func() []byte {
 		buf, err := AppendFrameHeader(nil, KindSessionData, core.SealedDataLen(len(payload)))
+		if err == nil {
+			buf, err = rig.sess.AppendSealedData(buf, payload)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if datagrams[i], err = client.AppendSealedData(buf, payload); err != nil {
-			t.Fatal(err)
+		return buf
+	}
+
+	// Pre-encode the ingest datagrams, in the order they are served: the
+	// replay rule consumes one sequence number per op, and AllocsPerRun
+	// executes runs+1 times.
+	const n = 1100
+	datagrams := make([][]byte, n)
+	for i := range datagrams {
+		datagrams[i] = seal()
+	}
+	const trainLen, runs = 40, 100
+	bursts := make([][][]byte, runs+1)
+	for i := range bursts {
+		bursts[i] = make([][]byte, trainLen)
+		for j := range bursts[i] {
+			bursts[i][j] = seal()
 		}
 	}
 
 	pool := batchio.NewPool(egressFrameSize)
-	eg := batchio.NewEgress(nullBatchConn{}, 32, time.Millisecond, pool, nil)
-	defer eg.Close()
+	l := &shardLoop{
+		eg: batchio.NewEgress(nullBatchConn{}, 32, 0, pool, srv.noteFlush),
+		pt: make([]byte, 0, 65536),
+	}
+	defer l.eg.Close()
 	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	now := srv.router.Now()
+	delivered := srv.Stats().DataDelivered()
 
-	// The metric increments a live shard loop pays per datagram ride inside
-	// the gated op, so the registry refactor cannot quietly reintroduce
-	// allocations on the hot path.
-	stats := NewStats(nil)
-
-	var scratch core.DataFrame
-	pt := make([]byte, 0, 65536)
 	idx := 0
-	opStart := time.Now()
 	if avg := testing.AllocsPerRun(1000, func() {
-		stats.framesIn.Add(1)
-		stats.dataDelivered.Add(1)
-		stats.dataRTT.Observe(time.Since(opStart))
-		_, framePayload, err := DecodeFrame(datagrams[idx])
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv.dispatch(l, now, addr, datagrams[idx])
 		idx++
-		if err := core.UnmarshalDataFrameInto(framePayload, &scratch); err != nil {
-			t.Fatal(err)
-		}
-		pt, err = server.OpenDataInto(&scratch, pt[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := eg.Buffer()
-		if b.B, err = AppendFrameHeader(b.B, KindSessionData, core.SealedDataLen(len(pt))); err != nil {
-			t.Fatal(err)
-		}
-		if b.B, err = server.AppendSealedData(b.B, pt); err != nil {
-			t.Fatal(err)
-		}
-		eg.QueueBuf(b, addr)
-		eg.Flush()
+		l.eg.Flush()
 	}); avg != 0 {
 		t.Fatalf("data-plane ingest+egress path allocates %.1f/op, want 0", avg)
+	}
+	if got := srv.Stats().DataDelivered() - delivered; got != int64(idx) {
+		t.Fatalf("%d of %d frames delivered", got, idx)
 	}
 	if out := pool.Outstanding(); out != 0 {
 		t.Fatalf("egress leaked %d pooled buffers", out)
@@ -164,37 +155,30 @@ func TestDataPlaneAllocs(t *testing.T) {
 	// The ingest side with a GSO train: one op is a burst of trainLen
 	// frames leaving in one segmented send and coming back out of
 	// ReadBatch one per ring slot — split, carried past the 32 slots,
-	// decoded and opened.
-	const trainLen, runs = 40, 100
+	// then dispatched and echoed batch by batch as a read loop does.
 	rxConn, txConn := mustListen(t), mustListen(t)
 	defer rxConn.Close()
 	defer txConn.Close()
 	rx, _ := batchio.Upgrade(rxConn)
-	if !batchio.EnableGRO(rx, stats.NoteRxSplit) {
+	if !batchio.EnableGRO(rx, srv.stats.NoteRxSplit) {
 		t.Log("no UDP GRO on this platform; the train phase is skipped")
 		return
 	}
 	tx, _ := batchio.Upgrade(txConn)
-	bursts := make([][]batchio.Message, runs+1)
-	for i := range bursts {
-		bursts[i] = make([]batchio.Message, trainLen)
-		for j := range bursts[i] {
-			buf, err := AppendFrameHeader(nil, KindSessionData, core.SealedDataLen(len(payload)))
-			if err == nil {
-				buf, err = client.AppendSealedData(buf, payload)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			bursts[i][j].Set(buf, rxConn.LocalAddr())
+	msgs := make([][]batchio.Message, runs+1)
+	for i := range msgs {
+		msgs[i] = make([]batchio.Message, trainLen)
+		for j := range msgs[i] {
+			msgs[i][j].Set(bursts[i][j], rxConn.LocalAddr())
 		}
 	}
 	ingest := batchio.NewPool(65536)
 	ring := batchio.NewRing(32, ingest)
 	rx.SetReadDeadline(time.Now().Add(time.Minute))
 	burst := 0
+	delivered = srv.Stats().DataDelivered()
 	if avg := testing.AllocsPerRun(runs, func() {
-		if n, err := tx.WriteBatch(bursts[burst]); err != nil || n != trainLen {
+		if n, err := tx.WriteBatch(msgs[burst]); err != nil || n != trainLen {
 			t.Fatalf("WriteBatch = %d, %v", n, err)
 		}
 		burst++
@@ -204,28 +188,23 @@ func TestDataPlaneAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				_, framePayload, err := DecodeFrame(ms[i].Payload())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := core.UnmarshalDataFrameInto(framePayload, &scratch); err != nil {
-					t.Fatal(err)
-				}
-				if pt, err = server.OpenDataInto(&scratch, pt[:0]); err != nil {
-					t.Fatal(err)
-				}
+			for i := range ms[:n] {
+				srv.dispatch(l, now, ms[i].Addr, ms[i].Payload())
 			}
+			l.eg.Flush()
 			got += n
 		}
 	}); avg != 0 {
 		t.Fatalf("train ingest path allocates %.1f/op, want 0", avg)
 	}
+	if got := srv.Stats().DataDelivered() - delivered; got != int64(burst*trainLen) {
+		t.Fatalf("%d of %d train frames delivered", got, burst*trainLen)
+	}
 	ring.Close()
 	if out := ingest.Outstanding(); out != 0 {
 		t.Fatalf("ingest ring leaked %d pooled buffers", out)
 	}
-	if stats.RxTrains() == 0 {
+	if srv.Stats().RxTrains() == 0 {
 		t.Fatal("the bursts never arrived as trains")
 	}
 }
@@ -282,10 +261,10 @@ func BenchmarkReplyCacheBegin(b *testing.B) {
 }
 
 // resumeExchange is one ticket resume run in process: the client builds,
-// signs and frames a request; the server decodes it into its loop's
-// scratch and runs handleResumeRequest; the client decodes the confirm
-// the server's egress flushed and opens it. Only the socket hops are
-// missing from the round trip a roaming user pays.
+// signs and frames a request; the server's dispatch takes it through the
+// frame decode, the handshake gate and the resume handler; the client
+// decodes the confirm the server's egress flushed and opens it. Only the
+// socket hops are missing from the round trip a roaming user pays.
 type resumeExchange struct {
 	srv  *Server
 	cl   *Client
@@ -355,14 +334,7 @@ func (x *resumeExchange) run(tb testing.TB) *core.Session {
 	}
 	dedup := resumeDedupID(x.t.blob, req.Nonce[:])
 
-	_, payload, err := DecodeFrame(frame)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := UnmarshalResumeRequestInto(payload, &x.l.scratchResume); err != nil {
-		tb.Fatal(err)
-	}
-	x.srv.handleResumeRequest(x.l, &x.l.scratchResume, x.addr)
+	x.srv.dispatch(x.l, x.srv.router.Now(), x.addr, frame)
 	x.l.eg.Flush()
 
 	kind, payload, err := DecodeFrame(x.out.last)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,14 +45,31 @@ type gateRig struct {
 	ticket []byte
 }
 
+// stepClock is a core.Clock a test moves by hand. The router's
+// goroutines (verifiers, the DoS sampler) read it while the test moves
+// it, so it is atomic.
+type stepClock struct{ ns atomic.Int64 }
+
+func newStepClock(t time.Time) *stepClock {
+	c := &stepClock{}
+	c.Set(t)
+	return c
+}
+
+func (c *stepClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *stepClock) Set(t time.Time)         { c.ns.Store(t.UnixNano()) }
+func (c *stepClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+
 var (
 	srcA = &net.UDPAddr{IP: net.IPv4(198, 51, 100, 1), Port: 4000}
 	srcB = &net.UDPAddr{IP: net.IPv4(198, 51, 100, 2), Port: 4000}
 )
 
-func newGateRig(t *testing.T) *gateRig {
+// newGateRig provisions the rig's router, on clock (nil: the system
+// clock), and attaches its user.
+func newGateRig(t *testing.T, clock core.Clock) *gateRig {
 	t.Helper()
-	ln, err := NewLocalNetwork(core.Config{PuzzleDifficulty: 4}, "grp-gate", 1, 1)
+	ln, err := NewLocalNetwork(core.Config{Clock: clock, PuzzleDifficulty: 4}, "grp-gate", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +129,7 @@ func (r *gateRig) close() {
 // loop does after an ingest batch. It returns the reply the step queued,
 // or nil.
 func (r *gateRig) step(from net.Addr, datagram []byte) []byte {
-	var m batchio.Message
-	m.Set(datagram, from)
-	r.srv.dispatch(r.l, &m)
+	r.srv.dispatch(r.l, r.router().Now(), from, datagram)
 	r.l.eg.Flush()
 	select {
 	case reply := <-r.rec.out:
@@ -186,7 +202,7 @@ func (r *gateRig) encode(msg any) []byte {
 // resumeRequest builds a resume of the rig's ticket with a fresh nonce;
 // solve attaches an answer to the router's current puzzle.
 func (r *gateRig) resumeRequest(solve bool) (*ResumeRequest, []byte, core.SessionID) {
-	req := &ResumeRequest{Ticket: r.ticket, Timestamp: time.Now()}
+	req := &ResumeRequest{Ticket: r.ticket, Timestamp: r.router().Now()}
 	if _, err := rand.Read(req.Nonce[:]); err != nil {
 		r.t.Fatal(err)
 	}
@@ -367,7 +383,7 @@ func handshakeRows(kind string, answered Kind,
 // what a retransmit draws, the delta of every server counter and the
 // DoS evidence the router recorded.
 func TestDispatchGateMatrix(t *testing.T) {
-	rig := newGateRig(t)
+	rig := newGateRig(t, nil)
 
 	// An answered access request: sent from srcA (solved, while defense
 	// is on) and verified.
@@ -534,5 +550,33 @@ func TestDispatchGateMatrix(t *testing.T) {
 				t.Errorf("retransmit drew %v, want %v", got, row.again)
 			}
 		})
+	}
+}
+
+// TestResumeExpiryBoundary pins the ticket lifetime on the router's
+// clock: a ticket expires ticketLifetime after its issue, a resume at
+// exactly its expiry is served, and one a nanosecond later is refused.
+func TestResumeExpiryBoundary(t *testing.T) {
+	clock := newStepClock(time.Now())
+	rig := newGateRig(t, clock)
+	tk, err := OpenTicket(rig.ticket, rig.ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := clock.Now().Add(ticketLifetime); !tk.Expiry.Equal(want) {
+		t.Fatalf("ticket expires at %v, want %v", tk.Expiry, want)
+	}
+
+	clock.Set(tk.Expiry)
+	_, frame, _ := rig.resumeRequest(false)
+	if kind := frameKind(rig.step(srcA, frame)); kind != KindResumeConfirm {
+		t.Fatalf("resume at expiry answered %v, want a confirm", kind)
+	}
+
+	clock.Set(tk.Expiry.Add(time.Nanosecond))
+	_, frame, _ = rig.resumeRequest(false)
+	rej := rig.decode(rig.step(srcA, frame), KindReject).(*Reject)
+	if rej.Code != RejectTicket || rej.Reason != "ticket expired" {
+		t.Fatalf("resume past expiry refused with %v %q, want RejectTicket \"ticket expired\"", rej.Code, rej.Reason)
 	}
 }

@@ -97,10 +97,7 @@ func TestPuzzleGateLiveWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Routers[0].SetDoSPolicy(testDoSPolicy())
-	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{
-		BootEpoch:         1,
-		DoSSampleInterval: 10 * time.Millisecond,
-	})
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{BootEpoch: 1})
 	defer srv.Close()
 
 	raw := mustListen(t)
@@ -171,19 +168,14 @@ func TestPuzzleGateLiveWire(t *testing.T) {
 		t.Fatal("confirm for the wrong session")
 	}
 
-	// A fresh beacon now advertises the challenge to everyone — once the
-	// sampler's next tick has seen the difficulty move and dropped the cached
-	// calm-network frame, which a warm run reaches this line ahead of.
-	var b2 *core.Beacon
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if _, err := raw.WriteTo(breq, srv.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		if b2 = readMessage(t, raw, KindBeacon).(*core.Beacon); b2.Puzzle != nil {
-			break
-		}
+	// Once a load sample has seen the difficulty move, which drops the
+	// cached calm-network frame, a fresh beacon advertises the challenge
+	// to everyone.
+	srv.sample()
+	if _, err := raw.WriteTo(breq, srv.Addr()); err != nil {
+		t.Fatal(err)
 	}
-	if b2.Puzzle == nil || b2.Puzzle.Difficulty != need {
+	if b2 := readMessage(t, raw, KindBeacon).(*core.Beacon); b2.Puzzle == nil || b2.Puzzle.Difficulty != need {
 		t.Fatalf("storm beacon puzzle %+v, want difficulty %d", b2.Puzzle, need)
 	}
 
@@ -197,11 +189,7 @@ func TestPuzzleGateLiveWire(t *testing.T) {
 	if st.DoSPuzzlesVerified() == 0 {
 		t.Fatal("dos_puzzles_verified not bumped")
 	}
-	// The sampler mirrors controller state into the gauges.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !srv.Stats().DoSSuspicion() {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The sample mirrored the controller's state into the gauges.
 	if !srv.Stats().DoSSuspicion() {
 		t.Fatal("dos_suspicion gauge never set")
 	}
@@ -220,22 +208,16 @@ func TestClientAttachUnderActiveDefense(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Routers[0].SetDoSPolicy(testDoSPolicy())
-	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{
-		BootEpoch:         1,
-		DoSSampleInterval: 10 * time.Millisecond,
-	})
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{BootEpoch: 1})
 	defer srv.Close()
 
 	attacker := mustListen(t)
 	defer attacker.Close()
 	floodGarbageAccess(t, attacker, srv.Addr(), 6)
 	awaitDifficulty(t, ln.Routers[0])
-	// Wait for the sampler to invalidate the cached beacon so the client
-	// solicits one that already carries the challenge.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && srv.Stats().DoSDifficulty() == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// A load sample invalidates the cached beacon, so the client solicits
+	// one that already carries the challenge.
+	srv.sample()
 
 	conn := mustListen(t)
 	defer conn.Close()
@@ -260,10 +242,7 @@ func TestClientResumeUnderActiveDefense(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Routers[0].SetDoSPolicy(testDoSPolicy())
-	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{
-		BootEpoch:         1,
-		DoSSampleInterval: 10 * time.Millisecond,
-	})
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{BootEpoch: 1})
 	defer srv.Close()
 
 	conn := mustListen(t)

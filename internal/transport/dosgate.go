@@ -8,10 +8,10 @@ import (
 	"github.com/peace-mesh/peace/internal/core"
 )
 
-// Server-side half of the adaptive DoS defense (paper Section V.A): a
-// pre-decode puzzle gate on the two handshake kinds, a bounded
-// replayed-solution table, and the sampler loop that feeds ingest
-// pressure to the router's difficulty controller. The router decides
+// Server-side half of the adaptive DoS defense (paper Section V.A): the
+// handshake gate's puzzle check, a bounded replayed-solution table, and
+// the sampler that feeds ingest pressure to the router's difficulty
+// controller. The router decides
 // *whether* and *how hard* (core/dosdetect.go); this file is where those
 // decisions meet the wire — cheaply, before any curve unmarshal, queue
 // slot or pairing is spent on the datagram.
@@ -73,127 +73,75 @@ func (t *solutionReplayTable) admit(issuedAt time.Time, difficulty uint8, soluti
 	return true
 }
 
-// gateAccessRequest is the pre-decode puzzle gate on the attach path.
-// While the router demands a difficulty it peeks the raw solution fields
-// out of the datagram — no curve unmarshal, no signature work — and
-// spends exactly one HMAC plus one hash deciding admission. Anything
+// puzzleGate is the gate's puzzle check. While the router demands a
+// difficulty, it spends one HMAC plus one hash on the view's answer —
+// for an access request before any curve unmarshal or signature work —
+// and refuses a solution another source presented first. Anything
 // refused here costs the sender a reject frame and the router almost
-// nothing, which is the entire economics of the defense.
-func (s *Server) gateAccessRequest(l *shardLoop, payload []byte, addr net.Addr) bool {
+// nothing, which is the entire economics of the defense. A resume's
+// answer rides under the request MAC (resume.go), but the check runs
+// before the MAC is checkable: verifying it needs the ticket opened, and
+// opening tickets for free is exactly what a resume flood buys.
+// Cross-source grafting of a sniffed solution onto forged resumes is
+// caught by the replay table instead.
+func (s *Server) puzzleGate(l *shardLoop, from net.Addr, v *gateView) bool {
 	if s.router.RequiredDifficulty() == 0 {
 		return true
 	}
-	peek, err := core.PeekAccessRequest(payload)
-	if err != nil {
-		// Not even skeleton-parseable: failure evidence, no reply owed.
-		s.stats.decodeErrors.Add(1)
-		s.router.RecordDoSFailure()
-		return false
-	}
-	sid := core.SessionIDFromRaw(peek.RawGR, peek.RawGJ)
-	if !peek.HasSolution {
-		s.rejectPuzzle(l, addr, sid, "puzzle solution required")
-		return false
-	}
-	if err := s.router.VerifyPuzzleSolution(peek.PuzzleIssuedAt, peek.PuzzleDifficulty, peek.Solution); err != nil {
-		s.rejectPuzzle(l, addr, sid, "puzzle solution rejected")
-		return false
-	}
-	if !s.dosReplay.admit(peek.PuzzleIssuedAt, peek.PuzzleDifficulty, peek.Solution, sourceKey(addr)) {
+	var reason string
+	switch {
+	case !v.hasSolution:
+		reason = "puzzle solution required"
+	case s.router.VerifyPuzzleSolution(v.issuedAt, v.difficulty, v.solution) != nil:
+		reason = "puzzle solution rejected"
+	case !s.dosReplay.admit(v.issuedAt, v.difficulty, v.solution, sourceKey(from)):
 		s.stats.dosSolutionReplays.Add(1)
-		s.rejectPuzzle(l, addr, sid, "puzzle solution replayed")
-		return false
-	}
-	s.stats.dosPuzzlesVerified.Add(1)
-	return true
-}
-
-// gateResumeRequest is the resume-path twin. The solution fields ride
-// under the request MAC (resume.go), but the gate deliberately runs
-// before the MAC is checkable — MAC verification needs the ticket
-// opened, and opening tickets for free is exactly what a resume flood
-// buys. Cross-source grafting of a sniffed solution onto forged resumes
-// is caught by the replay table instead.
-func (s *Server) gateResumeRequest(l *shardLoop, req *ResumeRequest, addr net.Addr) bool {
-	if s.router.RequiredDifficulty() == 0 {
+		reason = "puzzle solution replayed"
+	default:
+		s.stats.dosPuzzlesVerified.Add(1)
 		return true
 	}
-	sid := resumeDedupID(req.Ticket, req.Nonce[:])
-	if !req.HasSolution {
-		s.rejectPuzzle(l, addr, sid, "puzzle solution required")
-		return false
-	}
-	if err := s.router.VerifyPuzzleSolution(req.PuzzleIssuedAt, req.PuzzleDifficulty, req.Solution); err != nil {
-		s.rejectPuzzle(l, addr, sid, "puzzle solution rejected")
-		return false
-	}
-	if !s.dosReplay.admit(req.PuzzleIssuedAt, req.PuzzleDifficulty, req.Solution, sourceKey(addr)) {
-		s.stats.dosSolutionReplays.Add(1)
-		s.rejectPuzzle(l, addr, sid, "puzzle solution replayed")
-		return false
-	}
-	s.stats.dosPuzzlesVerified.Add(1)
-	return true
+	s.reject(l, from, v.sid, RejectPuzzle, reason, false)
+	return false
 }
 
-// rejectPuzzle refuses one gated datagram with a RejectPuzzle carrying
-// the router's current challenge, so the refused client can solve and
-// retry without re-soliciting a beacon. The reject is deliberately not
-// cached in the reply cache: gate refusals happen before dedup begins,
-// and letting a flood of distinct spoofed sessions churn the cache would
-// hand the attacker a second target. Each refusal also counts as failure
-// evidence, keeping suspicion alive while unsolved traffic continues.
-func (s *Server) rejectPuzzle(l *shardLoop, addr net.Addr, sid core.SessionID, reason string) {
-	s.stats.dosPuzzlesRejected.Add(1)
-	s.router.RecordDoSFailure()
-	rej := &Reject{Session: sid, Code: RejectPuzzle, Reason: reason, Puzzle: s.router.CurrentPuzzle()}
-	frame, err := EncodeMessage(rej)
-	if err != nil {
-		s.logf("transport: encode puzzle reject: %v", err)
-		return
-	}
-	if rej.Puzzle != nil {
-		s.stats.dosPuzzlesIssued.Add(1)
-	}
-	s.stats.rejects.Add(1)
-	l.eg.Queue(frame, addr)
-}
-
-// dosSampleLoop feeds the router's difficulty controller one ingest
-// pressure sample per interval: verification-queue fill, cumulative
-// rate-limiter drops, and cumulative admitted handshakes (the drop
-// fraction's denominator). It also mirrors the controller's state into
-// the dos_suspicion/dos_difficulty gauges and invalidates the cached
-// beacon frame whenever the demanded difficulty moves, so the next
-// solicitation advertises the new challenge immediately instead of after
-// the refresh period.
+// dosSampleLoop takes one load sample per dosSampleInterval until Close.
 func (s *Server) dosSampleLoop() {
 	defer s.loops.Done()
-	ticker := time.NewTicker(s.cfg.DoSSampleInterval)
+	ticker := time.NewTicker(dosSampleInterval)
 	defer ticker.Stop()
-	var last uint8
 	for {
 		select {
 		case <-s.dosStop:
 			return
 		case <-ticker.C:
+			s.sample()
 		}
-		s.router.ObserveLoad(core.LoadSample{
-			QueueDepth:    s.queue.Depth(),
-			QueueCapacity: s.cfg.QueueCapacity,
-			RateDropped:   uint64(s.stats.ratelimitDropped.Load()),
-			RequestsSeen:  uint64(s.handshakesSeen.Load()),
-		})
-		need := s.router.RequiredDifficulty()
-		s.stats.dosDifficulty.Store(int64(need))
-		if s.router.DoSDefenseActive() {
-			s.stats.dosSuspicion.Store(1)
-		} else {
-			s.stats.dosSuspicion.Store(0)
-		}
-		if need != last {
-			last = need
-			s.InvalidateBeacon()
-		}
+	}
+}
+
+// sample feeds the router's difficulty controller one ingest pressure
+// sample: verification-queue fill, cumulative rate-limiter drops, and
+// cumulative admitted handshakes (the drop fraction's denominator). It
+// also mirrors the controller's state into the dos_suspicion and
+// dos_difficulty gauges and invalidates the cached beacon frame whenever
+// the demanded difficulty moves, so the next solicitation advertises the
+// new challenge immediately instead of after the refresh period.
+func (s *Server) sample() {
+	s.router.ObserveLoad(core.LoadSample{
+		QueueDepth:    s.queue.Depth(),
+		QueueCapacity: queueCapacity,
+		RateDropped:   uint64(s.stats.ratelimitDropped.Load()),
+		RequestsSeen:  uint64(s.handshakesSeen.Load()),
+	})
+	need := s.router.RequiredDifficulty()
+	s.stats.dosDifficulty.Store(int64(need))
+	if s.router.DoSDefenseActive() {
+		s.stats.dosSuspicion.Store(1)
+	} else {
+		s.stats.dosSuspicion.Store(0)
+	}
+	if s.sampledDifficulty.Swap(uint32(need)) != uint32(need) {
+		s.InvalidateBeacon()
 	}
 }

@@ -14,12 +14,10 @@ import (
 //
 // Buckets are keyed by source IP (not port, so one host cannot widen its
 // budget by rotating ephemeral ports) and refill continuously at rate
-// tokens/sec up to burst. The clock is injectable for deterministic
-// tests.
+// tokens/sec up to burst, on the router's clock (the caller's now).
 type rateLimiter struct {
 	rate  float64
 	burst float64
-	now   func() time.Time
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
@@ -42,19 +40,15 @@ type tokenBucket struct {
 const defaultMaxSources = 1 << 16
 
 // newRateLimiter builds a limiter allowing rate requests/sec with the
-// given burst per source. A nil now uses the wall clock; burst < 1 is
-// raised to 1 so a conforming source is never starved outright.
-func newRateLimiter(rate float64, burst int, now func() time.Time) *rateLimiter {
-	if now == nil {
-		now = time.Now
-	}
+// given burst per source; burst < 1 is raised to 1 so a conforming
+// source is never starved outright.
+func newRateLimiter(rate float64, burst int) *rateLimiter {
 	if burst < 1 {
 		burst = 1
 	}
 	return &rateLimiter{
 		rate:       rate,
 		burst:      float64(burst),
-		now:        now,
 		buckets:    make(map[string]*tokenBucket),
 		maxSources: defaultMaxSources,
 	}
@@ -73,11 +67,10 @@ func sourceKey(addr net.Addr) string {
 	return addr.String()
 }
 
-// allow spends one token from addr's bucket, reporting false when the
-// source is over budget and the datagram should be dropped.
-func (rl *rateLimiter) allow(addr net.Addr) bool {
+// allow spends one token from addr's bucket at time t, reporting false
+// when the source is over budget and the datagram should be dropped.
+func (rl *rateLimiter) allow(t time.Time, addr net.Addr) bool {
 	key := sourceKey(addr)
-	t := rl.now()
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	b := rl.buckets[key]

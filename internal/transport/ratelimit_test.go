@@ -8,56 +8,51 @@ import (
 	"github.com/peace-mesh/peace/internal/core"
 )
 
-// fakeClock is a manually advanced clock for deterministic limiter tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
 func udpAddr(ip string, port int) *net.UDPAddr { return &net.UDPAddr{IP: net.ParseIP(ip), Port: port} }
 
-// TestRateLimiterBucket drives one limiter with a fake clock through
+// TestRateLimiterBucket drives one limiter on a stepped clock through
 // burst exhaustion, continuous refill, the burst cap, and per-source
 // isolation keyed by IP rather than by socket.
 func TestRateLimiterBucket(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1700000000, 0)}
-	rl := newRateLimiter(1, 3, clk.now)
+	now := time.Unix(1700000000, 0)
+	rl := newRateLimiter(1, 3)
 	a := udpAddr("203.0.113.7", 1000)
 
 	for i := 0; i < 3; i++ {
-		if !rl.allow(a) {
+		if !rl.allow(now, a) {
 			t.Fatalf("burst request %d denied", i)
 		}
 	}
-	if rl.allow(a) {
+	if rl.allow(now, a) {
 		t.Fatal("request beyond burst allowed")
 	}
 
 	// Ports do not open fresh budgets: the bucket key is the IP.
-	if rl.allow(udpAddr("203.0.113.7", 2000)) {
+	if rl.allow(now, udpAddr("203.0.113.7", 2000)) {
 		t.Fatal("same IP on a new port got a fresh bucket")
 	}
 	// A different source is unaffected by the exhausted one.
-	if !rl.allow(udpAddr("203.0.113.8", 1000)) {
+	if !rl.allow(now, udpAddr("203.0.113.8", 1000)) {
 		t.Fatal("independent source denied")
 	}
 
 	// 1 token/sec: after 2s exactly two more requests fit.
-	clk.advance(2 * time.Second)
-	if !rl.allow(a) || !rl.allow(a) {
+	now = now.Add(2 * time.Second)
+	if !rl.allow(now, a) || !rl.allow(now, a) {
 		t.Fatal("refilled tokens denied")
 	}
-	if rl.allow(a) {
+	if rl.allow(now, a) {
 		t.Fatal("request beyond refill allowed")
 	}
 
 	// Idle time accrues at most burst tokens.
-	clk.advance(time.Hour)
+	now = now.Add(time.Hour)
 	for i := 0; i < 3; i++ {
-		if !rl.allow(a) {
+		if !rl.allow(now, a) {
 			t.Fatalf("post-idle request %d denied", i)
 		}
 	}
-	if rl.allow(a) {
+	if rl.allow(now, a) {
 		t.Fatal("idle accrual exceeded burst")
 	}
 }
@@ -66,8 +61,8 @@ func TestRateLimiterBucket(t *testing.T) {
 // source arriving at a full table evicts the least-recently-active bucket,
 // not the whole table, so sources with recent activity keep their debt.
 func TestRateLimiterEvictsOldestAtCapacity(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1700000000, 0)}
-	rl := newRateLimiter(0.001, 1, clk.now)
+	now := time.Unix(1700000000, 0)
+	rl := newRateLimiter(0.001, 1)
 	rl.maxSources = 8
 
 	// Fill the table with sources at strictly increasing activity times so
@@ -75,19 +70,19 @@ func TestRateLimiterEvictsOldestAtCapacity(t *testing.T) {
 	addrs := make([]*net.UDPAddr, 8)
 	for i := range addrs {
 		addrs[i] = &net.UDPAddr{IP: net.IPv4(10, 0, byte(i), 1), Port: 9}
-		rl.allow(addrs[i])
+		rl.allow(now, addrs[i])
 		if i == 1 {
-			if rl.allow(addrs[i]) {
+			if rl.allow(now, addrs[i]) {
 				t.Fatal("source 1 not exhausted as expected")
 			}
 		}
-		clk.advance(time.Second)
+		now = now.Add(time.Second)
 	}
 
 	// A ninth source overflows the table: the oldest bucket (source 0) is
 	// evicted, everything else survives.
 	fresh := udpAddr("198.51.100.50", 9)
-	if !rl.allow(fresh) {
+	if !rl.allow(now, fresh) {
 		t.Fatal("new source denied at capacity (must fail open)")
 	}
 	if len(rl.buckets) > 8 {
@@ -101,7 +96,7 @@ func TestRateLimiterEvictsOldestAtCapacity(t *testing.T) {
 	}
 	// The exhausted source kept its bucket and its debt: eviction must not
 	// hand every active flooder a fresh budget the way a table reset did.
-	if rl.allow(addrs[1]) {
+	if rl.allow(now, addrs[1]) {
 		t.Fatal("eviction zeroed an active source's debt")
 	}
 }
@@ -112,19 +107,19 @@ func TestRateLimiterEvictsOldestAtCapacity(t *testing.T) {
 // at burst (the fail-open regression — the limiter sheds load, it must
 // never turn into a denial gate for never-seen sources).
 func TestRateLimiterChurnBoundedGrowth(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1700000000, 0)}
-	rl := newRateLimiter(0.001, 2, clk.now)
+	now := time.Unix(1700000000, 0)
+	rl := newRateLimiter(0.001, 2)
 	rl.maxSources = 64
 
 	for i := 0; i < 1000; i++ {
 		addr := &net.UDPAddr{IP: net.IPv4(10, byte(i>>8), byte(i), 1), Port: 9}
-		if !rl.allow(addr) {
+		if !rl.allow(now, addr) {
 			t.Fatalf("never-seen source %d denied at capacity", i)
 		}
 		if len(rl.buckets) > 64 {
 			t.Fatalf("bucket table grew to %d entries past the bound after %d sources", len(rl.buckets), i+1)
 		}
-		clk.advance(time.Millisecond)
+		now = now.Add(time.Millisecond)
 	}
 	// Churn must actually have cycled the table, not just stopped filling.
 	if len(rl.buckets) == 0 || len(rl.buckets) > 64 {

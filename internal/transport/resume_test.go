@@ -23,9 +23,9 @@ type resumeRig struct {
 	sess *core.Session
 }
 
-func newResumeRig(t *testing.T, cfg ServerConfig) *resumeRig {
+func newResumeRig(t *testing.T, cfg core.Config) *resumeRig {
 	t.Helper()
-	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
+	ln, err := NewLocalNetwork(cfg, "grp-0", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,7 @@ func newResumeRig(t *testing.T, cfg ServerConfig) *resumeRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TicketKeys = ring
-	if cfg.BootEpoch == 0 {
-		cfg.BootEpoch = 71
-	}
-	srv := NewServer(mustListen(t), ln.Routers[0], cfg)
+	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{TicketKeys: ring, BootEpoch: 71})
 	t.Cleanup(srv.Close)
 
 	conn := mustListen(t)
@@ -63,7 +59,7 @@ func (r *resumeRig) detach() { r.cl.setSession(nil, 0) }
 // result is a real session — key agreement holds, the router adopted it,
 // the accountability escrow survived, and no second pairing ran.
 func TestResumeRoundTrip(t *testing.T) {
-	rig := newResumeRig(t, ServerConfig{})
+	rig := newResumeRig(t, core.Config{})
 	verifications := rig.ln.Routers[0].Stats().ExpensiveVerifications
 	rig.detach()
 
@@ -117,13 +113,17 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeTicketExpiry lets the ticket lifetime lapse and expects the
-// resume to be refused as unusable, with AttachOrResume falling back to a
-// full handshake that mints a fresh ticket.
+// TestResumeTicketExpiry moves the router's clock past the ticket
+// lifetime and expects the resume to be refused as unusable, with
+// AttachOrResume falling back to a full handshake that mints a fresh
+// ticket.
 func TestResumeTicketExpiry(t *testing.T) {
-	rig := newResumeRig(t, ServerConfig{TicketLifetime: 50 * time.Millisecond})
+	clock := newStepClock(time.Now())
+	// Revocation lists must outlive the jump, or the fallback attach would
+	// refuse them as past their next update.
+	rig := newResumeRig(t, core.Config{Clock: clock, RevocationUpdatePeriod: time.Hour})
 	rig.detach()
-	time.Sleep(80 * time.Millisecond)
+	clock.Advance(ticketLifetime + time.Nanosecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -145,7 +145,7 @@ func TestResumeTicketExpiry(t *testing.T) {
 // rotation keeps old tickets resumable (the grace generation), a second
 // retires the sealing key and forces a full handshake.
 func TestResumeSTEKRotationGrace(t *testing.T) {
-	rig := newResumeRig(t, ServerConfig{})
+	rig := newResumeRig(t, core.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -188,7 +188,7 @@ func TestResumeSTEKRotationGrace(t *testing.T) {
 // holder, so the cheap path must not skip the membership re-check. The
 // fallback full attach re-syncs revocation state and succeeds.
 func TestResumeStaleRevocationRefs(t *testing.T) {
-	rig := newResumeRig(t, ServerConfig{})
+	rig := newResumeRig(t, core.Config{})
 
 	// Revoke a bystander: the epoch moves although OUR holder stays valid —
 	// the policy is conservative by construction.
@@ -223,7 +223,7 @@ func TestResumeStaleRevocationRefs(t *testing.T) {
 // a second session — the resume-path extension of the M.2 idempotence
 // property.
 func TestResumeReplayIdempotence(t *testing.T) {
-	rig := newResumeRig(t, ServerConfig{})
+	rig := newResumeRig(t, core.Config{})
 	rig.detach()
 
 	// Capture the resume request on its way out.
@@ -277,7 +277,7 @@ func TestResumeReplayIdempotence(t *testing.T) {
 // TestResumeTamperedTicketRefused flips a ticket byte and expects a clean
 // refusal (AEAD integrity), not a session.
 func TestResumeTamperedTicketRefused(t *testing.T) {
-	rig := newResumeRig(t, ServerConfig{})
+	rig := newResumeRig(t, core.Config{})
 	rig.detach()
 	rig.cl.mu.Lock()
 	rig.cl.ticket.blob = append([]byte(nil), rig.cl.ticket.blob...)

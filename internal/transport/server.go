@@ -20,23 +20,6 @@ import (
 
 // ServerConfig tunes the router-side datapath.
 type ServerConfig struct {
-	// BeaconRefresh is how long a cached beacon frame is served before a
-	// fresh one is generated (the unicast analogue of the broadcast
-	// beacon period). Default 1s.
-	BeaconRefresh time.Duration
-	// BeaconHistory is how many recent beacons stay acceptable: clients
-	// holding a slightly stale beacon can still complete the handshake
-	// while older DH shares are retired. Default 16.
-	BeaconHistory int
-	// QueueCapacity bounds the ingest queue (backpressure under
-	// overload). Default 1024.
-	QueueCapacity int
-	// ReplyCacheSize bounds the duplicate-suppression cache of answered
-	// exchanges (striped FIFO eviction). Default 4096.
-	ReplyCacheSize int
-	// DeltaCacheSize bounds, per revocation list, how many encoded delta
-	// frames stay cached for the current epoch (FIFO eviction). Default 64.
-	DeltaCacheSize int
 	// Shards is how many read loops serve the socket(s). With one socket,
 	// Shards loops share it (userspace demux); NewShardedServer runs one
 	// loop per SO_REUSEPORT socket instead. Default 1.
@@ -50,12 +33,6 @@ type ServerConfig struct {
 	// fresh ring (tickets then die with the process); operators that want
 	// tickets to survive restarts share one ring across incarnations.
 	TicketKeys *symcrypto.TicketKeyRing
-	// TicketLifetime bounds how long an issued ticket resumes. Default 10m.
-	TicketLifetime time.Duration
-	// TicketFreshness bounds the age of a resume request's timestamp —
-	// beyond it, replayed requests whose reply-cache entry was evicted are
-	// refused instead of minting yet another session. Default 30s.
-	TicketFreshness time.Duration
 	// IOBatch is how many datagrams one recvmmsg/sendmmsg moves per
 	// syscall on each shard loop (and the egress coalescing width).
 	// 1 forces the portable single-datagram path — the unbatched
@@ -78,46 +55,42 @@ type ServerConfig struct {
 	// (minimum 1) so short legitimate bursts — a fleet re-attaching after
 	// a restart — are not shed.
 	RateLimitBurst int
-	// DoSSampleInterval paces the load sampler that feeds the router's
-	// adaptive puzzle-difficulty controller (queue depth, limiter drops,
-	// admitted handshakes) and mirrors its state into the dos_* gauges.
-	// The sampler always runs — it is a no-op unless the router has a
-	// DoSPolicy installed. Default 250ms.
-	DoSSampleInterval time.Duration
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
 }
 
+// The router's fixed sizes and periods. Each was a ServerConfig field
+// that no caller ever set, so each is its old default.
+const (
+	// beaconRefresh is how long a cached beacon frame is served before a
+	// fresh one is generated (the unicast analogue of the broadcast
+	// beacon period).
+	beaconRefresh = time.Second
+	// beaconHistory is how many recent beacons stay acceptable: clients
+	// holding a slightly stale beacon can still complete the handshake
+	// while older DH shares are retired.
+	beaconHistory = 16
+	// queueCapacity bounds the ingest queue (backpressure under overload).
+	queueCapacity = 1024
+	// replyCacheSize bounds the duplicate-suppression cache of answered
+	// exchanges (striped FIFO eviction).
+	replyCacheSize = 4096
+	// deltaCacheSize bounds, per revocation list, how many encoded delta
+	// frames stay cached for the current epoch (FIFO eviction).
+	deltaCacheSize = 64
+	// ticketLifetime bounds how long an issued ticket resumes.
+	ticketLifetime = 10 * time.Minute
+	// dosSampleInterval paces the load sampler that feeds the router's
+	// adaptive puzzle-difficulty controller (dosgate.go).
+	dosSampleInterval = 250 * time.Millisecond
+)
+
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.BeaconRefresh <= 0 {
-		c.BeaconRefresh = time.Second
-	}
-	if c.BeaconHistory < 1 {
-		c.BeaconHistory = 16
-	}
-	if c.QueueCapacity < 1 {
-		c.QueueCapacity = 1024
-	}
-	if c.ReplyCacheSize < 1 {
-		c.ReplyCacheSize = 4096
-	}
-	if c.DeltaCacheSize < 1 {
-		c.DeltaCacheSize = 64
-	}
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	if c.TicketLifetime <= 0 {
-		c.TicketLifetime = 10 * time.Minute
-	}
-	if c.TicketFreshness <= 0 {
-		c.TicketFreshness = 30 * time.Second
-	}
 	if c.IOBatch < 1 {
 		c.IOBatch = 32
-	}
-	if c.DoSSampleInterval <= 0 {
-		c.DoSSampleInterval = 250 * time.Millisecond
 	}
 	if c.BootEpoch == 0 {
 		var b [8]byte
@@ -159,11 +132,13 @@ type Server struct {
 	// dosReplay remembers which source first presented each accepted
 	// puzzle solution (dosgate.go); handshakesSeen counts handshake
 	// datagrams admitted past the limiter — the drop fraction's
-	// denominator in the controller's load samples. dosStop ends the
-	// sampler loop at Close.
-	dosReplay      *solutionReplayTable
-	handshakesSeen atomic.Int64
-	dosStop        chan struct{}
+	// denominator in the controller's load samples. sampledDifficulty is
+	// the difficulty the last load sample saw. dosStop ends the sampler
+	// loop at Close.
+	dosReplay         *solutionReplayTable
+	handshakesSeen    atomic.Int64
+	sampledDifficulty atomic.Uint32
+	dosStop           chan struct{}
 
 	// ingestPool backs the read rings (full-datagram buffers); framePool
 	// backs pooled egress frames (replies sealed in place). Both are
@@ -187,11 +162,11 @@ type Server struct {
 	loops sync.WaitGroup // shard read loops
 }
 
-// admission decides whether an access request may start, and counts it in
-// flight in the same step: one atomic word holds the draining bit and the
-// number of admitted requests not yet answered. Drain sets the bit in that
-// word, so every request admitted before it is in the count Drain waits
-// on, and none is admitted after. (A WaitGroup checked against a separate
+// admission decides whether a handshake may start, and counts it in
+// flight in the same step: one atomic word holds the draining bit and
+// the number of admitted handshakes not yet answered. Drain sets the bit
+// in that word, so every request admitted before it is in the count
+// Drain waits on, and none is admitted after. (A WaitGroup checked against a separate
 // flag could be Added after Drain's Wait had already seen zero.)
 type admission struct {
 	state    atomic.Uint64 // drainingBit | in-flight count
@@ -269,10 +244,10 @@ func newServer(conns []net.PacketConn, router *core.MeshRouter, cfg ServerConfig
 		cfg:        cfg,
 		conns:      conns,
 		router:     router,
-		queue:      core.NewIngestQueue(router, cfg.QueueCapacity),
+		queue:      core.NewIngestQueue(router, queueCapacity),
 		stats:      NewStats(cfg.Metrics),
 		tickets:    cfg.TicketKeys,
-		replies:    newReplyCache(cfg.ReplyCacheSize),
+		replies:    newReplyCache(replyCacheSize),
 		revCache:   make(map[revocation.List]*revFrameCache),
 		ingestPool: batchio.NewPool(65536),
 		framePool:  batchio.NewPool(egressFrameSize),
@@ -285,7 +260,7 @@ func newServer(conns []net.PacketConn, router *core.MeshRouter, cfg ServerConfig
 		if burst <= 0 {
 			burst = int(2 * cfg.RateLimitPerSec)
 		}
-		s.limiter = newRateLimiter(cfg.RateLimitPerSec, burst, nil)
+		s.limiter = newRateLimiter(cfg.RateLimitPerSec, burst)
 	}
 	if s.tickets == nil {
 		ring, err := symcrypto.NewTicketKeyRing(rand.Reader)
@@ -425,7 +400,7 @@ func (s *Server) Close() {
 	<-s.admit.drain()
 }
 
-// Drain puts the server into graceful shutdown: new access requests are
+// Drain puts the server into graceful shutdown: new handshakes are
 // refused with RejectDraining (a transient code — clients back off and
 // retry against the replacement) while beacons, keepalives and in-flight
 // verifications keep being served. Drain returns once every reply that
@@ -455,13 +430,12 @@ func (s *Server) logf(format string, args ...any) {
 // retired on release.
 const egressFrameSize = 2048
 
-// shardLoop is one read loop's private state: the batch conn, its ring
-// of pooled ingest slots, the coalescing egress, and the zero-copy
-// decode/open scratch. Nothing here is shared between loops.
+// shardLoop is one driver's private state: the coalescing egress its
+// replies leave through, and the zero-copy decode/open scratch. A read
+// loop owns one; a test drives dispatch with its own over a recording
+// batchio.Conn. Nothing here is shared between loops.
 type shardLoop struct {
-	bc   batchio.Conn
-	ring *batchio.Ring
-	eg   *batchio.Egress
+	eg *batchio.Egress
 
 	scratchFrame  core.DataFrame
 	scratchResume ResumeRequest
@@ -472,14 +446,13 @@ type shardLoop struct {
 // readLoop is one shard's socket reader. Datagrams arrive up to IOBatch
 // per recvmmsg into the ring's pooled slots; each slot's bytes belong to
 // the ring until the next Prepare, and a handler that must keep them
-// longer takes explicit ownership (Ring.Retain / clone) — there is no
-// implicit "finish before the next read reuses buf" contract anymore.
-// Expensive work (signature verification) happens on the ingest queue's
-// drainers and the per-reply goroutines; resumes, keepalives, and data
-// frames are symmetric-crypto cheap and are served inline with per-loop
-// scratch state, so the steady-state decode, open, and sealed-echo paths
-// allocate nothing. Replies coalesce in the egress and leave in one
-// sendmmsg per ingest batch.
+// longer takes explicit ownership (Ring.Retain / clone). Expensive work
+// (signature verification) happens on the ingest queue's drainers and
+// the per-reply goroutines; everything else is served inline with
+// per-loop scratch state, so the steady-state decode, open and
+// sealed-echo paths allocate nothing. The router's clock is read once
+// per ingest batch, and replies coalesce in the egress and leave in one
+// sendmmsg per batch.
 func (s *Server) readLoop(conn net.PacketConn) {
 	defer s.loops.Done()
 	var bc batchio.Conn
@@ -496,19 +469,18 @@ func (s *Server) readLoop(conn net.PacketConn) {
 	} else {
 		bc = batchio.Single(conn)
 	}
+	ring := batchio.NewRing(s.cfg.IOBatch, s.ingestPool)
 	l := &shardLoop{
-		bc:   bc,
-		ring: batchio.NewRing(s.cfg.IOBatch, s.ingestPool),
 		// No flush deadline: every frame is queued either by this loop,
 		// which flushes after each ingest batch, or by an access-request
 		// reply goroutine, which flushes what it queued.
 		eg: batchio.NewEgress(bc, s.cfg.IOBatch, 0, s.framePool, s.noteFlush),
 		pt: make([]byte, 0, 65536),
 	}
-	defer l.ring.Close()
+	defer ring.Close()
 	defer l.eg.Close()
 	for {
-		ms := l.ring.Prepare()
+		ms := ring.Prepare()
 		n, err := bc.ReadBatch(ms)
 		if err != nil {
 			if s.closed.Load() {
@@ -522,89 +494,47 @@ func (s *Server) readLoop(conn net.PacketConn) {
 		}
 		s.stats.readBatches.Add(1)
 		s.stats.readDatagrams.Add(int64(n))
-		for i := 0; i < n; i++ {
-			s.dispatch(l, &ms[i])
+		now := s.router.Now()
+		for i := range ms[:n] {
+			s.dispatch(l, now, ms[i].Addr, ms[i].Payload())
 		}
 		l.eg.Flush()
 	}
 }
 
-// dispatch decodes and serves one ingest slot.
-func (s *Server) dispatch(l *shardLoop, m *batchio.Message) {
-	s.stats.bytesIn.Add(int64(m.N))
-	kind, payload, err := DecodeFrame(m.Payload())
+// handler serves one frame kind. It reads no clock — now is the driver's
+// reading of the router's clock — and writes no socket: replies go to
+// the loop's egress, which the driver flushes.
+type handler func(s *Server, l *shardLoop, now time.Time, from net.Addr, payload []byte)
+
+// routes is the router's protocol, one row per kind it serves. The two
+// handshake kinds, the only ones that can cost a pairing or a ticket
+// open, share one gate (handshakeRow.handshake); every other kind
+// bypasses it.
+var routes = [kindEnd]handler{
+	KindBeaconRequest:      (*Server).serveBeacon,
+	KindAccessRequest:      accessRow.handshake,
+	KindResumeRequest:      resumeRow.handshake,
+	KindURLSnapshotRequest: (*Server).serveRevocationFetch,
+	KindSessionPing:        (*Server).servePing,
+	KindSessionData:        (*Server).serveData,
+}
+
+// dispatch is the router's one protocol entry: it decodes one datagram's
+// frame and runs its kind's row. Peer AKA, revocation pushes and the
+// other kinds with no row are not served on a router socket; they are
+// counted and dropped.
+func (s *Server) dispatch(l *shardLoop, now time.Time, from net.Addr, datagram []byte) {
+	s.stats.bytesIn.Add(int64(len(datagram)))
+	kind, payload, err := DecodeFrame(datagram)
 	if err != nil {
 		s.stats.decodeErrors.Add(1)
 		return
 	}
 	s.stats.framesIn.Add(1)
-	addr := m.Addr
-	switch kind {
-	case KindBeaconRequest:
-		s.sendBeacon(l, addr)
-	case KindAccessRequest:
-		if s.limiter != nil && !s.limiter.allow(addr) {
-			s.stats.ratelimitDropped.Add(1)
-			return
-		}
-		s.handshakesSeen.Add(1)
-		// Puzzle gate before the decode: while defense is active,
-		// solution-less and wrongly solved datagrams are refused off the
-		// raw bytes, so a flood never buys curve work (dosgate.go).
-		if !s.gateAccessRequest(l, payload, addr) {
-			return
-		}
-		// The decoded message owns its memory (fresh curve points and
-		// copied byte fields), so the slot can be reused immediately.
-		req, err := core.UnmarshalAccessRequest(payload)
-		if err != nil {
-			// Garbage shaped like an access request is exactly the cheap
-			// flood the adaptive monitor watches for.
-			s.stats.decodeErrors.Add(1)
-			s.router.RecordDoSFailure()
-			return
-		}
-		s.handleAccessRequest(l, req, addr)
-	case KindResumeRequest:
-		if s.limiter != nil && !s.limiter.allow(addr) {
-			s.stats.ratelimitDropped.Add(1)
-			return
-		}
-		s.handshakesSeen.Add(1)
-		// Zero-copy decode into per-loop scratch: the handler finishes
-		// with the request before this dispatch returns, and the slot
-		// stays untouched until the next Prepare.
-		if err := UnmarshalResumeRequestInto(payload, &l.scratchResume); err != nil {
-			s.stats.decodeErrors.Add(1)
-			s.router.RecordDoSFailure()
-			return
-		}
-		if !s.gateResumeRequest(l, &l.scratchResume, addr) {
-			return
-		}
-		s.handleResumeRequest(l, &l.scratchResume, addr)
-	case KindURLSnapshotRequest:
-		f, err := UnmarshalRevocationFetch(payload)
-		if err != nil {
-			s.stats.decodeErrors.Add(1)
-			return
-		}
-		s.handleRevocationFetch(l, f, addr)
-	case KindSessionPing:
-		if err := core.UnmarshalDataFrameInto(payload, &l.scratchFrame); err != nil {
-			s.stats.decodeErrors.Add(1)
-			return
-		}
-		s.handleSessionPing(l, &l.scratchFrame, addr)
-	case KindSessionData:
-		if err := core.UnmarshalDataFrameInto(payload, &l.scratchFrame); err != nil {
-			s.stats.decodeErrors.Add(1)
-			return
-		}
-		s.handleSessionData(l, &l.scratchFrame, addr)
-	default:
-		// Peer AKA, URL/CRL pushes etc. are not served on a router
-		// socket; count and drop.
+	if serve := routes[kind]; serve != nil {
+		serve(s, l, now, from, payload)
+	} else {
 		s.stats.unhandled.Add(1)
 	}
 }
@@ -617,13 +547,168 @@ func (s *Server) noteFlush(frames, bytes int) {
 	s.stats.writeDatagrams.Add(int64(frames))
 }
 
-// sendBeacon answers a beacon solicitation from the cached frame,
+// gateView is a handshake datagram as far as the gate reads it: the
+// exchange's dedup identifier and its puzzle answer.
+type gateView struct {
+	sid         core.SessionID
+	hasSolution bool
+	issuedAt    time.Time
+	difficulty  uint8
+	solution    uint64
+}
+
+// handshakeRow is one handshake kind behind the gate.
+type handshakeRow struct {
+	// view parses what the gate reads. For an access request that is the
+	// skeleton, no curve point decoded; for a resume it is the whole
+	// zero-copy decode into the loop's scratch.
+	view func(l *shardLoop, payload []byte) (gateView, error)
+	// decode finishes an access request's parse once its puzzle answer
+	// has passed (curve points and group signature); nil for a resume.
+	decode func(payload []byte) (*core.AccessRequest, error)
+	// serve answers an admitted first sighting. It holds the admission
+	// the gate took and leaves it once the exchange is answered.
+	serve func(s *Server, l *shardLoop, now time.Time, from net.Addr, sid core.SessionID, m2 *core.AccessRequest)
+}
+
+var accessRow = &handshakeRow{
+	view: func(_ *shardLoop, payload []byte) (gateView, error) {
+		p, err := core.PeekAccessRequest(payload)
+		if err != nil {
+			return gateView{}, err
+		}
+		return gateView{
+			sid:         core.SessionIDFromRaw(p.RawGR, p.RawGJ),
+			hasSolution: p.HasSolution,
+			issuedAt:    p.PuzzleIssuedAt,
+			difficulty:  p.PuzzleDifficulty,
+			solution:    p.Solution,
+		}, nil
+	},
+	// The decoded message owns its memory (fresh curve points and copied
+	// byte fields), so the slot can be reused immediately.
+	decode: core.UnmarshalAccessRequest,
+	serve:  (*Server).serveAccess,
+}
+
+var resumeRow = &handshakeRow{
+	// The resume is decoded zero-copy into the loop's scratch: it is
+	// served before dispatch returns, and the slot stays untouched until
+	// the next Prepare.
+	view: func(l *shardLoop, payload []byte) (gateView, error) {
+		req := &l.scratchResume
+		if err := UnmarshalResumeRequestInto(payload, req); err != nil {
+			return gateView{}, err
+		}
+		return gateView{
+			sid:         resumeDedupID(req.Ticket, req.Nonce[:]),
+			hasSolution: req.HasSolution,
+			issuedAt:    req.PuzzleIssuedAt,
+			difficulty:  req.PuzzleDifficulty,
+			solution:    req.Solution,
+		}, nil
+	},
+	serve: (*Server).serveResume,
+}
+
+// handshake is the gate both handshake kinds pass, in order: the
+// per-source rate limit, the count of handshakes past it (the DoS
+// sampler's denominator), the puzzle check, and then admission — refused
+// while draining — with reply-cache dedup, so an exchange already
+// answered is replayed and one in flight is not served twice. Garbage
+// shaped like a handshake is the cheap flood the adaptive DoS monitor
+// watches for, so it counts as failure evidence.
+func (row *handshakeRow) handshake(s *Server, l *shardLoop, now time.Time, from net.Addr, payload []byte) {
+	if s.limiter != nil && !s.limiter.allow(now, from) {
+		s.stats.ratelimitDropped.Add(1)
+		return
+	}
+	s.handshakesSeen.Add(1)
+	v, err := row.view(l, payload)
+	if err == nil && !s.puzzleGate(l, from, &v) {
+		return
+	}
+	var m2 *core.AccessRequest
+	if err == nil && row.decode != nil {
+		m2, err = row.decode(payload)
+	}
+	if err != nil {
+		s.stats.decodeErrors.Add(1)
+		s.router.RecordDoSFailure()
+		return
+	}
+	if !s.admit.enter() {
+		// Refuse new work during graceful shutdown, but keep replaying
+		// cached replies so a client whose reply was lost right before
+		// the drain still completes.
+		if frame, ok := s.replies.lookup(v.sid); ok && frame != nil {
+			s.stats.duplicates.Add(1)
+			l.eg.Queue(frame, from)
+			return
+		}
+		s.reject(l, from, v.sid, RejectDraining, "server draining", false)
+		return
+	}
+	if frame, dup := s.replies.begin(v.sid); dup {
+		s.admit.leave()
+		s.stats.duplicates.Add(1)
+		if frame != nil {
+			l.eg.Queue(frame, from)
+		}
+		return
+	}
+	row.serve(s, l, now, from, v.sid, m2)
+}
+
+// reject builds and queues one Reject. Its code decides the side
+// effects: RejectPuzzle carries the router's current challenge, so the
+// client can solve and retry without a new beacon, and counts in the
+// dos_puzzles ledger; RejectPuzzle and RejectTicket (forged MACs,
+// tampered blobs, corrupt escrow) are failure evidence for the adaptive
+// DoS monitor, while stale-epoch and draining refusals are normal
+// operation. The caller decides whether the reject is the exchange's
+// cached answer, replayed to a retransmit. Gate refusals are not cached:
+// letting a flood of spoofed sessions churn the cache would hand the
+// attacker a second target.
+func (s *Server) reject(l *shardLoop, to net.Addr, sid core.SessionID, code RejectCode, reason string, cache bool) {
+	rej := &Reject{Session: sid, Code: code, Reason: reason}
+	switch code {
+	case RejectPuzzle:
+		s.stats.dosPuzzlesRejected.Add(1)
+		s.router.RecordDoSFailure()
+		if rej.Puzzle = s.router.CurrentPuzzle(); rej.Puzzle != nil {
+			s.stats.dosPuzzlesIssued.Add(1)
+		}
+	case RejectTicket:
+		s.router.RecordDoSFailure()
+		s.stats.resumeRejects.Add(1)
+	case RejectTicketStale:
+		s.stats.resumeRejects.Add(1)
+	case RejectDraining:
+		s.stats.drainRejects.Add(1)
+	case RejectRevoked:
+		s.stats.revRejects.Add(1)
+	case RejectUnknownSession:
+		s.stats.unknownSessionRejects.Add(1)
+	}
+	s.stats.rejects.Add(1)
+	frame, err := EncodeMessage(rej)
+	if err != nil {
+		s.logf("transport: encode reject: %v", err)
+		return
+	}
+	if cache {
+		s.replies.fulfill(sid, frame)
+	}
+	l.eg.Queue(frame, to)
+}
+
+// serveBeacon answers a beacon solicitation from the cached frame,
 // regenerating it when the refresh period elapsed and retiring DH shares
 // that fall out of the history window.
-func (s *Server) sendBeacon(l *shardLoop, addr net.Addr) {
-	now := time.Now()
+func (s *Server) serveBeacon(l *shardLoop, now time.Time, from net.Addr, _ []byte) {
 	s.beaconMu.Lock()
-	if s.beaconFrame == nil || now.Sub(s.beaconAt) >= s.cfg.BeaconRefresh {
+	if s.beaconFrame == nil || now.Sub(s.beaconAt) >= beaconRefresh {
 		b, err := s.router.Beacon()
 		if err != nil {
 			s.beaconMu.Unlock()
@@ -639,14 +724,14 @@ func (s *Server) sendBeacon(l *shardLoop, addr net.Addr) {
 		s.beaconFrame = frame
 		s.beaconAt = now
 		s.beaconGRs = append(s.beaconGRs, b.GR)
-		for len(s.beaconGRs) > s.cfg.BeaconHistory {
+		for len(s.beaconGRs) > beaconHistory {
 			s.router.RetireBeacon(s.beaconGRs[0])
 			s.beaconGRs = s.beaconGRs[1:]
 		}
 	}
 	frame := s.beaconFrame
 	s.beaconMu.Unlock()
-	l.eg.Queue(frame, addr)
+	l.eg.Queue(frame, from)
 }
 
 // revFrameCache holds encoded frames of one list's current revocation
@@ -660,10 +745,15 @@ type revFrameCache struct {
 	deltaOrder []uint64
 }
 
-// handleRevocationFetch answers a RevocationFetch: a delta from the
+// serveRevocationFetch answers a RevocationFetch: a delta from the
 // client's epoch when the router's bounded history still covers it, the
 // full snapshot otherwise.
-func (s *Server) handleRevocationFetch(l *shardLoop, f *RevocationFetch, addr net.Addr) {
+func (s *Server) serveRevocationFetch(l *shardLoop, _ time.Time, from net.Addr, payload []byte) {
+	f, err := UnmarshalRevocationFetch(payload)
+	if err != nil {
+		s.stats.decodeErrors.Add(1)
+		return
+	}
 	snap, ok := s.router.RevocationSnapshot(f.List)
 	if !ok {
 		s.stats.unhandled.Add(1)
@@ -689,7 +779,7 @@ func (s *Server) handleRevocationFetch(l *shardLoop, f *RevocationFetch, addr ne
 				c.deltas[f.HaveEpoch] = enc
 				c.deltaOrder = append(c.deltaOrder, f.HaveEpoch)
 				evicted := 0
-				for len(c.deltaOrder) > s.cfg.DeltaCacheSize {
+				for len(c.deltaOrder) > deltaCacheSize {
 					delete(c.deltas, c.deltaOrder[0])
 					c.deltaOrder = c.deltaOrder[1:]
 					evicted++
@@ -719,7 +809,7 @@ func (s *Server) handleRevocationFetch(l *shardLoop, f *RevocationFetch, addr ne
 		s.stats.revSnapshotFetches.Add(1)
 	}
 	s.stats.setEpochs(s.router.RevocationEpoch(revocation.ListURL), s.router.RevocationEpoch(revocation.ListCRL))
-	l.eg.Queue(frame, addr)
+	l.eg.Queue(frame, from)
 }
 
 // InvalidateBeacon drops the cached beacon frame so the next solicitation
@@ -735,8 +825,8 @@ func (s *Server) InvalidateBeacon() {
 // issueTicket seals a resumption ticket for an established session: the
 // resumption secret both endpoints derive, the current revocation epochs
 // (the ticket dies when either list moves), and the session's original
-// M.2 as accountability escrow.
-func (s *Server) issueTicket(sess *core.Session, escrow []byte) ([]byte, error) {
+// M.2 as accountability escrow. It expires ticketLifetime after now.
+func (s *Server) issueTicket(sess *core.Session, escrow []byte, now time.Time) ([]byte, error) {
 	if s.tickets == nil {
 		return nil, fmt.Errorf("transport: no ticket keys")
 	}
@@ -746,46 +836,22 @@ func (s *Server) issueTicket(sess *core.Session, escrow []byte) ([]byte, error) 
 		URLEpoch:  s.router.RevocationEpoch(revocation.ListURL),
 		CRLEpoch:  s.router.RevocationEpoch(revocation.ListCRL),
 		BootEpoch: s.cfg.BootEpoch,
-		Expiry:    time.Now().Add(s.cfg.TicketLifetime),
+		Expiry:    now.Add(ticketLifetime),
 		Escrow:    escrow,
 	}
 	copy(t.Secret[:], sess.ResumptionSecret())
 	return t.Seal(rand.Reader, s.tickets)
 }
 
-// handleAccessRequest dedups by session identifier, then submits to the
-// ingest queue; the reply (confirm or reject) is cached so retransmitted
-// requests — the client's recovery from a lost M.3 — are answered by
-// replay, never by a second verification. Successful confirms carry a
-// freshly sealed resumption ticket.
-func (s *Server) handleAccessRequest(l *shardLoop, m *core.AccessRequest, addr net.Addr) {
-	sid := core.NewSessionID(m.GR, m.GJ)
-
-	if !s.admit.enter() {
-		// Refuse new work during graceful shutdown — but keep replaying
-		// cached replies so a client whose M.3 was lost right before the
-		// drain still completes.
-		if frame, ok := s.replies.lookup(sid); ok && frame != nil {
-			s.stats.duplicates.Add(1)
-			l.eg.Queue(frame, addr)
-			return
-		}
-		s.stats.drainRejects.Add(1)
-		s.sendRejectCode(l, addr, sid, RejectDraining, "server draining")
-		return
-	}
-	if frame, dup := s.replies.begin(sid); dup {
-		s.admit.leave()
-		s.stats.duplicates.Add(1)
-		if frame != nil {
-			l.eg.Queue(frame, addr)
-		}
-		return
-	}
+// serveAccess submits an admitted M.2 to the ingest queue. The reply
+// (confirm or reject) is cached, so a retransmitted request — the
+// client's recovery from a lost M.3 — is answered by replay, never by a
+// second verification. A confirm carries a freshly sealed resumption
+// ticket, issued on the router's clock when the verification finishes.
+func (s *Server) serveAccess(l *shardLoop, _ time.Time, from net.Addr, sid core.SessionID, m *core.AccessRequest) {
 	if testHookAdmitted != nil {
 		testHookAdmitted(sid)
 	}
-
 	ch, err := s.queue.Submit(m)
 	if err != nil {
 		// Shed under overload; forget the session so a later retry can be
@@ -793,102 +859,59 @@ func (s *Server) handleAccessRequest(l *shardLoop, m *core.AccessRequest, addr n
 		s.admit.leave()
 		s.stats.queueDrops.Add(1)
 		s.replies.forget(sid)
-		s.sendReject(l, addr, sid, err)
+		s.reject(l, from, sid, rejectCodeFor(err), err.Error(), false)
 		return
 	}
 	// The reply goroutine outlives this dispatch, so the read-slot address
 	// must be cloned before the slot is reused by the next batch.
-	addr = batchio.CloneAddr(addr)
+	from = batchio.CloneAddr(from)
 	go func() {
 		defer s.admit.leave()
 		res := <-ch
-		var frame []byte
 		if res.Err != nil {
-			code := rejectCodeFor(res.Err)
-			rej := &Reject{Session: sid, Code: code, Reason: res.Err.Error()}
-			frame, err = EncodeMessage(rej)
-			s.stats.rejects.Add(1)
-			if code == RejectRevoked {
-				s.stats.revRejects.Add(1)
-			}
+			s.reject(l, from, sid, rejectCodeFor(res.Err), res.Err.Error(), true)
 		} else {
-			if tk, terr := s.issueTicket(res.Session, m.Marshal()); terr == nil {
+			if tk, err := s.issueTicket(res.Session, m.Marshal(), s.router.Now()); err == nil {
 				res.Confirm.Ticket = tk
 				s.stats.ticketsIssued.Add(1)
 			}
-			frame, err = EncodeMessage(res.Confirm)
+			frame, err := EncodeMessage(res.Confirm)
+			if err != nil {
+				s.logf("transport: encode reply: %v", err)
+				return
+			}
+			s.replies.fulfill(sid, frame)
+			l.eg.Queue(frame, from)
 		}
-		if err != nil {
-			s.logf("transport: encode reply: %v", err)
-			return
-		}
-		s.replies.fulfill(sid, frame)
 		// This goroutine is the one producer outside the read loop, and
 		// nothing else will send the frame for it: the loop flushes only
 		// after a datagram arrives, and a sub-millisecond timer in an idle
 		// process fires a millisecond late (epoll_wait's granularity).
-		l.eg.Queue(frame, addr)
 		l.eg.Flush()
 	}()
 }
 
-// refuseResume rejects one resume exchange and caches the reject so a
-// retransmitted request replays it.
-func (s *Server) refuseResume(l *shardLoop, addr net.Addr, sid core.SessionID, code RejectCode, reason string) {
-	rej := &Reject{Session: sid, Code: code, Reason: reason}
-	frame, err := EncodeMessage(rej)
-	if err != nil {
-		s.logf("transport: encode reject: %v", err)
-		return
-	}
-	// Hard ticket failures (forged MACs, tampered blobs, corrupt escrow)
-	// are authentication failures and feed the adaptive DoS monitor;
-	// stale-epoch and draining refusals are normal operations and do not.
-	if code == RejectTicket {
-		s.router.RecordDoSFailure()
-	}
-	s.stats.rejects.Add(1)
-	s.stats.resumeRejects.Add(1)
-	s.replies.fulfill(sid, frame)
-	l.eg.Queue(frame, addr)
-}
-
-// handleResumeRequest serves the symmetric-only re-attach path inline —
-// no pairing, no group signature, no queue. The checks run cheapest
-// first; any refusal sends a reject whose code tells the client whether
-// to retry (transient) or fall back to the full handshake.
-func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.Addr) {
-	sid := resumeDedupID(req.Ticket, req.Nonce[:])
-
-	if s.admit.draining() {
-		if frame, ok := s.replies.lookup(sid); !ok || frame == nil {
-			s.stats.drainRejects.Add(1)
-			s.sendRejectCode(l, addr, sid, RejectDraining, "server draining")
-			return
-		}
-	}
-	if frame, dup := s.replies.begin(sid); dup {
-		s.stats.duplicates.Add(1)
-		if frame != nil {
-			l.eg.Queue(frame, addr)
-		}
-		return
-	}
-
+// serveResume serves the symmetric-only re-attach path inline — no
+// pairing, no group signature, no queue. The checks run cheapest first;
+// any refusal is the exchange's cached answer, and its code tells the
+// client whether to retry (transient) or fall back to the full
+// handshake.
+func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid core.SessionID, _ *core.AccessRequest) {
+	defer s.admit.leave()
+	req := &l.scratchResume
 	if s.tickets == nil {
-		s.refuseResume(l, addr, sid, RejectTicket, "resumption not offered")
+		s.reject(l, from, sid, RejectTicket, "resumption not offered", true)
 		return
 	}
 	t, err := OpenTicket(req.Ticket, s.tickets)
 	if err != nil {
 		// Rotated-out STEK generation and tampered blobs land here alike;
 		// either way the full handshake is the only path forward.
-		s.refuseResume(l, addr, sid, RejectTicket, "ticket unusable")
+		s.reject(l, from, sid, RejectTicket, "ticket unusable", true)
 		return
 	}
-	now := time.Now()
 	if now.After(t.Expiry) {
-		s.refuseResume(l, addr, sid, RejectTicket, "ticket expired")
+		s.reject(l, from, sid, RejectTicket, "ticket expired", true)
 		return
 	}
 	// Revocation freshness: the ticket pins the epochs its holder was
@@ -898,20 +921,22 @@ func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.
 	// own revocation state in Phase 1.5).
 	if t.URLEpoch != s.router.RevocationEpoch(revocation.ListURL) ||
 		t.CRLEpoch != s.router.RevocationEpoch(revocation.ListCRL) {
-		s.refuseResume(l, addr, sid, RejectTicketStale, "revocation epochs moved since issuance")
+		s.reject(l, from, sid, RejectTicketStale, "revocation epochs moved since issuance", true)
 		return
 	}
 	if err := req.verify(t.Secret[:]); err != nil {
-		s.refuseResume(l, addr, sid, RejectTicket, "resume MAC invalid")
+		s.reject(l, from, sid, RejectTicket, "resume MAC invalid", true)
 		return
 	}
-	if d := now.Sub(req.Timestamp); d > s.cfg.TicketFreshness || d < -s.cfg.TicketFreshness {
-		s.refuseResume(l, addr, sid, RejectTicket, "resume timestamp stale")
+	// Beyond the freshness window, a replayed request whose reply-cache
+	// entry was evicted is refused instead of minting yet another session.
+	if d, w := now.Sub(req.Timestamp), s.router.FreshnessWindow(); d > w || d < -w {
+		s.reject(l, from, sid, RejectTicket, "resume timestamp stale", true)
 		return
 	}
 	escrow, err := core.UnmarshalAccessRequest(t.Escrow)
 	if err != nil {
-		s.refuseResume(l, addr, sid, RejectTicket, "ticket escrow corrupt")
+		s.reject(l, from, sid, RejectTicket, "ticket escrow corrupt", true)
 		return
 	}
 
@@ -929,7 +954,7 @@ func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.
 		s.stats.handoffsIn.Add(1)
 	}
 
-	newTicket, err := s.issueTicket(sess, t.Escrow)
+	newTicket, err := s.issueTicket(sess, t.Escrow, now)
 	if err != nil {
 		s.replies.forget(sid)
 		s.logf("transport: reissue ticket: %v", err)
@@ -945,7 +970,7 @@ func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.
 	s.stats.resumesServed.Add(1)
 	s.stats.ticketsIssued.Add(1)
 	s.replies.fulfill(sid, frame)
-	l.eg.Queue(frame, addr)
+	l.eg.Queue(frame, from)
 	// Only now, with the confirm cached and queued, does the backbone
 	// announce the ownership transfer (so the previous router forwards
 	// in-flight frames): sealing the flood stays off the client's round
@@ -958,15 +983,19 @@ func (s *Server) handleResumeRequest(l *shardLoop, req *ResumeRequest, addr net.
 	}
 }
 
-// handleSessionPing answers a keepalive ping. Only a server that still
-// holds the session can decrypt the ping and seal a pong, so the pong is
-// proof of liveness; a rebooted server answers RejectUnknownSession — the
+// servePing answers a keepalive ping. Only a server that still holds the
+// session can decrypt the ping and seal a pong, so the pong is proof of
+// liveness; a rebooted server answers RejectUnknownSession — the
 // unauthenticated hint clients confirm against the signed beacon epoch.
-func (s *Server) handleSessionPing(l *shardLoop, f *core.DataFrame, addr net.Addr) {
+func (s *Server) servePing(l *shardLoop, _ time.Time, from net.Addr, payload []byte) {
+	f := &l.scratchFrame
+	if err := core.UnmarshalDataFrameInto(payload, f); err != nil {
+		s.stats.decodeErrors.Add(1)
+		return
+	}
 	sess, ok := s.router.SessionByID(f.Session)
 	if !ok {
-		s.stats.unknownSessionRejects.Add(1)
-		s.sendRejectCode(l, addr, f.Session, RejectUnknownSession, "no such session")
+		s.reject(l, from, f.Session, RejectUnknownSession, "no such session", false)
 		return
 	}
 	body, err := sess.OpenData(f)
@@ -993,15 +1022,20 @@ func (s *Server) handleSessionPing(l *shardLoop, f *core.DataFrame, addr net.Add
 		return
 	}
 	s.stats.keepalivesServed.Add(1)
-	l.eg.Queue(frame, addr)
+	l.eg.Queue(frame, from)
 }
 
-// handleSessionData delivers one frame of established-session user
-// traffic. A session this router holds is opened and counted locally; a
-// session it does not hold is offered to the backbone forwarder — during
-// the roaming grace window the old router still receives in-flight frames
-// and relays them to the adopting router instead of rejecting them.
-func (s *Server) handleSessionData(l *shardLoop, f *core.DataFrame, addr net.Addr) {
+// serveData delivers one frame of established-session user traffic. A
+// session this router holds is opened and counted locally; a session it
+// does not hold is offered to the backbone forwarder — during the roaming
+// grace window the old router still receives in-flight frames and relays
+// them to the adopting router instead of rejecting them.
+func (s *Server) serveData(l *shardLoop, _ time.Time, from net.Addr, payload []byte) {
+	f := &l.scratchFrame
+	if err := core.UnmarshalDataFrameInto(payload, f); err != nil {
+		s.stats.decodeErrors.Add(1)
+		return
+	}
 	if sess, ok := s.router.SessionByID(f.Session); ok {
 		pt, err := sess.OpenDataInto(f, l.pt[:0])
 		if err != nil {
@@ -1012,7 +1046,7 @@ func (s *Server) handleSessionData(l *shardLoop, f *core.DataFrame, addr net.Add
 		s.stats.dataDelivered.Add(1)
 		s.stats.dataBytes.Add(int64(len(pt)))
 		if s.cfg.EchoData {
-			s.echoData(l, sess, pt, addr)
+			s.echoData(l, sess, pt, from)
 		}
 		return
 	}
@@ -1021,23 +1055,7 @@ func (s *Server) handleSessionData(l *shardLoop, f *core.DataFrame, addr net.Add
 			return
 		}
 	}
-	s.stats.unknownSessionRejects.Add(1)
-	s.sendRejectCode(l, addr, f.Session, RejectUnknownSession, "no such session")
-}
-
-func (s *Server) sendReject(l *shardLoop, addr net.Addr, sid core.SessionID, cause error) {
-	s.sendRejectCode(l, addr, sid, rejectCodeFor(cause), cause.Error())
-}
-
-func (s *Server) sendRejectCode(l *shardLoop, addr net.Addr, sid core.SessionID, code RejectCode, reason string) {
-	rej := &Reject{Session: sid, Code: code, Reason: reason}
-	frame, err := EncodeMessage(rej)
-	if err != nil {
-		s.logf("transport: encode reject: %v", err)
-		return
-	}
-	s.stats.rejects.Add(1)
-	l.eg.Queue(frame, addr)
+	s.reject(l, from, f.Session, RejectUnknownSession, "no such session", false)
 }
 
 // echoData seals the just-delivered payload back to its sender into a
