@@ -6,13 +6,18 @@ GO ?= go
 # tickers and floods against each other; the race runs repeat them.
 BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce)$$
 
+# The router's step tests: dispatch driven one datagram at a time through
+# a recording egress, no sockets written and no sleeps, so the race runs
+# repeat them cheaply.
+TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|ResumeExpiryBoundary)$$
+
 .PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint harness-lint meshd-loopback meshd-drill chaos-soak restart-soak metro-soak attack-soak
 
 all: build test
 
 # ci is the full gate: static checks, build, tests, the race detector
 # over every package with concurrent paths (batch verifier, ingest queue,
-# transport datapath, backbone, relay), and a short fuzz smoke of
+# transport datapath, backbone), and a short fuzz smoke of
 # every wire-facing decoder. The bn256 kernels (field multiplication, and
 # the AVX-512 IFMA lanes the revocation scan and grouped verification run
 # on) have an assembly path and a Go one, so bn256 and sgs are tested three
@@ -159,8 +164,9 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/anonrelay/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/ ./internal/symcrypto/
+	$(GO) test -race ./internal/core/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/ ./internal/symcrypto/
 	$(GO) test -race -count=10 ./internal/backbone/ -run='$(BACKBONE_PLANE_TESTS)'
+	$(GO) test -race -count=20 ./internal/transport/ -run='$(TRANSPORT_STEP_TESTS)'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -207,7 +213,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/audittrace
 	$(GO) run ./examples/keyrotation
-	$(GO) run ./examples/anoncomm
 
 vet:
 	$(GO) vet ./...

@@ -40,7 +40,7 @@
 // paper's Eq.3 over a token list — does e(T2/A_i, û) = e(T1, v̂) hold for
 // some listed A_i, and for which first — and have one implementation, scan
 // (scan.go), behind IsRevoked, VerifyWithRevocation, Open, TraceSigner,
-// BlindTokenCheck, Verifier.SweepURL and SweepState.Check. What a signature
+// Verifier.SweepURL and SweepState.Check. What a signature
 // shares across the list is computed once; the tokens are then tested eight
 // to a pass on bn256's lane-parallel tower where the CPU has it, one at a
 // time on the scalar tower elsewhere, with the same verdict, the same index

@@ -1,9 +1,5 @@
 package sgs
 
-import (
-	"github.com/peace-mesh/peace/internal/bn256"
-)
-
 // Open identifies which key produced a valid signature by scanning the
 // full revocation-token set grt (the paper's audit protocol, Section IV.D):
 // it returns the index of the first token A with e(T2/A, û) = e(T1, v̂),
@@ -39,11 +35,4 @@ func TraceSigner(pk *PublicKey, msg []byte, sig *Signature, tok *RevocationToken
 // key (used by tests and by the non-frameability analysis harness).
 func SignerMatchesKey(pk *PublicKey, msg []byte, sig *Signature, key *PrivateKey) bool {
 	return TraceSigner(pk, msg, sig, key.Token())
-}
-
-// BlindTokenCheck runs Eq.3 directly on explicit G2 bases. It is exposed
-// for the audit protocol in the core layer, which re-derives (û, v̂) from a
-// logged authentication transcript.
-func BlindTokenCheck(t1, t2 *bn256.G1, uhat, vhat *bn256.G2, tok *RevocationToken) bool {
-	return scanBases(&Signature{T1: t1, T2: t2}, uhat, vhat, []*RevocationToken{tok}, counter{}) == 0
 }

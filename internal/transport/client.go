@@ -41,6 +41,23 @@ func (e *puzzleChallengeError) Unwrap() error { return core.ErrPuzzleRequired }
 // difficulty can ratchet between tries).
 const maxPuzzleRetries = 2
 
+// The client's retransmit and puzzle constants. Each was a ClientConfig
+// field that no caller ever set, so each is its old default.
+const (
+	// backoffFactor multiplies the timeout after every retransmission.
+	backoffFactor = 2
+	// jitter spreads every retransmit wait uniformly over
+	// [1-jitter, 1+jitter] of its nominal value, so a fleet of clients
+	// recovering from the same outage does not thundering-herd the router
+	// in lockstep.
+	jitter = 0.2
+	// puzzleSolveBudget caps the hash evaluations one puzzle solve may
+	// spend before the attach fails with core.ErrPuzzleRequired — the
+	// client-side guard against a hostile or runaway difficulty. 2^24
+	// covers difficulty ≤ ~22 with headroom.
+	puzzleSolveBudget = 1 << 24
+)
+
 // clientSeq de-correlates the jitter streams of clients that did not pick
 // an explicit seed.
 var clientSeq atomic.Int64
@@ -54,20 +71,12 @@ type ClientConfig struct {
 	RetransmitTimeout time.Duration
 	// MaxTimeout caps the backed-off retransmit timeout. Default 2s.
 	MaxTimeout time.Duration
-	// BackoffFactor multiplies the timeout after every retransmission.
-	// Default 2.
-	BackoffFactor float64
 	// MaxRetries bounds retransmissions per phase (so a phase sends at
 	// most 1+MaxRetries frames). The default of 10 gives a total wait of
 	// ≈16 s per phase — sized so a request sitting in a busy router's
 	// verification queue behind ~100 concurrent users is not abandoned
 	// while the server is still working on it.
 	MaxRetries int
-	// Jitter spreads every retransmit wait uniformly over
-	// [1-Jitter, 1+Jitter] of its nominal value, so a fleet of clients
-	// recovering from the same outage does not thundering-herd the router
-	// in lockstep. Default 0.2; negative disables jitter.
-	Jitter float64
 	// Seed makes the jitter stream reproducible. Zero draws a process-wide
 	// unique seed.
 	Seed int64
@@ -76,12 +85,6 @@ type ClientConfig struct {
 	// (queue-full or draining): those rejections mean "come back soon",
 	// not "give up". Default 3; negative disables re-arming.
 	QueueFullResets int
-	// PuzzleSolveBudget caps the hash evaluations one puzzle solve may
-	// spend before the attach fails with core.ErrPuzzleRequired — the
-	// client-side guard against a hostile or runaway difficulty. The
-	// default of 2^24 covers difficulty ≤ ~22 with headroom; negative
-	// disables the cap.
-	PuzzleSolveBudget int64
 	// Metrics is the registry the client's instruments resolve in. Nil
 	// creates a private registry. A fleet of clients may share one
 	// registry; registration is idempotent and their counts aggregate.
@@ -95,32 +98,14 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Second
 	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
-	}
 	if c.MaxRetries < 1 {
 		c.MaxRetries = 10
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.Jitter > 1 {
-		c.Jitter = 1
 	}
 	if c.QueueFullResets == 0 {
 		c.QueueFullResets = 3
 	}
 	if c.QueueFullResets < 0 {
 		c.QueueFullResets = 0
-	}
-	if c.PuzzleSolveBudget == 0 {
-		c.PuzzleSolveBudget = 1 << 24
-	}
-	if c.PuzzleSolveBudget < 0 {
-		c.PuzzleSolveBudget = 0
 	}
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano() ^ (clientSeq.Add(1) << 32)
@@ -196,7 +181,7 @@ func NewClient(conn net.PacketConn, raddr net.Addr, user *core.User, cfg ClientC
 // recording the solve latency.
 func (c *Client) solvePuzzle(p *puzzle.Puzzle) (uint64, bool) {
 	start := time.Now()
-	sol, _, ok := p.SolveFrom(c.rng.Uint64(), uint64(c.cfg.PuzzleSolveBudget))
+	sol, _, ok := p.SolveFrom(c.rng.Uint64(), puzzleSolveBudget)
 	if ok {
 		c.stats.dosSolveLatency.Observe(time.Since(start))
 	}
@@ -569,7 +554,7 @@ func (c *Client) exchange(ctx context.Context, frame []byte, handle func(Kind, [
 				return nil
 			}
 		}
-		timeout = time.Duration(float64(timeout) * c.cfg.BackoffFactor)
+		timeout *= backoffFactor
 		if timeout > c.cfg.MaxTimeout {
 			timeout = c.cfg.MaxTimeout
 		}
@@ -585,13 +570,10 @@ func (c *Client) exchange(ctx context.Context, frame []byte, handle func(Kind, [
 	return ErrHandshakeTimeout
 }
 
-// jittered spreads d uniformly over [1-Jitter, 1+Jitter] of its value so
+// jittered spreads d uniformly over [1-jitter, 1+jitter] of its value so
 // synchronized clients de-correlate their retransmissions.
 func (c *Client) jittered(d time.Duration) time.Duration {
-	if c.cfg.Jitter <= 0 {
-		return d
-	}
-	f := 1 - c.cfg.Jitter + 2*c.cfg.Jitter*c.rng.Float64()
+	f := 1 - jitter + 2*jitter*c.rng.Float64()
 	return time.Duration(float64(d) * f)
 }
 
