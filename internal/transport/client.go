@@ -41,8 +41,8 @@ func (e *puzzleChallengeError) Unwrap() error { return core.ErrPuzzleRequired }
 // difficulty can ratchet between tries).
 const maxPuzzleRetries = 2
 
-// The client's retransmit and puzzle constants. Each was a ClientConfig
-// field that no caller ever set, so each is its old default.
+// The client's retransmit and puzzle constants; no deployment tunes
+// them.
 const (
 	// backoffFactor multiplies the timeout after every retransmission.
 	backoffFactor = 2

@@ -112,6 +112,8 @@ func (r *gateRig) serve(cfg ServerConfig) {
 	cfg.BootEpoch = 9
 	r.router().SetDoSDefense(false)
 	r.srv = NewServer(mustListen(r.t), r.router(), cfg)
+	// Every step drains out, and no one step queues more than a handful
+	// of replies, so a flush never blocks on a full buffer.
 	r.rec = &recordingConn{out: make(chan []byte, 64)}
 	eg := batchio.NewEgress(r.rec, 32, 0, batchio.NewPool(egressFrameSize), r.srv.noteFlush)
 	r.l = &shardLoop{eg: eg, pt: make([]byte, 0, 65536)}

@@ -11,10 +11,10 @@ import (
 // Server-side half of the adaptive DoS defense (paper Section V.A): the
 // handshake gate's puzzle check, a bounded replayed-solution table, and
 // the sampler that feeds ingest pressure to the router's difficulty
-// controller. The router decides
-// *whether* and *how hard* (core/dosdetect.go); this file is where those
-// decisions meet the wire — cheaply, before any curve unmarshal, queue
-// slot or pairing is spent on the datagram.
+// controller. The router decides *whether* and *how hard*
+// (core/dosdetect.go); this file is where those decisions meet the wire
+// — cheaply, before any curve unmarshal, queue slot or pairing is spent
+// on the datagram.
 
 // dosReplayCap bounds the solved-puzzle replay table. Two generations of
 // this many entries cover well over a beacon-refresh interval of

@@ -59,8 +59,7 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// The router's fixed sizes and periods. Each was a ServerConfig field
-// that no caller ever set, so each is its old default.
+// The router's fixed sizes and periods; no deployment tunes them.
 const (
 	// beaconRefresh is how long a cached beacon frame is served before a
 	// fresh one is generated (the unicast analogue of the broadcast
