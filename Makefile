@@ -9,7 +9,7 @@ BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|
 # The router's step tests: dispatch driven one datagram at a time through
 # a recording egress, no sockets written and no sleeps, so the race runs
 # repeat them cheaply.
-TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|ResumeExpiryBoundary)$$
+TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|DispatchCorruptEscrow|ResumeExpiryBoundary)$$
 
 .PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint harness-lint meshd-loopback meshd-drill chaos-soak restart-soak metro-soak attack-soak
 
@@ -53,7 +53,8 @@ ci:
 	$(MAKE) attack-soak
 
 # fuzz smoke: each wire-facing decoder gets a short randomized run, plus
-# differential fuzzes of the Montgomery field core against big.Int, of
+# differential fuzzes of the resume's in-place M.2 escrow check against
+# the M.2 decoder, of the Montgomery field core against big.Int, of
 # the lane kernels against their twins, the scalar tower and big.Int, of
 # G2.Unmarshal's ψ subgroup test against [n]Q = ∞, of the cut that
 # splits a UDP GRO train against a byte-wise walk, and of the stack-held
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzUnmarshalBeacon$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzUnmarshalAccessRequest$$' -fuzztime=10s
+	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzCheckAccessRequest$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzUnmarshalPeerHello$$' -fuzztime=10s
 	$(GO) test ./internal/revocation/ -run='^$$' -fuzz='^FuzzUnmarshalSnapshot$$' -fuzztime=10s
 	$(GO) test ./internal/revocation/ -run='^$$' -fuzz='^FuzzUnmarshalDelta$$' -fuzztime=10s
@@ -177,8 +179,10 @@ bench:
 # TestDataPlaneAllocs pins the whole batched ingest+egress round trip, and
 # a GSO train read back through ReadBatch with UDP GRO, at 0 allocs/op,
 # TestResumeExchangeAllocs holds one in-process ticket resume (both ends)
-# to its allocation ceiling, and TestSealOpenAllocs pins the in-place
-# session crypto (the -benchtime=1x pass catches benchmarks that rot).
+# to its allocation ceiling, TestEscrowCheckAllocs holds the resume's
+# check of its ticket's escrowed M.2 at 0 allocs/op, and
+# TestSealOpenAllocs pins the in-place session crypto (the -benchtime=1x
+# pass catches benchmarks that rot).
 # TestKDFAllocs pins key derivation, MACs and the STEK lookup at 0
 # allocs/op, and BenchmarkResumeExchange prints the resume's µs/op. The
 # bn256 and sgs benchmarks mirror the attach ledger's crypto rows (pairing, combined
@@ -194,7 +198,7 @@ bench:
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
 # in time and in bytes), and a link from AddPeer to reachable.
 bench-smoke:
-	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestResumeExchangeAllocs)$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestResumeExchangeAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
 	$(GO) test ./internal/transport/ -run='^$$' -bench='^BenchmarkResumeExchange$$' -benchmem -benchtime=2000x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x

@@ -658,7 +658,7 @@ func runE16(iters int) error {
 	if rep.NumCPU == 1 {
 		fmt.Println("note: single-core runner — shard scaling needs a multi-core host; rows show no regression only")
 	}
-	fmt.Printf("session table: %dB/session, %.1fMB per 100k sessions\n",
+	fmt.Printf("session table + network log: %dB/session, %.1fMB per 100k sessions\n",
 		rep.BytesPerSession, float64(rep.MemPer100kSessions)/(1<<20))
 	fmt.Printf("restart soak: %d clients × %d restarts → %d full handshakes, %d resumes\n",
 		rep.SoakUsers, rep.SoakRestarts, rep.SoakFullHandshakes, rep.SoakResumes)

@@ -197,22 +197,46 @@ func (e *G1) Unmarshal(m []byte) (*G1, error) {
 	if e.p == nil {
 		e.p = newCurvePoint()
 	}
-	if allZero(m) {
-		e.p.SetInfinity()
-		return e, nil
-	}
-	if err := e.p.x.Unmarshal(m[0*numBytes : 1*numBytes]); err != nil {
+	if err := decodeG1(e.p, m); err != nil {
 		return nil, err
-	}
-	if err := e.p.y.Unmarshal(m[1*numBytes : 2*numBytes]); err != nil {
-		return nil, err
-	}
-	e.p.z.SetOne()
-	e.p.t.SetOne()
-	if !e.p.IsOnCurve() {
-		return nil, ErrNotOnCurve
 	}
 	return e, nil
+}
+
+// CheckG1 reports whether G1.Unmarshal accepts m, and whether m encodes
+// the point at infinity, without allocating: it runs Unmarshal's rule
+// into a point on its own stack.
+func CheckG1(m []byte) (infinity bool, err error) {
+	var p curvePoint
+	if err := decodeG1(&p, m); err != nil {
+		return false, err
+	}
+	return p.IsInfinity(), nil
+}
+
+// decodeG1 is the one G1 decoding rule: 64 zero bytes are the point at
+// infinity; otherwise x and y must each be below p and (x, y) on the
+// curve.
+func decodeG1(p *curvePoint, m []byte) error {
+	if len(m) != G1Size {
+		return ErrMalformedPoint
+	}
+	if allZero(m) {
+		p.SetInfinity()
+		return nil
+	}
+	if err := p.x.Unmarshal(m[0*numBytes : 1*numBytes]); err != nil {
+		return err
+	}
+	if err := p.y.Unmarshal(m[1*numBytes : 2*numBytes]); err != nil {
+		return err
+	}
+	p.z.SetOne()
+	p.t.SetOne()
+	if !p.IsOnCurve() {
+		return ErrNotOnCurve
+	}
+	return nil
 }
 
 func (e *G2) String() string { return "bn256.G2" + e.p.String() }

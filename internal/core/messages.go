@@ -220,45 +220,50 @@ func (m *AccessRequest) Marshal() []byte {
 
 // UnmarshalAccessRequest decodes M.2.
 func UnmarshalAccessRequest(data []byte) (*AccessRequest, error) {
-	r := wire.NewReader(data)
-	m := &AccessRequest{}
+	var f m2Fields
+	if err := f.walk(data); err != nil {
+		return nil, err
+	}
+	m := &AccessRequest{
+		Timestamp:        f.timestamp,
+		HasSolution:      f.HasSolution,
+		Solution:         f.Solution,
+		PuzzleIssuedAt:   f.PuzzleIssuedAt,
+		PuzzleDifficulty: f.PuzzleDifficulty,
+	}
 	var err error
-	if m.GJ, err = readG1(r); err != nil {
+	if m.GJ, err = new(bn256.G1).Unmarshal(f.RawGJ); err != nil {
 		return nil, fmt.Errorf("m2 g^rj: %w", err)
 	}
-	if m.GR, err = readG1(r); err != nil {
+	if m.GR, err = new(bn256.G1).Unmarshal(f.RawGR); err != nil {
 		return nil, fmt.Errorf("m2 g^rR: %w", err)
 	}
-	if m.Timestamp, err = r.Time(); err != nil {
-		return nil, err
-	}
-	rawSig, err := r.BytesField()
-	if err != nil {
-		return nil, err
-	}
-	if m.Sig, err = sgs.ParseSignature(rawSig); err != nil {
+	if m.Sig, err = sgs.ParseSignature(f.rawSig); err != nil {
 		return nil, fmt.Errorf("m2 signature: %w", err)
 	}
-	has, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if has == 1 {
-		m.HasSolution = true
-		if m.Solution, err = r.Uint64(); err != nil {
-			return nil, err
-		}
-		if m.PuzzleIssuedAt, err = r.Time(); err != nil {
-			return nil, err
-		}
-		if m.PuzzleDifficulty, err = r.Byte(); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
 	return m, nil
+}
+
+// CheckAccessRequest reports whether UnmarshalAccessRequest accepts data,
+// and allocates nothing when it does: the same field walk, then the same
+// G1 rule (bn256.CheckG1) on both DH shares and the same signature rule
+// (sgs.CheckSignature), with nothing built. A resume validates the M.2 it
+// escrows with it, so the network log can keep the bytes.
+func CheckAccessRequest(data []byte) error {
+	var f m2Fields
+	if err := f.walk(data); err != nil {
+		return err
+	}
+	if _, err := bn256.CheckG1(f.RawGJ); err != nil {
+		return fmt.Errorf("m2 g^rj: %w", err)
+	}
+	if _, err := bn256.CheckG1(f.RawGR); err != nil {
+		return fmt.Errorf("m2 g^rR: %w", err)
+	}
+	if err := sgs.CheckSignature(f.rawSig); err != nil {
+		return fmt.Errorf("m2 signature: %w", err)
+	}
+	return nil
 }
 
 // AccessRequestPeek is the cheap, pre-decode view of an M.2 datagram: the
@@ -277,41 +282,58 @@ type AccessRequestPeek struct {
 // decoding curve points or the group signature. The returned byte slices
 // alias data.
 func PeekAccessRequest(data []byte) (*AccessRequestPeek, error) {
+	var f m2Fields
+	if err := f.walk(data); err != nil {
+		return nil, err
+	}
+	p := f.AccessRequestPeek
+	return &p, nil
+}
+
+// m2Fields is the field layout of an encoded M.2, walked once by
+// UnmarshalAccessRequest, CheckAccessRequest and PeekAccessRequest alike.
+// The byte slices alias the input.
+type m2Fields struct {
+	AccessRequestPeek
+	timestamp time.Time
+	rawSig    []byte
+}
+
+// walk splits data into f's fields: g^{r_j}, g^{r_R}, ts_2, the
+// signature, and the puzzle tail (a flag byte; only 1 is followed by the
+// solution and its echo), with nothing after it.
+func (f *m2Fields) walk(data []byte) error {
 	r := wire.NewReader(data)
-	p := &AccessRequestPeek{}
 	var err error
-	if p.RawGJ, err = r.BytesField(); err != nil {
-		return nil, fmt.Errorf("m2 g^rj: %w", err)
+	if f.RawGJ, err = r.BytesField(); err != nil {
+		return fmt.Errorf("m2 g^rj: %w", err)
 	}
-	if p.RawGR, err = r.BytesField(); err != nil {
-		return nil, fmt.Errorf("m2 g^rR: %w", err)
+	if f.RawGR, err = r.BytesField(); err != nil {
+		return fmt.Errorf("m2 g^rR: %w", err)
 	}
-	if _, err = r.Time(); err != nil {
-		return nil, err
+	if f.timestamp, err = r.Time(); err != nil {
+		return err
 	}
-	if _, err = r.BytesField(); err != nil { // signature
-		return nil, err
+	if f.rawSig, err = r.BytesField(); err != nil {
+		return err
 	}
 	has, err := r.Byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if has == 1 {
-		p.HasSolution = true
-		if p.Solution, err = r.Uint64(); err != nil {
-			return nil, err
+		f.HasSolution = true
+		if f.Solution, err = r.Uint64(); err != nil {
+			return err
 		}
-		if p.PuzzleIssuedAt, err = r.Time(); err != nil {
-			return nil, err
+		if f.PuzzleIssuedAt, err = r.Time(); err != nil {
+			return err
 		}
-		if p.PuzzleDifficulty, err = r.Byte(); err != nil {
-			return nil, err
+		if f.PuzzleDifficulty, err = r.Byte(); err != nil {
+			return err
 		}
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return r.Finish()
 }
 
 // AccessConfirm is message M.3: the router's key confirmation,

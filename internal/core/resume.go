@@ -70,11 +70,13 @@ func (u *User) AdoptSession(sess *Session) {
 }
 
 // AdoptResumedSession installs a ticket-resumed session and re-attaches
-// its accountability escrow: the original M.2 transcript carried inside
+// its accountability escrow: the original M.2's encoding carried inside
 // the ticket goes back into the network log file, so a session resumed
 // across a restart stays exactly as auditable as one established by a
-// full AKA run (paper audit Step 1 still finds its M.2).
-func (r *MeshRouter) AdoptResumedSession(sess *Session, escrow *AccessRequest) {
+// full AKA run (paper audit Step 1 still finds its M.2). The log keeps
+// escrow itself: the caller validates it first (CheckAccessRequest) and
+// hands over a slice nothing else writes.
+func (r *MeshRouter) AdoptResumedSession(sess *Session, escrow []byte) {
 	r.sessions.put(sess.ID, sess)
 	if escrow != nil {
 		r.sessionLog.put(sess.ID, escrow)

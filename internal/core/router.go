@@ -154,9 +154,10 @@ type MeshRouter struct {
 	// loops hit them concurrently for every keepalive and resume, so they
 	// must not funnel through r.mu. sessionLog is the paper's "network log
 	// file": the authentication transcript (M.2) behind every established
-	// session, kept so the operator can audit a disputed session later.
+	// session, kept as its wire bytes so the operator can audit a disputed
+	// session later. Only the audit decodes an entry (LoggedAccessRequest).
 	sessions   *shardedMap[*Session]
-	sessionLog *shardedMap[*AccessRequest]
+	sessionLog *shardedMap[[]byte]
 
 	// metrics is the router-owned registry behind stats, the stage
 	// histograms and the session / ingest-queue gauges; it outlives any
@@ -206,7 +207,7 @@ func NewMeshRouter(cfg Config, id string, noPub cert.PublicKey, gpk *sgs.PublicK
 		sweep:       sgs.NewSweepState(gpk),
 		outstanding: make(map[string]*beaconState),
 		sessions:    newShardedMap[*Session](),
-		sessionLog:  newShardedMap[*AccessRequest](),
+		sessionLog:  newShardedMap[[]byte](),
 		metrics:     reg,
 		stats:       newRouterCounters(reg),
 		stages:      newRouterStages(reg),
@@ -490,9 +491,13 @@ func (r *MeshRouter) HandleAccessRequest(m *AccessRequest) (*AccessConfirm, *Ses
 
 // AccessResult is the outcome of one access request in a batch: either a
 // confirmation and session, or the error that rejected the request.
+// Escrow is the M.2's encoding as the network log holds it, which the
+// serving transport seals into the session's resumption ticket; it is
+// shared with the log and must not be modified.
 type AccessResult struct {
 	Confirm *AccessConfirm
 	Session *Session
+	Escrow  []byte
 	Err     error
 }
 
@@ -566,9 +571,9 @@ func (r *MeshRouter) handleGroup(ms []*AccessRequest, out []AccessResult) {
 			out[a.slot].Err = fmt.Errorf("router %q: %w", r.id, ErrRevokedUser)
 			continue
 		}
-		confirm, sess, err := r.establishSession(m, a.st, a.now)
+		confirm, sess, escrow, err := r.establishSession(m, a.st, a.now)
 		sw.lap(r.stages.establish)
-		out[a.slot] = AccessResult{Confirm: confirm, Session: sess, Err: err}
+		out[a.slot] = AccessResult{Confirm: confirm, Session: sess, Escrow: escrow, Err: err}
 	}
 }
 
@@ -612,8 +617,10 @@ func (r *MeshRouter) precheckAccessRequest(m *AccessRequest) (*beaconState, time
 }
 
 // establishSession runs Step 3.4 for an authenticated request:
-// K_{k,j} = (g^{r_j})^{r_R}, session keys, and M.3.
-func (r *MeshRouter) establishSession(m *AccessRequest, st *beaconState, now time.Time) (*AccessConfirm, *Session, error) {
+// K_{k,j} = (g^{r_j})^{r_R}, session keys, and M.3. It logs the M.2's
+// encoding and returns it with the confirm, so the attach marshals the
+// M.2 once.
+func (r *MeshRouter) establishSession(m *AccessRequest, st *beaconState, now time.Time) (*AccessConfirm, *Session, []byte, error) {
 	dh := new(bn256.G1).ScalarMult(m.GJ, st.rR)
 	id := NewSessionID(m.GR, m.GJ)
 	sess := newSession(id, "user", dh.Marshal(), sessionTranscript(m.GR, m.GJ), now)
@@ -624,22 +631,31 @@ func (r *MeshRouter) establishSession(m *AccessRequest, st *beaconState, now tim
 	payload.BytesField(m.GR.Marshal())
 	ct, err := sess.sealBlob(r.cfg.Rand, payload.Bytes(), id[:])
 	if err != nil {
-		return nil, nil, fmt.Errorf("router %q: confirm: %w", r.id, err)
+		return nil, nil, nil, fmt.Errorf("router %q: confirm: %w", r.id, err)
 	}
 
+	escrow := m.Marshal()
 	r.sessions.put(id, sess)
-	r.sessionLog.put(id, m)
+	r.sessionLog.put(id, escrow)
 	r.stats.sessionsEstablished.Add(1)
 
-	return &AccessConfirm{GJ: m.GJ, GR: m.GR, Ciphertext: ct}, sess, nil
+	return &AccessConfirm{GJ: m.GJ, GR: m.GR, Ciphertext: ct}, sess, escrow, nil
 }
 
 // LoggedAccessRequest retrieves the authentication transcript behind an
 // established session from the router's log — the paper's audit Step 1:
 // "find the corresponding authentication session message (M.2) from the
-// network log file".
+// network log file". The log holds wire bytes; this decodes them.
 func (r *MeshRouter) LoggedAccessRequest(id SessionID) (*AccessRequest, bool) {
-	return r.sessionLog.get(id)
+	raw, ok := r.sessionLog.get(id)
+	if !ok {
+		return nil, false
+	}
+	m, err := UnmarshalAccessRequest(raw)
+	if err != nil {
+		return nil, false
+	}
+	return m, true
 }
 
 // RetireBeacon marks a beacon's DH share as no longer acceptable (e.g.

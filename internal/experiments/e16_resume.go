@@ -39,7 +39,8 @@ type E16ResumeReport struct {
 	ShardRows []E16ShardRow
 
 	// SessionsMeasured sessions were bulk-adopted into a fresh router's
-	// sharded table; BytesPerSession is the heap delta per session and
+	// sharded table, each with its escrowed M.2 in the network log as a
+	// resume leaves it; BytesPerSession is the heap delta per session and
 	// MemPer100kSessions the extrapolated resident cost of 100k.
 	SessionsMeasured   int
 	BytesPerSession    int64
@@ -120,7 +121,11 @@ func RunE16Resume(shardCounts []int, iters int) (*E16ResumeReport, error) {
 
 	// --- Memory: resident cost of the sharded session table. ---
 	rep.SessionsMeasured = 100_000
-	rep.BytesPerSession = e16SessionTableBytes(ln, rep.SessionsMeasured)
+	m2, ok := ln.Routers[0].LoggedAccessRequest(cl.Session().ID)
+	if !ok {
+		return nil, fmt.Errorf("e16: the resumed session has no escrow in the network log")
+	}
+	rep.BytesPerSession = e16SessionTableBytes(ln, rep.SessionsMeasured, m2.Marshal())
 	rep.MemPer100kSessions = rep.BytesPerSession * 100_000
 
 	// --- Restart soak: the fleet re-attaches via tickets only. ---
@@ -203,8 +208,9 @@ func e16ShardThroughput(shards, iters int) (*E16ShardRow, error) {
 }
 
 // e16SessionTableBytes bulk-adopts n resumed sessions into a fresh
-// router's sharded table and returns the heap bytes each one costs.
-func e16SessionTableBytes(ln *transport.LocalNetwork, n int) int64 {
+// router's sharded table, each logging its own copy of escrow, and
+// returns the heap bytes each one costs.
+func e16SessionTableBytes(ln *transport.LocalNetwork, n int, escrow []byte) int64 {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -218,7 +224,7 @@ func e16SessionTableBytes(ln *transport.LocalNetwork, n int) int64 {
 	for i := 0; i < n; i++ {
 		cn[0], cn[1], cn[2] = byte(i), byte(i>>8), byte(i>>16)
 		sess := core.ResumeSession(prev, secret, cn, sn, "user", now)
-		ln.Routers[0].AdoptResumedSession(sess, nil)
+		ln.Routers[0].AdoptResumedSession(sess, append(escrow[:0:0], escrow...))
 		sessions = append(sessions, sess)
 	}
 	runtime.GC()

@@ -295,12 +295,13 @@ func ForEachGroup(n int, fn func(lo, hi int)) {
 // possible here because each challenge c_i binds its own R̃2_i — so a bad
 // signature is attributed directly without any fallback re-verification.
 func (v *Verifier) BatchVerify(items []BatchItem) []error {
-	errs, _ := v.BatchVerifyCounted(items)
+	errs, _ := v.batchVerifyCounted(items)
 	return errs
 }
 
-// BatchVerifyCounted is BatchVerify with aggregate operation counts.
-func (v *Verifier) BatchVerifyCounted(items []BatchItem) ([]error, OpCounts) {
+// batchVerifyCounted is BatchVerify with aggregate operation counts, for
+// the tests that pin what a batch charges.
+func (v *Verifier) batchVerifyCounted(items []BatchItem) ([]error, OpCounts) {
 	errs := make([]error, len(items))
 	var total OpCounts
 	var mu sync.Mutex

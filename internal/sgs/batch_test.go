@@ -159,7 +159,7 @@ func TestBatchVerifyAttributesBadSignature(t *testing.T) {
 	}
 
 	// Aggregate counts: n signatures at 4 exps / 2 pairings each.
-	errs, counts := ver.BatchVerifyCounted(items)
+	errs, counts := ver.batchVerifyCounted(items)
 	if len(errs) != n {
 		t.Fatalf("counted batch: %d slots", len(errs))
 	}

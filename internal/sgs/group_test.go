@@ -215,7 +215,7 @@ func TestVerifyGroupMatchesVerifyOne(t *testing.T) {
 }
 
 // TestForgedLaneCostsOnePass pins the price of a forgery inside a group:
-// BatchVerifyCounted over eight items of which three are forged charges
+// batchVerifyCounted over eight items of which three are forged charges
 // exactly what eight good ones cost, 4 exponentiations and 2 pairings each —
 // no slot is verified a second time to find out which one failed.
 func TestForgedLaneCostsOnePass(t *testing.T) {
@@ -228,7 +228,7 @@ func TestForgedLaneCostsOnePass(t *testing.T) {
 		forge(items, i, forgeries[i%len(forgeries)].apply)
 	}
 
-	errs, counts := ver.BatchVerifyCounted(items)
+	errs, counts := ver.batchVerifyCounted(items)
 	for i, err := range errs {
 		if errors.Is(err, ErrInvalidSignature) != bad[i] || (err == nil) == bad[i] {
 			t.Errorf("slot %d: %v, want bad = %v", i, err, bad[i])

@@ -1,6 +1,7 @@
 package sgs
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 
@@ -114,40 +115,85 @@ func ParseCompactSignature(data []byte) (*Signature, error) {
 
 // ParseSignature decodes and structurally validates a marshaled signature.
 func ParseSignature(data []byte) (*Signature, error) {
-	if len(data) != SignatureSize {
-		return nil, fmt.Errorf("%w: length %d, want %d", ErrInvalidSignature, len(data), SignatureSize)
-	}
-	s := &Signature{Mode: GeneratorMode(data[0])}
-	off := 1
-
-	var err error
-	if s.R, off, err = readScalar(data, off); err != nil {
-		return nil, err
-	}
-	if s.T1, err = new(bn256.G1).Unmarshal(data[off : off+bn256.G1Size]); err != nil {
-		return nil, fmt.Errorf("%w: T1: %v", ErrInvalidSignature, err)
-	}
-	off += bn256.G1Size
-	if s.T2, err = new(bn256.G1).Unmarshal(data[off : off+bn256.G1Size]); err != nil {
-		return nil, fmt.Errorf("%w: T2: %v", ErrInvalidSignature, err)
-	}
-	off += bn256.G1Size
-	if s.C, off, err = readScalar(data, off); err != nil {
-		return nil, err
-	}
-	if s.SAlpha, off, err = readScalar(data, off); err != nil {
-		return nil, err
-	}
-	if s.SX, off, err = readScalar(data, off); err != nil {
-		return nil, err
-	}
-	if s.SDelta, _, err = readScalar(data, off); err != nil {
-		return nil, err
-	}
-	if err := checkSignatureShape(s); err != nil {
+	s := &Signature{}
+	if err := walkSignature(data, s); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// CheckSignature reports whether ParseSignature accepts data, without
+// allocating on success: it runs the same walk and builds nothing.
+func CheckSignature(data []byte) error {
+	return walkSignature(data, nil)
+}
+
+// Offsets into a marshaled signature (Bytes): the mode byte, R, T1, T2,
+// then C, SAlpha, SX and SDelta one scalar each from sigOffC.
+const (
+	sigOffR  = 1
+	sigOffT1 = sigOffR + scalarBytes
+	sigOffT2 = sigOffT1 + bn256.G1Size
+	sigOffC  = sigOffT2 + bn256.G1Size
+)
+
+// walkSignature is the one acceptance rule of a marshaled signature,
+// which ParseSignature and CheckSignature both run: the exact length, a
+// known generator mode, five scalars below Order, and T1 and T2 valid G1
+// encodings other than the identity. With s it decodes into s as well;
+// with nil it only checks.
+func walkSignature(data []byte, s *Signature) error {
+	if len(data) != SignatureSize {
+		return fmt.Errorf("%w: length %d, want %d", ErrInvalidSignature, len(data), SignatureSize)
+	}
+	mode := GeneratorMode(data[0])
+	if mode != PerMessageGenerators && mode != FixedGenerators {
+		return fmt.Errorf("%w: unknown generator mode", ErrInvalidSignature)
+	}
+	scalars := [5]int{sigOffR, sigOffC, sigOffC + scalarBytes, sigOffC + 2*scalarBytes, sigOffC + 3*scalarBytes}
+	for _, off := range scalars {
+		if !scalarInRange(data[off : off+scalarBytes]) {
+			return fmt.Errorf("%w: scalar out of range", ErrInvalidSignature)
+		}
+	}
+	var t1, t2 **bn256.G1
+	if s != nil {
+		t1, t2 = &s.T1, &s.T2
+	}
+	inf1, err := g1Field(data[sigOffT1:sigOffT2], t1)
+	if err != nil {
+		return fmt.Errorf("%w: T1: %v", ErrInvalidSignature, err)
+	}
+	inf2, err := g1Field(data[sigOffT2:sigOffC], t2)
+	if err != nil {
+		return fmt.Errorf("%w: T2: %v", ErrInvalidSignature, err)
+	}
+	if inf1 || inf2 {
+		return fmt.Errorf("%w: degenerate T1/T2", ErrInvalidSignature)
+	}
+	if s == nil {
+		return nil
+	}
+	s.Mode = mode
+	for i, dst := range [5]**big.Int{&s.R, &s.C, &s.SAlpha, &s.SX, &s.SDelta} {
+		*dst = new(big.Int).SetBytes(data[scalars[i] : scalars[i]+scalarBytes])
+	}
+	return nil
+}
+
+// g1Field runs bn256's G1 decoding rule on raw and reports whether raw
+// encodes the identity. With dst it also decodes the point into *dst;
+// with nil it allocates nothing.
+func g1Field(raw []byte, dst **bn256.G1) (infinity bool, err error) {
+	if dst == nil {
+		return bn256.CheckG1(raw)
+	}
+	p, err := new(bn256.G1).Unmarshal(raw)
+	if err != nil {
+		return false, err
+	}
+	*dst = p
+	return p.IsInfinity(), nil
 }
 
 // Equal reports whether two signatures are byte-for-byte identical.
@@ -165,11 +211,23 @@ func appendScalar(out []byte, v *big.Int) []byte {
 }
 
 func readScalar(data []byte, off int) (*big.Int, int, error) {
-	v := new(big.Int).SetBytes(data[off : off+scalarBytes])
-	if v.Cmp(bn256.Order) >= 0 {
+	b := data[off : off+scalarBytes]
+	if !scalarInRange(b) {
 		return nil, 0, fmt.Errorf("%w: scalar out of range", ErrInvalidSignature)
 	}
-	return v, off + scalarBytes, nil
+	return new(big.Int).SetBytes(b), off + scalarBytes, nil
+}
+
+// orderBytes is Order big-endian in one scalar's width.
+var orderBytes = func() (b [scalarBytes]byte) {
+	bn256.Order.FillBytes(b[:])
+	return b
+}()
+
+// scalarInRange reports whether a big-endian scalar field is below Order,
+// comparing the bytes where they lie.
+func scalarInRange(b []byte) bool {
+	return bytes.Compare(b, orderBytes[:]) < 0
 }
 
 // PrivateKeyBytes marshals a private key (A ‖ grp ‖ x); used by the setup

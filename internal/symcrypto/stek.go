@@ -141,6 +141,13 @@ func (r *TicketKeyRing) SealInPlace(rng io.Reader, buf, aad []byte) ([]byte, err
 // ErrUnknownTicketKey; a tampered blob yields ErrDecrypt. The plaintext
 // is a fresh slice the caller owns.
 func (r *TicketKeyRing) Open(blob, aad []byte) ([]byte, error) {
+	return r.OpenAppend(nil, blob, aad)
+}
+
+// OpenAppend is Open that appends the plaintext to dst, so a caller with a
+// scratch buffer of enough capacity opens without allocating. dst and
+// blob must not overlap.
+func (r *TicketKeyRing) OpenAppend(dst, blob, aad []byte) ([]byte, error) {
 	if len(blob) < stekIDSize {
 		return nil, ErrUnknownTicketKey
 	}
@@ -151,7 +158,7 @@ func (r *TicketKeyRing) Open(blob, aad []byte) ([]byte, error) {
 	if len(blob) < SealHeaderSize+GCMOverhead {
 		return nil, ErrDecrypt
 	}
-	pt, err := aead.Open(nil, blob[stekIDSize:SealHeaderSize], blob[SealHeaderSize:], aad)
+	pt, err := aead.Open(dst, blob[stekIDSize:SealHeaderSize], blob[SealHeaderSize:], aad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -353,11 +353,13 @@ func (x *resumeExchange) run(tb testing.TB) *core.Session {
 }
 
 // resumeExchangeAllocs is the allocation ceiling of one in-process
-// resume round trip, both ends together. Almost half is the escrowed
-// M.2's decode (group signature and curve points); the rest is the two
-// new sessions with their AEADs, the opened and the reissued ticket, the
-// confirm frame and the request.
-const resumeExchangeAllocs = 39
+// resume round trip, both ends together. A third is the two new
+// sessions with their AEADs; the rest is the request and its frame, the
+// reply-cache entry, the escrow's copy for the network log, the reissued
+// ticket, the confirm frame and the client's open of it. The ticket opens
+// into the shard loop's scratch and the escrowed M.2 is checked in place
+// (TestEscrowCheckAllocs), so neither allocates.
+const resumeExchangeAllocs = 17
 
 // TestResumeExchangeAllocs gates the allocations of one ticket resume,
 // client and server together, at resumeExchangeAllocs.
@@ -371,6 +373,34 @@ func TestResumeExchangeAllocs(t *testing.T) {
 	t.Logf("resume exchange: %.1f allocs/op", avg)
 	if avg > resumeExchangeAllocs {
 		t.Fatalf("resume exchange allocates %.1f/op, ceiling %d", avg, resumeExchangeAllocs)
+	}
+}
+
+// TestEscrowCheckAllocs pins the resume's check of the M.2 its ticket
+// escrows at 0 allocs/op: core.CheckAccessRequest walks the fields and
+// validates both DH shares and the group signature (mode, scalars, T1
+// and T2) without building any of them.
+func TestEscrowCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	x := newResumeExchange(t)
+	tk, err := OpenTicket(x.t.blob, x.srv.tickets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	escrow := tk.Escrow
+	if err := core.CheckAccessRequest(escrow); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if err := core.CheckAccessRequest(escrow); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("escrow check: %.1f allocs/op", avg)
+	if avg != 0 {
+		t.Fatalf("CheckAccessRequest allocates %.1f/op, want 0", avg)
 	}
 }
 

@@ -80,6 +80,22 @@ func CloneAddr(addr net.Addr) net.Addr {
 	return c
 }
 
+// SameAddr reports whether a and b name the same peer. Two UDP addresses
+// compare by port, zone and IP.Equal (so a v4 address equals its
+// IPv4-mapped form) without formatting either; any other pair of
+// net.Addr compares by String.
+func SameAddr(a, b net.Addr) bool {
+	ua, ok := a.(*net.UDPAddr)
+	ub, ok2 := b.(*net.UDPAddr)
+	if !ok || !ok2 {
+		return a.String() == b.String()
+	}
+	if ua == ub {
+		return true
+	}
+	return ua.Port == ub.Port && ua.Zone == ub.Zone && ua.IP.Equal(ub.IP)
+}
+
 // Conn is the batched view of a datagram socket. ReadBatch blocks until
 // at least one datagram is available (or the read deadline passes, or
 // the conn is closed) and fills as many slots as the kernel has queued;

@@ -460,7 +460,7 @@ func (c *mmsgConn) buildCoalesced(ms []Message) (nh int, hadTrain bool, err erro
 		run := 1
 		if useGSO && m.N > 0 && 2*m.N <= gsoMaxBytes {
 			for run < gsoMaxSegs && (run+1)*m.N <= gsoMaxBytes && i+run < len(ms) &&
-				ms[i+run].N == m.N && sameUDPAddr(ms[i+run].Addr, m.Addr) {
+				ms[i+run].N == m.N && SameAddr(ms[i+run].Addr, m.Addr) {
 				run++
 			}
 		}
@@ -535,16 +535,6 @@ func (c *mmsgConn) sendOnce(fd uintptr) bool {
 		t.n = int(r1)
 	}
 	return true
-}
-
-// sameUDPAddr reports whether two write targets (already vetted as
-// *net.UDPAddr) name the same destination.
-func sameUDPAddr(a, b net.Addr) bool {
-	ua, ub := a.(*net.UDPAddr), b.(*net.UDPAddr)
-	if ua == ub {
-		return true
-	}
-	return ua.Port == ub.Port && ua.Zone == ub.Zone && ua.IP.Equal(ub.IP)
 }
 
 func (c *mmsgConn) writeSingles(ms []Message) (int, error) {

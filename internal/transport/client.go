@@ -14,6 +14,7 @@ import (
 	"github.com/peace-mesh/peace/internal/metrics"
 	"github.com/peace-mesh/peace/internal/puzzle"
 	"github.com/peace-mesh/peace/internal/revocation"
+	"github.com/peace-mesh/peace/internal/transport/batchio"
 )
 
 // ErrHandshakeTimeout is returned when a handshake phase exhausted its
@@ -532,7 +533,7 @@ func (c *Client) exchange(ctx context.Context, frame []byte, handle func(Kind, [
 				return err
 			}
 			c.stats.bytesIn.Add(int64(n))
-			if from.String() != raddr.String() {
+			if !batchio.SameAddr(from, raddr) {
 				c.stats.unhandled.Add(1)
 				continue
 			}

@@ -3,15 +3,19 @@ package transport
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/peace-mesh/peace/internal/bn256"
 	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/metrics"
+	"github.com/peace-mesh/peace/internal/sgs"
 	"github.com/peace-mesh/peace/internal/symcrypto"
 	"github.com/peace-mesh/peace/internal/transport/batchio"
+	"github.com/peace-mesh/peace/internal/wire"
 )
 
 // recordingConn is the write side of a step driver: every datagram an
@@ -204,7 +208,13 @@ func (r *gateRig) encode(msg any) []byte {
 // resumeRequest builds a resume of the rig's ticket with a fresh nonce;
 // solve attaches an answer to the router's current puzzle.
 func (r *gateRig) resumeRequest(solve bool) (*ResumeRequest, []byte, core.SessionID) {
-	req := &ResumeRequest{Ticket: r.ticket, Timestamp: r.router().Now()}
+	return r.resumeRequestFor(r.ticket, solve)
+}
+
+// resumeRequestFor is resumeRequest for another ticket carrying the rig
+// session's resumption secret.
+func (r *gateRig) resumeRequestFor(ticket []byte, solve bool) (*ResumeRequest, []byte, core.SessionID) {
+	req := &ResumeRequest{Ticket: ticket, Timestamp: r.router().Now()}
 	if _, err := rand.Read(req.Nonce[:]); err != nil {
 		r.t.Fatal(err)
 	}
@@ -550,6 +560,103 @@ func TestDispatchGateMatrix(t *testing.T) {
 			}
 			if got != row.again {
 				t.Errorf("retransmit drew %v, want %v", got, row.again)
+			}
+		})
+	}
+}
+
+// m2SigAt is where the signature starts in an M.2 encoding: after the
+// two length-prefixed DH shares, ts_2 and the signature's length prefix.
+const m2SigAt = 2*(4+bn256.G1Size) + 8 + 4
+
+// Offsets of the signature's fields in an M.2 encoding (sgs's layout:
+// mode, R, T1, T2, then C, SAlpha, SX, SDelta).
+const (
+	m2T1At = m2SigAt + 1 + 32
+	m2T2At = m2T1At + bn256.G1Size
+	m2CAt  = m2T2At + bn256.G1Size
+)
+
+// TestDispatchCorruptEscrow pins the check a resume runs on the M.2 its
+// ticket escrows. Each row seals, under the server's own ring and with
+// the rig session's secret, a ticket whose escrow the M.2 decoder
+// refuses; the resume must be refused with RejectTicket "ticket escrow
+// corrupt", cached, counted as DoS evidence, and must adopt and log
+// nothing.
+func TestDispatchCorruptEscrow(t *testing.T) {
+	rig := newGateRig(t, nil)
+	tk, err := OpenTicket(rig.ticket, rig.ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := tk.Escrow
+	if _, err := core.UnmarshalAccessRequest(good); err != nil || len(good) != m2SigAt+sgs.SignatureSize+1 {
+		t.Fatalf("rig escrow: %v (%d bytes)", err, len(good))
+	}
+	// p and Order themselves: the smallest values the ranges exclude.
+	p, order := bn256.P.FillBytes(make([]byte, 32)), bn256.Order.FillBytes(make([]byte, 32))
+	rows := []struct {
+		name   string
+		mutate func(m []byte) []byte
+		want   error // the decoder's refusal
+		t1     error // for the T1 rows, bn256's verdict on the point
+	}{
+		{"truncated", func(m []byte) []byte { return m[:len(m)-1] }, wire.ErrTruncated, nil},
+		{"trailing-byte", func(m []byte) []byte { return append(m, 0) }, wire.ErrTrailing, nil},
+		{"T1-off-curve", func(m []byte) []byte { m[m2T2At-1] ^= 1; return m }, sgs.ErrInvalidSignature, bn256.ErrNotOnCurve},
+		{"coordinate-at-least-p", func(m []byte) []byte { copy(m[m2T1At:], p); return m }, sgs.ErrInvalidSignature, bn256.ErrMalformedPoint},
+		{"scalar-at-least-order", func(m []byte) []byte { copy(m[m2CAt:], order); return m }, sgs.ErrInvalidSignature, nil},
+		{"T2-at-infinity", func(m []byte) []byte { clear(m[m2T2At:m2CAt]); return m }, sgs.ErrInvalidSignature, nil},
+		{"unknown-mode", func(m []byte) []byte { m[m2SigAt] = 3; return m }, sgs.ErrInvalidSignature, nil},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			rig.t = t
+			rig.serve(ServerConfig{})
+			bad := *tk
+			bad.Escrow = row.mutate(append([]byte(nil), good...))
+			if _, err := core.UnmarshalAccessRequest(bad.Escrow); !errors.Is(err, row.want) {
+				t.Fatalf("decoder verdict %v, want %v", err, row.want)
+			}
+			if row.t1 != nil {
+				if _, err := bn256.CheckG1(bad.Escrow[m2T1At:m2T2At]); !errors.Is(err, row.t1) {
+					t.Fatalf("T1 verdict %v, want %v", err, row.t1)
+				}
+			}
+			blob, err := bad.Seal(rand.Reader, rig.ring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, frame, sid := rig.resumeRequestFor(blob, false)
+
+			held := rig.router().Metrics().Snapshot()
+			before, dosBefore := rig.counters(), rig.dosFailures()
+			reply := rig.step(srcA, frame)
+			after, dosAfter := rig.counters(), rig.dosFailures()
+
+			rej := rig.decode(reply, KindReject).(*Reject)
+			if rej.Code != RejectTicket || rej.Reason != "ticket escrow corrupt" || rej.Session != sid {
+				t.Fatalf("refused with %v %q, want RejectTicket \"ticket escrow corrupt\"", rej.Code, rej.Reason)
+			}
+			want := map[string]int64{"frames_in": 1, "bytes_in": int64(len(frame)),
+				"frames_out": 1, "write_datagrams": 1, "write_batches": 1, "bytes_out": int64(len(reply)),
+				"rejects": 1, "resume_rejects": 1}
+			for name, v := range after {
+				if d := v - before[name]; d != want[name] {
+					t.Errorf("counter %s moved by %d, want %d", name, d, want[name])
+				}
+			}
+			if d := dosAfter - dosBefore; d != 1 {
+				t.Errorf("router recorded %d DoS failures, want 1", d)
+			}
+			heldAfter := rig.router().Metrics().Snapshot()
+			for _, name := range []string{"router_sessions", "router_session_log", "router_sessions_resumed"} {
+				if b, a := held.Value(name), heldAfter.Value(name); a != b {
+					t.Errorf("%s moved %d → %d: a refused resume adopted or logged", name, b, a)
+				}
+			}
+			if again := rig.step(srcA, frame); string(again) != string(reply) {
+				t.Errorf("retransmit drew %v, want the cached refusal", frameKind(again))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/symcrypto"
+	"github.com/peace-mesh/peace/internal/transport/batchio"
 )
 
 // resumeRig provisions one attached client against a ticket-issuing
@@ -477,4 +479,110 @@ func TestHandoffAnnouncedAfterConfirm(t *testing.T) {
 	if calls, _, _ := rec.seen(); calls != 1 || away.Stats().HandoffsIn() != 1 {
 		t.Fatalf("replay announced again: observer calls %d, handoffs_in %d", calls, away.Stats().HandoffsIn())
 	}
+}
+
+// TestEscrowSurvivesRoam follows one user's M.2 through attach → resume →
+// cross-router handoff → resume. Every router that holds one of the
+// user's sessions must log exactly the attach's M.2 bytes for it, and the
+// operator's audit of it must name the user's group. The last resume is
+// driven through dispatch on a test shard loop, so the test can scribble
+// over the loop's opened-ticket scratch afterwards: the network log must
+// not share its bytes, which also hold the resumption secret.
+func TestEscrowSurvivesRoam(t *testing.T) {
+	const group = "grp-roam"
+	ln, err := NewLocalNetwork(core.Config{}, group, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := symcrypto.NewTicketKeyRing(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := NewServer(mustListen(t), ln.Routers[0], ServerConfig{TicketKeys: ring, BootEpoch: 71})
+	t.Cleanup(home.Close)
+	away := NewServer(mustListen(t), ln.Routers[1], ServerConfig{TicketKeys: ring, BootEpoch: 72})
+	t.Cleanup(away.Close)
+
+	conn := mustListen(t)
+	t.Cleanup(func() { conn.Close() })
+	var m2 []byte
+	cl := NewClient(newScriptedConn(conn, func(p []byte) bool {
+		if k, payload, err := DecodeFrame(p); err == nil && k == KindAccessRequest && m2 == nil {
+			m2 = append([]byte(nil), payload...)
+		}
+		return false
+	}), home.Addr(), ln.Users[0], testClientConfig())
+
+	logged := func(r *core.MeshRouter, id core.SessionID, step string) {
+		t.Helper()
+		m, ok := r.LoggedAccessRequest(id)
+		if !ok {
+			t.Fatalf("%s: %s logged no M.2 for the session", step, r.ID())
+		}
+		if !bytes.Equal(m.Marshal(), m2) {
+			t.Fatalf("%s: %s logged an M.2 that differs from the attach's", step, r.ID())
+		}
+		res, err := ln.NO.AuditSession(r, id)
+		if err != nil || res.Group != group {
+			t.Fatalf("%s: audit at %s named %q (%v), want %q", step, r.ID(), res.Group, err, group)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	attached, err := cl.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged(ln.Routers[0], attached.ID, "attach")
+	resumed, err := cl.Resume(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged(ln.Routers[0], resumed.ID, "resume")
+	cl.Retarget(away.Addr())
+	handed, err := cl.Resume(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if away.Stats().HandoffsIn() != 1 {
+		t.Fatal("the resume at the second router was not a handoff")
+	}
+	logged(ln.Routers[1], handed.ID, "handoff")
+
+	// The last resume, through dispatch on a shard loop the test holds.
+	out := &lastDatagramConn{}
+	eg := batchio.NewEgress(out, 32, time.Hour, batchio.NewPool(egressFrameSize), nil)
+	t.Cleanup(eg.Close)
+	l := &shardLoop{eg: eg}
+	held := cl.heldTicket()
+	req, frame, err := cl.resumeRequest(held, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	away.dispatch(l, away.router.Now(), &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}, frame)
+	eg.Flush()
+	kind, payload, err := DecodeFrame(out.last)
+	if err != nil || kind != KindResumeConfirm {
+		t.Fatalf("last resume answered %v: %v", kind, err)
+	}
+	var confirm ResumeConfirm
+	if err := UnmarshalResumeConfirmInto(payload, &confirm); err != nil {
+		t.Fatal(err)
+	}
+	last, _, err := openResumeConfirm(held, &req.Nonce, &confirm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged(ln.Routers[1], last.ID, "second resume")
+
+	scratch := l.ticketPT[:cap(l.ticketPT)]
+	if !bytes.Contains(scratch, m2) {
+		t.Fatal("the shard loop's ticket scratch does not hold the opened escrow")
+	}
+	for i := range scratch {
+		scratch[i] = 0xa5
+	}
+	logged(ln.Routers[1], last.ID, "after the ticket scratch was overwritten")
+	logged(ln.Routers[1], handed.ID, "after the ticket scratch was overwritten")
 }

@@ -438,6 +438,10 @@ type shardLoop struct {
 
 	scratchFrame  core.DataFrame
 	scratchResume ResumeRequest
+	// scratchTicket and ticketPT are the resume path's opened ticket and
+	// its plaintext; what outlives the dispatch is copied out of them.
+	scratchTicket Ticket
+	ticketPT      []byte
 	// pt is the open-plaintext scratch of the data path.
 	pt []byte
 }
@@ -870,7 +874,7 @@ func (s *Server) serveAccess(l *shardLoop, _ time.Time, from net.Addr, sid core.
 		if res.Err != nil {
 			s.reject(l, from, sid, rejectCodeFor(res.Err), res.Err.Error(), true)
 		} else {
-			if tk, err := s.issueTicket(res.Session, m.Marshal(), s.router.Now()); err == nil {
+			if tk, err := s.issueTicket(res.Session, res.Escrow, s.router.Now()); err == nil {
 				res.Confirm.Ticket = tk
 				s.stats.ticketsIssued.Add(1)
 			}
@@ -902,7 +906,9 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 		s.reject(l, from, sid, RejectTicket, "resumption not offered", true)
 		return
 	}
-	t, err := OpenTicket(req.Ticket, s.tickets)
+	t := &l.scratchTicket
+	pt, err := openTicketInto(req.Ticket, s.tickets, t, l.ticketPT)
+	l.ticketPT = pt
 	if err != nil {
 		// Rotated-out STEK generation and tampered blobs land here alike;
 		// either way the full handshake is the only path forward.
@@ -933,11 +939,14 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 		s.reject(l, from, sid, RejectTicket, "resume timestamp stale", true)
 		return
 	}
-	escrow, err := core.UnmarshalAccessRequest(t.Escrow)
-	if err != nil {
+	if err := core.CheckAccessRequest(t.Escrow); err != nil {
 		s.reject(l, from, sid, RejectTicket, "ticket escrow corrupt", true)
 		return
 	}
+	// The network log keeps the escrow, so it leaves the ticket plaintext
+	// (which holds the resumption secret) as a copy of its exact length.
+	escrow := make([]byte, len(t.Escrow))
+	copy(escrow, t.Escrow)
 
 	var serverNonce [ResumeNonceSize]byte
 	if _, err := rand.Read(serverNonce[:]); err != nil {
@@ -953,7 +962,7 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 		s.stats.handoffsIn.Add(1)
 	}
 
-	newTicket, err := s.issueTicket(sess, t.Escrow, now)
+	newTicket, err := s.issueTicket(sess, escrow, now)
 	if err != nil {
 		s.replies.forget(sid)
 		s.logf("transport: reissue ticket: %v", err)

@@ -102,8 +102,12 @@ func unmarshalTicketInto(data []byte, t *Ticket) error {
 	if string(tag) != ticketTag {
 		return fmt.Errorf("transport: ticket tag %q", tag)
 	}
-	if t.Router, err = r.StringField(); err != nil {
+	router, err := r.BytesField()
+	if err != nil {
 		return err
+	}
+	if string(router) != t.Router { // a reused t keeps its string
+		t.Router = string(router)
 	}
 	sec, err := r.BytesField()
 	if err != nil {
@@ -150,15 +154,24 @@ func (t *Ticket) Seal(rng io.Reader, ring *symcrypto.TicketKeyRing) ([]byte, err
 // the decrypted plaintext, which belongs to the result alone.
 // symcrypto.ErrUnknownTicketKey means the STEK generation rotated out.
 func OpenTicket(blob []byte, ring *symcrypto.TicketKeyRing) (*Ticket, error) {
-	pt, err := ring.Open(blob, ticketAAD)
-	if err != nil {
-		return nil, err
-	}
 	t := &Ticket{}
-	if err := unmarshalTicketInto(pt, t); err != nil {
+	if _, err := openTicketInto(blob, ring, t, nil); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// openTicketInto is OpenTicket into a caller's t, decrypting into
+// scratch's array (grown when it is short). It returns the buffer to keep
+// as the next scratch; on success that is the plaintext, which t.Escrow
+// aliases and which also holds the resumption secret, so whatever
+// outlives the next open is copied out of it.
+func openTicketInto(blob []byte, ring *symcrypto.TicketKeyRing, t *Ticket, scratch []byte) ([]byte, error) {
+	pt, err := ring.OpenAppend(scratch[:0], blob, ticketAAD)
+	if err != nil {
+		return scratch, err
+	}
+	return pt, unmarshalTicketInto(pt, t)
 }
 
 // resumeMACKey derives the key authenticating resume requests from the
