@@ -141,7 +141,7 @@ func TestDataPlaneAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		srv.dispatch(l, now, addr, datagrams[idx])
 		idx++
-		l.eg.Flush()
+		srv.endBatch(l)
 	}); avg != 0 {
 		t.Fatalf("data-plane ingest+egress path allocates %.1f/op, want 0", avg)
 	}
@@ -191,7 +191,7 @@ func TestDataPlaneAllocs(t *testing.T) {
 			for i := range ms[:n] {
 				srv.dispatch(l, now, ms[i].Addr, ms[i].Payload())
 			}
-			l.eg.Flush()
+			srv.endBatch(l)
 			got += n
 		}
 	}); avg != 0 {
@@ -288,10 +288,16 @@ func (c *lastDatagramConn) WriteBatch(ms []batchio.Message) (int, error) {
 }
 
 // newResumeExchange attaches one client over loopback to a
-// ticket-issuing server, then takes its ticket.
-func newResumeExchange(tb testing.TB) *resumeExchange {
+// ticket-issuing server, then takes its ticket. With roam the exchange
+// runs at a second router's server, sharing the STEK ring, so every
+// resume of the ticket is a handoff, announced to a no-op observer.
+func newResumeExchange(tb testing.TB, roam bool) *resumeExchange {
 	tb.Helper()
-	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
+	routers := 1
+	if roam {
+		routers = 2
+	}
+	ln, err := NewLocalNetwork(core.Config{}, "grp-0", routers, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -316,6 +322,11 @@ func newResumeExchange(tb testing.TB) *resumeExchange {
 	if _, err := cl.Attach(ctx); err != nil {
 		tb.Fatal(err)
 	}
+	if roam {
+		srv = NewServer(listen(), ln.Routers[1], ServerConfig{TicketKeys: ring, BootEpoch: 8})
+		tb.Cleanup(srv.Close)
+		srv.SetBackbone(nil, nopHandoffs{})
+	}
 	out := &lastDatagramConn{}
 	eg := batchio.NewEgress(out, 32, time.Hour, batchio.NewPool(egressFrameSize), nil)
 	tb.Cleanup(eg.Close)
@@ -335,7 +346,7 @@ func (x *resumeExchange) run(tb testing.TB) *core.Session {
 	dedup := resumeDedupID(x.t.blob, req.Nonce[:])
 
 	x.srv.dispatch(x.l, x.srv.router.Now(), x.addr, frame)
-	x.l.eg.Flush()
+	x.srv.endBatch(x.l)
 
 	kind, payload, err := DecodeFrame(x.out.last)
 	if err != nil || kind != KindResumeConfirm {
@@ -367,12 +378,55 @@ func TestResumeExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
-	x := newResumeExchange(t)
+	x := newResumeExchange(t, false)
 	x.run(t)
 	avg := testing.AllocsPerRun(200, func() { x.run(t) })
 	t.Logf("resume exchange: %.1f allocs/op", avg)
 	if avg > resumeExchangeAllocs {
 		t.Fatalf("resume exchange allocates %.1f/op, ceiling %d", avg, resumeExchangeAllocs)
+	}
+}
+
+// nopHandoffs is a HandoffObserver that does nothing.
+type nopHandoffs struct{}
+
+func (nopHandoffs) HandoffAdopted(prev, next core.SessionID, prevRouter string) {}
+
+// handoffExchangeAllocs is the allocation ceiling of one in-process
+// handoff round trip: a resume at a router other than the ticket's
+// issuer, driven through dispatch and endBatch. It is the count
+// TestHandoffExchangeAllocs measures, the resume's own: the loop's
+// handoff slice grows once, and the opened ticket's Router string is
+// rebuilt only when the issuer differs from the last ticket the loop
+// opened (one more allocation), which a run of one user's handoffs
+// between two routers never does.
+const handoffExchangeAllocs = 17
+
+// TestHandoffExchangeAllocs gates the allocations of one handoff, client
+// and server together, at handoffExchangeAllocs, and holds endBatch's
+// announcement step to none once the loop's slice has grown.
+func TestHandoffExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	x := newResumeExchange(t, true)
+	before := x.srv.Stats().HandoffsIn()
+	x.run(t)
+	avg := testing.AllocsPerRun(200, func() { x.run(t) })
+	t.Logf("handoff exchange: %.1f allocs/op", avg)
+	if got := x.srv.Stats().HandoffsIn() - before; got != 202 {
+		t.Fatalf("%d of 202 resumes were handoffs", got)
+	}
+	if avg > handoffExchangeAllocs {
+		t.Fatalf("handoff exchange allocates %.1f/op, ceiling %d", avg, handoffExchangeAllocs)
+	}
+
+	h := handoff{prev: x.t.prev, next: x.t.prev, prevRouter: "home"}
+	if avg := testing.AllocsPerRun(200, func() {
+		x.l.handoffs = append(x.l.handoffs, h)
+		x.srv.endBatch(x.l)
+	}); avg != 0 {
+		t.Fatalf("announcing a handoff allocates %.1f/op, want 0", avg)
 	}
 }
 
@@ -384,7 +438,7 @@ func TestEscrowCheckAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
-	x := newResumeExchange(t)
+	x := newResumeExchange(t, false)
 	tk, err := OpenTicket(x.t.blob, x.srv.tickets)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +460,7 @@ func TestEscrowCheckAllocs(t *testing.T) {
 
 // BenchmarkResumeExchange times one in-process resume round trip.
 func BenchmarkResumeExchange(b *testing.B) {
-	x := newResumeExchange(b)
+	x := newResumeExchange(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

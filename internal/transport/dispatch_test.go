@@ -125,18 +125,20 @@ func (r *gateRig) serve(cfg ServerConfig) {
 
 func (r *gateRig) close() {
 	if r.srv != nil {
+		// A test that failed mid-batch still holds its resumes' admissions.
+		r.srv.endBatch(r.l)
 		r.srv.Close()
 		r.l.eg.Close()
 		r.srv = nil
 	}
 }
 
-// step delivers one datagram and flushes the egress the way the read
-// loop does after an ingest batch. It returns the reply the step queued,
-// or nil.
+// step delivers one datagram as an ingest batch of its own and ends the
+// batch the way the read loop does. It returns the reply the step
+// queued, or nil.
 func (r *gateRig) step(from net.Addr, datagram []byte) []byte {
 	r.srv.dispatch(r.l, r.router().Now(), from, datagram)
-	r.l.eg.Flush()
+	r.srv.endBatch(r.l)
 	select {
 	case reply := <-r.rec.out:
 		if len(r.rec.out) != 0 {
@@ -687,5 +689,167 @@ func TestResumeExpiryBoundary(t *testing.T) {
 	rej := rig.decode(rig.step(srcA, frame), KindReject).(*Reject)
 	if rej.Code != RejectTicket || rej.Reason != "ticket expired" {
 		t.Fatalf("resume past expiry refused with %v %q, want RejectTicket \"ticket expired\"", rej.Code, rej.Reason)
+	}
+}
+
+// announcement is one HandoffAdopted call as flushRecorder saw it.
+type announcement struct {
+	prev, next core.SessionID
+	prevRouter string
+	written    int // datagrams the rig's conn held when the call ran
+}
+
+// flushRecorder is a HandoffObserver on the gate rig: each call notes its
+// arguments and how many datagrams the rig's recording conn had received
+// by then. endBatch runs it on the test's goroutine.
+type flushRecorder struct {
+	rig   *gateRig
+	calls []announcement
+}
+
+func (h *flushRecorder) HandoffAdopted(prev, next core.SessionID, prevRouter string) {
+	h.calls = append(h.calls, announcement{prev, next, prevRouter, len(h.rig.rec.out)})
+}
+
+// observe serves a fresh server on the rig with a flushRecorder as its
+// backbone observer.
+func (r *gateRig) observe() *flushRecorder {
+	r.serve(ServerConfig{})
+	h := &flushRecorder{rig: r}
+	r.srv.SetBackbone(nil, h)
+	return h
+}
+
+// roamedTicket reseals the rig's ticket, under the rig's ring, as if the
+// router named issuer had issued it: a resume of it is a handoff.
+func (r *gateRig) roamedTicket(issuer string) []byte {
+	tk, err := OpenTicket(r.ticket, r.ring)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	tk.Router = issuer
+	blob, err := tk.Seal(rand.Reader, r.ring)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return blob
+}
+
+// dispatchBatch delivers datagrams from srcA as one ingest batch, without
+// ending it.
+func (r *gateRig) dispatchBatch(datagrams ...[]byte) {
+	now := r.router().Now()
+	for _, d := range datagrams {
+		r.srv.dispatch(r.l, now, srcA, d)
+	}
+}
+
+// TestHandoffAnnouncedAfterFlush pins when a handoff reaches the backbone:
+// once per adoption, in dispatch order, and only after the whole batch's
+// replies have been written. One batch carries two roamed resumes around
+// a local one, a byte-identical duplicate of the first (answered from the
+// reply cache) and a roamed resume with a bad MAC; the last two announce
+// nothing.
+func TestHandoffAnnouncedAfterFlush(t *testing.T) {
+	rig := newGateRig(t, nil)
+	rec := rig.observe()
+
+	_, roamA, sidA := rig.resumeRequestFor(rig.roamedTicket("r-west"), false)
+	_, local, sidLocal := rig.resumeRequest(false)
+	_, roamB, sidB := rig.resumeRequestFor(rig.roamedTicket("r-east"), false)
+	forged, _, sidForged := rig.resumeRequestFor(rig.roamedTicket("r-north"), false)
+	forged.sign(make([]byte, len(rig.sess.ResumptionSecret())))
+	badMAC := rig.encode(forged)
+
+	before := rig.counters()
+	rig.dispatchBatch(roamA, local, roamB, roamA, badMAC)
+	if len(rec.calls) != 0 || len(rig.rec.out) != 0 {
+		t.Fatalf("before the batch ended: %d announcements, %d datagrams written", len(rec.calls), len(rig.rec.out))
+	}
+	rig.srv.endBatch(rig.l)
+
+	if len(rec.calls) != 2 {
+		t.Fatalf("observer ran %d times, want 2", len(rec.calls))
+	}
+	for i, issuer := range []string{"r-west", "r-east"} {
+		c := rec.calls[i]
+		if c.prevRouter != issuer || c.prev != rig.sess.ID {
+			t.Errorf("announcement %d: prev %x from %q, want %x from %q", i, c.prev[:4], c.prevRouter, rig.sess.ID[:4], issuer)
+		}
+		if _, ok := rig.router().SessionByID(c.next); !ok {
+			t.Errorf("announcement %d names a session the router does not hold", i)
+		}
+		if c.written != 5 {
+			t.Errorf("announcement %d ran with %d of the batch's 5 replies written", i, c.written)
+		}
+	}
+	if rec.calls[0].next == rec.calls[1].next {
+		t.Error("both announcements name the same adopted session")
+	}
+
+	replies := make([][]byte, 0, 5)
+	for len(rig.rec.out) > 0 {
+		replies = append(replies, <-rig.rec.out)
+	}
+	if len(replies) != 5 {
+		t.Fatalf("batch drew %d replies, want 5", len(replies))
+	}
+	for i, sid := range []core.SessionID{sidA, sidLocal, sidB} {
+		if c := rig.decode(replies[i], KindResumeConfirm).(*ResumeConfirm); c.Dedup != sid {
+			t.Errorf("reply %d answers another exchange", i)
+		}
+	}
+	if string(replies[3]) != string(replies[0]) {
+		t.Error("the duplicate was not answered with the first confirm's bytes")
+	}
+	if rej := rig.decode(replies[4], KindReject).(*Reject); rej.Code != RejectTicket || rej.Reason != "resume MAC invalid" || rej.Session != sidForged {
+		t.Errorf("bad MAC refused with %v %q, want RejectTicket \"resume MAC invalid\"", rej.Code, rej.Reason)
+	}
+	after := rig.counters()
+	for name, want := range map[string]int64{"handoffs_in": 2, "resumes_served": 3, "duplicates": 1, "resume_rejects": 1} {
+		if d := after[name] - before[name]; d != want {
+			t.Errorf("counter %s moved by %d, want %d", name, d, want)
+		}
+	}
+
+	// A batch that adopts nothing announces nothing.
+	rig.step(srcA, roamA)
+	if len(rec.calls) != 2 {
+		t.Fatalf("replayed handoff announced again: %d calls", len(rec.calls))
+	}
+}
+
+// TestDrainWaitsForAnnouncement pins Drain to a resume's whole answer: a
+// dispatched handoff keeps its admission until endBatch has flushed its
+// confirm and handed its announcement to the backbone.
+func TestDrainWaitsForAnnouncement(t *testing.T) {
+	rig := newGateRig(t, nil)
+	rec := rig.observe()
+	_, frame, _ := rig.resumeRequestFor(rig.roamedTicket("r-west"), false)
+
+	rig.dispatchBatch(frame)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if err := rig.srv.Drain(expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain before the batch ended returned %v, want %v", err, context.DeadlineExceeded)
+	}
+	// Were admission already empty, Drain's select would pick either ready
+	// case under an expired context; a context still live when Drain
+	// starts must run out while the batch is open.
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := rig.srv.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain waiting on the open batch returned %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	rig.srv.endBatch(rig.l)
+	if err := rig.srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.calls) != 1 || rec.calls[0].written != 1 {
+		t.Fatalf("Drain returned with %d announcements made (want 1, after the confirm's flush)", len(rec.calls))
+	}
+	if kind := frameKind(<-rig.rec.out); kind != KindResumeConfirm {
+		t.Fatalf("handoff answered %v", kind)
 	}
 }

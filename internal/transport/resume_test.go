@@ -414,7 +414,9 @@ func (h *handoffRecorder) seen() (calls, confirms, inFlight int) {
 // in the reply cache, so the announcement costs the client's round trip
 // nothing and a request whose confirm failed would have announced
 // nothing. The adoption is still counted, and a replayed request gets
-// the cached confirm without a second announcement.
+// the cached confirm without a second announcement. The observer runs
+// after the confirm's flush, so the client may hold the confirm first;
+// the test waits for the call.
 func TestHandoffAnnouncedAfterConfirm(t *testing.T) {
 	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 2, 1)
 	if err != nil {
@@ -449,6 +451,10 @@ func TestHandoffAnnouncedAfterConfirm(t *testing.T) {
 	if _, err := cl.Resume(ctx); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, 5*time.Second, "the handoff announcement", func() bool {
+		calls, _, _ := rec.seen()
+		return calls > 0
+	})
 
 	calls, confirms, inFlight := rec.seen()
 	if calls != 1 {
@@ -561,7 +567,7 @@ func TestEscrowSurvivesRoam(t *testing.T) {
 		t.Fatal(err)
 	}
 	away.dispatch(l, away.router.Now(), &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}, frame)
-	eg.Flush()
+	away.endBatch(l)
 	kind, payload, err := DecodeFrame(out.last)
 	if err != nil || kind != KindResumeConfirm {
 		t.Fatalf("last resume answered %v: %v", kind, err)

@@ -403,7 +403,9 @@ func (s *Server) Close() {
 // refused with RejectDraining (a transient code — clients back off and
 // retry against the replacement) while beacons, keepalives and in-flight
 // verifications keep being served. Drain returns once every reply that
-// was in flight when draining began has been delivered, or when ctx ends.
+// was in flight when draining began has been delivered, or when ctx ends;
+// a resume counts as answered once its confirm is flushed and its
+// handoff, if it was one, announced to the backbone.
 // Call Close afterwards to stop the read loops.
 func (s *Server) Drain(ctx context.Context) error {
 	select {
@@ -444,6 +446,38 @@ type shardLoop struct {
 	ticketPT      []byte
 	// pt is the open-plaintext scratch of the data path.
 	pt []byte
+
+	// handoffs are the batch's adoptions of sessions another router
+	// issued, in dispatch order, and resumes counts the batch's resumes,
+	// each still holding its admission. endBatch settles both.
+	handoffs []handoff
+	resumes  int
+}
+
+// handoff is one adoption the backbone has not yet been told of.
+type handoff struct {
+	prev, next core.SessionID
+	prevRouter string
+}
+
+// endBatch closes one ingest batch, in order: the batch's replies leave,
+// the backbone hears of its handoffs, and its resumes leave admission. So
+// sealing and flooding an ownership announcement is on no client's round
+// trip, and Drain, which waits on admission, returns only once every
+// confirm is flushed and every handoff announced.
+func (s *Server) endBatch(l *shardLoop) {
+	l.eg.Flush()
+	if len(l.handoffs) > 0 {
+		if hooks := s.backbone.Load(); hooks != nil && hooks.observe != nil {
+			for _, h := range l.handoffs {
+				hooks.observe.HandoffAdopted(h.prev, h.next, h.prevRouter)
+			}
+		}
+		l.handoffs = l.handoffs[:0]
+	}
+	for ; l.resumes > 0; l.resumes-- {
+		s.admit.leave()
+	}
 }
 
 // readLoop is one shard's socket reader. Datagrams arrive up to IOBatch
@@ -454,8 +488,9 @@ type shardLoop struct {
 // the per-reply goroutines; everything else is served inline with
 // per-loop scratch state, so the steady-state decode, open and
 // sealed-echo paths allocate nothing. The router's clock is read once
-// per ingest batch, and replies coalesce in the egress and leave in one
-// sendmmsg per batch.
+// per ingest batch, replies coalesce in the egress and leave in one
+// sendmmsg per batch, and the batch's effects on the backbone follow
+// (endBatch).
 func (s *Server) readLoop(conn net.PacketConn) {
 	defer s.loops.Done()
 	var bc batchio.Conn
@@ -501,13 +536,14 @@ func (s *Server) readLoop(conn net.PacketConn) {
 		for i := range ms[:n] {
 			s.dispatch(l, now, ms[i].Addr, ms[i].Payload())
 		}
-		l.eg.Flush()
+		s.endBatch(l)
 	}
 }
 
 // handler serves one frame kind. It reads no clock — now is the driver's
 // reading of the router's clock — and writes no socket: replies go to
-// the loop's egress, which the driver flushes.
+// the loop's egress, and effects beyond the reply to the loop's batch
+// state, which the driver settles with endBatch.
 type handler func(s *Server, l *shardLoop, now time.Time, from net.Addr, payload []byte)
 
 // routes is the router's protocol, one row per kind it serves. The two
@@ -570,7 +606,8 @@ type handshakeRow struct {
 	// has passed (curve points and group signature); nil for a resume.
 	decode func(payload []byte) (*core.AccessRequest, error)
 	// serve answers an admitted first sighting. It holds the admission
-	// the gate took and leaves it once the exchange is answered.
+	// the gate took until the exchange is answered: an access request
+	// leaves it from its reply goroutine, a resume at endBatch.
 	serve func(s *Server, l *shardLoop, now time.Time, from net.Addr, sid core.SessionID, m2 *core.AccessRequest)
 }
 
@@ -898,9 +935,11 @@ func (s *Server) serveAccess(l *shardLoop, _ time.Time, from net.Addr, sid core.
 // pairing, no group signature, no queue. The checks run cheapest first;
 // any refusal is the exchange's cached answer, and its code tells the
 // client whether to retry (transient) or fall back to the full
-// handshake.
+// handshake. A served handoff is adopted and logged before its confirm
+// is built, and announced to the backbone by endBatch once the confirm
+// has left; the admission is left there too.
 func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid core.SessionID, _ *core.AccessRequest) {
-	defer s.admit.leave()
+	l.resumes++
 	req := &l.scratchResume
 	if s.tickets == nil {
 		s.reject(l, from, sid, RejectTicket, "resumption not offered", true)
@@ -979,15 +1018,11 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 	s.stats.ticketsIssued.Add(1)
 	s.replies.fulfill(sid, frame)
 	l.eg.Queue(frame, from)
-	// Only now, with the confirm cached and queued, does the backbone
-	// announce the ownership transfer (so the previous router forwards
-	// in-flight frames): sealing the flood stays off the client's round
-	// trip, and a request whose confirm could not be built announces
-	// nothing.
+	// The ownership transfer (so the previous router forwards in-flight
+	// frames) is recorded only with the confirm cached and queued, so a
+	// request whose confirm could not be built announces nothing.
 	if roamed {
-		if hooks := s.backbone.Load(); hooks != nil && hooks.observe != nil {
-			hooks.observe.HandoffAdopted(t.Prev, sess.ID, t.Router)
-		}
+		l.handoffs = append(l.handoffs, handoff{prev: t.Prev, next: sess.ID, prevRouter: t.Router})
 	}
 }
 
