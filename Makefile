@@ -9,7 +9,7 @@ BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|
 # The router's step tests: dispatch driven one datagram at a time through
 # a recording egress, no sockets written and no sleeps, so the race runs
 # repeat them cheaply.
-TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|DispatchCorruptEscrow|ResumeExpiryBoundary|HandoffAnnouncedAfterFlush|DrainWaitsForAnnouncement)$$
+TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|DispatchCorruptEscrow|ResumeExpiryBoundary|HandoffAnnouncedAfterFlush|DrainWaitsForAnnouncement|AccessGroupOneFlush|DrainWaitsForAccessReply)$$
 
 .PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint harness-lint meshd-loopback meshd-drill chaos-soak restart-soak metro-soak attack-soak
 
@@ -181,8 +181,9 @@ bench:
 # TestResumeExchangeAllocs holds one in-process ticket resume (both ends)
 # to its allocation ceiling, TestHandoffExchangeAllocs does the same for a
 # resume at another router (a handoff) and holds its announcement step at
-# 0 allocs/op, TestEscrowCheckAllocs holds the resume's
-# check of its ticket's escrowed M.2 at 0 allocs/op, and
+# 0 allocs/op, TestAccessAnswerAllocs holds an M.2's submit and its
+# answer outside the verification to their ceiling, TestEscrowCheckAllocs
+# holds the resume's check of its ticket's escrowed M.2 at 0 allocs/op, and
 # TestSealOpenAllocs pins the in-place session crypto (the -benchtime=1x
 # pass catches benchmarks that rot).
 # TestKDFAllocs pins key derivation, MACs and the STEK lookup at 0
@@ -200,7 +201,7 @@ bench:
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
 # in time and in bytes), and a link from AddPeer to reachable.
 bench-smoke:
-	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestResumeExchangeAllocs|TestHandoffExchangeAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestResumeExchangeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
 	$(GO) test ./internal/transport/ -run='^$$' -bench='^BenchmarkResumeExchange$$' -benchmem -benchtime=2000x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x

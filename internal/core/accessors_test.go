@@ -115,14 +115,6 @@ func TestAuditPeerResponse(t *testing.T) {
 	}
 }
 
-func TestBillingReportString(t *testing.T) {
-	rep := &BillingReport{Sessions: map[GroupID]int{"a": 1}, Unattributed: 2}
-	s := rep.String()
-	if !strings.Contains(s, "groups: 1") || !strings.Contains(s, "unattributed: 2") {
-		t.Fatalf("BillingReport.String = %q", s)
-	}
-}
-
 func TestSystemClock(t *testing.T) {
 	var c SystemClock
 	if c.Now().IsZero() {

@@ -8,11 +8,11 @@ import (
 	"github.com/peace-mesh/peace/internal/bn256"
 )
 
-// ingestJob pairs a submitted request with its reply channel and the time
-// it entered the queue.
-type ingestJob struct {
+// ingestJob is one submitted request: the M.2, the caller's tag naming
+// where its answer goes, and the time it entered the queue.
+type ingestJob[T any] struct {
 	m      *AccessRequest
-	reply  chan AccessResult
+	tag    T
 	queued time.Time
 }
 
@@ -21,76 +21,84 @@ type ingestJob struct {
 // ErrQueueFull — bounded backpressure, in the spirit of the paper's DoS
 // discussion, instead of unbounded buffering. GOMAXPROCS drainer goroutines
 // serve the queue, and each is a whole pipeline: it takes a group of waiting
-// requests and carries it through precheck, verification, revocation scan
-// and session establishment (MeshRouter.handleGroup) before it takes the
-// next, so no stage waits for another group to reach it and no core idles
-// while one request's serial work runs.
+// requests, carries it through precheck, verification, revocation scan and
+// session establishment (MeshRouter.handleGroup) and answers it before it
+// takes the next, so no stage waits for another group to reach it and no
+// core idles while one request's serial work runs.
 //
 // A group is what one lane pass of the verifier holds, bn256.Lanes
 // signatures, when that many are waiting for every drainer; a shorter queue
 // is shared, each drainer taking ⌈waiting/GOMAXPROCS⌉, not hoarded by the
 // first to wake. A request that arrives alone on an idle router is a group of
 // one and runs the scalar verifier with the scan on all its workers.
-type IngestQueue struct {
+//
+// T is the caller's tag: whatever it needs to deliver an answer. The queue
+// hands the tags of a group back to answer with the group's results.
+type IngestQueue[T any] struct {
 	router *MeshRouter
-	jobs   chan ingestJob
+	jobs   chan ingestJob[T]
+	answer func(tags []T, out []AccessResult)
+	procs  int // drainers sharing the queue
 
 	mu       sync.Mutex
 	closed   bool
 	drainers sync.WaitGroup
 }
 
-// NewIngestQueue starts the drainers for router. capacity bounds the number
-// of requests waiting to be taken (minimum 1).
-func NewIngestQueue(router *MeshRouter, capacity int) *IngestQueue {
-	q := newIngestQueue(router, capacity)
+// NewIngestQueue builds a queue for router; Start launches its drainers.
+// capacity bounds the number of requests waiting to be taken (minimum 1).
+// answer is called once per group, after the router has served it, with
+// tags[i] the tag out[i] answers; it runs on the drainer (or Step's caller)
+// and the next group waits for it.
+func NewIngestQueue[T any](router *MeshRouter, capacity int, answer func(tags []T, out []AccessResult)) *IngestQueue[T] {
+	q := &IngestQueue[T]{
+		router: router,
+		jobs:   make(chan ingestJob[T], max(1, capacity)),
+		answer: answer,
+		procs:  runtime.GOMAXPROCS(0),
+	}
 	// The depth gauge lives in the router's registry and re-binds to the
 	// newest queue (a restarted transport builds a fresh one).
 	router.Metrics().GaugeFunc("router_ingest_queue_depth",
 		"access requests waiting for a pipeline to take them", func() int64 {
 			return int64(q.Depth())
 		})
-	q.start()
 	return q
 }
 
-func newIngestQueue(router *MeshRouter, capacity int) *IngestQueue {
-	return &IngestQueue{router: router, jobs: make(chan ingestJob, max(1, capacity))}
-}
-
-// start launches the drainers.
-func (q *IngestQueue) start() {
-	procs := runtime.GOMAXPROCS(0)
-	q.drainers.Add(procs)
-	for i := 0; i < procs; i++ {
-		go q.drain(procs)
+// Start launches the drainers, one per GOMAXPROCS.
+func (q *IngestQueue[T]) Start() {
+	q.drainers.Add(q.procs)
+	for range q.procs {
+		go q.drain()
 	}
 }
 
 // Depth returns how many submitted requests are waiting to be drained.
-func (q *IngestQueue) Depth() int { return len(q.jobs) }
+func (q *IngestQueue[T]) Depth() int { return len(q.jobs) }
 
-// Submit enqueues an access request. It never blocks: a full queue returns
-// ErrQueueFull and a closed queue ErrQueueClosed. On success the result
-// arrives exactly once on the returned channel.
-func (q *IngestQueue) Submit(m *AccessRequest) (<-chan AccessResult, error) {
-	job := ingestJob{m: m, reply: make(chan AccessResult, 1), queued: q.router.cfg.Clock.Now()}
+// Submit enqueues an access request with its tag. It never blocks: a full
+// queue returns ErrQueueFull and a closed queue ErrQueueClosed. On success
+// the tag reaches answer exactly once.
+func (q *IngestQueue[T]) Submit(m *AccessRequest, tag T) error {
+	job := ingestJob[T]{m: m, tag: tag, queued: q.router.cfg.Clock.Now()}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return nil, ErrQueueClosed
+		return ErrQueueClosed
 	}
 	select {
 	case q.jobs <- job:
-		return job.reply, nil
+		return nil
 	default:
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 }
 
 // Close stops the drainers after the already-accepted requests have been
-// answered. It is idempotent and safe to call concurrently with Submit.
-func (q *IngestQueue) Close() {
+// answered; a queue never started answers them on Close's caller. It is
+// idempotent and safe to call concurrently with Submit.
+func (q *IngestQueue[T]) Close() {
 	q.mu.Lock()
 	if !q.closed {
 		q.closed = true
@@ -98,41 +106,61 @@ func (q *IngestQueue) Close() {
 	}
 	q.mu.Unlock()
 	q.drainers.Wait()
+	for q.Step() {
+	}
 }
 
-// drain is one pipeline: it takes its share of the waiting requests, runs
-// the group through the router and answers it, until the queue closes and
-// empties. procs is the number of drainers sharing the queue.
-func (q *IngestQueue) drain(procs int) {
+// Step serves one group of the waiting requests on the caller's goroutine,
+// as a drainer does, and reports whether any request was waiting. It is how
+// a test drives a queue it has not started.
+func (q *IngestQueue[T]) Step() bool {
+	select {
+	case job, open := <-q.jobs:
+		if open {
+			q.serve(job)
+		}
+		return open
+	default:
+		return false
+	}
+}
+
+// drain is one pipeline: it serves group after group until the queue
+// closes and empties.
+func (q *IngestQueue[T]) drain() {
 	defer q.drainers.Done()
-	r := q.router
-	group := make([]ingestJob, 0, bn256.Lanes)
 	for job := range q.jobs {
-		group = append(group[:0], job)
-		share := min(bn256.Lanes, (1+len(q.jobs)+procs-1)/procs)
-	fill:
-		for len(group) < share {
-			select {
-			case extra, open := <-q.jobs:
-				if !open {
-					break fill
-				}
-				group = append(group, extra)
-			default:
+		q.serve(job)
+	}
+}
+
+// serve completes the group first opens with the drainer's share of the
+// waiting requests, runs it through the router and answers it.
+func (q *IngestQueue[T]) serve(first ingestJob[T]) {
+	share := min(bn256.Lanes, (1+len(q.jobs)+q.procs-1)/q.procs)
+	group := append(make([]ingestJob[T], 0, share), first)
+fill:
+	for len(group) < share {
+		select {
+		case extra, open := <-q.jobs:
+			if !open {
 				break fill
 			}
-		}
-
-		now := r.cfg.Clock.Now()
-		ms := make([]*AccessRequest, len(group))
-		for i, j := range group {
-			r.stages.ingestWait.Observe(now.Sub(j.queued))
-			ms[i] = j.m
-		}
-		out := make([]AccessResult, len(group))
-		r.handleGroup(ms, out)
-		for i, j := range group {
-			j.reply <- out[i]
+			group = append(group, extra)
+		default:
+			break fill
 		}
 	}
+
+	r := q.router
+	now := r.cfg.Clock.Now()
+	ms := make([]*AccessRequest, len(group))
+	tags := make([]T, len(group))
+	for i, j := range group {
+		r.stages.ingestWait.Observe(now.Sub(j.queued))
+		ms[i], tags[i] = j.m, j.tag
+	}
+	out := make([]AccessResult, len(group))
+	r.handleGroup(ms, out)
+	q.answer(tags, out)
 }

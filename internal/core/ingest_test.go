@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 	"sync"
 	"testing"
@@ -123,6 +122,41 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// answerLog is an IngestQueue's answer for tests that submit request i
+// with tag i: it keeps each request's result, and a second answer for
+// any tag fails the test.
+type answerLog struct {
+	t     *testing.T
+	mu    sync.Mutex
+	res   []AccessResult
+	times []int
+}
+
+func newAnswerLog(t *testing.T, n int) *answerLog {
+	return &answerLog{t: t, res: make([]AccessResult, n), times: make([]int, n)}
+}
+
+func (a *answerLog) answer(tags []int, out []AccessResult) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i, tag := range tags {
+		if a.times[tag]++; a.times[tag] > 1 {
+			a.t.Errorf("request %d answered %d times", tag, a.times[tag])
+		}
+		a.res[tag] = out[i]
+	}
+}
+
+// result returns request i's answer, failing the test if it has none.
+func (a *answerLog) result(i int) AccessResult {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.times[i] == 0 {
+		a.t.Fatalf("request %d: no answer", i)
+	}
+	return a.res[i]
+}
+
 // TestIngestQueueServesBurst pushes a concurrent burst through the queue
 // and checks every accepted request is answered exactly once.
 func TestIngestQueueServesBurst(t *testing.T) {
@@ -135,34 +169,33 @@ func TestIngestQueueServesBurst(t *testing.T) {
 	}
 	ms := batchM2s(t, tb, r, users)
 
-	q := NewIngestQueue(r, n)
-	defer q.Close()
-
+	log := newAnswerLog(t, n)
+	q := NewIngestQueue(r, n, log.answer)
+	q.Start()
 	var wg sync.WaitGroup
-	errCh := make(chan error, n)
 	for i := range ms {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reply, err := q.Submit(ms[i])
-			if err != nil {
-				errCh <- fmt.Errorf("submit %d: %w", i, err)
-				return
-			}
-			res := <-reply
-			if res.Err != nil {
-				errCh <- fmt.Errorf("slot %d: %w", i, res.Err)
-				return
-			}
-			if _, err := users[i].HandleAccessConfirm(res.Confirm); err != nil {
-				errCh <- fmt.Errorf("slot %d confirm: %w", i, err)
+			if err := q.Submit(ms[i], i); err != nil {
+				t.Errorf("submit %d: %v", i, err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
+	q.Close()
+	if t.Failed() {
+		return
+	}
+	for i := range ms {
+		res := log.result(i)
+		if res.Err != nil {
+			t.Errorf("slot %d: %v", i, res.Err)
+			continue
+		}
+		if _, err := users[i].HandleAccessConfirm(res.Confirm); err != nil {
+			t.Errorf("slot %d confirm: %v", i, err)
+		}
 	}
 	if got := r.Sessions(); got != n {
 		t.Fatalf("router has %d sessions, want %d", got, n)
@@ -170,30 +203,35 @@ func TestIngestQueueServesBurst(t *testing.T) {
 }
 
 // TestIngestQueueBackpressure pins the bounded-queue semantics: beyond
-// capacity Submit fails fast with ErrQueueFull, and a closed queue returns
-// ErrQueueClosed.
+// capacity Submit fails fast with ErrQueueFull, the accepted requests are
+// answered by Close, and a closed queue returns ErrQueueClosed.
 func TestIngestQueueBackpressure(t *testing.T) {
 	tb := newTestbed(t, 1, 1, 1)
 	r := tb.routers["MR-0"]
 	m := batchM2s(t, tb, r, []*User{tb.user("0", 0)})[0]
 
-	// No drainer: submissions accumulate so capacity is hit deterministically.
-	q := newIngestQueue(r, 2)
-	if _, err := q.Submit(m); err != nil {
-		t.Fatal(err)
+	// Not started: submissions accumulate so capacity is hit deterministically.
+	log := newAnswerLog(t, 3)
+	q := NewIngestQueue(r, 2, log.answer)
+	for i := 0; i < 2; i++ {
+		if err := q.Submit(m, i); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := q.Submit(m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Submit(m); !errors.Is(err, ErrQueueFull) {
+	if err := q.Submit(m, 2); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit: %v", err)
 	}
 
 	// Start the drainers; the queued submissions are answered and then the
 	// queue shuts down cleanly.
-	q.start()
+	q.Start()
 	q.Close()
-	if _, err := q.Submit(m); !errors.Is(err, ErrQueueClosed) {
+	log.result(0)
+	log.result(1)
+	if log.times[2] != 0 {
+		t.Fatal("the refused submission was answered")
+	}
+	if err := q.Submit(m, 2); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("closed submit: %v", err)
 	}
 }
@@ -265,20 +303,19 @@ func TestIngestPipelineExactlyOnce(t *testing.T) {
 		ms[i], signers[i] = m2, user
 	}
 
-	q := NewIngestQueue(r, n)
-	replies := make([]<-chan AccessResult, n)
+	log := newAnswerLog(t, n)
+	q := NewIngestQueue(r, n, log.answer)
+	q.Start()
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < n; i += submitters {
-				ch, err := q.Submit(ms[i])
-				if err != nil {
+				if err := q.Submit(ms[i], i); err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return
 				}
-				replies[i] = ch
 			}
 		}(g)
 	}
@@ -288,18 +325,8 @@ func TestIngestPipelineExactlyOnce(t *testing.T) {
 		return
 	}
 
-	for i, ch := range replies {
-		var res AccessResult
-		select {
-		case res = <-ch:
-		default:
-			t.Fatalf("request %d: no reply after Close", i)
-		}
-		select {
-		case <-ch:
-			t.Fatalf("request %d answered twice", i)
-		default:
-		}
+	for i := range ms {
+		res := log.result(i)
 		if got := verdict(res.Err); got != want[i] {
 			t.Errorf("request %d: %v, want %v", i, res.Err, want[i])
 			continue

@@ -209,6 +209,64 @@ func TestDataPlaneAllocs(t *testing.T) {
 	}
 }
 
+// accessAnswerAllocs is the allocation ceiling of one M.2's path through
+// the server outside the router's verification: serveAccess's submit,
+// which copies the sender's address into the queue's tag by value and
+// allocates nothing, and answerAccess for one verified result. It is the
+// count TestAccessAnswerAllocs measures, all of it the answer's: the
+// ticket and its sealed blob (2), and the M.3's frame (5: the wire writer
+// and its buffer, the two DH shares' encodings, the framed copy). The
+// reply cache keeps that frame, and the egress queues it, without a copy.
+const accessAnswerAllocs = 7
+
+// TestAccessAnswerAllocs gates serveAccess's submit plus answerAccess for
+// one verified result, on the gate rig, at accessAnswerAllocs. The two
+// halves are measured apart: the submitted requests wait in the queue,
+// each with its admission, until the test steps them out.
+func TestAccessAnswerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	rig := newGateRig(t, nil)
+	rig.serve(ServerConfig{})
+	srv := rig.srv
+	l := &shardLoop{eg: batchio.NewEgress(nullBatchConn{}, 32, 0, batchio.NewPool(egressFrameSize), srv.noteFlush)}
+	defer l.eg.Close()
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+
+	m2, _, sid := rig.accessRequest()
+	res := rig.router().HandleAccessRequestBatch([]*core.AccessRequest{m2})[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// The queued copies of m2 then fail precheck instead of verifying.
+	rig.router().RetireBeacon(m2.GR)
+	now := srv.router.Now()
+	submit := testing.AllocsPerRun(100, func() {
+		srv.admit.enter()
+		srv.serveAccess(l, now, addr, sid, m2)
+	})
+	if d := srv.queue.Depth(); d != 101 {
+		t.Fatalf("%d of 101 submissions queued", d)
+	}
+	rig.stepQueue()
+
+	srv.replies.begin(sid)
+	tags := []accessReply{newAccessReply(sid, l.eg, addr)}
+	out := []core.AccessResult{res}
+	answer := testing.AllocsPerRun(100, func() {
+		srv.admit.enter()
+		srv.answerAccess(tags, out)
+	})
+	if frame, _ := srv.replies.lookup(sid); frame == nil {
+		t.Fatal("answerAccess cached no confirm")
+	}
+	t.Logf("access path: submit %.1f + answer %.1f allocs/op", submit, answer)
+	if avg := submit + answer; avg > accessAnswerAllocs {
+		t.Fatalf("access submit+answer allocates %.1f/op, ceiling %d", avg, accessAnswerAllocs)
+	}
+}
+
 // BenchmarkDecodeDataFrame measures the steady-state data-path decode
 // (frame demux + aliasing data-frame decode). Run with -benchmem: the
 // allocs/op column must read 0.

@@ -70,7 +70,7 @@ func (m *Message) copyAddr(src *Message) {
 }
 
 // CloneAddr returns a heap copy of a read-slot address that stays valid
-// after the slot is reused (e.g. for an async reply goroutine).
+// after the slot is reused, for a handler that stores a peer address.
 func CloneAddr(addr net.Addr) net.Addr {
 	ua, ok := addr.(*net.UDPAddr)
 	if !ok {

@@ -16,11 +16,9 @@
 //   - Pool: a sync.Pool-backed, leak-checked buffer pool. Every hot-path
 //     frame lives in a *Buf whose Release returns it; an atomic
 //     outstanding counter makes leaks assertable in tests.
-//   - Ring: a per-read-loop ring of pooled receive slots with explicit
-//     ownership. A handler that must keep a datagram past the current
-//     batch calls Retain, which hands it the slot's buffer and replaces
-//     the slot from the pool — the "finish before the next ReadFrom
-//     reuses buf" aliasing convention is gone.
+//   - Ring: a per-read-loop ring of pooled receive slots. A slot's bytes
+//     and source address are the ring's until the next Prepare; a
+//     handler that keeps either past its batch copies it.
 //   - Egress: a coalescing writer. Replies, relays, and gossip queue
 //     into a sendmmsg batch that flushes when full or after a small
 //     deadline, so syscall amortization does not cost latency at low

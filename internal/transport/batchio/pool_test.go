@@ -1,7 +1,6 @@
 package batchio
 
 import (
-	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -46,58 +45,6 @@ func TestPoolConcurrent(t *testing.T) {
 	if got := p.Outstanding(); got != 0 {
 		t.Fatalf("Outstanding = %d, want 0", got)
 	}
-}
-
-// Regression test for the shared-ingest-buffer aliasing hazard the old
-// read loop carried ("the handler finishes with the request before the
-// next ReadFrom reuses buf"): a handler that retains a datagram across
-// batches must see its bytes survive arbitrarily many later reads.
-// Before explicit ownership, the next batch would overwrite them.
-func TestRingRetainSurvivesLaterBatches(t *testing.T) {
-	p := NewPool(512)
-	r := NewRing(4, p)
-
-	ms := r.Prepare()
-	fill := func(ms []Message, tag byte) {
-		for i := range ms {
-			ms[i].N = copy(ms[i].Buf, bytes.Repeat([]byte{tag}, 32))
-		}
-	}
-	fill(ms, 'A')
-	kept := r.Retain(0)
-	if kept == nil {
-		t.Fatalf("Retain returned nil")
-	}
-	keptBytes := kept.B[:32]
-
-	// Several more batches land; slot 0 must have been replaced.
-	for round := 0; round < 3; round++ {
-		ms = r.Prepare()
-		fill(ms, 'B'+byte(round))
-	}
-	if !bytes.Equal(keptBytes, bytes.Repeat([]byte{'A'}, 32)) {
-		t.Fatalf("retained datagram clobbered by a later batch: %q", keptBytes[:8])
-	}
-	kept.Release()
-	r.Close()
-	if got := p.Outstanding(); got != 0 {
-		t.Fatalf("Outstanding after ring close = %d, want 0", got)
-	}
-}
-
-func TestRingDoubleRetain(t *testing.T) {
-	p := NewPool(256)
-	r := NewRing(2, p)
-	r.Prepare()
-	if b := r.Retain(1); b == nil {
-		t.Fatalf("first Retain = nil")
-	} else {
-		defer b.Release()
-	}
-	if b := r.Retain(1); b != nil {
-		t.Fatalf("second Retain of the same slot handed out the buffer twice")
-	}
-	r.Close()
 }
 
 // fakeConn records WriteBatch calls for egress tests.

@@ -1,18 +1,12 @@
 package batchio
 
-// Ring is a read loop's batch of pooled receive slots with explicit
-// buffer ownership. Prepare returns the slot array to pass to
-// ReadBatch; each filled slot's bytes belong to the ring and are valid
-// only until the next Prepare. A handler that must keep a datagram
-// longer calls Retain(i), which transfers the slot's *Buf to the
-// handler (who Releases it when done) and marks the slot so the next
-// Prepare replaces it from the pool — retained bytes can never be
-// clobbered by a later batch.
+// Ring is a read loop's batch of pooled receive slots. Prepare returns the
+// slot array to pass to ReadBatch; each filled slot's bytes belong to the
+// ring and are valid only until the next Prepare, so a handler that keeps
+// a datagram past its batch copies it.
 type Ring struct {
-	pool     *Pool
-	bufs     []*Buf
-	msgs     []Message
-	retained []bool
+	bufs []*Buf
+	msgs []Message
 }
 
 // NewRing checks k receive slots out of pool.
@@ -21,10 +15,8 @@ func NewRing(k int, pool *Pool) *Ring {
 		k = 1
 	}
 	r := &Ring{
-		pool:     pool,
-		bufs:     make([]*Buf, k),
-		msgs:     make([]Message, k),
-		retained: make([]bool, k),
+		bufs: make([]*Buf, k),
+		msgs: make([]Message, k),
 	}
 	for i := range r.bufs {
 		r.bufs[i] = pool.Get()
@@ -33,41 +25,22 @@ func NewRing(k int, pool *Pool) *Ring {
 	return r
 }
 
-// Prepare resets every slot for the next ReadBatch, replacing retained
-// buffers from the pool, and returns the slot array.
+// Prepare resets every slot for the next ReadBatch and returns the slot
+// array.
 func (r *Ring) Prepare() []Message {
 	for i := range r.msgs {
-		if r.retained[i] {
-			r.bufs[i] = r.pool.Get()
-			r.msgs[i].Buf = r.bufs[i].B[:r.pool.BufSize()]
-			r.retained[i] = false
-		}
 		r.msgs[i].N = 0
 		r.msgs[i].Addr = nil
 	}
 	return r.msgs
 }
 
-// Retain transfers ownership of slot i's buffer to the caller, who must
-// Release it. The slot's Message (Buf, N, Addr) stays readable until
-// the next Prepare; the returned *Buf is what keeps the bytes alive
-// beyond it.
-func (r *Ring) Retain(i int) *Buf {
-	if r.retained[i] {
-		return nil
-	}
-	r.retained[i] = true
-	return r.bufs[i]
-}
-
-// Close releases every buffer the ring still owns. Retained buffers are
-// their takers' to release.
+// Close returns the ring's buffers to the pool.
 func (r *Ring) Close() {
-	for i := range r.bufs {
-		if !r.retained[i] && r.bufs[i] != nil {
-			r.bufs[i].Release()
+	for i, b := range r.bufs {
+		if b != nil {
+			b.Release()
 			r.bufs[i] = nil
-			r.retained[i] = true
 		}
 	}
 }

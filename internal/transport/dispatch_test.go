@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"math/big"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -20,12 +21,17 @@ import (
 
 // recordingConn is the write side of a step driver: every datagram an
 // egress flush writes is copied into out, where the test reads it back.
+// onWrite, when set, runs at the start of every flush.
 type recordingConn struct {
 	nullBatchConn
-	out chan []byte
+	out     chan []byte
+	onWrite func()
 }
 
 func (c *recordingConn) WriteBatch(ms []batchio.Message) (int, error) {
+	if c.onWrite != nil {
+		c.onWrite()
+	}
 	for i := range ms {
 		c.out <- append([]byte(nil), ms[i].Payload()...)
 	}
@@ -33,10 +39,11 @@ func (c *recordingConn) WriteBatch(ms []batchio.Message) (int, error) {
 }
 
 // gateRig drives a router server one datagram at a time through
-// dispatch, with replies captured by a recording egress: no socket is
-// written and nothing sleeps. Each matrix row gets a fresh server on the
-// same router, so gate state (limiter buckets, drain, reply cache) starts
-// clean while the attached session and its ticket carry over.
+// dispatch, endBatch and its ingest queue's Step, with replies captured
+// by a recording egress: no socket is written and nothing sleeps. Each
+// matrix row gets a fresh server on the same router, so gate state
+// (limiter buckets, drain, reply cache) starts clean while the attached
+// session and its ticket carry over.
 type gateRig struct {
 	t    *testing.T
 	ln   *LocalNetwork
@@ -91,10 +98,7 @@ func newGateRig(t *testing.T, clock core.Clock) *gateRig {
 	// data rows and a ticket for the resume rows.
 	r.serve(ServerConfig{})
 	m2, frame, _ := r.accessRequest()
-	if reply := r.step(srcA, frame); reply != nil {
-		t.Fatalf("access request answered before verification: %v", frameKind(reply))
-	}
-	confirm := r.decode(r.await(), KindAccessConfirm).(*core.AccessConfirm)
+	confirm := r.decode(r.step(srcA, frame), KindAccessConfirm).(*core.AccessConfirm)
 	if r.sess, err = ln.Users[0].HandleAccessConfirm(confirm); err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +112,14 @@ func newGateRig(t *testing.T, clock core.Clock) *gateRig {
 func (r *gateRig) router() *core.MeshRouter { return r.ln.Routers[0] }
 
 // serve replaces the rig's server with a fresh one and turns puzzle
-// defense off. The server's own read loop idles on a socket nobody
-// writes to; the rig feeds it through dispatch instead.
+// defense off. The server is never started: no read loop, drainer or
+// load sampler runs, and the rig feeds it through dispatch instead.
 func (r *gateRig) serve(cfg ServerConfig) {
 	r.close()
 	cfg.TicketKeys = r.ring
 	cfg.BootEpoch = 9
 	r.router().SetDoSDefense(false)
-	r.srv = NewServer(mustListen(r.t), r.router(), cfg)
+	r.srv = newServer([]net.PacketConn{mustListen(r.t)}, r.router(), cfg)
 	// Every step drains out, and no one step queues more than a handful
 	// of replies, so a flush never blocks on a full buffer.
 	r.rec = &recordingConn{out: make(chan []byte, 64)}
@@ -125,7 +129,8 @@ func (r *gateRig) serve(cfg ServerConfig) {
 
 func (r *gateRig) close() {
 	if r.srv != nil {
-		// A test that failed mid-batch still holds its resumes' admissions.
+		// A test that failed mid-batch still holds its resumes' admissions;
+		// Close answers the access requests still queued, on this goroutine.
 		r.srv.endBatch(r.l)
 		r.srv.Close()
 		r.l.eg.Close()
@@ -133,12 +138,13 @@ func (r *gateRig) close() {
 	}
 }
 
-// step delivers one datagram as an ingest batch of its own and ends the
-// batch the way the read loop does. It returns the reply the step
-// queued, or nil.
+// step delivers one datagram as an ingest batch of its own, ends the
+// batch the way the read loop does and steps the ingest queue empty. It
+// returns the reply the step queued, or nil.
 func (r *gateRig) step(from net.Addr, datagram []byte) []byte {
 	r.srv.dispatch(r.l, r.router().Now(), from, datagram)
 	r.srv.endBatch(r.l)
+	r.stepQueue()
 	select {
 	case reply := <-r.rec.out:
 		if len(r.rec.out) != 0 {
@@ -150,18 +156,13 @@ func (r *gateRig) step(from net.Addr, datagram []byte) []byte {
 	}
 }
 
-// await returns the reply an access request's verification sends from
-// its own goroutine. Flushing afterwards waits out that goroutine's
-// flush, so the counters it bumps have all landed.
-func (r *gateRig) await() []byte {
-	select {
-	case reply := <-r.rec.out:
-		r.l.eg.Flush()
-		return reply
-	case <-time.After(30 * time.Second):
-		r.t.Fatal("no reply from the verifier")
-		return nil
+// stepQueue serves the ingest queue's groups on the test's goroutine
+// until none is waiting, and returns how many it served.
+func (r *gateRig) stepQueue() (groups int) {
+	for r.srv.queue.Step() {
+		groups++
 	}
+	return groups
 }
 
 // drain puts the server into graceful shutdown.
@@ -403,10 +404,7 @@ func TestDispatchGateMatrix(t *testing.T) {
 	// is on) and verified.
 	accessAnswered := func(r *gateRig) []byte {
 		_, frame, _ := r.accessRequest()
-		if reply := r.step(srcA, frame); reply != nil {
-			r.t.Fatalf("access request answered before verification: %v", frameKind(reply))
-		}
-		if kind := frameKind(r.await()); kind != KindAccessConfirm {
+		if kind := frameKind(r.step(srcA, frame)); kind != KindAccessConfirm {
 			r.t.Fatalf("setup exchange answered %v", kind)
 		}
 		return frame
@@ -851,5 +849,133 @@ func TestDrainWaitsForAnnouncement(t *testing.T) {
 	}
 	if kind := frameKind(<-rig.rec.out); kind != KindResumeConfirm {
 		t.Fatalf("handoff answered %v", kind)
+	}
+}
+
+// TestAccessGroupOneFlush pins how a verified group leaves. One batch
+// carries four valid M.2s and one with a forged signature; stepping the
+// ingest queue empty must draw exactly one reply per M.2 (four confirms
+// and one RejectAuth), in one write batch per group served, and a
+// retransmit of each M.2 must replay its reply's bytes.
+func TestAccessGroupOneFlush(t *testing.T) {
+	rig := newGateRig(t, nil)
+	rig.serve(ServerConfig{})
+	frames := make([][]byte, 5)
+	sids := make([]core.SessionID, 5)
+	for i := range frames {
+		m2, frame, sid := rig.accessRequest()
+		if i == 4 {
+			m2.Sig.SX = new(big.Int).Xor(m2.Sig.SX, big.NewInt(1))
+			frame = rig.encode(m2)
+		}
+		frames[i], sids[i] = frame, sid
+	}
+
+	before := rig.counters()
+	rig.dispatchBatch(frames...)
+	rig.srv.endBatch(rig.l)
+	if n := len(rig.rec.out); n != 0 {
+		t.Fatalf("%d replies before the queue was stepped", n)
+	}
+	groups := rig.stepQueue()
+	after := rig.counters()
+	if d := after["write_batches"] - before["write_batches"]; d != int64(groups) {
+		t.Errorf("%d groups left in %d write batches", groups, d)
+	}
+
+	replies := make(map[core.SessionID][]byte)
+	for len(rig.rec.out) > 0 {
+		frame := <-rig.rec.out
+		kind, payload, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := DecodeMessage(kind, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sid core.SessionID
+		switch m := msg.(type) {
+		case *core.AccessConfirm:
+			sid = core.NewSessionID(m.GR, m.GJ)
+		case *Reject:
+			sid = m.Session
+		default:
+			t.Fatalf("unexpected reply %v", kind)
+		}
+		if _, dup := replies[sid]; dup {
+			t.Errorf("exchange %x answered twice", sid[:4])
+		}
+		replies[sid] = frame
+	}
+	if len(replies) != len(frames) {
+		t.Fatalf("%d M.2s drew replies for %d exchanges", len(frames), len(replies))
+	}
+	for i, sid := range sids[:4] {
+		if tk := rig.decode(replies[sid], KindAccessConfirm).(*core.AccessConfirm).Ticket; len(tk) == 0 {
+			t.Errorf("confirm %d carries no ticket", i)
+		}
+	}
+	if rej := rig.decode(replies[sids[4]], KindReject).(*Reject); rej.Code != RejectAuth {
+		t.Errorf("forged M.2 refused with %v, want RejectAuth", rej.Code)
+	}
+	for name, want := range map[string]int64{"tickets_issued": 4, "rejects": 1, "frames_out": 5} {
+		if d := after[name] - before[name]; d != want {
+			t.Errorf("counter %s moved by %d, want %d", name, d, want)
+		}
+	}
+
+	for i, frame := range frames {
+		if again := rig.step(srcA, frame); string(again) != string(replies[sids[i]]) {
+			t.Errorf("retransmit of M.2 %d drew %v, want its cached reply", i, frameKind(again))
+		}
+	}
+}
+
+// TestDrainWaitsForAccessReply pins Drain to an access request's whole
+// answer: a dispatched M.2 keeps its admission until the drainer that
+// verified it has flushed its confirm.
+func TestDrainWaitsForAccessReply(t *testing.T) {
+	rig := newGateRig(t, nil)
+	rig.serve(ServerConfig{})
+	_, frame, sid := rig.accessRequest()
+	rig.dispatchBatch(frame)
+	rig.srv.endBatch(rig.l)
+
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if err := rig.srv.Drain(expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain before the queue was stepped returned %v, want %v", err, context.DeadlineExceeded)
+	}
+	// With admission already empty, Drain's select would pick either ready
+	// case under an expired context; a live one must run out.
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := rig.srv.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain waiting on the queued M.2 returned %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	flushes := 0
+	rig.rec.onWrite = func() {
+		flushes++
+		select {
+		case <-rig.srv.admit.idle:
+			t.Error("the confirm was flushed after its M.2 left admission")
+		default:
+		}
+	}
+	if !rig.srv.queue.Step() {
+		t.Fatal("the M.2 was not queued")
+	}
+	if err := rig.srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if flushes != 1 || len(rig.rec.out) != 1 {
+		t.Fatalf("Drain returned after %d flushes of %d datagrams, want one confirm", flushes, len(rig.rec.out))
+	}
+	confirm := <-rig.rec.out
+	rig.decode(confirm, KindAccessConfirm)
+	if cached, ok := rig.srv.replies.lookup(sid); !ok || string(cached) != string(confirm) {
+		t.Fatal("the reply cache does not hold the flushed confirm")
 	}
 }

@@ -101,7 +101,7 @@ func (s *Server) puzzleGate(l *shardLoop, from net.Addr, v *gateView) bool {
 		s.stats.dosPuzzlesVerified.Add(1)
 		return true
 	}
-	s.reject(l, from, v.sid, RejectPuzzle, reason, false)
+	s.reject(l.eg, from, v.sid, RejectPuzzle, reason, false)
 	return false
 }
 

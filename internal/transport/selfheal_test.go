@@ -319,79 +319,6 @@ func TestTransientRejectReArmsRetryBudget(t *testing.T) {
 	}
 }
 
-// TestDrainAnswersEveryAdmittedAttach forces the interleaving that used to
-// let Drain return early: an M.2 is admitted, the read loop is held between
-// its admission and its submission to the ingest queue, and Drain starts in
-// that window. Drain must wait for that M.2, and return only once its reply
-// is in the reply cache (sent); the client's attach completes.
-func TestDrainAnswersEveryAdmittedAttach(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	admitted := make(chan core.SessionID, 1)
-	release := make(chan struct{})
-	var once sync.Once
-	testHookAdmitted = func(sid core.SessionID) {
-		once.Do(func() {
-			admitted <- sid
-			<-release
-		})
-	}
-	srv := NewServer(mustListen(t), ln.Routers[0], ServerConfig{BootEpoch: 52})
-	t.Cleanup(func() {
-		srv.Close()
-		testHookAdmitted = nil
-	})
-	unblock := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(unblock) // runs before Close, which waits for the read loop
-
-	conn := mustListen(t)
-	defer conn.Close()
-	cfg := testClientConfig()
-	cfg.Seed = 33
-	cl := NewClient(conn, srv.Addr(), ln.Users[0], cfg)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	attached := make(chan error, 1)
-	go func() {
-		_, err := cl.Attach(ctx)
-		attached <- err
-	}()
-
-	sid := <-admitted
-	type drainResult struct {
-		err      error
-		answered bool
-	}
-	drained := make(chan drainResult, 1)
-	go func() {
-		err := srv.Drain(ctx)
-		frame, ok := srv.replies.lookup(sid)
-		drained <- drainResult{err, ok && frame != nil}
-	}()
-	for !srv.Draining() {
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case r := <-drained:
-		t.Fatalf("Drain returned (%v) while an admitted M.2 was held before the ingest queue", r.err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	unblock()
-
-	r := <-drained
-	if r.err != nil {
-		t.Fatalf("drain: %v", r.err)
-	}
-	if !r.answered {
-		t.Fatal("Drain returned before the admitted M.2 was answered")
-	}
-	if err := <-attached; err != nil {
-		t.Fatalf("attach admitted before the drain: %v", err)
-	}
-}
-
 // TestDrainRefusesNewServesOld checks graceful drain: established
 // sessions keep their keepalives answered while fresh attaches are
 // refused with the transient draining code.

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,7 +114,7 @@ type Server struct {
 	cfg     ServerConfig
 	conns   []net.PacketConn
 	router  *core.MeshRouter
-	queue   *core.IngestQueue
+	queue   *core.IngestQueue[accessReply]
 	stats   *Stats
 	limiter *rateLimiter
 	tickets *symcrypto.TicketKeyRing
@@ -211,16 +212,12 @@ func (a *admission) drain() <-chan struct{} {
 
 func (a *admission) draining() bool { return a.state.Load()&drainingBit != 0 }
 
-// testHookAdmitted, when set, runs between an access request's admission
-// and its submission to the ingest queue.
-var testHookAdmitted func(core.SessionID)
-
 // NewServer starts serving router on conn. With cfg.Shards > 1, that many
 // read loops share the one socket (userspace demux); use NewShardedServer
 // with ListenShards sockets for kernel-demuxed SO_REUSEPORT sharding.
 // Close the server (not the conn) to shut down.
 func NewServer(conn net.PacketConn, router *core.MeshRouter, cfg ServerConfig) *Server {
-	return newServer([]net.PacketConn{conn}, router, cfg)
+	return newServer([]net.PacketConn{conn}, router, cfg).start()
 }
 
 // NewShardedServer starts serving router on a set of sockets sharing one
@@ -234,16 +231,17 @@ func NewShardedServer(conns []net.PacketConn, router *core.MeshRouter, cfg Serve
 	}
 	// With one socket (the ListenShards fallback where SO_REUSEPORT is
 	// unavailable) cfg.Shards still governs how many loops demux it.
-	return newServer(conns, router, cfg)
+	return newServer(conns, router, cfg).start()
 }
 
+// newServer builds a server that serves nothing until start: a test
+// drives it through dispatch, endBatch and queue.Step instead.
 func newServer(conns []net.PacketConn, router *core.MeshRouter, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
 		conns:      conns,
 		router:     router,
-		queue:      core.NewIngestQueue(router, queueCapacity),
 		stats:      NewStats(cfg.Metrics),
 		tickets:    cfg.TicketKeys,
 		replies:    newReplyCache(replyCacheSize),
@@ -253,6 +251,7 @@ func newServer(conns []net.PacketConn, router *core.MeshRouter, cfg ServerConfig
 		dosReplay:  newSolutionReplayTable(dosReplayCap),
 		dosStop:    make(chan struct{}),
 	}
+	s.queue = core.NewIngestQueue(router, queueCapacity, s.answerAccess)
 	s.admit.idle = make(chan struct{})
 	if cfg.RateLimitPerSec > 0 {
 		burst := cfg.RateLimitBurst
@@ -273,18 +272,24 @@ func newServer(conns []net.PacketConn, router *core.MeshRouter, cfg ServerConfig
 	// an authenticated channel at attach time.
 	router.SetBootEpoch(cfg.BootEpoch)
 	s.stats.bootEpoch.Store(cfg.BootEpoch)
+	return s
+}
 
+// start launches the read loops, the ingest queue's drainers and the DoS
+// load sampler, and returns s.
+func (s *Server) start() *Server {
 	// One loop per socket; a single socket gets cfg.Shards loops instead.
-	nloops := len(conns)
-	if nloops == 1 && cfg.Shards > 1 {
-		nloops = cfg.Shards
+	nloops := len(s.conns)
+	if nloops == 1 && s.cfg.Shards > 1 {
+		nloops = s.cfg.Shards
 	}
 	s.stats.shards.Store(int64(nloops))
 	for i := 0; i < nloops; i++ {
-		conn := conns[i%len(conns)]
+		conn := s.conns[i%len(s.conns)]
 		s.loops.Add(1)
 		go s.readLoop(conn)
 	}
+	s.queue.Start()
 	s.loops.Add(1)
 	go s.dosSampleLoop()
 	return s
@@ -481,14 +486,13 @@ func (s *Server) endBatch(l *shardLoop) {
 }
 
 // readLoop is one shard's socket reader. Datagrams arrive up to IOBatch
-// per recvmmsg into the ring's pooled slots; each slot's bytes belong to
-// the ring until the next Prepare, and a handler that must keep them
-// longer takes explicit ownership (Ring.Retain / clone). Expensive work
-// (signature verification) happens on the ingest queue's drainers and
-// the per-reply goroutines; everything else is served inline with
-// per-loop scratch state, so the steady-state decode, open and
-// sealed-echo paths allocate nothing. The router's clock is read once
-// per ingest batch, replies coalesce in the egress and leave in one
+// per recvmmsg into the ring's pooled slots; each slot's bytes and source
+// address belong to the ring until the next Prepare, so a handler that
+// keeps either copies it. Expensive work (signature verification) happens
+// on the ingest queue's drainers, which also answer it; everything else is
+// served inline with per-loop scratch state, so the steady-state decode,
+// open and sealed-echo paths allocate nothing. The router's clock is read
+// once per ingest batch, replies coalesce in the egress and leave in one
 // sendmmsg per batch, and the batch's effects on the backbone follow
 // (endBatch).
 func (s *Server) readLoop(conn net.PacketConn) {
@@ -510,8 +514,8 @@ func (s *Server) readLoop(conn net.PacketConn) {
 	ring := batchio.NewRing(s.cfg.IOBatch, s.ingestPool)
 	l := &shardLoop{
 		// No flush deadline: every frame is queued either by this loop,
-		// which flushes after each ingest batch, or by an access-request
-		// reply goroutine, which flushes what it queued.
+		// which flushes after each ingest batch, or by an ingest drainer,
+		// which flushes after answering its group.
 		eg: batchio.NewEgress(bc, s.cfg.IOBatch, 0, s.framePool, s.noteFlush),
 		pt: make([]byte, 0, 65536),
 	}
@@ -607,7 +611,8 @@ type handshakeRow struct {
 	decode func(payload []byte) (*core.AccessRequest, error)
 	// serve answers an admitted first sighting. It holds the admission
 	// the gate took until the exchange is answered: an access request
-	// leaves it from its reply goroutine, a resume at endBatch.
+	// leaves it once the drainer that verified it has flushed its reply,
+	// a resume at endBatch.
 	serve func(s *Server, l *shardLoop, now time.Time, from net.Addr, sid core.SessionID, m2 *core.AccessRequest)
 }
 
@@ -686,7 +691,7 @@ func (row *handshakeRow) handshake(s *Server, l *shardLoop, now time.Time, from 
 			l.eg.Queue(frame, from)
 			return
 		}
-		s.reject(l, from, v.sid, RejectDraining, "server draining", false)
+		s.reject(l.eg, from, v.sid, RejectDraining, "server draining", false)
 		return
 	}
 	if frame, dup := s.replies.begin(v.sid); dup {
@@ -710,7 +715,7 @@ func (row *handshakeRow) handshake(s *Server, l *shardLoop, now time.Time, from 
 // cached answer, replayed to a retransmit. Gate refusals are not cached:
 // letting a flood of spoofed sessions churn the cache would hand the
 // attacker a second target.
-func (s *Server) reject(l *shardLoop, to net.Addr, sid core.SessionID, code RejectCode, reason string, cache bool) {
+func (s *Server) reject(eg *batchio.Egress, to net.Addr, sid core.SessionID, code RejectCode, reason string, cache bool) {
 	rej := &Reject{Session: sid, Code: code, Reason: reason}
 	switch code {
 	case RejectPuzzle:
@@ -740,7 +745,7 @@ func (s *Server) reject(l *shardLoop, to net.Addr, sid core.SessionID, code Reje
 	if cache {
 		s.replies.fulfill(sid, frame)
 	}
-	l.eg.Queue(frame, to)
+	eg.Queue(frame, to)
 }
 
 // serveBeacon answers a beacon solicitation from the cached frame,
@@ -883,52 +888,93 @@ func (s *Server) issueTicket(sess *core.Session, escrow []byte, now time.Time) (
 	return t.Seal(rand.Reader, s.tickets)
 }
 
-// serveAccess submits an admitted M.2 to the ingest queue. The reply
-// (confirm or reject) is cached, so a retransmitted request — the
-// client's recovery from a lost M.3 — is answered by replay, never by a
-// second verification. A confirm carries a freshly sealed resumption
-// ticket, issued on the router's clock when the verification finishes.
-func (s *Server) serveAccess(l *shardLoop, _ time.Time, from net.Addr, sid core.SessionID, m *core.AccessRequest) {
-	if testHookAdmitted != nil {
-		testHookAdmitted(sid)
+// accessReply is the ingest queue's tag of an M.2: its exchange, the
+// egress of the shard loop it arrived on, and the sender's address, held
+// by value because the read slot's is reused by the next batch.
+type accessReply struct {
+	sid core.SessionID
+	eg  *batchio.Egress
+	// A UDP sender is to (port and zone) and ip[:iplen] (its IP's bytes);
+	// addr points to.IP at those bytes when the reply is queued. Any
+	// other sender is other, kept as given.
+	to    net.UDPAddr
+	ip    [16]byte
+	iplen uint8
+	other net.Addr
+}
+
+func newAccessReply(sid core.SessionID, eg *batchio.Egress, from net.Addr) accessReply {
+	r := accessReply{sid: sid, eg: eg}
+	if ua, ok := from.(*net.UDPAddr); ok {
+		r.to.Port, r.to.Zone = ua.Port, ua.Zone
+		r.iplen = uint8(copy(r.ip[:], ua.IP))
+	} else {
+		r.other = from
 	}
-	ch, err := s.queue.Submit(m)
-	if err != nil {
-		// Shed under overload; forget the session so a later retry can be
-		// admitted once the queue drains.
+	return r
+}
+
+// addr returns the sender's address, which aliases r.
+func (r *accessReply) addr() net.Addr {
+	if r.other != nil {
+		return r.other
+	}
+	r.to.IP = r.ip[:r.iplen]
+	return &r.to
+}
+
+// serveAccess submits an admitted M.2 to the ingest queue, which answers
+// it from a drainer (answerAccess). Shed under overload, it is refused at
+// once.
+func (s *Server) serveAccess(l *shardLoop, _ time.Time, from net.Addr, sid core.SessionID, m *core.AccessRequest) {
+	if err := s.queue.Submit(m, newAccessReply(sid, l.eg, from)); err != nil {
+		// Forget the session so a later retry can be admitted once the
+		// queue drains.
 		s.admit.leave()
 		s.stats.queueDrops.Add(1)
 		s.replies.forget(sid)
-		s.reject(l, from, sid, rejectCodeFor(err), err.Error(), false)
-		return
+		s.reject(l.eg, from, sid, rejectCodeFor(err), err.Error(), false)
 	}
-	// The reply goroutine outlives this dispatch, so the read-slot address
-	// must be cloned before the slot is reused by the next batch.
-	from = batchio.CloneAddr(from)
-	go func() {
-		defer s.admit.leave()
-		res := <-ch
+}
+
+// answerAccess is the ingest queue's answer: a drainer calls it once per
+// group it verified, tags[i] naming where out[i] goes. Every reply (confirm
+// or reject) is cached, so a retransmitted request — the client's recovery
+// from a lost M.3 — is answered by replay, never by a second verification;
+// a confirm carries a freshly sealed resumption ticket, issued on the
+// router's clock when the verification finished. The group's replies leave
+// in one flush per egress they were queued on (nothing else would send
+// them: a read loop flushes only after a datagram arrives), and only then
+// do the requests leave admission, so Drain waits for every flushed reply.
+func (s *Server) answerAccess(tags []accessReply, out []core.AccessResult) {
+	now := s.router.Now()
+	for i := range tags {
+		t, res := &tags[i], &out[i]
 		if res.Err != nil {
-			s.reject(l, from, sid, rejectCodeFor(res.Err), res.Err.Error(), true)
-		} else {
-			if tk, err := s.issueTicket(res.Session, res.Escrow, s.router.Now()); err == nil {
-				res.Confirm.Ticket = tk
-				s.stats.ticketsIssued.Add(1)
-			}
-			frame, err := EncodeMessage(res.Confirm)
-			if err != nil {
-				s.logf("transport: encode reply: %v", err)
-				return
-			}
-			s.replies.fulfill(sid, frame)
-			l.eg.Queue(frame, from)
+			s.reject(t.eg, t.addr(), t.sid, rejectCodeFor(res.Err), res.Err.Error(), true)
+			continue
 		}
-		// This goroutine is the one producer outside the read loop, and
-		// nothing else will send the frame for it: the loop flushes only
-		// after a datagram arrives, and a sub-millisecond timer in an idle
-		// process fires a millisecond late (epoll_wait's granularity).
-		l.eg.Flush()
-	}()
+		if tk, err := s.issueTicket(res.Session, res.Escrow, now); err == nil {
+			res.Confirm.Ticket = tk
+			s.stats.ticketsIssued.Add(1)
+		}
+		frame, err := EncodeMessage(res.Confirm)
+		if err != nil {
+			s.replies.forget(t.sid)
+			s.logf("transport: encode reply: %v", err)
+			continue
+		}
+		s.replies.fulfill(t.sid, frame)
+		t.eg.Queue(frame, t.addr())
+	}
+	for i := range tags {
+		if !slices.ContainsFunc(tags[:i], func(o accessReply) bool { return o.eg == tags[i].eg }) {
+			tags[i].eg.Flush()
+		}
+	}
+	for range tags {
+		s.admit.leave()
+	}
 }
 
 // serveResume serves the symmetric-only re-attach path inline — no
@@ -942,7 +988,7 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 	l.resumes++
 	req := &l.scratchResume
 	if s.tickets == nil {
-		s.reject(l, from, sid, RejectTicket, "resumption not offered", true)
+		s.reject(l.eg, from, sid, RejectTicket, "resumption not offered", true)
 		return
 	}
 	t := &l.scratchTicket
@@ -951,11 +997,11 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 	if err != nil {
 		// Rotated-out STEK generation and tampered blobs land here alike;
 		// either way the full handshake is the only path forward.
-		s.reject(l, from, sid, RejectTicket, "ticket unusable", true)
+		s.reject(l.eg, from, sid, RejectTicket, "ticket unusable", true)
 		return
 	}
 	if now.After(t.Expiry) {
-		s.reject(l, from, sid, RejectTicket, "ticket expired", true)
+		s.reject(l.eg, from, sid, RejectTicket, "ticket expired", true)
 		return
 	}
 	// Revocation freshness: the ticket pins the epochs its holder was
@@ -965,21 +1011,21 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 	// own revocation state in Phase 1.5).
 	if t.URLEpoch != s.router.RevocationEpoch(revocation.ListURL) ||
 		t.CRLEpoch != s.router.RevocationEpoch(revocation.ListCRL) {
-		s.reject(l, from, sid, RejectTicketStale, "revocation epochs moved since issuance", true)
+		s.reject(l.eg, from, sid, RejectTicketStale, "revocation epochs moved since issuance", true)
 		return
 	}
 	if err := req.verify(t.Secret[:]); err != nil {
-		s.reject(l, from, sid, RejectTicket, "resume MAC invalid", true)
+		s.reject(l.eg, from, sid, RejectTicket, "resume MAC invalid", true)
 		return
 	}
 	// Beyond the freshness window, a replayed request whose reply-cache
 	// entry was evicted is refused instead of minting yet another session.
 	if d, w := now.Sub(req.Timestamp), s.router.FreshnessWindow(); d > w || d < -w {
-		s.reject(l, from, sid, RejectTicket, "resume timestamp stale", true)
+		s.reject(l.eg, from, sid, RejectTicket, "resume timestamp stale", true)
 		return
 	}
 	if err := core.CheckAccessRequest(t.Escrow); err != nil {
-		s.reject(l, from, sid, RejectTicket, "ticket escrow corrupt", true)
+		s.reject(l.eg, from, sid, RejectTicket, "ticket escrow corrupt", true)
 		return
 	}
 	// The network log keeps the escrow, so it leaves the ticket plaintext
@@ -1038,7 +1084,7 @@ func (s *Server) servePing(l *shardLoop, _ time.Time, from net.Addr, payload []b
 	}
 	sess, ok := s.router.SessionByID(f.Session)
 	if !ok {
-		s.reject(l, from, f.Session, RejectUnknownSession, "no such session", false)
+		s.reject(l.eg, from, f.Session, RejectUnknownSession, "no such session", false)
 		return
 	}
 	body, err := sess.OpenData(f)
@@ -1098,7 +1144,7 @@ func (s *Server) serveData(l *shardLoop, _ time.Time, from net.Addr, payload []b
 			return
 		}
 	}
-	s.reject(l, from, f.Session, RejectUnknownSession, "no such session", false)
+	s.reject(l.eg, from, f.Session, RejectUnknownSession, "no such session", false)
 }
 
 // echoData seals the just-delivered payload back to its sender into a

@@ -94,7 +94,7 @@ func TestHandshakeOverUDP(t *testing.T) {
 // TestLoneAttachNeedsNoRetransmit pins that an access confirm leaves the
 // server without help. The server's egress has no flush timer and its read
 // loop flushes only after a datagram arrives, so on an otherwise silent
-// socket an M.3 that its reply goroutine merely queued could leave only
+// socket an M.3 that its ingest drainer merely queued could leave only
 // when the client's retransmitted M.2 replayed the reply cache. The
 // retransmit timeout is far beyond any handshake, so a retransmit here can
 // mean nothing else.

@@ -94,8 +94,6 @@ type (
 	Receipt = core.Receipt
 	// RouterStats are a router's processing counters.
 	RouterStats = core.RouterStats
-	// BillingReport aggregates audited sessions per group for billing.
-	BillingReport = core.BillingReport
 )
 
 // Configuration and clocks.
