@@ -2,9 +2,11 @@
 
 GO ?= go
 
-# The backbone control-plane tests that run several nodes' read loops,
-# tickers and floods against each other; the race runs repeat them.
-BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce)$$
+# The backbone control-plane tests: nodes stepped over an in-memory
+# fabric with seeded faults, no goroutine and no sleep, plus the two that
+# drive started nodes' one loop over loopback and the shard loop's side of
+# an adoption; the race runs repeat them.
+BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce|DuplicatedAdsCountOnce|PlaneSchedules|NodeDriverWakes|HandoffAdoptedAllocs)$$
 
 # The router's step tests: dispatch driven one datagram at a time through
 # a recording egress, no sockets written and no sleeps, so the race runs
@@ -199,7 +201,9 @@ bench:
 # the router's whole M.2 path per request for 1, 8, 16 and 32 wire-decoded
 # requests against a 16-token URL. Last the backbone: one tick of a
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
-# in time and in bytes), and a link from AddPeer to reachable.
+# in time and in bytes), a link from AddPeer to reachable, and
+# TestHandoffAdoptedAllocs, which holds the shard loop's side of an
+# adoption (the inbox append and the loop's wake) at 0 allocs/op.
 bench-smoke:
 	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestResumeExchangeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
@@ -211,6 +215,7 @@ bench-smoke:
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x
 	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkHandleM2Batch$$' -cpu 1,2 -benchtime=10x
 	$(GO) test ./internal/backbone/ -run='^$$' -bench='^Benchmark(NodeTick|LinkUp)$$' -benchmem -benchtime=100x
+	$(GO) test ./internal/backbone/ -run='^TestHandoffAdoptedAllocs$$' -v -count=1
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1
 
 experiments:

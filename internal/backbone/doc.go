@@ -7,23 +7,22 @@
 // Links are authenticated under the routers' NO-issued certificates
 // (internal/cert): a RouterHello / RouterWelcome exchange signs fresh DH
 // shares with the long-term router keys, and everything after rides in
-// AEAD-sealed LinkEnvelopes with per-sender replay windows. The control
-// plane is driven by events, with the gossip tick behind it for
-// liveness, retransmission and expiry: configuring a peer dials it, a
-// completed handshake sends the link's first round, and a route learned
-// or shortened pulls the next round in.
+// AEAD-sealed LinkEnvelopes with per-sender replay windows.
 //
-// The headline path is roaming handoff. A user moving to a new AP
-// presents its resumption ticket there; the adopting router validates
-// the epoch pins, re-logs the M.2 accountability escrow
-// (core.MeshRouter.AdoptResumedSession) and — because the ticket names a
-// different issuing router — notifies its backbone Node, which floods an
-// OwnerAd announcing the ownership transfer. During the grace window the
-// previous router forwards in-flight data frames toward the adopting
-// router instead of rejecting them, then releases the session (the audit
-// log entry stays). The flood is the only copy an ad needs when nothing
-// is lost: each ad is numbered per link, gossip rounds acknowledge the
-// numbers, and a round re-sends only what stayed unacknowledged — while
-// a link that is (re-)established starts from every unexpired ad, so a
-// router cut off by a partition converges once the partition heals.
+// A Node is one loop. A single goroutine owns its links, routes and
+// ownership table and steps them at a time now: a step takes the inbox,
+// runs the gossip tick when a round is due, flushes everything sealed in
+// one sendmmsg, and returns the next deadline, which becomes the socket's
+// read deadline. The router's shard loops hand adoptions and relays to
+// the inbox and read the ownership and hop tables; they seal nothing. A
+// handoff waits at most backboneFlushDelay there for the ones after it.
+//
+// A handoff goes like this. A user moving to a new AP presents its
+// resumption ticket there. The adopting router checks the epoch pins,
+// re-logs the M.2 escrow, and hands the node an OwnerAd for the backbone.
+// During the grace window the previous router relays in-flight frames to
+// the adopter, then releases the session; its audit log entry stays. Ads
+// are numbered per link and re-sent until a round acknowledges them, and
+// a link that comes up again starts from every unexpired ad, so a router
+// that was cut off catches up after the partition heals.
 package backbone

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/symcrypto"
@@ -139,13 +138,18 @@ type pendingAd struct {
 // link is one established router-to-router association: the peer's
 // identity and address, the AEAD under the derived link key, a send sequence and
 // a receive replay window, and the owner ads in flight in both
-// directions. A re-handshake (peer restart, link timeout) replaces the
+// directions. It belongs to the node's loop, like every other piece of
+// node state. A re-handshake (peer restart, link timeout) replaces the
 // whole link object, resetting every sequence space with the keys — the
 // new link's ad queue starts over from every unexpired ad the node
 // holds.
 type link struct {
 	peer string
 	addr net.Addr
+	// hello and welcome, on the responder's side, are the handshake the
+	// link came from: a retransmitted hello gets the same welcome back.
+	hello   [transport.BackboneNonceSize]byte
+	welcome []byte
 
 	// aead is the cached AES-GCM instance for the link's Enc key (one key schedule
 	// per handshake, not per envelope). nonceBase is this end's random
@@ -155,7 +159,6 @@ type link struct {
 	aead      cipher.AEAD
 	nonceBase [symcrypto.GCMNonceSize]byte
 
-	mu       sync.Mutex
 	sendSeq  uint64
 	rw       replayWindow
 	lastSeen time.Time
@@ -166,8 +169,8 @@ type link struct {
 	unacked   []pendingAd
 	lastRound time.Time
 	adsIn     adWindow
-	// Seal scratch, guarded by mu: the nonce and AAD must reach the AEAD
-	// without a per-envelope heap escape.
+	// Seal scratch: the nonce and AAD must reach the AEAD without a
+	// per-envelope heap escape.
 	nonceScratch [symcrypto.GCMNonceSize]byte
 	aadScratch   []byte
 }
@@ -186,8 +189,6 @@ func newLink(peer string, addr net.Addr, keys symcrypto.SessionKeys, now time.Ti
 // dst transport.LinkEnvelopeLen(self, len(plaintext)) spare capacity to
 // avoid growth.
 func (l *link) sealAppend(dst []byte, kind transport.Kind, self string, plaintext []byte) []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.sendSeq++
 	seq := l.sendSeq
 
@@ -215,23 +216,11 @@ func (l *link) open(kind transport.Kind, env *transport.LinkEnvelope, now time.T
 	if err != nil {
 		return nil, symcrypto.ErrDecrypt
 	}
-	l.mu.Lock()
-	ok := l.rw.accept(env.Seq)
-	if ok {
-		l.lastSeen = now
-	}
-	l.mu.Unlock()
-	if !ok {
+	if !l.rw.accept(env.Seq) {
 		return nil, errLinkReplay
 	}
+	l.lastSeen = now
 	return pt, nil
-}
-
-// seen returns the liveness clock.
-func (l *link) seen() time.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastSeen
 }
 
 // enqueueAds numbers ads for this link in order, queues them as
@@ -239,8 +228,6 @@ func (l *link) seen() time.Time {
 // the caller seals them next, zero to leave that to the next round — and
 // returns the first sequence it assigned.
 func (l *link) enqueueAds(sent time.Time, ads ...*transport.OwnerAd) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	first := l.adSeq + 1
 	for _, ad := range ads {
 		l.adSeq++
@@ -257,8 +244,6 @@ func (l *link) enqueueAds(sent time.Time, ads ...*transport.OwnerAd) uint64 {
 // round: the acknowledgement of the peer's ads, and the lowest sequence
 // this side still holds.
 func (l *link) dueAds(now time.Time) (due []transport.OwnerAd, ack, base uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	keep := l.unacked[:0]
 	for _, p := range l.unacked {
 		if !now.Before(p.ad.Expires) {
@@ -289,7 +274,6 @@ func (l *link) dueAds(now time.Time) (due []transport.OwnerAd, ack, base uint64)
 // ads it acknowledged leave the queue, and sequences it gave up stop
 // holding back this side's acknowledgement.
 func (l *link) peerRound(ack, base uint64) {
-	l.mu.Lock()
 	k := 0
 	for k < len(l.unacked) && l.unacked[k].seq <= ack {
 		l.unacked[k].ad = nil
@@ -297,16 +281,13 @@ func (l *link) peerRound(ack, base uint64) {
 	}
 	l.unacked = l.unacked[k:]
 	l.adsIn.skipTo(base)
-	l.mu.Unlock()
 }
 
 // noteAds records the arrival of the peer's ads.
 func (l *link) noteAds(ads []transport.OwnerAd) {
-	l.mu.Lock()
 	for i := range ads {
 		l.adsIn.note(ads[i].Seq)
 	}
-	l.mu.Unlock()
 }
 
 // deriveLinkKeys derives one link's symmetric keys from the handshake DH

@@ -124,10 +124,11 @@ func TestStaleEpochPinsAtAdoptingRouter(t *testing.T) {
 
 // TestHandoffDuringBackbonePartition cuts the previous router off the
 // backbone while the user roams. The handoff itself succeeds (the user
-// plane is unaffected), the ownership announcement cannot reach the old
-// router until the partition heals, and then the periodic gossip — not
-// the one-shot flood, which was lost — delivers it, after which in-flight
-// frames forward.
+// plane is unaffected), and once the partition heals the periodic gossip
+// — not the one-shot flood, which was lost — delivers the ownership
+// announcement, after which in-flight frames forward. What the cut-off
+// router knows during the partition is pinned, stepped, by
+// TestOwnerAdsCrossPartitions.
 func TestHandoffDuringBackbonePartition(t *testing.T) {
 	m := newMetro(t, chaos.TestbedConfig{Routers: 3})
 	ctx := testCtx(t)
@@ -156,15 +157,6 @@ func TestHandoffDuringBackbonePartition(t *testing.T) {
 		t.Fatalf("handoffs_in = %d, want 1", got)
 	}
 
-	// The announcement must not have crossed the partition.
-	time.Sleep(300 * time.Millisecond)
-	if _, ok := m.Nodes[0].OwnerOf(sess.ID); ok {
-		t.Fatal("ownership crossed a partitioned backbone")
-	}
-	if got := m.Servers[0].Stats().HandoffsOut(); got != 0 {
-		t.Fatalf("partitioned router counted handoffs_out = %d", got)
-	}
-
 	// Heal. Gossip re-advertises the unexpired owner ad until it lands.
 	m.Backbone[0].PartitionFor(0)
 	waitFor(t, func() bool {
@@ -183,30 +175,20 @@ func TestHandoffDuringBackbonePartition(t *testing.T) {
 	}
 }
 
-// duplicating sends every outgoing datagram twice — the harshest
-// sustained duplication a UDP path can produce.
-var duplicating = chaos.FaultPlan{Duplicate: 1}
-
-// TestDuplicateHandoffIdempotence doubles every client datagram and
-// every backbone datagram. The resume reply cache must serve the
-// duplicate without minting a second session, the adopting router must
-// count one handoff, and duplicated ownership announcements must not
-// double handoffs_out or the grace-window release.
+// TestDuplicateHandoffIdempotence doubles every client datagram. The
+// resume reply cache must serve the duplicate without minting a second
+// session, and the adopting router must count one handoff. Duplicated
+// ownership announcements on the backbone are TestDuplicatedAdsCountOnce's.
 func TestDuplicateHandoffIdempotence(t *testing.T) {
 	m := newMetro(t, chaos.TestbedConfig{Routers: 2})
-	for _, bb := range m.Backbone {
-		bb.SetPlans(chaos.FaultPlan{}, duplicating)
-	}
 	ctx := testCtx(t)
-	if !m.WaitConverged() {
-		t.Fatal("backbone never converged")
-	}
 
 	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
+	duplicating := chaos.FaultPlan{Duplicate: 1}
 	cl := transport.NewClient(chaos.Wrap(raw, chaos.FaultPlan{}, duplicating, 1), m.Servers[0].Addr(), m.Net.Users[0], testClientConfig())
 	if _, err := cl.Attach(ctx); err != nil {
 		t.Fatal(err)
@@ -229,16 +211,5 @@ func TestDuplicateHandoffIdempotence(t *testing.T) {
 	}
 	if got := m.Servers[1].Stats().HandoffsIn(); got != 1 {
 		t.Fatalf("handoffs_in = %d, want 1", got)
-	}
-	waitFor(t, func() bool { return m.Servers[0].Stats().HandoffsOut() == 1 }, "handoffs_out")
-	// Give duplicated announcements and gossip repeats time to arrive.
-	time.Sleep(400 * time.Millisecond)
-	if got := m.Servers[0].Stats().HandoffsOut(); got != 1 {
-		t.Fatalf("handoffs_out = %d after duplicates, want exactly 1", got)
-	}
-	if m.Net.Routers[0].Sessions() != 1 {
-		// The grace window is long; the previous session must still be
-		// resident exactly once (released only after the window closes).
-		t.Fatalf("old router sessions = %d, want 1", m.Net.Routers[0].Sessions())
 	}
 }

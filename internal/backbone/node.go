@@ -4,8 +4,10 @@ import (
 	"container/heap"
 	"crypto/rand"
 	"fmt"
+	"maps"
 	"math/big"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,21 +25,10 @@ type Config struct {
 	// GossipInterval is the period of the gossip/maintenance tick.
 	// Default 200ms.
 	GossipInterval time.Duration
-	// PeerTimeout declares a link dead after this much gossip silence;
-	// the initiator side then re-runs the handshake. Default
-	// 15 × GossipInterval.
-	PeerTimeout time.Duration
 	// GraceWindow is how long after a roaming handoff the previous router
 	// keeps forwarding in-flight frames before releasing the session.
 	// Default 10s.
 	GraceWindow time.Duration
-	// RelayTTL bounds backbone hops per relayed frame. Default 8.
-	RelayTTL int
-	// HelloFreshness bounds the age of handshake timestamps. Default 30s.
-	HelloFreshness time.Duration
-	// MaxHops drops route advertisements beyond this distance (bounds
-	// count-to-infinity churn on partitions). Default 32.
-	MaxHops uint32
 	// Clock supplies every protocol time the node reads: link liveness,
 	// handshake freshness, ad expiry and retransmission age. Default
 	// core.SystemClock{}.
@@ -50,20 +41,8 @@ func (c Config) withDefaults() Config {
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 200 * time.Millisecond
 	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 15 * c.GossipInterval
-	}
 	if c.GraceWindow <= 0 {
 		c.GraceWindow = 10 * time.Second
-	}
-	if c.RelayTTL < 1 {
-		c.RelayTTL = 8
-	}
-	if c.HelloFreshness <= 0 {
-		c.HelloFreshness = 30 * time.Second
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 32
 	}
 	if c.Clock == nil {
 		c.Clock = core.SystemClock{}
@@ -74,20 +53,27 @@ func (c Config) withDefaults() Config {
 // backboneIOBatch is how many datagrams one recvmmsg/sendmmsg moves on
 // the backbone socket; backboneFrameSize is the egress buffer class
 // (gossip rounds and relayed data frames fit, owner ads are cut to it);
-// backboneFlushDelay bounds how long a queued envelope waits for
-// batch-mates when no burst boundary flushes it first; triggerSpacing is
-// how far ahead a route change — a link came up, a round taught a new or
-// shorter route — pulls the next gossip round in, so that whatever else
-// changes meanwhile rides the same round.
+// backboneFlushDelay is how long work handed to the loop waits in the
+// inbox for batch-mates; triggerSpacing is how far ahead a route change
+// pulls the next gossip round in, so that whatever else changes meanwhile
+// rides the same round. A link silent for peerTimeoutRounds intervals is
+// dead (the initiator re-runs the handshake), a relayed frame crosses at
+// most relayTTL hops, a handshake timestamp is fresh for helloFreshness,
+// and routes beyond maxHops are dropped (bounding count-to-infinity churn
+// on partitions).
 const (
 	backboneIOBatch    = 16
 	backboneFrameSize  = 4096
 	backboneFlushDelay = 200 * time.Microsecond
 	triggerSpacing     = 10 * time.Millisecond
+	peerTimeoutRounds  = 15
+	relayTTL           = 8
+	helloFreshness     = 30 * time.Second
+	maxHops            = 32
 )
 
 // routeEntry is one distance-vector entry: reach a router via a directly
-// linked peer at a hop count.
+// linked peer at a hop count. A linked peer is reached via itself at one.
 type routeEntry struct {
 	via  string
 	hops uint32
@@ -101,19 +87,16 @@ func (q expiryQueue) Less(i, j int) bool { return q[i].Expires.Before(q[j].Expir
 func (q expiryQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *expiryQueue) Push(x any)        { *q = append(*q, x.(*transport.OwnerAd)) }
 func (q *expiryQueue) Pop() any {
-	old := *q
-	last := len(old) - 1
-	ad := old[last]
-	old[last] = nil
-	*q = old[:last]
+	last := len(*q) - 1
+	ad := (*q)[last]
+	(*q)[last] = nil
+	*q = (*q)[:last]
 	return ad
 }
 
-// pendingDial is an initiator's outstanding hello: the nonce and DH
-// scalar it committed to, the encoded frame for retransmission (the
-// same hello is re-sent until the welcome lands, so the responder's
-// welcome replay cache stays coherent), when it was signed and when it
-// was last sent.
+// pendingDial is an initiator's outstanding hello: its nonce and DH
+// scalar, the frame re-sent until the welcome lands (the same hello, so
+// the responder can replay its welcome), when it was signed and sent.
 type pendingDial struct {
 	nonce  [transport.BackboneNonceSize]byte
 	scalar *big.Int
@@ -123,19 +106,36 @@ type pendingDial struct {
 	sent   time.Time
 }
 
-// welcomeReplay caches the welcome answered to one hello nonce so a
-// retransmitted hello gets the identical welcome back instead of a new
-// handshake that would desynchronize the link keys.
-type welcomeReplay struct {
-	nonce [transport.BackboneNonceSize]byte
-	frame []byte
+// inbox is the work other goroutines hand the loop: adoptions, relays of
+// frames for sessions that moved, and configured peers. It is due
+// backboneFlushDelay after since, when the first of them came in. It
+// holds records by value, so a producer appends into capacity the loop
+// handed back and allocates nothing in steady state.
+type inbox struct {
+	ads    []transport.OwnerAd
+	relays []transport.RelayBody
+	peers  []peer
+	since  time.Time
 }
+
+type peer struct {
+	id   string
+	addr net.Addr
+}
+
+func (b *inbox) empty() bool { return len(b.ads)+len(b.relays)+len(b.peers) == 0 }
 
 // Node is one router's presence on the metro backbone: it owns the
 // backbone socket, runs the link handshakes, gossips liveness and routes,
 // floods session ownership and re-sends it until acknowledged, relays
 // data frames multi-hop, and implements the transport server's Forwarder
 // / HandoffObserver hooks.
+//
+// One goroutine owns all of it: links, routes, pending dials, the
+// ownership table and its expiry heap, and the egress. Everything the
+// node does at a time now goes through step, which returns the next
+// deadline. Other goroutines hand work in through the inbox, and read the
+// ownership and hop tables under view, which only the owner writes.
 type Node struct {
 	cfg    Config
 	id     string
@@ -144,61 +144,68 @@ type Node struct {
 	router *core.MeshRouter
 	stats  *transport.Stats
 
-	// bc is the batch view of the backbone socket (recvmmsg/sendmmsg
-	// where available); eg coalesces gossip rounds, relays and floods
-	// into one sendmmsg per burst, sealing envelopes into framePool
-	// buffers in place.
+	// bc batches the socket (recvmmsg/sendmmsg where available) into
+	// ring's slots; eg sends what a step sealed in place in one sendmmsg.
 	bc        batchio.Conn
+	ring      *batchio.Ring
 	eg        *batchio.Egress
 	framePool *batchio.Pool
 
-	// Relay-delivery scratch, used only by the read loop: the decode
-	// frame and open-plaintext buffer of relayed-in data frames.
+	// The decode frame and open-plaintext buffer of relayed-in data frames.
 	scratchFrame core.DataFrame
 	pt           []byte
 
-	// maxAdsPlaintext is the largest handoff-announce plaintext whose
-	// sealed frame still fits one backboneFrameSize egress buffer.
-	maxAdsPlaintext int
+	maxAdsPlaintext int // the largest announce plaintext one egress buffer seals
 
-	mu       sync.Mutex
-	dials    map[string]net.Addr // configured peers, by router id
-	links    map[string]*link    // established links, by router id
-	pending  map[string]*pendingDial
-	welcomes map[string]*welcomeReplay
-	routes   map[string]routeEntry
-	// owners holds every ownership record until it expires, keyed by the
-	// adopted session; expiry orders the same records for the tick.
+	dials   map[string]net.Addr // configured peers, by router id
+	links   []*link             // in the order they came up
+	pending map[string]*pendingDial
+	expiry  expiryQueue
+	// epoch anchors the interval's beat; nextRound is the next beat, or
+	// sooner when a route change pulled a round in.
+	epoch, nextRound time.Time
+	// work is the inbox the loop took last, kept for its capacity.
+	work inbox
+
+	// view guards routes (every reachable router) and owners (every
+	// ownership record until it expires, keyed by the adopted session).
+	view   sync.RWMutex
+	routes map[string]routeEntry
 	owners map[core.SessionID]*transport.OwnerAd
-	expiry expiryQueue
 
-	// Backbone-native instruments, registered in the owning server's
-	// registry so one /metrics scrape of a router also exposes its gossip
-	// plane: gossip rounds sealed out, owner-ad copies sealed out (flood,
-	// retransmission and link-up backlog alike), link handshakes completed
-	// (both roles), sealed envelopes dropped before dispatch (no link, bad
-	// key, replay), and envelopes refused at sealing because no datagram
-	// could carry them.
+	inMu sync.Mutex
+	in   inbox
+
+	// Instruments in the server's registry: rounds and owner-ad copies
+	// sealed (flood, retransmission and backlog alike), handshakes done
+	// (both roles), envelopes dropped before dispatch (no link, bad key,
+	// replay) and refused at sealing (no datagram could carry them).
 	gossipRounds   *metrics.Counter
 	ownerAdsSent   *metrics.Counter
 	handshakesDone *metrics.Counter
 	envelopeDrops  *metrics.Counter
 	oversizeDrops  *metrics.Counter
 
-	// trigger pulls the gossip loop's next round in after a route change;
-	// done stops the loop.
-	trigger chan struct{}
-	done    chan struct{}
-	closed  atomic.Bool
-	wg      sync.WaitGroup
+	done   chan struct{} // closed when the started loop returns
+	closed atomic.Bool
 }
 
 // NewNode starts a backbone node for server on conn (the router's
 // dedicated backbone socket) and installs itself as the server's
 // forwarder and handoff observer. Close the node before the server.
 func NewNode(conn net.PacketConn, server *transport.Server, cfg Config) *Node {
+	n := newNode(conn, server, cfg)
+	n.start()
+	return n
+}
+
+// newNode builds a node and starts nothing: until start, whoever calls
+// step and serve owns it.
+func newNode(conn net.PacketConn, server *transport.Server, cfg Config) *Node {
+	cfg = cfg.withDefaults()
+	now := cfg.Clock.Now()
 	n := &Node{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		id:        server.Router().ID(),
 		conn:      conn,
 		server:    server,
@@ -207,13 +214,11 @@ func NewNode(conn net.PacketConn, server *transport.Server, cfg Config) *Node {
 		framePool: batchio.NewPool(backboneFrameSize),
 		pt:        make([]byte, 0, 65536),
 		dials:     make(map[string]net.Addr),
-		links:     make(map[string]*link),
 		pending:   make(map[string]*pendingDial),
-		welcomes:  make(map[string]*welcomeReplay),
 		routes:    make(map[string]routeEntry),
 		owners:    make(map[core.SessionID]*transport.OwnerAd),
-		trigger:   make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		epoch:     now,
+		nextRound: now.Add(cfg.GossipInterval),
 	}
 	n.maxAdsPlaintext = backboneFrameSize - transport.HeaderSize - transport.LinkEnvelopeLen(n.id, 0)
 	reg := server.Stats().Registry()
@@ -225,17 +230,20 @@ func NewNode(conn net.PacketConn, server *transport.Server, cfg Config) *Node {
 	var batched bool
 	n.bc, batched = batchio.Upgrade(conn)
 	if batched {
-		// The read loop is the socket's only reader and reads it into
-		// 64 KiB slots, so GSO trains from the peers' egress may arrive
-		// whole and be split there.
+		// The loop alone reads the socket, into 64 KiB slots: a peer's GSO
+		// train may arrive whole and is split there.
 		batchio.EnableGRO(n.bc, n.stats.NoteRxSplit)
 	}
-	n.eg = batchio.NewEgress(n.bc, backboneIOBatch, backboneFlushDelay, n.framePool, nil)
+	n.ring = batchio.NewRing(backboneIOBatch, batchio.NewPool(65536))
+	n.eg = batchio.NewEgress(n.bc, backboneIOBatch, 0, n.framePool, nil)
 	server.SetBackbone(n, n)
-	n.wg.Add(2)
-	go n.readLoop()
-	go n.gossipLoop()
 	return n
+}
+
+// start hands the node to its loop goroutine.
+func (n *Node) start() {
+	n.done = make(chan struct{})
+	go n.run()
 }
 
 // ID returns the router identity this node speaks for.
@@ -247,25 +255,23 @@ func (n *Node) Addr() net.Addr { return n.conn.LocalAddr() }
 // AddPeer configures a backbone link to a peer router. Both ends
 // configure each other; the lexicographically smaller ID initiates the
 // handshake (a deterministic tie-break so simultaneous hellos cannot
-// derive mismatched keys) and sends its hello at once, the other answers.
+// derive mismatched keys) and sends its hello when the loop takes the
+// request, the other answers.
 func (n *Node) AddPeer(id string, addr net.Addr) {
-	n.mu.Lock()
-	n.dials[id] = addr
-	frame := n.dial(id, n.cfg.Clock.Now())
-	n.mu.Unlock()
-	if frame != nil {
-		n.eg.Queue(frame, addr)
-		n.eg.Flush()
-	}
+	opened := n.lockInbox(n.cfg.Clock.Now())
+	n.in.peers = append(n.in.peers, peer{id: id, addr: addr})
+	n.unlockInbox(opened)
 }
 
 // LivePeers returns the IDs of currently established links.
 func (n *Node) LivePeers() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.links))
-	for id := range n.links {
-		out = append(out, id)
+	n.view.RLock()
+	defer n.view.RUnlock()
+	var out []string
+	for id, e := range n.routes {
+		if e.via == id {
+			out = append(out, id)
+		}
 	}
 	return out
 }
@@ -275,41 +281,41 @@ func (n *Node) HopsTo(router string) (int, bool) {
 	if router == n.id {
 		return 0, true
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.links[router] != nil {
-		return 1, true
-	}
-	if e, ok := n.routes[router]; ok {
-		return int(e.hops), true
-	}
-	return 0, false
+	n.view.RLock()
+	e, ok := n.routes[router]
+	n.view.RUnlock()
+	return int(e.hops), ok
 }
 
 // OwnerOf returns which router currently owns a roamed session, if this
 // node has seen its ownership announcement and the grace window is open.
 func (n *Node) OwnerOf(sid core.SessionID) (string, bool) {
 	now := n.cfg.Clock.Now()
-	n.mu.Lock()
+	n.view.RLock()
 	ad := n.owners[sid]
-	n.mu.Unlock()
+	n.view.RUnlock()
 	if ad == nil || !now.Before(ad.Expires) {
 		return "", false
 	}
 	return ad.Owner, true
 }
 
-// Close stops the loops and closes the backbone socket. The egress is
-// closed first so its final flush still has a live socket under it.
-// Sessions whose grace window is still open stay with the router.
+// Close stops the loop, then does and flushes whatever the inbox still
+// holds before it closes the socket. Sessions whose grace window is still
+// open stay with the router.
 func (n *Node) Close() {
 	if n.closed.Swap(true) {
 		return
 	}
-	close(n.done)
+	if n.done != nil {
+		_ = n.conn.SetReadDeadline(time.Unix(1, 0))
+		<-n.done
+	}
+	// The loop is gone: this goroutine owns the node now.
+	n.drain(n.cfg.Clock.Now())
 	n.eg.Close()
+	n.ring.Close()
 	_ = n.conn.Close()
-	n.wg.Wait()
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -318,86 +324,146 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-// ---- transport hooks -------------------------------------------------
+// ---- transport hooks and the inbox ------------------------------------
 
 // ForwardData implements transport.Forwarder: a data frame for a session
 // this router no longer holds is relayed toward the adopting router when
-// an unexpired ownership record exists. The frame is marshaled before
-// returning (it aliases the server's receive buffer).
+// an unexpired ownership record names it and a route to it is known. The
+// frame is marshaled before returning (it aliases the server's receive
+// buffer); the loop seals it.
 func (n *Node) ForwardData(f *core.DataFrame) bool {
-	owner, ok := n.OwnerOf(f.Session)
-	if !ok || owner == n.id {
+	now := n.cfg.Clock.Now()
+	n.view.RLock()
+	ad := n.owners[f.Session]
+	routed := false
+	if ad != nil {
+		_, routed = n.routes[ad.Owner]
+	}
+	n.view.RUnlock()
+	if !routed || !now.Before(ad.Expires) {
 		return false
 	}
-	body := &transport.RelayBody{
-		Target:  owner,
-		Origin:  n.id,
-		TTL:     uint8(n.cfg.RelayTTL),
-		Payload: f.Marshal(),
-	}
-	return n.relay(body)
+	body := transport.RelayBody{Target: ad.Owner, Origin: n.id, TTL: relayTTL, Payload: f.Marshal()}
+	opened := n.lockInbox(now)
+	n.in.relays = append(n.in.relays, body)
+	n.unlockInbox(opened)
+	return true
 }
 
 // HandoffAdopted implements transport.HandoffObserver: the local server
-// adopted a roamed session, so install the ownership record and flood
-// the announcement.
+// adopted a roamed session, so the loop installs the ownership record
+// and floods it, together with the adoptions handed in with it.
 func (n *Node) HandoffAdopted(prev, next core.SessionID, prevRouter string) {
 	now := n.cfg.Clock.Now()
-	ad := &transport.OwnerAd{
+	opened := n.lockInbox(now)
+	n.in.ads = append(n.in.ads, transport.OwnerAd{
 		Next:       next,
 		Prev:       prev,
 		Owner:      n.id,
 		PrevRouter: prevRouter,
 		Expires:    now.Add(n.cfg.GraceWindow),
+	})
+	n.unlockInbox(opened)
+}
+
+// lockInbox takes the inbox to hand it work at now, and reports whether
+// that opens the inbox's window: it was empty.
+func (n *Node) lockInbox(now time.Time) (opened bool) {
+	n.inMu.Lock()
+	if n.in.empty() {
+		n.in.since = now
+		return true
 	}
-	n.integrateOwner(ad, "", now)
+	return false
+}
+
+// unlockInbox releases the inbox. A window just opened pulls the
+// driver's read deadline in to when it closes, which can postpone a
+// deadline the driver set sooner by at most backboneFlushDelay.
+func (n *Node) unlockInbox(opened bool) {
+	n.inMu.Unlock()
+	if opened {
+		_ = n.conn.SetReadDeadline(time.Now().Add(backboneFlushDelay))
+	}
+}
+
+// window returns when the inbox's work is due, if it holds any.
+func (n *Node) window() (time.Time, bool) {
+	n.inMu.Lock()
+	defer n.inMu.Unlock()
+	return n.in.since.Add(backboneFlushDelay), !n.in.empty()
+}
+
+// drain takes the inbox, due or not, hands back the last one's capacity,
+// and does the work at now: configured peers are dialled, adoptions
+// integrated and flooded, relays sealed.
+func (n *Node) drain(now time.Time) {
+	n.inMu.Lock()
+	n.in, n.work = n.work, n.in
+	n.inMu.Unlock()
+	w := &n.work
+	for _, p := range w.peers {
+		n.dials[p.id] = p.addr
+		if frame := n.dial(p.id, now); frame != nil {
+			n.eg.Queue(frame, p.addr)
+		}
+	}
+	n.integrateOwners(w.ads, "", now)
+	for i := range w.relays {
+		n.relay(&w.relays[i])
+	}
+	clear(w.ads)
+	clear(w.relays)
+	clear(w.peers)
+	w.ads, w.relays, w.peers = w.ads[:0], w.relays[:0], w.peers[:0]
 }
 
 // ---- owner / handoff plane -------------------------------------------
 
-// integrateOwner installs one ownership record if it is new and still
-// open at now, counts a transfer away from this router (the tick
-// releases the session when the record expires), and floods the ad to
-// every link except the one it arrived on: numbered for each link,
-// queued there until the peer acknowledges it, sealed at once. Duplicate
-// announcements — flood echoes, retransmissions, backlogs — dedup on the
-// adopted session ID and do nothing; an ad that arrives expired is
-// dropped, never resurrected.
-func (n *Node) integrateOwner(ad *transport.OwnerAd, from string, now time.Time) {
-	if !now.Before(ad.Expires) {
-		return
+// integrateOwners installs the ownership records that are new and still
+// open at now, counts each transfer away from this router (the tick
+// releases it at expiry), and floods the new ones to every link but the
+// one they came on: numbered for the link, queued there until the peer
+// acknowledges them, sealed at once. Duplicates — flood echoes,
+// retransmissions, backlogs — dedup on the adopted session ID; an ad
+// that arrives expired is dropped, never resurrected.
+func (n *Node) integrateOwners(ads []transport.OwnerAd, from string, now time.Time) {
+	var fresh []*transport.OwnerAd
+	n.view.Lock()
+	for i := range ads {
+		if !now.Before(ads[i].Expires) || n.owners[ads[i].Next] != nil {
+			continue
+		}
+		rec := new(transport.OwnerAd)
+		*rec = ads[i]
+		rec.Seq = 0
+		n.owners[rec.Next] = rec
+		heap.Push(&n.expiry, rec)
+		fresh = append(fresh, rec)
 	}
-	var few [4]*link
-	targets := few[:0]
-	n.mu.Lock()
-	if n.owners[ad.Next] != nil {
-		n.mu.Unlock()
-		return
-	}
-	rec := *ad
-	rec.Seq = 0
-	n.owners[rec.Next] = &rec
-	heap.Push(&n.expiry, &rec)
-	for id, l := range n.links {
-		if id != from {
-			targets = append(targets, l)
+	n.view.Unlock()
+	for _, rec := range fresh {
+		if rec.PrevRouter == n.id && rec.Owner != n.id {
+			n.stats.NoteHandoffOut()
 		}
 	}
-	n.mu.Unlock()
-
-	if rec.PrevRouter == n.id && rec.Owner != n.id {
-		n.stats.NoteHandoffOut()
-	}
-	one := [1]transport.OwnerAd{rec}
-	for _, l := range targets {
-		one[0].Seq = l.enqueueAds(now, &rec)
-		n.sendAds(l, one[:])
+	for _, l := range n.links {
+		if l.peer == from || len(fresh) == 0 {
+			continue
+		}
+		seq := l.enqueueAds(now, fresh...)
+		numbered := make([]transport.OwnerAd, len(fresh))
+		for i, rec := range fresh {
+			numbered[i] = *rec
+			numbered[i].Seq = seq + uint64(i)
+		}
+		n.sendAds(l, numbered)
 	}
 }
 
 // sendAds seals numbered owner ads on one link as handoff announces,
 // each cut to fit one egress buffer. It is the only way an ad leaves:
-// the flood of a fresh handoff, a round's retransmissions and a new
+// the flood of fresh handoffs, a round's retransmissions and a new
 // link's backlog differ in how many ads they pass.
 func (n *Node) sendAds(l *link, ads []transport.OwnerAd) {
 	if len(ads) == 0 {
@@ -415,9 +481,8 @@ func (n *Node) sendAds(l *link, ads []transport.OwnerAd) {
 
 // sendSealed seals plaintext on one link into a pooled egress buffer —
 // frame header first (the envelope size is deterministic), envelope
-// sealed in place after it — and queues the datagram for the next
-// sendmmsg flush. An envelope no datagram can carry is counted and
-// dropped.
+// sealed in place after it — and queues the datagram for the step's
+// flush. An envelope no datagram can carry is counted and dropped.
 func (n *Node) sendSealed(l *link, kind transport.Kind, plaintext []byte) bool {
 	b := n.eg.Buffer()
 	frame, err := transport.AppendFrameHeader(b.B, kind, transport.LinkEnvelopeLen(n.id, len(plaintext)))
@@ -435,28 +500,19 @@ func (n *Node) sendSealed(l *link, kind transport.Kind, plaintext []byte) bool {
 // ---- relay plane ------------------------------------------------------
 
 // relay sends one relay body toward its target and counts the hop.
-func (n *Node) relay(body *transport.RelayBody) bool {
-	l := n.nextHop(body.Target)
-	if l == nil {
-		return false
+func (n *Node) relay(body *transport.RelayBody) {
+	e, ok := n.routes[body.Target]
+	if l := n.link(e.via); ok && l != nil && n.sendSealed(l, transport.KindRelay, body.Marshal()) {
+		n.stats.NoteFrameRelayed()
 	}
-	if !n.sendSealed(l, transport.KindRelay, body.Marshal()) {
-		return false
-	}
-	n.stats.NoteFrameRelayed()
-	return true
 }
 
-// nextHop picks the link toward a target router: direct when linked,
-// else the distance-vector route.
-func (n *Node) nextHop(target string) *link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if l := n.links[target]; l != nil {
-		return l
-	}
-	if e, ok := n.routes[target]; ok {
-		return n.links[e.via]
+// link returns the established link to a peer, or nil.
+func (n *Node) link(peer string) *link {
+	for _, l := range n.links {
+		if l.peer == peer {
+			return l
+		}
 	}
 	return nil
 }
@@ -465,8 +521,8 @@ func (n *Node) nextHop(target string) *link {
 // forward with a decremented TTL otherwise.
 func (n *Node) handleRelay(body *transport.RelayBody) {
 	if body.Target == n.id {
-		// Zero-copy delivery: decode into the read loop's scratch frame
-		// (handleRelay only runs there) and open into its plaintext buffer.
+		// Zero-copy delivery: decode into the node's scratch frame and
+		// open into its plaintext buffer.
 		if err := core.UnmarshalDataFrameInto(body.Payload, &n.scratchFrame); err != nil {
 			n.logf("backbone %s: relayed frame: %v", n.id, err)
 			return
@@ -496,149 +552,115 @@ func (n *Node) handleRelay(body *transport.RelayBody) {
 
 // ---- gossip plane ------------------------------------------------------
 
-// gossipLoop runs the tick: every GossipInterval, and triggerSpacing
-// after a route change asked for a round sooner (further changes inside
-// that spacing ride the same round).
-func (n *Node) gossipLoop() {
-	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.GossipInterval)
-	defer t.Stop()
-	pulled := false
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-n.trigger:
-			if !pulled && n.cfg.GossipInterval > triggerSpacing {
-				pulled = true
-				t.Reset(triggerSpacing)
-			}
-		case <-t.C:
-			if pulled {
-				pulled = false
-				t.Reset(n.cfg.GossipInterval)
-			}
-			n.tick(n.cfg.Clock.Now())
-		}
+// step is everything the node does at now but serve datagrams: take the
+// inbox once its window closed, tick once a round is due, and flush that
+// and what the datagrams served since provoked in one sendmmsg. It
+// returns the next deadline: the round or the inbox window.
+func (n *Node) step(now time.Time) time.Time {
+	if due, ok := n.window(); ok && !now.Before(due) {
+		n.drain(now)
 	}
+	if !now.Before(n.nextRound) {
+		n.tick(now)
+		// The next round is the interval's next beat, however far the
+		// clock jumped or a route change pulled this one in.
+		n.nextRound = now.Add(n.cfg.GossipInterval - now.Sub(n.epoch)%n.cfg.GossipInterval)
+	}
+	n.eg.Flush()
+	return n.deadline()
 }
 
-// triggerRound asks the gossip loop for a round within triggerSpacing.
-func (n *Node) triggerRound() {
-	select {
-	case n.trigger <- struct{}{}:
-	default:
+// deadline is the earlier of the next round and the inbox's window.
+func (n *Node) deadline() time.Time {
+	if due, ok := n.window(); ok && due.Before(n.nextRound) {
+		return due
+	}
+	return n.nextRound
+}
+
+// pullRound asks for a round within triggerSpacing of now; further
+// changes inside that spacing ride the same round.
+func (n *Node) pullRound(now time.Time) {
+	if t := now.Add(triggerSpacing); t.Before(n.nextRound) {
+		n.nextRound = t
 	}
 }
 
 // tick is the maintenance pass at now: expire silent links, (re)send the
-// hellos of configured-but-down links, drop expired ownership records —
-// releasing the sessions handed off from this router — and send one
-// round on every live link. Its cost follows the links, the routes and
-// the ads still unacknowledged, not the ads held.
+// hellos of configured-but-down links, drop expired ownership records,
+// releasing the sessions handed off from here, and seal a round on every
+// link. Its cost follows the links, routes and unacknowledged ads, not
+// the ads held. A closed node does nothing.
 func (n *Node) tick(now time.Time) {
 	if n.closed.Load() {
 		return
 	}
-	type hello struct {
-		frame []byte
-		addr  net.Addr
-	}
-	var hellos []hello
-	type round struct {
-		l      *link
-		routes []transport.RouteAd
-	}
-	var rounds []round
-	var released []core.SessionID
-
-	n.mu.Lock()
-	for id, l := range n.links {
-		if now.Sub(l.seen()) > n.cfg.PeerTimeout {
-			delete(n.links, id)
-			delete(n.welcomes, id)
-			for r, e := range n.routes {
-				if e.via == id {
-					delete(n.routes, r)
-				}
-			}
+	n.links = slices.DeleteFunc(n.links, func(l *link) bool {
+		if now.Sub(l.lastSeen) <= peerTimeoutRounds*n.cfg.GossipInterval {
+			return false
 		}
+		n.view.Lock()
+		maps.DeleteFunc(n.routes, func(_ string, e routeEntry) bool { return e.via == l.peer })
+		n.view.Unlock()
+		return true
+	})
+	ids := make([]string, 0, len(n.dials))
+	for id := range n.dials {
+		ids = append(ids, id)
 	}
-	for id, addr := range n.dials {
+	slices.Sort(ids) // an order the inputs decide keeps a stepped run reproducible
+	for _, id := range ids {
 		if frame := n.dial(id, now); frame != nil {
-			hellos = append(hellos, hello{frame: frame, addr: addr})
+			n.eg.Queue(frame, n.dials[id])
 		}
 	}
 	for len(n.expiry) > 0 && !now.Before(n.expiry[0].Expires) {
 		ad := heap.Pop(&n.expiry).(*transport.OwnerAd)
+		n.view.Lock()
 		delete(n.owners, ad.Next)
+		n.view.Unlock()
+		// The grace window of this handoff closed: in-flight frames stop
+		// forwarding, the audit log entry survives the release.
 		if ad.PrevRouter == n.id && ad.Owner != n.id {
-			released = append(released, ad.Prev)
+			n.router.ReleaseSession(ad.Prev)
 		}
 	}
-	for id, l := range n.links {
-		rounds = append(rounds, round{l: l, routes: n.routesFor(id)})
+	n.stats.SetGossipPeers(int64(len(n.links)))
+	for _, l := range n.links {
+		n.sendRound(l, now)
 	}
-	n.mu.Unlock()
-
-	// The grace window of these handoffs closed: in-flight frames stop
-	// forwarding, the audit log entries survive the release.
-	for _, sid := range released {
-		n.router.ReleaseSession(sid)
-	}
-	n.stats.SetGossipPeers(int64(len(rounds)))
-	for _, h := range hellos {
-		n.eg.Queue(h.frame, h.addr)
-	}
-	for _, r := range rounds {
-		n.sendRound(r.l, r.routes, now)
-	}
-	// One tick, one flush: hellos and every link's round leave together.
-	n.eg.Flush()
-}
-
-// routesFor composes the route list of a round to peer (under n.mu):
-// every other live link at one hop and the distance-vector table, with
-// split horizon — routes that go via peer are withheld.
-func (n *Node) routesFor(peer string) []transport.RouteAd {
-	routes := make([]transport.RouteAd, 0, len(n.routes)+len(n.links))
-	for r, e := range n.routes {
-		if e.via != peer && r != peer {
-			routes = append(routes, transport.RouteAd{Router: r, Hops: e.hops})
-		}
-	}
-	for id := range n.links {
-		if id != peer {
-			routes = append(routes, transport.RouteAd{Router: id, Hops: 1})
-		}
-	}
-	return routes
 }
 
 // sendRound seals one round on a link: the gossip body — boot epoch,
-// routes, the acknowledgement of the peer's ads — and behind it the
+// routes with split horizon (the peer itself and routes via it are
+// withheld), the acknowledgement of the peer's ads — and behind it the
 // link's own ads that are due, which on a link that just came up is
 // every unexpired ad and otherwise only what the peer has left
 // unacknowledged over a whole round of its own.
-func (n *Node) sendRound(l *link, routes []transport.RouteAd, now time.Time) {
+func (n *Node) sendRound(l *link, now time.Time) {
 	due, ack, base := l.dueAds(now)
-	body := &transport.GossipBody{BootEpoch: n.server.BootEpoch(), AdAck: ack, AdBase: base, Routes: routes}
+	body := &transport.GossipBody{BootEpoch: n.server.BootEpoch(), AdAck: ack, AdBase: base}
+	for r, e := range n.routes {
+		if e.via != l.peer && r != l.peer {
+			body.Routes = append(body.Routes, transport.RouteAd{Router: r, Hops: e.hops})
+		}
+	}
 	if n.sendSealed(l, transport.KindGossip, body.Marshal()) {
 		n.gossipRounds.Add(1)
 	}
 	n.sendAds(l, due)
 }
 
-// dial returns the hello to send toward a configured peer at now (under
-// n.mu), or nil: the link is up, the peer is the designated initiator,
-// or the pending hello went out less than an interval ago. A hello too
-// old to pass the peer's freshness check is replaced by a new one.
+// dial returns the hello to send toward a configured peer at now, or
+// nil: the link is up, the peer is the designated initiator, or the
+// pending hello went out less than an interval ago. A hello too old to
+// pass the peer's freshness check is replaced by a new one.
 func (n *Node) dial(peer string, now time.Time) []byte {
-	if n.links[peer] != nil || n.id >= peer {
+	if n.link(peer) != nil || n.id >= peer {
 		return nil
 	}
 	p := n.pending[peer]
-	if p == nil || now.Sub(p.signed) > n.cfg.HelloFreshness/2 {
+	if p == nil || now.Sub(p.signed) > helloFreshness/2 {
 		var err error
 		if p, err = n.newDial(now); err != nil {
 			n.logf("backbone %s: dial %s: %v", n.id, peer, err)
@@ -652,7 +674,7 @@ func (n *Node) dial(peer string, now time.Time) []byte {
 	return p.frame
 }
 
-// newDial builds a fresh signed hello (called under n.mu).
+// newDial builds a fresh signed hello.
 func (n *Node) newDial(now time.Time) (*pendingDial, error) {
 	c := n.router.Certificate()
 	if c == nil {
@@ -685,12 +707,20 @@ func (n *Node) newDial(now time.Time) (*pendingDial, error) {
 	return p, nil
 }
 
-// install makes l the link to its peer (under n.mu) and returns what its
-// first round carries: the routes, and every unexpired ownership record
-// queued on l as never sealed — the new link's ad sequence starts over,
-// which is what lets a router that was cut off, or rebooted, catch up.
-func (n *Node) install(l *link, now time.Time) []transport.RouteAd {
-	n.links[l.peer] = l
+// install makes l the link to its peer after a handshake in either role.
+// Every unexpired ownership record is queued on l as never sealed (the
+// rewind: the new link's ad sequence starts over, so a router cut off or
+// rebooted catches up), its first round leaves at once, and the other
+// links hear of the new neighbour within triggerSpacing.
+func (n *Node) install(l *link, now time.Time) {
+	if i := slices.IndexFunc(n.links, func(old *link) bool { return old.peer == l.peer }); i >= 0 {
+		n.links[i] = l
+	} else {
+		n.links = append(n.links, l)
+	}
+	n.view.Lock()
+	n.routes[l.peer] = routeEntry{via: l.peer, hops: 1}
+	n.view.Unlock()
 	backlog := make([]*transport.OwnerAd, 0, len(n.expiry))
 	for _, ad := range n.expiry {
 		if now.Before(ad.Expires) {
@@ -698,53 +728,52 @@ func (n *Node) install(l *link, now time.Time) []transport.RouteAd {
 		}
 	}
 	l.enqueueAds(time.Time{}, backlog...)
-	return n.routesFor(l.peer)
-}
-
-// linkUp follows a completed handshake in either role: the new link's
-// first round leaves at once, and the other links hear of the new
-// neighbour within triggerSpacing.
-func (n *Node) linkUp(l *link, routes []transport.RouteAd, now time.Time) {
 	n.handshakesDone.Add(1)
-	n.sendRound(l, routes, now)
-	n.triggerRound()
+	n.sendRound(l, now)
+	n.pullRound(now)
 }
 
 // integrateGossip folds one gossip round from a live peer into the link's
 // ad queue and the routing table; a route learned or shortened asks for
 // a round to pass it on.
-func (n *Node) integrateGossip(l *link, body *transport.GossipBody) {
+func (n *Node) integrateGossip(l *link, body *transport.GossipBody, now time.Time) {
 	l.peerRound(body.AdAck, body.AdBase)
-	improved := false
-	n.mu.Lock()
+	n.view.Lock()
+	defer n.view.Unlock()
 	for _, ad := range body.Routes {
-		if ad.Router == n.id || ad.Hops+1 > n.cfg.MaxHops {
+		if ad.Router == n.id || ad.Router == l.peer || ad.Hops+1 > maxHops {
 			continue
 		}
 		cand := routeEntry{via: l.peer, hops: ad.Hops + 1}
 		cur, ok := n.routes[ad.Router]
-		better := !ok || cand.hops < cur.hops
-		if better || cur.via == l.peer {
+		if better := !ok || cand.hops < cur.hops; better || cur.via == l.peer {
 			n.routes[ad.Router] = cand
+			if better {
+				n.pullRound(now)
+			}
 		}
-		improved = improved || better
-	}
-	n.mu.Unlock()
-	if improved {
-		n.triggerRound()
 	}
 }
 
 // ---- socket loop -------------------------------------------------------
 
-func (n *Node) readLoop() {
-	defer n.wg.Done()
-	ring := batchio.NewRing(backboneIOBatch, batchio.NewPool(65536))
-	defer ring.Close()
+// run is the started node's one goroutine. Each pass steps, sets the read
+// deadline to the step's next deadline, re-checks the inbox (a wake that
+// landed before the deadline was set would be lost) and reads a batch,
+// which the next step flushes behind. A timeout is a step, not an error.
+func (n *Node) run() {
+	defer close(n.done)
 	for {
-		ms := ring.Prepare()
-		nr, err := n.bc.ReadBatch(ms)
-		if err != nil {
+		now := n.cfg.Clock.Now()
+		next := n.step(now)
+		_ = n.conn.SetReadDeadline(time.Now().Add(next.Sub(now)))
+		if n.closed.Load() {
+			return
+		}
+		if due := n.deadline(); due.Before(next) {
+			_ = n.conn.SetReadDeadline(time.Now().Add(due.Sub(now)))
+		}
+		if err := n.serve(); err != nil {
 			if n.closed.Load() {
 				return
 			}
@@ -754,20 +783,28 @@ func (n *Node) readLoop() {
 			n.logf("backbone %s: read: %v", n.id, err)
 			return
 		}
-		for i := 0; i < nr; i++ {
-			n.dispatch(&ms[i])
-		}
-		// Everything a batch provoked (relay forwards, flood echoes,
-		// welcomes) leaves in one sendmmsg.
-		n.eg.Flush()
 	}
 }
 
-// dispatch decodes and serves one ingest slot. Every decoder below
+// serve reads one batch from the socket and dispatches it.
+func (n *Node) serve() error {
+	ms := n.ring.Prepare()
+	nr, err := n.bc.ReadBatch(ms)
+	if err != nil {
+		return err
+	}
+	now := n.cfg.Clock.Now()
+	for i := 0; i < nr; i++ {
+		n.dispatch(&ms[i], now)
+	}
+	return nil
+}
+
+// dispatch decodes and serves one ingest slot at now. Every decoder below
 // copies what it keeps, so the slot is free for reuse on return; only
 // the hello path clones the peer address, which outlives the batch
 // inside the installed link.
-func (n *Node) dispatch(m *batchio.Message) {
+func (n *Node) dispatch(m *batchio.Message, now time.Time) {
 	kind, payload, err := transport.DecodeFrame(m.Payload())
 	if err != nil {
 		return
@@ -778,33 +815,30 @@ func (n *Node) dispatch(m *batchio.Message) {
 		if err != nil {
 			return
 		}
-		n.handleHello(h, batchio.CloneAddr(m.Addr))
+		n.handleHello(h, batchio.CloneAddr(m.Addr), now)
 	case transport.KindRouterWelcome:
 		w, err := transport.UnmarshalRouterWelcome(payload)
 		if err != nil {
 			return
 		}
-		n.handleWelcome(w)
+		n.handleWelcome(w, now)
 	case transport.KindGossip, transport.KindRelay, transport.KindHandoffAnnounce:
 		env, err := transport.UnmarshalLinkEnvelope(payload)
 		if err != nil {
 			return
 		}
-		n.handleEnvelope(kind, env)
+		n.handleEnvelope(kind, env, now)
 	}
 }
 
 // handleEnvelope opens a sealed envelope on the sender's link and
 // dispatches its plaintext.
-func (n *Node) handleEnvelope(kind transport.Kind, env *transport.LinkEnvelope) {
-	n.mu.Lock()
-	l := n.links[env.From]
-	n.mu.Unlock()
+func (n *Node) handleEnvelope(kind transport.Kind, env *transport.LinkEnvelope, now time.Time) {
+	l := n.link(env.From)
 	if l == nil {
 		n.envelopeDrops.Add(1)
 		return
 	}
-	now := n.cfg.Clock.Now()
 	pt, err := l.open(kind, env, now)
 	if err != nil {
 		// Replays, stale keys after a peer restart, corrupted datagrams —
@@ -818,7 +852,7 @@ func (n *Node) handleEnvelope(kind transport.Kind, env *transport.LinkEnvelope) 
 		if err != nil {
 			return
 		}
-		n.integrateGossip(l, body)
+		n.integrateGossip(l, body, now)
 	case transport.KindRelay:
 		body, err := transport.UnmarshalRelayBody(pt)
 		if err != nil {
@@ -831,16 +865,14 @@ func (n *Node) handleEnvelope(kind transport.Kind, env *transport.LinkEnvelope) 
 			return
 		}
 		l.noteAds(ads)
-		for i := range ads {
-			n.integrateOwner(&ads[i], env.From, now)
-		}
+		n.integrateOwners(ads, env.From, now)
 	}
 }
 
 // checkPeerCert verifies a handshake certificate against the NO
 // authority and the installed CRL, and the handshake signature under it.
 func (n *Node) checkPeerCert(c *cert.Certificate, signedBody, sig []byte, ts, now time.Time) error {
-	if d := now.Sub(ts); d > n.cfg.HelloFreshness || d < -n.cfg.HelloFreshness {
+	if d := now.Sub(ts); d > helloFreshness || d < -helloFreshness {
 		return fmt.Errorf("handshake timestamp stale")
 	}
 	if err := cert.CheckCertificate(c, n.router.RouterRevoked, n.router.Authority(), now); err != nil {
@@ -852,23 +884,18 @@ func (n *Node) checkPeerCert(c *cert.Certificate, signedBody, sig []byte, ts, no
 // handleHello answers a link handshake as the responder: verify the
 // initiator's credentials, derive fresh link keys, install the link and
 // send back a signed welcome with the link's first round behind it. A
-// retransmitted hello (same nonce) gets the cached welcome, keeping
-// exactly one key derivation per handshake.
-func (n *Node) handleHello(m *transport.RouterHello, addr net.Addr) {
+// retransmitted hello (same nonce) gets the link's welcome again,
+// keeping exactly one key derivation per handshake.
+func (n *Node) handleHello(m *transport.RouterHello, addr net.Addr, now time.Time) {
 	peer := m.Cert.SubjectID
 	if peer == n.id {
 		return
 	}
-
-	n.mu.Lock()
-	cached := n.welcomes[peer]
-	n.mu.Unlock()
-	if cached != nil && cached.nonce == m.Nonce {
-		n.eg.Queue(cached.frame, addr)
+	if l := n.link(peer); l != nil && l.welcome != nil && l.hello == m.Nonce {
+		n.eg.Queue(l.welcome, addr)
 		return
 	}
 
-	now := n.cfg.Clock.Now()
 	if err := n.checkPeerCert(m.Cert, m.SignedBody(), m.Sig, m.Timestamp, now); err != nil {
 		n.logf("backbone %s: hello from %s refused: %v", n.id, peer, err)
 		return
@@ -907,30 +934,22 @@ func (n *Node) handleHello(m *transport.RouterHello, addr net.Addr) {
 		return
 	}
 
-	keys := deriveLinkKeys(dh, peer, n.id, m.Share, share, m.Nonce[:], w.Nonce[:])
-	l := newLink(peer, addr, keys, now)
-	n.mu.Lock()
-	routes := n.install(l, now)
-	n.welcomes[peer] = &welcomeReplay{nonce: m.Nonce, frame: frame}
-	n.mu.Unlock()
-
+	l := newLink(peer, addr, deriveLinkKeys(dh, peer, n.id, m.Share, share, m.Nonce[:], w.Nonce[:]), now)
+	l.hello, l.welcome = m.Nonce, frame
 	// The welcome goes first: the initiator has no link to open the round
 	// on before it.
 	n.eg.Queue(frame, addr)
-	n.linkUp(l, routes, now)
+	n.install(l, now)
 }
 
 // handleWelcome completes a handshake this node initiated.
-func (n *Node) handleWelcome(m *transport.RouterWelcome) {
+func (n *Node) handleWelcome(m *transport.RouterWelcome, now time.Time) {
 	peer := m.Cert.SubjectID
-	n.mu.Lock()
 	p := n.pending[peer]
 	addr := n.dials[peer]
-	n.mu.Unlock()
 	if p == nil || addr == nil || m.Echo != p.nonce {
 		return // stale or unsolicited
 	}
-	now := n.cfg.Clock.Now()
 	if err := n.checkPeerCert(m.Cert, m.SignedBody(), m.Sig, m.Timestamp, now); err != nil {
 		n.logf("backbone %s: welcome from %s refused: %v", n.id, peer, err)
 		return
@@ -940,12 +959,6 @@ func (n *Node) handleWelcome(m *transport.RouterWelcome) {
 		return
 	}
 	dh := new(bn256.G1).ScalarMult(peerShare, p.scalar).Marshal()
-	keys := deriveLinkKeys(dh, n.id, peer, p.share, m.Share, p.nonce[:], m.Nonce[:])
-	l := newLink(peer, addr, keys, now)
-
-	n.mu.Lock()
 	delete(n.pending, peer)
-	routes := n.install(l, now)
-	n.mu.Unlock()
-	n.linkUp(l, routes, now)
+	n.install(newLink(peer, addr, deriveLinkKeys(dh, n.id, peer, p.share, m.Share, p.nonce[:], m.Nonce[:]), now), now)
 }

@@ -1,11 +1,11 @@
 package backbone_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,86 +15,109 @@ import (
 	"github.com/peace-mesh/peace/internal/transport"
 )
 
-// The control-plane tests run backbone nodes in a line over seeded
-// chaos.Conn sockets, with protocol time on a clock the test owns:
-// rounds happen when the test calls Tick, never because time passed, and
-// every wait is for an event (a datagram processed, a record installed).
-// The nodes' own tickers stay armed with the production interval; a tick
-// of theirs reads the same frozen clock and at most repeats a round.
+// The control-plane tests run backbone nodes over an in-memory datagram
+// fabric, each endpoint wrapped in a seeded chaos.Conn, with protocol
+// time on a clock the test owns. No node runs a goroutine: the test
+// steps every node and then delivers until no datagram is in flight, so
+// a run depends on its seeds and nothing else.
 
 const (
 	planeInterval = 200 * time.Millisecond
 	planeGrace    = 10 * time.Second
+	// maxDeliveryRounds bounds one delivery: nodes still answering each
+	// other after that many rounds are in a livelock.
+	maxDeliveryRounds = 1000
 )
 
-// testClock is a core.FixedClock the nodes' goroutines may read while
-// the test advances it.
-type testClock struct {
-	mu sync.Mutex
-	c  core.FixedClock
+// fabric is an in-memory datagram network. Each endpoint has a fake UDP
+// address and a queue; a write lands in the queue of the endpoint it
+// addresses, or nowhere.
+type fabric struct {
+	ends map[string]*endpoint
 }
 
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.c.Now()
+type datagram struct {
+	data []byte
+	from net.Addr
 }
 
-func (c *testClock) Advance(d time.Duration) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.c.Advance(d)
-	return c.c.Now()
+// endpoint is one fabric address as a net.PacketConn. A read with
+// nothing queued fails at once with a timeout, like a socket whose
+// deadline passed.
+type endpoint struct {
+	f      *fabric
+	addr   *net.UDPAddr
+	queue  []datagram
+	closed bool
 }
 
-// frameLog sits between a node and its socket and records, per frame
-// kind, how many datagrams the node wrote and the largest one, plus how
-// many datagrams reached its read loop.
-type frameLog struct {
-	net.PacketConn
-	mu     sync.Mutex
+func (f *fabric) listen() *endpoint {
+	e := &endpoint{f: f, addr: &net.UDPAddr{IP: net.IPv4(10, 0, 0, byte(len(f.ends)+1)), Port: 7000}}
+	f.ends[e.addr.String()] = e
+	return e
+}
+
+func (e *endpoint) WriteTo(p []byte, addr net.Addr) (int, error) {
+	if e.closed {
+		return 0, net.ErrClosed
+	}
+	if dst := e.f.ends[addr.String()]; dst != nil && !dst.closed {
+		dst.queue = append(dst.queue, datagram{data: bytes.Clone(p), from: e.addr})
+	}
+	return len(p), nil
+}
+
+func (e *endpoint) ReadFrom(p []byte) (int, net.Addr, error) {
+	if e.closed {
+		return 0, nil, net.ErrClosed
+	}
+	if len(e.queue) == 0 {
+		return 0, nil, drained{}
+	}
+	d := e.queue[0]
+	e.queue = e.queue[1:]
+	return copy(p, d.data), d.from, nil
+}
+
+func (e *endpoint) Close() error {
+	e.closed, e.queue = true, nil
+	return nil
+}
+
+func (e *endpoint) LocalAddr() net.Addr              { return e.addr }
+func (e *endpoint) SetDeadline(time.Time) error      { return nil }
+func (e *endpoint) SetReadDeadline(time.Time) error  { return nil }
+func (e *endpoint) SetWriteDeadline(time.Time) error { return nil }
+
+// drained is the error of a read from an empty endpoint.
+type drained struct{}
+
+func (drained) Error() string   { return "fabric: nothing queued" }
+func (drained) Timeout() bool   { return true }
+func (drained) Temporary() bool { return true }
+
+// frameStats counts, per frame kind, the datagrams a node wrote (before
+// faults) and the largest one.
+type frameStats struct {
 	wrote  map[transport.Kind]int
 	widest map[transport.Kind]int
-	moved  int // datagrams written or read
 }
 
-func (f *frameLog) WriteTo(p []byte, addr net.Addr) (int, error) {
-	f.mu.Lock()
-	if kind, _, err := transport.DecodeFrame(p); err == nil {
-		f.wrote[kind]++
-		f.widest[kind] = max(f.widest[kind], len(p))
-	}
-	f.moved++
-	f.mu.Unlock()
-	return f.PacketConn.WriteTo(p, addr)
-}
-
-func (f *frameLog) ReadFrom(p []byte) (int, net.Addr, error) {
-	n, addr, err := f.PacketConn.ReadFrom(p)
-	if err == nil {
-		f.mu.Lock()
-		f.moved++
-		f.mu.Unlock()
-	}
-	return n, addr, err
-}
-
-func (f *frameLog) stat(kind transport.Kind) (wrote, widest int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.wrote[kind], f.widest[kind]
+func (s *frameStats) stat(kind transport.Kind) (wrote, widest int) {
+	return s.wrote[kind], s.widest[kind]
 }
 
 // plane is n routers of one NO with a backbone node each, unlinked until
 // the test links them.
 type plane struct {
 	t       testing.TB
-	clock   *testClock
+	clock   *core.FixedClock
 	net     *transport.LocalNetwork
 	servers []*transport.Server
 	nodes   []*backbone.Node
+	ends    []*endpoint
 	faults  []*chaos.Conn
-	logs    []*frameLog
+	logs    []*frameStats
 }
 
 func newPlane(t testing.TB, n int, cfg backbone.Config) *plane {
@@ -103,9 +126,15 @@ func newPlane(t testing.TB, n int, cfg backbone.Config) *plane {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The routers' certificates are issued on the system clock, so
-	// protocol time starts at the present and only moves when told to.
-	p := &plane{t: t, net: ln, clock: &testClock{c: core.FixedClock{T: time.Now()}}}
+	return newPlaneOn(t, ln, n, cfg, 7)
+}
+
+// newPlaneOn builds a plane over the first n routers of ln, seeding the
+// fault streams from seed. Protocol time starts a day before the
+// routers' certificates expire and only moves when the test says so.
+func newPlaneOn(t testing.TB, ln *transport.LocalNetwork, n int, cfg backbone.Config, seed int64) *plane {
+	t.Helper()
+	p := &plane{t: t, net: ln, clock: &core.FixedClock{T: ln.Routers[0].Certificate().ExpiresAt.Add(-24 * time.Hour)}}
 	if cfg.Clock == nil {
 		cfg.Clock = p.clock
 	}
@@ -115,20 +144,25 @@ func newPlane(t testing.TB, n int, cfg backbone.Config) *plane {
 	if cfg.GraceWindow == 0 {
 		cfg.GraceWindow = planeGrace
 	}
+	fab := &fabric{ends: map[string]*endpoint{}}
 	for i := 0; i < n; i++ {
 		user, err := net.ListenPacket("udp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := transport.NewServer(user, ln.Routers[i], transport.ServerConfig{BootEpoch: uint64(100 + i)})
-		bb, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fault := chaos.Wrap(bb, chaos.FaultPlan{}, chaos.FaultPlan{}, int64(7+i))
-		log := &frameLog{PacketConn: fault, wrote: map[transport.Kind]int{}, widest: map[transport.Kind]int{}}
-		node := backbone.NewNode(log, srv, cfg)
+		end := fab.listen()
+		fault := chaos.Wrap(end, chaos.FaultPlan{}, chaos.FaultPlan{}, seed+int64(i))
+		log := &frameStats{wrote: map[transport.Kind]int{}, widest: map[transport.Kind]int{}}
+		fault.Tap(func(dir chaos.Direction, _ net.Addr, data []byte) {
+			if kind, _, err := transport.DecodeFrame(data); err == nil && dir == chaos.Sent {
+				log.wrote[kind]++
+				log.widest[kind] = max(log.widest[kind], len(data))
+			}
+		})
+		node := backbone.NewStepped(fault, srv, cfg)
 		p.servers = append(p.servers, srv)
+		p.ends = append(p.ends, end)
 		p.faults = append(p.faults, fault)
 		p.logs = append(p.logs, log)
 		p.nodes = append(p.nodes, node)
@@ -146,14 +180,33 @@ func (p *plane) link(i, j int) {
 	p.nodes[j].AddPeer(p.nodes[i].ID(), p.nodes[i].Addr())
 }
 
-// linkLine links the first n nodes into a line and waits until each has
-// a route to every other.
+// connect links i–j for every pair of edges and brings the links up on
+// triggered rounds alone, at most one triggerSpacing of protocol time per
+// router, failing the test unless converged holds then.
+func (p *plane) connect(edges [][2]int, converged func() bool) {
+	p.t.Helper()
+	for _, e := range edges {
+		p.link(e[0], e[1])
+	}
+	p.stepNodes()
+	for r := 0; r < len(p.nodes) && !converged(); r++ {
+		p.clock.Advance(backbone.TriggerSpacing)
+		p.stepNodes()
+	}
+	if !converged() {
+		p.t.Fatal("the links did not converge on triggered rounds")
+	}
+}
+
+// linkLine links the first n nodes into a line, and brings it up until
+// each routes to every other at its distance along the line.
 func (p *plane) linkLine(n int) {
 	p.t.Helper()
+	var edges [][2]int
 	for k := 0; k+1 < n; k++ {
-		p.link(k, k+1)
+		edges = append(edges, [2]int{k, k + 1})
 	}
-	p.waitFor("line converged", func() bool {
+	p.connect(edges, func() bool {
 		for i, a := range p.nodes[:n] {
 			for j, b := range p.nodes[:n] {
 				if h, ok := a.HopsTo(b.ID()); !ok || h != max(i-j, j-i) {
@@ -165,49 +218,55 @@ func (p *plane) linkLine(n int) {
 	})
 }
 
-func (p *plane) waitFor(what string, cond func() bool) {
+// deliver serves queued datagrams, node by node, until none is in
+// flight.
+func (p *plane) deliver() {
 	p.t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			p.t.Fatalf("timed out waiting for %s", what)
+	now := p.clock.Now()
+	for round := 0; ; round++ {
+		if round == maxDeliveryRounds {
+			p.t.Fatalf("datagrams still in flight after %d delivery rounds: livelock", round)
 		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// settle waits until no node has written or read a datagram for a few
-// milliseconds: everything the last step provoked has been processed.
-func (p *plane) settle() {
-	moved := func() int {
-		total := 0
-		for _, l := range p.logs {
-			l.mu.Lock()
-			total += l.moved
-			l.mu.Unlock()
+		busy := false
+		for i, n := range p.nodes {
+			if len(p.ends[i].queue) > 0 {
+				busy = true
+				n.Serve(now)
+			}
 		}
-		return total
-	}
-	for last, quiet := moved(), 0; quiet < 3; {
-		time.Sleep(time.Millisecond)
-		if now := moved(); now != last {
-			last, quiet = now, 0
-		} else {
-			quiet++
+		if !busy {
+			return
 		}
 	}
 }
 
-// step is one interval of protocol time: the clock moves on and every
-// node runs its tick, one after the other as the unsynchronised tickers
-// of real routers would, each round processed before the next leaves.
-func (p *plane) step() time.Time {
-	now := p.clock.Advance(planeInterval)
+// stepNodes steps every node at the present protocol time, one after the
+// other as the unsynchronised loops of real routers would, delivering
+// what each step sent before the next node steps.
+func (p *plane) stepNodes() {
+	p.t.Helper()
+	now := p.clock.Now()
 	for _, n := range p.nodes {
-		n.Tick(now)
-		p.settle()
+		n.Step(now)
+		p.deliver()
 	}
-	return now
+}
+
+// flushInboxes lets the inbox window pass: every node takes what was
+// handed to it and sends what that provokes.
+func (p *plane) flushInboxes() {
+	p.t.Helper()
+	p.clock.Advance(backbone.FlushDelay)
+	p.stepNodes()
+}
+
+// step is one interval of protocol time: the clock moves on, and every
+// node steps — which runs its tick — with its round delivered.
+func (p *plane) step() time.Time {
+	p.t.Helper()
+	p.clock.Advance(planeInterval)
+	p.stepNodes()
+	return p.clock.Now()
 }
 
 func (p *plane) counter(i int, name string) int64 {
@@ -222,7 +281,8 @@ func sid(label string, i int) core.SessionID {
 }
 
 // adopt has node at announce count handoffs labelled label, away from
-// the router of node from, and returns the adopted session IDs.
+// the router of node from, and returns the adopted session IDs. The node
+// floods them at its first step once the inbox window has passed.
 func (p *plane) adopt(at, from int, label string, lo, hi int) []core.SessionID {
 	ids := make([]core.SessionID, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -244,6 +304,21 @@ func (p *plane) knows(i int, ids []core.SessionID, owner string) int {
 	return n
 }
 
+// hold installs a session at router i under the prev ID of handoff
+// label/k, as if it had been attached there, and returns the ID.
+func (p *plane) hold(i int, label string, k int) core.SessionID {
+	id := sid(label+"/prev", k)
+	sess := core.ResumeSession(id, []byte("secret"), []byte("cn"), []byte("sn"), "user", p.clock.Now())
+	sess.ID = id
+	p.net.Routers[i].AdoptResumedSession(sess, nil)
+	return id
+}
+
+func (p *plane) held(i int, id core.SessionID) bool {
+	_, ok := p.net.Routers[i].SessionByID(id)
+	return ok
+}
+
 // TestGossipRoundFitsBufferAtAnyRate holds a three-node line at 6,000
 // live ads — one benchmark epoch of roam_handoff — for longer than
 // PeerTimeout. Every tick must seal a round on every link, no gossip or
@@ -260,38 +335,37 @@ func TestGossipRoundFitsBufferAtAnyRate(t *testing.T) {
 	for i := range ids {
 		ids[i] = p.adopt(i, (i+1)%3, fmt.Sprintf("rate-%d", i), 0, perNode)
 	}
-	everyoneKnows := func(nodes int) func() bool {
-		return func() bool {
-			for i := 0; i < nodes; i++ {
-				for o := range ids {
-					if p.knows(i, ids[o], p.nodes[o].ID()) != perNode {
-						return false
-					}
+	everyoneKnows := func(nodes int) bool {
+		for i := 0; i < nodes; i++ {
+			for o := range ids {
+				if p.knows(i, ids[o], p.nodes[o].ID()) != perNode {
+					return false
 				}
 			}
-			return true
 		}
+		return true
 	}
-	// The floods race each other into loopback socket buffers; whatever
-	// one of them loses, the rounds below re-send.
 	links := []int{1, 2, 1}
 	for tick := 0; tick < 20; tick++ { // 4 s of protocol time; PeerTimeout is 3 s
 		var before [3]int64
 		for i := range before {
 			before[i] = p.counter(i, "backbone_gossip_rounds")
 		}
-		now := p.clock.Advance(planeInterval)
+		p.clock.Advance(planeInterval)
+		now := p.clock.Now()
 		for i := 0; i < 3; i++ {
-			p.nodes[i].Tick(now)
+			p.nodes[i].Step(now)
 		}
 		for i := range before {
 			if got := p.counter(i, "backbone_gossip_rounds") - before[i]; got < int64(links[i]) {
 				t.Fatalf("tick %d: %s sealed %d rounds on %d links", tick, p.nodes[i].ID(), got, links[i])
 			}
 		}
-		p.settle()
+		p.deliver()
 	}
-	p.waitFor("6,000 ads at every node", everyoneKnows(3))
+	if !everyoneKnows(3) {
+		t.Fatal("6,000 ads not at every node after 20 rounds")
+	}
 	for i := 0; i < 3; i++ {
 		if got := len(p.nodes[i].LivePeers()); got != links[i] {
 			t.Errorf("%s holds %d live links after 4 s of rounds, want %d", p.nodes[i].ID(), got, links[i])
@@ -300,15 +374,16 @@ func TestGossipRoundFitsBufferAtAnyRate(t *testing.T) {
 
 	// A fourth router joins the far end: routes still travel, and its link
 	// starts from every unexpired ad.
-	p.link(2, 3)
-	p.waitFor("route from the first router to the late joiner", func() bool {
+	p.connect([][2]int{{2, 3}}, func() bool {
 		h, ok := p.nodes[0].HopsTo(p.nodes[3].ID())
 		return ok && h == 3
 	})
-	for tick := 0; tick < 3 && !everyoneKnows(4)(); tick++ {
+	for tick := 0; tick < 3 && !everyoneKnows(4); tick++ {
 		p.step()
 	}
-	p.waitFor("the whole table at the late joiner", everyoneKnows(4))
+	if !everyoneKnows(4) {
+		t.Fatal("the late joiner lacks part of the table three rounds after joining")
+	}
 
 	for i, l := range p.logs {
 		for _, kind := range []transport.Kind{transport.KindGossip, transport.KindHandoffAnnounce} {
@@ -409,8 +484,9 @@ func TestOwnerAdsSurviveLoss(t *testing.T) {
 // the far router adopts sessions: once for less than PeerTimeout (the
 // link survives and the missing acknowledgement heals it) and once for
 // longer (the link dies, and its successor starts from every unexpired
-// ad). After the heal every unexpired ad arrives; one that expired
-// meanwhile is never resurrected.
+// ad). During the partition the cut-off router learns nothing and counts
+// no handoff; after the heal every unexpired ad arrives, and one that
+// expired meanwhile is never resurrected.
 func TestOwnerAdsCrossPartitions(t *testing.T) {
 	const grace = 10 // rounds; PeerTimeout is 15
 	for _, tc := range []struct {
@@ -444,6 +520,9 @@ func TestOwnerAdsCrossPartitions(t *testing.T) {
 			if got := p.knows(0, late, owner); got != 0 {
 				t.Fatalf("%d ads crossed the partition", got)
 			}
+			if got := p.counter(0, "handoffs_out"); got != 0 {
+				t.Fatalf("handoffs_out = %d at the partitioned router", got)
+			}
 			if got := p.knows(1, late, owner); got != len(late) {
 				t.Fatalf("the middle router knows %d/%d ads", got, len(late))
 			}
@@ -476,27 +555,27 @@ func TestOwnerAdsCrossPartitions(t *testing.T) {
 	}
 }
 
-// TestLinkUpWithoutWaitingForTick configures a line with tickers that
-// never fire and a clock that never moves. AddPeer alone must bring each
-// link up, and the middle router's triggered round must carry the far
-// route: nothing here waits for a gossip interval.
+// TestLinkUpWithoutWaitingForTick configures a line whose gossip interval
+// is an hour. AddPeer alone must bring each link up once the inbox window
+// has passed, and the middle router's triggered round, one triggerSpacing
+// later, must carry the far route: nothing here waits for an interval.
 func TestLinkUpWithoutWaitingForTick(t *testing.T) {
 	p := newPlane(t, 3, backbone.Config{GossipInterval: time.Hour})
-	start := time.Now()
 	p.link(0, 1)
-	p.waitFor("first link, both ways", func() bool {
-		a, okA := p.nodes[0].HopsTo(p.nodes[1].ID())
-		b, okB := p.nodes[1].HopsTo(p.nodes[0].ID())
-		return okA && okB && a == 1 && b == 1
-	})
+	p.flushInboxes()
+	a, okA := p.nodes[0].HopsTo(p.nodes[1].ID())
+	b, okB := p.nodes[1].HopsTo(p.nodes[0].ID())
+	if !okA || !okB || a != 1 || b != 1 {
+		t.Fatalf("first link after AddPeer: %d (%v) and %d (%v) hops", a, okA, b, okB)
+	}
 	p.link(1, 2)
-	p.waitFor("far routes by triggered round", func() bool {
-		a, okA := p.nodes[0].HopsTo(p.nodes[2].ID())
-		c, okC := p.nodes[2].HopsTo(p.nodes[0].ID())
-		return okA && okC && a == 2 && c == 2
-	})
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("line converged in %v without ticks", took)
+	p.flushInboxes()
+	p.clock.Advance(backbone.TriggerSpacing)
+	p.stepNodes()
+	ac, okA := p.nodes[0].HopsTo(p.nodes[2].ID())
+	ca, okC := p.nodes[2].HopsTo(p.nodes[0].ID())
+	if !okA || !okC || ac != 2 || ca != 2 {
+		t.Fatalf("far routes one triggerSpacing on: %d (%v) and %d (%v) hops", ac, okA, ca, okC)
 	}
 	for i := range p.nodes {
 		if got := p.counter(i, "backbone_envelope_drops"); got != 0 {
@@ -520,13 +599,13 @@ func TestStaleHelloIsRedrawn(t *testing.T) {
 	p := newPlane(t, 2, backbone.Config{})
 	p.faults[1].PartitionFor(time.Hour)
 	p.link(0, 1)
+	p.flushInboxes()
 	p.clock.Advance(time.Minute) // HelloFreshness is 30 s
 	p.faults[1].PartitionFor(0)
 	p.step()
-	p.waitFor("link after a long-unanswered dial", func() bool {
-		_, ok := p.nodes[1].HopsTo(p.nodes[0].ID())
-		return ok && len(p.nodes[0].LivePeers()) == 1
-	})
+	if _, ok := p.nodes[1].HopsTo(p.nodes[0].ID()); !ok || len(p.nodes[0].LivePeers()) != 1 {
+		t.Fatal("no link one round after a long-unanswered dial was healed")
+	}
 }
 
 // TestHandoffOutReleasesOnce follows handed-off sessions through the
@@ -537,25 +616,20 @@ func TestStaleHelloIsRedrawn(t *testing.T) {
 func TestHandoffOutReleasesOnce(t *testing.T) {
 	p := newPlane(t, 2, backbone.Config{})
 	p.linkLine(len(p.nodes))
-	router := p.net.Routers[0]
-	hold := func(label string, i int) core.SessionID {
-		id := sid(label+"/prev", i)
-		sess := core.ResumeSession(id, []byte("secret"), []byte("cn"), []byte("sn"), "user", p.clock.Now())
-		sess.ID = id
-		router.AdoptResumedSession(sess, nil)
-		return id
-	}
+	held := func(id core.SessionID) bool { return p.held(0, id) }
 
 	// Two sessions leave router 0 one round apart.
-	first := hold("rel-a", 0)
+	first := p.hold(0, "rel-a", 0)
 	p.adopt(1, 0, "rel-a", 0, 1)
+	firstExpires := p.clock.Now().Add(planeGrace)
 	p.step()
-	second := hold("rel-b", 0)
+	second := p.hold(0, "rel-b", 0)
 	p.adopt(1, 0, "rel-b", 0, 1)
-	p.waitFor("both handoffs counted", func() bool { return p.counter(0, "handoffs_out") == 2 })
-	firstExpires := p.clock.Now().Add(planeGrace - planeInterval)
+	p.flushInboxes()
+	if got := p.counter(0, "handoffs_out"); got != 2 {
+		t.Fatalf("handoffs_out = %d after both handoffs, want 2", got)
+	}
 
-	held := func(id core.SessionID) bool { _, ok := router.SessionByID(id); return ok }
 	for p.clock.Now().Add(planeInterval).Before(firstExpires) {
 		p.step()
 		if !held(first) || !held(second) {
@@ -571,8 +645,8 @@ func TestHandoffOutReleasesOnce(t *testing.T) {
 		t.Fatalf("at the first expiry: first held = %v, second held = %v", held(first), held(second))
 	}
 	// The same ID comes back (a test's liberty); the queue is done with it.
-	hold("rel-a", 0)
-	p.clock.Advance(planeInterval) // catch up with the two ticks above
+	p.hold(0, "rel-a", 0)
+	p.clock.T = firstExpires // catch up with the two ticks above
 	p.step()
 	if held(second) {
 		t.Fatal("second session outlived its grace window by a round")
@@ -588,11 +662,15 @@ func TestHandoffOutReleasesOnce(t *testing.T) {
 	}
 
 	// A node closed inside a grace window leaves the session where it is.
-	third := hold("rel-c", 0)
+	third := p.hold(0, "rel-c", 0)
 	p.adopt(1, 0, "rel-c", 0, 1)
-	p.waitFor("third handoff counted", func() bool { return p.counter(0, "handoffs_out") == 3 })
+	p.flushInboxes()
+	if got := p.counter(0, "handoffs_out"); got != 3 {
+		t.Fatalf("handoffs_out = %d after the third handoff, want 3", got)
+	}
 	p.nodes[0].Close()
-	p.nodes[0].Tick(p.clock.Advance(2 * planeGrace))
+	p.clock.Advance(2 * planeGrace)
+	p.nodes[0].Tick(p.clock.Now())
 	if !held(third) {
 		t.Fatal("a closed node released a session")
 	}

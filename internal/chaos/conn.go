@@ -261,7 +261,12 @@ func (c *Conn) corrupt(p []byte) {
 	}
 }
 
+// clonePacket copies a datagram that outlives the call, address too: a
+// batching sender reuses the address it passed for its next datagram.
 func clonePacket(p []byte, addr net.Addr) packet {
+	if ua, ok := addr.(*net.UDPAddr); ok {
+		addr = &net.UDPAddr{IP: append(net.IP(nil), ua.IP...), Port: ua.Port, Zone: ua.Zone}
+	}
 	return packet{data: append([]byte(nil), p...), addr: addr}
 }
 

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,37 @@ func TestConnDuplicateAndReorder(t *testing.T) {
 	w := sink2.Writes()
 	if len(w) != 2 || string(w[0]) != "B" || string(w[1]) != "A" {
 		t.Fatalf("reorder sequence = %q, want [B A]", w)
+	}
+}
+
+// addrSink is a sinkConn that also records where each write went.
+type addrSink struct {
+	*sinkConn
+	to []string
+}
+
+func (s *addrSink) WriteTo(p []byte, addr net.Addr) (int, error) {
+	s.to = append(s.to, addr.String())
+	return s.sinkConn.WriteTo(p, addr)
+}
+
+// TestConnHeldDatagramKeepsItsAddress reuses one address value for two
+// destinations, as a batching sender reuses its slots: the datagram held
+// back for reordering still goes where it was addressed.
+func TestConnHeldDatagramKeepsItsAddress(t *testing.T) {
+	sink := &addrSink{sinkConn: newSink()}
+	c := Wrap(sink, FaultPlan{}, FaultPlan{Reorder: 1}, 5)
+	slot := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
+	if _, err := c.WriteTo([]byte("A"), slot); err != nil { // held
+		t.Fatal(err)
+	}
+	slot.Port = 2
+	c.SetPlans(FaultPlan{}, FaultPlan{})
+	if _, err := c.WriteTo([]byte("B"), slot); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"127.0.0.1:2", "127.0.0.1:1"}; !slices.Equal(sink.to, want) {
+		t.Fatalf("writes went to %v, want %v", sink.to, want)
 	}
 }
 
