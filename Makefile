@@ -192,14 +192,19 @@ bench:
 # allocs/op, and BenchmarkResumeExchange prints the resume's µs/op. The
 # bn256 and sgs benchmarks mirror the attach ledger's crypto rows (pairing, combined
 # Miller, PrepareG2, sign, verify, 16-token sweep) and run once as well.
-# Then the revocation scan's per-token ratio in one command — an eight-lane
-# pass against the scalar Miller loop and final exponentiation it replaces
-# eight of. Then the G2 primitives (hash-to-G2, a GLS exponentiation, a
-# decode with the ψ subgroup test) and Sign, 200 iterations each. Then, at
-# one and two CPUs, the 16-token sweep, a group of eight
-# signatures through one verify lane pass against one signature alone, and
-# the router's whole M.2 path per request for 1, 8, 16 and 32 wire-decoded
-# requests against a 16-token URL. Last the backbone: one tick of a
+# Then the lane passes against what each replaces eight of, in one command:
+# the revocation scan's per-token pass (PairLanes8) against the scalar
+# Miller loop and final exponentiation, and the sweep set-up's two
+# (PrepareG2Lanes8, eight G2 points' lines in one walk, and MillerLanes2,
+# eight signatures' two-factor Miller products with a Q per lane) against
+# PrepareG2 and MillerCombined2. Then the G2 primitives (hash-to-G2, a GLS
+# exponentiation, a decode with the ψ subgroup test) and Sign, 200
+# iterations each. Then, at one and two CPUs, the 16-token sweep of one
+# signature (Sweep16), the same sweep for a verified group of eight with
+# its set-up shared (SweepGroup8, against the eight alone), a group of eight
+# signatures through one verify lane pass against one signature alone
+# (VerifyGroup8), and the router's whole M.2 path per request for 1, 8, 16
+# and 32 wire-decoded requests against a 16-token URL. Last the backbone: one tick of a
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
 # in time and in bytes), a link from AddPeer to reachable, and
 # TestHandoffAdoptedAllocs, which holds the shard loop's side of an
@@ -209,10 +214,10 @@ bench-smoke:
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
 	$(GO) test ./internal/transport/ -run='^$$' -bench='^BenchmarkResumeExchange$$' -benchmem -benchtime=2000x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
-	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|PreparedMiller|FinalExponentiation)$$' -benchtime=200x
+	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|PreparedMiller|FinalExponentiation|PrepareG2Lanes8|PrepareG2|MillerLanes2|MillerCombined2)$$' -benchtime=200x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(HashToG2|G2ScalarMult|G2Unmarshal)$$' -benchtime=200x
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^BenchmarkSign$$' -benchtime=200x
-	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x
+	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|SweepGroup8|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x
 	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkHandleM2Batch$$' -cpu 1,2 -benchtime=10x
 	$(GO) test ./internal/backbone/ -run='^$$' -bench='^Benchmark(NodeTick|LinkUp)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/backbone/ -run='^TestHandoffAdoptedAllocs$$' -v -count=1

@@ -81,6 +81,32 @@ func BenchmarkPrepareG2(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepareG2Lanes8 records the lines of eight G2 points in one
+// walk of the lane-parallel tower, the lane form of eight PrepareG2 calls
+// (BenchmarkPrepareG2 times one): the sweep set-up prepares a group's û
+// this way.
+func BenchmarkPrepareG2Lanes8(b *testing.B) {
+	qs := randG2s(b, Lanes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PrepareG2Lanes(qs)
+	}
+}
+
+// BenchmarkMillerLanes2 is the sweep set-up's Miller product
+// e(−T2, û)·e(T1, v̂) for eight signatures in one pass, each lane with its
+// own Q, as the set-up runs it: û's lines recorded, v̂ walked as the pass
+// goes. It is the lane form of eight PrepareG2 calls (for v̂) and eight
+// BenchmarkMillerCombined2 calls.
+func BenchmarkMillerLanes2(b *testing.B) {
+	qs := []*G2Lanes{PrepareG2Lanes(randG2s(b, Lanes)), PackG2Lanes(randG2s(b, Lanes))}
+	ps := []*G1Lanes{packG1Lanes(randG1s(b, Lanes)), packG1Lanes(randG1s(b, Lanes))}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MillerLanes(qs, ps, 0)
+	}
+}
+
 // BenchmarkMillerCombined2 is the verifier's pairing side: two prepared
 // Miller loops sharing one squaring chain (no final exponentiation).
 func BenchmarkMillerCombined2(b *testing.B) {

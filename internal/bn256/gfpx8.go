@@ -80,6 +80,14 @@ func (e *gfPx8) splat(x *gfP) {
 	}
 }
 
+// broadcast stores lane i of a in all eight lanes.
+func (e *gfPx8) broadcast(a *gfPx8, i int) {
+	for l := range e {
+		v := a[l][i]
+		e[l] = [8]uint64{v, v, v, v, v, v, v, v}
+	}
+}
+
 // gfP2x8 is eight elements x·i + y of F_p², the type the tower in
 // towerx8.go is built on.
 type gfP2x8 struct {
@@ -98,6 +106,11 @@ func (e *gfP2x8) lane(i int) gfP2 {
 func (e *gfP2x8) splat(a *gfP2) {
 	e.x.splat(&a.x)
 	e.y.splat(&a.y)
+}
+
+func (e *gfP2x8) broadcast(a *gfP2x8, i int) {
+	e.x.broadcast(&a.x, i)
+	e.y.broadcast(&a.y, i)
 }
 
 // The Generic twins: every lane goes through the scalar tower's operation

@@ -10,10 +10,32 @@ package bn256
 // against a fixed û).
 //
 // A PreparedG2 is immutable after construction and safe for concurrent
-// use by multiple goroutines.
+// use by multiple goroutines. One that G2Lanes.Lane returns reads its lines
+// from the G2Lanes.
 type PreparedG2 struct {
 	infinity bool
 	steps    []preparedLine
+
+	// lanes is the G2Lanes whose lane holds the lines, for a PreparedG2
+	// that G2Lanes.Lane returned (steps is nil then).
+	lanes *G2Lanes
+	lane  int
+}
+
+// lines returns the recorded lines, taken out of lane form for a lane of a
+// G2Lanes. Only the scalar tower asks for them; the lane passes read a
+// G2Lanes lane where it lies.
+func (pq *PreparedG2) lines() []preparedLine {
+	if pq.lanes == nil {
+		return pq.steps
+	}
+	src := pq.lanes.lines
+	steps := make([]preparedLine, len(src))
+	for i := range src {
+		s := &src[i]
+		steps[i] = preparedLine{c3: s.c3.lane(pq.lane), c1: s.c1.lane(pq.lane), c0: s.c0.lane(pq.lane)}
+	}
+	return steps
 }
 
 // PrepareG2 runs the Miller schedule once for q and records the line
@@ -32,7 +54,7 @@ func (pq *PreparedG2) Miller(g1 *G1) *GT {
 	if pq.infinity || g1.p.IsInfinity() {
 		return &GT{p: newGFp12().SetOne()}
 	}
-	return &GT{p: evalMiller(pq.steps, g1.p)}
+	return &GT{p: evalMiller(pq.lines(), g1.p)}
 }
 
 // Pair evaluates the full pairing e(g1, Q) via the prepared lines.
@@ -64,7 +86,7 @@ func MillerCombined(preps []*PreparedG2, points []*G1) *GT {
 		}
 		pa := newCurvePoint().Set(points[i].p)
 		pa.MakeAffine()
-		acts = append(acts, active{steps: pq.steps, x: pa.x, y: pa.y})
+		acts = append(acts, active{steps: pq.lines(), x: pa.x, y: pa.y})
 	}
 
 	f := newGFp12().SetOne()

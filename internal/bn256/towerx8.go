@@ -5,9 +5,10 @@ import "sync"
 // This file is the lane-parallel tower: F_p⁶ and F_p¹² over gfP2x8, eight
 // independent field elements per value, with the same construction and the
 // same formulas as gfp6.go, gfp12.go, cyclo.go and pairing.go. It exists for
-// one computation, eight pairing products over the same prepared G2 points
-// (PairProductLanes in lanes.go), and holds only the operations that
-// computation performs:
+// two computations of lanes.go, eight pairing products over the same
+// prepared G2 points (PairProductLanes) and eight Miller products over eight
+// points' own lines (MillerLanes, whose lines linesx8.go walks), and
+// holds only the operations they perform:
 // nothing here is exported, printed, marshaled, square-rooted or raised to a
 // general power, and the scalar tower remains the implementation of
 // everything else.
@@ -303,26 +304,48 @@ func (e *gfP12x8) MulLine(a *gfP12x8, c0, c1, c3 *gfP2x8, w *laneWork) {
 }
 
 // mulPreparedLine multiplies f by the line s, the same in every lane,
-// evaluated at the lanes' affine G1 points. In a lane whose point is the
-// identity the line is 1, so that lane of f stays what it was: the identity
-// drops out of a lane's product as it does out of MillerCombined's.
+// evaluated at the lanes' affine G1 points (evalLine).
 func (f *gfP12x8) mulPreparedLine(s *preparedLine, p *g1x8, w *laneWork) {
 	c := &w.coeff
 	c.c3.splat(&s.c3)
 	c.c1.splat(&s.c1)
 	c.c0.splat(&s.c0)
-	c.c1.MulScalar(&c.c1, &p.x)
-	c.c0.MulScalar(&c.c0, &p.y)
-	if p.infinity != [Lanes]bool{} {
-		for i, inf := range p.infinity {
-			if inf {
+	f.evalLine(&c.c3, &c.c1, &c.c0, p, &p.infinity, w)
+}
+
+// mulLaneLine is mulPreparedLine for a line held in lane form: lane i of s
+// is broadcast to every lane.
+func (f *gfP12x8) mulLaneLine(s *preparedLinex8, i int, p *g1x8, w *laneWork) {
+	c := &w.coeff
+	c.c3.broadcast(&s.c3, i)
+	c.c1.broadcast(&s.c1, i)
+	c.c0.broadcast(&s.c0, i)
+	f.evalLine(&c.c3, &c.c1, &c.c0, p, &p.infinity, w)
+}
+
+// evalLine multiplies f by the lines c0 + c1·ω + c3·τω with c1 scaled by
+// the lanes' x_P and c0 by their y_P. In a lane marked in skip (a lane whose
+// point, on either side, is the identity) the line is 1, so that lane of f
+// stays what it was: the identity drops out of a lane's product as it does
+// out of MillerCombined's. c3 may be w.coeff.c3; c1 and c0 may be
+// w.coeff's own.
+func (f *gfP12x8) evalLine(c3, c1, c0 *gfP2x8, p *g1x8, skip *[Lanes]bool, w *laneWork) {
+	c := &w.coeff
+	c.c1.MulScalar(c1, &p.x)
+	c.c0.MulScalar(c0, &p.y)
+	if *skip != [Lanes]bool{} {
+		if c3 != &c.c3 {
+			c.c3, c3 = *c3, &c.c3
+		}
+		for i, s := range skip {
+			if s {
 				c.c0.setLane(i, &fp2One)
 				c.c1.setLane(i, &fp2Zero)
 				c.c3.setLane(i, &fp2Zero)
 			}
 		}
 	}
-	f.MulLine(f, &c.c0, &c.c1, &c.c3, w)
+	f.MulLine(f, &c.c0, &c.c1, c3, w)
 }
 
 // Square sets e = a² by complex squaring, as gfP12.Square does.

@@ -96,3 +96,78 @@ func TestReplayerGainsNothing(t *testing.T) {
 		t.Errorf("router delivered %d data frames, want the original 2", got)
 	}
 }
+
+// TestTapLinksNoExchanges is the passive eavesdropper against roaming: it
+// taps one client's link through an attach at its home router, a resume
+// there, a handoff to the other router and a second resume there, and
+// finds no byte string of 16 B or more in the datagrams of two different
+// exchanges. A string that another user's same four exchanges also carry
+// is a constant of the protocol (a frame header and field length, the STEK
+// generation a ticket names), not a handle on this user, and is not
+// counted. A ticket carried in the clear fails it: the blob an exchange
+// hands out is the clear ticket of the next one's request.
+func TestTapLinksNoExchanges(t *testing.T) {
+	tb, err := NewTestbed(TestbedConfig{Routers: 2, Users: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	names := []string{"attach", "resume", "handoff", "second resume"}
+	// roam taps user i's link through the four exchanges and returns what
+	// the tap saw in each.
+	roam := func(i int) [][][]byte {
+		cl, err := tb.Dial(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume := func() error { _, err := cl.Resume(ctx); return err }
+		runs := []func() error{
+			func() error { _, err := cl.Attach(ctx); return err },
+			resume,
+			func() error { cl.Retarget(tb.Servers[(i+1)%2].Addr()); return resume() },
+			resume,
+		}
+		seen := make([][][]byte, len(runs))
+		for k, run := range runs {
+			rec := &Recorder{}
+			tb.Links[i].Tap(rec.Record)
+			if err := run(); err != nil {
+				t.Fatalf("user %d, %s: %v", i, names[k], err)
+			}
+			if seen[k] = rec.Datagrams(); len(seen[k]) == 0 {
+				t.Fatalf("user %d, %s: the tap saw nothing", i, names[k])
+			}
+		}
+		tb.Links[i].Tap(nil)
+		return seen
+	}
+
+	const window = 16
+	common := map[string]bool{}
+	for _, ex := range roam(1) {
+		for _, d := range ex {
+			for at := 0; at+window <= len(d); at++ {
+				common[string(d[at:at+window])] = true
+			}
+		}
+	}
+	first := map[string]int{} // a 16-byte string to the first exchange it was in
+	for k, ex := range roam(0) {
+		for _, d := range ex {
+			for at := 0; at+window <= len(d); at++ {
+				s := string(d[at : at+window])
+				if common[s] {
+					continue
+				}
+				if j, ok := first[s]; !ok {
+					first[s] = k
+				} else if j != k {
+					t.Fatalf("%s and %s share the bytes %x", names[j], names[k], s)
+				}
+			}
+		}
+	}
+}

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/bn256"
+	"github.com/peace-mesh/peace/internal/sgs"
 )
 
 // batchM2s has every user answer the same beacon, returning the access
@@ -247,13 +249,87 @@ func verdict(err error) error {
 	return err
 }
 
+// TestSweepSetupOnlyVerified pins the DoS order at group scale: in one
+// group of eight M.2s with three forged signatures, the revocation scan's
+// set-up is given exactly the five that verified, and a group whose every
+// signature is forged runs no set-up at all. Each verified request still
+// gets its own token passes (one router_sweep_seconds observation) and the
+// group one router_sweep_setup_seconds observation.
+func TestSweepSetupOnlyVerified(t *testing.T) {
+	tb := newTestbed(t, 1, 9, 1)
+	r := tb.routers["MR-0"]
+	tok, err := tb.no.TokenOf("grp-0", 8) // a URL to sweep, of a user not in the group
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.no.RevokeUserKey(tok)
+	tb.pushRevocations(t)
+	// A set-up derives û and v̂ for each signature it is given: one hash
+	// and two G2 exponentiations.
+	var setups []int
+	r.onSweepSetup = func(c sgs.OpCounts) {
+		if c.Exps != 2*c.Hashes {
+			t.Errorf("set-up counts %+v", c)
+		}
+		setups = append(setups, c.Hashes)
+	}
+	users := make([]*User, 8)
+	for i := range users {
+		users[i] = tb.user("0", i)
+	}
+	forge := func(m *AccessRequest) {
+		m.Sig.SX = new(big.Int).Xor(m.Sig.SX, big.NewInt(1))
+	}
+	hist := func(name string) int64 {
+		sm, ok := r.Metrics().Snapshot().Get(name)
+		if !ok {
+			t.Fatalf("no instrument %s", name)
+		}
+		return sm.Hist.Count
+	}
+
+	ms := batchM2s(t, tb, r, users)
+	for _, i := range []int{1, 4, 6} {
+		forge(ms[i])
+	}
+	out := make([]AccessResult, len(ms))
+	r.handleGroup(ms, out)
+	for i, res := range out {
+		if forged := i == 1 || i == 4 || i == 6; forged != errors.Is(res.Err, ErrBadAccessRequest) || !forged && res.Err != nil {
+			t.Errorf("slot %d: %v", i, res.Err)
+		}
+	}
+	if len(setups) != 1 || setups[0] != 5 {
+		t.Fatalf("set-ups %v for a group of 8 with 3 forged, want [5]", setups)
+	}
+	if c := hist("router_sweep_setup_seconds"); c != 1 {
+		t.Errorf("set-up observations = %d, want 1", c)
+	}
+	if c := hist("router_sweep_seconds"); c != 5 {
+		t.Errorf("sweep observations = %d, want 5", c)
+	}
+
+	ms = batchM2s(t, tb, r, users)
+	for _, m := range ms {
+		forge(m)
+	}
+	r.handleGroup(ms, out)
+	if len(setups) != 1 {
+		t.Fatalf("a group of forgeries ran set-up: %v", setups)
+	}
+	if c := hist("router_sweep_setup_seconds"); c != 1 {
+		t.Errorf("set-up observations = %d after a group of forgeries, want 1", c)
+	}
+}
+
 // TestIngestPipelineExactlyOnce submits 64 distinct M.2s from 8 goroutines
 // to a queue whose drainers group them as they find them — valid ones,
 // forged signatures, a revoked signer and answers to a retired beacon mixed
 // — and checks that every reply arrives exactly once, with the verdict
 // HandleAccessRequest gives the same request alone, that a working session
 // comes with every confirm, that a signature was verified for exactly the
-// requests that passed precheck, that Close answers everything accepted, and
+// requests that passed precheck and set up for its revocation scan for
+// exactly those that verified, that Close answers everything accepted, and
 // that the stage histograms counted what went through.
 func TestIngestPipelineExactlyOnce(t *testing.T) {
 	const n, submitters = 64, 8
@@ -303,6 +379,12 @@ func TestIngestPipelineExactlyOnce(t *testing.T) {
 		ms[i], signers[i] = m2, user
 	}
 
+	// Drainers run set-ups concurrently: the hook only counts.
+	var setupGroups, setupSigs atomic.Int64
+	r.onSweepSetup = func(c sgs.OpCounts) {
+		setupGroups.Add(1)
+		setupSigs.Add(int64(c.Hashes))
+	}
 	log := newAnswerLog(t, n)
 	q := NewIngestQueue(r, n, log.answer)
 	q.Start()
@@ -373,6 +455,12 @@ func TestIngestPipelineExactlyOnce(t *testing.T) {
 	}
 	if c, _ := hist("router_sweep_seconds"); c != int64(prechecked-forged) {
 		t.Errorf("sweep observations = %d, want %d", c, prechecked-forged)
+	}
+	if c, _ := hist("router_sweep_setup_seconds"); c != setupGroups.Load() || c < 1 || c > groups {
+		t.Errorf("%d set-up observations for %d set-ups in %d groups", c, setupGroups.Load(), groups)
+	}
+	if got := setupSigs.Load(); got != int64(prechecked-forged) {
+		t.Errorf("set-ups were given %d signatures, want %d (the verified ones)", got, prechecked-forged)
 	}
 	if c, _ := hist("router_establish_seconds"); c != int64(prechecked-forged-revoked) {
 		t.Errorf("establish observations = %d, want %d", c, prechecked-forged-revoked)

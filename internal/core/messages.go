@@ -341,12 +341,13 @@ func (f *m2Fields) walk(data []byte) error {
 type AccessConfirm struct {
 	GJ, GR     *bn256.G1
 	Ciphertext []byte
-	// Ticket is an opaque, STEK-sealed resumption ticket the serving
-	// transport may attach (empty when resumption is not offered). It is
-	// deliberately outside the paper's M.3 ciphertext: the blob is useless
-	// without the resumption secret both endpoints derive from the session
-	// keys, so carrying it in the clear leaks nothing and lets the
-	// transport issue it without re-sealing the confirmation.
+	// Ticket is the resumption ticket the serving transport may attach
+	// (empty when resumption is not offered): its STEK-sealed blob, sealed
+	// once more under the new session. It sits outside the paper's M.3
+	// ciphertext so that the transport issues it without re-sealing the
+	// confirmation, but not in the clear: the blob is the clear Ticket of
+	// the client's next resume request, and a passive observer would link
+	// the attach to that resume or handoff by it.
 	Ticket []byte
 }
 

@@ -85,6 +85,7 @@ type routerStages struct {
 	ingestWait *metrics.Histogram
 	verify     *metrics.Histogram
 	groupSize  *metrics.Histogram
+	sweepSetup *metrics.Histogram
 	sweep      *metrics.Histogram
 	establish  *metrics.Histogram
 }
@@ -94,7 +95,8 @@ func newRouterStages(reg *metrics.Registry) routerStages {
 		ingestWait: reg.Histogram("router_ingest_wait_seconds", "time an access request waited in the ingest queue before a drainer took it"),
 		verify:     reg.Histogram("router_verify_seconds", "group-signature verification (Eq.2) of one group of access requests"),
 		groupSize:  reg.Histogram("router_verify_group_size", "signatures verified side by side in one group, one unit per signature (1: the scalar path; 2 to 8: one lane pass)"),
-		sweep:      reg.Histogram("router_sweep_seconds", "URL revocation scan (Eq.3) of one verified access request"),
+		sweepSetup: reg.Histogram("router_sweep_setup_seconds", "revocation scan set-up (each signature's û, v̂ and Miller product) of one group's verified access requests"),
+		sweep:      reg.Histogram("router_sweep_seconds", "URL revocation scan (Eq.3) token passes of one verified access request"),
 		establish:  reg.Histogram("router_establish_seconds", "session key computation and M.3 sealing of one admitted access request"),
 	}
 }
@@ -165,6 +167,10 @@ type MeshRouter struct {
 	metrics *metrics.Registry
 	stats   routerCounters
 	stages  routerStages
+
+	// onSweepSetup, when a test sets it, is told what each group's
+	// revocation set-up ran.
+	onSweepSetup func(sgs.OpCounts)
 }
 
 // beaconState remembers the secrets behind one broadcast beacon. Puzzles
@@ -518,10 +524,11 @@ func (r *MeshRouter) HandleAccessRequestBatch(ms []*AccessRequest) []AccessResul
 // goroutine: the cheap per-request checks (freshness, puzzles); the
 // survivors' signatures verified side by side (sgs.Verifier.VerifyGroup —
 // one lane pass for a group of two to eight, the scalar verifier for a lone
-// request); then, for each signature that verified and only for those, so a
-// forged M.2 never costs more than its verification, the URL revocation scan
-// on all the scan's workers and the session establishment. out[i] receives
-// the outcome of ms[i].
+// request); then, for the signatures that verified and only for those, so a
+// forged M.2 never costs more than its verification, the URL revocation
+// scan's set-up for all of them at once (sgs.SweepState.Group) and, for each
+// in turn, its token passes on all the scan's workers and the session
+// establishment. out[i] receives the outcome of ms[i].
 func (r *MeshRouter) handleGroup(ms []*AccessRequest, out []AccessResult) {
 	type admitted struct {
 		slot int
@@ -552,19 +559,31 @@ func (r *MeshRouter) handleGroup(ms []*AccessRequest, out []AccessResult) {
 	// signature, so the exposition's sum over count is the mean group size.
 	r.stages.groupSize.Observe(time.Duration(len(items)) * time.Second)
 
+	verified, vadm := items[:0], adm[:0]
 	for j, verr := range errs {
-		a := adm[j]
-		m := ms[a.slot]
 		if verr != nil {
 			// The group verifier's error is final: re-running the reference
 			// verifier here would make a forged signature cost more than a
 			// good one (sgs pins the two to the same rejection classes).
 			r.stats.rejectedAuth.Add(1)
 			r.noteFailure()
-			out[a.slot].Err = fmt.Errorf("router %q: %w: %v", r.id, ErrBadAccessRequest, verr)
+			out[adm[j].slot].Err = fmt.Errorf("router %q: %w: %v", r.id, ErrBadAccessRequest, verr)
 			continue
 		}
-		revoked, _ := sweep.Check(items[j].Msg, m.Sig)
+		verified, vadm = append(verified, items[j]), append(vadm, adm[j])
+	}
+	if len(verified) == 0 {
+		return
+	}
+
+	group := sweep.Group(verified)
+	if r.onSweepSetup != nil {
+		r.onSweepSetup(group.SetupCounts())
+	}
+	sw.lap(r.stages.sweepSetup)
+	for j, a := range vadm {
+		m := ms[a.slot]
+		revoked, _ := group.Check(j)
 		sw.lap(r.stages.sweep)
 		if revoked {
 			r.stats.rejectedRevoked.Add(1)

@@ -326,24 +326,7 @@ func (v *Verifier) SweepURL(msg []byte, sig *Signature, tokens []*RevocationToke
 // It exists so benchmarks can pin the parallelism; SweepURL is the
 // convenience form.
 func (v *Verifier) SweepURLWorkers(msg []byte, sig *Signature, tokens []*RevocationToken, workers int) (bool, int) {
-	idx := v.sweep(msg, sig, newTokenSet(tokens), workers)
-	return idx >= 0, idx
-}
-
-// sweep runs scan with the verifier's bases. Fixed-generator signatures
-// reuse the prepared û and v̂ of the FixedGenerators cache; per-message ones
-// pay one derivation and preparation per sweep, amortized over the whole
-// list.
-func (v *Verifier) sweep(msg []byte, sig *Signature, set tokenSet, workers int) int {
-	if len(set.tokens) == 0 {
-		return -1
-	}
-	if sig.Mode == FixedGenerators {
-		f := v.fixedGenerators()
-		return scan(sig, f.uhatPrep, f.vhatPrep, set, workers)
-	}
-	uhat, vhat := deriveG2Generators(v.pk, sig.Mode, msg, sig.R, counter{})
-	return scan(sig, bn256.PrepareG2(uhat), bn256.PrepareG2(vhat), set, workers)
+	return v.setupSweep([]BatchItem{{Msg: msg, Sig: sig}}, newTokenSet(tokens), workers, nil).Check(0)
 }
 
 // BatchCheckKeys verifies the SDH equation e(A_i, w·g2^{grp_i+x_i}) =

@@ -137,6 +137,67 @@ func BenchmarkSweep16(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepGroup8 is the router's URL check for one verified group:
+// eight wire-decoded per-message signatures from two signers against 16
+// installed tokens, none of them a signer's, through SweepState.Group (the
+// set-up of all eight at once) and a Check of each (its token passes). It
+// reports the time per signature next to eight Checks of the same
+// signatures one at a time, each with its own set-up (BenchmarkSweep16
+// times one).
+func BenchmarkSweepGroup8(b *testing.B) {
+	pk, keys := benchSetup(b, 18)
+	items := make([]BatchItem, 8)
+	for i := range items {
+		msg := []byte(fmt.Sprintf("benchmark message %d", i))
+		sig, err := Sign(rand.Reader, pk, keys[i%2], msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sig, err = ParseSignature(sig.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		items[i] = BatchItem{Msg: msg, Sig: sig}
+	}
+	tokens := make([]*RevocationToken, 0, 16)
+	for _, k := range keys[2:] {
+		tokens = append(tokens, k.Token())
+	}
+	sweep := NewSweepState(pk)
+	sweep.Update(1, tokens)
+	sweep.Verifier()
+	for _, bc := range []struct {
+		name  string
+		check func() bool
+	}{
+		{"group", func() bool {
+			g := sweep.Group(items)
+			for i := range items {
+				if revoked, _ := g.Check(i); revoked {
+					return true
+				}
+			}
+			return false
+		}},
+		{"alone", func() bool {
+			for _, it := range items {
+				if revoked, _ := sweep.Check(it.Msg, it.Sig); revoked {
+					return true
+				}
+			}
+			return false
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if bc.check() {
+					b.Fatal("unexpected revocation")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(items)), "µs/sig")
+		})
+	}
+}
+
 func BenchmarkOpen(b *testing.B) {
 	pk, keys := benchSetup(b, 8)
 	msg := []byte("benchmark message")

@@ -33,30 +33,27 @@ func newTokenSet(tokens []*RevocationToken) tokenSet {
 //
 //	e(T2/A_i, û) = e(T1, v̂),
 //
-// or −1 when none does. û and v̂ arrive prepared; workers goroutines (at
-// least one, at most GOMAXPROCS) share the list.
+// or −1 when none does. What the signature brings arrives set up (a
+// sweepSetup: û prepared and a Miller value m); workers goroutines (at least
+// one, at most GOMAXPROCS) share the list, and the token passes are all that
+// is left.
 //
 // A packed set is tested eight tokens to a pass. Moving everything to one
-// side, the equation is e(A_i, û)·M = 1 with M = e(T2, û)⁻¹·e(T1, v̂), the
-// same for every token: M is one two-pairing Miller product per signature,
-// left un-finalized, and each pass pairs eight A_i against û in the
-// lane-parallel tower, multiplies M into the eight Miller values and
-// finalizes them together. An unpacked set is tested a token at a time as
-// the equation is written, one prepared Miller loop over T2/A_i times the
-// shared e(T1, v̂)⁻¹ Miller value, finalized. Either way a token costs no
-// more than one Miller loop and one final exponentiation, and what is
-// compared with 1 is the same GT element.
-func scan(sig *Signature, uhatPrep, vhatPrep *bn256.PreparedG2, set tokenSet, workers int) int {
+// side, the equation is e(A_i, û)·M = 1 with M = e(−T2, û)·e(T1, v̂), the
+// same for every token: m is M, left un-finalized, and each pass pairs eight
+// A_i against û in the lane-parallel tower, multiplies M into the eight
+// Miller values and finalizes them together. An unpacked set is tested a
+// token at a time as the equation is written, one prepared Miller loop over
+// T2/A_i times m = e(−T1, v̂), finalized. Either way a token costs no more
+// than one Miller loop and one final exponentiation, and what is compared
+// with 1 is the same GT element up to inversion.
+func scan(sig *Signature, su sweepSetup, set tokenSet, workers int) int {
 	if len(set.tokens) == 0 {
 		return -1
 	}
 	if set.lanes != nil {
-		m := bn256.MillerCombined(
-			[]*bn256.PreparedG2{uhatPrep, vhatPrep},
-			[]*bn256.G1{new(bn256.G1).Neg(sig.T2), sig.T1},
-		)
 		return firstMatch(set.lanes.Chunks(), bn256.Lanes, workers, func(chunk int) int {
-			for j, v := range uhatPrep.PairLanes(set.lanes, chunk, m) {
+			for j, v := range su.uhat.PairLanes(set.lanes, chunk, su.m) {
 				if v.IsOne() {
 					return chunk*bn256.Lanes + j
 				}
@@ -65,17 +62,38 @@ func scan(sig *Signature, uhatPrep, vhatPrep *bn256.PreparedG2, set tokenSet, wo
 		})
 	}
 
-	mRight := vhatPrep.Miller(new(bn256.G1).Neg(sig.T1))
 	return firstMatch(len(set.tokens), 1, workers, func(i int) int {
 		quot := new(bn256.G1).Neg(set.tokens[i].A)
 		quot.Add(sig.T2, quot) // T2/A in multiplicative notation
-		acc := uhatPrep.Miller(quot)
-		acc.Add(acc, mRight)
+		acc := su.uhat.Miller(quot)
+		acc.Add(acc, su.m)
 		if acc.Finalize().IsOne() {
 			return i
 		}
 		return -1
 	})
+}
+
+// sweepSetup is what one signature brings to its scan: û prepared, and the
+// Miller value m every token's is multiplied by, M = e(−T2, û)·e(T1, v̂)
+// for a packed token set and e(−T1, v̂) for an unpacked one. A group's
+// set-up (Verifier.setupSweep) forms them on the lanes; setupScalar forms
+// one on the scalar tower, and the two are the same values.
+type sweepSetup struct {
+	uhat *bn256.PreparedG2
+	m    *bn256.GT
+}
+
+// setupScalar is one signature's set-up on the scalar tower, from its û and
+// v̂ prepared.
+func setupScalar(sig *Signature, uhatPrep, vhatPrep *bn256.PreparedG2, set tokenSet) sweepSetup {
+	if set.lanes != nil {
+		return sweepSetup{uhatPrep, bn256.MillerCombined(
+			[]*bn256.PreparedG2{uhatPrep, vhatPrep},
+			[]*bn256.G1{new(bn256.G1).Neg(sig.T2), sig.T1},
+		)}
+	}
+	return sweepSetup{uhatPrep, vhatPrep.Miller(new(bn256.G1).Neg(sig.T1))}
 }
 
 // scanBases is scan for callers that hold û and v̂ unprepared. It charges
@@ -85,7 +103,9 @@ func scanBases(sig *Signature, uhat, vhat *bn256.G2, tokens []*RevocationToken, 
 	if len(tokens) == 0 {
 		return -1
 	}
-	idx := scan(sig, bn256.PrepareG2(uhat), bn256.PrepareG2(vhat), newTokenSet(tokens), runtime.GOMAXPROCS(0))
+	set := newTokenSet(tokens)
+	su := setupScalar(sig, bn256.PrepareG2(uhat), bn256.PrepareG2(vhat), set)
+	idx := scan(sig, su, set, runtime.GOMAXPROCS(0))
 	ct.pairing(scanPairings(idx, len(tokens)))
 	return idx
 }

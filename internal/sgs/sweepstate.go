@@ -15,7 +15,11 @@ import (
 //
 //   - PerMessageGenerators signatures run the parallel Eq.3 scan over the
 //     cached set; what a signature adds is its own û, v̂ and the Miller
-//     product every token's pairing is multiplied by.
+//     product every token's pairing is multiplied by. A group of verified
+//     signatures (Group) sets those up together: û prepared eight to a
+//     walk of the lane-parallel tower and every signature's Miller product
+//     in one more pass that walks v̂, the scalar set-up of a lone signature
+//     otherwise.
 //   - FixedGenerators signatures use a FastRevocationChecker whose
 //     e(A, û) index is built once per epoch (one pairing per token,
 //     amortized) and answers each check with two pairings and a hash
@@ -104,8 +108,9 @@ func (s *SweepState) Tokens() []*RevocationToken {
 }
 
 // Check reports whether the signer of sig is revoked and, if so, the
-// token index within the current epoch's list. FixedGenerators signatures
-// take the constant-cost indexed path; everything else sweeps.
+// token index within the current epoch's list. It is the check of a group
+// of one (Group): FixedGenerators signatures take the constant-cost indexed
+// path; everything else sweeps.
 func (s *SweepState) Check(msg []byte, sig *Signature) (bool, int) {
 	return s.CheckWorkers(msg, sig, 0)
 }
@@ -113,22 +118,26 @@ func (s *SweepState) Check(msg []byte, sig *Signature) (bool, int) {
 // CheckWorkers is Check with an explicit sweep worker count (0 means
 // GOMAXPROCS); the FixedGenerators path is single-lookup and ignores it.
 func (s *SweepState) CheckWorkers(msg []byte, sig *Signature, workers int) (bool, int) {
+	return s.group([]BatchItem{{Msg: msg, Sig: sig}}, workers).Check(0)
+}
+
+// Group sets up the revocation check of every item against the current
+// epoch's list at once (SweepGroup), each scan to run on all the sweep's
+// workers. The caller gives it only signatures that verified and checks
+// each with Check.
+func (s *SweepState) Group(items []BatchItem) *SweepGroup {
+	return s.group(items, 0)
+}
+
+func (s *SweepState) group(items []BatchItem, workers int) *SweepGroup {
 	s.mu.RLock()
 	epoch, set := s.epoch, s.set
 	s.mu.RUnlock()
-	if len(set.tokens) == 0 {
-		return false, -1
-	}
-	if sig.Mode == FixedGenerators {
-		if revoked, idx, err := s.fastChecker(epoch, set).IsRevoked(sig); err == nil {
-			return revoked, idx
-		}
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	idx := s.Verifier().sweep(msg, sig, set, workers)
-	return idx >= 0, idx
+	fast := func() *FastRevocationChecker { return s.fastChecker(epoch, set) }
+	return s.Verifier().setupSweep(items, set, workers, fast)
 }
 
 // fastChecker returns the per-epoch e(A, û) index, building it when the

@@ -3,7 +3,6 @@ package sgs
 import (
 	"fmt"
 	"math/big"
-	"runtime"
 
 	"github.com/peace-mesh/peace/internal/bn256"
 )
@@ -49,10 +48,10 @@ func VerifyWithRevocationCounted(pk *PublicKey, msg []byte, sig *Signature, url 
 	if err != nil || len(url) == 0 {
 		return counts, err
 	}
-	idx := pk.verifier().sweep(msg, sig, newTokenSet(url), runtime.GOMAXPROCS(0))
+	revoked, idx := pk.verifier().SweepURL(msg, sig, url)
 	counts.Exps += 2
 	counts.Pairings += scanPairings(idx, len(url))
-	if idx >= 0 {
+	if revoked {
 		return counts, ErrRevoked
 	}
 	return counts, nil

@@ -362,11 +362,26 @@ func (c *Client) Attach(ctx context.Context) (*core.Session, error) {
 	c.setSession(sess, beacon.BootEpoch)
 	c.setLastRouterID(beacon.RouterID)
 	// Keep the confirm's ticket (with the locally derived resumption
-	// secret) for the next re-attach. The blob itself is opaque and
-	// unauthenticated in transit, but useless to a forger: resuming
-	// requires the secret, which only the two endpoints can derive.
-	c.storeTicket(confirm.Ticket, sess)
+	// secret) for the next re-attach. It arrives sealed under the new
+	// session (Server.answerAccess); the STEK blob inside is opaque, and
+	// useless to a forger: resuming requires the secret, which only the two
+	// endpoints can derive.
+	c.storeTicket(openFirstTicket(confirm.Ticket, sess), sess)
 	return sess, nil
+}
+
+// openFirstTicket opens the ticket an M.3 carries, sealed under sess as
+// its first data sequence number. It returns nil when there is none or it
+// does not open; the client then holds no ticket and re-attaches in full.
+func openFirstTicket(sealed []byte, sess *core.Session) []byte {
+	if len(sealed) == 0 {
+		return nil
+	}
+	blob, err := sess.OpenDataInto(&core.DataFrame{Session: sess.ID, Seq: 0, Encrypted: true, Payload: sealed}, nil)
+	if err != nil {
+		return nil
+	}
+	return blob
 }
 
 // solicitBeacon runs phase 1: broadcast-solicit M.1 and return the first

@@ -102,10 +102,9 @@ func newGateRig(t *testing.T, clock core.Clock) *gateRig {
 	if r.sess, err = ln.Users[0].HandleAccessConfirm(confirm); err != nil {
 		t.Fatal(err)
 	}
-	if len(confirm.Ticket) == 0 || core.NewSessionID(m2.GR, m2.GJ) != r.sess.ID {
+	if r.ticket = openFirstTicket(confirm.Ticket, r.sess); r.ticket == nil || core.NewSessionID(m2.GR, m2.GJ) != r.sess.ID {
 		t.Fatal("setup attach issued no ticket")
 	}
-	r.ticket = confirm.Ticket
 	return r
 }
 

@@ -10,7 +10,8 @@ import (
 // rateLimiter is a per-source token bucket applied to the attach/resume
 // ingress before any decode or crypto work: the two handshake kinds are
 // the only ones that can cost a pairing, so they are the ones a flooding
-// source must not be able to buy with bare datagrams (ROADMAP 3(a)).
+// source must not be able to buy with bare datagrams. It is the first
+// step of the handshake gate (DESIGN.md §4, Architecture).
 //
 // Buckets are keyed by source IP (not port, so one host cannot widen its
 // budget by rotating ephemeral ports) and refill continuously at rate

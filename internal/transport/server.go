@@ -870,8 +870,9 @@ func (s *Server) InvalidateBeacon() {
 // issueTicket seals a resumption ticket for an established session: the
 // resumption secret both endpoints derive, the current revocation epochs
 // (the ticket dies when either list moves), and the session's original
-// M.2 as accountability escrow. It expires ticketLifetime after now.
-func (s *Server) issueTicket(sess *core.Session, escrow []byte, now time.Time) ([]byte, error) {
+// M.2 as accountability escrow. It expires ticketLifetime after now. The
+// blob comes behind gap free bytes (Ticket.sealAfter).
+func (s *Server) issueTicket(sess *core.Session, escrow []byte, now time.Time, gap int) ([]byte, error) {
 	if s.tickets == nil {
 		return nil, fmt.Errorf("transport: no ticket keys")
 	}
@@ -885,7 +886,7 @@ func (s *Server) issueTicket(sess *core.Session, escrow []byte, now time.Time) (
 		Escrow:    escrow,
 	}
 	copy(t.Secret[:], sess.ResumptionSecret())
-	return t.Seal(rand.Reader, s.tickets)
+	return t.sealAfter(rand.Reader, s.tickets, gap)
 }
 
 // accessReply is the ingest queue's tag of an M.2: its exchange, the
@@ -942,7 +943,11 @@ func (s *Server) serveAccess(l *shardLoop, _ time.Time, from net.Addr, sid core.
 // or reject) is cached, so a retransmitted request — the client's recovery
 // from a lost M.3 — is answered by replay, never by a second verification;
 // a confirm carries a freshly sealed resumption ticket, issued on the
-// router's clock when the verification finished. The group's replies leave
+// router's clock when the verification finished. M.3 travels in the clear,
+// and the ticket's STEK blob is the clear Ticket of the client's next
+// ResumeRequest, so the blob is sealed once more, under the new session as
+// its first data sequence number (0), where the client opens it: the attach
+// and the resume that follows share no bytes on the path. The group's replies leave
 // in one flush per egress they were queued on (nothing else would send
 // them: a read loop flushes only after a datagram arrives), and only then
 // do the requests leave admission, so Drain waits for every flushed reply.
@@ -954,9 +959,11 @@ func (s *Server) answerAccess(tags []accessReply, out []core.AccessResult) {
 			s.reject(t.eg, t.addr(), t.sid, rejectCodeFor(res.Err), res.Err.Error(), true)
 			continue
 		}
-		if tk, err := s.issueTicket(res.Session, res.Escrow, now); err == nil {
-			res.Confirm.Ticket = tk
-			s.stats.ticketsIssued.Add(1)
+		if tk, err := s.issueTicket(res.Session, res.Escrow, now, symcrypto.GCMNonceSize); err == nil {
+			if tk, err = res.Session.SealInPlace(tk); err == nil {
+				res.Confirm.Ticket = tk
+				s.stats.ticketsIssued.Add(1)
+			}
 		}
 		frame, err := EncodeMessage(res.Confirm)
 		if err != nil {
@@ -1047,7 +1054,7 @@ func (s *Server) serveResume(l *shardLoop, now time.Time, from net.Addr, sid cor
 		s.stats.handoffsIn.Add(1)
 	}
 
-	newTicket, err := s.issueTicket(sess, escrow, now)
+	newTicket, err := s.issueTicket(sess, escrow, now, 0)
 	if err != nil {
 		s.replies.forget(sid)
 		s.logf("transport: reissue ticket: %v", err)

@@ -146,8 +146,21 @@ func unmarshalTicketInto(data []byte, t *Ticket) error {
 // Seal encrypts the ticket under the ring's current STEK generation. The
 // plaintext is encoded straight into the blob and sealed where it lies.
 func (t *Ticket) Seal(rng io.Reader, ring *symcrypto.TicketKeyRing) ([]byte, error) {
-	buf := make([]byte, symcrypto.SealHeaderSize, symcrypto.SealHeaderSize+t.marshaledLen()+symcrypto.GCMOverhead)
-	return ring.SealInPlace(rng, t.appendTo(buf), ticketAAD)
+	return t.sealAfter(rng, ring, 0)
+}
+
+// sealAfter is Seal into a buffer that keeps gap bytes free in front of
+// the blob and room for one more AEAD tag behind it, so that the caller can
+// seal the whole once more where it lies (Session.SealInPlace with a gap
+// of GCMNonceSize). It returns the gap and the blob.
+func (t *Ticket) sealAfter(rng io.Reader, ring *symcrypto.TicketKeyRing, gap int) ([]byte, error) {
+	head := gap + symcrypto.SealHeaderSize
+	buf := make([]byte, head, head+t.marshaledLen()+2*symcrypto.GCMOverhead)
+	blob, err := ring.SealInPlace(rng, t.appendTo(buf)[gap:], ticketAAD)
+	if err != nil {
+		return nil, err
+	}
+	return buf[:gap+len(blob)], nil
 }
 
 // OpenTicket decrypts and decodes a sealed ticket blob. The escrow aliases
