@@ -8,10 +8,11 @@ GO ?= go
 # an adoption; the race runs repeat them.
 BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce|DuplicatedAdsCountOnce|PlaneSchedules|NodeDriverWakes|HandoffAdoptedAllocs)$$
 
-# The router's step tests: dispatch driven one datagram at a time through
-# a recording egress, no sockets written and no sleeps, so the race runs
-# repeat them cheaply.
-TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|DispatchCorruptEscrow|ResumeExpiryBoundary|HandoffAnnouncedAfterFlush|DrainWaitsForAnnouncement|AccessGroupOneFlush|DrainWaitsForAccessReply)$$
+# The router's and the client's step tests: dispatch driven one datagram
+# at a time through a recording egress, and the client's phases stepped
+# against it on one clock, no sockets written and no sleeps, so the race
+# runs repeat them cheaply.
+TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|DispatchCorruptEscrow|ResumeExpiryBoundary|HandoffAnnouncedAfterFlush|DrainWaitsForAnnouncement|AccessGroupOneFlush|DrainWaitsForAccessReply|ClientStepMatrix)$$
 
 .PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint harness-lint meshd-loopback meshd-drill chaos-soak restart-soak metro-soak attack-soak
 
@@ -180,6 +181,7 @@ bench:
 # allocation-free: TestSteadyStateDecodeAllocs pins the decode side,
 # TestDataPlaneAllocs pins the whole batched ingest+egress round trip, and
 # a GSO train read back through ReadBatch with UDP GRO, at 0 allocs/op,
+# TestKeepaliveAllocs holds the server's ping→pong at 0 allocs/op,
 # TestResumeExchangeAllocs holds one in-process ticket resume (both ends)
 # to its allocation ceiling, TestHandoffExchangeAllocs does the same for a
 # resume at another router (a handoff) and holds its announcement step at
@@ -210,7 +212,7 @@ bench:
 # TestHandoffAdoptedAllocs, which holds the shard loop's side of an
 # adoption (the inbox append and the loop's wake) at 0 allocs/op.
 bench-smoke:
-	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestResumeExchangeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestKeepaliveAllocs|TestResumeExchangeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
 	$(GO) test ./internal/transport/ -run='^$$' -bench='^BenchmarkResumeExchange$$' -benchmem -benchtime=2000x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x

@@ -6,7 +6,7 @@
 //
 //	peacebench              # run every experiment
 //	peacebench -exp e3      # run one experiment
-//	peacebench -exp e10,e14 # run several
+//	peacebench -exp e10,e12 # run several
 //	peacebench -exp e3 -url 0,1,2,5,10,20,50 -iters 3
 //	peacebench -exp e13             # UDP loopback handshake throughput
 //	peacebench -json BENCH_results.json   # also write machine-readable results
@@ -63,7 +63,7 @@ type ablationRow struct {
 var collect *benchJSON
 
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: comma-separated e1..e19, or all")
+	exp := flag.String("exp", "all", "experiments to run: comma-separated e1..e13 and e15..e19, or all")
 	urlSizes := flag.String("url", "0,1,2,5,10,20", "comma-separated |URL| sweep for e3/e15")
 	grtSizes := flag.String("grt", "4,8,16,32,64", "comma-separated |grt| sweep for e7")
 	floods := flag.String("floods", "50,200", "comma-separated flood sizes for e6")
@@ -150,7 +150,6 @@ func run(exp string, urlSizes, grtSizes, floods, attacks []int, iters int) error
 		{"e11", func() error { return runE11(iters) }},
 		{"e12", func() error { return runE12(iters) }},
 		{"e13", func() error { return runE13() }},
-		{"e14", func() error { return runE14(iters) }},
 		{"e15", func() error { return runE15(urlSizes, iters) }},
 		{"e16", func() error { return runE16(iters) }},
 		{"e17", func() error { return runE17(iters) }},
@@ -165,7 +164,7 @@ func run(exp string, urlSizes, grtSizes, floods, attacks []int, iters int) error
 		}
 	}
 	if !runAll && ran != len(want) {
-		return fmt.Errorf("unknown experiment in %q (want comma-separated e1..e19, or all)", exp)
+		return fmt.Errorf("unknown experiment in %q (want comma-separated e1..e13 and e15..e19, or all)", exp)
 	}
 	return nil
 }
@@ -214,40 +213,6 @@ func runE19(attacks []int, iters int) error {
 		}
 		collect.Benchmarks["E19AttackLatency"] = map[string]any{
 			"rows": out,
-		}
-	}
-	return nil
-}
-
-// runE14 compares the big.Int reference field core against the Montgomery
-// limb core on the dominant primitives. The canonical primitive latencies
-// stay owned by e10 (which times the public API paths); e14 records the
-// before/after pair under its own key.
-func runE14(iters int) error {
-	header("E14: field-core before/after (big.Int reference vs Montgomery limbs)")
-	rows, err := experiments.RunE14FieldCore(2 * iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "primitive\treference (big.Int)\tlimb core\tspeedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%v\t%v\t%.1fx\n",
-			r.Name, time.Duration(r.RefNs), time.Duration(r.LimbNs), r.Speedup)
-	}
-	w.Flush()
-	if collect != nil {
-		fieldCore := make([]map[string]any, 0, len(rows))
-		for _, r := range rows {
-			fieldCore = append(fieldCore, map[string]any{
-				"name":    r.Name,
-				"ref_ns":  r.RefNs,
-				"limb_ns": r.LimbNs,
-				"speedup": r.Speedup,
-			})
-		}
-		collect.Benchmarks["FieldCoreComparison"] = map[string]any{
-			"rows": fieldCore,
 		}
 	}
 	return nil

@@ -91,7 +91,10 @@ func TestNodeDriverWakes(t *testing.T) {
 // 0 allocs/op once the inbox has grown to its working size: the record
 // appended to the inbox, and — for the first adoption after the loop
 // drained it — the wake. Each run drains the inbox first, outside the
-// count, so every run pays for a wake.
+// count, so every run pays for a wake. MemStats counts the whole
+// process, so the count runs with no other goroutine of the test alive:
+// the server the node was built on is closed first, which stops its read
+// loop, drainers and DoS sampler.
 func TestHandoffAdoptedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
@@ -99,6 +102,7 @@ func TestHandoffAdoptedAllocs(t *testing.T) {
 	servers := loopbackRouters(t, 1)
 	node := backbone.NewStepped(listenLoopback(t), servers[0], backbone.Config{})
 	t.Cleanup(node.Close)
+	servers[0].Close()
 	const runs, perRun = 100, 8
 	var prev, next [perRun]core.SessionID
 	for i := range prev {

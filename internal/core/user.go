@@ -116,6 +116,11 @@ func NewUser(cfg Config, identity Identity, noPub cert.PublicKey, gpk *sgs.Publi
 // local state only — no protocol message ever carries it.
 func (u *User) ID() UserID { return u.identity.Essential }
 
+// Now reads the user's clock, the protocol time of everything its
+// transport does at a time: retransmit deadlines, resume timestamps, a
+// resumed session's establishment and the client's latency histograms.
+func (u *User) Now() time.Time { return u.cfg.Clock.Now() }
+
 // Identity returns a copy of the user's identity information.
 func (u *User) Identity() Identity {
 	out := Identity{Essential: u.identity.Essential}

@@ -209,6 +209,50 @@ func TestDataPlaneAllocs(t *testing.T) {
 	}
 }
 
+// TestKeepaliveAllocs is the allocs/op gate of the server's keepalive:
+// one op is a sealed ping through dispatch — frame demux, zero-copy
+// decode, OpenDataInto into the loop's scratch, the body decode — and its
+// pong, sealed header first into a pooled egress buffer and flushed.
+// Must stay at exactly 0 allocations per op.
+func TestKeepaliveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	rig := newGateRig(t, nil)
+	rig.serve(ServerConfig{})
+	srv := rig.srv
+	k := newKeeper(NewClient(nil, srcA, rig.ln.Users[0], ClientConfig{}), MaintainConfig{})
+	// Pre-seal the pings in the order they are served: the replay rule
+	// consumes one sequence number per op.
+	pings := make([][]byte, 1001)
+	for i := range pings {
+		x, err := k.ping(time.Time{}, rig.sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pings[i] = append([]byte(nil), x.frame...)
+	}
+	l := &shardLoop{
+		eg: batchio.NewEgress(nullBatchConn{}, 32, 0, batchio.NewPool(egressFrameSize), srv.noteFlush),
+		pt: make([]byte, 0, 65536),
+	}
+	defer l.eg.Close()
+	addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	now := srv.router.Now()
+	served := srv.Stats().Snapshot().Value("keepalives_served")
+	idx := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		srv.dispatch(l, now, addr, pings[idx])
+		idx++
+		srv.endBatch(l)
+	}); avg != 0 {
+		t.Fatalf("ping→pong path allocates %.1f/op, want 0", avg)
+	}
+	if got := srv.Stats().Snapshot().Value("keepalives_served") - served; got != int64(idx) {
+		t.Fatalf("%d of %d pings answered", got, idx)
+	}
+}
+
 // accessAnswerAllocs is the allocation ceiling of one M.2's path through
 // the server outside the router's verification: serveAccess's submit,
 // which copies the sender's address into the queue's tag by value and
@@ -397,7 +441,7 @@ func newResumeExchange(tb testing.TB, roam bool) *resumeExchange {
 
 // run performs one exchange and returns the session the client derived.
 func (x *resumeExchange) run(tb testing.TB) *core.Session {
-	req, frame, err := x.cl.resumeRequest(x.t, nil)
+	req, frame, err := resumeRequest(x.t, x.cl.user.Now(), nil, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -414,7 +458,7 @@ func (x *resumeExchange) run(tb testing.TB) *core.Session {
 	if err := UnmarshalResumeConfirmInto(payload, &confirm); err != nil || confirm.Dedup != dedup {
 		tb.Fatalf("confirm: %v (dedup match %v)", err, confirm.Dedup == dedup)
 	}
-	sess, body, err := openResumeConfirm(x.t, &req.Nonce, &confirm)
+	sess, body, err := openResumeConfirm(x.t, &req.Nonce, &confirm, x.cl.user.Now())
 	if err != nil || len(body.Ticket) == 0 {
 		tb.Fatalf("open confirm: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/core"
@@ -21,27 +20,6 @@ import (
 // retransmissions without an answer.
 var ErrHandshakeTimeout = errors.New("transport: handshake timed out after max retries")
 
-// errTransientReject is the in-client signal that the router asked us to
-// back off (queue full, draining): the exchange loop keeps retransmitting
-// and may extend its retry budget instead of failing the attach.
-var errTransientReject = errors.New("transport: transient reject")
-
-// puzzleChallengeError aborts an exchange with the challenge a
-// RejectPuzzle reply carried: the caller solves it off the retransmit loop
-// and re-runs the phase with the solution attached.
-type puzzleChallengeError struct{ p *puzzle.Puzzle }
-
-func (e *puzzleChallengeError) Error() string {
-	return fmt.Sprintf("transport: router demands a puzzle solution (difficulty %d)", e.p.Difficulty)
-}
-
-func (e *puzzleChallengeError) Unwrap() error { return core.ErrPuzzleRequired }
-
-// maxPuzzleRetries bounds how many times one attach or resume re-runs its
-// exchange with a freshly solved puzzle before giving up (the demanded
-// difficulty can ratchet between tries).
-const maxPuzzleRetries = 2
-
 // The client's retransmit and puzzle constants; no deployment tunes
 // them.
 const (
@@ -52,16 +30,21 @@ const (
 	// recovering from the same outage does not thundering-herd the router
 	// in lockstep.
 	jitter = 0.2
+	// queueFullResets is how many times an exchange's whole retry budget
+	// is re-armed after the router signalled transient backpressure
+	// (queue-full or draining): those rejections mean "come back soon",
+	// not "give up".
+	queueFullResets = 3
+	// maxPuzzleRetries bounds how many times one exchange re-sends its
+	// request with a freshly solved puzzle before giving up (the demanded
+	// difficulty can ratchet between tries).
+	maxPuzzleRetries = 2
 	// puzzleSolveBudget caps the hash evaluations one puzzle solve may
 	// spend before the attach fails with core.ErrPuzzleRequired — the
 	// client-side guard against a hostile or runaway difficulty. 2^24
 	// covers difficulty ≤ ~22 with headroom.
 	puzzleSolveBudget = 1 << 24
 )
-
-// clientSeq de-correlates the jitter streams of clients that did not pick
-// an explicit seed.
-var clientSeq atomic.Int64
 
 // ClientConfig tunes the user-side handshake state machine.
 type ClientConfig struct {
@@ -78,14 +61,9 @@ type ClientConfig struct {
 	// verification queue behind ~100 concurrent users is not abandoned
 	// while the server is still working on it.
 	MaxRetries int
-	// Seed makes the jitter stream reproducible. Zero draws a process-wide
-	// unique seed.
+	// Seed makes the jitter stream reproducible. Zero draws a random
+	// seed.
 	Seed int64
-	// QueueFullResets is how many times a phase's whole retry budget is
-	// re-armed after the router signalled transient backpressure
-	// (queue-full or draining): those rejections mean "come back soon",
-	// not "give up". Default 3; negative disables re-arming.
-	QueueFullResets int
 	// Metrics is the registry the client's instruments resolve in. Nil
 	// creates a private registry. A fleet of clients may share one
 	// registry; registration is idempotent and their counts aggregate.
@@ -102,27 +80,15 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.MaxRetries < 1 {
 		c.MaxRetries = 10
 	}
-	if c.QueueFullResets == 0 {
-		c.QueueFullResets = 3
-	}
-	if c.QueueFullResets < 0 {
-		c.QueueFullResets = 0
-	}
 	if c.Seed == 0 {
-		c.Seed = time.Now().UnixNano() ^ (clientSeq.Add(1) << 32)
+		c.Seed = rand.Int63()
 	}
 	return c
 }
 
-// Client drives one user through the M.1–M.3 AKA against a router
-// address. The state machine is send-and-wait with exponential backoff:
-//
-//	solicit ──M.1──▶ request ──M.3──▶ established
-//	   │ timeout: resend beacon-request │ timeout: resend M.2
-//
-// Duplicate beacons and stray frames are suppressed; a Reject for the
-// session aborts (except queue-full, which keeps retrying — that is
-// backpressure, not failure).
+// Client drives one user through the M.1–M.3 AKA, ticket resumes and
+// keepalives against a router address. Each is a phase of steps that
+// read no clock and touch no socket; drive runs them over the socket.
 type Client struct {
 	cfg   ClientConfig
 	conn  net.PacketConn
@@ -179,12 +145,12 @@ func NewClient(conn net.PacketConn, raddr net.Addr, user *core.User, cfg ClientC
 }
 
 // solvePuzzle answers one challenge within the configured hash budget,
-// recording the solve latency.
+// recording the solve latency on the user's clock.
 func (c *Client) solvePuzzle(p *puzzle.Puzzle) (uint64, bool) {
-	start := time.Now()
+	start := c.user.Now()
 	sol, _, ok := p.SolveFrom(c.rng.Uint64(), puzzleSolveBudget)
 	if ok {
-		c.stats.dosSolveLatency.Observe(time.Since(start))
+		c.stats.dosSolveLatency.Observe(c.user.Now().Sub(start))
 	}
 	return sol, ok
 }
@@ -203,7 +169,8 @@ func (c *Client) RouterAddr() net.Addr {
 // new AP). Session and ticket state are deliberately kept: the next
 // Resume against the new address is exactly the metro roaming handoff —
 // the adopting router opens the ticket, re-logs the escrow and announces
-// ownership on the backbone.
+// ownership on the backbone. It is safe while Maintain runs: the driver
+// reads the address afresh for every datagram it sends or takes.
 func (c *Client) Retarget(raddr net.Addr) {
 	c.mu.Lock()
 	c.raddr = raddr
@@ -227,147 +194,510 @@ func (c *Client) BootEpoch() uint64 {
 	return c.bootEpoch
 }
 
-// setLastRouterID records which router authenticated the session, and
-// lastRouter reads it back; both sides of the handoff-latency judgment.
-func (c *Client) setLastRouterID(id string) {
+// setSession records (or clears, with nil) the established session and,
+// unless routerID is empty, the router that authenticated it. It returns
+// the router recorded before: both sides of the handoff-latency judgment.
+func (c *Client) setSession(s *core.Session, bootEpoch uint64, routerID string) (prev string) {
 	c.mu.Lock()
-	c.lastRouterID = id
-	c.mu.Unlock()
-}
-
-func (c *Client) lastRouter() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastRouterID
-}
-
-// setSession records (or clears, with nil) the established session.
-func (c *Client) setSession(s *core.Session, bootEpoch uint64) {
-	c.mu.Lock()
-	c.sess = s
-	c.bootEpoch = bootEpoch
+	c.sess, c.bootEpoch, prev = s, bootEpoch, c.lastRouterID
+	if routerID != "" {
+		c.lastRouterID = routerID
+	}
 	c.mu.Unlock()
 	c.stats.bootEpoch.Store(bootEpoch)
+	return prev
+}
+
+// step is what one step of a phase asks of its driver: a frame to send
+// now (or nil), when to expire if nothing comes first, and whether the
+// phase is over, with err or not.
+type step struct {
+	send     []byte
+	deadline time.Time
+	done     bool
+	err      error
+}
+
+// fail ends a phase with err.
+func fail(err error) step { return step{done: true, err: err} }
+
+// end ends a chain as its last phase ended.
+func end(_ time.Time, err error) step { return fail(err) }
+
+// phase is a piece of the client as a state machine: start begins it,
+// recv takes a frame from the router, expire runs once the last step's
+// deadline has come (early calls are harmless). None reads a clock or
+// touches a socket, so a test steps a phase against the router's
+// dispatch with neither.
+type phase interface {
+	start(now time.Time) step
+	recv(now time.Time, kind Kind, payload []byte) step
+	expire(now time.Time) step
+}
+
+// drop counts a frame an exchange does not take.
+func drop(m *metrics.Counter) bool {
+	m.Add(1)
+	return false
+}
+
+// exchange is one request–reply phase: the frame in flight, its
+// matcher and the retransmit state. It retransmits with jittered
+// exponential backoff MaxRetries times, a transient reject re-arming
+// that budget (queueFullResets times); a puzzle demand is solved and the
+// request re-framed (maxPuzzleRetries times); any other reject for it
+// ends it.
+type exchange struct {
+	c     *Client
+	frame []byte
+	// sid is the id the router's rejects of the request carry (an M.2's
+	// or a ping's session, a resume's dedup id); zero sends rejects to
+	// accept, which takes every other frame and counts what it refuses.
+	sid    core.SessionID
+	accept func(now time.Time, kind Kind, payload []byte) bool
+	// solved re-frames the request (frame, sid) with a demanded puzzle's
+	// solution; nil makes the demand final.
+	solved func(now time.Time, p *puzzle.Puzzle, sol uint64) error
+	// once, when set, sends the frame once and waits this long.
+	once time.Duration
+
+	timeout      time.Duration // the retransmit timeout before jitter
+	attempt      int           // retransmissions in the current budget
+	resets       int           // budget re-arms left
+	puzzles      int           // puzzles solved
+	sawTransient bool          // a transient reject came in this budget
+	deadline     time.Time
+}
+
+func (x *exchange) start(now time.Time) step {
+	x.timeout, x.attempt, x.resets, x.sawTransient = x.c.cfg.RetransmitTimeout, 0, queueFullResets, false
+	return x.arm(now)
+}
+
+// arm sends the frame and waits one timeout for the answer.
+func (x *exchange) arm(now time.Time) step {
+	x.deadline = now.Add(x.once)
+	if x.once == 0 {
+		x.deadline = now.Add(x.c.jittered(x.timeout))
+	}
+	return step{send: x.frame, deadline: x.deadline}
+}
+
+func (x *exchange) wait() step { return step{deadline: x.deadline} }
+
+func (x *exchange) recv(now time.Time, kind Kind, payload []byte) step {
+	if kind != KindReject || x.sid == (core.SessionID{}) {
+		if x.accept(now, kind, payload) {
+			return step{done: true}
+		}
+		return x.wait()
+	}
+	rej, err := UnmarshalReject(payload)
+	switch {
+	case err != nil:
+		drop(x.c.stats.decodeErrors)
+		return x.wait()
+	case rej.Session != x.sid:
+		drop(x.c.stats.unhandled)
+		return x.wait()
+	}
+	x.c.stats.rejects.Add(1)
+	switch p := rej.Puzzle; {
+	case rej.Code.Transient():
+		// Backpressure or graceful drain: expire may re-arm the budget.
+		x.sawTransient = true
+		return x.wait()
+	case rej.Code == RejectPuzzle && p != nil && x.solved != nil && x.puzzles < maxPuzzleRetries:
+		// Defense engaged after the request was built: solve, re-frame and
+		// start over, the fresh budget counted from the end of the solve.
+		x.puzzles++
+		sol, ok := x.c.solvePuzzle(p)
+		if !ok {
+			return fail(fmt.Errorf("%w: solve budget exhausted at difficulty %d", core.ErrPuzzleRequired, p.Difficulty))
+		}
+		now = x.c.user.Now()
+		if err := x.solved(now, p, sol); err != nil {
+			return fail(err)
+		}
+		return x.start(now)
+	}
+	return fail(fmt.Errorf("transport: router rejected the request (%s): %w", rej.Reason, rej.Code.Err()))
+}
+
+func (x *exchange) expire(now time.Time) step {
+	if now.Before(x.deadline) {
+		return x.wait()
+	}
+	if x.once > 0 {
+		return fail(ErrHandshakeTimeout)
+	}
+	x.timeout = min(x.timeout*backoffFactor, x.c.cfg.MaxTimeout)
+	switch {
+	case x.attempt < x.c.cfg.MaxRetries:
+		x.attempt++
+		x.c.stats.retransmits.Add(1)
+	case x.sawTransient && x.resets > 0:
+		// The router is alive but shedding load; giving up now would turn
+		// backpressure into failure. Re-arm the budget (bounded).
+		x.resets--
+		x.sawTransient, x.attempt = false, 0
+	default:
+		x.c.stats.timeouts.Add(1)
+		return fail(ErrHandshakeTimeout)
+	}
+	return x.arm(now)
+}
+
+// jittered spreads d uniformly over [1-jitter, 1+jitter] of its value so
+// synchronized clients de-correlate their retransmissions.
+func (c *Client) jittered(d time.Duration) time.Duration {
+	f := 1 - jitter + 2*jitter*c.rng.Float64()
+	return time.Duration(float64(d) * f)
+}
+
+// chain runs phases one after another from first: x is the one in
+// flight, then what follows it — the next phase's start, or the end —
+// and by, when set, the instant x is cut off at with
+// context.DeadlineExceeded.
+type chain struct {
+	first func(now time.Time) step
+	x     phase
+	then  func(now time.Time, err error) step
+	by    time.Time
+}
+
+func (ch *chain) start(now time.Time) step { return ch.first(now) }
+
+func (ch *chain) recv(now time.Time, kind Kind, payload []byte) step {
+	return ch.follow(now, ch.x.recv(now, kind, payload))
+}
+
+func (ch *chain) expire(now time.Time) step {
+	if !ch.by.IsZero() && !now.Before(ch.by) {
+		return ch.then(now, context.DeadlineExceeded)
+	}
+	return ch.follow(now, ch.x.expire(now))
+}
+
+// run starts x with then to follow it; runBy also cuts x off at by.
+func (ch *chain) run(now time.Time, x phase, then func(now time.Time, err error) step) step {
+	return ch.runBy(now, time.Time{}, x, then)
+}
+
+func (ch *chain) runBy(now, by time.Time, x phase, then func(now time.Time, err error) step) step {
+	ch.x, ch.then, ch.by = x, then, by
+	return ch.follow(now, x.start(now))
+}
+
+// follow passes x's step on or, once x is over, runs what follows it.
+func (ch *chain) follow(now time.Time, st step) step {
+	if st.done {
+		return ch.then(now, st.err)
+	}
+	if !ch.by.IsZero() && st.deadline.After(ch.by) {
+		st.deadline = ch.by
+	}
+	return st
+}
+
+// drive runs p to its end. It is the one place the client reads the wall
+// clock, sets read deadlines, reads and writes its socket and looks up
+// the router's address. Protocol time is the user's clock; a step's
+// deadline becomes a socket deadline by the time left to it, or ctx's
+// deadline when that comes first. A run ends with ctx's error once ctx
+// is done; a cancel without a deadline is seen at the next read
+// deadline unless something wakes the read (Maintain does).
+func (c *Client) drive(ctx context.Context, p phase) error {
+	st := p.start(c.user.Now())
+	for {
+		if st.send != nil {
+			if err := c.send(st.send); err != nil {
+				return err
+			}
+			st.send = nil
+		}
+		if st.done {
+			return st.err
+		}
+		wall := time.Now().Add(st.deadline.Sub(c.user.Now()))
+		if d, ok := ctx.Deadline(); ok && d.Before(wall) {
+			wall = d
+		}
+		if err := c.conn.SetReadDeadline(wall); err != nil {
+			return err
+		}
+		// Checked after the deadline is set, so a wake-up that lands
+		// later (Maintain's) is not overwritten.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n, from, err := c.conn.ReadFrom(c.buf)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				return err
+			}
+			st = p.expire(c.user.Now())
+			continue
+		}
+		if kind, payload, ok := c.frameFrom(from, c.buf[:n]); ok {
+			st = p.recv(c.user.Now(), kind, payload)
+		}
+	}
+}
+
+// frameFrom admits one datagram to the running phase: only a well-formed
+// frame from the current router gets through; a stray source or an
+// undecodable frame is counted and changes nothing.
+func (c *Client) frameFrom(from net.Addr, datagram []byte) (Kind, []byte, bool) {
+	c.stats.bytesIn.Add(int64(len(datagram)))
+	if !batchio.SameAddr(from, c.RouterAddr()) {
+		return 0, nil, drop(c.stats.unhandled)
+	}
+	kind, payload, err := DecodeFrame(datagram)
+	if err != nil {
+		return 0, nil, drop(c.stats.decodeErrors)
+	}
+	c.stats.framesIn.Add(1)
+	return kind, payload, true
+}
+
+func (c *Client) send(frame []byte) error { return c.sendTo(frame, c.RouterAddr()) }
+
+func (c *Client) sendTo(frame []byte, raddr net.Addr) error {
+	n, err := c.conn.WriteTo(frame, raddr)
+	if err != nil {
+		return fmt.Errorf("transport: send: %w", err)
+	}
+	c.stats.framesOut.Add(1)
+	c.stats.bytesOut.Add(int64(n))
+	return nil
 }
 
 // Attach runs the full three-message AKA and returns the established
 // session. It retransmits through datagram loss and fails with
 // ErrHandshakeTimeout when the router stays silent.
 func (c *Client) Attach(ctx context.Context) (*core.Session, error) {
-	c.stats.attachAttempts.Add(1)
-	attachStart := time.Now()
-
-	// Phase 1: solicit the beacon (M.1).
-	beacon, err := c.solicitBeacon(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("solicit beacon: %w", err)
-	}
-
-	// Phase 1.5: converge revocation state onto what the beacon
-	// advertises — a delta per list when the router still has one from our
-	// epoch, a full snapshot otherwise — before any signing happens.
-	if err := c.syncRevocations(ctx, beacon); err != nil {
-		return nil, fmt.Errorf("revocation sync: %w", err)
-	}
-
-	// Phase 2: validate M.1, send M.2, await M.3.
-	m2, err := c.user.HandleBeacon(beacon, c.cfg.Group)
-	if err != nil {
+	a := &attachRun{c: c}
+	if err := c.drive(ctx, a); err != nil {
 		return nil, err
 	}
-	sid := core.NewSessionID(m2.GR, m2.GJ)
+	return a.sess, nil
+}
+
+// attachRun is the full AKA as a chain of exchanges: solicit the beacon
+// (M.1), converge the revocation state it advertises, M.2→M.3.
+type attachRun struct {
+	chain
+	c      *Client
+	began  time.Time
+	beacon *core.Beacon
+	// fetches are the revocation fetches left in the current sync round;
+	// rounds counts the rounds begun.
+	fetches []*RevocationFetch
+	rounds  int
+	sess    *core.Session
+}
+
+// maxSyncRounds bounds the revocation sync, so an equivocating router
+// cannot wedge the handshake.
+const maxSyncRounds = 4
+
+// start runs phase 1: broadcast-solicit M.1.
+func (a *attachRun) start(now time.Time) step {
+	a.began = now
+	a.c.stats.attachAttempts.Add(1)
+	return a.run(now, a.c.solicit(&a.beacon), func(now time.Time, err error) step {
+		if err != nil {
+			return fail(fmt.Errorf("solicit beacon: %w", err))
+		}
+		return a.sync(now)
+	})
+}
+
+var beaconSolicit, _ = EncodeFrame(KindBeaconRequest, nil)
+
+// solicit is the exchange that solicits M.1 and leaves the first
+// well-formed beacon in *out. The beacon is NOT yet authenticated — the
+// caller must pass it through core.User.HandleBeacon or ObserveBeacon
+// before trusting any field.
+func (c *Client) solicit(out **core.Beacon) *exchange {
+	return &exchange{c: c, frame: beaconSolicit, accept: func(_ time.Time, kind Kind, payload []byte) bool {
+		if kind != KindBeacon {
+			return drop(c.stats.unhandled)
+		}
+		b, err := core.UnmarshalBeacon(payload)
+		if err != nil {
+			return drop(c.stats.decodeErrors)
+		}
+		*out = b
+		return true
+	}}
+}
+
+// sync runs phase 1.5: close every gap between the user's installed
+// revocation state and the beacon's advertised refs before any signing
+// happens. Each round fetches at most one payload per gapped list; a
+// delta whose chain no longer reaches our state downgrades to a
+// full-snapshot fetch.
+func (a *attachRun) sync(now time.Time) step {
+	c := a.c
+	if len(a.fetches) == 0 {
+		gaps := c.user.RevocationGaps(a.beacon)
+		switch {
+		case len(gaps) == 0:
+			return a.request(now)
+		case a.rounds == maxSyncRounds:
+			return fail(fmt.Errorf("revocation sync: transport: revocation state still behind after %d rounds", maxSyncRounds))
+		}
+		a.rounds++
+		for _, g := range gaps {
+			a.fetches = append(a.fetches, FetchFor(g))
+		}
+	}
+	f := a.fetches[0]
+	a.fetches = a.fetches[1:]
+	frame, err := EncodeMessage(f)
+	if err != nil {
+		return fail(err)
+	}
+	var applied error
+	x := &exchange{c: c, frame: frame, accept: func(_ time.Time, kind Kind, payload []byte) bool {
+		switch kind {
+		case KindURLUpdate, KindCRLUpdate, KindURLDelta:
+		case KindBeacon:
+			// Late beacons from phase 1 retransmissions.
+			return drop(c.stats.duplicates)
+		default:
+			return drop(c.stats.unhandled)
+		}
+		msg, err := DecodeMessage(kind, payload)
+		if err != nil {
+			return drop(c.stats.decodeErrors)
+		}
+		switch m := msg.(type) {
+		case *revocation.Snapshot:
+			if m.List != f.List {
+				return drop(c.stats.unhandled)
+			}
+			c.stats.revSnapshotFetches.Add(1)
+			applied = c.user.InstallRevocationSnapshot(m)
+		case *revocation.Delta:
+			if m.List != f.List {
+				return drop(c.stats.unhandled)
+			}
+			c.stats.revDeltaFetches.Add(1)
+			applied = c.user.ApplyRevocationDelta(m)
+		}
+		return true
+	}}
+	return a.run(now, x, func(now time.Time, err error) step {
+		if err == nil {
+			err = a.applied(f, applied)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("revocation sync: %w", err))
+		}
+		return a.sync(now)
+	})
+}
+
+// applied judges what installing fetch f's answer returned.
+func (a *attachRun) applied(f *RevocationFetch, err error) error {
+	switch {
+	case err == nil:
+	case errors.Is(err, revocation.ErrEpochGap),
+		errors.Is(err, revocation.ErrDigestMismatch),
+		errors.Is(err, revocation.ErrNoSnapshot):
+		// The delta chain does not reach our state: fall back to the full
+		// snapshot (unless this already was a full fetch).
+		if !f.Have {
+			return err
+		}
+		a.fetches = append([]*RevocationFetch{{List: f.List}}, a.fetches...)
+		return nil
+	case errors.Is(err, revocation.ErrRollback):
+		// Stale duplicate answer (e.g. a retransmitted older frame); our
+		// state is already at or past it. Not an error.
+	default:
+		return err
+	}
+	a.c.stats.setEpochs(a.c.user.RevocationEpoch(revocation.ListURL), a.c.user.RevocationEpoch(revocation.ListCRL))
+	return nil
+}
+
+// request runs phase 2: validate M.1, send M.2, await M.3.
+func (a *attachRun) request(now time.Time) step {
+	c := a.c
+	m2, err := c.user.HandleBeacon(a.beacon, c.cfg.Group)
+	if err != nil {
+		return fail(err)
+	}
+	frame, err := EncodeMessage(m2)
+	if err != nil {
+		return fail(err)
+	}
 	var confirm *core.AccessConfirm
-	handler := func(kind Kind, payload []byte) (bool, error) {
+	x := &exchange{c: c, frame: frame, sid: core.NewSessionID(m2.GR, m2.GJ)}
+	x.accept = func(_ time.Time, kind Kind, payload []byte) bool {
 		switch kind {
 		case KindAccessConfirm:
 			m, err := core.UnmarshalAccessConfirm(payload)
 			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
+				return drop(c.stats.decodeErrors)
 			}
-			if core.NewSessionID(m.GR, m.GJ) != sid {
-				c.stats.unhandled.Add(1)
-				return false, nil
+			if core.NewSessionID(m.GR, m.GJ) != x.sid {
+				return drop(c.stats.unhandled)
 			}
 			confirm = m
-			return true, nil
-		case KindReject:
-			rej, err := UnmarshalReject(payload)
-			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
-			}
-			if rej.Session != sid {
-				c.stats.unhandled.Add(1)
-				return false, nil
-			}
-			c.stats.rejects.Add(1)
-			if rej.Code.Transient() {
-				// Backpressure or graceful drain: stay in the retransmit
-				// loop and let exchange re-arm its retry budget.
-				return false, errTransientReject
-			}
-			if rej.Code == RejectPuzzle && rej.Puzzle != nil {
-				// Defense engaged (or ratcheted) after our M.2 was built:
-				// abort the exchange with the carried challenge; the attach
-				// loop solves it and re-sends the same signed M.2.
-				return false, &puzzleChallengeError{p: rej.Puzzle}
-			}
-			return false, fmt.Errorf("transport: router rejected request (%s): %w", rej.Reason, rej.Code.Err())
+			return true
 		case KindBeacon:
 			// A retransmitted solicitation from phase 1 can still produce
 			// late beacons; they are duplicates here.
-			c.stats.duplicates.Add(1)
-			return false, nil
-		default:
-			c.stats.unhandled.Add(1)
-			return false, nil
+			return drop(c.stats.duplicates)
 		}
+		return drop(c.stats.unhandled)
 	}
-	for tries := 0; ; tries++ {
-		request, err := EncodeMessage(m2)
+	x.solved = func(_ time.Time, p *puzzle.Puzzle, sol uint64) (err error) {
+		// The solution fields sit outside the group-signed transcript, so
+		// the already-signed M.2 gains the answer without another signing
+		// pass; the session id is unchanged.
+		m2.HasSolution, m2.Solution = true, sol
+		m2.PuzzleIssuedAt, m2.PuzzleDifficulty = p.IssuedAt, p.Difficulty
+		x.frame, err = EncodeMessage(m2)
+		return err
+	}
+	return a.run(now, x, func(now time.Time, err error) step {
 		if err != nil {
-			return nil, err
+			return fail(fmt.Errorf("access request: %w", err))
 		}
-		err = c.exchange(ctx, request, handler)
-		if err == nil {
-			break
-		}
-		var pc *puzzleChallengeError
-		if errors.As(err, &pc) && tries < maxPuzzleRetries {
-			// The solution fields sit outside the group-signed transcript,
-			// so the already-signed M.2 gains the fresh answer without
-			// another signing pass; the session id is unchanged.
-			sol, ok := c.solvePuzzle(pc.p)
-			if !ok {
-				return nil, fmt.Errorf("access request: %w: solve budget exhausted at difficulty %d",
-					core.ErrPuzzleRequired, pc.p.Difficulty)
-			}
-			m2.HasSolution = true
-			m2.Solution = sol
-			m2.PuzzleIssuedAt = pc.p.IssuedAt
-			m2.PuzzleDifficulty = pc.p.Difficulty
-			continue
-		}
-		return nil, fmt.Errorf("access request: %w", err)
-	}
+		return a.established(now, confirm)
+	})
+}
+
+// established completes the AKA on M.3.
+func (a *attachRun) established(now time.Time, confirm *core.AccessConfirm) step {
+	c := a.c
 	sess, err := c.user.HandleAccessConfirm(confirm)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	c.stats.attachSuccesses.Add(1)
-	c.stats.attachLatency.Observe(time.Since(attachStart))
+	c.stats.attachLatency.Observe(now.Sub(a.began))
 	// beacon.BootEpoch is authenticated: HandleBeacon verified the router
 	// signature over it before M.2 was sent.
-	c.setSession(sess, beacon.BootEpoch)
-	c.setLastRouterID(beacon.RouterID)
+	c.setSession(sess, a.beacon.BootEpoch, a.beacon.RouterID)
 	// Keep the confirm's ticket (with the locally derived resumption
 	// secret) for the next re-attach. It arrives sealed under the new
 	// session (Server.answerAccess); the STEK blob inside is opaque, and
 	// useless to a forger: resuming requires the secret, which only the two
 	// endpoints can derive.
 	c.storeTicket(openFirstTicket(confirm.Ticket, sess), sess)
-	return sess, nil
+	a.sess = sess
+	return step{done: true}
 }
 
 // openFirstTicket opens the ticket an M.3 carries, sealed under sess as
@@ -382,225 +712,6 @@ func openFirstTicket(sealed []byte, sess *core.Session) []byte {
 		return nil
 	}
 	return blob
-}
-
-// solicitBeacon runs phase 1: broadcast-solicit M.1 and return the first
-// well-formed beacon. The beacon is NOT yet authenticated — the caller
-// must pass it through core.User.HandleBeacon or ObserveBeacon before
-// trusting any field.
-func (c *Client) solicitBeacon(ctx context.Context) (*core.Beacon, error) {
-	solicit, err := EncodeMessage(&BeaconRequest{})
-	if err != nil {
-		return nil, err
-	}
-	var beacon *core.Beacon
-	err = c.exchange(ctx, solicit, func(kind Kind, payload []byte) (bool, error) {
-		if kind != KindBeacon {
-			c.stats.unhandled.Add(1)
-			return false, nil
-		}
-		b, err := core.UnmarshalBeacon(payload)
-		if err != nil {
-			c.stats.decodeErrors.Add(1)
-			return false, nil
-		}
-		beacon = b
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return beacon, nil
-}
-
-// syncRevocations closes every gap between the user's installed
-// revocation state and the beacon's advertised refs. Each round fetches
-// at most one payload per gapped list; a delta whose chain no longer
-// reaches our state downgrades to a full-snapshot fetch. Bounded rounds
-// keep an equivocating router from wedging the handshake.
-func (c *Client) syncRevocations(ctx context.Context, beacon *core.Beacon) error {
-	const maxRounds = 4
-	for round := 0; round < maxRounds; round++ {
-		gaps := c.user.RevocationGaps(beacon)
-		if len(gaps) == 0 {
-			return nil
-		}
-		for _, g := range gaps {
-			if err := c.fetchRevocation(ctx, FetchFor(g)); err != nil {
-				return err
-			}
-		}
-	}
-	if gaps := c.user.RevocationGaps(beacon); len(gaps) > 0 {
-		return fmt.Errorf("transport: revocation state still behind after %d rounds", maxRounds)
-	}
-	return nil
-}
-
-// fetchRevocation performs one fetch round-trip and applies the answer.
-func (c *Client) fetchRevocation(ctx context.Context, f *RevocationFetch) error {
-	req, err := EncodeMessage(f)
-	if err != nil {
-		return err
-	}
-	var applyErr error
-	err = c.exchange(ctx, req, func(kind Kind, payload []byte) (bool, error) {
-		switch kind {
-		case KindURLUpdate, KindCRLUpdate:
-			msg, err := DecodeMessage(kind, payload)
-			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
-			}
-			snap := msg.(*revocation.Snapshot)
-			if snap.List != f.List {
-				c.stats.unhandled.Add(1)
-				return false, nil
-			}
-			c.stats.revSnapshotFetches.Add(1)
-			applyErr = c.user.InstallRevocationSnapshot(snap)
-			return true, nil
-		case KindURLDelta:
-			d, err := revocation.UnmarshalDelta(payload)
-			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
-			}
-			if d.List != f.List {
-				c.stats.unhandled.Add(1)
-				return false, nil
-			}
-			c.stats.revDeltaFetches.Add(1)
-			applyErr = c.user.ApplyRevocationDelta(d)
-			return true, nil
-		case KindBeacon:
-			// Late beacons from phase 1 retransmissions.
-			c.stats.duplicates.Add(1)
-			return false, nil
-		default:
-			c.stats.unhandled.Add(1)
-			return false, nil
-		}
-	})
-	if err != nil {
-		return err
-	}
-	switch {
-	case applyErr == nil:
-	case errors.Is(applyErr, revocation.ErrEpochGap),
-		errors.Is(applyErr, revocation.ErrDigestMismatch),
-		errors.Is(applyErr, revocation.ErrNoSnapshot):
-		// The delta chain does not reach our state: fall back to the full
-		// snapshot (unless this already was a full fetch).
-		if f.Have {
-			return c.fetchRevocation(ctx, &RevocationFetch{List: f.List})
-		}
-		return applyErr
-	case errors.Is(applyErr, revocation.ErrRollback):
-		// Stale duplicate answer (e.g. a retransmitted older frame); our
-		// state is already at or past it. Not an error.
-	default:
-		return applyErr
-	}
-	c.stats.setEpochs(c.user.RevocationEpoch(revocation.ListURL), c.user.RevocationEpoch(revocation.ListCRL))
-	return nil
-}
-
-// exchange sends frame and reads datagrams until handle reports
-// completion, retransmitting with jittered exponential backoff. handle
-// returns (done, err): done finishes the phase, err aborts the handshake,
-// (false, nil) keeps listening within the current timeout, and
-// (false, errTransientReject) marks the round as backpressured — when the
-// retry budget runs out with backpressure seen, the budget is re-armed up
-// to QueueFullResets times instead of failing the attach.
-func (c *Client) exchange(ctx context.Context, frame []byte, handle func(Kind, []byte) (bool, error)) error {
-	timeout := c.cfg.RetransmitTimeout
-	resets := c.cfg.QueueFullResets
-	sawTransient := false
-	raddr := c.RouterAddr()
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			c.stats.retransmits.Add(1)
-		}
-		if err := c.send(frame); err != nil {
-			return err
-		}
-		deadline := time.Now().Add(c.jittered(timeout))
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
-		}
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := c.conn.SetReadDeadline(deadline); err != nil {
-				return err
-			}
-			n, from, err := c.conn.ReadFrom(c.buf)
-			if err != nil {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					if cerr := ctx.Err(); cerr != nil {
-						return cerr
-					}
-					break // retransmit
-				}
-				return err
-			}
-			c.stats.bytesIn.Add(int64(n))
-			if !batchio.SameAddr(from, raddr) {
-				c.stats.unhandled.Add(1)
-				continue
-			}
-			kind, payload, derr := DecodeFrame(c.buf[:n])
-			if derr != nil {
-				c.stats.decodeErrors.Add(1)
-				continue
-			}
-			c.stats.framesIn.Add(1)
-			done, herr := handle(kind, payload)
-			if errors.Is(herr, errTransientReject) {
-				sawTransient = true
-				continue
-			}
-			if herr != nil {
-				return herr
-			}
-			if done {
-				return nil
-			}
-		}
-		timeout *= backoffFactor
-		if timeout > c.cfg.MaxTimeout {
-			timeout = c.cfg.MaxTimeout
-		}
-		if attempt == c.cfg.MaxRetries && sawTransient && resets > 0 {
-			// The router is alive but shedding load; giving up now would
-			// turn backpressure into failure. Re-arm the budget (bounded).
-			resets--
-			sawTransient = false
-			attempt = -1
-		}
-	}
-	c.stats.timeouts.Add(1)
-	return ErrHandshakeTimeout
-}
-
-// jittered spreads d uniformly over [1-jitter, 1+jitter] of its value so
-// synchronized clients de-correlate their retransmissions.
-func (c *Client) jittered(d time.Duration) time.Duration {
-	f := 1 - jitter + 2*jitter*c.rng.Float64()
-	return time.Duration(float64(d) * f)
-}
-
-func (c *Client) send(frame []byte) error {
-	n, err := c.conn.WriteTo(frame, c.RouterAddr())
-	if err != nil {
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	c.stats.framesOut.Add(1)
-	c.stats.bytesOut.Add(int64(n))
-	return nil
 }
 
 // SendData seals payload under the established session and sends it to
@@ -620,8 +731,7 @@ func (c *Client) SendDataVia(raddr net.Addr, payload []byte) error {
 		return core.ErrNoSession
 	}
 	// Seal in place behind the frame header: the sealed size is
-	// deterministic, so the whole datagram is built in one reused buffer
-	// (same wire format as EncodeMessage(&SessionData{...})).
+	// deterministic, so the whole datagram is built in one reused buffer.
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	buf, err := AppendFrameHeader(c.sendBuf[:0], KindSessionData, core.SealedDataLen(len(payload)))
@@ -632,11 +742,5 @@ func (c *Client) SendDataVia(raddr net.Addr, payload []byte) error {
 		return fmt.Errorf("transport: seal data: %w", err)
 	}
 	c.sendBuf = buf[:0]
-	n, err := c.conn.WriteTo(buf, raddr)
-	if err != nil {
-		return fmt.Errorf("transport: send data: %w", err)
-	}
-	c.stats.framesOut.Add(1)
-	c.stats.bytesOut.Add(int64(n))
-	return nil
+	return c.sendTo(buf, raddr)
 }

@@ -479,7 +479,7 @@ func TestDispatchGateMatrix(t *testing.T) {
 			name: "ping", cfg: bypass,
 			setup: func(r *gateRig) (net.Addr, []byte) {
 				closed(true)(r)
-				return srcA, sealed(r, KindSessionPing, (&PingBody{Nonce: 7}).Marshal())
+				return srcA, sealed(r, KindSessionPing, (&PingBody{Nonce: 7}).appendTo(nil))
 			},
 			reply: KindSessionPong, again: silent,
 			counters: map[string]int64{"keepalives_served": 1},

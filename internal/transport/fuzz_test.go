@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/peace-mesh/peace/internal/cert"
+	"github.com/peace-mesh/peace/internal/core"
 )
 
 // FuzzDecodeFrame throws arbitrary datagrams at the frame decoder. The
@@ -42,15 +43,15 @@ func FuzzDecodeFrame(f *testing.F) {
 // session peer controls it fully, so the decoder must never panic and
 // accepted bodies must round-trip byte-identically.
 func FuzzUnmarshalPingBody(f *testing.F) {
-	f.Add((&PingBody{Nonce: 42}).Marshal())
-	f.Add((&PongBody{Nonce: 42, BootEpoch: 7}).Marshal()) // wrong-tag seed
+	f.Add((&PingBody{Nonce: 42}).appendTo(nil))
+	f.Add((&PongBody{Nonce: 42, BootEpoch: 7}).appendTo(nil)) // wrong-tag seed
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := UnmarshalPingBody(data)
-		if err != nil {
+		var p PingBody
+		if p.unmarshal(data) != nil {
 			return
 		}
-		if !bytes.Equal(p.Marshal(), data) {
+		if !bytes.Equal(p.appendTo(nil), data) {
 			t.Fatal("ping body decode/encode round trip not identical")
 		}
 	})
@@ -60,15 +61,15 @@ func FuzzUnmarshalPingBody(f *testing.F) {
 // epoch the restart detector trusts, so malformed bodies must fail
 // cleanly instead of yielding a half-parsed epoch.
 func FuzzUnmarshalPongBody(f *testing.F) {
-	f.Add((&PongBody{Nonce: 42, BootEpoch: 7}).Marshal())
-	f.Add((&PingBody{Nonce: 42}).Marshal()) // wrong-tag seed
+	f.Add((&PongBody{Nonce: 42, BootEpoch: 7}).appendTo(nil))
+	f.Add((&PingBody{Nonce: 42}).appendTo(nil)) // wrong-tag seed
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := UnmarshalPongBody(data)
-		if err != nil {
+		var p PongBody
+		if p.unmarshal(data) != nil {
 			return
 		}
-		if !bytes.Equal(p.Marshal(), data) {
+		if !bytes.Equal(p.appendTo(nil), data) {
 			t.Fatal("pong body decode/encode round trip not identical")
 		}
 	})
@@ -94,11 +95,15 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Three kinds share the LinkEnvelope type, so its encoder takes the
-		// kind explicitly and EncodeMessage cannot choose one from the type.
-		if env, ok := msg.(*LinkEnvelope); ok {
-			_, err = EncodeLinkEnvelope(Kind(k), env)
-		} else {
+		// Three kinds share the LinkEnvelope type, and three the sealed
+		// core.DataFrame, so their frames take the kind explicitly and
+		// EncodeMessage cannot choose one from the type.
+		switch m := msg.(type) {
+		case *LinkEnvelope:
+			_, err = EncodeLinkEnvelope(Kind(k), m)
+		case *core.DataFrame:
+			_, err = EncodeFrame(Kind(k), m.Marshal())
+		default:
 			_, err = EncodeMessage(msg)
 		}
 		if err != nil {

@@ -15,21 +15,12 @@ import (
 // This file defines the wire formats of the metro backbone plane (see
 // internal/backbone for the subsystem that speaks them):
 //
-//   - SessionData wraps one sealed core.DataFrame of user traffic toward
-//     the attached router (KindSessionData).
 //   - RouterHello / RouterWelcome run the certificate-authenticated link
 //     handshake between two routers of one NO.
 //   - LinkEnvelope is the AEAD-sealed carrier of everything the two
 //     routers exchange after the handshake; its plaintext is a
 //     GossipBody, a RelayBody or a list of OwnerAds depending on the
 //     frame kind.
-
-// SessionData is established-session user traffic: the payload is a
-// core.DataFrame sealed under the session key, exactly like a keepalive
-// ping, but carrying application bytes.
-type SessionData struct {
-	Frame *core.DataFrame
-}
 
 // BackboneNonceSize is the length of the handshake nonces mixed into a
 // backbone link's keys.

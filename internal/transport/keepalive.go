@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/wire"
 )
 
@@ -22,32 +22,25 @@ type PingBody struct {
 	Nonce uint64
 }
 
-// Marshal encodes the ping body.
-func (p *PingBody) Marshal() []byte {
-	w := wire.NewWriter(32)
-	w.StringField(pingBodyTag)
-	w.Uint64(p.Nonce)
-	return w.Bytes()
+// pingBodyLen is the encoded size of a ping body.
+const pingBodyLen = 4 + len(pingBodyTag) + 8
+
+// appendTo appends the encoded ping body to dst.
+func (p *PingBody) appendTo(dst []byte) []byte {
+	return binary.BigEndian.AppendUint64(wire.AppendStringField(dst, pingBodyTag), p.Nonce)
 }
 
-// UnmarshalPingBody decodes a ping body.
-func UnmarshalPingBody(data []byte) (*PingBody, error) {
+// unmarshal decodes a ping body into p without allocating.
+func (p *PingBody) unmarshal(data []byte) error {
 	r := wire.NewReader(data)
-	tag, err := r.StringField()
+	err := bodyTag(r, pingBodyTag)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if tag != pingBodyTag {
-		return nil, fmt.Errorf("transport: ping body tag %q", tag)
-	}
-	p := &PingBody{}
 	if p.Nonce, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return r.Finish()
 }
 
 // PongBody is the plaintext of a keepalive pong: the echoed nonce plus the
@@ -58,40 +51,33 @@ type PongBody struct {
 	BootEpoch uint64
 }
 
-// Marshal encodes the pong body.
-func (p *PongBody) Marshal() []byte {
-	w := wire.NewWriter(40)
-	w.StringField(pongBodyTag)
-	w.Uint64(p.Nonce)
-	w.Uint64(p.BootEpoch)
-	return w.Bytes()
+// appendTo appends the encoded pong body to dst.
+func (p *PongBody) appendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(wire.AppendStringField(dst, pongBodyTag), p.Nonce)
+	return binary.BigEndian.AppendUint64(dst, p.BootEpoch)
 }
 
-// UnmarshalPongBody decodes a pong body.
-func UnmarshalPongBody(data []byte) (*PongBody, error) {
+// unmarshal decodes a pong body into p without allocating.
+func (p *PongBody) unmarshal(data []byte) error {
 	r := wire.NewReader(data)
-	tag, err := r.StringField()
+	err := bodyTag(r, pongBodyTag)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if tag != pongBodyTag {
-		return nil, fmt.Errorf("transport: pong body tag %q", tag)
-	}
-	p := &PongBody{}
 	if p.Nonce, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
 	if p.BootEpoch, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return r.Finish()
 }
 
-// SessionPing wraps a sealed ping frame for kind dispatch.
-type SessionPing struct{ Frame *core.DataFrame }
-
-// SessionPong wraps a sealed pong frame for kind dispatch.
-type SessionPong struct{ Frame *core.DataFrame }
+// bodyTag reads a keepalive body's tag and demands want.
+func bodyTag(r *wire.Reader, want string) error {
+	tag, err := r.BytesField()
+	if err == nil && string(tag) != want {
+		err = fmt.Errorf("transport: keepalive body tag %q, want %q", tag, want)
+	}
+	return err
+}

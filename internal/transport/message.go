@@ -300,10 +300,6 @@ func EncodeMessage(msg any) ([]byte, error) {
 		return EncodeFrame(KindURLSnapshotRequest, m.Marshal())
 	case *puzzle.Puzzle:
 		return EncodeFrame(KindPuzzle, m.Marshal())
-	case *SessionPing:
-		return EncodeFrame(KindSessionPing, m.Frame.Marshal())
-	case *SessionPong:
-		return EncodeFrame(KindSessionPong, m.Frame.Marshal())
 	case *ResumeRequest:
 		n := m.marshaledLen()
 		frame, err := AppendFrameHeader(make([]byte, 0, HeaderSize+n), KindResumeRequest, n)
@@ -313,8 +309,6 @@ func EncodeMessage(msg any) ([]byte, error) {
 		return m.appendTo(frame), nil
 	case *ResumeConfirm:
 		return EncodeFrame(KindResumeConfirm, m.Marshal())
-	case *SessionData:
-		return EncodeFrame(KindSessionData, m.Frame.Marshal())
 	case *RouterHello:
 		return EncodeFrame(KindRouterHello, m.Marshal())
 	case *RouterWelcome:
@@ -362,28 +356,12 @@ func DecodeMessage(kind Kind, payload []byte) (any, error) {
 		return UnmarshalRevocationFetch(payload)
 	case KindPuzzle:
 		return puzzle.Unmarshal(payload)
-	case KindSessionPing:
-		f, err := core.UnmarshalDataFrame(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &SessionPing{Frame: f}, nil
-	case KindSessionPong:
-		f, err := core.UnmarshalDataFrame(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &SessionPong{Frame: f}, nil
+	case KindSessionData, KindSessionPing, KindSessionPong:
+		return core.UnmarshalDataFrame(payload)
 	case KindResumeRequest:
 		return UnmarshalResumeRequest(payload)
 	case KindResumeConfirm:
 		return UnmarshalResumeConfirm(payload)
-	case KindSessionData:
-		f, err := core.UnmarshalDataFrame(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &SessionData{Frame: f}, nil
 	case KindRouterHello:
 		return UnmarshalRouterHello(payload)
 	case KindRouterWelcome:

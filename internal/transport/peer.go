@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"github.com/peace-mesh/peace/internal/core"
 )
@@ -183,24 +184,21 @@ func AttachPeer(ctx context.Context, conn net.PacketConn, raddr net.Addr, user *
 	}
 	gj := hello.GJ.Marshal()
 	var resp *core.PeerResponse
-	err = c.exchange(ctx, helloFrame, func(kind Kind, payload []byte) (bool, error) {
+	x := &exchange{c: c, frame: helloFrame, accept: func(_ time.Time, kind Kind, payload []byte) bool {
 		if kind != KindPeerResponse {
-			c.stats.unhandled.Add(1)
-			return false, nil
+			return drop(c.stats.unhandled)
 		}
 		m, err := core.UnmarshalPeerResponse(payload)
 		if err != nil {
-			c.stats.decodeErrors.Add(1)
-			return false, nil
+			return drop(c.stats.decodeErrors)
 		}
 		if string(m.GJ.Marshal()) != string(gj) {
-			c.stats.unhandled.Add(1)
-			return false, nil
+			return drop(c.stats.unhandled)
 		}
 		resp = m
-		return true, nil
-	})
-	if err != nil {
+		return true
+	}}
+	if err := c.drive(ctx, x); err != nil {
 		return nil, fmt.Errorf("peer hello: %w", err)
 	}
 	confirm, sess, err := user.HandlePeerResponse(resp)

@@ -47,8 +47,8 @@ type stringAddr string
 func (a stringAddr) Network() string { return "udp" }
 func (a stringAddr) String() string  { return string(a) }
 
-// TestClientReplyFilter pins which sources the client's exchange loop
-// takes a reply from: the router's address, also in its IPv4-mapped form,
+// TestClientReplyFilter pins which sources the client's driver takes a
+// reply from: the router's address, also in its IPv4-mapped form,
 // and nothing from another port or IP, which counts as unhandled. A
 // source that is not a *net.UDPAddr is compared by its formatted form.
 func TestClientReplyFilter(t *testing.T) {
@@ -88,10 +88,10 @@ func TestClientReplyFilter(t *testing.T) {
 			}
 			cl := NewClient(conn, router, ln.Users[0], ClientConfig{MaxRetries: 1})
 			handled := 0
-			err := cl.exchange(context.Background(), frame, func(kind Kind, _ []byte) (bool, error) {
+			err := cl.drive(context.Background(), &exchange{c: cl, frame: frame, accept: func(_ time.Time, kind Kind, _ []byte) bool {
 				handled++
-				return kind == KindBeaconRequest, nil
-			})
+				return kind == KindBeaconRequest
+			}})
 			if err != nil {
 				t.Fatalf("exchange: %v", err)
 			}

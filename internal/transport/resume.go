@@ -316,13 +316,13 @@ func unmarshalResumeOK(data []byte, b *resumeOK) error {
 	return r.Finish()
 }
 
-// openResumeConfirm derives the candidate session a confirm names and
-// demands key confirmation: only a server that opened the ticket and
-// derived the same keys can seal a body that opens under the new session
-// id and echoes the client's nonce. The body's ticket aliases the
-// freshly opened plaintext, which belongs to the caller.
-func openResumeConfirm(t *resumeTicket, clientNonce *[ResumeNonceSize]byte, m *ResumeConfirm) (*core.Session, *resumeOK, error) {
-	cand := core.ResumeSession(t.prev, t.secret, clientNonce[:], m.Nonce[:], "router", time.Now())
+// openResumeConfirm derives, at now, the candidate session a confirm
+// names and demands key confirmation: only a server that opened the
+// ticket and derived the same keys can seal a body that opens under the
+// new session id and echoes the client's nonce. The body's ticket aliases
+// the freshly opened plaintext, which belongs to the caller.
+func openResumeConfirm(t *resumeTicket, clientNonce *[ResumeNonceSize]byte, m *ResumeConfirm, now time.Time) (*core.Session, *resumeOK, error) {
+	cand := core.ResumeSession(t.prev, t.secret, clientNonce[:], m.Nonce[:], "router", now)
 	pt, err := cand.OpenDataInto(&core.DataFrame{
 		Session: cand.ID, Seq: 0, Encrypted: true, Payload: m.Ciphertext,
 	}, nil)
@@ -393,117 +393,105 @@ func (c *Client) Resume(ctx context.Context) (*core.Session, error) {
 	if t == nil {
 		return nil, ErrNoTicket
 	}
-	c.stats.resumeAttempts.Add(1)
-	resumeStart := time.Now()
-
-	var sess *core.Session
-	var body *resumeOK
-	var challenge *puzzle.Puzzle
-	for tries := 0; ; tries++ {
-		err := c.resumeOnce(ctx, t, challenge, &sess, &body)
-		if err == nil {
-			break
-		}
-		var pc *puzzleChallengeError
-		if errors.As(err, &pc) && tries < maxPuzzleRetries {
-			challenge = pc.p
-			continue
-		}
+	r := &resumeRun{exchange: exchange{c: c}, t: t}
+	if err := c.drive(ctx, r); err != nil {
 		return nil, err
 	}
-
-	c.user.AdoptSession(sess)
-	c.setSession(sess, body.BootEpoch)
-	c.storeTicket(body.Ticket, sess)
-	c.stats.resumeSuccesses.Add(1)
-	// body.RouterID arrived inside the key-confirmed sealed body, so it is
-	// as authenticated as the resume itself: a different ID than the
-	// session's establisher means this resume was a roaming handoff.
-	elapsed := time.Since(resumeStart)
-	if prev := c.lastRouter(); prev != "" && body.RouterID != "" && body.RouterID != prev {
-		c.stats.handoffLatency.Observe(elapsed)
-	} else {
-		c.stats.resumeLatency.Observe(elapsed)
-	}
-	if body.RouterID != "" {
-		c.setLastRouterID(body.RouterID)
-	}
-	return sess, nil
+	return r.sess, nil
 }
 
-// resumeOnce runs a single resume exchange. Each call draws a FRESH nonce:
-// the server caches its rejects by (ticket, nonce), so a puzzle retry on
-// the old nonce would only replay the cached RejectPuzzle. A non-nil
-// challenge is solved (within budget) and attached under the request MAC.
-func (c *Client) resumeOnce(ctx context.Context, t *resumeTicket, challenge *puzzle.Puzzle, sessOut **core.Session, bodyOut **resumeOK) error {
-	req, frame, err := c.resumeRequest(t, challenge)
+// resumeRun is the ticket resume as one phase: one exchange, completed
+// by a key-confirmed ResumeConfirm for its dedup id.
+type resumeRun struct {
+	exchange
+	t       *resumeTicket
+	began   time.Time
+	req     *ResumeRequest
+	confirm ResumeConfirm
+	sess    *core.Session
+	body    *resumeOK
+}
+
+func (r *resumeRun) start(now time.Time) step {
+	r.began = now
+	r.c.stats.resumeAttempts.Add(1)
+	r.accept, r.solved = r.take, r.request
+	if err := r.request(now, nil, 0); err != nil {
+		return fail(err)
+	}
+	return r.exchange.start(now)
+}
+
+func (r *resumeRun) recv(now time.Time, kind Kind, payload []byte) step {
+	return r.resumed(now, r.exchange.recv(now, kind, payload))
+}
+
+func (r *resumeRun) expire(now time.Time) step { return r.resumed(now, r.exchange.expire(now)) }
+
+// request frames a resume of the ticket, with a FRESH nonce: the server
+// caches its rejects by (ticket, nonce), so a puzzle retry on the old
+// nonce would only replay the cached RejectPuzzle.
+func (r *resumeRun) request(now time.Time, p *puzzle.Puzzle, sol uint64) error {
+	req, frame, err := resumeRequest(r.t, now, p, sol)
 	if err != nil {
 		return err
 	}
-	dedup := resumeDedupID(t.blob, req.Nonce[:])
-
-	var confirm ResumeConfirm
-	return c.exchange(ctx, frame, func(kind Kind, payload []byte) (bool, error) {
-		switch kind {
-		case KindResumeConfirm:
-			if err := UnmarshalResumeConfirmInto(payload, &confirm); err != nil {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
-			}
-			if confirm.Dedup != dedup {
-				c.stats.unhandled.Add(1)
-				return false, nil
-			}
-			sess, body, err := openResumeConfirm(t, &req.Nonce, &confirm)
-			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
-			}
-			*sessOut, *bodyOut = sess, body
-			return true, nil
-		case KindReject:
-			rej, err := UnmarshalReject(payload)
-			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				return false, nil
-			}
-			if rej.Session != dedup {
-				c.stats.unhandled.Add(1)
-				return false, nil
-			}
-			c.stats.rejects.Add(1)
-			if rej.Code.Transient() {
-				return false, errTransientReject
-			}
-			if rej.Code == RejectPuzzle && rej.Puzzle != nil {
-				return false, &puzzleChallengeError{p: rej.Puzzle}
-			}
-			return false, fmt.Errorf("transport: router refused resume (%s): %w", rej.Reason, rej.Code.Err())
-		default:
-			c.stats.unhandled.Add(1)
-			return false, nil
-		}
-	})
+	r.req, r.frame, r.sid = req, frame, resumeDedupID(r.t.blob, req.Nonce[:])
+	return nil
 }
 
-// resumeRequest builds, signs and frames one resume request on t. Each
-// call draws a FRESH nonce. A non-nil challenge is solved (within budget)
-// and attached under the request MAC.
-func (c *Client) resumeRequest(t *resumeTicket, challenge *puzzle.Puzzle) (*ResumeRequest, []byte, error) {
-	req := &ResumeRequest{Ticket: t.blob, Timestamp: time.Now()}
+func (r *resumeRun) take(now time.Time, kind Kind, payload []byte) bool {
+	st := r.c.stats
+	if kind != KindResumeConfirm {
+		return drop(st.unhandled)
+	}
+	if err := UnmarshalResumeConfirmInto(payload, &r.confirm); err != nil {
+		return drop(st.decodeErrors)
+	}
+	if r.confirm.Dedup != r.sid {
+		return drop(st.unhandled)
+	}
+	sess, body, err := openResumeConfirm(r.t, &r.req.Nonce, &r.confirm, now)
+	if err != nil {
+		return drop(st.decodeErrors)
+	}
+	r.sess, r.body = sess, body
+	return true
+}
+
+// resumed installs the resumed session and its reissued ticket once the
+// exchange completed.
+func (r *resumeRun) resumed(now time.Time, st step) step {
+	if !st.done || st.err != nil {
+		return st
+	}
+	c, body := r.c, r.body
+	c.user.AdoptSession(r.sess)
+	// body.RouterID arrived inside the key-confirmed sealed body, so it is
+	// as authenticated as the resume itself: a different ID than the
+	// session's establisher means this resume was a roaming handoff.
+	prev := c.setSession(r.sess, body.BootEpoch, body.RouterID)
+	c.storeTicket(body.Ticket, r.sess)
+	c.stats.resumeSuccesses.Add(1)
+	if prev != "" && body.RouterID != "" && body.RouterID != prev {
+		c.stats.handoffLatency.Observe(now.Sub(r.began))
+	} else {
+		c.stats.resumeLatency.Observe(now.Sub(r.began))
+	}
+	return st
+}
+
+// resumeRequest builds, signs and frames one resume request on t at now,
+// with a fresh nonce. A non-nil p attaches its solution sol under the
+// request MAC.
+func resumeRequest(t *resumeTicket, now time.Time, p *puzzle.Puzzle, sol uint64) (*ResumeRequest, []byte, error) {
+	req := &ResumeRequest{Ticket: t.blob, Timestamp: now}
 	if _, err := rand.Read(req.Nonce[:]); err != nil {
 		return nil, nil, fmt.Errorf("transport: resume nonce: %w", err)
 	}
-	if challenge != nil {
-		sol, ok := c.solvePuzzle(challenge)
-		if !ok {
-			return nil, nil, fmt.Errorf("transport: resume: %w: solve budget exhausted at difficulty %d",
-				core.ErrPuzzleRequired, challenge.Difficulty)
-		}
-		req.HasSolution = true
-		req.Solution = sol
-		req.PuzzleIssuedAt = challenge.IssuedAt
-		req.PuzzleDifficulty = challenge.Difficulty
+	if p != nil {
+		req.HasSolution, req.Solution = true, sol
+		req.PuzzleIssuedAt, req.PuzzleDifficulty = p.IssuedAt, p.Difficulty
 	}
 	req.sign(t.secret)
 	frame, err := EncodeMessage(req)
@@ -518,19 +506,30 @@ func (c *Client) resumeRequest(t *resumeTicket, challenge *puzzle.Puzzle) (*Resu
 // This is the re-attach policy Maintain runs after every detected restart
 // or dead peer.
 func (c *Client) AttachOrResume(ctx context.Context) (*core.Session, error) {
-	if c.HasTicket() {
-		sess, err := c.Resume(ctx)
-		if err == nil {
-			return sess, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Whatever the refusal (rotated STEK, stale epochs, timeout), the
-		// held ticket did not work; drop it and let the full attach mint a
-		// fresh one.
-		c.clearTicket()
-		c.stats.resumeFallbacks.Add(1)
+	if err := c.drive(ctx, c.attachOrResume()); err != nil {
+		return nil, err
 	}
-	return c.Attach(ctx)
+	return c.Session(), nil
+}
+
+func (c *Client) attachOrResume() phase {
+	t := c.heldTicket()
+	if t == nil {
+		return &attachRun{c: c}
+	}
+	ch := &chain{}
+	ch.first = func(now time.Time) step {
+		return ch.run(now, &resumeRun{exchange: exchange{c: c}, t: t}, func(now time.Time, err error) step {
+			if err == nil {
+				return step{done: true}
+			}
+			// Whatever the refusal (rotated STEK, stale epochs, timeout),
+			// the held ticket did not work; drop it and let the full attach
+			// mint a fresh one.
+			c.clearTicket()
+			c.stats.resumeFallbacks.Add(1)
+			return ch.run(now, &attachRun{c: c}, end)
+		})
+	}
+	return ch
 }

@@ -55,7 +55,7 @@ func newResumeRig(t *testing.T, cfg core.Config) *resumeRig {
 
 // detach simulates the client losing its session (restart detected, dead
 // peer) while keeping its ticket.
-func (r *resumeRig) detach() { r.cl.setSession(nil, 0) }
+func (r *resumeRig) detach() { r.cl.setSession(nil, 0, "") }
 
 // TestResumeRoundTrip re-attaches over the ticket path and checks the
 // result is a real session — key agreement holds, the router adopted it,
@@ -562,7 +562,7 @@ func TestEscrowSurvivesRoam(t *testing.T) {
 	t.Cleanup(eg.Close)
 	l := &shardLoop{eg: eg}
 	held := cl.heldTicket()
-	req, frame, err := cl.resumeRequest(held, nil)
+	req, frame, err := resumeRequest(held, cl.user.Now(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestEscrowSurvivesRoam(t *testing.T) {
 	if err := UnmarshalResumeConfirmInto(payload, &confirm); err != nil {
 		t.Fatal(err)
 	}
-	last, _, err := openResumeConfirm(held, &req.Nonce, &confirm)
+	last, _, err := openResumeConfirm(held, &req.Nonce, &confirm, cl.user.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package transport
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
-	"net"
 	"time"
 
 	"github.com/peace-mesh/peace/internal/core"
@@ -51,24 +49,11 @@ func (c MaintainConfig) withDefaults() MaintainConfig {
 	if c.AttachTimeout <= 0 {
 		c.AttachTimeout = 30 * time.Second
 	}
+	if c.Logf == nil {
+		c.Logf = func(string, ...any) {}
+	}
 	return c
 }
-
-// pingResult classifies one keepalive round.
-type pingResult int
-
-const (
-	// pingAcked: a valid pong sealed under the session key came back.
-	pingAcked pingResult = iota
-	// pingMissed: the round ended with no usable answer.
-	pingMissed
-	// pingUnknownSession: the server answered that it does not hold the
-	// session — the (unauthenticated) restart hint.
-	pingUnknownSession
-	// pingEpochChanged: a valid pong reported a different boot epoch than
-	// the one recorded at attach (authenticated restart signal).
-	pingEpochChanged
-)
 
 // Maintain runs the self-healing session loop until ctx is cancelled:
 // attach (with jittered exponential backoff across failures), then send
@@ -78,219 +63,207 @@ const (
 // the orphaned session is dropped and the loop re-attaches automatically.
 // Maintain always returns ctx's error.
 func (c *Client) Maintain(ctx context.Context, cfg MaintainConfig) error {
-	cfg = cfg.withDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	backoff := cfg.ReattachMin
-
+	// Cancelling ctx wakes the read the keeper is blocked in.
+	defer context.AfterFunc(ctx, func() { _ = c.conn.SetReadDeadline(time.Unix(1, 0)) })()
+	k := newKeeper(c, cfg)
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		err := c.drive(ctx, k)
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
-
-		// Phase A: (re-)attach until a session is established — via the
-		// held resumption ticket when the server still honours it (one
-		// symmetric round trip), the full M.1–M.3 otherwise.
-		if c.Session() == nil {
-			actx, cancel := context.WithTimeout(ctx, cfg.AttachTimeout)
-			_, err := c.AttachOrResume(actx)
-			cancel()
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				logf("transport: attach failed, backing off %v: %v", backoff, err)
-				if !sleepCtx(ctx, c.jittered(backoff)) {
-					return ctx.Err()
-				}
-				backoff *= 2
-				if backoff > cfg.ReattachMax {
-					backoff = cfg.ReattachMax
-				}
-				continue
-			}
-			backoff = cfg.ReattachMin
-			logf("transport: attached (boot epoch %d)", c.BootEpoch())
-		}
-
-		// Phase B: keepalive until the session dies or ctx ends.
-		missed := 0
-		for c.Session() != nil {
-			if !sleepCtx(ctx, cfg.KeepaliveInterval) {
-				return ctx.Err()
-			}
-			switch c.pingOnce(ctx, cfg.PingTimeout) {
-			case pingAcked:
-				missed = 0
-			case pingEpochChanged:
-				c.stats.restartsDetected.Add(1)
-				logf("transport: pong reports new boot epoch; re-attaching")
-				c.dropSession()
-			case pingUnknownSession:
-				if c.confirmRestart(ctx, cfg.PingTimeout) {
-					logf("transport: restart confirmed via beacon; re-attaching")
-					c.dropSession()
-					continue
-				}
-				// Unconfirmed (possibly forged) hint: treat like a missed
-				// round so a real outage still trips the dead-peer limit.
-				missed++
-				c.stats.keepalivesMissed.Add(1)
-			case pingMissed:
-				missed++
-				c.stats.keepalivesMissed.Add(1)
-			}
-			if missed >= cfg.MaxMissed {
-				c.stats.deadPeerEvents.Add(1)
-				logf("transport: %d keepalives missed; declaring peer dead", missed)
-				c.dropSession()
-			}
-		}
+		// A socket error cut the run short: back off, then go on.
+		k.cfg.Logf("transport: %v", err)
+		k.first = k.pause
 	}
 }
 
-// dropSession discards the orphaned session and counts the re-attach
-// cycle the maintain loop is about to run.
-func (c *Client) dropSession() {
-	c.setSession(nil, 0)
-	c.stats.reattaches.Add(1)
+// keeper is Maintain's loop as a phase that never ends; its waits — the
+// keepalive interval, the re-attach backoff — are deadlines.
+type keeper struct {
+	chain
+	c       *Client
+	cfg     MaintainConfig
+	backoff time.Duration // the next re-attach backoff
+	missed  int           // consecutive unanswered rounds
+
+	// The round in flight: the ping's nonce and send time, its pong's
+	// epoch, and the reused seal buffer, open scratch and frame.
+	nonce  uint64
+	sentAt time.Time
+	epoch  uint64
+	buf    []byte
+	pt     []byte
+	frame  core.DataFrame
 }
 
-// pingOnce runs one keepalive round: seal a nonce'd ping under the
-// session key, send it once, and classify whatever comes back before the
-// timeout. Retransmission is the next round's job — cadence, not urgency.
-func (c *Client) pingOnce(ctx context.Context, timeout time.Duration) pingResult {
-	sess := c.Session()
-	if sess == nil {
-		return pingMissed
-	}
-	nonce := c.rng.Uint64()
-	df, err := sess.SealData(rand.Reader, (&PingBody{Nonce: nonce}).Marshal())
-	if err != nil {
-		return pingMissed
-	}
-	frame, err := EncodeMessage(&SessionPing{Frame: df})
-	if err != nil {
-		return pingMissed
-	}
-	if err := c.send(frame); err != nil {
-		return pingMissed
-	}
-	c.stats.keepalivesSent.Add(1)
-	pingStart := time.Now()
+func newKeeper(c *Client, cfg MaintainConfig) *keeper {
+	k := &keeper{c: c, cfg: cfg.withDefaults()}
+	k.backoff = k.cfg.ReattachMin
+	k.first = k.begin
+	return k
+}
 
-	deadline := time.Now().Add(timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
+// begin attaches a detached client and keeps an attached one alive.
+func (k *keeper) begin(now time.Time) step {
+	if k.c.Session() == nil {
+		return k.attach(now)
 	}
-	for {
-		if ctx.Err() != nil {
-			return pingMissed
-		}
-		if err := c.conn.SetReadDeadline(deadline); err != nil {
-			return pingMissed
-		}
-		n, from, err := c.conn.ReadFrom(c.buf)
+	return k.keepalive(now)
+}
+
+// attach re-attaches — over the held resumption ticket when the server
+// still honours it (one symmetric round trip), the full M.1–M.3
+// otherwise — within AttachTimeout.
+func (k *keeper) attach(now time.Time) step {
+	return k.runBy(now, now.Add(k.cfg.AttachTimeout), k.c.attachOrResume(), func(now time.Time, err error) step {
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				return pingMissed
-			}
-			return pingMissed
+			k.cfg.Logf("transport: attach failed, backing off %v: %v", k.backoff, err)
+			return k.pause(now)
 		}
-		c.stats.bytesIn.Add(int64(n))
-		if from.String() != c.raddr.String() {
-			c.stats.unhandled.Add(1)
-			continue
-		}
-		kind, payload, derr := DecodeFrame(c.buf[:n])
-		if derr != nil {
-			c.stats.decodeErrors.Add(1)
-			continue
-		}
-		c.stats.framesIn.Add(1)
-		switch kind {
-		case KindSessionPong:
-			pf, err := core.UnmarshalDataFrame(payload)
-			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				continue
-			}
-			body, err := sess.OpenData(pf)
-			if err != nil {
-				// Forged, corrupted or replayed pong; keep waiting.
-				c.stats.decodeErrors.Add(1)
-				continue
-			}
-			pb, err := UnmarshalPongBody(body)
-			if err != nil || pb.Nonce != nonce {
-				c.stats.unhandled.Add(1)
-				continue
-			}
-			c.stats.keepalivesAcked.Add(1)
-			// The sealed ping/pong pair is a full sealed-data round trip
-			// (seal, send, server open+reseal, open), so it stands in for
-			// the data-path RTT.
-			c.stats.dataRTT.Observe(time.Since(pingStart))
-			if pb.BootEpoch != c.BootEpoch() {
-				return pingEpochChanged
-			}
-			return pingAcked
-		case KindReject:
-			rej, err := UnmarshalReject(payload)
-			if err != nil {
-				c.stats.decodeErrors.Add(1)
-				continue
-			}
-			if rej.Session == sess.ID && rej.Code == RejectUnknownSession {
-				return pingUnknownSession
-			}
-			c.stats.unhandled.Add(1)
-		default:
-			c.stats.unhandled.Add(1)
-		}
-	}
+		k.backoff, k.missed = k.cfg.ReattachMin, 0
+		k.cfg.Logf("transport: attached (boot epoch %d)", k.c.BootEpoch())
+		return k.keepalive(now)
+	})
 }
 
-// confirmRestart re-solicits the beacon and checks its signed boot epoch
-// against the one recorded at attach. Only an authenticated epoch change
-// (or a beacon proving our revocation state is behind, which forces a
-// re-sync anyway) tears the session down — an attacker forging
-// unknown-session rejects cannot kill a healthy session.
-func (c *Client) confirmRestart(ctx context.Context, timeout time.Duration) bool {
-	bctx, cancel := context.WithTimeout(ctx, 4*timeout)
-	defer cancel()
-	b, err := c.solicitBeacon(bctx)
-	if err != nil {
-		return false
-	}
-	switch err := c.user.ObserveBeacon(b); {
-	case err == nil:
-		if b.BootEpoch != c.BootEpoch() {
-			c.stats.restartsDetected.Add(1)
-			return true
+// pause waits out a jittered backoff, doubling the next one up to
+// ReattachMax, then begins again.
+func (k *keeper) pause(now time.Time) step {
+	wait := k.c.jittered(k.backoff)
+	k.backoff = min(2*k.backoff, k.cfg.ReattachMax)
+	return k.run(now, k.wait(wait), func(now time.Time, _ error) step { return k.begin(now) })
+}
+
+// wait is an exchange that sends nothing and waits d; a frame that
+// arrives meanwhile answers nothing.
+func (k *keeper) wait(d time.Duration) *exchange {
+	return &exchange{c: k.c, once: d, accept: func(time.Time, Kind, []byte) bool { return drop(k.c.stats.unhandled) }}
+}
+
+// keepalive waits out one KeepaliveInterval, then runs a ping round.
+func (k *keeper) keepalive(now time.Time) step {
+	return k.run(now, k.wait(k.cfg.KeepaliveInterval), func(now time.Time, _ error) step {
+		sess := k.c.Session()
+		if sess == nil {
+			return k.attach(now)
 		}
-		return false
+		x, err := k.ping(now, sess)
+		if err != nil {
+			return k.miss(now)
+		}
+		return k.run(now, x, k.pinged)
+	})
+}
+
+// ping seals a nonce'd ping under sess into the keeper's reused buffer,
+// as SendDataVia does, and returns the round's exchange: sent once —
+// retransmission is the next round's job; cadence, not urgency.
+func (k *keeper) ping(now time.Time, sess *core.Session) (*exchange, error) {
+	k.nonce, k.sentAt = k.c.rng.Uint64(), now
+	var body [pingBodyLen]byte
+	pt := (&PingBody{Nonce: k.nonce}).appendTo(body[:0])
+	frame, err := AppendFrameHeader(k.buf[:0], KindSessionPing, core.SealedDataLen(len(pt)))
+	if err == nil {
+		frame, err = sess.AppendSealedData(frame, pt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	k.buf = frame
+	k.c.stats.keepalivesSent.Add(1)
+	return &exchange{c: k.c, frame: frame, sid: sess.ID, once: k.cfg.PingTimeout,
+		accept: func(now time.Time, kind Kind, payload []byte) bool { return k.pong(now, sess, kind, payload) }}, nil
+}
+
+// pong takes the pong sealed under sess that echoes the round's nonce.
+func (k *keeper) pong(now time.Time, sess *core.Session, kind Kind, payload []byte) bool {
+	st := k.c.stats
+	if kind != KindSessionPong {
+		return drop(st.unhandled)
+	}
+	if core.UnmarshalDataFrameInto(payload, &k.frame) != nil {
+		return drop(st.decodeErrors)
+	}
+	pt, err := sess.OpenDataInto(&k.frame, k.pt[:0])
+	if err != nil {
+		// Forged, corrupted or replayed pong; keep waiting.
+		return drop(st.decodeErrors)
+	}
+	k.pt = pt[:0]
+	var pb PongBody
+	if pb.unmarshal(pt) != nil || pb.Nonce != k.nonce {
+		return drop(st.unhandled)
+	}
+	st.keepalivesAcked.Add(1)
+	// A full sealed-data round trip: it stands in for the data-path RTT.
+	st.dataRTT.Observe(now.Sub(k.sentAt))
+	k.epoch = pb.BootEpoch
+	return true
+}
+
+// pinged judges a ping round.
+func (k *keeper) pinged(now time.Time, err error) step {
+	switch {
+	case err == nil && k.epoch != k.c.BootEpoch():
+		// A valid pong from another incarnation: an authenticated restart.
+		k.c.stats.restartsDetected.Add(1)
+		k.cfg.Logf("transport: pong reports new boot epoch; re-attaching")
+		return k.reattach(now)
+	case err == nil:
+		k.missed = 0
+		return k.keepalive(now)
+	case errors.Is(err, core.ErrNoSession):
+		// The router answered that it does not hold the session — an
+		// unauthenticated hint, confirmed against the signed boot epoch of
+		// a freshly solicited beacon.
+		var b *core.Beacon
+		return k.runBy(now, now.Add(4*k.cfg.PingTimeout), k.c.solicit(&b), func(now time.Time, err error) step {
+			if err == nil && k.restarted(b) {
+				k.cfg.Logf("transport: restart confirmed via beacon; re-attaching")
+				return k.reattach(now)
+			}
+			// Unconfirmed (possibly forged) hint: treat like a missed
+			// round so a real outage still trips the dead-peer limit.
+			return k.miss(now)
+		})
+	}
+	return k.miss(now)
+}
+
+// miss counts an unanswered round; MaxMissed in a row mean a dead peer.
+func (k *keeper) miss(now time.Time) step {
+	k.missed++
+	k.c.stats.keepalivesMissed.Add(1)
+	if k.missed < k.cfg.MaxMissed {
+		return k.keepalive(now)
+	}
+	k.c.stats.deadPeerEvents.Add(1)
+	k.cfg.Logf("transport: %d keepalives missed; declaring peer dead", k.missed)
+	return k.reattach(now)
+}
+
+// reattach drops the orphaned session and counts and runs a re-attach.
+func (k *keeper) reattach(now time.Time) step {
+	k.c.setSession(nil, 0, "")
+	k.c.stats.reattaches.Add(1)
+	return k.attach(now)
+}
+
+// restarted checks a solicited beacon's signed boot epoch against the
+// one recorded at attach. Only an authenticated epoch change (or a
+// beacon proving our revocation state is behind, which forces a re-sync
+// anyway) tears the session down — an attacker forging unknown-session
+// rejects cannot kill a healthy session.
+func (k *keeper) restarted(b *core.Beacon) bool {
+	switch err := k.c.user.ObserveBeacon(b); {
+	case err == nil && b.BootEpoch != k.c.BootEpoch():
+		k.c.stats.restartsDetected.Add(1)
+		return true
 	case errors.Is(err, core.ErrRevocationStale):
 		// The router moved past our installed revocation state; a
 		// re-attach resynchronizes it. (The refs are not authenticated at
 		// this point, but re-attaching is safe — merely costly.)
 		return true
-	default:
-		return false
 	}
-}
-
-// sleepCtx sleeps for d and reports false when ctx ended first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	return false
 }

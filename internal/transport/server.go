@@ -1094,31 +1094,23 @@ func (s *Server) servePing(l *shardLoop, _ time.Time, from net.Addr, payload []b
 		s.reject(l.eg, from, f.Session, RejectUnknownSession, "no such session", false)
 		return
 	}
-	body, err := sess.OpenData(f)
+	body, err := sess.OpenDataInto(f, l.pt[:0])
 	if err != nil {
 		// Forged, corrupted or replayed (duplicated) ping; the next round's
 		// ping carries a fresh sequence number, so dropping it is safe.
 		s.stats.decodeErrors.Add(1)
 		return
 	}
-	pb, err := UnmarshalPingBody(body)
-	if err != nil {
+	var ping PingBody
+	if err := ping.unmarshal(body); err != nil {
 		s.stats.decodeErrors.Add(1)
 		return
 	}
-	pong := &PongBody{Nonce: pb.Nonce, BootEpoch: s.cfg.BootEpoch}
-	df, err := sess.SealData(rand.Reader, pong.Marshal())
-	if err != nil {
-		s.logf("transport: seal pong: %v", err)
-		return
-	}
-	frame, err := EncodeMessage(&SessionPong{Frame: df})
-	if err != nil {
-		s.logf("transport: encode pong: %v", err)
-		return
-	}
+	pong := PongBody{Nonce: ping.Nonce, BootEpoch: s.cfg.BootEpoch}
+	pt := pong.appendTo(body[:0])
+	l.pt = pt[:0]
 	s.stats.keepalivesServed.Add(1)
-	l.eg.Queue(frame, from)
+	s.sealTo(l, sess, KindSessionPong, pt, from)
 }
 
 // serveData delivers one frame of established-session user traffic. A
@@ -1142,7 +1134,7 @@ func (s *Server) serveData(l *shardLoop, _ time.Time, from net.Addr, payload []b
 		s.stats.dataDelivered.Add(1)
 		s.stats.dataBytes.Add(int64(len(pt)))
 		if s.cfg.EchoData {
-			s.echoData(l, sess, pt, from)
+			s.sealTo(l, sess, KindSessionData, pt, from)
 		}
 		return
 	}
@@ -1154,19 +1146,20 @@ func (s *Server) serveData(l *shardLoop, _ time.Time, from net.Addr, payload []b
 	s.reject(l.eg, from, f.Session, RejectUnknownSession, "no such session", false)
 }
 
-// echoData seals the just-delivered payload back to its sender into a
-// pooled egress buffer: header first (the sealed size is deterministic),
-// then AppendSealedData in place — no intermediate frame, no copy, zero
-// allocations in steady state.
-func (s *Server) echoData(l *shardLoop, sess *core.Session, pt []byte, addr net.Addr) {
+// sealTo seals pt under sess as a frame of kind into a pooled egress
+// buffer, queued for addr: header first (the sealed size is
+// deterministic), then AppendSealedData in place — no intermediate frame,
+// no copy, zero allocations in steady state. It answers an echoed data
+// frame and a keepalive ping.
+func (s *Server) sealTo(l *shardLoop, sess *core.Session, kind Kind, pt []byte, addr net.Addr) {
 	b := l.eg.Buffer()
 	var err error
-	if b.B, err = AppendFrameHeader(b.B, KindSessionData, core.SealedDataLen(len(pt))); err == nil {
+	if b.B, err = AppendFrameHeader(b.B, kind, core.SealedDataLen(len(pt))); err == nil {
 		b.B, err = sess.AppendSealedData(b.B, pt)
 	}
 	if err != nil {
 		b.Release()
-		s.logf("transport: echo seal: %v", err)
+		s.logf("transport: seal %v: %v", kind, err)
 		return
 	}
 	l.eg.QueueBuf(b, addr)

@@ -51,7 +51,7 @@ func TestShardedServerHandshakes(t *testing.T) {
 			}
 			// Re-attach twice via the ticket path.
 			for r := 0; r < 2; r++ {
-				cl.setSession(nil, 0)
+				cl.setSession(nil, 0, "")
 				if _, err := cl.AttachOrResume(ctx); err != nil {
 					errs[i] = err
 					return

@@ -223,12 +223,6 @@ func (s *Stats) Duplicates() int64 { return s.duplicates.Load() }
 // DecodeErrors returns the decode-error counter.
 func (s *Stats) DecodeErrors() int64 { return s.decodeErrors.Load() }
 
-// Rejects returns the reject counter.
-func (s *Stats) Rejects() int64 { return s.rejects.Load() }
-
-// QueueDrops returns the ingest-backpressure drop counter.
-func (s *Stats) QueueDrops() int64 { return s.queueDrops.Load() }
-
 // RatelimitDropped returns how many attach/resume datagrams the
 // per-source token bucket shed.
 func (s *Stats) RatelimitDropped() int64 { return s.ratelimitDropped.Load() }
@@ -238,9 +232,6 @@ func (s *Stats) RevDeltaFetches() int64 { return s.revDeltaFetches.Load() }
 
 // RevSnapshotFetches returns the full-snapshot counter.
 func (s *Stats) RevSnapshotFetches() int64 { return s.revSnapshotFetches.Load() }
-
-// RevRejects returns the revocation-reject counter.
-func (s *Stats) RevRejects() int64 { return s.revRejects.Load() }
 
 // KeepalivesAcked returns how many valid pongs the client received.
 func (s *Stats) KeepalivesAcked() int64 { return s.keepalivesAcked.Load() }
@@ -276,9 +267,6 @@ func (s *Stats) ResumesServed() int64 { return s.resumesServed.Load() }
 // ResumeRejects returns how many resume exchanges the server refused.
 func (s *Stats) ResumeRejects() int64 { return s.resumeRejects.Load() }
 
-// ResumeAttempts returns how many resume exchanges the client started.
-func (s *Stats) ResumeAttempts() int64 { return s.resumeAttempts.Load() }
-
 // ResumeSuccesses returns how many resume exchanges the client completed.
 func (s *Stats) ResumeSuccesses() int64 { return s.resumeSuccesses.Load() }
 
@@ -287,9 +275,6 @@ func (s *Stats) ResumeFallbacks() int64 { return s.resumeFallbacks.Load() }
 
 // ReplyCacheSize returns the reply-cache size gauge.
 func (s *Stats) ReplyCacheSize() int64 { return s.replyCacheSize.Load() }
-
-// DeltaCacheFrames returns the delta-cache size gauge.
-func (s *Stats) DeltaCacheFrames() int64 { return s.deltaCacheFrames.Load() }
 
 // Shards returns the read-loop gauge.
 func (s *Stats) Shards() int64 { return s.shards.Load() }
@@ -318,12 +303,6 @@ func (s *Stats) ReadBatches() int64 { return s.readBatches.Load() }
 
 // ReadDatagrams returns how many datagrams the ingest reads moved.
 func (s *Stats) ReadDatagrams() int64 { return s.readDatagrams.Load() }
-
-// WriteBatches returns how many egress flushes completed.
-func (s *Stats) WriteBatches() int64 { return s.writeBatches.Load() }
-
-// WriteDatagrams returns how many datagrams the egress flushes moved.
-func (s *Stats) WriteDatagrams() int64 { return s.writeDatagrams.Load() }
 
 // DataBytes returns the plaintext bytes delivered to the local sink.
 func (s *Stats) DataBytes() int64 { return s.dataBytes.Load() }
@@ -364,9 +343,6 @@ func (s *Stats) DoSPuzzlesRejected() int64 { return s.dosPuzzlesRejected.Load() 
 // gate suppressed.
 func (s *Stats) DoSSolutionReplays() int64 { return s.dosSolutionReplays.Load() }
 
-// DoSSolveLatency returns the client puzzle-solve latency histogram.
-func (s *Stats) DoSSolveLatency() *metrics.Histogram { return s.dosSolveLatency }
-
 // AttachLatency returns the full-attach latency histogram.
 func (s *Stats) AttachLatency() *metrics.Histogram { return s.attachLatency }
 
@@ -375,9 +351,6 @@ func (s *Stats) ResumeLatency() *metrics.Histogram { return s.resumeLatency }
 
 // HandoffLatency returns the roaming-handoff latency histogram.
 func (s *Stats) HandoffLatency() *metrics.Histogram { return s.handoffLatency }
-
-// DataRTT returns the sealed-data round-trip latency histogram.
-func (s *Stats) DataRTT() *metrics.Histogram { return s.dataRTT }
 
 // NoteDataBytes adds delivered plaintext bytes (called by the backbone
 // node for relayed-in frames that open under a local session).

@@ -265,37 +265,6 @@ func TestDuplicateAccessRequestSuppressed(t *testing.T) {
 	}
 }
 
-// TestHandshakeTimesOutAgainstSilence points a client at a socket nobody
-// serves and expects ErrHandshakeTimeout after max retries.
-func TestHandshakeTimesOutAgainstSilence(t *testing.T) {
-	blackhole := mustListen(t)
-	defer blackhole.Close()
-
-	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientConn := mustListen(t)
-	defer clientConn.Close()
-	cfg := ClientConfig{
-		RetransmitTimeout: 20 * time.Millisecond,
-		MaxTimeout:        50 * time.Millisecond,
-		MaxRetries:        3,
-	}
-	cl := NewClient(clientConn, blackhole.LocalAddr(), ln.Users[0], cfg)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := cl.Attach(ctx); !errors.Is(err, ErrHandshakeTimeout) {
-		t.Fatalf("want ErrHandshakeTimeout, got %v", err)
-	}
-	if cl.Stats().Timeouts() == 0 {
-		t.Fatal("timeout counter not bumped")
-	}
-	if cl.Stats().Retransmits() != int64(cfg.MaxRetries) {
-		t.Fatalf("retransmits = %d, want %d", cl.Stats().Retransmits(), cfg.MaxRetries)
-	}
-}
-
 // TestRevokedUserRejectedOnWire revokes a user's credential and expects
 // the on-wire handshake to fail with a revocation reject, not a timeout.
 func TestRevokedUserRejectedOnWire(t *testing.T) {
