@@ -183,7 +183,8 @@ bench:
 # a GSO train read back through ReadBatch with UDP GRO, at 0 allocs/op,
 # TestKeepaliveAllocs holds the server's ping→pong at 0 allocs/op,
 # TestResumeExchangeAllocs holds one in-process ticket resume (both ends)
-# to its allocation ceiling, TestHandoffExchangeAllocs does the same for a
+# to its allocation ceiling, TestClientResumeAllocs the same resume run as
+# the Client's stepped phase, TestHandoffExchangeAllocs does the same for a
 # resume at another router (a handoff) and holds its announcement step at
 # 0 allocs/op, TestAccessAnswerAllocs holds an M.2's submit and its
 # answer outside the verification to their ceiling, TestEscrowCheckAllocs
@@ -195,7 +196,9 @@ bench:
 # bn256 and sgs benchmarks mirror the attach ledger's crypto rows (pairing, combined
 # Miller, PrepareG2, sign, verify, 16-token sweep) and run once as well.
 # Then the lane passes against what each replaces eight of, in one command:
-# the revocation scan's per-token pass (PairLanes8) against the scalar
+# the revocation scan's per-token pass (PairLanes8), its final
+# exponentiation half (FinalExpLanes8) and one of that half's 189
+# cyclotomic squarings (CyclotomicSquareLanes8), against the scalar
 # Miller loop and final exponentiation, and the sweep set-up's two
 # (PrepareG2Lanes8, eight G2 points' lines in one walk, and MillerLanes2,
 # eight signatures' two-factor Miller products with a Q per lane) against
@@ -212,11 +215,11 @@ bench:
 # TestHandoffAdoptedAllocs, which holds the shard loop's side of an
 # adoption (the inbox append and the loop's wake) at 0 allocs/op.
 bench-smoke:
-	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestKeepaliveAllocs|TestResumeExchangeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestKeepaliveAllocs|TestResumeExchangeAllocs|TestClientResumeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
 	$(GO) test ./internal/transport/ -run='^$$' -bench='^BenchmarkResumeExchange$$' -benchmem -benchtime=2000x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
-	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|PreparedMiller|FinalExponentiation|PrepareG2Lanes8|PrepareG2|MillerLanes2|MillerCombined2)$$' -benchtime=200x
+	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|CyclotomicSquareLanes8|FinalExpLanes8|PreparedMiller|FinalExponentiation|PrepareG2Lanes8|PrepareG2|MillerLanes2|MillerCombined2)$$' -benchtime=200x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(HashToG2|G2ScalarMult|G2Unmarshal)$$' -benchtime=200x
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^BenchmarkSign$$' -benchtime=200x
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|SweepGroup8|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x

@@ -73,6 +73,45 @@ func BenchmarkPairLanes8(b *testing.B) {
 	})
 }
 
+// BenchmarkCyclotomicSquareLanes8 and BenchmarkFinalExpLanes8 split a lane
+// pass: the final exponentiation is the half of BenchmarkPairLanes8 that
+// does not depend on the number of factors, and its 189 cyclotomic squarings
+// are most of it. The Miller half is the difference.
+func BenchmarkCyclotomicSquareLanes8(b *testing.B) {
+	a := pairingValuesx8(b)
+	w := laneWorkPool.Get().(*laneWork)
+	defer laneWorkPool.Put(w)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.CyclotomicSquare(&a, w)
+	}
+}
+
+func BenchmarkFinalExpLanes8(b *testing.B) {
+	a := pairingValuesx8(b)
+	w := laneWorkPool.Get().(*laneWork)
+	defer laneWorkPool.Put(w)
+	var e gfP12x8
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.finalExponentiation(&a, w)
+	}
+}
+
+// pairingValuesx8 returns eight random elements of the cyclotomic
+// subgroup, one per lane; a lane pass's work does not depend on its
+// values.
+func pairingValuesx8(b *testing.B) (e gfP12x8) {
+	for i := 0; i < Lanes; i++ {
+		k, err := RandomScalar(rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.setLane(i, newGFp12().cyclotomicExp(gtGen, k))
+	}
+	return
+}
+
 func BenchmarkPrepareG2(b *testing.B) {
 	_, q, _ := RandomG2(rand.Reader)
 	b.ResetTimer()

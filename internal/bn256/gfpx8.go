@@ -159,3 +159,76 @@ func gfp2x8MulXiGeneric(c, a *gfP2x8) {
 		c.setLane(i, x.MulXi(&x))
 	}
 }
+
+func gfp4x8CycloSquareGeneric(c0, c1, a, b, u, v *gfP2x8, xi bool) {
+	for i := 0; i < 8; i++ {
+		x, y, s, w := a.lane(i), b.lane(i), u.lane(i), v.lane(i)
+		var t, d gfP2
+		t.Square(&x)
+		t.MulXi(&t)
+		d.Square(&y)
+		t.Add(&t, &d) // ξx² + y²
+		d.Mul(&x, &y)
+		d.Double(&d) // 2xy
+		if xi {
+			d.MulXi(&d)
+		}
+		s.Sub(&t, &s)
+		s.Double(&s)
+		s.Add(&s, &t)
+		w.Add(&d, &w)
+		w.Double(&w)
+		w.Add(&w, &d)
+		c0.setLane(i, &s)
+		c1.setLane(i, &w)
+	}
+}
+
+func gfp6x8MulGeneric(c, a, b *gfP6x8) {
+	for i := 0; i < 8; i++ {
+		x := gfP6{x: a.x.lane(i), y: a.y.lane(i), z: a.z.lane(i)}
+		y := gfP6{x: b.x.lane(i), y: b.y.lane(i), z: b.z.lane(i)}
+		x.Mul(&x, &y)
+		c.x.setLane(i, &x.x)
+		c.y.setLane(i, &x.y)
+		c.z.setLane(i, &x.z)
+	}
+}
+
+func gfp6x8MulSparse2Generic(e, a *gfP6x8, y2, z2 *gfP2x8) {
+	for i := 0; i < 8; i++ {
+		x := gfP6{x: a.x.lane(i), y: a.y.lane(i), z: a.z.lane(i)}
+		y, z := y2.lane(i), z2.lane(i)
+		x.MulSparse2(&x, &y, &z)
+		e.x.setLane(i, &x.x)
+		e.y.setLane(i, &x.y)
+		e.z.setLane(i, &x.z)
+	}
+}
+
+// coords returns the three coordinates of e, in the order x, y, z.
+func (e *gfP6x8) coords() [3]*gfP2x8 { return [3]*gfP2x8{&e.x, &e.y, &e.z} }
+
+func gfp6x8SubSubGeneric(c, a, b, d *gfP6x8) {
+	cc, ac, bc, dc := c.coords(), a.coords(), b.coords(), d.coords()
+	for k := range cc {
+		for i := 0; i < 8; i++ {
+			x, y, z := ac[k].lane(i), bc[k].lane(i), dc[k].lane(i)
+			x.Sub(&x, &y)
+			cc[k].setLane(i, x.Sub(&x, &z))
+		}
+	}
+}
+
+func gfp6x8MulTauAddGeneric(c, a, b *gfP6x8) {
+	for i := 0; i < 8; i++ {
+		ax, ay, az := a.x.lane(i), a.y.lane(i), a.z.lane(i)
+		bx, by, bz := b.x.lane(i), b.y.lane(i), b.z.lane(i)
+		bz.Add(&bz, ax.MulXi(&ax))
+		by.Add(&by, &az)
+		bx.Add(&bx, &ay)
+		c.z.setLane(i, &bz)
+		c.y.setLane(i, &by)
+		c.x.setLane(i, &bx)
+	}
+}

@@ -28,3 +28,18 @@ func gfp2x8Sub(c, a, b *gfP2x8)
 
 //go:noescape
 func gfp2x8MulXi(c, a *gfP2x8)
+
+//go:noescape
+func gfp4x8CycloSquare(c0, c1, a, b, u, v *gfP2x8, xi bool)
+
+//go:noescape
+func gfp6x8Mul(c, a, b *gfP6x8)
+
+//go:noescape
+func gfp6x8SubSub(c, a, b, d *gfP6x8)
+
+//go:noescape
+func gfp6x8MulTauAdd(c, a, b *gfP6x8)
+
+//go:noescape
+func gfp6x8MulSparse2(e, a *gfP6x8, y2, z2 *gfP2x8)

@@ -2,11 +2,11 @@
 
 #include "textflag.h"
 
-// The lane kernels: F_p and F_p² arithmetic on eight independent values at
-// a time, one per 64-bit lane of a ZMM register, in five limbs of 52 bits
-// (see gfPx8 in gfpx8.go for the representation and the invariant). They
-// need AVX-512F and AVX-512 IFMA; when supportsIFMA is false each one
-// continues in its Generic twin, the way gfpMul does.
+// The lane kernels: F_p, F_p², F_p⁴ and F_p⁶ arithmetic on eight
+// independent values at a time, one per 64-bit lane of a ZMM register, in
+// five limbs of 52 bits (see gfPx8 in gfpx8.go for the representation and
+// the invariant). They need AVX-512F and AVX-512 IFMA; when supportsIFMA
+// is false each one continues in its Generic twin, the way gfpMul does.
 //
 // Register use, the same in every kernel:
 //
@@ -18,10 +18,18 @@
 //	Z29, Z30          limb i of the streamed operands in round i
 //	Z31               scratch of carry
 //
-// p, 2p and 4p are read from RODATA with an embedded broadcast.
+// The kernels one level up (gfp4x8CycloSquare, gfp6x8Mul,
+// gfp6x8MulSparse2) keep products as ten-limb integers, not reduced, in
+// (Z14:…:Z10) and (Z20:…:Z16), sum them with the linear terms of the
+// formula, and reduce each output coordinate once (redc, then finish).
+// Those that park values between steps hold them in a frame on the stack,
+// 64-byte aligned in R8; they leave for the Generic twin through a RET to
+// it, which releases the frame first.
+//
+// p and its multiples are read from RODATA with an embedded broadcast.
 
-// Radix-2⁵² constants: the five 52-bit limbs of p, 2p and 4p, low limb
-// first, and np = −p⁻¹ mod 2⁵². They are entered by hand — the Generic twins
+// Radix-2⁵² constants: the five 52-bit limbs of p, 2p, 4p and 16p, low
+// limb first, and np = −p⁻¹ mod 2⁵². They are entered by hand — the Generic twins
 // go through gfP and have no use for them — and TestKernelConstants reads
 // them back out of this file and compares them with the values it derives
 // from P.
@@ -46,6 +54,18 @@ DATA fourP52<>+24(SB)/8, $0x1fe6a9bfb2e18
 DATA fourP52<>+32(SB)/8, $0x23ed4078d2a8e
 GLOBL fourP52<>(SB), RODATA, $40
 
+DATA sixteenP52<>+0(SB)/8, $0xac6c5e0896670
+DATA sixteenP52<>+8(SB)/8, $0x120b5b59e185c
+DATA sixteenP52<>+16(SB)/8, $0x84dc21ee5b88d
+DATA sixteenP52<>+24(SB)/8, $0x7f9aa6fecb861
+DATA sixteenP52<>+32(SB)/8, $0x8fb501e34aa38
+GLOBL sixteenP52<>(SB), RODATA, $40
+
+// wideQ = ⌊2⁵⁷/(⌊p/2²³⁰⌋ + 1)⌋, below 2³²: reduceWide's estimate of
+// ⌊v/p⌋ is ⌊⌊v/2²³⁰⌋·wideQ/2⁵⁷⌋.
+DATA wideQ<>+0(SB)/8, $0xe404f84f
+GLOBL wideQ<>(SB), RODATA, $8
+
 DATA np52<>+0(SB)/8, $0x7f9007f17daa9
 GLOBL np52<>(SB), RODATA, $8
 
@@ -66,6 +86,59 @@ GLOBL mask52<>(SB), RODATA, $8
 	VMOVDQU64 r2, off+128(base) \
 	VMOVDQU64 r3, off+192(base) \
 	VMOVDQU64 r4, off+256(base)
+
+// op5 and op5m apply one instruction limb by limb, in the assembler's
+// operand order: d = b op a, and d = b op m with m the five rows at
+// off(base).
+#define op5(op, a0, a1, a2, a3, a4, b0, b1, b2, b3, b4, d0, d1, d2, d3, d4) \
+	op a0, b0, d0 \
+	op a1, b1, d1 \
+	op a2, b2, d2 \
+	op a3, b3, d3 \
+	op a4, b4, d4
+
+#define op5m(op, off, base, b0, b1, b2, b3, b4, d0, d1, d2, d3, d4) \
+	op off+0(base), b0, d0   \
+	op off+64(base), b1, d1  \
+	op off+128(base), b2, d2 \
+	op off+192(base), b3, d3 \
+	op off+256(base), b4, d4
+
+// times3 triples r in place, limb by limb; t is scratch.
+#define times3(r0, r1, r2, r3, r4, t0, t1, t2, t3, t4) \
+	op5(VPADDQ, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4, t0, t1, t2, t3, t4) \
+	op5(VPADDQ, t0, t1, t2, t3, t4, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4)
+
+// reduceWide brings v from [0, 2²⁶²), about 114p, into [0, 2p) with
+// limbs below 2⁵². v must be carried (normalize) first: four low limbs in
+// [0, 2⁵²), the rest in the top one. It subtracts q·p for an estimate q of
+// ⌊v/p⌋ taken from the bits above 2²³⁰; the estimate is low by at most
+// one (TestReduceWideEstimate), so what is left is below 2p. q and s are
+// scratch; Z22 must hold the limb mask.
+#define reduceWide(v0, v1, v2, v3, v4, q, s0, s1, s2, s3, s4) \
+	VPSRLQ $22, v4, q                        \
+	VPMULUDQ.BCST wideQ<>(SB), q, q          \
+	VPSRLQ $57, q, q                         \
+	VPXORQ s0, s0, s0                        \
+	VPXORQ s1, s1, s1                        \
+	VPXORQ s2, s2, s2                        \
+	VPXORQ s3, s3, s3                        \
+	VPXORQ s4, s4, s4                        \
+	VPXORQ Z31, Z31, Z31                     \
+	VPMADD52LUQ.BCST p52<>+0(SB), q, s0      \
+	VPMADD52LUQ.BCST p52<>+8(SB), q, s1      \
+	VPMADD52LUQ.BCST p52<>+16(SB), q, s2     \
+	VPMADD52LUQ.BCST p52<>+24(SB), q, s3     \
+	VPMADD52LUQ.BCST p52<>+32(SB), q, s4     \
+	VPMADD52HUQ.BCST p52<>+0(SB), q, s1      \
+	VPMADD52HUQ.BCST p52<>+8(SB), q, s2      \
+	VPMADD52HUQ.BCST p52<>+16(SB), q, s3     \
+	VPMADD52HUQ.BCST p52<>+24(SB), q, s4     \
+	VPMADD52HUQ.BCST p52<>+32(SB), q, Z31    \
+	VPSLLQ $52, Z31, Z31                     \
+	VPSUBQ Z31, v4, v4                       \
+	op5(VPSUBQ, s0, s1, s2, s3, s4, v0, v1, v2, v3, v4, v0, v1, v2, v3, v4) \
+	normalize(VPSRAQ, v0, v1, v2, v3, v4)
 
 // carry moves what limb lo holds above 52 bits into limb hi. shift is VPSRLQ
 // for a value known to be non-negative and VPSRAQ for a signed one (the
@@ -109,12 +182,9 @@ GLOBL mask52<>(SB), RODATA, $8
 	VPXORQ Z15, Z15, Z15     \
 	VPMADD52LUQ Z23, t0, Z15
 
-// reduce adds m·p to the accumulator and divides it by 2⁵²: t0 becomes a
-// multiple of 2⁵², what it holds above bit 52 moves to t1, and t0 is
-// cleared to be the top limb of the next round (the caller rotates the
-// names). A limb takes at most six 52-bit terms and one carry per round and
-// lives for five rounds, so it stays below 2⁵⁷.
-#define reduce(t0, t1, t2, t3, t4, t5) \
+// addMP adds m·p to the accumulator, m being Z15: t0 becomes a multiple of
+// 2⁵².
+#define addMP(t0, t1, t2, t3, t4, t5) \
 	VPMADD52LUQ.BCST p52<>+0(SB), Z15, t0  \
 	VPMADD52LUQ.BCST p52<>+8(SB), Z15, t1  \
 	VPMADD52LUQ.BCST p52<>+16(SB), Z15, t2 \
@@ -124,10 +194,29 @@ GLOBL mask52<>(SB), RODATA, $8
 	VPMADD52HUQ.BCST p52<>+8(SB), Z15, t2  \
 	VPMADD52HUQ.BCST p52<>+16(SB), Z15, t3 \
 	VPMADD52HUQ.BCST p52<>+24(SB), Z15, t4 \
-	VPMADD52HUQ.BCST p52<>+32(SB), Z15, t5 \
-	VPSRLQ $52, t0, t0                     \
-	VPADDQ t0, t1, t1                      \
+	VPMADD52HUQ.BCST p52<>+32(SB), Z15, t5
+
+// reduce adds m·p to the accumulator and divides it by 2⁵²: what t0 holds
+// above bit 52 moves to t1, and t0 is cleared to be the top limb of the
+// next round (the caller rotates the names). A limb takes at most six
+// 52-bit terms and one carry per round and lives for five rounds, so it
+// stays below 2⁵⁷.
+#define reduce(t0, t1, t2, t3, t4, t5) \
+	addMP(t0, t1, t2, t3, t4, t5) \
+	VPSRLQ $52, t0, t0            \
+	VPADDQ t0, t1, t1             \
 	VPXORQ t0, t0, t0
+
+// redcRound is one round of Montgomery reduction of a ten-limb value t
+// whose limbs may be negative: t += m·p with m = t0·np mod 2⁵², then t0,
+// now a multiple of 2⁵², is carried into t1 with its sign. Five rounds
+// divide t by 2²⁶⁰ mod p and leave the result in the upper five limbs,
+// between t/2²⁶⁰ and t/2²⁶⁰ + p.
+#define redcRound(t0, t1, t2, t3, t4, t5) \
+	quotient(t0)                  \
+	addMP(t0, t1, t2, t3, t4, t5) \
+	VPSRAQ $52, t0, t0            \
+	VPADDQ t0, t1, t1
 
 // mulRound is one round of operand-scanning Montgomery multiplication,
 // t = (t + a·b + m·p)/2⁵² with b one limb of the second operand.
@@ -179,6 +268,22 @@ GLOBL mask52<>(SB), RODATA, $8
 	VPXORQ Z18, Z18, Z18 \
 	VPXORQ Z19, Z19, Z19
 
+// mul1 multiplies a, in a0..a4, by b, the five rows at 0(bb): five
+// mulRounds, carried (mulFinish), the product left in
+// (Z19:Z18:Z17:Z16:Z21). mulInit must have run.
+#define mul1(a0, a1, a2, a3, a4, bb) \
+	VMOVDQU64 0(bb), Z29                                             \
+	mulRound(Z29, a0, a1, a2, a3, a4, Z16, Z17, Z18, Z19, Z20, Z21)  \
+	VMOVDQU64 64(bb), Z29                                            \
+	mulRound(Z29, a0, a1, a2, a3, a4, Z17, Z18, Z19, Z20, Z21, Z16)  \
+	VMOVDQU64 128(bb), Z29                                           \
+	mulRound(Z29, a0, a1, a2, a3, a4, Z18, Z19, Z20, Z21, Z16, Z17)  \
+	VMOVDQU64 192(bb), Z29                                           \
+	mulRound(Z29, a0, a1, a2, a3, a4, Z19, Z20, Z21, Z16, Z17, Z18)  \
+	VMOVDQU64 256(bb), Z29                                           \
+	mulRound(Z29, a0, a1, a2, a3, a4, Z20, Z21, Z16, Z17, Z18, Z19)  \
+	mulFinish()
+
 // func gfpx8Mul(c, a, b *gfPx8)
 //
 // c = a·b·2⁻²⁶⁰ mod p in every lane. Limbs of a and b must be below 2⁵²;
@@ -193,19 +298,7 @@ TEXT ·gfpx8Mul(SB), NOSPLIT, $0-24
 	MOVQ c+0(FP), DI
 	mulInit()
 	load5(0, SI, Z0, Z1, Z2, Z3, Z4)
-
-	VMOVDQU64 0(CX), Z29
-	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z16, Z17, Z18, Z19, Z20, Z21)
-	VMOVDQU64 64(CX), Z29
-	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z17, Z18, Z19, Z20, Z21, Z16)
-	VMOVDQU64 128(CX), Z29
-	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z18, Z19, Z20, Z21, Z16, Z17)
-	VMOVDQU64 192(CX), Z29
-	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z19, Z20, Z21, Z16, Z17, Z18)
-	VMOVDQU64 256(CX), Z29
-	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z20, Z21, Z16, Z17, Z18, Z19)
-
-	mulFinish()
+	mul1(Z0, Z1, Z2, Z3, Z4, CX)
 	store5(Z21, Z16, Z17, Z18, Z19, 0, DI)
 	VZEROUPPER
 	RET
@@ -528,6 +621,633 @@ TEXT ·gfp2x8MulXi(SB), NOSPLIT, $0-16
 
 generic:
 	JMP ·gfp2x8MulXiGeneric(SB)
+
+// finish carries r, a signed sum of limbs whose value is in [0, 2²⁶²),
+// reduces it below 2p (reduceWide) and stores it at off(base). Z15 and
+// Z10–Z14 are scratch.
+#define finish(r0, r1, r2, r3, r4, off, base) \
+	normalize(VPSRAQ, r0, r1, r2, r3, r4)                    \
+	reduceWide(r0, r1, r2, r3, r4, Z15, Z10, Z11, Z12, Z13, Z14) \
+	store5(r0, r1, r2, r3, r4, off, base)
+
+// addOff adds 16p, limb by limb: the offset that keeps a signed sum of a
+// few values below 2p non-negative.
+#define addOff(r0, r1, r2, r3, r4) \
+	addConst(sixteenP52, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4)
+
+// The ten-limb values of gfp4x8CycloSquare live in (Z14:…:Z10) (low
+// limbs) and (Z20:…:Z16) (high limbs).
+
+// zero10 clears the ten-limb accumulator.
+#define zero10() \
+	VPXORQ Z10, Z10, Z10 \
+	VPXORQ Z11, Z11, Z11 \
+	VPXORQ Z12, Z12, Z12 \
+	VPXORQ Z13, Z13, Z13 \
+	VPXORQ Z14, Z14, Z14 \
+	VPXORQ Z16, Z16, Z16 \
+	VPXORQ Z17, Z17, Z17 \
+	VPXORQ Z18, Z18, Z18 \
+	VPXORQ Z19, Z19, Z19 \
+	VPXORQ Z20, Z20, Z20
+
+// wideMul adds a·b to the ten-limb accumulator, not reduced: a in a0..a4,
+// the limbs of b in (Z28:…:Z24). A limb takes at most ten 52-bit terms,
+// so it stays below 2⁵⁶.
+#define wideMul(a0, a1, a2, a3, a4) \
+	mulAccLo(Z24, a0, a1, a2, a3, a4, Z10, Z11, Z12, Z13, Z14) \
+	mulAccHi(Z24, a0, a1, a2, a3, a4, Z11, Z12, Z13, Z14, Z16) \
+	mulAccLo(Z25, a0, a1, a2, a3, a4, Z11, Z12, Z13, Z14, Z16) \
+	mulAccHi(Z25, a0, a1, a2, a3, a4, Z12, Z13, Z14, Z16, Z17) \
+	mulAccLo(Z26, a0, a1, a2, a3, a4, Z12, Z13, Z14, Z16, Z17) \
+	mulAccHi(Z26, a0, a1, a2, a3, a4, Z13, Z14, Z16, Z17, Z18) \
+	mulAccLo(Z27, a0, a1, a2, a3, a4, Z13, Z14, Z16, Z17, Z18) \
+	mulAccHi(Z27, a0, a1, a2, a3, a4, Z14, Z16, Z17, Z18, Z19) \
+	mulAccLo(Z28, a0, a1, a2, a3, a4, Z14, Z16, Z17, Z18, Z19) \
+	mulAccHi(Z28, a0, a1, a2, a3, a4, Z16, Z17, Z18, Z19, Z20)
+
+// store10 stores the ten-limb accumulator at off(R8).
+#define store10(off) \
+	store5(Z10, Z11, Z12, Z13, Z14, off, R8) \
+	store5(Z16, Z17, Z18, Z19, Z20, off+320, R8)
+
+// redc divides the ten-limb accumulator by 2²⁶⁰ mod p (five redcRounds);
+// the result is in (Z20:…:Z16), not carried.
+#define redc() \
+	redcRound(Z10, Z11, Z12, Z13, Z14, Z16) \
+	redcRound(Z11, Z12, Z13, Z14, Z16, Z17) \
+	redcRound(Z12, Z13, Z14, Z16, Z17, Z18) \
+	redcRound(Z13, Z14, Z16, Z17, Z18, Z19) \
+	redcRound(Z14, Z16, Z17, Z18, Z19, Z20)
+
+// wideSquare stores the two coordinates of z², z = x·i + y held in
+// (Z4:…:Z0) and (Z9:…:Z5) below kp (k·p at kP52, k = 2 or 4), as ten-limb
+// products not reduced: x·2y (below 2k²p²) at offX(R8) and
+// (x + y)·(y − x + kp) (below 4k²p²) at offY(R8). It overwrites x.
+#define wideSquare(kP52, offX, offY) \
+	op5(VPADDQ, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9, Z24, Z25, Z26, Z27, Z28) \
+	normalize(VPSRLQ, Z24, Z25, Z26, Z27, Z28)                                  \
+	zero10()                                                                    \
+	wideMul(Z0, Z1, Z2, Z3, Z4)                                                 \
+	store10(offX)                                                               \
+	op5(VPSUBQ, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z24, Z25, Z26, Z27, Z28) \
+	addConst(kP52, Z24, Z25, Z26, Z27, Z28, Z24, Z25, Z26, Z27, Z28)            \
+	normalize(VPSRAQ, Z24, Z25, Z26, Z27, Z28)                                  \
+	op5(VPADDQ, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z0, Z1, Z2, Z3, Z4)      \
+	normalize(VPSRLQ, Z0, Z1, Z2, Z3, Z4)                                       \
+	zero10()                                                                    \
+	wideMul(Z0, Z1, Z2, Z3, Z4)                                                 \
+	store10(offY)
+
+// sumA sets (Z4:…:Z0) and (Z9:…:Z5) to the F_p² sum of the values at
+// off1(base1) and off2(base2), carried but not reduced (below 4p).
+#define sumA(off1, off2, base1, base2) \
+	load5(off1, base1, Z0, Z1, Z2, Z3, Z4)                                \
+	load5(off1+320, base1, Z5, Z6, Z7, Z8, Z9)                            \
+	op5m(VPADDQ, off2, base2, Z0, Z1, Z2, Z3, Z4, Z0, Z1, Z2, Z3, Z4)     \
+	op5m(VPADDQ, off2+320, base2, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9) \
+	normalize(VPSRLQ, Z0, Z1, Z2, Z3, Z4)                                 \
+	normalize(VPSRLQ, Z5, Z6, Z7, Z8, Z9)
+
+// The frame of gfp4x8CycloSquare, offsets from R8: the ten-limb squares
+// Xa, Ya (a² = Xa·i + Ya), Xb, Yb and Xs, Ys (s = a + b), then 4p − 2u
+// and 2v.
+#define sqXA 0
+#define sqYA 640
+#define sqXB 1280
+#define sqYB 1920
+#define sqXS 2560
+#define sqYS 3200
+#define sqU 3840
+#define sqV 4480
+
+// sqLoad, sqAdd and sqSub load, add and subtract one half (h = 0 or 320)
+// of a ten-limb value in the frame, limb by limb into r; x3 triples r.
+#define sqLoad(w, h, r0, r1, r2, r3, r4) \
+	load5(w+h, R8, r0, r1, r2, r3, r4)
+
+#define sqAdd(w, h, r0, r1, r2, r3, r4) \
+	op5m(VPADDQ, w+h, R8, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4)
+
+#define sqSub(w, h, r0, r1, r2, r3, r4) \
+	op5m(VPSUBQ, w+h, R8, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4)
+
+#define x3(r0, r1, r2, r3, r4) \
+	times3(r0, r1, r2, r3, r4, Z24, Z25, Z26, Z27, Z28)
+
+// The ten-limb sums of the outputs, built a half at a time: one half in
+// (Z14:…:Z10), the other in (Z20:…:Z16).
+//
+//	c0.x:  3(3Xa + Ya + Xb)
+//	c0.y:  3(3Ya − Xa + Yb)
+//	2ab:   Dx = Xs − Xa − Xb, Dy = Ys − Ya − Yb
+#define sumC0x(h, r0, r1, r2, r3, r4) \
+	sqLoad(sqXA, h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)              \
+	sqAdd(sqYA, h, r0, r1, r2, r3, r4)  \
+	sqAdd(sqXB, h, r0, r1, r2, r3, r4)  \
+	x3(r0, r1, r2, r3, r4)
+
+#define sumC0y(h, r0, r1, r2, r3, r4) \
+	sqLoad(sqYA, h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)              \
+	sqSub(sqXA, h, r0, r1, r2, r3, r4)  \
+	sqAdd(sqYB, h, r0, r1, r2, r3, r4)  \
+	x3(r0, r1, r2, r3, r4)
+
+#define sumDx(h, r0, r1, r2, r3, r4) \
+	sqLoad(sqXS, h, r0, r1, r2, r3, r4) \
+	sqSub(sqXA, h, r0, r1, r2, r3, r4)  \
+	sqSub(sqXB, h, r0, r1, r2, r3, r4)
+
+#define sumDy(h, r0, r1, r2, r3, r4) \
+	sqLoad(sqYS, h, r0, r1, r2, r3, r4) \
+	sqSub(sqYA, h, r0, r1, r2, r3, r4)  \
+	sqSub(sqYB, h, r0, r1, r2, r3, r4)
+
+// c1.x and c1.y: 3Dx and 3Dy, or with ξ 3(3Dx + Dy) and 3(3Dy − Dx).
+#define sumC1x(h, r0, r1, r2, r3, r4) \
+	sumDx(h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)
+
+#define sumC1y(h, r0, r1, r2, r3, r4) \
+	sumDy(h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)
+
+#define sumXiC1x(h, r0, r1, r2, r3, r4) \
+	sumDx(h, r0, r1, r2, r3, r4)       \
+	x3(r0, r1, r2, r3, r4)             \
+	sqAdd(sqYS, h, r0, r1, r2, r3, r4) \
+	sqSub(sqYA, h, r0, r1, r2, r3, r4) \
+	sqSub(sqYB, h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)
+
+#define sumXiC1y(h, r0, r1, r2, r3, r4) \
+	sumDy(h, r0, r1, r2, r3, r4)       \
+	x3(r0, r1, r2, r3, r4)             \
+	sqSub(sqXS, h, r0, r1, r2, r3, r4) \
+	sqAdd(sqXA, h, r0, r1, r2, r3, r4) \
+	sqAdd(sqXB, h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)
+
+// sumRedc builds the ten-limb sum sum (one of the sum macros), a half at
+// a time, and reduces it (redc): the result is in (Z20:…:Z16).
+#define sumRedc(sum) \
+	sum(0, Z10, Z11, Z12, Z13, Z14)   \
+	sum(320, Z16, Z17, Z18, Z19, Z20) \
+	redc()
+
+// cycloOut reduces one output coordinate: the ten-limb sum sum goes
+// through redc, the linear term at lin(R8) (4p − 2u or 2v) and an offset
+// of 16p are added, and the total, positive and below 43p, is carried,
+// reduced below 2p and stored at off(DI) (finish).
+#define cycloOut(sum, lin, off) \
+	sumRedc(sum)                                                                \
+	op5m(VPADDQ, lin, R8, Z16, Z17, Z18, Z19, Z20, Z16, Z17, Z18, Z19, Z20)   \
+	addOff(Z16, Z17, Z18, Z19, Z20)                                             \
+	finish(Z16, Z17, Z18, Z19, Z20, off, DI)
+
+// func gfp4x8CycloSquare(c0, c1, a, b, u, v *gfP2x8, xi bool)
+//
+// One coordinate pair of the Granger–Scott cyclotomic square, every lane:
+// with b + a·s ∈ F_p⁴ = F_p²[s]/(s² − ξ), whose square is
+// (b² + ξa²) + 2ab·s,
+//
+//	c0 = 3(b² + ξa²) − 2u      c1 = 3·2ab + 2v   (3·2ξab + 2v with xi).
+//
+// a², b² and (a + b)² are squared as gfp2x8Square does, a + b carried but
+// not reduced, and their six products are kept as ten-limb integers, not
+// reduced (wideSquare); 2ab is (a + b)² − a² − b². Each of the four output
+// coordinates is then one signed ten-limb sum of them reduced once (redc,
+// between −14p and 23p), plus its linear term, carried once and reduced
+// below 2p once (cycloOut). That is six products and four
+// reductions where three F_p² squares take six of each. Inputs within the
+// invariant; c0 and c1 within it. Every input is read before the first
+// output is written, so c0 and c1 may alias any input.
+TEXT ·gfp4x8CycloSquare(SB), 0, $5184-49
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ SP, R8
+	ADDQ $63, R8
+	ANDQ $~63, R8
+	MOVQ a+16(FP), SI
+	MOVQ b+24(FP), CX
+	MOVQ u+32(FP), DX
+	MOVQ v+40(FP), BX
+	VPBROADCASTQ mask52<>(SB), Z22
+	VPBROADCASTQ np52<>(SB), Z23
+
+	// 4p − 2u and 2v, limb by limb.
+	load5(0, DX, Z0, Z1, Z2, Z3, Z4)
+	load5(320, DX, Z5, Z6, Z7, Z8, Z9)
+	op5(VPADDQ, Z0, Z1, Z2, Z3, Z4, Z0, Z1, Z2, Z3, Z4, Z0, Z1, Z2, Z3, Z4)
+	op5(VPADDQ, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	VPBROADCASTQ fourP52<>+0(SB), Z10
+	VPBROADCASTQ fourP52<>+8(SB), Z11
+	VPBROADCASTQ fourP52<>+16(SB), Z12
+	VPBROADCASTQ fourP52<>+24(SB), Z13
+	VPBROADCASTQ fourP52<>+32(SB), Z14
+	op5(VPSUBQ, Z0, Z1, Z2, Z3, Z4, Z10, Z11, Z12, Z13, Z14, Z0, Z1, Z2, Z3, Z4)
+	op5(VPSUBQ, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z5, Z6, Z7, Z8, Z9)
+	store5(Z0, Z1, Z2, Z3, Z4, sqU, R8)
+	store5(Z5, Z6, Z7, Z8, Z9, sqU+320, R8)
+	load5(0, BX, Z0, Z1, Z2, Z3, Z4)
+	load5(320, BX, Z5, Z6, Z7, Z8, Z9)
+	op5(VPADDQ, Z0, Z1, Z2, Z3, Z4, Z0, Z1, Z2, Z3, Z4, Z0, Z1, Z2, Z3, Z4)
+	op5(VPADDQ, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	store5(Z0, Z1, Z2, Z3, Z4, sqV, R8)
+	store5(Z5, Z6, Z7, Z8, Z9, sqV+320, R8)
+
+	// a + b, below 4p.
+	sumA(0, 0, SI, CX)
+	wideSquare(fourP52, sqXS, sqYS)
+
+	load5(0, SI, Z0, Z1, Z2, Z3, Z4)
+	load5(320, SI, Z5, Z6, Z7, Z8, Z9)
+	wideSquare(twoP52, sqXA, sqYA)
+	load5(0, CX, Z0, Z1, Z2, Z3, Z4)
+	load5(320, CX, Z5, Z6, Z7, Z8, Z9)
+	wideSquare(twoP52, sqXB, sqYB)
+
+	MOVQ c0+0(FP), DI
+	cycloOut(sumC0x, sqU, 0)
+	cycloOut(sumC0y, sqU+320, 320)
+	MOVQ c1+8(FP), DI
+	CMPB xi+48(FP), $0
+	JNE  xi
+	cycloOut(sumC1x, sqV, 0)
+	cycloOut(sumC1y, sqV+320, 320)
+	VZEROUPPER
+	RET
+
+xi:
+	cycloOut(sumXiC1x, sqV, 0)
+	cycloOut(sumXiC1y, sqV+320, 320)
+	VZEROUPPER
+	RET
+
+generic:
+	RET ·gfp4x8CycloSquareGeneric(SB)
+
+// wideMulM is wideMul with the limbs of b read from the five rows at
+// off(base), each loaded once into Z29.
+#define wideMulM(a0, a1, a2, a3, a4, off, base) \
+	VMOVDQU64 off+0(base), Z29                                   \
+	mulAccLo(Z29, a0, a1, a2, a3, a4, Z10, Z11, Z12, Z13, Z14)   \
+	mulAccHi(Z29, a0, a1, a2, a3, a4, Z11, Z12, Z13, Z14, Z16)   \
+	VMOVDQU64 off+64(base), Z29                                  \
+	mulAccLo(Z29, a0, a1, a2, a3, a4, Z11, Z12, Z13, Z14, Z16)   \
+	mulAccHi(Z29, a0, a1, a2, a3, a4, Z12, Z13, Z14, Z16, Z17)   \
+	VMOVDQU64 off+128(base), Z29                                 \
+	mulAccLo(Z29, a0, a1, a2, a3, a4, Z12, Z13, Z14, Z16, Z17)   \
+	mulAccHi(Z29, a0, a1, a2, a3, a4, Z13, Z14, Z16, Z17, Z18)   \
+	VMOVDQU64 off+192(base), Z29                                 \
+	mulAccLo(Z29, a0, a1, a2, a3, a4, Z13, Z14, Z16, Z17, Z18)   \
+	mulAccHi(Z29, a0, a1, a2, a3, a4, Z14, Z16, Z17, Z18, Z19)   \
+	VMOVDQU64 off+256(base), Z29                                 \
+	mulAccLo(Z29, a0, a1, a2, a3, a4, Z14, Z16, Z17, Z18, Z19)   \
+	mulAccHi(Z29, a0, a1, a2, a3, a4, Z16, Z17, Z18, Z19, Z20)
+
+// wideMul2 stores the F_p² product of A, held in (Z4:…:Z0) (x) and
+// (Z9:…:Z5) (y), and B, the two coordinates at off(base) and
+// off+320(base), as two ten-limb integers not reduced: at dst(R8)
+//
+//	Ax·By + Ay·Bx      and, at dst+640(R8),      Ay·By + (16p − Ax)·Bx,
+//
+// the second one the y coordinate plus a multiple of p, so that it stays
+// non-negative. Limbs of A and B below 2⁵²; a sum of two values within
+// the invariant is an A or a B.
+#define wideMul2(off, base, dst) \
+	VPBROADCASTQ sixteenP52<>+0(SB), Z24                                         \
+	VPBROADCASTQ sixteenP52<>+8(SB), Z25                                         \
+	VPBROADCASTQ sixteenP52<>+16(SB), Z26                                        \
+	VPBROADCASTQ sixteenP52<>+24(SB), Z27                                        \
+	VPBROADCASTQ sixteenP52<>+32(SB), Z28                                        \
+	op5(VPSUBQ, Z0, Z1, Z2, Z3, Z4, Z24, Z25, Z26, Z27, Z28, Z24, Z25, Z26, Z27, Z28) \
+	normalize(VPSRAQ, Z24, Z25, Z26, Z27, Z28)                                   \
+	zero10()                                                                     \
+	wideMulM(Z0, Z1, Z2, Z3, Z4, off+320, base)                                  \
+	wideMulM(Z5, Z6, Z7, Z8, Z9, off, base)                                      \
+	store10(dst)                                                                 \
+	zero10()                                                                     \
+	wideMulM(Z5, Z6, Z7, Z8, Z9, off+320, base)                                  \
+	wideMulM(Z24, Z25, Z26, Z27, Z28, off, base)                                 \
+	store10(dst+640)
+
+// The frame of gfp6x8Mul, offsets from R8: the six F_p² products as
+// pairs of ten-limb integers (wideMul2), t0 = a.z·b.z, t1 = a.y·b.y,
+// t2 = a.x·b.x, r0 = (a.y + a.x)·(b.y + b.x), r1 = (a.z + a.y)·(b.z + b.y)
+// and rx = (a.z + a.x)·(b.z + b.x); then the three sums of b.
+#define m6T0X 0
+#define m6T0Y 640
+#define m6T1X 1280
+#define m6T1Y 1920
+#define m6T2X 2560
+#define m6T2Y 3200
+#define m6R0X 3840
+#define m6R0Y 4480
+#define m6R1X 5120
+#define m6R1Y 5760
+#define m6RXX 6400
+#define m6RXY 7040
+#define m6B0 7680
+#define m6B1 8320
+#define m6B2 8960
+
+// The ten-limb sums of gfp6x8Mul's outputs, a half at a time (as the
+// cyclotomic square's): with L = r0 − t1 − t2,
+//
+//	e.z = ξ·L + t0:             x: 3Lx + Ly + t0x,  y: 3Ly − Lx + t0y
+//	e.y = ξ·t2 + r1 − t0 − t1:  x: 3t2x + t2y + …,  y: 3t2y − t2x + …
+//	e.x = rx + t1 − t0 − t2.
+#define sumM6Zx(h, r0, r1, r2, r3, r4) \
+	sqLoad(m6R0X, h, r0, r1, r2, r3, r4) \
+	sqSub(m6T1X, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T2X, h, r0, r1, r2, r3, r4)  \
+	x3(r0, r1, r2, r3, r4)               \
+	sqAdd(m6R0Y, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T1Y, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T2Y, h, r0, r1, r2, r3, r4)  \
+	sqAdd(m6T0X, h, r0, r1, r2, r3, r4)
+
+#define sumM6Zy(h, r0, r1, r2, r3, r4) \
+	sqLoad(m6R0Y, h, r0, r1, r2, r3, r4) \
+	sqSub(m6T1Y, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T2Y, h, r0, r1, r2, r3, r4)  \
+	x3(r0, r1, r2, r3, r4)               \
+	sqSub(m6R0X, h, r0, r1, r2, r3, r4)  \
+	sqAdd(m6T1X, h, r0, r1, r2, r3, r4)  \
+	sqAdd(m6T2X, h, r0, r1, r2, r3, r4)  \
+	sqAdd(m6T0Y, h, r0, r1, r2, r3, r4)
+
+#define sumM6Yx(h, r0, r1, r2, r3, r4) \
+	sqLoad(m6T2X, h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)               \
+	sqAdd(m6T2Y, h, r0, r1, r2, r3, r4)  \
+	sqAdd(m6R1X, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T0X, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T1X, h, r0, r1, r2, r3, r4)
+
+#define sumM6Yy(h, r0, r1, r2, r3, r4) \
+	sqLoad(m6T2Y, h, r0, r1, r2, r3, r4) \
+	x3(r0, r1, r2, r3, r4)               \
+	sqSub(m6T2X, h, r0, r1, r2, r3, r4)  \
+	sqAdd(m6R1Y, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T0Y, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T1Y, h, r0, r1, r2, r3, r4)
+
+#define sumM6Xx(h, r0, r1, r2, r3, r4) \
+	sqLoad(m6RXX, h, r0, r1, r2, r3, r4) \
+	sqAdd(m6T1X, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T0X, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T2X, h, r0, r1, r2, r3, r4)
+
+#define sumM6Xy(h, r0, r1, r2, r3, r4) \
+	sqLoad(m6RXY, h, r0, r1, r2, r3, r4) \
+	sqAdd(m6T1Y, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T0Y, h, r0, r1, r2, r3, r4)  \
+	sqSub(m6T2Y, h, r0, r1, r2, r3, r4)
+
+// wideOut reduces one output coordinate: the ten-limb sum sum goes through
+// redc, an offset of 16p is added, and the total, positive and below 2²⁶²,
+// is carried, reduced below 2p and stored at off(DI) (finish).
+#define wideOut(sum, off) \
+	sumRedc(sum)                    \
+	addOff(Z16, Z17, Z18, Z19, Z20) \
+	finish(Z16, Z17, Z18, Z19, Z20, off, DI)
+
+// func gfp6x8Mul(c, a, b *gfP6x8)
+//
+// c = a·b in F_p⁶, every lane, with gfP6.Mul's six F_p² products: those of
+// the coordinates and those of their sums, the sums carried but not
+// reduced. Each F_p² product is kept as two ten-limb integers
+// (wideMul2), and each output coordinate is one signed sum of them, the
+// Karatsuba fix-ups and the two multiplications by ξ included, reduced
+// once (redc, between −9p and 12p), carried once and brought below 2p
+// once (wideOut): six reductions where six F_p² multiplications take
+// twelve. Inputs within the invariant; c within it and may alias a or b.
+TEXT ·gfp6x8Mul(SB), 0, $9664-24
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ SP, R8
+	ADDQ $63, R8
+	ANDQ $~63, R8
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), CX
+	VPBROADCASTQ mask52<>(SB), Z22
+	VPBROADCASTQ np52<>(SB), Z23
+
+	// The sums of b, which the products read row by row from the frame.
+	sumA(640, 0, CX, CX)
+	store5(Z0, Z1, Z2, Z3, Z4, m6B0, R8)
+	store5(Z5, Z6, Z7, Z8, Z9, m6B0+320, R8)
+	sumA(1280, 640, CX, CX)
+	store5(Z0, Z1, Z2, Z3, Z4, m6B1, R8)
+	store5(Z5, Z6, Z7, Z8, Z9, m6B1+320, R8)
+	sumA(1280, 0, CX, CX)
+	store5(Z0, Z1, Z2, Z3, Z4, m6B2, R8)
+	store5(Z5, Z6, Z7, Z8, Z9, m6B2+320, R8)
+
+	load5(1280, SI, Z0, Z1, Z2, Z3, Z4)
+	load5(1600, SI, Z5, Z6, Z7, Z8, Z9)
+	wideMul2(1280, CX, m6T0X)
+	load5(640, SI, Z0, Z1, Z2, Z3, Z4)
+	load5(960, SI, Z5, Z6, Z7, Z8, Z9)
+	wideMul2(640, CX, m6T1X)
+	load5(0, SI, Z0, Z1, Z2, Z3, Z4)
+	load5(320, SI, Z5, Z6, Z7, Z8, Z9)
+	wideMul2(0, CX, m6T2X)
+	sumA(640, 0, SI, SI)
+	wideMul2(m6B0, R8, m6R0X)
+	sumA(1280, 640, SI, SI)
+	wideMul2(m6B1, R8, m6R1X)
+	sumA(1280, 0, SI, SI)
+	wideMul2(m6B2, R8, m6RXX)
+
+	MOVQ c+0(FP), DI
+	wideOut(sumM6Zx, 1280)
+	wideOut(sumM6Zy, 1600)
+	wideOut(sumM6Yx, 640)
+	wideOut(sumM6Yy, 960)
+	wideOut(sumM6Xx, 0)
+	wideOut(sumM6Xy, 320)
+	VZEROUPPER
+	RET
+
+generic:
+	RET ·gfp6x8MulGeneric(SB)
+
+// xiX and xiY set d to the coordinates of ξ·(x·i + y) = (3x + y)·i +
+// (3y − x) for x and y in registers, limb by limb and unreduced.
+#define xiX(x0, x1, x2, x3, x4, y0, y1, y2, y3, y4, d0, d1, d2, d3, d4) \
+	op5(VPADDQ, x0, x1, x2, x3, x4, x0, x1, x2, x3, x4, d0, d1, d2, d3, d4) \
+	op5(VPADDQ, x0, x1, x2, x3, x4, d0, d1, d2, d3, d4, d0, d1, d2, d3, d4) \
+	op5(VPADDQ, y0, y1, y2, y3, y4, d0, d1, d2, d3, d4, d0, d1, d2, d3, d4)
+
+#define xiY(x0, x1, x2, x3, x4, y0, y1, y2, y3, y4, d0, d1, d2, d3, d4) \
+	op5(VPADDQ, y0, y1, y2, y3, y4, y0, y1, y2, y3, y4, d0, d1, d2, d3, d4) \
+	op5(VPADDQ, y0, y1, y2, y3, y4, d0, d1, d2, d3, d4, d0, d1, d2, d3, d4) \
+	op5(VPSUBQ, x0, x1, x2, x3, x4, d0, d1, d2, d3, d4, d0, d1, d2, d3, d4)
+
+// pairX and pairY add one F_p² product A·B to the ten-limb accumulator,
+// x and y coordinate: A the two coordinates at offA(baseA) and
+// offA+320(baseA), B those at offB(baseB) and offB+320(baseB),
+//
+//	x: Ax·By + Ay·Bx      y: Ay·By + (16p − Ax)·Bx,
+//
+// as wideMul2 does. A may be any value whose limbs are below 2⁵² and
+// which is below 16p; (Z4:…:Z0) is scratch.
+#define pairX(offA, baseA, offB, baseB) \
+	load5(offA, baseA, Z0, Z1, Z2, Z3, Z4)         \
+	wideMulM(Z0, Z1, Z2, Z3, Z4, offB+320, baseB)  \
+	load5(offA+320, baseA, Z0, Z1, Z2, Z3, Z4)     \
+	wideMulM(Z0, Z1, Z2, Z3, Z4, offB, baseB)
+
+#define pairY(offA, baseA, offB, baseB) \
+	load5(offA+320, baseA, Z0, Z1, Z2, Z3, Z4)                                  \
+	wideMulM(Z0, Z1, Z2, Z3, Z4, offB+320, baseB)                               \
+	VPBROADCASTQ sixteenP52<>+0(SB), Z0                                         \
+	VPBROADCASTQ sixteenP52<>+8(SB), Z1                                         \
+	VPBROADCASTQ sixteenP52<>+16(SB), Z2                                        \
+	VPBROADCASTQ sixteenP52<>+24(SB), Z3                                        \
+	VPBROADCASTQ sixteenP52<>+32(SB), Z4                                        \
+	op5m(VPSUBQ, offA, baseA, Z0, Z1, Z2, Z3, Z4, Z0, Z1, Z2, Z3, Z4)           \
+	normalize(VPSRAQ, Z0, Z1, Z2, Z3, Z4)                                       \
+	wideMulM(Z0, Z1, Z2, Z3, Z4, offB, baseB)
+
+// pairOut stores A1·B1 + A2·B2 at off(DI) and off+320(DI), each coordinate
+// a sum of four products reduced once (redc) and brought below 2p
+// (finish).
+#define pairOut(offA1, baseA1, offB1, baseB1, offA2, baseA2, offB2, baseB2, off) \
+	zero10()                                 \
+	pairX(offA1, baseA1, offB1, baseB1)      \
+	pairX(offA2, baseA2, offB2, baseB2)      \
+	redc()                                   \
+	finish(Z16, Z17, Z18, Z19, Z20, off, DI) \
+	zero10()                                 \
+	pairY(offA1, baseA1, offB1, baseB1)      \
+	pairY(offA2, baseA2, offB2, baseB2)      \
+	redc()                                   \
+	finish(Z16, Z17, Z18, Z19, Z20, off+320, DI)
+
+// func gfp6x8MulSparse2(e, a *gfP6x8, y2, z2 *gfP2x8)
+//
+// e = a·(y2·τ + z2) in F_p⁶, every lane, as gfP6.MulSparse2 forms it:
+//
+//	e.z = ξ·a.x·y2 + a.z·z2      e.y = a.y·z2 + a.z·y2      e.x = a.x·z2 + a.y·y2,
+//
+// each coordinate a sum of four products reduced once (pairOut), with ξ
+// taken into the multiplicand: ξ·a.x, carried but not reduced (below 10p),
+// is held in the frame. Inputs within the invariant, e within it; e must
+// not alias a.
+TEXT ·gfp6x8MulSparse2(SB), 0, $704-32
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ SP, R8
+	ADDQ $63, R8
+	ANDQ $~63, R8
+	MOVQ e+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ y2+16(FP), CX
+	MOVQ z2+24(FP), DX
+	VPBROADCASTQ mask52<>(SB), Z22
+	VPBROADCASTQ np52<>(SB), Z23
+
+	load5(0, SI, Z0, Z1, Z2, Z3, Z4)
+	load5(320, SI, Z5, Z6, Z7, Z8, Z9)
+	xiX(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
+	normalize(VPSRLQ, Z10, Z11, Z12, Z13, Z14)
+	store5(Z10, Z11, Z12, Z13, Z14, 0, R8)
+	xiY(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
+	addConst(twoP52, Z10, Z11, Z12, Z13, Z14, Z10, Z11, Z12, Z13, Z14)
+	normalize(VPSRAQ, Z10, Z11, Z12, Z13, Z14)
+	store5(Z10, Z11, Z12, Z13, Z14, 320, R8)
+
+	pairOut(0, R8, 0, CX, 1280, SI, 0, DX, 1280)
+	pairOut(640, SI, 0, DX, 1280, SI, 0, CX, 640)
+	pairOut(0, SI, 0, DX, 640, SI, 0, CX, 0)
+	VZEROUPPER
+	RET
+
+generic:
+	RET ·gfp6x8MulSparse2Generic(SB)
+
+// subSubCoord stores a − b − d + 16p, reduced (finish), for the
+// coordinate at off: SI, CX and DX hold a, b and d.
+#define subSubCoord(off, r0, r1, r2, r3, r4) \
+	load5(off, SI, r0, r1, r2, r3, r4)                             \
+	op5m(VPSUBQ, off, CX, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4)  \
+	op5m(VPSUBQ, off, DX, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4)  \
+	addOff(r0, r1, r2, r3, r4)                                     \
+	finish(r0, r1, r2, r3, r4, off, DI)
+
+// func gfp6x8SubSub(c, a, b, d *gfP6x8)
+//
+// c = a − b − d in F_p⁶, every lane, each output coordinate reduced once
+// from a sum below 18p. Inputs within the invariant; c may alias any of
+// them.
+TEXT ·gfp6x8SubSub(SB), NOSPLIT, $0-32
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), CX
+	MOVQ d+24(FP), DX
+	VPBROADCASTQ mask52<>(SB), Z22
+	subSubCoord(0, Z0, Z1, Z2, Z3, Z4)
+	subSubCoord(320, Z5, Z6, Z7, Z8, Z9)
+	subSubCoord(640, Z0, Z1, Z2, Z3, Z4)
+	subSubCoord(960, Z5, Z6, Z7, Z8, Z9)
+	subSubCoord(1280, Z0, Z1, Z2, Z3, Z4)
+	subSubCoord(1600, Z5, Z6, Z7, Z8, Z9)
+	VZEROUPPER
+	RET
+
+generic:
+	JMP ·gfp6x8SubSubGeneric(SB)
+
+// addCoordAt stores a + b, reduced (finish), at offC(DI), for a at
+// offA(SI) and b at offB(CX).
+#define addCoordAt(offC, offA, offB, r0, r1, r2, r3, r4) \
+	load5(offA, SI, r0, r1, r2, r3, r4)                            \
+	op5m(VPADDQ, offB, CX, r0, r1, r2, r3, r4, r0, r1, r2, r3, r4) \
+	finish(r0, r1, r2, r3, r4, offC, DI)
+
+// func gfp6x8MulTauAdd(c, a, b *gfP6x8)
+//
+// c = τ·a + b in F_p⁶, every lane: c.z = ξ·a.x + b.z, c.y = a.z + b.y and
+// c.x = a.y + b.x, each output coordinate reduced once from a sum below
+// 12p. Inputs within the invariant; c may alias b but not a.
+TEXT ·gfp6x8MulTauAdd(SB), NOSPLIT, $0-24
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), CX
+	VPBROADCASTQ mask52<>(SB), Z22
+	load5(0, SI, Z0, Z1, Z2, Z3, Z4)
+	load5(320, SI, Z5, Z6, Z7, Z8, Z9)
+	xiX(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z24, Z25, Z26, Z27, Z28)
+	op5m(VPADDQ, 1280, CX, Z24, Z25, Z26, Z27, Z28, Z24, Z25, Z26, Z27, Z28)
+	finish(Z24, Z25, Z26, Z27, Z28, 1280, DI)
+	xiY(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z24, Z25, Z26, Z27, Z28)
+	op5m(VPADDQ, 1600, CX, Z24, Z25, Z26, Z27, Z28, Z24, Z25, Z26, Z27, Z28)
+	addConst(twoP52, Z24, Z25, Z26, Z27, Z28, Z24, Z25, Z26, Z27, Z28)
+	finish(Z24, Z25, Z26, Z27, Z28, 1600, DI)
+	addCoordAt(640, 1280, 640, Z0, Z1, Z2, Z3, Z4)
+	addCoordAt(960, 1600, 960, Z5, Z6, Z7, Z8, Z9)
+	addCoordAt(0, 640, 0, Z0, Z1, Z2, Z3, Z4)
+	addCoordAt(320, 960, 320, Z5, Z6, Z7, Z8, Z9)
+	VZEROUPPER
+	RET
+
+generic:
+	JMP ·gfp6x8MulTauAddGeneric(SB)
 
 // func cpuidIFMA() bool
 //

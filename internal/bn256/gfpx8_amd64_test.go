@@ -61,12 +61,17 @@ func TestKernelConstants(t *testing.T) {
 	np := new(big.Int).ModInverse(P, r52)
 	np.Sub(r52, np)
 	p, twoP, fourP := limbs52(P), limbs52(x8TwoP), limbs52(new(big.Int).Lsh(P, 2))
+	sixteenP := limbs52(new(big.Int).Lsh(P, 4))
+	wideQ := new(big.Int).Rsh(P, 230)
+	wideQ.Div(new(big.Int).Lsh(big.NewInt(1), 57), wideQ.Add(wideQ, big.NewInt(1)))
 	want := map[string][]uint64{
-		"p52":     p[:],
-		"twoP52":  twoP[:],
-		"fourP52": fourP[:],
-		"np52":    {np.Uint64()},
-		"mask52":  {mask52},
+		"p52":        p[:],
+		"twoP52":     twoP[:],
+		"fourP52":    fourP[:],
+		"sixteenP52": sixteenP[:],
+		"np52":       {np.Uint64()},
+		"mask52":     {mask52},
+		"wideQ":      {wideQ.Uint64()},
 	}
 	if len(got) != len(want) {
 		t.Errorf("found %d constants in gfpx8_amd64.s, know %d", len(got), len(want))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"testing"
+	"unsafe"
 )
 
 // The lane kernels are tested differentially, four ways at once: the
@@ -72,15 +73,22 @@ func x8Edges() []*big.Int {
 	}
 }
 
-// x8Op is one kernel with its twin and its reference, all in the shape of
-// an F_p² operation on two operands (a unary one ignores b).
+// x8Op is one kernel with its twin and its reference. Its operands and
+// results are F_p² values (one gfP2x8) or F_p⁶ values (three consecutive
+// ones, x, y, z, which is a gfP6x8's layout): ins and outs give the size
+// of each.
 type x8Op struct {
-	name    string
-	kernel  func(c, a, b *gfP2x8)
-	generic func(c, a, b *gfP2x8)
-	// ref returns the two coordinates of the result as integers mod p,
-	// from the integers the operand lanes hold.
-	ref func(ax, ay, bx, by *big.Int) (x, y *big.Int)
+	name      string
+	ins, outs []int
+	// kernel and generic get a pointer to the first gfP2x8 of each result
+	// and of each operand.
+	kernel, generic func(c, a []*gfP2x8)
+	// ref returns the results from the operands, one lane's values as
+	// elements of F_p² (the lanes' Montgomery form taken off).
+	ref func(a [][]*refGfP2) [][]*refGfP2
+	// shares reports whether result c may be written over operand a; nil
+	// means any.
+	shares func(c, a int) bool
 }
 
 func x8Mont(v *big.Int) *big.Int {
@@ -92,62 +100,136 @@ func x8Mod(v *big.Int) *big.Int { return v.Mod(v, P) }
 
 func bigMul(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
 
+func p6(e *gfP2x8) *gfP6x8 { return (*gfP6x8)(unsafe.Pointer(e)) }
+
+func ref6(s []*refGfP2) *refGfP6 { return &refGfP6{x: s[0], y: s[1], z: s[2]} }
+
+func refSlots6(e *refGfP6) []*refGfP2 { return []*refGfP2{e.x, e.y, e.z} }
+
+// cycloRef is gfp4x8CycloSquare's definition: c0 = 3(b² + ξa²) − 2u,
+// c1 = 3·2ab + 2v, with xi 3·2ξab + 2v.
+func cycloRef(a [][]*refGfP2, xi bool) [][]*refGfP2 {
+	x, y, u, v := a[0][0], a[1][0], a[2][0], a[3][0]
+	t := newRefGFp2().Square(x)
+	t.MulXi(t)
+	t.Add(t, newRefGFp2().Square(y))
+	d := newRefGFp2().Mul(x, y)
+	d.Double(d)
+	if xi {
+		d.MulXi(d)
+	}
+	c0 := newRefGFp2().Sub(t, u)
+	c0.Double(c0)
+	c0.Add(c0, t)
+	c1 := newRefGFp2().Add(d, v)
+	c1.Double(c1)
+	c1.Add(c1, d)
+	return [][]*refGfP2{{c0}, {c1}}
+}
+
+func one(r *refGfP2) [][]*refGfP2 { return [][]*refGfP2{{r}} }
+
+func cycloOp(xi bool) x8Op {
+	name := "gfp4x8CycloSquare"
+	if xi {
+		name += "/xi"
+	}
+	return x8Op{
+		name: name, ins: []int{1, 1, 1, 1}, outs: []int{1, 1},
+		kernel:  func(c, a []*gfP2x8) { gfp4x8CycloSquare(c[0], c[1], a[0], a[1], a[2], a[3], xi) },
+		generic: func(c, a []*gfP2x8) { gfp4x8CycloSquareGeneric(c[0], c[1], a[0], a[1], a[2], a[3], xi) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return cycloRef(a, xi) },
+	}
+}
+
 var x8Ops = []x8Op{
 	{
-		name: "gfpx8Mul", // on both coordinates: x·x and y·y
-		kernel: func(c, a, b *gfP2x8) {
-			gfpx8Mul(&c.x, &a.x, &b.x)
-			gfpx8Mul(&c.y, &a.y, &b.y)
+		name: "gfpx8Mul", ins: []int{1, 1}, outs: []int{1}, // on both coordinates: x·x and y·y
+		kernel: func(c, a []*gfP2x8) {
+			gfpx8Mul(&c[0].x, &a[0].x, &a[1].x)
+			gfpx8Mul(&c[0].y, &a[0].y, &a[1].y)
 		},
-		generic: func(c, a, b *gfP2x8) {
-			gfpx8MulGeneric(&c.x, &a.x, &b.x)
-			gfpx8MulGeneric(&c.y, &a.y, &b.y)
+		generic: func(c, a []*gfP2x8) {
+			gfpx8MulGeneric(&c[0].x, &a[0].x, &a[1].x)
+			gfpx8MulGeneric(&c[0].y, &a[0].y, &a[1].y)
 		},
-		ref: func(ax, ay, bx, by *big.Int) (*big.Int, *big.Int) {
-			return x8Mont(bigMul(ax, bx)), x8Mont(bigMul(ay, by))
-		},
-	},
-	{
-		name: "gfp2x8Mul", kernel: gfp2x8Mul, generic: gfp2x8MulGeneric,
-		ref: func(ax, ay, bx, by *big.Int) (*big.Int, *big.Int) {
-			x := bigMul(ax, by)
-			y := bigMul(ay, by)
-			return x8Mont(x.Add(x, bigMul(ay, bx))), x8Mont(y.Sub(y, bigMul(ax, bx)))
+		ref: func(a [][]*refGfP2) [][]*refGfP2 {
+			x, y := a[0][0], a[1][0]
+			return one(&refGfP2{x: x8Mod(bigMul(x.x, y.x)), y: x8Mod(bigMul(x.y, y.y))})
 		},
 	},
 	{
-		name:    "gfp2x8Square",
-		kernel:  func(c, a, _ *gfP2x8) { gfp2x8Square(c, a) },
-		generic: func(c, a, _ *gfP2x8) { gfp2x8SquareGeneric(c, a) },
-		ref: func(ax, ay, _, _ *big.Int) (*big.Int, *big.Int) {
-			x := bigMul(ax, ay)
-			y := bigMul(ay, ay)
-			return x8Mont(x.Lsh(x, 1)), x8Mont(y.Sub(y, bigMul(ax, ax)))
+		name: "gfp2x8Mul", ins: []int{1, 1}, outs: []int{1},
+		kernel:  func(c, a []*gfP2x8) { gfp2x8Mul(c[0], a[0], a[1]) },
+		generic: func(c, a []*gfP2x8) { gfp2x8MulGeneric(c[0], a[0], a[1]) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return one(newRefGFp2().Mul(a[0][0], a[1][0])) },
+	},
+	{
+		name: "gfp2x8Square", ins: []int{1}, outs: []int{1},
+		kernel:  func(c, a []*gfP2x8) { gfp2x8Square(c[0], a[0]) },
+		generic: func(c, a []*gfP2x8) { gfp2x8SquareGeneric(c[0], a[0]) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return one(newRefGFp2().Square(a[0][0])) },
+	},
+	{
+		name: "gfp2x8Add", ins: []int{1, 1}, outs: []int{1},
+		kernel:  func(c, a []*gfP2x8) { gfp2x8Add(c[0], a[0], a[1]) },
+		generic: func(c, a []*gfP2x8) { gfp2x8AddGeneric(c[0], a[0], a[1]) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return one(newRefGFp2().Add(a[0][0], a[1][0])) },
+	},
+	{
+		name: "gfp2x8Sub", ins: []int{1, 1}, outs: []int{1},
+		kernel:  func(c, a []*gfP2x8) { gfp2x8Sub(c[0], a[0], a[1]) },
+		generic: func(c, a []*gfP2x8) { gfp2x8SubGeneric(c[0], a[0], a[1]) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return one(newRefGFp2().Sub(a[0][0], a[1][0])) },
+	},
+	{
+		name: "gfp2x8MulXi", ins: []int{1}, outs: []int{1},
+		kernel:  func(c, a []*gfP2x8) { gfp2x8MulXi(c[0], a[0]) },
+		generic: func(c, a []*gfP2x8) { gfp2x8MulXiGeneric(c[0], a[0]) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return one(newRefGFp2().MulXi(a[0][0])) },
+	},
+	cycloOp(false),
+	cycloOp(true),
+	{
+		name: "gfp6x8Mul", ins: []int{3, 3}, outs: []int{3},
+		kernel:  func(c, a []*gfP2x8) { gfp6x8Mul(p6(c[0]), p6(a[0]), p6(a[1])) },
+		generic: func(c, a []*gfP2x8) { gfp6x8MulGeneric(p6(c[0]), p6(a[0]), p6(a[1])) },
+		ref: func(a [][]*refGfP2) [][]*refGfP2 {
+			return [][]*refGfP2{refSlots6(newRefGFp6().Mul(ref6(a[0]), ref6(a[1])))}
 		},
 	},
 	{
-		name: "gfp2x8Add", kernel: gfp2x8Add, generic: gfp2x8AddGeneric,
-		ref: func(ax, ay, bx, by *big.Int) (*big.Int, *big.Int) {
-			return x8Mod(new(big.Int).Add(ax, bx)), x8Mod(new(big.Int).Add(ay, by))
+		name: "gfp6x8MulSparse2", ins: []int{3, 1, 1}, outs: []int{3},
+		kernel:  func(c, a []*gfP2x8) { gfp6x8MulSparse2(p6(c[0]), p6(a[0]), a[1], a[2]) },
+		generic: func(c, a []*gfP2x8) { gfp6x8MulSparse2Generic(p6(c[0]), p6(a[0]), a[1], a[2]) },
+		ref: func(a [][]*refGfP2) [][]*refGfP2 {
+			return [][]*refGfP2{refSlots6(newRefGFp6().MulSparse2(ref6(a[0]), a[1][0], a[2][0]))}
+		},
+		shares: func(c, a int) bool { return a != 0 },
+	},
+	{
+		name: "gfp6x8SubSub", ins: []int{3, 3, 3}, outs: []int{3},
+		kernel:  func(c, a []*gfP2x8) { gfp6x8SubSub(p6(c[0]), p6(a[0]), p6(a[1]), p6(a[2])) },
+		generic: func(c, a []*gfP2x8) { gfp6x8SubSubGeneric(p6(c[0]), p6(a[0]), p6(a[1]), p6(a[2])) },
+		ref: func(a [][]*refGfP2) [][]*refGfP2 {
+			d := newRefGFp6().Sub(ref6(a[0]), ref6(a[1]))
+			return [][]*refGfP2{refSlots6(d.Sub(d, ref6(a[2])))}
 		},
 	},
 	{
-		name: "gfp2x8Sub", kernel: gfp2x8Sub, generic: gfp2x8SubGeneric,
-		ref: func(ax, ay, bx, by *big.Int) (*big.Int, *big.Int) {
-			return x8Mod(new(big.Int).Sub(ax, bx)), x8Mod(new(big.Int).Sub(ay, by))
+		name: "gfp6x8MulTauAdd", ins: []int{3, 3}, outs: []int{3},
+		kernel:  func(c, a []*gfP2x8) { gfp6x8MulTauAdd(p6(c[0]), p6(a[0]), p6(a[1])) },
+		generic: func(c, a []*gfP2x8) { gfp6x8MulTauAddGeneric(p6(c[0]), p6(a[0]), p6(a[1])) },
+		ref: func(a [][]*refGfP2) [][]*refGfP2 {
+			d := newRefGFp6().MulTau(ref6(a[0]))
+			return [][]*refGfP2{refSlots6(d.Add(d, ref6(a[1])))}
 		},
-	},
-	{
-		name:    "gfp2x8MulXi",
-		kernel:  func(c, a, _ *gfP2x8) { gfp2x8MulXi(c, a) },
-		generic: func(c, a, _ *gfP2x8) { gfp2x8MulXiGeneric(c, a) },
-		ref: func(ax, ay, _, _ *big.Int) (*big.Int, *big.Int) {
-			x := bigMul(ax, big.NewInt(3))
-			y := bigMul(ay, big.NewInt(3))
-			return x8Mod(x.Add(x, ay)), x8Mod(y.Sub(y, ax))
-		},
+		shares: func(c, a int) bool { return a == 1 },
 	},
 }
+
+// x8Slots is the most F_p² values any kernel of x8Ops reads.
+const x8Slots = 9
 
 // x8InInvariant fails the test unless every lane of e has limbs below 2⁵²
 // and a value below 2p.
@@ -165,66 +247,183 @@ func x8InInvariant(t testing.TB, what string, e *gfPx8) {
 	}
 }
 
-// checkX8Ops runs every kernel on (a, b), whose lanes must be within the
+// x8Layout places an op's operands, or its results, one after another
+// and returns where each starts.
+func x8Layout(sizes []int) (starts []int, n int) {
+	for _, k := range sizes {
+		starts = append(starts, n)
+		n += k
+	}
+	return starts, n
+}
+
+func x8Ptrs(st []gfP2x8, starts []int) []*gfP2x8 {
+	p := make([]*gfP2x8, len(starts))
+	for i, k := range starts {
+		p[i] = &st[k]
+	}
+	return p
+}
+
+// runX8Op runs f (an op's kernel or twin) on operands vals (at least as
+// many as the op reads). The operands listed in same all point at the
+// first of them; with c ≥ 0 result c is written over operand a. It returns
+// the results.
+func runX8Op(op *x8Op, f func(c, a []*gfP2x8), vals []gfP2x8, same []int, c, a int) []gfP2x8 {
+	inStarts, nIn := x8Layout(op.ins)
+	outStarts, nOut := x8Layout(op.outs)
+	in := append([]gfP2x8(nil), vals[:nIn]...)
+	out := make([]gfP2x8, nOut)
+	ap := x8Ptrs(in, inStarts)
+	for _, j := range same {
+		ap[j] = ap[same[0]]
+	}
+	cp := x8Ptrs(out, outStarts)
+	if c >= 0 {
+		cp[c] = ap[a]
+	}
+	f(cp, ap)
+	res := make([]gfP2x8, 0, nOut)
+	for i, k := range op.outs {
+		res = append(res, unsafe.Slice(cp[i], k)...)
+	}
+	return res
+}
+
+// checkX8Ops runs every kernel on vals, whose lanes must be within the
 // invariant, and compares kernel, twin and reference lane by lane; then
-// again with the destination aliasing each operand.
-func checkX8Ops(t testing.TB, a, b *gfP2x8) {
+// again with each result written over each operand it may share, and with
+// every operand of one size at one value.
+func checkX8Ops(t testing.TB, vals []gfP2x8) {
 	t.Helper()
-	for _, op := range x8Ops {
-		var got, gen gfP2x8
-		op.kernel(&got, a, b)
-		op.generic(&gen, a, b)
-		x8InInvariant(t, op.name+".x", &got.x)
-		x8InInvariant(t, op.name+".y", &got.y)
-		for i := 0; i < 8; i++ {
-			wx, wy := op.ref(x8Big(&a.x, i), x8Big(&a.y, i), x8Big(&b.x, i), x8Big(&b.y, i))
-			for _, c := range []struct {
-				what      string
-				got, want *big.Int
-			}{
-				{"kernel x", x8Mod(x8Big(&got.x, i)), wx},
-				{"kernel y", x8Mod(x8Big(&got.y, i)), wy},
-				{"twin x", x8Big(&gen.x, i), wx}, // the twins return reduced values
-				{"twin y", x8Big(&gen.y, i), wy},
-			} {
-				if c.got.Cmp(c.want) != 0 {
-					t.Fatalf("%s lane %d, %s: got %#x, want %#x\na = (%#x, %#x)\nb = (%#x, %#x)", op.name, i, c.what,
-						c.got, c.want, x8Big(&a.x, i), x8Big(&a.y, i), x8Big(&b.x, i), x8Big(&b.y, i))
+	if len(vals) < x8Slots {
+		t.Fatalf("checkX8Ops: %d values, want %d", len(vals), x8Slots)
+	}
+	for i := range x8Ops {
+		checkX8Op(t, &x8Ops[i], vals)
+	}
+}
+
+func x8Ref(e *gfP2x8, i int) *refGfP2 {
+	return &refGfP2{x: x8Mont(x8Big(&e.x, i)), y: x8Mont(x8Big(&e.y, i))}
+}
+
+func checkX8Op(t testing.TB, op *x8Op, vals []gfP2x8) {
+	t.Helper()
+	got := runX8Op(op, op.kernel, vals, nil, -1, 0)
+	gen := runX8Op(op, op.generic, vals, nil, -1, 0)
+	for k := range got {
+		x8InInvariant(t, op.name+".x", &got[k].x)
+		x8InInvariant(t, op.name+".y", &got[k].y)
+	}
+	inStarts, _ := x8Layout(op.ins)
+	for i := 0; i < 8; i++ {
+		a := make([][]*refGfP2, len(op.ins))
+		for j, k := range op.ins {
+			for s := 0; s < k; s++ {
+				a[j] = append(a[j], x8Ref(&vals[inStarts[j]+s], i))
+			}
+		}
+		var want []*refGfP2
+		for _, r := range op.ref(a) {
+			want = append(want, r...)
+		}
+		for k, w := range want {
+			g, n := x8Ref(&got[k], i), x8Ref(&gen[k], i)
+			if g.x.Cmp(w.x) != 0 || g.y.Cmp(w.y) != 0 {
+				t.Fatalf("%s lane %d, result slot %d: kernel %v, want %v", op.name, i, k, g, w)
+			}
+			if n.x.Cmp(w.x) != 0 || n.y.Cmp(w.y) != 0 {
+				t.Fatalf("%s lane %d, result slot %d: twin %v, want %v", op.name, i, k, n, w)
+			}
+			// The twins return reduced values.
+			if x8Big(&gen[k].x, i).Cmp(P) >= 0 || x8Big(&gen[k].y, i).Cmp(P) >= 0 {
+				t.Fatalf("%s lane %d, result slot %d: twin not reduced", op.name, i, k)
+			}
+		}
+	}
+
+	for c, kc := range op.outs {
+		for a, ka := range op.ins {
+			if kc != ka || (op.shares != nil && !op.shares(c, a)) {
+				continue
+			}
+			onA := runX8Op(op, op.kernel, vals, nil, c, a)
+			for k := range onA {
+				if onA[k] != got[k] {
+					t.Fatalf("%s: result differs when result %d is written over operand %d", op.name, c, a)
 				}
 			}
 		}
+	}
 
-		onA, onB := *a, *b
-		op.kernel(&onA, &onA, b)
-		op.kernel(&onB, a, &onB)
-		if onA != got || onB != got {
-			t.Fatalf("%s: result differs when the destination aliases an operand", op.name)
+	// Every operand of one size holding one value: in separate memory,
+	// then all at one address, then with each result of that size that
+	// may share them all written over it.
+	for _, k := range []int{1, 3} {
+		var same []int
+		for j, kj := range op.ins {
+			if kj == k {
+				same = append(same, j)
+			}
 		}
-		var same, onSame gfP2x8
-		onSame = *a
-		op.kernel(&same, a, a)
-		op.kernel(&onSame, &onSame, &onSame)
-		if onSame != same {
-			t.Fatalf("%s: result differs when the destination aliases both operands", op.name)
+		if len(same) < 2 {
+			continue
+		}
+		dup := append([]gfP2x8(nil), vals...)
+		for _, j := range same[1:] {
+			copy(dup[inStarts[j]:inStarts[j]+k], dup[inStarts[same[0]]:])
+		}
+		apart := runX8Op(op, op.kernel, dup, nil, -1, 0)
+		at := func(what string, res []gfP2x8) {
+			t.Helper()
+			for s := range res {
+				if res[s] != apart[s] {
+					t.Fatalf("%s: result differs when operands %v are one value %s", op.name, same, what)
+				}
+			}
+		}
+		at("at one address", runX8Op(op, op.kernel, dup, same, -1, 0))
+	results:
+		for c, kc := range op.outs {
+			if kc != k {
+				continue
+			}
+			for _, j := range same {
+				if op.shares != nil && !op.shares(c, j) {
+					continue results
+				}
+			}
+			at(fmt.Sprintf("with result %d written over it", c), runX8Op(op, op.kernel, dup, same, c, same[0]))
 		}
 	}
 }
 
-// TestX8KernelsOnEdges puts every pair of boundary operands through every
-// kernel, rotated so that each lane of each call holds a different pair.
+// x8Rotate fills x8Slots values from vals, value k of lane l being
+// vals[(start + m·k + l·(2k + 1)) % len(vals)], so that each lane and each
+// slot of a call holds a different combination.
+func x8Rotate(vals []*big.Int, start, m int) []gfP2x8 {
+	out := make([]gfP2x8, x8Slots)
+	n := len(vals)
+	for k := range out {
+		var x, y [8]*big.Int
+		for l := 0; l < 8; l++ {
+			x[l] = vals[(start+m*k+l*(2*k+1))%n]
+			y[l] = vals[(start+m*k+3*l*(k+1)+1)%n]
+		}
+		out[k] = gfP2x8{x: x8FromBigs(x), y: x8FromBigs(y)}
+	}
+	return out
+}
+
+// TestX8KernelsOnEdges puts boundary operands through every kernel, rotated
+// so that each lane and each operand of a call holds a different value.
 func TestX8KernelsOnEdges(t *testing.T) {
 	edges := x8Edges()
 	n := len(edges)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var ax, ay, bx, by [8]*big.Int
-			for l := 0; l < 8; l++ {
-				ax[l], ay[l] = edges[(i+l)%n], edges[(i+3*l+1)%n]
-				bx[l], by[l] = edges[(j+5*l)%n], edges[(j+7*l+2)%n]
-			}
-			a := gfP2x8{x: x8FromBigs(ax), y: x8FromBigs(ay)}
-			b := gfP2x8{x: x8FromBigs(bx), y: x8FromBigs(by)}
-			checkX8Ops(t, &a, &b)
+		for m := 1; m < n; m++ {
+			checkX8Ops(t, x8Rotate(edges, i, m))
 		}
 	}
 }
@@ -238,9 +437,11 @@ func TestX8KernelsOnRandom(t *testing.T) {
 		return x8FromBigs(v)
 	}
 	for iter := 0; iter < 300; iter++ {
-		a := gfP2x8{x: random(), y: random()}
-		b := gfP2x8{x: random(), y: random()}
-		checkX8Ops(t, &a, &b)
+		vals := make([]gfP2x8, x8Slots)
+		for k := range vals {
+			vals[k] = gfP2x8{x: random(), y: random()}
+		}
+		checkX8Ops(t, vals)
 	}
 }
 
@@ -288,6 +489,44 @@ func TestX8MulBeyondInvariant(t *testing.T) {
 			t.Fatalf("lane %d: twin %#x, want %#x", i, v, want)
 		}
 	}
+}
+
+// TestReduceWideEstimate checks the quotient estimate behind the kernels'
+// reduceWide on the values where it is tightest: for v below 2²⁶², with
+// q = ⌊v/p⌋ and the estimate ⌊⌊v/2²³⁰⌋·wideQ/2⁵⁷⌋, q − estimate must be 0
+// or 1, so that v − estimate·p is in [0, 2p). The values are the
+// neighbours of every multiple of p up to 2²⁶² and of every multiple of
+// 2²³⁰ near them, and the top of the range.
+func TestReduceWideEstimate(t *testing.T) {
+	limit := new(big.Int).Lsh(big.NewInt(1), 262)
+	d := new(big.Int).Rsh(P, 230)
+	d.Add(d, big.NewInt(1))
+	wideQ := new(big.Int).Div(new(big.Int).Lsh(big.NewInt(1), 57), d)
+	if wideQ.BitLen() > 32 {
+		t.Fatalf("wideQ = %#x does not fit the 32 bits VPMULUDQ reads", wideQ)
+	}
+	check := func(v *big.Int) {
+		if v.Sign() < 0 || v.Cmp(limit) >= 0 {
+			return
+		}
+		q := new(big.Int).Div(v, P)
+		est := new(big.Int).Rsh(v, 230)
+		est.Mul(est, wideQ)
+		est.Rsh(est, 57)
+		if diff := new(big.Int).Sub(q, est); diff.Sign() < 0 || diff.Cmp(big.NewInt(1)) > 0 {
+			t.Fatalf("v = %#x: q = %v, estimate %v", v, q, est)
+		}
+	}
+	one := big.NewInt(1)
+	for k := new(big.Int); k.Cmp(limit) < 0; k.Add(k, P) {
+		for _, base := range []*big.Int{new(big.Int).Set(k), new(big.Int).Lsh(new(big.Int).Rsh(k, 230), 230)} {
+			for _, dv := range []int64{-2, -1, 0, 1, 2} {
+				check(new(big.Int).Add(base, big.NewInt(dv)))
+			}
+			check(new(big.Int).Add(base, new(big.Int).Lsh(one, 230)))
+		}
+	}
+	check(new(big.Int).Sub(limit, one))
 }
 
 // TestX8LaneConversions pins the two ways in and out of a lane: a gfP
@@ -372,21 +611,26 @@ func FuzzX8VsGfP(f *testing.F) {
 		}
 		rawA, ax := next()
 		_, ay := next()
-		_, bx := next()
-		_, by := next()
-		checkX8Ops(t, &gfP2x8{x: ax, y: ay}, &gfP2x8{x: bx, y: by})
-
-		var vals [8]*big.Int
-		for i := range vals {
-			vals[i] = x8Mod(x8Big(&bx, i))
+		vals := []gfP2x8{{x: ax, y: ay}}
+		for len(vals) < x8Slots {
+			_, x := next()
+			_, y := next()
+			vals = append(vals, gfP2x8{x: x, y: y})
 		}
-		small := x8FromBigs(vals)
+		checkX8Ops(t, vals)
+		bx := vals[1].x
+
+		var lows [8]*big.Int
+		for i := range lows {
+			lows[i] = x8Mod(x8Big(&bx, i))
+		}
+		small := x8FromBigs(lows)
 		var got, gen gfPx8
 		gfpx8Mul(&got, &rawA, &small)
 		gfpx8MulGeneric(&gen, &rawA, &small)
 		x8InInvariant(t, "gfpx8Mul on raw limbs", &got)
 		for i := 0; i < 8; i++ {
-			want := x8Mont(bigMul(x8Big(&rawA, i), vals[i]))
+			want := x8Mont(bigMul(x8Big(&rawA, i), lows[i]))
 			if v := x8Mod(x8Big(&got, i)); v.Cmp(want) != 0 {
 				t.Fatalf("gfpx8Mul lane %d: kernel %#x, want %#x", i, v, want)
 			}
@@ -398,13 +642,20 @@ func FuzzX8VsGfP(f *testing.F) {
 }
 
 func BenchmarkX8Kernels(b *testing.B) {
-	var x, y, z gfP2x8
-	x.splat(xiToPMinus1Over6)
-	y.splat(xiToPMinus1Over3)
-	for _, op := range x8Ops {
+	vals := make([]gfP2x8, x8Slots)
+	for k := range vals {
+		vals[k].splat(xiToPMinus1Over6)
+		vals[k].x.splat(&xiToPMinus1Over3.y)
+	}
+	for i := range x8Ops {
+		op := &x8Ops[i]
+		inStarts, _ := x8Layout(op.ins)
+		outStarts, nOut := x8Layout(op.outs)
+		out := make([]gfP2x8, nOut)
+		c, a := x8Ptrs(out, outStarts), x8Ptrs(vals, inStarts)
 		b.Run(op.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op.kernel(&z, &x, &y)
+				op.kernel(c, a)
 			}
 		})
 	}

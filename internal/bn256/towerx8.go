@@ -13,6 +13,13 @@ import "sync"
 // general power, and the scalar tower remains the implementation of
 // everything else.
 //
+// The hot composites are one kernel each (gfpx8_amd64.s): the F_p⁶
+// product, the sparse F_p⁶ product of a line, one coordinate pair of the
+// cyclotomic square, and the F_p⁶ fix-ups a − b − d and τa + b of the
+// Karatsuba and complex-squaring products. Each reduces a sum once per
+// output coordinate, so a pass pays for its products and little for its
+// additions; what is left here is their schedule.
+//
 // Methods follow the scalar tower's convention: e.Op(a, b) sets e, and e
 // may alias a or b unless a comment says otherwise. Operations that need
 // temporaries on the hot path take them from a laneWork.
@@ -30,14 +37,12 @@ import "sync"
 type laneWork struct {
 	f, scale gfP12x8
 
-	mul6    struct{ t0, t1, t2, s1, s2, r0, r1 gfP2x8 }
-	sparse  gfP2x8
 	tau     gfP2x8
 	mul12   struct{ tx, t, v0, v1 gfP6x8 }
 	square  struct{ v0, t, ty gfP6x8 }
 	line    struct{ v0, v1, t gfP6x8 }
 	coeff   struct{ c0, c1, c3, z2 gfP2x8 }
-	cyclo   [9]gfP2x8
+	cyclo   [2]gfP2x8
 	expU    struct{ base, inv gfP12x8 }
 	finalEx struct {
 		t1, t2, fp, fp2, fp3, fu, fu2, fu3 gfP12x8
@@ -146,37 +151,9 @@ func (e *gfP6x8) Sub(a, b *gfP6x8) {
 	e.z.Sub(&a.z, &b.z)
 }
 
-// Mul sets e = a·b with gfP6.Mul's six-multiplication schedule.
-func (e *gfP6x8) Mul(a, b *gfP6x8, w *laneWork) {
-	t := &w.mul6
-	t.t0.Mul(&a.z, &b.z)
-	t.t1.Mul(&a.y, &b.y)
-	t.t2.Mul(&a.x, &b.x)
-
-	t.s1.Add(&a.y, &a.x)
-	t.s2.Add(&b.y, &b.x)
-	t.r0.Mul(&t.s1, &t.s2)
-	t.r0.Sub(&t.r0, &t.t1)
-	t.r0.Sub(&t.r0, &t.t2)
-	t.r0.MulXi(&t.r0)
-
-	t.s1.Add(&a.z, &a.y)
-	t.s2.Add(&b.z, &b.y)
-	t.r1.Mul(&t.s1, &t.s2)
-	t.r1.Sub(&t.r1, &t.t0)
-	t.r1.Sub(&t.r1, &t.t1)
-
-	t.s1.Add(&a.z, &a.x)
-	t.s2.Add(&b.z, &b.x)
-	e.x.Mul(&t.s1, &t.s2) // a and b are not read again
-	e.x.Sub(&e.x, &t.t0)
-	e.x.Sub(&e.x, &t.t2)
-	e.x.Add(&e.x, &t.t1)
-
-	t.t2.MulXi(&t.t2)
-	e.y.Add(&t.r1, &t.t2)
-	e.z.Add(&t.r0, &t.t0)
-}
+// Mul sets e = a·b with gfP6.Mul's six-multiplication schedule, in one
+// kernel (gfp6x8Mul).
+func (e *gfP6x8) Mul(a, b *gfP6x8) { gfp6x8Mul(e, a, b) }
 
 func (e *gfP6x8) MulScalar(a *gfP6x8, b *gfP2x8) {
 	e.x.Mul(&a.x, b)
@@ -184,22 +161,9 @@ func (e *gfP6x8) MulScalar(a *gfP6x8, b *gfP2x8) {
 	e.z.Mul(&a.z, b)
 }
 
-// MulSparse2 sets e = a·(y2·τ + z2). e must not alias a.
-func (e *gfP6x8) MulSparse2(a *gfP6x8, y2, z2 *gfP2x8, w *laneWork) {
-	t := &w.sparse
-	e.z.Mul(&a.x, y2)
-	e.z.MulXi(&e.z)
-	t.Mul(&a.z, z2)
-	e.z.Add(&e.z, t)
-
-	e.y.Mul(&a.y, z2)
-	t.Mul(&a.z, y2)
-	e.y.Add(&e.y, t)
-
-	e.x.Mul(&a.x, z2)
-	t.Mul(&a.y, y2)
-	e.x.Add(&e.x, t)
-}
+// MulSparse2 sets e = a·(y2·τ + z2) in one kernel (gfp6x8MulSparse2). e
+// must not alias a.
+func (e *gfP6x8) MulSparse2(a *gfP6x8, y2, z2 *gfP2x8) { gfp6x8MulSparse2(e, a, y2, z2) }
 
 // MulTau sets e = a·τ = y·τ² + z·τ + x·ξ.
 func (e *gfP6x8) MulTau(a *gfP6x8, w *laneWork) {
@@ -273,16 +237,13 @@ func (e *gfP12x8) Mul(a, b *gfP12x8, w *laneWork) {
 	t := &w.mul12
 	t.tx.Add(&a.x, &a.y)
 	t.t.Add(&b.x, &b.y)
-	t.tx.Mul(&t.tx, &t.t, w)
+	t.tx.Mul(&t.tx, &t.t)
 
-	t.v0.Mul(&a.y, &b.y, w)
-	t.v1.Mul(&a.x, &b.x, w)
+	t.v0.Mul(&a.y, &b.y)
+	t.v1.Mul(&a.x, &b.x)
 
-	t.tx.Sub(&t.tx, &t.v0)
-	e.x.Sub(&t.tx, &t.v1)
-
-	t.v1.MulTau(&t.v1, w)
-	e.y.Add(&t.v1, &t.v0)
+	gfp6x8SubSub(&e.x, &t.tx, &t.v0, &t.v1)
+	gfp6x8MulTauAdd(&e.y, &t.v1, &t.v0)
 }
 
 // MulLine sets e = a·(c0 + c1·ω + c3·τω), the sparse product of
@@ -291,16 +252,13 @@ func (e *gfP12x8) MulLine(a *gfP12x8, c0, c1, c3 *gfP2x8, w *laneWork) {
 	t := &w.line
 	z2 := &w.coeff.z2
 	t.v0.MulScalar(&a.y, c0)
-	t.v1.MulSparse2(&a.x, c3, c1, w)
+	t.v1.MulSparse2(&a.x, c3, c1)
 
 	z2.Add(c1, c0)
 	t.t.Add(&a.x, &a.y)
-	e.x.MulSparse2(&t.t, c3, z2, w) // a is not read again
-	e.x.Sub(&e.x, &t.v0)
-	e.x.Sub(&e.x, &t.v1)
-
-	t.v1.MulTau(&t.v1, w)
-	e.y.Add(&t.v0, &t.v1)
+	e.x.MulSparse2(&t.t, c3, z2) // a is not read again
+	gfp6x8SubSub(&e.x, &e.x, &t.v0, &t.v1)
+	gfp6x8MulTauAdd(&e.y, &t.v1, &t.v0)
 }
 
 // mulPreparedLine multiplies f by the line s, the same in every lane,
@@ -351,30 +309,28 @@ func (f *gfP12x8) evalLine(c3, c1, c0 *gfP2x8, p *g1x8, skip *[Lanes]bool, w *la
 // Square sets e = a² by complex squaring, as gfP12.Square does.
 func (e *gfP12x8) Square(a *gfP12x8, w *laneWork) {
 	t := &w.square
-	t.v0.Mul(&a.x, &a.y, w)
+	t.v0.Mul(&a.x, &a.y)
 
-	t.t.MulTau(&a.x, w)
-	t.t.Add(&t.t, &a.y)
+	gfp6x8MulTauAdd(&t.t, &a.x, &a.y)
 	t.ty.Add(&a.x, &a.y)
-	t.ty.Mul(&t.ty, &t.t, w)
-	t.ty.Sub(&t.ty, &t.v0)
+	t.ty.Mul(&t.ty, &t.t)
 	t.t.MulTau(&t.v0, w)
-	e.y.Sub(&t.ty, &t.t)
+	gfp6x8SubSub(&e.y, &t.ty, &t.v0, &t.t)
 	e.x.Add(&t.v0, &t.v0)
 }
 
 // Invert sets e = a⁻¹ = (−x·ω + y)/(y² − x²·τ).
 func (e *gfP12x8) Invert(a *gfP12x8, w *laneWork) {
 	var t1, t2 gfP6x8
-	t1.Mul(&a.x, &a.x, w)
+	t1.Mul(&a.x, &a.x)
 	t1.MulTau(&t1, w)
-	t2.Mul(&a.y, &a.y, w)
+	t2.Mul(&a.y, &a.y)
 	t2.Sub(&t2, &t1)
 	t2.Invert(&t2)
 
 	e.x.Neg(&a.x)
-	e.x.Mul(&e.x, &t2, w)
-	e.y.Mul(&a.y, &t2, w)
+	e.x.Mul(&e.x, &t2)
+	e.y.Mul(&a.y, &t2)
 }
 
 // frobX8 holds γ_j = ξ^(j(pᵏ−1)/6) for j = 1..5 and k = 1, 2, 3, in every
@@ -415,56 +371,18 @@ func (e *gfP12x8) Frobenius(a *gfP12x8, k int) {
 }
 
 // CyclotomicSquare sets e = a² for a in the cyclotomic subgroup
-// (Granger–Scott, see gfP12.CyclotomicSquare).
+// (Granger–Scott, see gfP12.CyclotomicSquare): one gfp4x8CycloSquare per
+// coordinate pair.
 func (e *gfP12x8) CyclotomicSquare(a *gfP12x8, w *laneWork) {
 	x0, x1, x2 := &a.y.z, &a.y.y, &a.y.x
 	x3, x4, x5 := &a.x.z, &a.x.y, &a.x.x
 
+	// The pair (x5, x1) writes where the pair (x2, x3) reads when e is a.
 	t := &w.cyclo
-	t[0].Square(x4)
-	t[1].Square(x0)
-	t[6].Add(x4, x0)
-	t[6].Square(&t[6])
-	t[6].Sub(&t[6], &t[0])
-	t[6].Sub(&t[6], &t[1]) // 2·x4·x0
-
-	t[2].Square(x2)
-	t[3].Square(x3)
-	t[7].Add(x2, x3)
-	t[7].Square(&t[7])
-	t[7].Sub(&t[7], &t[2])
-	t[7].Sub(&t[7], &t[3]) // 2·x2·x3
-
-	t[4].Square(x5)
-	t[5].Square(x1)
-	t[8].Add(x5, x1)
-	t[8].Square(&t[8])
-	t[8].Sub(&t[8], &t[4])
-	t[8].Sub(&t[8], &t[5])
-	t[8].MulXi(&t[8]) // 2·ξ·x5·x1
-
-	t[0].MulXi(&t[0])
-	t[0].Add(&t[0], &t[1]) // ξ·x4² + x0²
-	t[2].MulXi(&t[2])
-	t[2].Add(&t[2], &t[3]) // ξ·x2² + x3²
-	t[4].MulXi(&t[4])
-	t[4].Add(&t[4], &t[5]) // ξ·x5² + x1²
-
-	// z = 3t − 2x in the y half and 3t + 2x in the x half. Each x is read
-	// for the last time by the line that overwrites it.
-	e.y.z.Sub(&t[0], x0)
-	e.y.y.Sub(&t[2], x1)
-	e.y.x.Sub(&t[4], x2)
-	e.x.z.Add(&t[8], x3)
-	e.x.y.Add(&t[6], x4)
-	e.x.x.Add(&t[7], x5)
-	for _, zt := range [6][2]*gfP2x8{
-		{&e.y.z, &t[0]}, {&e.y.y, &t[2]}, {&e.y.x, &t[4]},
-		{&e.x.z, &t[8]}, {&e.x.y, &t[6]}, {&e.x.x, &t[7]},
-	} {
-		zt[0].Double(zt[0])
-		zt[0].Add(zt[0], zt[1])
-	}
+	t[0], t[1] = *x2, *x3
+	gfp4x8CycloSquare(&e.y.z, &e.x.y, x4, x0, x0, x4, false)
+	gfp4x8CycloSquare(&e.y.x, &e.x.z, x5, x1, x2, x3, true)
+	gfp4x8CycloSquare(&e.y.y, &e.x.x, &t[0], &t[1], x1, x5, false)
 }
 
 // expU sets e = a^u for a in the cyclotomic subgroup: three walks over

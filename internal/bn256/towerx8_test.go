@@ -91,11 +91,25 @@ func TestX8TowerMatchesScalarTower(t *testing.T) {
 		{"Mul in place", false,
 			func(e *gfP12x8, o *x8Operands) { *e = o.ax; e.Mul(e, &o.bx, w) },
 			func(o *x8Operands, i int) *gfP12 { return newGFp12().Mul(o.a[i], o.b[i]) }},
+		{"Mul into b", false,
+			func(e *gfP12x8, o *x8Operands) { *e = o.bx; e.Mul(&o.ax, e, w) },
+			func(o *x8Operands, i int) *gfP12 { return newGFp12().Mul(o.a[i], o.b[i]) }},
+		{"Mul by itself", false,
+			func(e *gfP12x8, o *x8Operands) { *e = o.ax; e.Mul(e, e, w) },
+			func(o *x8Operands, i int) *gfP12 { return newGFp12().Mul(o.a[i], o.a[i]) }},
+		{"Square out of place", false,
+			func(e *gfP12x8, o *x8Operands) { e.Square(&o.ax, w) },
+			func(o *x8Operands, i int) *gfP12 { return newGFp12().Square(o.a[i]) }},
 		{"Square", false,
 			func(e *gfP12x8, o *x8Operands) { *e = o.ax; e.Square(e, w) },
 			func(o *x8Operands, i int) *gfP12 { return newGFp12().Square(o.a[i]) }},
 		{"MulLine", false,
 			func(e *gfP12x8, o *x8Operands) { *e = o.ax; e.MulLine(e, &o.c[0], &o.c[1], &o.c[2], w) },
+			func(o *x8Operands, i int) *gfP12 {
+				return newGFp12().MulLine(o.a[i], o.cs[i][0], o.cs[i][1], o.cs[i][2])
+			}},
+		{"MulLine out of place", false,
+			func(e *gfP12x8, o *x8Operands) { e.MulLine(&o.ax, &o.c[0], &o.c[1], &o.c[2], w) },
 			func(o *x8Operands, i int) *gfP12 {
 				return newGFp12().MulLine(o.a[i], o.cs[i][0], o.cs[i][1], o.cs[i][2])
 			}},
@@ -119,11 +133,17 @@ func TestX8TowerMatchesScalarTower(t *testing.T) {
 		{"CyclotomicSquare", true,
 			func(e *gfP12x8, o *x8Operands) { *e = o.ax; e.CyclotomicSquare(e, w) },
 			func(o *x8Operands, i int) *gfP12 { return newGFp12().Square(o.a[i]) }},
+		{"CyclotomicSquare out of place", true,
+			func(e *gfP12x8, o *x8Operands) { e.CyclotomicSquare(&o.ax, w) },
+			func(o *x8Operands, i int) *gfP12 { return newGFp12().Square(o.a[i]) }},
 		{"expU", true,
 			func(e *gfP12x8, o *x8Operands) { e.expU(&o.ax, w) },
 			func(o *x8Operands, i int) *gfP12 { return newGFp12().Exp(o.a[i], u) }},
 		{"finalExponentiation", false,
 			func(e *gfP12x8, o *x8Operands) { *e = o.ax; e.finalExponentiation(e, w) },
+			func(o *x8Operands, i int) *gfP12 { return finalExponentiationGeneric(o.a[i]) }},
+		{"finalExponentiation out of place", false,
+			func(e *gfP12x8, o *x8Operands) { e.finalExponentiation(&o.ax, w) },
 			func(o *x8Operands, i int) *gfP12 { return finalExponentiationGeneric(o.a[i]) }},
 	}
 	for _, op := range ops {
@@ -170,8 +190,7 @@ func TestLaneWorkAlignment(t *testing.T) {
 	w := laneWorkPool.Get().(*laneWork)
 	defer laneWorkPool.Put(w)
 	for name, p := range map[string]*gfP2x8{
-		"f": &w.f.x.x, "scale": &w.scale.x.x, "mul6": &w.mul6.t0, "sparse": &w.sparse,
-		"tau": &w.tau, "mul12": &w.mul12.tx.x, "square": &w.square.v0.x, "line": &w.line.v0.x,
+		"f": &w.f.x.x, "scale": &w.scale.x.x, "tau": &w.tau, "mul12": &w.mul12.tx.x, "square": &w.square.v0.x, "line": &w.line.v0.x,
 		"coeff": &w.coeff.c0, "cyclo": &w.cyclo[0], "expU": &w.expU.base.x.x, "finalEx": &w.finalEx.t1.x.x,
 	} {
 		if off := uintptr(unsafe.Pointer(p)) % 64; off != 0 {

@@ -122,7 +122,8 @@ func RunE11Ablations(iters int) ([]E11AblationRow, error) {
 			Baseline:  perMsg,
 			Optimized: fixed,
 			Speedup:   ratio(perMsg, fixed),
-			Detail:    "sign+verify; trade-off: shared bases across signatures",
+			Detail: "sign+verify; trade-off: " +
+				"With û fixed, e(A, û) is constant per user, so E3's O(1) index links a user's signatures for everyone; BS04 §7 scopes it to an epoch.",
 		})
 	}
 

@@ -274,6 +274,44 @@ func TestVerifiersAgreeOnRejections(t *testing.T) {
 	}
 }
 
+// TestKnownGapFixedGeneratorsLinkable states the price of FixedGenerators
+// (E11's "shared bases across signatures" row) from public data alone:
+// with û and v̂ derived from the group key and the signature,
+// e(T2, û)/e(T1, v̂) = e(A, û) for every signature of the member holding
+// A. With û fixed, e(A, û) is constant per user, so E3's O(1) index links
+// a user's signatures for everyone; BS04 §7 scopes it to an epoch. The
+// per-message mode derives a fresh û per signature and gives a different
+// value each time. It asserts today's behaviour, not a goal.
+func TestKnownGapFixedGeneratorsLinkable(t *testing.T) {
+	s := newTestSetup(t, 2)
+	link := func(mode GeneratorMode, key int, msg string) *bn256.GT {
+		t.Helper()
+		sig, err := SignWithMode(rand.Reader, s.pk, s.keys[key], []byte(msg), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uhat, vhat := deriveG2Generators(s.pk, mode, []byte(msg), sig.R, counter{})
+		v := bn256.Pair(sig.T2, uhat)
+		v.Add(v, new(bn256.GT).Neg(bn256.Pair(sig.T1, vhat)))
+		if want := bn256.Pair(s.keys[key].A, uhat); !v.Equal(want) {
+			t.Fatalf("%v signature of member %d: e(T2, û)/e(T1, v̂) is not e(A, û)", mode, key)
+		}
+		return v
+	}
+
+	first, second := link(FixedGenerators, 0, "m0"), link(FixedGenerators, 0, "m1")
+	if !first.Equal(second) {
+		t.Fatal("two FixedGenerators signatures of one member give different values — " +
+			"if the fixed bases became per-epoch or per-message, restate this test")
+	}
+	if other := link(FixedGenerators, 1, "m0"); other.Equal(first) {
+		t.Fatal("two members' FixedGenerators signatures give the same value")
+	}
+	if link(PerMessageGenerators, 0, "m0").Equal(link(PerMessageGenerators, 0, "m1")) {
+		t.Fatal("two per-message signatures of one member give the same value")
+	}
+}
+
 // TestKnownGapTokenRecoverableFromSignature records a privacy gap of the
 // current generator derivation; it asserts today's behaviour, not a goal.
 //

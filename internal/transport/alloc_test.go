@@ -570,3 +570,35 @@ func BenchmarkResumeExchange(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/op")
 }
+
+// clientResumeAllocs is the allocation ceiling of one Client resume run
+// as its phase steps, through the gate rig's dispatch with no socket and
+// no server goroutine: the round trip of resumeExchangeAllocs, the
+// reissued ticket the client stores with its resumption secret, and the
+// rig's recorded reply. The run is the client's one resume run, and it
+// hands its exchange its hooks as arguments, so neither the run nor a
+// method value allocates.
+const clientResumeAllocs = 20
+
+// TestClientResumeAllocs gates a stepped Client resume at
+// clientResumeAllocs.
+func TestClientResumeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	r := newClientRig(t)
+	r.reset(t, ClientConfig{})
+	r.cl.storeTicket(r.ticket, r.sess)
+	resume := func() {
+		r.sent = r.sent[:0]
+		if err := r.run(r.cl.newResume(r.cl.heldTicket()), nil); err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+	}
+	resume()
+	avg := testing.AllocsPerRun(200, resume)
+	t.Logf("client resume: %.1f allocs/op", avg)
+	if avg > clientResumeAllocs {
+		t.Fatalf("client resume allocates %.1f/op, ceiling %d", avg, clientResumeAllocs)
+	}
+}

@@ -121,6 +121,10 @@ type Client struct {
 	// steady-state send path allocates nothing.
 	sendMu  sync.Mutex
 	sendBuf []byte
+
+	// resume is the one ticket resume run, reset by each Resume: like
+	// buf, it belongs to the goroutine that drives the client.
+	resume resumeRun
 }
 
 // NewClient wraps conn (the user's own socket) talking to the router at
@@ -286,8 +290,18 @@ func (x *exchange) arm(now time.Time) step {
 func (x *exchange) wait() step { return step{deadline: x.deadline} }
 
 func (x *exchange) recv(now time.Time, kind Kind, payload []byte) step {
+	return x.answer(now, kind, payload, x.accept, x.solved)
+}
+
+// answer is recv with the two hooks passed in: a phase that embeds its
+// exchange (resumeRun) hands over its own methods here rather than storing
+// them in the hooks, which would put two method values on the heap per
+// run.
+func (x *exchange) answer(now time.Time, kind Kind, payload []byte,
+	accept func(now time.Time, kind Kind, payload []byte) bool,
+	solved func(now time.Time, p *puzzle.Puzzle, sol uint64) error) step {
 	if kind != KindReject || x.sid == (core.SessionID{}) {
-		if x.accept(now, kind, payload) {
+		if accept(now, kind, payload) {
 			return step{done: true}
 		}
 		return x.wait()
@@ -307,7 +321,7 @@ func (x *exchange) recv(now time.Time, kind Kind, payload []byte) step {
 		// Backpressure or graceful drain: expire may re-arm the budget.
 		x.sawTransient = true
 		return x.wait()
-	case rej.Code == RejectPuzzle && p != nil && x.solved != nil && x.puzzles < maxPuzzleRetries:
+	case rej.Code == RejectPuzzle && p != nil && solved != nil && x.puzzles < maxPuzzleRetries:
 		// Defense engaged after the request was built: solve, re-frame and
 		// start over, the fresh budget counted from the end of the solve.
 		x.puzzles++
@@ -316,7 +330,7 @@ func (x *exchange) recv(now time.Time, kind Kind, payload []byte) step {
 			return fail(fmt.Errorf("%w: solve budget exhausted at difficulty %d", core.ErrPuzzleRequired, p.Difficulty))
 		}
 		now = x.c.user.Now()
-		if err := x.solved(now, p, sol); err != nil {
+		if err := solved(now, p, sol); err != nil {
 			return fail(err)
 		}
 		return x.start(now)

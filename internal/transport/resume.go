@@ -393,11 +393,17 @@ func (c *Client) Resume(ctx context.Context) (*core.Session, error) {
 	if t == nil {
 		return nil, ErrNoTicket
 	}
-	r := &resumeRun{exchange: exchange{c: c}, t: t}
+	r := c.newResume(t)
 	if err := c.drive(ctx, r); err != nil {
 		return nil, err
 	}
 	return r.sess, nil
+}
+
+// newResume resets the client's resume run for ticket t and returns it.
+func (c *Client) newResume(t *resumeTicket) *resumeRun {
+	c.resume = resumeRun{exchange: exchange{c: c}, t: t}
+	return &c.resume
 }
 
 // resumeRun is the ticket resume as one phase: one exchange, completed
@@ -415,7 +421,6 @@ type resumeRun struct {
 func (r *resumeRun) start(now time.Time) step {
 	r.began = now
 	r.c.stats.resumeAttempts.Add(1)
-	r.accept, r.solved = r.take, r.request
 	if err := r.request(now, nil, 0); err != nil {
 		return fail(err)
 	}
@@ -423,7 +428,7 @@ func (r *resumeRun) start(now time.Time) step {
 }
 
 func (r *resumeRun) recv(now time.Time, kind Kind, payload []byte) step {
-	return r.resumed(now, r.exchange.recv(now, kind, payload))
+	return r.resumed(now, r.exchange.answer(now, kind, payload, r.take, r.request))
 }
 
 func (r *resumeRun) expire(now time.Time) step { return r.resumed(now, r.exchange.expire(now)) }
@@ -519,7 +524,7 @@ func (c *Client) attachOrResume() phase {
 	}
 	ch := &chain{}
 	ch.first = func(now time.Time) step {
-		return ch.run(now, &resumeRun{exchange: exchange{c: c}, t: t}, func(now time.Time, err error) step {
+		return ch.run(now, c.newResume(t), func(now time.Time, err error) step {
 			if err == nil {
 				return step{done: true}
 			}
