@@ -79,12 +79,12 @@ fuzz:
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzUnmarshalDataFrame$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalTicket$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalResumeRequest$$' -fuzztime=10s
-	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalRouterHello$$' -fuzztime=10s
-	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalRouterWelcome$$' -fuzztime=10s
-	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalLinkEnvelope$$' -fuzztime=10s
-	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalGossipBody$$' -fuzztime=10s
-	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalOwnerAds$$' -fuzztime=10s
-	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzUnmarshalRelayBody$$' -fuzztime=10s
+	$(GO) test ./internal/backbone/ -run='^$$' -fuzz='^FuzzUnmarshalRouterHello$$' -fuzztime=10s
+	$(GO) test ./internal/backbone/ -run='^$$' -fuzz='^FuzzUnmarshalRouterWelcome$$' -fuzztime=10s
+	$(GO) test ./internal/backbone/ -run='^$$' -fuzz='^FuzzUnmarshalLinkEnvelope$$' -fuzztime=10s
+	$(GO) test ./internal/backbone/ -run='^$$' -fuzz='^FuzzUnmarshalGossipBody$$' -fuzztime=10s
+	$(GO) test ./internal/backbone/ -run='^$$' -fuzz='^FuzzUnmarshalOwnerAds$$' -fuzztime=10s
+	$(GO) test ./internal/backbone/ -run='^$$' -fuzz='^FuzzUnmarshalRelayBody$$' -fuzztime=10s
 	$(GO) test ./internal/puzzle/ -run='^$$' -fuzz='^FuzzUnmarshalPuzzle$$' -fuzztime=10s
 	$(GO) test ./internal/puzzle/ -run='^$$' -fuzz='^FuzzVerifySolution$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzPeekAccessRequest$$' -fuzztime=10s

@@ -5,9 +5,11 @@
 // multi-hop across the backbone.
 //
 // Links are authenticated under the routers' NO-issued certificates
-// (internal/cert): a RouterHello / RouterWelcome exchange signs fresh DH
+// (internal/cert): a router hello / welcome exchange signs fresh DH
 // shares with the long-term router keys, and everything after rides in
-// AEAD-sealed LinkEnvelopes with per-sender replay windows.
+// AEAD-sealed link envelopes with per-sender replay windows. The package
+// owns these wire formats (wire.go); their frame kinds are in transport's
+// one kind table.
 //
 // A Node is one loop. A single goroutine owns its links, routes and
 // ownership table and steps them at a time now: a step takes the inbox,
@@ -19,7 +21,7 @@
 //
 // A handoff goes like this. A user moving to a new AP presents its
 // resumption ticket there. The adopting router checks the epoch pins,
-// re-logs the M.2 escrow, and hands the node an OwnerAd for the backbone.
+// re-logs the M.2 escrow, and hands the node an owner ad for the backbone.
 // During the grace window the previous router relays in-flight frames to
 // the adopter, then releases the session; its audit log entry stays. Ads
 // are numbered per link and re-sent until a round acknowledges them, and

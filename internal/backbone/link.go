@@ -131,8 +131,8 @@ func (w *adWindow) absorb() {
 // by the peer.
 type pendingAd struct {
 	seq  uint64
-	ad   *transport.OwnerAd // the node's stored record, immutable
-	sent time.Time          // first sealed; zero while never sealed
+	ad   *ownerAd  // the node's stored record, immutable
+	sent time.Time // first sealed; zero while never sealed
 }
 
 // link is one established router-to-router association: the peer's
@@ -148,7 +148,7 @@ type link struct {
 	addr net.Addr
 	// hello and welcome, on the responder's side, are the handshake the
 	// link came from: a retransmitted hello gets the same welcome back.
-	hello   [transport.BackboneNonceSize]byte
+	hello   [helloNonceSize]byte
 	welcome []byte
 
 	// aead is the cached AES-GCM instance for the link's Enc key (one key schedule
@@ -169,8 +169,9 @@ type link struct {
 	unacked   []pendingAd
 	lastRound time.Time
 	adsIn     adWindow
-	// Seal scratch: the nonce and AAD must reach the AEAD without a
-	// per-envelope heap escape.
+	// Seal and open scratch: the nonce and AAD must reach the AEAD
+	// without a per-envelope heap escape. The node's one loop owns the
+	// link, so sealing and opening share them.
 	nonceScratch [symcrypto.GCMNonceSize]byte
 	aadScratch   []byte
 }
@@ -184,9 +185,9 @@ func newLink(peer string, addr net.Addr, keys symcrypto.SessionKeys, now time.Ti
 }
 
 // sealAppend seals plaintext on this link and appends the complete
-// marshaled LinkEnvelope to dst, allocation-free for the batched egress
+// marshaled linkEnvelope to dst, allocation-free for the batched egress
 // path, under a deterministic nonce (nonceBase XOR seq). Give
-// dst transport.LinkEnvelopeLen(self, len(plaintext)) spare capacity to
+// dst linkEnvelopeLen(self, len(plaintext)) spare capacity to
 // avoid growth.
 func (l *link) sealAppend(dst []byte, kind transport.Kind, self string, plaintext []byte) []byte {
 	l.sendSeq++
@@ -196,9 +197,9 @@ func (l *link) sealAppend(dst []byte, kind transport.Kind, self string, plaintex
 	for i := 0; i < 8; i++ {
 		l.nonceScratch[symcrypto.GCMNonceSize-1-i] ^= byte(seq >> (8 * i))
 	}
-	l.aadScratch = transport.AppendLinkEnvelopeAAD(l.aadScratch[:0], kind, self, seq)
+	l.aadScratch = appendLinkEnvelopeAAD(l.aadScratch[:0], kind, self, seq)
 
-	dst = transport.AppendLinkEnvelopeHeader(dst, self, seq, len(plaintext))
+	dst = appendLinkEnvelopeHeader(dst, self, seq, len(plaintext))
 	dst = append(dst, l.nonceScratch[:]...)
 	return l.aead.Seal(dst, l.nonceScratch[:], plaintext, l.aadScratch)
 }
@@ -207,12 +208,12 @@ func (l *link) sealAppend(dst []byte, kind transport.Kind, self string, plaintex
 // now, enforcing the replay window, and refreshes the liveness clock. The
 // cached AEAD skips the per-envelope key schedule; the ciphertext field
 // is nonce ‖ ct ‖ tag.
-func (l *link) open(kind transport.Kind, env *transport.LinkEnvelope, now time.Time) ([]byte, error) {
+func (l *link) open(kind transport.Kind, env *linkEnvelope, now time.Time) ([]byte, error) {
 	if len(env.Ciphertext) < symcrypto.GCMNonceSize+symcrypto.GCMOverhead {
 		return nil, symcrypto.ErrDecrypt
 	}
-	aad := transport.LinkEnvelopeAAD(kind, env.From, env.Seq)
-	pt, err := l.aead.Open(nil, env.Ciphertext[:symcrypto.GCMNonceSize], env.Ciphertext[symcrypto.GCMNonceSize:], aad)
+	l.aadScratch = appendLinkEnvelopeAAD(l.aadScratch[:0], kind, env.From, env.Seq)
+	pt, err := l.aead.Open(nil, env.Ciphertext[:symcrypto.GCMNonceSize], env.Ciphertext[symcrypto.GCMNonceSize:], l.aadScratch)
 	if err != nil {
 		return nil, symcrypto.ErrDecrypt
 	}
@@ -227,7 +228,7 @@ func (l *link) open(kind transport.Kind, env *transport.LinkEnvelope, now time.T
 // unacknowledged with sent as the time of their first sealing — now when
 // the caller seals them next, zero to leave that to the next round — and
 // returns the first sequence it assigned.
-func (l *link) enqueueAds(sent time.Time, ads ...*transport.OwnerAd) uint64 {
+func (l *link) enqueueAds(sent time.Time, ads ...*ownerAd) uint64 {
 	first := l.adSeq + 1
 	for _, ad := range ads {
 		l.adSeq++
@@ -243,7 +244,7 @@ func (l *link) enqueueAds(sent time.Time, ads ...*transport.OwnerAd) uint64 {
 // to acknowledge it. With them come the two sequence fields of the
 // round: the acknowledgement of the peer's ads, and the lowest sequence
 // this side still holds.
-func (l *link) dueAds(now time.Time) (due []transport.OwnerAd, ack, base uint64) {
+func (l *link) dueAds(now time.Time) (due []ownerAd, ack, base uint64) {
 	keep := l.unacked[:0]
 	for _, p := range l.unacked {
 		if !now.Before(p.ad.Expires) {
@@ -284,7 +285,7 @@ func (l *link) peerRound(ack, base uint64) {
 }
 
 // noteAds records the arrival of the peer's ads.
-func (l *link) noteAds(ads []transport.OwnerAd) {
+func (l *link) noteAds(ads []ownerAd) {
 	for i := range ads {
 		l.adsIn.note(ads[i].Seq)
 	}

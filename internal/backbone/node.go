@@ -80,12 +80,12 @@ type routeEntry struct {
 }
 
 // expiryQueue is a min-heap of the node's ownership records on Expires.
-type expiryQueue []*transport.OwnerAd
+type expiryQueue []*ownerAd
 
 func (q expiryQueue) Len() int           { return len(q) }
 func (q expiryQueue) Less(i, j int) bool { return q[i].Expires.Before(q[j].Expires) }
 func (q expiryQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *expiryQueue) Push(x any)        { *q = append(*q, x.(*transport.OwnerAd)) }
+func (q *expiryQueue) Push(x any)        { *q = append(*q, x.(*ownerAd)) }
 func (q *expiryQueue) Pop() any {
 	last := len(*q) - 1
 	ad := (*q)[last]
@@ -98,7 +98,7 @@ func (q *expiryQueue) Pop() any {
 // scalar, the frame re-sent until the welcome lands (the same hello, so
 // the responder can replay its welcome), when it was signed and sent.
 type pendingDial struct {
-	nonce  [transport.BackboneNonceSize]byte
+	nonce  [helloNonceSize]byte
 	scalar *big.Int
 	share  []byte
 	frame  []byte
@@ -112,8 +112,8 @@ type pendingDial struct {
 // holds records by value, so a producer appends into capacity the loop
 // handed back and allocates nothing in steady state.
 type inbox struct {
-	ads    []transport.OwnerAd
-	relays []transport.RelayBody
+	ads    []ownerAd
+	relays []relayBody
 	peers  []peer
 	since  time.Time
 }
@@ -171,7 +171,7 @@ type Node struct {
 	// ownership record until it expires, keyed by the adopted session).
 	view   sync.RWMutex
 	routes map[string]routeEntry
-	owners map[core.SessionID]*transport.OwnerAd
+	owners map[core.SessionID]*ownerAd
 
 	inMu sync.Mutex
 	in   inbox
@@ -216,11 +216,11 @@ func newNode(conn net.PacketConn, server *transport.Server, cfg Config) *Node {
 		dials:     make(map[string]net.Addr),
 		pending:   make(map[string]*pendingDial),
 		routes:    make(map[string]routeEntry),
-		owners:    make(map[core.SessionID]*transport.OwnerAd),
+		owners:    make(map[core.SessionID]*ownerAd),
 		epoch:     now,
 		nextRound: now.Add(cfg.GossipInterval),
 	}
-	n.maxAdsPlaintext = backboneFrameSize - transport.HeaderSize - transport.LinkEnvelopeLen(n.id, 0)
+	n.maxAdsPlaintext = backboneFrameSize - transport.HeaderSize - linkEnvelopeLen(n.id, 0)
 	reg := server.Stats().Registry()
 	n.gossipRounds = reg.Counter("backbone_gossip_rounds", "gossip rounds sealed to backbone links")
 	n.ownerAdsSent = reg.Counter("backbone_owner_ads_sent", "owner ad copies sealed to backbone links")
@@ -343,7 +343,7 @@ func (n *Node) ForwardData(f *core.DataFrame) bool {
 	if !routed || !now.Before(ad.Expires) {
 		return false
 	}
-	body := transport.RelayBody{Target: ad.Owner, Origin: n.id, TTL: relayTTL, Payload: f.Marshal()}
+	body := relayBody{Target: ad.Owner, Origin: n.id, TTL: relayTTL, Payload: f.Marshal()}
 	opened := n.lockInbox(now)
 	n.in.relays = append(n.in.relays, body)
 	n.unlockInbox(opened)
@@ -356,7 +356,7 @@ func (n *Node) ForwardData(f *core.DataFrame) bool {
 func (n *Node) HandoffAdopted(prev, next core.SessionID, prevRouter string) {
 	now := n.cfg.Clock.Now()
 	opened := n.lockInbox(now)
-	n.in.ads = append(n.in.ads, transport.OwnerAd{
+	n.in.ads = append(n.in.ads, ownerAd{
 		Next:       next,
 		Prev:       prev,
 		Owner:      n.id,
@@ -427,14 +427,14 @@ func (n *Node) drain(now time.Time) {
 // acknowledges them, sealed at once. Duplicates — flood echoes,
 // retransmissions, backlogs — dedup on the adopted session ID; an ad
 // that arrives expired is dropped, never resurrected.
-func (n *Node) integrateOwners(ads []transport.OwnerAd, from string, now time.Time) {
-	var fresh []*transport.OwnerAd
+func (n *Node) integrateOwners(ads []ownerAd, from string, now time.Time) {
+	var fresh []*ownerAd
 	n.view.Lock()
 	for i := range ads {
 		if !now.Before(ads[i].Expires) || n.owners[ads[i].Next] != nil {
 			continue
 		}
-		rec := new(transport.OwnerAd)
+		rec := new(ownerAd)
 		*rec = ads[i]
 		rec.Seq = 0
 		n.owners[rec.Next] = rec
@@ -452,7 +452,7 @@ func (n *Node) integrateOwners(ads []transport.OwnerAd, from string, now time.Ti
 			continue
 		}
 		seq := l.enqueueAds(now, fresh...)
-		numbered := make([]transport.OwnerAd, len(fresh))
+		numbered := make([]ownerAd, len(fresh))
 		for i, rec := range fresh {
 			numbered[i] = *rec
 			numbered[i].Seq = seq + uint64(i)
@@ -465,15 +465,15 @@ func (n *Node) integrateOwners(ads []transport.OwnerAd, from string, now time.Ti
 // each cut to fit one egress buffer. It is the only way an ad leaves:
 // the flood of fresh handoffs, a round's retransmissions and a new
 // link's backlog differ in how many ads they pass.
-func (n *Node) sendAds(l *link, ads []transport.OwnerAd) {
+func (n *Node) sendAds(l *link, ads []ownerAd) {
 	if len(ads) == 0 {
 		return
 	}
 	n.ownerAdsSent.Add(int64(len(ads)))
 	var pt []byte
 	for len(ads) > 0 {
-		k := transport.OwnerAdsFit(ads, n.maxAdsPlaintext)
-		pt = transport.AppendOwnerAds(pt[:0], ads[:k])
+		k := ownerAdsFit(ads, n.maxAdsPlaintext)
+		pt = appendOwnerAds(pt[:0], ads[:k])
 		n.sendSealed(l, transport.KindHandoffAnnounce, pt)
 		ads = ads[k:]
 	}
@@ -485,7 +485,7 @@ func (n *Node) sendAds(l *link, ads []transport.OwnerAd) {
 // flush. An envelope no datagram can carry is counted and dropped.
 func (n *Node) sendSealed(l *link, kind transport.Kind, plaintext []byte) bool {
 	b := n.eg.Buffer()
-	frame, err := transport.AppendFrameHeader(b.B, kind, transport.LinkEnvelopeLen(n.id, len(plaintext)))
+	frame, err := transport.AppendFrameHeader(b.B, kind, linkEnvelopeLen(n.id, len(plaintext)))
 	if err != nil {
 		b.Release()
 		n.oversizeDrops.Add(1)
@@ -500,7 +500,7 @@ func (n *Node) sendSealed(l *link, kind transport.Kind, plaintext []byte) bool {
 // ---- relay plane ------------------------------------------------------
 
 // relay sends one relay body toward its target and counts the hop.
-func (n *Node) relay(body *transport.RelayBody) {
+func (n *Node) relay(body *relayBody) {
 	e, ok := n.routes[body.Target]
 	if l := n.link(e.via); ok && l != nil && n.sendSealed(l, transport.KindRelay, body.Marshal()) {
 		n.stats.NoteFrameRelayed()
@@ -519,7 +519,7 @@ func (n *Node) link(peer string) *link {
 
 // handleRelay processes one relay envelope: deliver at the target,
 // forward with a decremented TTL otherwise.
-func (n *Node) handleRelay(body *transport.RelayBody) {
+func (n *Node) handleRelay(body *relayBody) {
 	if body.Target == n.id {
 		// Zero-copy delivery: decode into the node's scratch frame and
 		// open into its plaintext buffer.
@@ -615,7 +615,7 @@ func (n *Node) tick(now time.Time) {
 		}
 	}
 	for len(n.expiry) > 0 && !now.Before(n.expiry[0].Expires) {
-		ad := heap.Pop(&n.expiry).(*transport.OwnerAd)
+		ad := heap.Pop(&n.expiry).(*ownerAd)
 		n.view.Lock()
 		delete(n.owners, ad.Next)
 		n.view.Unlock()
@@ -639,10 +639,10 @@ func (n *Node) tick(now time.Time) {
 // unacknowledged over a whole round of its own.
 func (n *Node) sendRound(l *link, now time.Time) {
 	due, ack, base := l.dueAds(now)
-	body := &transport.GossipBody{BootEpoch: n.server.BootEpoch(), AdAck: ack, AdBase: base}
+	body := &gossipBody{BootEpoch: n.server.BootEpoch(), AdAck: ack, AdBase: base}
 	for r, e := range n.routes {
 		if e.via != l.peer && r != l.peer {
-			body.Routes = append(body.Routes, transport.RouteAd{Router: r, Hops: e.hops})
+			body.Routes = append(body.Routes, routeAd{Router: r, Hops: e.hops})
 		}
 	}
 	if n.sendSealed(l, transport.KindGossip, body.Marshal()) {
@@ -692,7 +692,7 @@ func (n *Node) newDial(now time.Time) (*pendingDial, error) {
 	if _, err := rand.Read(p.nonce[:]); err != nil {
 		return nil, err
 	}
-	hello := &transport.RouterHello{
+	hello := &routerHello{
 		Cert:      c,
 		Share:     p.share,
 		Nonce:     p.nonce,
@@ -701,7 +701,7 @@ func (n *Node) newDial(now time.Time) (*pendingDial, error) {
 	if hello.Sig, err = n.router.SignAs(hello.SignedBody()); err != nil {
 		return nil, err
 	}
-	if p.frame, err = transport.EncodeMessage(hello); err != nil {
+	if p.frame, err = transport.EncodeFrame(transport.KindRouterHello, hello.Marshal()); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -721,7 +721,7 @@ func (n *Node) install(l *link, now time.Time) {
 	n.view.Lock()
 	n.routes[l.peer] = routeEntry{via: l.peer, hops: 1}
 	n.view.Unlock()
-	backlog := make([]*transport.OwnerAd, 0, len(n.expiry))
+	backlog := make([]*ownerAd, 0, len(n.expiry))
 	for _, ad := range n.expiry {
 		if now.Before(ad.Expires) {
 			backlog = append(backlog, ad)
@@ -736,7 +736,7 @@ func (n *Node) install(l *link, now time.Time) {
 // integrateGossip folds one gossip round from a live peer into the link's
 // ad queue and the routing table; a route learned or shortened asks for
 // a round to pass it on.
-func (n *Node) integrateGossip(l *link, body *transport.GossipBody, now time.Time) {
+func (n *Node) integrateGossip(l *link, body *gossipBody, now time.Time) {
 	l.peerRound(body.AdAck, body.AdBase)
 	n.view.Lock()
 	defer n.view.Unlock()
@@ -811,19 +811,19 @@ func (n *Node) dispatch(m *batchio.Message, now time.Time) {
 	}
 	switch kind {
 	case transport.KindRouterHello:
-		h, err := transport.UnmarshalRouterHello(payload)
+		h, err := unmarshalRouterHello(payload)
 		if err != nil {
 			return
 		}
 		n.handleHello(h, batchio.CloneAddr(m.Addr), now)
 	case transport.KindRouterWelcome:
-		w, err := transport.UnmarshalRouterWelcome(payload)
+		w, err := unmarshalRouterWelcome(payload)
 		if err != nil {
 			return
 		}
 		n.handleWelcome(w, now)
 	case transport.KindGossip, transport.KindRelay, transport.KindHandoffAnnounce:
-		env, err := transport.UnmarshalLinkEnvelope(payload)
+		env, err := unmarshalLinkEnvelope(payload)
 		if err != nil {
 			return
 		}
@@ -833,7 +833,7 @@ func (n *Node) dispatch(m *batchio.Message, now time.Time) {
 
 // handleEnvelope opens a sealed envelope on the sender's link and
 // dispatches its plaintext.
-func (n *Node) handleEnvelope(kind transport.Kind, env *transport.LinkEnvelope, now time.Time) {
+func (n *Node) handleEnvelope(kind transport.Kind, env *linkEnvelope, now time.Time) {
 	l := n.link(env.From)
 	if l == nil {
 		n.envelopeDrops.Add(1)
@@ -848,19 +848,19 @@ func (n *Node) handleEnvelope(kind transport.Kind, env *transport.LinkEnvelope, 
 	}
 	switch kind {
 	case transport.KindGossip:
-		body, err := transport.UnmarshalGossipBody(pt)
+		body, err := unmarshalGossipBody(pt)
 		if err != nil {
 			return
 		}
 		n.integrateGossip(l, body, now)
 	case transport.KindRelay:
-		body, err := transport.UnmarshalRelayBody(pt)
+		body, err := unmarshalRelayBody(pt)
 		if err != nil {
 			return
 		}
 		n.handleRelay(body)
 	case transport.KindHandoffAnnounce:
-		ads, err := transport.UnmarshalOwnerAds(pt)
+		ads, err := unmarshalOwnerAds(pt)
 		if err != nil {
 			return
 		}
@@ -886,7 +886,7 @@ func (n *Node) checkPeerCert(c *cert.Certificate, signedBody, sig []byte, ts, no
 // send back a signed welcome with the link's first round behind it. A
 // retransmitted hello (same nonce) gets the link's welcome again,
 // keeping exactly one key derivation per handshake.
-func (n *Node) handleHello(m *transport.RouterHello, addr net.Addr, now time.Time) {
+func (n *Node) handleHello(m *routerHello, addr net.Addr, now time.Time) {
 	peer := m.Cert.SubjectID
 	if peer == n.id {
 		return
@@ -916,7 +916,7 @@ func (n *Node) handleHello(m *transport.RouterHello, addr net.Addr, now time.Tim
 	share := new(bn256.G1).ScalarBaseMult(scalar).Marshal()
 	dh := new(bn256.G1).ScalarMult(peerShare, scalar).Marshal()
 
-	w := &transport.RouterWelcome{
+	w := &routerWelcome{
 		Cert:      ownCert,
 		Share:     share,
 		Echo:      m.Nonce,
@@ -929,7 +929,7 @@ func (n *Node) handleHello(m *transport.RouterHello, addr net.Addr, now time.Tim
 		n.logf("backbone %s: sign welcome: %v", n.id, err)
 		return
 	}
-	frame, err := transport.EncodeMessage(w)
+	frame, err := transport.EncodeFrame(transport.KindRouterWelcome, w.Marshal())
 	if err != nil {
 		return
 	}
@@ -943,7 +943,7 @@ func (n *Node) handleHello(m *transport.RouterHello, addr net.Addr, now time.Tim
 }
 
 // handleWelcome completes a handshake this node initiated.
-func (n *Node) handleWelcome(m *transport.RouterWelcome, now time.Time) {
+func (n *Node) handleWelcome(m *routerWelcome, now time.Time) {
 	peer := m.Cert.SubjectID
 	p := n.pending[peer]
 	addr := n.dials[peer]

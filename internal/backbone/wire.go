@@ -1,4 +1,4 @@
-package transport
+package backbone
 
 import (
 	"encoding/binary"
@@ -9,22 +9,23 @@ import (
 	"github.com/peace-mesh/peace/internal/cert"
 	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/symcrypto"
+	"github.com/peace-mesh/peace/internal/transport"
 	"github.com/peace-mesh/peace/internal/wire"
 )
 
-// This file defines the wire formats of the metro backbone plane (see
-// internal/backbone for the subsystem that speaks them):
+// The backbone's wire formats. The frame kinds that carry them are in
+// transport's one kind table.
 //
-//   - RouterHello / RouterWelcome run the certificate-authenticated link
+//   - routerHello / routerWelcome run the certificate-authenticated link
 //     handshake between two routers of one NO.
-//   - LinkEnvelope is the AEAD-sealed carrier of everything the two
+//   - linkEnvelope is the AEAD-sealed carrier of everything the two
 //     routers exchange after the handshake; its plaintext is a
-//     GossipBody, a RelayBody or a list of OwnerAds depending on the
+//     gossipBody, a relayBody or a list of ownerAds depending on the
 //     frame kind.
 
-// BackboneNonceSize is the length of the handshake nonces mixed into a
+// helloNonceSize is the length of the handshake nonces mixed into a
 // backbone link's keys.
-const BackboneNonceSize = 16
+const helloNonceSize = 16
 
 // routerHelloTag / routerWelcomeTag version the signed handshake bodies.
 const (
@@ -32,15 +33,15 @@ const (
 	routerWelcomeTag = "peace/backbone-welcome:v1"
 )
 
-// RouterHello opens a backbone link: the initiator's NO-issued
+// routerHello opens a backbone link: the initiator's NO-issued
 // certificate, a fresh DH share (bn256 G1), a nonce, a timestamp, and an
 // ECDSA signature under the certificate's key over all of it. Either
 // router of a configured link may initiate; a fresh nonce after a crash
 // simply re-runs the handshake and replaces the link keys.
-type RouterHello struct {
+type routerHello struct {
 	Cert      *cert.Certificate
 	Share     []byte // marshaled bn256.G1
-	Nonce     [BackboneNonceSize]byte
+	Nonce     [helloNonceSize]byte
 	Timestamp time.Time
 	Sig       []byte
 }
@@ -48,7 +49,7 @@ type RouterHello struct {
 // SignedBody returns the byte string the hello signature covers. The
 // subject identity is bound through the certificate, which is part of
 // the body.
-func (m *RouterHello) SignedBody() []byte {
+func (m *routerHello) SignedBody() []byte {
 	w := wire.NewWriter(256 + len(m.Share))
 	w.StringField(routerHelloTag)
 	w.BytesField(m.Cert.Marshal())
@@ -59,7 +60,7 @@ func (m *RouterHello) SignedBody() []byte {
 }
 
 // Marshal encodes the hello.
-func (m *RouterHello) Marshal() []byte {
+func (m *routerHello) Marshal() []byte {
 	w := wire.NewWriter(320 + len(m.Share))
 	w.BytesField(m.Cert.Marshal())
 	w.BytesField(m.Share)
@@ -69,10 +70,10 @@ func (m *RouterHello) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalRouterHello decodes a hello. All fields are copied.
-func UnmarshalRouterHello(data []byte) (*RouterHello, error) {
+// unmarshalRouterHello decodes a hello. All fields are copied.
+func unmarshalRouterHello(data []byte) (*routerHello, error) {
 	r := wire.NewReader(data)
-	m := &RouterHello{}
+	m := &routerHello{}
 	cb, err := r.BytesField()
 	if err != nil {
 		return nil, err
@@ -89,8 +90,8 @@ func UnmarshalRouterHello(data []byte) (*RouterHello, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(nonce) != BackboneNonceSize {
-		return nil, fmt.Errorf("transport: hello nonce size %d", len(nonce))
+	if len(nonce) != helloNonceSize {
+		return nil, fmt.Errorf("backbone: hello nonce size %d", len(nonce))
 	}
 	copy(m.Nonce[:], nonce)
 	if m.Timestamp, err = r.Time(); err != nil {
@@ -107,21 +108,21 @@ func UnmarshalRouterHello(data []byte) (*RouterHello, error) {
 	return m, nil
 }
 
-// RouterWelcome answers a RouterHello: the responder's certificate and DH
+// routerWelcome answers a routerHello: the responder's certificate and DH
 // share, the initiator's nonce echoed (binding the answer to that exact
 // hello), the responder's own nonce, a timestamp, and a signature over
 // all of it.
-type RouterWelcome struct {
+type routerWelcome struct {
 	Cert      *cert.Certificate
-	Share     []byte                  // marshaled bn256.G1
-	Echo      [BackboneNonceSize]byte // initiator nonce echoed
-	Nonce     [BackboneNonceSize]byte
+	Share     []byte               // marshaled bn256.G1
+	Echo      [helloNonceSize]byte // initiator nonce echoed
+	Nonce     [helloNonceSize]byte
 	Timestamp time.Time
 	Sig       []byte
 }
 
 // SignedBody returns the byte string the welcome signature covers.
-func (m *RouterWelcome) SignedBody() []byte {
+func (m *routerWelcome) SignedBody() []byte {
 	w := wire.NewWriter(256 + len(m.Share))
 	w.StringField(routerWelcomeTag)
 	w.BytesField(m.Cert.Marshal())
@@ -133,7 +134,7 @@ func (m *RouterWelcome) SignedBody() []byte {
 }
 
 // Marshal encodes the welcome.
-func (m *RouterWelcome) Marshal() []byte {
+func (m *routerWelcome) Marshal() []byte {
 	w := wire.NewWriter(320 + len(m.Share))
 	w.BytesField(m.Cert.Marshal())
 	w.BytesField(m.Share)
@@ -144,10 +145,10 @@ func (m *RouterWelcome) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalRouterWelcome decodes a welcome. All fields are copied.
-func UnmarshalRouterWelcome(data []byte) (*RouterWelcome, error) {
+// unmarshalRouterWelcome decodes a welcome. All fields are copied.
+func unmarshalRouterWelcome(data []byte) (*routerWelcome, error) {
 	r := wire.NewReader(data)
-	m := &RouterWelcome{}
+	m := &routerWelcome{}
 	cb, err := r.BytesField()
 	if err != nil {
 		return nil, err
@@ -164,16 +165,16 @@ func UnmarshalRouterWelcome(data []byte) (*RouterWelcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(echo) != BackboneNonceSize {
-		return nil, fmt.Errorf("transport: welcome echo size %d", len(echo))
+	if len(echo) != helloNonceSize {
+		return nil, fmt.Errorf("backbone: welcome echo size %d", len(echo))
 	}
 	copy(m.Echo[:], echo)
 	nonce, err := r.BytesField()
 	if err != nil {
 		return nil, err
 	}
-	if len(nonce) != BackboneNonceSize {
-		return nil, fmt.Errorf("transport: welcome nonce size %d", len(nonce))
+	if len(nonce) != helloNonceSize {
+		return nil, fmt.Errorf("backbone: welcome nonce size %d", len(nonce))
 	}
 	copy(m.Nonce[:], nonce)
 	if m.Timestamp, err = r.Time(); err != nil {
@@ -190,13 +191,13 @@ func UnmarshalRouterWelcome(data []byte) (*RouterWelcome, error) {
 	return m, nil
 }
 
-// LinkEnvelope carries one backbone message on an established link: the
+// linkEnvelope carries one backbone message on an established link: the
 // sender's router ID (selecting which link's keys open it), a strictly
 // increasing per-sender sequence number (replay window on the receiver),
 // and the AEAD ciphertext. The AAD binds kind, sender and sequence, so
 // an envelope cannot be replayed as a different kind or from a different
 // peer.
-type LinkEnvelope struct {
+type linkEnvelope struct {
 	From       string
 	Seq        uint64
 	Ciphertext []byte
@@ -205,21 +206,10 @@ type LinkEnvelope struct {
 // linkAADTag versions the envelope AAD.
 const linkAADTag = "peace/backbone-aad:v1"
 
-// LinkEnvelopeAAD returns the additional authenticated data sealing one
-// envelope of the given kind.
-func LinkEnvelopeAAD(kind Kind, from string, seq uint64) []byte {
-	w := wire.NewWriter(48 + len(from))
-	w.StringField(linkAADTag)
-	w.Byte(byte(kind))
-	w.StringField(from)
-	w.Uint64(seq)
-	return w.Bytes()
-}
-
-// AppendLinkEnvelopeAAD is LinkEnvelopeAAD without the Writer
-// allocation; the layouts are byte-identical (pinned by a test), so
-// envelopes sealed by either path open under the other.
-func AppendLinkEnvelopeAAD(dst []byte, kind Kind, from string, seq uint64) []byte {
+// appendLinkEnvelopeAAD appends the additional authenticated data
+// sealing one envelope of the given kind: the tag, the kind, the sender
+// and the sequence, in the layout of a wire.Writer.
+func appendLinkEnvelopeAAD(dst []byte, kind transport.Kind, from string, seq uint64) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(linkAADTag)))
 	dst = append(dst, linkAADTag...)
 	dst = append(dst, byte(kind))
@@ -228,41 +218,32 @@ func AppendLinkEnvelopeAAD(dst []byte, kind Kind, from string, seq uint64) []byt
 	return binary.BigEndian.AppendUint64(dst, seq)
 }
 
-// LinkEnvelopeLen returns the marshaled size of a LinkEnvelope from
+// linkEnvelopeLen returns the marshaled size of a linkEnvelope from
 // `from` whose ciphertext is an AES-GCM sealing (nonce ‖ ct ‖ tag) of a
 // ptLen-byte plaintext. The size is deterministic, so backbone egress
 // paths can emit the frame header first and seal the envelope in place
 // right after it.
-func LinkEnvelopeLen(from string, ptLen int) int {
+func linkEnvelopeLen(from string, ptLen int) int {
 	return 4 + len(from) + 8 + // sender field + sequence
 		4 + symcrypto.GCMNonceSize + ptLen + symcrypto.GCMOverhead // ciphertext field
 }
 
-// AppendLinkEnvelopeHeader appends the envelope fields that precede the
+// appendLinkEnvelopeHeader appends the envelope fields that precede the
 // sealed bytes — sender, sequence, and the ciphertext length prefix for
 // a ptLen-byte plaintext. The caller appends nonce ‖ ct ‖ tag (exactly
 // GCMNonceSize+ptLen+GCMOverhead bytes) right after to complete the
-// LinkEnvelope wire format.
-func AppendLinkEnvelopeHeader(dst []byte, from string, seq uint64, ptLen int) []byte {
+// linkEnvelope wire format.
+func appendLinkEnvelopeHeader(dst []byte, from string, seq uint64, ptLen int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(from)))
 	dst = append(dst, from...)
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	return binary.BigEndian.AppendUint32(dst, uint32(symcrypto.GCMNonceSize+ptLen+symcrypto.GCMOverhead))
 }
 
-// Marshal encodes the envelope.
-func (m *LinkEnvelope) Marshal() []byte {
-	w := wire.NewWriter(48 + len(m.From) + len(m.Ciphertext))
-	w.StringField(m.From)
-	w.Uint64(m.Seq)
-	w.BytesField(m.Ciphertext)
-	return w.Bytes()
-}
-
-// UnmarshalLinkEnvelope decodes an envelope. The ciphertext is copied.
-func UnmarshalLinkEnvelope(data []byte) (*LinkEnvelope, error) {
+// unmarshalLinkEnvelope decodes an envelope. The ciphertext is copied.
+func unmarshalLinkEnvelope(data []byte) (*linkEnvelope, error) {
 	r := wire.NewReader(data)
-	m := &LinkEnvelope{}
+	m := &linkEnvelope{}
 	var err error
 	if m.From, err = r.StringField(); err != nil {
 		return nil, err
@@ -281,23 +262,23 @@ func UnmarshalLinkEnvelope(data []byte) (*LinkEnvelope, error) {
 	return m, nil
 }
 
-// RouteAd advertises reachability of one router in a gossip round.
-type RouteAd struct {
+// routeAd advertises reachability of one router in a gossip round.
+type routeAd struct {
 	Router string
 	Hops   uint32
 }
 
-// OwnerAd advertises that Owner adopted the session Next (resumed from
+// ownerAd advertises that Owner adopted the session Next (resumed from
 // Prev, previously attached at PrevRouter) and owns it until Expires —
 // the grace window during which the previous router forwards in-flight
 // frames instead of rejecting them.
 //
 // Seq numbers one copy of the ad on the link it is sealed for: every
 // link direction counts its ads from 1, the receiver acknowledges the
-// highest sequence below which it misses nothing (GossipBody.AdAck), and
+// highest sequence below which it misses nothing (gossipBody.AdAck), and
 // the sender re-sends what stays unacknowledged. It is not part of the
 // ownership record; a stored record carries 0.
-type OwnerAd struct {
+type ownerAd struct {
 	Seq        uint64
 	Next       core.SessionID
 	Prev       core.SessionID
@@ -306,16 +287,16 @@ type OwnerAd struct {
 	Expires    time.Time
 }
 
-// ownerAdMinLen is the encoded size of an OwnerAd with empty router IDs:
+// ownerAdMinLen is the encoded size of an ownerAd with empty router IDs:
 // the sequence, two length-prefixed 32-byte session IDs, two string
 // headers and the expiry.
 const ownerAdMinLen = 8 + 2*(4+32) + 2*4 + 8
 
-func (a *OwnerAd) encodedLen() int {
+func (a *ownerAd) encodedLen() int {
 	return ownerAdMinLen + len(a.Owner) + len(a.PrevRouter)
 }
 
-func appendOwnerAd(dst []byte, a *OwnerAd) []byte {
+func appendOwnerAd(dst []byte, a *ownerAd) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, a.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Next)))
 	dst = append(dst, a.Next[:]...)
@@ -328,7 +309,7 @@ func appendOwnerAd(dst []byte, a *OwnerAd) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(a.Expires.UnixNano()))
 }
 
-func readOwnerAd(r *wire.Reader, a *OwnerAd) error {
+func readOwnerAd(r *wire.Reader, a *ownerAd) error {
 	var err error
 	if a.Seq, err = r.Uint64(); err != nil {
 		return err
@@ -338,7 +319,7 @@ func readOwnerAd(r *wire.Reader, a *OwnerAd) error {
 		return err
 	}
 	if len(next) != len(a.Next) {
-		return fmt.Errorf("transport: owner ad session id size %d", len(next))
+		return fmt.Errorf("backbone: owner ad session id size %d", len(next))
 	}
 	copy(a.Next[:], next)
 	prev, err := r.BytesField()
@@ -346,7 +327,7 @@ func readOwnerAd(r *wire.Reader, a *OwnerAd) error {
 		return err
 	}
 	if len(prev) != len(a.Prev) {
-		return fmt.Errorf("transport: owner ad session id size %d", len(prev))
+		return fmt.Errorf("backbone: owner ad session id size %d", len(prev))
 	}
 	copy(a.Prev[:], prev)
 	if a.Owner, err = r.StringField(); err != nil {
@@ -361,10 +342,10 @@ func readOwnerAd(r *wire.Reader, a *OwnerAd) error {
 	return nil
 }
 
-// OwnerAdsFit returns how many of the leading ads one handoff-announce
+// ownerAdsFit returns how many of the leading ads one handoff-announce
 // plaintext of at most max bytes can list — at least one, so a sender
 // cutting a backlog into announces always makes progress.
-func OwnerAdsFit(ads []OwnerAd, max int) int {
+func ownerAdsFit(ads []ownerAd, max int) int {
 	size := 4
 	for n := range ads {
 		size += ads[n].encodedLen()
@@ -375,11 +356,11 @@ func OwnerAdsFit(ads []OwnerAd, max int) int {
 	return len(ads)
 }
 
-// AppendOwnerAds appends the handoff-announce plaintext listing ads to
+// appendOwnerAds appends the handoff-announce plaintext listing ads to
 // dst. Every owner ad travels this way and no other: the immediate flood
 // of a fresh handoff lists one, a retransmission round or the backlog of
-// a new link as many as OwnerAdsFit allows per envelope.
-func AppendOwnerAds(dst []byte, ads []OwnerAd) []byte {
+// a new link as many as ownerAdsFit allows per envelope.
+func appendOwnerAds(dst []byte, ads []ownerAd) []byte {
 	size := 4
 	for i := range ads {
 		size += ads[i].encodedLen()
@@ -392,14 +373,14 @@ func AppendOwnerAds(dst []byte, ads []OwnerAd) []byte {
 	return dst
 }
 
-// UnmarshalOwnerAds decodes a handoff-announce plaintext.
-func UnmarshalOwnerAds(data []byte) ([]OwnerAd, error) {
+// unmarshalOwnerAds decodes a handoff-announce plaintext.
+func unmarshalOwnerAds(data []byte) ([]ownerAd, error) {
 	r := wire.NewReader(data)
 	n, err := r.Count(ownerAdMinLen)
 	if err != nil {
 		return nil, err
 	}
-	ads := make([]OwnerAd, n)
+	ads := make([]ownerAd, n)
 	for i := range ads {
 		if err := readOwnerAd(r, &ads[i]); err != nil {
 			return nil, err
@@ -411,11 +392,11 @@ func UnmarshalOwnerAds(data []byte) ([]OwnerAd, error) {
 	return ads, nil
 }
 
-// GossipBody is one gossip round on a link: the sender's boot epoch, its
+// gossipBody is one gossip round on a link: the sender's boot epoch, its
 // acknowledgement of the receiver's owner ads, and its distance-vector
 // view of router reachability. It carries no owner ads itself, so its
 // size depends on the number of routers, never on the handoff rate.
-type GossipBody struct {
+type gossipBody struct {
 	BootEpoch uint64
 	// AdAck is the highest ad sequence such that the sender holds every
 	// ad the receiver numbered at or below it on this link (or the
@@ -426,11 +407,11 @@ type GossipBody struct {
 	// it holds none. Everything below is acknowledged or expired, so the
 	// receiver stops waiting for it.
 	AdBase uint64
-	Routes []RouteAd
+	Routes []routeAd
 }
 
 // Marshal encodes the gossip body.
-func (m *GossipBody) Marshal() []byte {
+func (m *gossipBody) Marshal() []byte {
 	w := wire.NewWriter(32 + 32*len(m.Routes))
 	w.Uint64(m.BootEpoch)
 	w.Uint64(m.AdAck)
@@ -443,10 +424,10 @@ func (m *GossipBody) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalGossipBody decodes a gossip body.
-func UnmarshalGossipBody(data []byte) (*GossipBody, error) {
+// unmarshalGossipBody decodes a gossip body.
+func unmarshalGossipBody(data []byte) (*gossipBody, error) {
 	r := wire.NewReader(data)
-	m := &GossipBody{}
+	m := &gossipBody{}
 	var err error
 	if m.BootEpoch, err = r.Uint64(); err != nil {
 		return nil, err
@@ -461,7 +442,7 @@ func UnmarshalGossipBody(data []byte) (*GossipBody, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Routes = make([]RouteAd, nr)
+	m.Routes = make([]routeAd, nr)
 	for i := range m.Routes {
 		if m.Routes[i].Router, err = r.StringField(); err != nil {
 			return nil, err
@@ -476,12 +457,12 @@ func UnmarshalGossipBody(data []byte) (*GossipBody, error) {
 	return m, nil
 }
 
-// RelayBody is one multi-hop forwarded data frame: the router that owns
+// relayBody is one multi-hop forwarded data frame: the router that owns
 // the session (Target), the router that first accepted the frame from
 // the user (Origin), a hop budget, and the marshaled core.DataFrame —
 // still sealed under the user's session key; intermediate routers relay
 // ciphertext they cannot open.
-type RelayBody struct {
+type relayBody struct {
 	Target  string
 	Origin  string
 	TTL     uint8
@@ -489,7 +470,7 @@ type RelayBody struct {
 }
 
 // Marshal encodes the relay body.
-func (m *RelayBody) Marshal() []byte {
+func (m *relayBody) Marshal() []byte {
 	w := wire.NewWriter(32 + len(m.Target) + len(m.Origin) + len(m.Payload))
 	w.StringField(m.Target)
 	w.StringField(m.Origin)
@@ -498,10 +479,10 @@ func (m *RelayBody) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalRelayBody decodes a relay body. The payload is copied.
-func UnmarshalRelayBody(data []byte) (*RelayBody, error) {
+// unmarshalRelayBody decodes a relay body. The payload is copied.
+func unmarshalRelayBody(data []byte) (*relayBody, error) {
 	r := wire.NewReader(data)
-	m := &RelayBody{}
+	m := &relayBody{}
 	var err error
 	if m.Target, err = r.StringField(); err != nil {
 		return nil, err
@@ -521,15 +502,4 @@ func UnmarshalRelayBody(data []byte) (*RelayBody, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// EncodeLinkEnvelope frames a sealed envelope under one of the three
-// link-encrypted kinds (gossip, relay, handoff announce).
-func EncodeLinkEnvelope(kind Kind, env *LinkEnvelope) ([]byte, error) {
-	switch kind {
-	case KindGossip, KindRelay, KindHandoffAnnounce:
-		return EncodeFrame(kind, env.Marshal())
-	default:
-		return nil, fmt.Errorf("transport: kind %v does not carry a link envelope", kind)
-	}
 }

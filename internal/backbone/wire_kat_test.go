@@ -76,39 +76,39 @@ func TestWireKnownAnswers(t *testing.T) {
 	c := &cert.Certificate{SubjectID: "metro-r00", ExpiresAt: time.Unix(1700086400, 0), Signature: wirePattern(64, 5, 1)}
 	copy(c.PublicKey[:], wirePattern(len(c.PublicKey), 3, 7))
 
-	hello := &transport.RouterHello{Cert: c, Share: wirePattern(64, 7, 3),
+	hello := &routerHello{Cert: c, Share: wirePattern(64, 7, 3),
 		Timestamp: time.Unix(1700000000, 123456789), Sig: wirePattern(71, 11, 5)}
-	copy(hello.Nonce[:], wirePattern(transport.BackboneNonceSize, 13, 1))
+	copy(hello.Nonce[:], wirePattern(helloNonceSize, 13, 1))
 	check("RouterHello.SignedBody", hello.SignedBody(), katHelloSigned)
 	check("RouterHello.Marshal", hello.Marshal(), katHelloWire)
 
-	welcome := &transport.RouterWelcome{Cert: c, Share: wirePattern(64, 9, 2), Echo: hello.Nonce,
+	welcome := &routerWelcome{Cert: c, Share: wirePattern(64, 9, 2), Echo: hello.Nonce,
 		Timestamp: time.Unix(1700000001, 987654321), Sig: wirePattern(70, 17, 9)}
-	copy(welcome.Nonce[:], wirePattern(transport.BackboneNonceSize, 19, 4))
+	copy(welcome.Nonce[:], wirePattern(helloNonceSize, 19, 4))
 	check("RouterWelcome.SignedBody", welcome.SignedBody(), katWelcomeSigned)
 	check("RouterWelcome.Marshal", welcome.Marshal(), katWelcomeWire)
 
 	const from, seq, ptLen = "metro-r01", uint64(0x0102030405060708), 100
-	check("envelope AAD", transport.AppendLinkEnvelopeAAD(nil, transport.KindRelay, from, seq), katEnvelopeAAD)
-	head := transport.AppendLinkEnvelopeHeader(nil, from, seq, ptLen)
+	check("envelope AAD", appendLinkEnvelopeAAD(nil, transport.KindRelay, from, seq), katEnvelopeAAD)
+	head := appendLinkEnvelopeHeader(nil, from, seq, ptLen)
 	check("envelope header", head, katEnvelopeHead)
-	if n := transport.LinkEnvelopeLen(from, ptLen); n != len(head)+16+ptLen+12 {
+	if n := linkEnvelopeLen(from, ptLen); n != len(head)+16+ptLen+12 {
 		t.Errorf("LinkEnvelopeLen = %d, header %d + nonce, plaintext and tag", n, len(head))
 	}
 
-	ads := []transport.OwnerAd{
+	ads := []ownerAd{
 		{Seq: 7, Owner: "metro-r01", PrevRouter: "metro-r00", Expires: time.Unix(1700000010, 5)},
 		{Seq: 8, Owner: "metro-r02", PrevRouter: "", Expires: time.Unix(1700000011, 0)},
 	}
 	copy(ads[0].Next[:], wirePattern(len(core.SessionID{}), 3, 1))
 	copy(ads[0].Prev[:], wirePattern(len(core.SessionID{}), 5, 2))
 	copy(ads[1].Next[:], wirePattern(len(core.SessionID{}), 7, 3))
-	check("AppendOwnerAds", transport.AppendOwnerAds(nil, ads), katOwnerAds)
+	check("AppendOwnerAds", appendOwnerAds(nil, ads), katOwnerAds)
 
-	gossip := &transport.GossipBody{BootEpoch: 42, AdAck: 6000, AdBase: 17,
-		Routes: []transport.RouteAd{{Router: "metro-r02", Hops: 1}, {Router: "metro-r03", Hops: 2}}}
+	gossip := &gossipBody{BootEpoch: 42, AdAck: 6000, AdBase: 17,
+		Routes: []routeAd{{Router: "metro-r02", Hops: 1}, {Router: "metro-r03", Hops: 2}}}
 	check("GossipBody.Marshal", gossip.Marshal(), katGossip)
 
-	relay := &transport.RelayBody{Target: "metro-r03", Origin: "metro-r00", TTL: 8, Payload: wirePattern(40, 11, 6)}
+	relay := &relayBody{Target: "metro-r03", Origin: "metro-r00", TTL: 8, Payload: wirePattern(40, 11, 6)}
 	check("RelayBody.Marshal", relay.Marshal(), katRelay)
 }

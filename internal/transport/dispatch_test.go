@@ -493,11 +493,17 @@ func TestDispatchGateMatrix(t *testing.T) {
 			reply: KindSessionData, again: silent,
 			counters: map[string]int64{"data_delivered": 1, "data_bytes": int64(len(payload))},
 		},
-		gateRow{
-			name: "unserved-kind", cfg: bypass,
+	)
+
+	// Every kind with no routes row — the reserved M̃ kinds, the
+	// backbone's, revocation pushes and the router's own replies — lands
+	// in unhandled once, unanswered, and moves nothing else.
+	unserved := func(kind Kind) gateRow {
+		return gateRow{
+			cfg: bypass,
 			setup: func(r *gateRig) (net.Addr, []byte) {
 				closed(true)(r)
-				frame, err := EncodeFrame(KindPeerHello, []byte("not for a router socket"))
+				frame, err := EncodeFrame(kind, []byte("not for a router socket"))
 				if err != nil {
 					r.t.Fatal(err)
 				}
@@ -505,63 +511,71 @@ func TestDispatchGateMatrix(t *testing.T) {
 			},
 			again:    silent,
 			counters: map[string]int64{"unhandled": 1},
-		},
-	)
-
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			rig.t = t
-			rig.serve(row.cfg)
-			from, datagram := row.setup(rig)
-
-			before, dosBefore := rig.counters(), rig.dosFailures()
-			reply := rig.step(from, datagram)
-			after, dosAfter := rig.counters(), rig.dosFailures()
-
-			switch {
-			case row.reply == 0 && reply != nil:
-				t.Fatalf("answered %v, want no reply", frameKind(reply))
-			case row.reply != 0 && reply == nil:
-				t.Fatalf("no reply, want %v", row.reply)
-			case row.reply != 0:
-				msg := rig.decode(reply, row.reply)
-				if rej, ok := msg.(*Reject); ok && rej.Code != row.code {
-					t.Fatalf("reject code %v, want %v", rej.Code, row.code)
-				}
-			}
-
-			want := map[string]int64{"frames_in": 1, "bytes_in": int64(len(datagram))}
-			if reply != nil {
-				want["frames_out"], want["write_datagrams"], want["write_batches"] = 1, 1, 1
-				want["bytes_out"] = int64(len(reply))
-			}
-			for name, d := range row.counters {
-				want[name] += d
-			}
-			for name, v := range after {
-				if d := v - before[name]; d != want[name] {
-					t.Errorf("counter %s moved by %d, want %d", name, d, want[name])
-				}
-			}
-			if d := dosAfter - dosBefore; d != row.dosFailures {
-				t.Errorf("router recorded %d DoS failures, want %d", d, row.dosFailures)
-			}
-
-			again := rig.step(from, datagram)
-			var got retransmit
-			switch {
-			case again == nil:
-				got = silent
-			case string(again) == string(reply):
-				got = replayed
-			default:
-				got = rebuilt
-			}
-			if got != row.again {
-				t.Errorf("retransmit drew %v, want %v", got, row.again)
-			}
-		})
+		}
 	}
+
+	check := func(t *testing.T, row gateRow) {
+		rig.t = t
+		rig.serve(row.cfg)
+		from, datagram := row.setup(rig)
+
+		before, dosBefore := rig.counters(), rig.dosFailures()
+		reply := rig.step(from, datagram)
+		after, dosAfter := rig.counters(), rig.dosFailures()
+
+		switch {
+		case row.reply == 0 && reply != nil:
+			t.Fatalf("answered %v, want no reply", frameKind(reply))
+		case row.reply != 0 && reply == nil:
+			t.Fatalf("no reply, want %v", row.reply)
+		case row.reply != 0:
+			msg := rig.decode(reply, row.reply)
+			if rej, ok := msg.(*Reject); ok && rej.Code != row.code {
+				t.Fatalf("reject code %v, want %v", rej.Code, row.code)
+			}
+		}
+
+		want := map[string]int64{"frames_in": 1, "bytes_in": int64(len(datagram))}
+		if reply != nil {
+			want["frames_out"], want["write_datagrams"], want["write_batches"] = 1, 1, 1
+			want["bytes_out"] = int64(len(reply))
+		}
+		for name, d := range row.counters {
+			want[name] += d
+		}
+		for name, v := range after {
+			if d := v - before[name]; d != want[name] {
+				t.Errorf("counter %s moved by %d, want %d", name, d, want[name])
+			}
+		}
+		if d := dosAfter - dosBefore; d != row.dosFailures {
+			t.Errorf("router recorded %d DoS failures, want %d", d, row.dosFailures)
+		}
+
+		again := rig.step(from, datagram)
+		var got retransmit
+		switch {
+		case again == nil:
+			got = silent
+		case string(again) == string(reply):
+			got = replayed
+		default:
+			got = rebuilt
+		}
+		if got != row.again {
+			t.Errorf("retransmit drew %v, want %v", got, row.again)
+		}
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { check(t, row) })
+	}
+	t.Run("unserved-kind", func(t *testing.T) {
+		for kind := KindBeaconRequest; kind < kindEnd; kind++ {
+			if routes[kind] == nil {
+				t.Run(kind.String(), func(t *testing.T) { check(t, unserved(kind)) })
+			}
+		}
+	})
 }
 
 // m2SigAt is where the signature starts in an M.2 encoding: after the

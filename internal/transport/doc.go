@@ -1,13 +1,13 @@
-// Package transport puts the PEACE access protocol on the wire: a
-// versioned, length-framed datagram codec over UDP carrying every
-// protocol message (M.1–M.3 beacons/requests/confirms, M̃.1–M̃.3 peer
-// authentication, URL/CRL updates, puzzle challenges), plus the client-
-// and router-side handshake state machines that make the three-message
-// AKA survive a real lossy network: per-session retransmission with
-// exponential backoff, duplicate suppression with confirm replay, and a
-// concurrent server loop that feeds bursts of access requests through the
-// router's bounded ingest queue so the batch-verification pipeline is
-// exercised by real traffic.
+// Package transport puts the PEACE router–user protocol on the wire, and
+// nothing else: a versioned, length-framed datagram codec over UDP
+// carrying its messages (M.1–M.3 beacons/requests/confirms, URL/CRL
+// updates, puzzle challenges, resumes, keepalives and session data), plus
+// the client- and router-side handshake state machines that make the
+// three-message AKA survive a real lossy network: per-session
+// retransmission with exponential backoff, duplicate suppression with
+// confirm replay, and a concurrent server loop that feeds bursts of access
+// requests through the router's bounded ingest queue so the
+// batch-verification pipeline is exercised by real traffic.
 //
 // Frame layout (one frame per datagram, strict):
 //
@@ -18,4 +18,9 @@
 // of its own. Decoding never panics on hostile bytes — see the fuzz
 // targets — and rejects bad magic, unknown versions/kinds, length
 // mismatches and oversized payloads before any allocation.
+//
+// The frame kind table is the one table for every PEACE datagram. The
+// backbone's kinds carry formats internal/backbone owns; the user–user
+// AKA's kinds (M̃.1–M̃.3, specified and tested in internal/core) are
+// reserved and not served.
 package transport

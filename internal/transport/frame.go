@@ -46,11 +46,14 @@ const (
 	KindBeacon        // M.1
 	KindAccessRequest // M.2
 	KindAccessConfirm // M.3
-	KindPeerHello     // M̃.1
-	KindPeerResponse  // M̃.2
-	KindPeerConfirm   // M̃.3
-	KindURLUpdate     // full URL revocation snapshot
-	KindCRLUpdate     // full CRL revocation snapshot
+	// Reserved: M̃.1–M̃.3, the user–user AKA, specified in PROTOCOL.md
+	// and tested in internal/core; not served on the wire. A router
+	// socket counts them as unhandled.
+	KindPeerHello
+	KindPeerResponse
+	KindPeerConfirm
+	KindURLUpdate // full URL revocation snapshot
+	KindCRLUpdate // full CRL revocation snapshot
 	KindPuzzle
 	KindReject
 	// KindURLSnapshotRequest solicits revocation state for either list
@@ -78,12 +81,12 @@ const (
 	// relays the frame toward the adopting router instead of rejecting it
 	// (the roaming grace window).
 	KindSessionData
-	// Inter-router backbone plane. KindRouterHello / KindRouterWelcome run
-	// the certificate-authenticated link handshake between two routers of
-	// one NO; KindGossip, KindRelay and KindHandoffAnnounce are
-	// link-encrypted envelopes (LinkEnvelope) carrying peer liveness +
-	// routing state, multi-hop forwarded data frames, and session-ownership
-	// transfer announcements respectively.
+	// Inter-router backbone plane, whose formats live in internal/backbone.
+	// KindRouterHello / KindRouterWelcome run the certificate-authenticated
+	// link handshake between two routers of one NO; KindGossip, KindRelay
+	// and KindHandoffAnnounce are link-encrypted envelopes carrying peer
+	// liveness + routing state, multi-hop forwarded data frames, and
+	// session-ownership transfer announcements respectively.
 	KindRouterHello
 	KindRouterWelcome
 	KindGossip

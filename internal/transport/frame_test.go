@@ -117,17 +117,17 @@ func TestRejectRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMessageCodecRoundTrip frames and decodes every protocol message a
-// provisioned network can produce.
+// TestMessageCodecRoundTrip frames and decodes every router–user message
+// a provisioned network can produce.
 func TestMessageCodecRoundTrip(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "grp-t", 1, 2)
+	ln, err := NewLocalNetwork(core.Config{}, "grp-t", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ln.SeedUserRevocations(); err != nil {
 		t.Fatal(err)
 	}
-	u, peer := ln.Users[0], ln.Users[1]
+	u := ln.Users[0]
 
 	beacon, err := ln.Routers[0].Beacon()
 	if err != nil {
@@ -138,21 +138,6 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m3, _, err := ln.Routers[0].HandleAccessRequest(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := peer.ObserveBeacon(beacon); err != nil {
-		t.Fatal(err)
-	}
-	hello, err := u.StartPeerAuth("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := peer.HandlePeerHello(hello, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	confirm, _, err := u.HandlePeerResponse(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +166,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	msgs := []any{&BeaconRequest{}, beacon, m2, m3, hello, resp, confirm, url, crl, fetch, delta, pz}
+	msgs := []any{&BeaconRequest{}, beacon, m2, m3, url, crl, fetch, delta, pz}
 	for _, msg := range msgs {
 		frame, err := EncodeMessage(msg)
 		if err != nil {

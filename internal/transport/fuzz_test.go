@@ -3,9 +3,7 @@ package transport
 import (
 	"bytes"
 	"testing"
-	"time"
 
-	"github.com/peace-mesh/peace/internal/cert"
 	"github.com/peace-mesh/peace/internal/core"
 )
 
@@ -87,20 +85,16 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(uint8(KindReject), frame[HeaderSize:])
 	f.Add(uint8(KindBeaconRequest), []byte{})
 	f.Add(uint8(KindBeacon), []byte("not a beacon"))
-	// A minimal link envelope, found by this fuzzer: from "", seq "00000000",
-	// empty ciphertext.
-	f.Add(uint8(KindGossip), []byte("\x00\x00\x00\x0000000000\x00\x00\x00\x00"))
+	f.Add(uint8(KindSessionData), (&core.DataFrame{Seq: 1, Encrypted: true, Payload: []byte("sealed")}).Marshal())
 	f.Fuzz(func(t *testing.T, k uint8, payload []byte) {
 		msg, err := DecodeMessage(Kind(k), payload)
 		if err != nil {
 			return
 		}
-		// Three kinds share the LinkEnvelope type, and three the sealed
-		// core.DataFrame, so their frames take the kind explicitly and
-		// EncodeMessage cannot choose one from the type.
+		// Three kinds share the sealed core.DataFrame, so their frames
+		// take the kind explicitly and EncodeMessage cannot choose one
+		// from the type.
 		switch m := msg.(type) {
-		case *LinkEnvelope:
-			_, err = EncodeLinkEnvelope(Kind(k), m)
 		case *core.DataFrame:
 			_, err = EncodeFrame(Kind(k), m.Marshal())
 		default:
@@ -166,154 +160,6 @@ func FuzzUnmarshalResumeRequest(f *testing.F) {
 		}
 		if !bytes.Equal(m.Marshal(), data) {
 			t.Fatal("resume request decode/encode round trip not identical")
-		}
-	})
-}
-
-// fuzzBackboneCert builds a structurally complete (unsigned, unverified)
-// router certificate for backbone handshake fuzz seeds — the decoders
-// under test parse structure only; signature checks happen later.
-func fuzzBackboneCert() *cert.Certificate {
-	c := &cert.Certificate{SubjectID: "metro-r00", Signature: []byte("sig")}
-	c.PublicKey[0] = 1
-	c.ExpiresAt = time.Unix(1700000000, 0).UTC()
-	return c
-}
-
-// FuzzUnmarshalRouterHello throws arbitrary datagram payloads at the
-// backbone handshake-initiation decoder: it parses untrusted bytes off
-// the router's backbone socket before any authentication, so it must
-// never panic and accepted hellos must round-trip byte-identically.
-func FuzzUnmarshalRouterHello(f *testing.F) {
-	seed := &RouterHello{Cert: fuzzBackboneCert(), Share: []byte("dh share"), Sig: []byte("hello sig")}
-	seed.Nonce[0] = 9
-	seed.Timestamp = time.Unix(1700000001, 0).UTC()
-	f.Add(seed.Marshal())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalRouterHello(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(m.Marshal(), data) {
-			t.Fatal("router hello decode/encode round trip not identical")
-		}
-	})
-}
-
-// FuzzUnmarshalRouterWelcome is the responder-side twin.
-func FuzzUnmarshalRouterWelcome(f *testing.F) {
-	seed := &RouterWelcome{Cert: fuzzBackboneCert(), Share: []byte("dh share"), Sig: []byte("welcome sig")}
-	seed.Echo[1] = 3
-	seed.Nonce[2] = 5
-	seed.Timestamp = time.Unix(1700000002, 0).UTC()
-	f.Add(seed.Marshal())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalRouterWelcome(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(m.Marshal(), data) {
-			t.Fatal("router welcome decode/encode round trip not identical")
-		}
-	})
-}
-
-// FuzzUnmarshalLinkEnvelope covers the sealed-envelope decoder every
-// post-handshake backbone datagram passes through.
-func FuzzUnmarshalLinkEnvelope(f *testing.F) {
-	f.Add((&LinkEnvelope{From: "metro-r01", Seq: 7, Ciphertext: []byte("aead box")}).Marshal())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalLinkEnvelope(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(m.Marshal(), data) {
-			t.Fatal("link envelope decode/encode round trip not identical")
-		}
-	})
-}
-
-// FuzzUnmarshalGossipBody covers the gossip-round decoder. The body is
-// authenticated link plaintext, but a hostile (certified-then-compromised)
-// peer controls it fully, so it must fail cleanly on any mutation —
-// a truncated acknowledgement or base field included.
-func FuzzUnmarshalGossipBody(f *testing.F) {
-	body := &GossipBody{
-		BootEpoch: 42,
-		AdAck:     6000,
-		AdBase:    17,
-		Routes:    []RouteAd{{Router: "metro-r02", Hops: 2}},
-	}
-	f.Add(body.Marshal())
-	f.Add((&GossipBody{}).Marshal())
-	f.Add([]byte{})
-	f.Add(body.Marshal()[:12]) // cut inside the acknowledgement
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalGossipBody(data)
-		if err != nil {
-			return
-		}
-		if len(data) < 28 {
-			t.Fatalf("accepted a %d-byte body: epoch, ack, base and route count need 28", len(data))
-		}
-		if !bytes.Equal(m.Marshal(), data) {
-			t.Fatal("gossip body decode/encode round trip not identical")
-		}
-	})
-}
-
-// FuzzUnmarshalOwnerAds covers the handoff-announce plaintext: the
-// numbered owner ads of a flood, a retransmission or a link-up backlog.
-// Like the gossip body it is peer-controlled link plaintext; the ad count
-// must be bounded by the bytes present and a truncated sequence refused.
-func FuzzUnmarshalOwnerAds(f *testing.F) {
-	var next, prev [32]byte
-	next[0], prev[0] = 1, 2
-	ad := OwnerAd{
-		Seq:  7,
-		Next: next, Prev: prev,
-		Owner: "metro-r01", PrevRouter: "metro-r00",
-		Expires: time.Unix(1700000003, 0).UTC(),
-	}
-	one := AppendOwnerAds(nil, []OwnerAd{ad})
-	f.Add(one)
-	f.Add(AppendOwnerAds(nil, []OwnerAd{ad, {Seq: 8}}))
-	f.Add(AppendOwnerAds(nil, nil))
-	f.Add([]byte{})
-	f.Add(one[:8])                        // cut inside the sequence
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // four billion ads in four bytes
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ads, err := UnmarshalOwnerAds(data)
-		if err != nil {
-			return
-		}
-		if len(ads)*ownerAdMinLen > len(data) {
-			t.Fatalf("%d ads accepted from %d bytes", len(ads), len(data))
-		}
-		if !bytes.Equal(AppendOwnerAds(nil, ads), data) {
-			t.Fatal("owner ads decode/encode round trip not identical")
-		}
-		if n := OwnerAdsFit(ads, len(data)); n != len(ads) {
-			t.Fatalf("OwnerAdsFit says %d of %d ads fit the %d bytes they decoded from", n, len(ads), len(data))
-		}
-	})
-}
-
-// FuzzUnmarshalRelayBody covers the relay-wrapper decoder that carries
-// forwarded data frames across the backbone.
-func FuzzUnmarshalRelayBody(f *testing.F) {
-	f.Add((&RelayBody{Target: "metro-r03", Origin: "metro-r00", TTL: 8, Payload: []byte("data frame")}).Marshal())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalRelayBody(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(m.Marshal(), data) {
-			t.Fatal("relay body decode/encode round trip not identical")
 		}
 	})
 }

@@ -282,12 +282,6 @@ func EncodeMessage(msg any) ([]byte, error) {
 		return EncodeFrame(KindAccessRequest, m.Marshal())
 	case *core.AccessConfirm:
 		return EncodeFrame(KindAccessConfirm, m.Marshal())
-	case *core.PeerHello:
-		return EncodeFrame(KindPeerHello, m.Marshal())
-	case *core.PeerResponse:
-		return EncodeFrame(KindPeerResponse, m.Marshal())
-	case *core.PeerConfirm:
-		return EncodeFrame(KindPeerConfirm, m.Marshal())
 	case *revocation.Snapshot:
 		k, err := snapshotKind(m.List)
 		if err != nil {
@@ -309,10 +303,6 @@ func EncodeMessage(msg any) ([]byte, error) {
 		return m.appendTo(frame), nil
 	case *ResumeConfirm:
 		return EncodeFrame(KindResumeConfirm, m.Marshal())
-	case *RouterHello:
-		return EncodeFrame(KindRouterHello, m.Marshal())
-	case *RouterWelcome:
-		return EncodeFrame(KindRouterWelcome, m.Marshal())
 	case *Reject:
 		return EncodeFrame(KindReject, m.Marshal())
 	default:
@@ -321,7 +311,9 @@ func EncodeMessage(msg any) ([]byte, error) {
 }
 
 // DecodeMessage decodes a frame payload into the concrete protocol
-// message for its kind. Hostile payloads yield errors, never panics.
+// message for its kind. Hostile payloads yield errors, never panics. The
+// kinds no router–user exchange carries (the reserved M̃ kinds, the
+// backbone's) are ErrBadKind here.
 func DecodeMessage(kind Kind, payload []byte) (any, error) {
 	switch kind {
 	case KindBeaconRequest:
@@ -335,12 +327,6 @@ func DecodeMessage(kind Kind, payload []byte) (any, error) {
 		return core.UnmarshalAccessRequest(payload)
 	case KindAccessConfirm:
 		return core.UnmarshalAccessConfirm(payload)
-	case KindPeerHello:
-		return core.UnmarshalPeerHello(payload)
-	case KindPeerResponse:
-		return core.UnmarshalPeerResponse(payload)
-	case KindPeerConfirm:
-		return core.UnmarshalPeerConfirm(payload)
 	case KindURLUpdate, KindCRLUpdate:
 		s, err := revocation.UnmarshalSnapshot(payload)
 		if err != nil {
@@ -362,12 +348,6 @@ func DecodeMessage(kind Kind, payload []byte) (any, error) {
 		return UnmarshalResumeRequest(payload)
 	case KindResumeConfirm:
 		return UnmarshalResumeConfirm(payload)
-	case KindRouterHello:
-		return UnmarshalRouterHello(payload)
-	case KindRouterWelcome:
-		return UnmarshalRouterWelcome(payload)
-	case KindGossip, KindRelay, KindHandoffAnnounce:
-		return UnmarshalLinkEnvelope(payload)
 	case KindReject:
 		return UnmarshalReject(payload)
 	default:

@@ -303,62 +303,3 @@ func TestRevokedUserRejectedOnWire(t *testing.T) {
 		t.Fatalf("unrevoked user: %v", err)
 	}
 }
-
-// TestPeerAKAOverUDP runs M̃.1–M̃.3 between two user sockets, with the
-// first M̃.2 dropped to exercise the responder's duplicate-hello replay.
-func TestPeerAKAOverUDP(t *testing.T) {
-	ln, err := NewLocalNetwork(core.Config{}, "grp-0", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ln.SeedUserRevocations(); err != nil {
-		t.Fatal(err)
-	}
-	// Both users need the router generator from a beacon.
-	b, err := ln.Routers[0].Beacon()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range ln.Users {
-		if err := u.ObserveBeacon(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	respConn := newScriptedConn(mustListen(t), scriptKindDrop(KindPeerResponse, 1))
-	responder := NewPeerResponder(respConn, ln.Users[1], "")
-	defer responder.Close()
-
-	initConn := mustListen(t)
-	defer initConn.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	sess, err := AttachPeer(ctx, initConn, responder.Addr(), ln.Users[0], testClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Responder derived the same session at M̃.2 and confirmed it at M̃.3.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if cs := responder.Confirmed(); len(cs) == 1 {
-			if cs[0].ID != sess.ID {
-				t.Fatalf("confirmed session %s, initiator has %s", cs[0].ID, sess.ID)
-			}
-			frame, err := cs[0].SealData(rand.Reader, []byte("hi"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pt, err := sess.OpenData(frame); err != nil || string(pt) != "hi" {
-				t.Fatalf("peer key agreement: %q %v", pt, err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("M̃.3 confirmation never validated")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if responder.Stats().Duplicates() == 0 {
-		t.Fatal("dropped M̃.2 should have forced a duplicate hello")
-	}
-}
