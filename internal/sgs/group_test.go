@@ -262,3 +262,45 @@ func TestForEachGroupCoversEverySlotOnce(t *testing.T) {
 		}
 	}
 }
+
+// verifyGroupAllocsCeiling is what one VerifyGroup of eight wire-decoded
+// signatures may allocate: the group's scratch lives in the lane work pool
+// or on the stack, so the count grows with nothing but what each signature
+// keeps (its recovered values and the challenge hash's buffers).
+const verifyGroupAllocsCeiling = 1230
+
+// TestVerifyGroupAllocs holds VerifyGroup of eight to its allocation
+// ceiling.
+func TestVerifyGroupAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times a dozen groups of eight")
+	}
+	s := newTestSetup(t, 2)
+	ver := NewVerifier(s.pk)
+	items := signedItems(t, s, bn256.Lanes)
+	for i := range items {
+		items[i].Sig = parsedCopy(t, items[i].Sig)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i, err := range ver.VerifyGroup(items) {
+			if err != nil {
+				t.Fatalf("slot %d: %v", i, err)
+			}
+		}
+	})
+	t.Logf("VerifyGroup of %d: %.0f allocs", len(items), allocs)
+	if allocs > verifyGroupAllocsCeiling {
+		t.Fatalf("VerifyGroup of %d: %.0f allocs, ceiling %d", len(items), allocs, verifyGroupAllocsCeiling)
+	}
+}
+
+// parsedCopy returns sig as the router holds it: decoded from its wire
+// bytes.
+func parsedCopy(t testing.TB, sig *Signature) *Signature {
+	t.Helper()
+	out, err := ParseSignature(sig.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
