@@ -50,8 +50,10 @@ func BenchmarkPreparedMiller(b *testing.B) {
 // per-token cost to hold against BenchmarkPreparedMiller plus
 // BenchmarkFinalExponentiation; with two (the verifier's Eq.2 product) the
 // per-signature cost to hold against BenchmarkMillerCombined2 plus
-// BenchmarkFinalExponentiation. Packing the points, which a verifier pays
-// per group and the scan once per epoch, is timed by itself.
+// BenchmarkFinalExponentiation, and again with the lines held in lane form
+// (PreparedG2.WithLanes), as the verifier holds them. Packing the points,
+// which a verifier pays per group and the scan once per epoch, is timed by
+// itself.
 func BenchmarkPairLanes8(b *testing.B) {
 	var preps []*PreparedG2
 	var lanes []*G1Lanes
@@ -65,6 +67,13 @@ func BenchmarkPairLanes8(b *testing.B) {
 			}
 		})
 	}
+	// The verifier's pass: both factors' lines held in lane form.
+	withLanes := []*PreparedG2{preps[0].WithLanes(), preps[1].WithLanes()}
+	b.Run("factors=2/lane-lines", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PairProductLanes(withLanes, lanes, 0, nil)
+		}
+	})
 	pts := randG1s(b, Lanes)
 	b.Run("pack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

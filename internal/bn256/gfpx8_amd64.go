@@ -15,6 +15,12 @@ func cpuidIFMA() bool
 func gfpx8Mul(c, a, b *gfPx8)
 
 //go:noescape
+func gfpx8Add(c, a, b *gfPx8)
+
+//go:noescape
+func gfpx8Sub(c, a, b *gfPx8)
+
+//go:noescape
 func gfp2x8Mul(c, a, b *gfP2x8)
 
 //go:noescape

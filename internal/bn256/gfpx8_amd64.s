@@ -562,6 +562,48 @@ TEXT ·gfp2x8Sub(SB), NOSPLIT, $0-24
 generic:
 	JMP ·gfp2x8SubGeneric(SB)
 
+// func gfpx8Add(c, a, b *gfPx8)
+//
+// c = a + b in F_p, every lane: for values within the invariant, a + b or
+// a + b − 2p, whichever is in [0, 2p). c may alias a or b.
+TEXT ·gfpx8Add(SB), NOSPLIT, $0-24
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), CX
+	MOVQ c+0(FP), DI
+	VPBROADCASTQ mask52<>(SB), Z22
+	VPXORQ Z23, Z23, Z23
+	addCoord(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, K1)
+	store5(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	VZEROUPPER
+	RET
+
+generic:
+	JMP ·gfpx8AddGeneric(SB)
+
+// func gfpx8Sub(c, a, b *gfPx8)
+//
+// c = a − b in F_p, every lane: for values within the invariant, a − b or
+// a − b + 2p, whichever is in [0, 2p). c may alias a or b.
+TEXT ·gfpx8Sub(SB), NOSPLIT, $0-24
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), CX
+	MOVQ c+0(FP), DI
+	VPBROADCASTQ mask52<>(SB), Z22
+	VPXORQ Z23, Z23, Z23
+	subCoord(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, K1)
+	store5(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	VZEROUPPER
+	RET
+
+generic:
+	JMP ·gfpx8SubGeneric(SB)
+
 // func gfp2x8MulXi(c, a *gfP2x8)
 //
 // c = a·ξ = (3x + y)·i + (3y − x) in F_p², every lane. For coordinates

@@ -84,8 +84,9 @@ func TestKernelConstants(t *testing.T) {
 }
 
 // TestLanesWithoutIFMA masks the feature bit, as TestGfpMulWithoutMULXADX
-// does for the field kernel: PackG1Lanes then declines whatever the length,
-// which is what sends sgs down its scalar loop, and each kernel's exit for
+// does for the field kernel: PackG1Lanes and G1LanesPay then decline
+// whatever the length, which is what sends sgs down its scalar loops, and
+// each kernel's exit for
 // older CPUs — the tail jump from assembly into its Generic twin — is
 // taken and agrees with the references.
 func TestLanesWithoutIFMA(t *testing.T) {
@@ -95,6 +96,10 @@ func TestLanesWithoutIFMA(t *testing.T) {
 	if l := PackG1Lanes(randG1s(t, 4*Lanes)); l != nil {
 		t.Fatal("PackG1Lanes packed with the IFMA bit masked")
 	}
+	if G1LanesPay(4 * Lanes) {
+		t.Fatal("G1LanesPay said yes with the IFMA bit masked")
+	}
 	TestX8KernelsOnEdges(t)
 	TestX8MulBeyondInvariant(t)
+	TestG1MulLanes(t)
 }

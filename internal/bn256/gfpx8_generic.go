@@ -7,6 +7,8 @@ package bn256
 const supportsIFMA = false
 
 func gfpx8Mul(c, a, b *gfPx8)   { gfpx8MulGeneric(c, a, b) }
+func gfpx8Add(c, a, b *gfPx8)   { gfpx8AddGeneric(c, a, b) }
+func gfpx8Sub(c, a, b *gfPx8)   { gfpx8SubGeneric(c, a, b) }
 func gfp2x8Mul(c, a, b *gfP2x8) { gfp2x8MulGeneric(c, a, b) }
 func gfp2x8Square(c, a *gfP2x8) { gfp2x8SquareGeneric(c, a) }
 func gfp2x8Add(c, a, b *gfP2x8) { gfp2x8AddGeneric(c, a, b) }

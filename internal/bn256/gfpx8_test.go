@@ -159,6 +159,36 @@ var x8Ops = []x8Op{
 		},
 	},
 	{
+		name: "gfpx8Add", ins: []int{1, 1}, outs: []int{1}, // x + x and y + y
+		kernel: func(c, a []*gfP2x8) {
+			gfpx8Add(&c[0].x, &a[0].x, &a[1].x)
+			gfpx8Add(&c[0].y, &a[0].y, &a[1].y)
+		},
+		generic: func(c, a []*gfP2x8) {
+			gfpx8AddGeneric(&c[0].x, &a[0].x, &a[1].x)
+			gfpx8AddGeneric(&c[0].y, &a[0].y, &a[1].y)
+		},
+		ref: func(a [][]*refGfP2) [][]*refGfP2 {
+			x, y := a[0][0], a[1][0]
+			return one(&refGfP2{x: x8Mod(new(big.Int).Add(x.x, y.x)), y: x8Mod(new(big.Int).Add(x.y, y.y))})
+		},
+	},
+	{
+		name: "gfpx8Sub", ins: []int{1, 1}, outs: []int{1}, // x − x and y − y
+		kernel: func(c, a []*gfP2x8) {
+			gfpx8Sub(&c[0].x, &a[0].x, &a[1].x)
+			gfpx8Sub(&c[0].y, &a[0].y, &a[1].y)
+		},
+		generic: func(c, a []*gfP2x8) {
+			gfpx8SubGeneric(&c[0].x, &a[0].x, &a[1].x)
+			gfpx8SubGeneric(&c[0].y, &a[0].y, &a[1].y)
+		},
+		ref: func(a [][]*refGfP2) [][]*refGfP2 {
+			x, y := a[0][0], a[1][0]
+			return one(&refGfP2{x: x8Mod(new(big.Int).Sub(x.x, y.x)), y: x8Mod(new(big.Int).Sub(x.y, y.y))})
+		},
+	},
+	{
 		name: "gfp2x8Mul", ins: []int{1, 1}, outs: []int{1},
 		kernel:  func(c, a []*gfP2x8) { gfp2x8Mul(c[0], a[0], a[1]) },
 		generic: func(c, a []*gfP2x8) { gfp2x8MulGeneric(c[0], a[0], a[1]) },

@@ -139,6 +139,7 @@ func PairProductLanes(preps []*PreparedG2, lanes []*G1Lanes, chunk int, scale *G
 		steps []preparedLine
 		lines []preparedLinex8 // a G2Lanes lane's lines instead of steps
 		lane  int
+		splat []preparedLinex8 // steps in lane form (WithLanes)
 		ch    *g1x8
 	}
 	factors := make([]factor, 0, len(preps))
@@ -150,7 +151,7 @@ func PairProductLanes(preps []*PreparedG2, lanes []*G1Lanes, chunk int, scale *G
 		if pq.infinity {
 			continue
 		}
-		fc := factor{steps: pq.steps, lane: pq.lane, ch: &lanes[k].chunks[chunk]}
+		fc := factor{steps: pq.steps, lane: pq.lane, splat: pq.splat, ch: &lanes[k].chunks[chunk]}
 		if pq.lanes != nil {
 			fc.lines = pq.lanes.lines
 		}
@@ -179,9 +180,13 @@ func PairProductLanes(preps []*PreparedG2, lanes []*G1Lanes, chunk int, scale *G
 			f.Square(f, w)
 		}
 		for _, fc := range factors {
-			if fc.lines != nil {
+			switch {
+			case fc.splat != nil:
+				s := &fc.splat[i]
+				f.evalLine(&s.c3, &s.c1, &s.c0, fc.ch, &fc.ch.infinity, w)
+			case fc.lines != nil:
 				f.mulLaneLine(&fc.lines[i], fc.lane, fc.ch, w)
-			} else {
+			default:
 				f.mulPreparedLine(&fc.steps[i], fc.ch, w)
 			}
 		}

@@ -135,7 +135,8 @@ func TestPackG1LanesForms(t *testing.T) {
 // byte for byte: one to three factors, full and partial chunks, an identity
 // point in one factor of one lane (the other factors of that lane still
 // count) and in every factor of another, an identity prepared G2 among the
-// factors, with and without a Miller value multiplied in, and the inputs
+// factors, factors with their lines in lane form (WithLanes) beside those
+// without, with and without a Miller value multiplied in, and the inputs
 // left untouched.
 func TestPairProductLanesMatchesMillerCombined(t *testing.T) {
 	_, q2, _ := RandomG2(rand.Reader)
@@ -153,6 +154,9 @@ func TestPairProductLanesMatchesMillerCombined(t *testing.T) {
 					q.SetInfinity()
 				}
 				preps[j] = PrepareG2(q)
+				if (j+k)%2 == 0 { // lines held in lane form beside steps
+					preps[j] = preps[j].WithLanes()
+				}
 			}
 			for _, n := range []int{1, 7, 8, 9} {
 				pts := make([][]*G1, k)

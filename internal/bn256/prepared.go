@@ -16,6 +16,11 @@ type PreparedG2 struct {
 	infinity bool
 	steps    []preparedLine
 
+	// splat is steps in lane form, each line in every lane, for a
+	// PreparedG2 that WithLanes returned: the lane passes read it as it
+	// lies instead of converting a step's lines on every pass.
+	splat []preparedLinex8
+
 	// lanes is the G2Lanes whose lane holds the lines, for a PreparedG2
 	// that G2Lanes.Lane returned (steps is nil then).
 	lanes *G2Lanes
@@ -45,6 +50,26 @@ func PrepareG2(q *G2) *PreparedG2 {
 		return &PreparedG2{infinity: true}
 	}
 	return &PreparedG2{steps: prepareLines(q.p)}
+}
+
+// WithLanes returns a PreparedG2 for the same point that also holds its
+// lines in lane form (about 190 KB), for a Q that many lane passes read
+// (PairProductLanes): a pass then converts nothing per step. It gives what
+// pq gives in every use. Where no lane pass runs — on a CPU without the
+// kernels or in a build without them — and for the identity or a G2Lanes
+// lane, it returns pq.
+func (pq *PreparedG2) WithLanes() *PreparedG2 {
+	if !supportsIFMA || pq.infinity || pq.lanes != nil || pq.splat != nil {
+		return pq
+	}
+	out := &PreparedG2{steps: pq.steps, splat: make([]preparedLinex8, len(pq.steps))}
+	for i := range pq.steps {
+		s, d := &pq.steps[i], &out.splat[i]
+		d.c3.splat(&s.c3)
+		d.c1.splat(&s.c1)
+		d.c0.splat(&s.c0)
+	}
+	return out
 }
 
 // Miller evaluates the recorded lines at g1, returning the un-finalized

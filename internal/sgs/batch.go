@@ -50,9 +50,10 @@ type Verifier struct {
 	fixed     *fixedBases
 }
 
-// fixedBases is a Verifier's FixedGenerators cache: window tables for
-// u = g1^a and v = g1^b, and the prepared û, v̂ for revocation sweeps.
+// fixedBases is a Verifier's FixedGenerators cache: u = g1^a and v = g1^b
+// with their window tables, and the prepared û, v̂ for revocation sweeps.
 type fixedBases struct {
+	u, v               *bn256.G1
 	uTable, vTable     *bn256.G1Table
 	uhatPrep, vhatPrep *bn256.PreparedG2
 }
@@ -70,9 +71,13 @@ func NewVerifier(pk *PublicKey) *Verifier {
 func (v *Verifier) fixedGenerators() *fixedBases {
 	v.fixedOnce.Do(func() {
 		a, b := deriveScalars(v.pk, FixedGenerators, nil, nil, counter{})
+		u, vv := new(bn256.G1).ScalarBaseMult(a), new(bn256.G1).ScalarBaseMult(b)
+		bn256.NormalizeG1(u, vv)
 		v.fixed = &fixedBases{
-			uTable:   bn256.NewG1Table(new(bn256.G1).ScalarBaseMult(a)),
-			vTable:   bn256.NewG1Table(new(bn256.G1).ScalarBaseMult(b)),
+			u:        u,
+			v:        vv,
+			uTable:   bn256.NewG1Table(u),
+			vTable:   bn256.NewG1Table(vv),
 			uhatPrep: bn256.PrepareG2(new(bn256.G2).ScalarBaseMult(a)),
 			vhatPrep: bn256.PrepareG2(new(bn256.G2).ScalarBaseMult(b)),
 		}
@@ -122,12 +127,14 @@ func (v *Verifier) verifyOne(msg []byte, sig *Signature, ct counter) error {
 
 // verifyGroup is the verifier: Eq.2 in three steps, of which the first and
 // the last run a signature at a time and the pairing step in the middle is
-// the only one that looks at the size of the group. errs has a slot per
-// item.
+// the only one that looks at the size of the group — with the G1 sums at
+// the end of the first, which go to the lanes as a group too. errs has a
+// slot per item.
 func (v *Verifier) verifyGroup(items []BatchItem, errs []error, ct counter) {
-	// Step 1, per signature: shape check, bases, and the eight G1
-	// exponentiations that give R̃1, R̃3 and the G1 sides A, B of the
-	// pairing product. A misshapen signature stops here.
+	// Step 1, per signature: shape check, bases and exponents of the eight
+	// G1 exponentiations that give R̃1, R̃3 and the G1 sides A, B of the
+	// pairing product; then those, for the group at once. A misshapen
+	// signature stops here.
 	eqs := make([]*eq2, len(items)) // nil where the shape check failed
 	live := make([]*eq2, 0, len(items))
 	for i, it := range items {
@@ -135,6 +142,7 @@ func (v *Verifier) verifyGroup(items []BatchItem, errs []error, ct counter) {
 			live = append(live, eqs[i])
 		}
 	}
+	g1Sums(live)
 
 	// Step 2, the group at once: every R̃2.
 	v.pairingProducts(live)
@@ -146,6 +154,47 @@ func (v *Verifier) verifyGroup(items []BatchItem, errs []error, ct counter) {
 			errs[i] = v.finish(items[i].Msg, items[i].Sig, e, ct)
 		}
 	}
+}
+
+// g1Sums computes R̃1, R̃3, A and B of every signature of a group: four
+// sums to a signature, in one call of bn256.MultiScalarMultLanes where
+// bn256.G1LanesPay says that is the faster way (the rule is its own: the
+// kernels exist and there are at least two sums, so a lone signature's
+// four go to the lanes too), one at a time on the scalar tower otherwise.
+// Both give the same points, byte for byte.
+func g1Sums(eqs []*eq2) {
+	if bn256.G1LanesPay(4 * len(eqs)) {
+		g1SumsLanes(eqs)
+	} else {
+		g1SumsScalar(eqs)
+	}
+}
+
+// g1SumsScalar is g1Sums on the scalar tower.
+func g1SumsScalar(eqs []*eq2) {
+	for _, e := range eqs {
+		for s, out := range e.outs() {
+			*out = e.sums[s].scalar()
+		}
+	}
+}
+
+// g1SumsLanes is g1Sums on the lane kernels, whatever the rule says.
+func g1SumsLanes(eqs []*eq2) {
+	n := 4 * len(eqs)
+	out := make([]*bn256.G1, 0, n)
+	ps := make([][]*bn256.G1, 0, n)
+	ks := make([][]*big.Int, 0, n)
+	for _, e := range eqs {
+		for s, o := range e.outs() {
+			sum := &e.sums[s]
+			*o = new(bn256.G1)
+			out = append(out, *o)
+			ps = append(ps, sum.bases[:sum.n])
+			ks = append(ks, sum.exps[:sum.n])
+		}
+	}
+	bn256.MultiScalarMultLanes(out, ps, ks)
 }
 
 // pairingProducts sets R̃2 = e(A, g2) · e(B, w) for every signature of a
@@ -182,56 +231,106 @@ func (v *Verifier) pairingProducts(eqs []*eq2) {
 // same *Signature may appear in several slots being verified on different
 // goroutines.
 type eq2 struct {
-	t1, t2 *bn256.G1
+	t1, t2 bn256.G1
 	r1, r3 *bn256.G1
 	a, b   *bn256.G1 // R̃2 = e(a, g2) · e(b, w)
 	r2     *bn256.GT
+
+	// sums are r1, r3, a and b, in that order, as prepare folds them.
+	sums [4]g1Sum
 }
 
-// prepare runs the G1 side of Eq.2 for one signature.
+// outs returns where the four sums go, in the order of sums.
+func (e *eq2) outs() [4]**bn256.G1 { return [4]**bn256.G1{&e.r1, &e.r3, &e.a, &e.b} }
+
+// g1Sum is one of a signature's G1 sums, Π bases[k]^exps[k] over its n
+// terms (two, or three for A in FixedGenerators mode).
+type g1Sum struct {
+	n      int
+	bases  [3]*bn256.G1
+	exps   [3]*big.Int
+	tables [3]*bn256.G1Table // the base's window table, where the key has one
+}
+
+// g1Base is the generator g1 as a base of a g1Sum.
+var g1Base = new(bn256.G1).Base()
+
+// add appends base^exp; table is base's window table or nil.
+func (s *g1Sum) add(base *bn256.G1, table *bn256.G1Table, exp *big.Int) {
+	s.bases[s.n], s.tables[s.n], s.exps[s.n] = base, table, exp
+	s.n++
+}
+
+// scalar computes the sum on the scalar tower, each power the cheapest
+// way the scalar tower has: a key's window table, the generator's, or a
+// variable-base multiplication. (The powers after the first are written
+// out where they are added, which keeps them off the heap.)
+func (s *g1Sum) scalar() *bn256.G1 {
+	var sum *bn256.G1
+	switch {
+	case s.tables[0] != nil:
+		sum = s.tables[0].Mul(new(bn256.G1), s.exps[0])
+	case s.bases[0] == g1Base:
+		sum = new(bn256.G1).ScalarBaseMult(s.exps[0])
+	default:
+		sum = new(bn256.G1).ScalarMult(s.bases[0], s.exps[0])
+	}
+	for k := 1; k < s.n; k++ {
+		switch {
+		case s.tables[k] != nil:
+			sum.Add(sum, s.tables[k].Mul(new(bn256.G1), s.exps[k]))
+		case s.bases[k] == g1Base:
+			sum.Add(sum, new(bn256.G1).ScalarBaseMult(s.exps[k]))
+		default:
+			sum.Add(sum, new(bn256.G1).ScalarMult(s.bases[k], s.exps[k]))
+		}
+	}
+	return sum
+}
+
+// prepare folds the G1 side of Eq.2 for one signature into its four sums.
 func (v *Verifier) prepare(msg []byte, sig *Signature, ct counter) (*eq2, error) {
 	if err := checkSignatureShape(sig); err != nil {
 		return nil, err
 	}
-	e := &eq2{t1: new(bn256.G1).Set(sig.T1), t2: new(bn256.G1).Set(sig.T2)}
+	e := new(eq2)
+	e.t1.Set(sig.T1)
+	e.t2.Set(sig.T2)
+	r1, r3, a, b := &e.sums[0], &e.sums[1], &e.sums[2], &e.sums[3]
 
 	negC := new(big.Int).Sub(bn256.Order, sig.C)
 	negC.Mod(negC, bn256.Order)
-	negSAlpha := new(big.Int).Sub(bn256.Order, sig.SAlpha)
-	negSDelta := new(big.Int).Sub(bn256.Order, sig.SDelta)
 
 	if sig.Mode == FixedGenerators {
 		// Dedicated per-key window tables for u and v.
 		f := v.fixedGenerators()
-		e.r1 = f.uTable.Mul(new(bn256.G1), sig.SAlpha)
-		e.r3 = f.uTable.Mul(new(bn256.G1), negSDelta)
-		e.a = f.vTable.Mul(new(bn256.G1), negSDelta)
-		e.a.Add(e.a, new(bn256.G1).ScalarBaseMult(negC))
-		e.b = f.vTable.Mul(new(bn256.G1), negSAlpha)
+		negSAlpha := new(big.Int).Sub(bn256.Order, sig.SAlpha)
+		negSDelta := new(big.Int).Sub(bn256.Order, sig.SDelta)
+		r1.add(f.u, f.uTable, sig.SAlpha)
+		r3.add(f.u, f.uTable, negSDelta)
+		a.add(f.v, f.vTable, negSDelta)
+		a.add(g1Base, nil, negC)
+		b.add(f.v, f.vTable, negSAlpha)
 	} else {
 		// Per-message generators: u = g1^a, v = g1^b, so every u/v power
-		// folds into the generator table (u^{s_α} = g1^{a·s_α}).
-		a, b := deriveScalars(v.pk, sig.Mode, msg, sig.R, ct) // hash 1
-		e.r1 = new(bn256.G1).ScalarBaseMult(mulMod(a, sig.SAlpha))
-		e.r3 = new(bn256.G1).ScalarBaseMult(mulMod(a, negSDelta))
-		bnd := mulMod(b, negSDelta)
+		// folds into the generator (u^{s_α} = g1^{a·s_α}).
+		ea, eb := deriveScalars(v.pk, sig.Mode, msg, sig.R, ct) // hash 1
+		r1.add(g1Base, nil, mulMod(ea, sig.SAlpha))
+		r3.add(g1Base, nil, negMulMod(ea, sig.SDelta))
+		bnd := negMulMod(eb, sig.SDelta)
 		bnd.Add(bnd, negC)
-		e.a = new(bn256.G1).ScalarBaseMult(bnd.Mod(bnd, bn256.Order))
-		e.b = new(bn256.G1).ScalarBaseMult(mulMod(b, negSAlpha))
+		a.add(g1Base, nil, bnd.Mod(bnd, bn256.Order))
+		b.add(g1Base, nil, negMulMod(eb, sig.SAlpha))
 	}
 
 	// R̃1 = u^{s_α} · T1^{−c} and R̃3 = T1^{s_x} · u^{−s_δ}.
-	e.r1.Add(e.r1, new(bn256.G1).ScalarMult(e.t1, negC))
-	ct.exp(1)
-	e.r3.Add(e.r3, new(bn256.G1).ScalarMult(e.t1, sig.SX))
-	ct.exp(1)
-
+	r1.add(&e.t1, nil, negC)
+	r3.add(&e.t1, nil, sig.SX)
 	// A = T2^{s_x} · v^{−s_δ} · g1^{−c} and B = T2^{c} · v^{−s_α}: the G1
 	// sides of the rearranged pairing product.
-	e.a.Add(e.a, new(bn256.G1).ScalarMult(e.t2, sig.SX))
-	ct.exp(1)
-	e.b.Add(e.b, new(bn256.G1).ScalarMult(e.t2, sig.C))
-	ct.exp(1)
+	a.add(&e.t2, nil, sig.SX)
+	b.add(&e.t2, nil, sig.C)
+	ct.exp(4)
 	return e, nil
 }
 
@@ -239,7 +338,7 @@ func (v *Verifier) prepare(msg []byte, sig *Signature, ct counter) (*eq2, error)
 // the signature's (Step 3.2.3).
 func (v *Verifier) finish(msg []byte, sig *Signature, e *eq2, ct counter) error {
 	ct.hash(1)
-	c := challenge(v.pk, msg, sig.R, e.t1, e.t2, e.r1, e.r2, e.r3)
+	c := challenge(v.pk, msg, sig.R, &e.t1, &e.t2, e.r1, e.r2, e.r3)
 	if c.Cmp(sig.C) != 0 {
 		return ErrInvalidSignature
 	}
@@ -250,6 +349,12 @@ func (v *Verifier) finish(msg []byte, sig *Signature, e *eq2, ct counter) error 
 func mulMod(a, b *big.Int) *big.Int {
 	out := new(big.Int).Mul(a, b)
 	return out.Mod(out, bn256.Order)
+}
+
+// negMulMod returns −a·b mod Order.
+func negMulMod(a, b *big.Int) *big.Int {
+	out := new(big.Int).Mul(a, b)
+	return out.Mod(out.Neg(out), bn256.Order)
 }
 
 // ForEachGroup cuts n signatures into consecutive groups for VerifyGroup

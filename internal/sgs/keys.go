@@ -87,14 +87,17 @@ func (pk *PublicKey) verifier() *Verifier {
 	return pk.ver
 }
 
-// g2Lines are the prepared lines of g2, the same for every key.
-var g2Lines = sync.OnceValue(func() *bn256.PreparedG2 { return bn256.PrepareG2(new(bn256.G2).Base()) })
+// g2Lines are the prepared lines of g2, the same for every key, in scalar
+// and in lane form.
+var g2Lines = sync.OnceValue(func() *bn256.PreparedG2 { return bn256.PrepareG2(new(bn256.G2).Base()).WithLanes() })
 
 // pairingLines returns the prepared lines of (g2, W), building them on first
-// use. The slice and its elements are shared and must not be modified.
+// use: in scalar form for Sign and a lone verification, and in lane form
+// beside it for the verifier's lane pass. The slice and its elements are
+// shared and must not be modified.
 func (pk *PublicKey) pairingLines() []*bn256.PreparedG2 {
 	pk.linesOnce.Do(func() {
-		pk.lines = []*bn256.PreparedG2{g2Lines(), bn256.PrepareG2(pk.W)}
+		pk.lines = []*bn256.PreparedG2{g2Lines(), bn256.PrepareG2(pk.W).WithLanes()}
 	})
 	return pk.lines
 }
