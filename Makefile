@@ -59,6 +59,7 @@ ci:
 # differential fuzzes of the resume's in-place M.2 escrow check against
 # the M.2 decoder, of the Montgomery field core against big.Int, of
 # the lane kernels against their twins, the scalar tower and big.Int, of
+# the lane G1 sums against MultiScalarMult, of
 # G2.Unmarshal's ψ subgroup test against [n]Q = ∞, of the cut that
 # splits a UDP GRO train against a byte-wise walk, and of the stack-held
 # HMAC under every key derivation and MAC against crypto/hmac.
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzGfPvsBigInt$$' -fuzztime=10s
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzX8VsGfP$$' -fuzztime=10s
 	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzG2Unmarshal$$' -fuzztime=10s
+	$(GO) test ./internal/bn256/ -run='^$$' -fuzz='^FuzzG1MulLanes$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=10s
 	$(GO) test ./internal/transport/ -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=10s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzUnmarshalBeacon$$' -fuzztime=10s
@@ -202,14 +204,18 @@ bench:
 # Miller loop and final exponentiation, and the sweep set-up's two
 # (PrepareG2Lanes8, eight G2 points' lines in one walk, and MillerLanes2,
 # eight signatures' two-factor Miller products with a Q per lane) against
-# PrepareG2 and MillerCombined2. Then the G2 primitives (hash-to-G2, a GLS
+# PrepareG2 and MillerCombined2, and the verifier's G1 side
+# (G1MulLanes8, one pass of eight two-term sums against eight
+# MultiScalarMults). Then the G2 primitives (hash-to-G2, a GLS
 # exponentiation, a decode with the ψ subgroup test) and Sign, 200
 # iterations each. Then, at one and two CPUs, the 16-token sweep of one
 # signature (Sweep16), the same sweep for a verified group of eight with
 # its set-up shared (SweepGroup8, against the eight alone), a group of eight
 # signatures through one verify lane pass against one signature alone
 # (VerifyGroup8), and the router's whole M.2 path per request for 1, 8, 16
-# and 32 wire-decoded requests against a 16-token URL. Last the backbone: one tick of a
+# and 32 wire-decoded requests against a 16-token URL, and
+# TestVerifyGroupAllocs, which holds a group of eight to its allocation
+# ceiling. Last the backbone: one tick of a
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
 # in time and in bytes), a link from AddPeer to reachable, and
 # TestHandoffAdoptedAllocs, which holds the shard loop's side of an
@@ -219,11 +225,12 @@ bench-smoke:
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
 	$(GO) test ./internal/transport/ -run='^$$' -bench='^BenchmarkResumeExchange$$' -benchmem -benchtime=2000x
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
-	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|CyclotomicSquareLanes8|FinalExpLanes8|PreparedMiller|FinalExponentiation|PrepareG2Lanes8|PrepareG2|MillerLanes2|MillerCombined2)$$' -benchtime=200x
+	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|CyclotomicSquareLanes8|FinalExpLanes8|PreparedMiller|FinalExponentiation|PrepareG2Lanes8|PrepareG2|MillerLanes2|MillerCombined2|G1MulLanes8)$$' -benchtime=200x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(HashToG2|G2ScalarMult|G2Unmarshal)$$' -benchtime=200x
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^BenchmarkSign$$' -benchtime=200x
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|SweepGroup8|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x
 	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkHandleM2Batch$$' -cpu 1,2 -benchtime=10x
+	$(GO) test ./internal/sgs/ -run='^TestVerifyGroupAllocs$$' -v -count=1
 	$(GO) test ./internal/backbone/ -run='^$$' -bench='^Benchmark(NodeTick|LinkUp)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/backbone/ -run='^TestHandoffAdoptedAllocs$$' -v -count=1
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1

@@ -17,7 +17,10 @@ import (
 // formulas of Renes, Costello and Batina (https://eprint.iacr.org/2015/1060,
 // Algorithms 7 and 9) add and double any two points of E(F_p), the
 // identity (0:1:0), equal and opposite points included, by one sequence of
-// field operations. A lane whose digit is zero adds the identity.
+// field operations. A lane whose digit is zero adds the identity. The
+// doubling and the addition are one kernel each (g1x8Double, g1x8Add in
+// gfpx8_amd64.s), eight and twelve products with the linear terms between
+// them reduced only where a product's bound needs it.
 
 // g1LaneBreakEven is the number of sums from which one pass
 // (MultiScalarMultLanes) is cheaper than computing each by the scalar
@@ -44,12 +47,11 @@ type g1x8Proj struct {
 }
 
 // g1Work is the working memory of one MultiScalarMultLanes call, reused
-// through g1WorkPool: the accumulator, the addend and the formulas'
-// temporaries, and per ladder its table, −Y of every entry (so that a
-// negative digit costs no field operation) and its digits.
+// through g1WorkPool: the accumulator and the addend, and per ladder its
+// table, −Y of every entry (so that a negative digit costs no field
+// operation) and its digits.
 type g1Work struct {
 	acc, addend g1x8Proj
-	t           [7]gfPx8
 	tabs        [][8]g1x8Proj // tabs[j][m] = (m+1)·base of ladder j
 	negY        [][8]gfPx8
 	digits      []int8 // digit n of ladder j, lane i at (j·g1Windows + n)·Lanes + i
@@ -65,84 +67,102 @@ const g1Windows = 33
 var g1WorkPool = sync.Pool{New: func() any { return new(g1Work) }}
 
 var (
-	// g1B3x8 is 3b = 9 in every lane, the constant of the formulas.
-	g1B3x8 = func() (e gfPx8) {
-		b3 := newGfP(9)
-		e.splat(&b3)
-		return
-	}()
-	// g1Onex8 is 1 in every lane.
+	// g1Onex8 is 1 in every lane, and zeroFpx8 0.
 	g1Onex8 = func() (e gfPx8) {
 		e.splat(&rOne)
 		return
 	}()
+	zeroFpx8 gfPx8
+
+	// g1B3 is 3b = 9, the constant of the formulas.
+	g1B3 = newGfP(9)
 )
 
-// double sets e = 2a by Algorithm 9 of Renes–Costello–Batina for a = 0:
-// six products, two squares, one product by 3b and nine additions, exact
-// for every point including the identity. e may alias a: every read of a
-// comes before the first write to e.
-func (e *g1x8Proj) double(a *g1x8Proj, t *[7]gfPx8) {
-	t0, t1, t2, t3 := &t[0], &t[1], &t[2], &t[3]
-	gfpx8Mul(t3, &a.x, &a.y)
-	gfpx8Mul(t0, &a.y, &a.y)
-	gfpx8Mul(t1, &a.y, &a.z)
-	gfpx8Mul(t2, &a.z, &a.z)
-	gfpx8Add(&e.z, t0, t0)
-	gfpx8Add(&e.z, &e.z, &e.z)
-	gfpx8Add(&e.z, &e.z, &e.z) // 8Y²
-	gfpx8Mul(t2, t2, &g1B3x8)  // 3bZ²
-	gfpx8Mul(&e.x, t2, &e.z)
-	gfpx8Add(&e.y, t0, t2)
-	gfpx8Mul(&e.z, t1, &e.z)
-	gfpx8Add(t1, t2, t2)
-	gfpx8Add(t2, t1, t2)
-	gfpx8Sub(t0, t0, t2)
-	gfpx8Mul(&e.y, t0, &e.y)
-	gfpx8Add(&e.y, &e.x, &e.y)
-	gfpx8Mul(&e.x, t0, t3)
-	gfpx8Add(&e.x, &e.x, &e.x)
+// The point kernels' Generic twins run Algorithms 9 and 7 lane by lane on
+// the scalar field, as the formulas are written.
+
+// rcbDouble is Algorithm 9 on one point.
+func rcbDouble(x, y, z *gfP) (x3, y3, z3 gfP) {
+	var t0, t1, t2 gfP
+	gfpMul(&t0, y, y)
+	gfpAdd(&z3, &t0, &t0)
+	gfpAdd(&z3, &z3, &z3)
+	gfpAdd(&z3, &z3, &z3)
+	gfpMul(&t1, y, z)
+	gfpMul(&t2, z, z)
+	gfpMul(&t2, &t2, &g1B3)
+	gfpMul(&x3, &t2, &z3)
+	gfpAdd(&y3, &t0, &t2)
+	gfpMul(&z3, &t1, &z3)
+	gfpAdd(&t1, &t2, &t2)
+	gfpAdd(&t2, &t1, &t2)
+	gfpSub(&t0, &t0, &t2)
+	gfpMul(&y3, &t0, &y3)
+	gfpAdd(&y3, &x3, &y3)
+	gfpMul(&t1, x, y)
+	gfpMul(&x3, &t0, &t1)
+	gfpAdd(&x3, &x3, &x3)
+	return
 }
 
-// add sets e = a + b by Algorithm 7 of Renes–Costello–Batina for a = 0:
-// twelve products, two products by 3b and nineteen additions, exact for
-// every pair of points including the identity, equal and opposite points.
-// e may alias a or b: every read of them comes before the first write to e.
-func (e *g1x8Proj) add(a, b *g1x8Proj, t *[7]gfPx8) {
-	t0, t1, t2, t3, t4, t5, t6 := &t[0], &t[1], &t[2], &t[3], &t[4], &t[5], &t[6]
-	gfpx8Mul(t0, &a.x, &b.x)
-	gfpx8Mul(t1, &a.y, &b.y)
-	gfpx8Mul(t2, &a.z, &b.z)
-	gfpx8Add(t3, &a.x, &a.y)
-	gfpx8Add(t4, &b.x, &b.y)
-	gfpx8Mul(t3, t3, t4)
-	gfpx8Add(t4, t0, t1)
-	gfpx8Sub(t3, t3, t4) // X1Y2 + X2Y1
-	gfpx8Add(t4, &a.y, &a.z)
-	gfpx8Add(t5, &b.y, &b.z)
-	gfpx8Mul(t4, t4, t5)
-	gfpx8Add(t5, t1, t2)
-	gfpx8Sub(t4, t4, t5) // Y1Z2 + Y2Z1
-	gfpx8Add(t5, &a.x, &a.z)
-	gfpx8Add(t6, &b.x, &b.z)
-	gfpx8Mul(t5, t5, t6)
-	gfpx8Add(t6, t0, t2)
-	gfpx8Sub(t6, t5, t6) // X1Z2 + X2Z1
-	gfpx8Add(t5, t0, t0)
-	gfpx8Add(t0, t5, t0) // 3X1X2
-	gfpx8Mul(t2, t2, &g1B3x8)
-	gfpx8Add(t5, t1, t2) // Z3 until the end
-	gfpx8Sub(t1, t1, t2)
-	gfpx8Mul(t6, t6, &g1B3x8)
-	gfpx8Mul(t2, t4, t6)
-	gfpx8Mul(&e.x, t3, t1)
-	gfpx8Sub(&e.x, &e.x, t2)
-	gfpx8Mul(t6, t6, t0)
-	gfpx8Mul(t1, t1, t5)
-	gfpx8Add(&e.y, t1, t6)
-	gfpx8Mul(t0, t0, t3)
-	gfpx8Mul(t5, t5, t4)
-	gfpx8Add(&e.z, t5, t0)
+// rcbAdd is Algorithm 7 on one pair of points.
+func rcbAdd(x1, y1, z1, x2, y2, z2 *gfP) (x3, y3, z3 gfP) {
+	var t0, t1, t2, t3, t4 gfP
+	gfpMul(&t0, x1, x2)
+	gfpMul(&t1, y1, y2)
+	gfpMul(&t2, z1, z2)
+	gfpAdd(&t3, x1, y1)
+	gfpAdd(&t4, x2, y2)
+	gfpMul(&t3, &t3, &t4)
+	gfpAdd(&t4, &t0, &t1)
+	gfpSub(&t3, &t3, &t4)
+	gfpAdd(&t4, y1, z1)
+	gfpAdd(&x3, y2, z2)
+	gfpMul(&t4, &t4, &x3)
+	gfpAdd(&x3, &t1, &t2)
+	gfpSub(&t4, &t4, &x3)
+	gfpAdd(&x3, x1, z1)
+	gfpAdd(&y3, x2, z2)
+	gfpMul(&x3, &x3, &y3)
+	gfpAdd(&y3, &t0, &t2)
+	gfpSub(&y3, &x3, &y3)
+	gfpAdd(&x3, &t0, &t0)
+	gfpAdd(&t0, &x3, &t0)
+	gfpMul(&t2, &t2, &g1B3)
+	gfpAdd(&z3, &t1, &t2)
+	gfpSub(&t1, &t1, &t2)
+	gfpMul(&y3, &y3, &g1B3)
+	gfpMul(&x3, &t4, &y3)
+	gfpMul(&t2, &t3, &t1)
+	gfpSub(&x3, &t2, &x3)
+	gfpMul(&y3, &y3, &t0)
+	gfpMul(&t1, &t1, &z3)
+	gfpAdd(&y3, &t1, &y3)
+	gfpMul(&t0, &t0, &t3)
+	gfpMul(&z3, &z3, &t4)
+	gfpAdd(&z3, &z3, &t0)
+	return
+}
+
+func g1x8DoubleGeneric(c, a *g1x8Proj) {
+	for i := 0; i < 8; i++ {
+		x, y, z := a.x.lane(i), a.y.lane(i), a.z.lane(i)
+		x3, y3, z3 := rcbDouble(&x, &y, &z)
+		c.x.setLane(i, &x3)
+		c.y.setLane(i, &y3)
+		c.z.setLane(i, &z3)
+	}
+}
+
+func g1x8AddGeneric(c, a, b *g1x8Proj) {
+	for i := 0; i < 8; i++ {
+		x1, y1, z1 := a.x.lane(i), a.y.lane(i), a.z.lane(i)
+		x2, y2, z2 := b.x.lane(i), b.y.lane(i), b.z.lane(i)
+		x3, y3, z3 := rcbAdd(&x1, &y1, &z1, &x2, &y2, &z2)
+		c.x.setLane(i, &x3)
+		c.y.setLane(i, &y3)
+		c.z.setLane(i, &z3)
+	}
 }
 
 // MultiScalarMultLanes sets out[i] = Σₖ ks[i][k]·ps[i][k] for every i, each
@@ -233,9 +253,9 @@ func (w *g1Work) pass(out []*G1, ps [][]*G1, ks [][]*big.Int) {
 		t := &w.tabs[j]
 		for m := 1; m < 8; m++ {
 			if m%2 == 1 { // (m+1)P = 2·((m+1)/2)P
-				t[m].double(&t[(m+1)/2-1], &w.t)
+				g1x8Double(&t[m], &t[(m+1)/2-1])
 			} else { // (m+1)P = mP + P
-				t[m].add(&t[m-1], &t[0], &w.t)
+				g1x8Add(&t[m], &t[m-1], &t[0])
 			}
 			gfpx8Sub(&w.negY[j][m], &zeroFpx8, &t[m].y)
 		}
@@ -249,7 +269,7 @@ func (w *g1Work) pass(out []*G1, ps [][]*G1, ks [][]*big.Int) {
 	for d := top - 1; d >= 0; d-- {
 		if started {
 			for r := 0; r < 4; r++ {
-				w.acc.double(&w.acc, &w.t)
+				g1x8Double(&w.acc, &w.acc)
 			}
 		}
 		for j := 0; j < ladders; j++ {
@@ -263,7 +283,7 @@ func (w *g1Work) pass(out []*G1, ps [][]*G1, ks [][]*big.Int) {
 				continue
 			}
 			w.gather(&w.addend, j, dig)
-			w.acc.add(&w.acc, &w.addend, &w.t)
+			g1x8Add(&w.acc, &w.acc, &w.addend)
 		}
 	}
 
@@ -289,8 +309,6 @@ func (w *g1Work) pass(out []*G1, ps [][]*G1, ks [][]*big.Int) {
 		o.p.z, o.p.t = rOne, rOne
 	}
 }
-
-var zeroFpx8 gfPx8
 
 // decompose sets w.k1 and w.k2 to glvDecompose(k) in the work's own
 // integers, which stop allocating once they have grown.

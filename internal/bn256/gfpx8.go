@@ -125,14 +125,6 @@ func gfpx8MulGeneric(c, a, b *gfPx8) {
 	}
 }
 
-func gfpx8AddGeneric(c, a, b *gfPx8) {
-	for i := 0; i < 8; i++ {
-		x, y := a.lane(i), b.lane(i)
-		gfpAdd(&x, &x, &y)
-		c.setLane(i, &x)
-	}
-}
-
 func gfpx8SubGeneric(c, a, b *gfPx8) {
 	for i := 0; i < 8; i++ {
 		x, y := a.lane(i), b.lane(i)

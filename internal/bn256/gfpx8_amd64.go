@@ -15,9 +15,6 @@ func cpuidIFMA() bool
 func gfpx8Mul(c, a, b *gfPx8)
 
 //go:noescape
-func gfpx8Add(c, a, b *gfPx8)
-
-//go:noescape
 func gfpx8Sub(c, a, b *gfPx8)
 
 //go:noescape
@@ -49,3 +46,9 @@ func gfp6x8MulTauAdd(c, a, b *gfP6x8)
 
 //go:noescape
 func gfp6x8MulSparse2(e, a *gfP6x8, y2, z2 *gfP2x8)
+
+//go:noescape
+func g1x8Double(c, a *g1x8Proj)
+
+//go:noescape
+func g1x8Add(c, a, b *g1x8Proj)

@@ -562,27 +562,6 @@ TEXT ·gfp2x8Sub(SB), NOSPLIT, $0-24
 generic:
 	JMP ·gfp2x8SubGeneric(SB)
 
-// func gfpx8Add(c, a, b *gfPx8)
-//
-// c = a + b in F_p, every lane: for values within the invariant, a + b or
-// a + b − 2p, whichever is in [0, 2p). c may alias a or b.
-TEXT ·gfpx8Add(SB), NOSPLIT, $0-24
-	CMPB ·supportsIFMA(SB), $0
-	JEQ  generic
-
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), CX
-	MOVQ c+0(FP), DI
-	VPBROADCASTQ mask52<>(SB), Z22
-	VPXORQ Z23, Z23, Z23
-	addCoord(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, K1)
-	store5(Z5, Z6, Z7, Z8, Z9, 0, DI)
-	VZEROUPPER
-	RET
-
-generic:
-	JMP ·gfpx8AddGeneric(SB)
-
 // func gfpx8Sub(c, a, b *gfPx8)
 //
 // c = a − b in F_p, every lane: for values within the invariant, a − b or
@@ -1290,6 +1269,271 @@ TEXT ·gfp6x8MulTauAdd(SB), NOSPLIT, $0-24
 
 generic:
 	JMP ·gfp6x8MulTauAddGeneric(SB)
+
+// The G1 point kernels: one complete a = 0 projective doubling and one
+// complete addition (Renes–Costello–Batina, Algorithms 9 and 7) on eight
+// points at a time, a g1x8Proj being three gfPx8, X at 0, Y at 320 and Z
+// at 640. Products are reduced as gfpx8Mul's are, each sum of two products
+// that meets in an output coordinate once (mulRound2), and the linear
+// terms between them are limb-wise sums carried once and brought below 2p
+// by one reduceWide where a product's bound needs it, and not at all where
+// it does not. The multiplications by 3b = 9 and by 8 are shifts and adds
+// of limbs. Temporaries live in a frame, 64-byte aligned in R8.
+
+// clearAcc clears the accumulator a multiplication leaves its product in.
+#define clearAcc() \
+	VPXORQ Z21, Z21, Z21 \
+	VPXORQ Z16, Z16, Z16 \
+	VPXORQ Z17, Z17, Z17 \
+	VPXORQ Z18, Z18, Z18 \
+	VPXORQ Z19, Z19, Z19
+
+// g1Mul stores the product of the values at aoff(abase) and boff(bbase),
+// below 2p, at doff(dbase), five mulRounds as mul1 does, and leaves the
+// accumulator clear. Limbs of both below 2⁵² and their product below
+// 2²⁶⁰·p. mulInit must have run.
+#define g1Mul(aoff, abase, boff, bbase, doff, dbase) \
+	load5(aoff, abase, Z0, Z1, Z2, Z3, Z4)                          \
+	VMOVDQU64 boff+0(bbase), Z29                                    \
+	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z16, Z17, Z18, Z19, Z20, Z21) \
+	VMOVDQU64 boff+64(bbase), Z29                                   \
+	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z17, Z18, Z19, Z20, Z21, Z16) \
+	VMOVDQU64 boff+128(bbase), Z29                                  \
+	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z18, Z19, Z20, Z21, Z16, Z17) \
+	VMOVDQU64 boff+192(bbase), Z29                                  \
+	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z19, Z20, Z21, Z16, Z17, Z18) \
+	VMOVDQU64 boff+256(bbase), Z29                                  \
+	mulRound(Z29, Z0, Z1, Z2, Z3, Z4, Z20, Z21, Z16, Z17, Z18, Z19) \
+	mulFinish()                                                     \
+	store5(Z21, Z16, Z17, Z18, Z19, doff, dbase)                    \
+	clearAcc()
+
+// g1Mul2 stores a·b + c·d, reduced once (mulRound2) and below 2p, at
+// doff(DI): a and c in the frame at aoff and coff, b and d at boff and
+// doff2 in the frame. The sum of the two products must be below 2²⁶⁰·p.
+#define g1Mul2(aoff, boff, coff, doff2, doff) \
+	load5(aoff, R8, Z0, Z1, Z2, Z3, Z4)                                                         \
+	load5(coff, R8, Z5, Z6, Z7, Z8, Z9)                                                         \
+	VMOVDQU64 boff+0(R8), Z29                                                                   \
+	VMOVDQU64 doff2+0(R8), Z30                                                                  \
+	mulRound2(Z29, Z0, Z1, Z2, Z3, Z4, Z30, Z5, Z6, Z7, Z8, Z9, Z16, Z17, Z18, Z19, Z20, Z21) \
+	VMOVDQU64 boff+64(R8), Z29                                                                  \
+	VMOVDQU64 doff2+64(R8), Z30                                                                 \
+	mulRound2(Z29, Z0, Z1, Z2, Z3, Z4, Z30, Z5, Z6, Z7, Z8, Z9, Z17, Z18, Z19, Z20, Z21, Z16) \
+	VMOVDQU64 boff+128(R8), Z29                                                                 \
+	VMOVDQU64 doff2+128(R8), Z30                                                                \
+	mulRound2(Z29, Z0, Z1, Z2, Z3, Z4, Z30, Z5, Z6, Z7, Z8, Z9, Z18, Z19, Z20, Z21, Z16, Z17) \
+	VMOVDQU64 boff+192(R8), Z29                                                                 \
+	VMOVDQU64 doff2+192(R8), Z30                                                                \
+	mulRound2(Z29, Z0, Z1, Z2, Z3, Z4, Z30, Z5, Z6, Z7, Z8, Z9, Z19, Z20, Z21, Z16, Z17, Z18) \
+	VMOVDQU64 boff+256(R8), Z29                                                                 \
+	VMOVDQU64 doff2+256(R8), Z30                                                                \
+	mulRound2(Z29, Z0, Z1, Z2, Z3, Z4, Z30, Z5, Z6, Z7, Z8, Z9, Z20, Z21, Z16, Z17, Z18, Z19) \
+	mulFinish()                                                                                 \
+	store5(Z21, Z16, Z17, Z18, Z19, doff, DI)                                                   \
+	clearAcc()
+
+// g1Reduce carries r, a signed sum of limbs whose value is in
+// [0, 2²⁶²), brings it below 2p (reduceWide) and stores it at off(base).
+// Z10–Z15 are scratch.
+#define g1Reduce(r0, r1, r2, r3, r4, off, base) \
+	normalize(VPSRAQ, r0, r1, r2, r3, r4)                        \
+	reduceWide(r0, r1, r2, r3, r4, Z15, Z10, Z11, Z12, Z13, Z14) \
+	store5(r0, r1, r2, r3, r4, off, base)
+
+// g1Carry carries r, a non-negative sum of limbs, and stores it at
+// off(R8), not reduced.
+#define g1Carry(r0, r1, r2, r3, r4, off) \
+	normalize(VPSRAQ, r0, r1, r2, r3, r4) \
+	store5(r0, r1, r2, r3, r4, off, R8)
+
+// g1Sum2 stores, at doff(R8), the sum of the values at aoff(abase) and
+// boff(bbase), carried and not reduced.
+#define g1Sum2(aoff, abase, boff, bbase, doff) \
+	load5(aoff, abase, Z5, Z6, Z7, Z8, Z9)                          \
+	op5m(VPADDQ, boff, bbase, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9) \
+	g1Carry(Z5, Z6, Z7, Z8, Z9, doff)
+
+// g1Cross sets the value at off(R8), a product (a + b)·(c + d), to
+// ad + bc = (a + b)·(c + d) − ac − bd, with ac and bd at acOff and bdOff:
+// 16p keeps the difference non-negative, and it is reduced below 2p.
+#define g1Cross(off, acOff, bdOff) \
+	load5(off, R8, Z5, Z6, Z7, Z8, Z9)                               \
+	op5m(VPSUBQ, acOff, R8, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)  \
+	op5m(VPSUBQ, bdOff, R8, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)  \
+	addOff(Z5, Z6, Z7, Z8, Z9)                                       \
+	g1Reduce(Z5, Z6, Z7, Z8, Z9, off, R8)
+
+// g1Times9 sets the value at off(R8) to 9 times itself (8x + x, limb
+// shifts and adds), reduced below 2p.
+#define g1Times9(off) \
+	load5(off, R8, Z5, Z6, Z7, Z8, Z9)                                          \
+	op5(VPSLLQ, $3, $3, $3, $3, $3, Z5, Z6, Z7, Z8, Z9, Z24, Z25, Z26, Z27, Z28) \
+	op5(VPADDQ, Z24, Z25, Z26, Z27, Z28, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9) \
+	g1Reduce(Z5, Z6, Z7, Z8, Z9, off, R8)
+
+// The frame of g1x8Double, offsets from R8.
+#define dblXY 0
+#define dblYY 320
+#define dblYZ 640
+#define dblZZ 960
+#define dblY8 1280
+#define dblX 1600
+#define dblY 1920
+
+// func g1x8Double(c, a *g1x8Proj)
+//
+// c = 2a, every lane, by Algorithm 9 with 3b = 9:
+//
+//	X3 = 2·XY·(Y² − 3·3bZ²)
+//	Y3 = 8Y²·3bZ² + (Y² − 3·3bZ²)·(Y² + 3bZ²)
+//	Z3 = 8Y²·YZ
+//
+// in the order of the algorithm: XY, Y², YZ and Z² (four products), 8Y²
+// and 3bZ² (shifts and adds, reduced), X' = 3bZ²·8Y² and Z3 = YZ·8Y²,
+// t = Y² − 3·3bZ² (reduced) and Y' = Y² + 3bZ² (below 4p, not reduced),
+// Y3 = X' + t·Y' and X3 = 2·t·XY, the two reduced. Eight products where the
+// composed formula takes nine. Inputs within the invariant; every read of
+// a comes before the first write to c, so c may alias a.
+TEXT ·g1x8Double(SB), 0, $2304-16
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ SP, R8
+	ADDQ $63, R8
+	ANDQ $~63, R8
+	MOVQ a+8(FP), SI
+	MOVQ c+0(FP), DI
+	mulInit()
+
+	g1Mul(0, SI, 320, SI, dblXY, R8)
+	g1Mul(320, SI, 320, SI, dblYY, R8)
+	g1Mul(320, SI, 640, SI, dblYZ, R8)
+	g1Mul(640, SI, 640, SI, dblZZ, R8)
+
+	// 8Y² and 3bZ², reduced.
+	load5(dblYY, R8, Z5, Z6, Z7, Z8, Z9)
+	op5(VPSLLQ, $3, $3, $3, $3, $3, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	g1Reduce(Z5, Z6, Z7, Z8, Z9, dblY8, R8)
+	g1Times9(dblZZ)
+
+	g1Mul(dblZZ, R8, dblY8, R8, dblX, R8)
+	g1Mul(dblYZ, R8, dblY8, R8, 640, DI)
+
+	// Y' = Y² + 3bZ², below 4p; t = Y² − 3·3bZ² + 16p, reduced.
+	load5(dblYY, R8, Z5, Z6, Z7, Z8, Z9)
+	load5(dblZZ, R8, Z24, Z25, Z26, Z27, Z28)
+	op5(VPADDQ, Z24, Z25, Z26, Z27, Z28, Z5, Z6, Z7, Z8, Z9, Z0, Z1, Z2, Z3, Z4)
+	g1Carry(Z0, Z1, Z2, Z3, Z4, dblY)
+	times3(Z24, Z25, Z26, Z27, Z28, Z0, Z1, Z2, Z3, Z4)
+	op5(VPSUBQ, Z24, Z25, Z26, Z27, Z28, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	addOff(Z5, Z6, Z7, Z8, Z9)
+	g1Reduce(Z5, Z6, Z7, Z8, Z9, dblYY, R8)
+
+	// Y3 = X' + t·Y', X3 = 2·t·XY.
+	g1Mul(dblYY, R8, dblY, R8, dblY, R8)
+	load5(dblX, R8, Z5, Z6, Z7, Z8, Z9)
+	op5m(VPADDQ, dblY, R8, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	g1Reduce(Z5, Z6, Z7, Z8, Z9, 320, DI)
+	g1Mul(dblYY, R8, dblXY, R8, dblX, R8)
+	load5(dblX, R8, Z5, Z6, Z7, Z8, Z9)
+	op5(VPADDQ, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	g1Reduce(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	VZEROUPPER
+	RET
+
+generic:
+	RET ·g1x8DoubleGeneric(SB)
+
+// The frame of g1x8Add, offsets from R8.
+#define addXX 0
+#define addYY 320
+#define addZZ 640
+#define addXY 960
+#define addYZ 1280
+#define addXZ 1600
+#define addZ 1920
+#define addN 2240
+#define addS1 2560
+#define addS2 2880
+
+// func g1x8Add(c, a, b *g1x8Proj)
+//
+// c = a + b, every lane, by Algorithm 7 with 3b = 9:
+//
+//	X3 = XY·(YY − 3bZZ) − YZ·3bXZ
+//	Y3 = (YY − 3bZZ)·(YY + 3bZZ) + 3bXZ·3XX
+//	Z3 = (YY + 3bZZ)·YZ + 3XX·XY
+//
+// with XX = X1X2, YY = Y1Y2, ZZ = Z1Z2 and the cross terms XY = X1Y2 +
+// X2Y1 = (X1 + Y1)(X2 + Y2) − XX − YY, YZ and XZ the same way: six
+// products, then the three outputs, each a sum of two products reduced once
+// (g1Mul2, twelve products in all where the composed formula takes
+// fourteen). Bounds: the cross sums are below 4p and each cross term is
+// reduced; 3XX, 3bZZ and 3bXZ are reduced; YY + 3bZZ and
+// YY − 3bZZ + 2p are below 4p, not reduced, and 2p − YZ is at most 2p; so
+// the three output sums are below 12p², 20p² and 12p², below 2²⁶⁰·p.
+// Inputs within the invariant; every read of a and b comes before the first
+// write to c, so c may alias either.
+TEXT ·g1x8Add(SB), 0, $3264-24
+	CMPB ·supportsIFMA(SB), $0
+	JEQ  generic
+
+	MOVQ SP, R8
+	ADDQ $63, R8
+	ANDQ $~63, R8
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), CX
+	MOVQ c+0(FP), DI
+	mulInit()
+
+	g1Mul(0, SI, 0, CX, addXX, R8)
+	g1Mul(320, SI, 320, CX, addYY, R8)
+	g1Mul(640, SI, 640, CX, addZZ, R8)
+
+	g1Sum2(0, SI, 320, SI, addS1)
+	g1Sum2(0, CX, 320, CX, addS2)
+	g1Mul(addS1, R8, addS2, R8, addXY, R8)
+	g1Sum2(320, SI, 640, SI, addS1)
+	g1Sum2(320, CX, 640, CX, addS2)
+	g1Mul(addS1, R8, addS2, R8, addYZ, R8)
+	g1Sum2(0, SI, 640, SI, addS1)
+	g1Sum2(0, CX, 640, CX, addS2)
+	g1Mul(addS1, R8, addS2, R8, addXZ, R8)
+	g1Cross(addXY, addXX, addYY)
+	g1Cross(addYZ, addYY, addZZ)
+	g1Cross(addXZ, addXX, addZZ)
+
+	// 3XX, 3bZZ and 3bXZ, reduced; YY + 3bZZ and YY − 3bZZ + 2p, and
+	// 2p − YZ, carried.
+	load5(addXX, R8, Z5, Z6, Z7, Z8, Z9)
+	times3(Z5, Z6, Z7, Z8, Z9, Z0, Z1, Z2, Z3, Z4)
+	g1Reduce(Z5, Z6, Z7, Z8, Z9, addXX, R8)
+	g1Times9(addZZ)
+	g1Times9(addXZ)
+	load5(addYY, R8, Z5, Z6, Z7, Z8, Z9)
+	load5(addZZ, R8, Z24, Z25, Z26, Z27, Z28)
+	op5(VPADDQ, Z24, Z25, Z26, Z27, Z28, Z5, Z6, Z7, Z8, Z9, Z0, Z1, Z2, Z3, Z4)
+	g1Carry(Z0, Z1, Z2, Z3, Z4, addZ)
+	op5(VPSUBQ, Z24, Z25, Z26, Z27, Z28, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	addConst(twoP52, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	g1Carry(Z5, Z6, Z7, Z8, Z9, addYY)
+	VPBROADCASTQ twoP52<>+0(SB), Z5
+	VPBROADCASTQ twoP52<>+8(SB), Z6
+	VPBROADCASTQ twoP52<>+16(SB), Z7
+	VPBROADCASTQ twoP52<>+24(SB), Z8
+	VPBROADCASTQ twoP52<>+32(SB), Z9
+	op5m(VPSUBQ, addYZ, R8, Z5, Z6, Z7, Z8, Z9, Z5, Z6, Z7, Z8, Z9)
+	g1Carry(Z5, Z6, Z7, Z8, Z9, addN)
+
+	g1Mul2(addXY, addYY, addN, addXZ, 0)
+	g1Mul2(addYY, addZ, addXZ, addXX, 320)
+	g1Mul2(addZ, addYZ, addXX, addXY, 640)
+	VZEROUPPER
+	RET
+
+generic:
+	RET ·g1x8AddGeneric(SB)
 
 // func cpuidIFMA() bool
 //

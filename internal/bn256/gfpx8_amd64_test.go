@@ -86,9 +86,8 @@ func TestKernelConstants(t *testing.T) {
 // TestLanesWithoutIFMA masks the feature bit, as TestGfpMulWithoutMULXADX
 // does for the field kernel: PackG1Lanes and G1LanesPay then decline
 // whatever the length, which is what sends sgs down its scalar loops, and
-// each kernel's exit for
-// older CPUs — the tail jump from assembly into its Generic twin — is
-// taken and agrees with the references.
+// each kernel's exit for older CPUs — the tail jump from assembly into its
+// Generic twin — is taken and agrees with the references.
 func TestLanesWithoutIFMA(t *testing.T) {
 	defer func(v bool) { supportsIFMA = v }(supportsIFMA)
 	supportsIFMA = false

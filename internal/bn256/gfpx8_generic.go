@@ -7,7 +7,6 @@ package bn256
 const supportsIFMA = false
 
 func gfpx8Mul(c, a, b *gfPx8)   { gfpx8MulGeneric(c, a, b) }
-func gfpx8Add(c, a, b *gfPx8)   { gfpx8AddGeneric(c, a, b) }
 func gfpx8Sub(c, a, b *gfPx8)   { gfpx8SubGeneric(c, a, b) }
 func gfp2x8Mul(c, a, b *gfP2x8) { gfp2x8MulGeneric(c, a, b) }
 func gfp2x8Square(c, a *gfP2x8) { gfp2x8SquareGeneric(c, a) }
@@ -24,3 +23,6 @@ func gfp6x8SubSub(c, a, b, d *gfP6x8) { gfp6x8SubSubGeneric(c, a, b, d) }
 func gfp6x8MulTauAdd(c, a, b *gfP6x8) { gfp6x8MulTauAddGeneric(c, a, b) }
 
 func gfp6x8MulSparse2(e, a *gfP6x8, y2, z2 *gfP2x8) { gfp6x8MulSparse2Generic(e, a, y2, z2) }
+
+func g1x8Double(c, a *g1x8Proj) { g1x8DoubleGeneric(c, a) }
+func g1x8Add(c, a, b *g1x8Proj) { g1x8AddGeneric(c, a, b) }

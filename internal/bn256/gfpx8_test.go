@@ -142,6 +142,48 @@ func cycloOp(xi bool) x8Op {
 	}
 }
 
+// asPoint returns the g1x8Proj whose X and Y are e[0] and whose Z is e[1].x:
+// a point is two F_p² slots of an op, the last coordinate unused. The
+// kernel wrappers clear it in their result, which a point kernel does not
+// write.
+func asPoint(e []*gfP2x8, j int) *g1x8Proj { return (*g1x8Proj)(unsafe.Pointer(e[j])) }
+
+func g1x8Pad(c []*gfP2x8) {
+	(*[2]gfP2x8)(unsafe.Pointer(c[0]))[1].y = gfPx8{}
+}
+
+// rcbRef evaluates Algorithm 9 (b nil) or Algorithm 7 on one lane's
+// coordinates, a point being two F_p² values (X, Y) and (Z, unused).
+func rcbRef(a, b []*refGfP2) [][]*refGfP2 {
+	f := func(v *big.Int) *big.Int { return v.Mod(v, P) }
+	mul := func(x, y *big.Int) *big.Int { return f(new(big.Int).Mul(x, y)) }
+	add := func(x, y *big.Int) *big.Int { return f(new(big.Int).Add(x, y)) }
+	sub := func(x, y *big.Int) *big.Int { return f(new(big.Int).Sub(x, y)) }
+	b3 := big.NewInt(9)
+	x1, y1, z1 := a[0].x, a[0].y, a[1].x
+	var x3, y3, z3 *big.Int
+	if b == nil {
+		t0 := mul(y1, y1)
+		y8 := mul(big.NewInt(8), t0)
+		t2 := mul(b3, mul(z1, z1))
+		u := sub(t0, mul(big.NewInt(3), t2))
+		x3 = mul(big.NewInt(2), mul(u, mul(x1, y1)))
+		y3 = add(mul(y8, t2), mul(u, add(t0, t2)))
+		z3 = mul(y8, mul(y1, z1))
+	} else {
+		x2, y2, z2 := b[0].x, b[0].y, b[1].x
+		xx, yy, zz := mul(x1, x2), mul(y1, y2), mul(z1, z2)
+		xy := sub(mul(add(x1, y1), add(x2, y2)), add(xx, yy))
+		yz := sub(mul(add(y1, z1), add(y2, z2)), add(yy, zz))
+		xz := sub(mul(add(x1, z1), add(x2, z2)), add(xx, zz))
+		zz, xz, xx = mul(b3, zz), mul(b3, xz), mul(big.NewInt(3), xx)
+		x3 = sub(mul(xy, sub(yy, zz)), mul(yz, xz))
+		y3 = add(mul(sub(yy, zz), add(yy, zz)), mul(xz, xx))
+		z3 = add(mul(add(yy, zz), yz), mul(xx, xy))
+	}
+	return [][]*refGfP2{{{x: x3, y: y3}, {x: z3, y: new(big.Int)}}}
+}
+
 var x8Ops = []x8Op{
 	{
 		name: "gfpx8Mul", ins: []int{1, 1}, outs: []int{1}, // on both coordinates: x·x and y·y
@@ -156,21 +198,6 @@ var x8Ops = []x8Op{
 		ref: func(a [][]*refGfP2) [][]*refGfP2 {
 			x, y := a[0][0], a[1][0]
 			return one(&refGfP2{x: x8Mod(bigMul(x.x, y.x)), y: x8Mod(bigMul(x.y, y.y))})
-		},
-	},
-	{
-		name: "gfpx8Add", ins: []int{1, 1}, outs: []int{1}, // x + x and y + y
-		kernel: func(c, a []*gfP2x8) {
-			gfpx8Add(&c[0].x, &a[0].x, &a[1].x)
-			gfpx8Add(&c[0].y, &a[0].y, &a[1].y)
-		},
-		generic: func(c, a []*gfP2x8) {
-			gfpx8AddGeneric(&c[0].x, &a[0].x, &a[1].x)
-			gfpx8AddGeneric(&c[0].y, &a[0].y, &a[1].y)
-		},
-		ref: func(a [][]*refGfP2) [][]*refGfP2 {
-			x, y := a[0][0], a[1][0]
-			return one(&refGfP2{x: x8Mod(new(big.Int).Add(x.x, y.x)), y: x8Mod(new(big.Int).Add(x.y, y.y))})
 		},
 	},
 	{
@@ -217,6 +244,18 @@ var x8Ops = []x8Op{
 		kernel:  func(c, a []*gfP2x8) { gfp2x8MulXi(c[0], a[0]) },
 		generic: func(c, a []*gfP2x8) { gfp2x8MulXiGeneric(c[0], a[0]) },
 		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return one(newRefGFp2().MulXi(a[0][0])) },
+	},
+	{
+		name: "g1x8Double", ins: []int{2}, outs: []int{2},
+		kernel:  func(c, a []*gfP2x8) { g1x8Double(asPoint(c, 0), asPoint(a, 0)); g1x8Pad(c) },
+		generic: func(c, a []*gfP2x8) { g1x8DoubleGeneric(asPoint(c, 0), asPoint(a, 0)); g1x8Pad(c) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return rcbRef(a[0], nil) },
+	},
+	{
+		name: "g1x8Add", ins: []int{2, 2}, outs: []int{2},
+		kernel:  func(c, a []*gfP2x8) { g1x8Add(asPoint(c, 0), asPoint(a, 0), asPoint(a, 1)); g1x8Pad(c) },
+		generic: func(c, a []*gfP2x8) { g1x8AddGeneric(asPoint(c, 0), asPoint(a, 0), asPoint(a, 1)); g1x8Pad(c) },
+		ref:     func(a [][]*refGfP2) [][]*refGfP2 { return rcbRef(a[0], a[1]) },
 	},
 	cycloOp(false),
 	cycloOp(true),

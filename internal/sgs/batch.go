@@ -31,12 +31,14 @@ type BatchItem struct {
 // simultaneously with a shared squaring chain and share one final
 // exponentiation.
 //
-// With per-message generators, v = g1^b collapses the v-terms into the
-// fixed-base table of g1 (v^{−s_δ} = g1^{−b·s_δ}); with fixed generators
-// the Verifier holds dedicated window tables for u and v. Either way each
-// signature costs 4 G1 multi-exponentiations and 2 pairings — against the
-// paper's 6 exponentiations and 3 pairings — and the batch path spreads
-// the work across all CPUs. It is the package's only Eq.2: the free
+// With per-message generators, v = g1^b collapses the v-terms into powers
+// of g1 (v^{−s_δ} = g1^{−b·s_δ}); with fixed generators the Verifier holds
+// u and v and their window tables. Either way each signature costs 4 G1
+// multi-exponentiations and 2 pairings — against the paper's 6
+// exponentiations and 3 pairings — and the batch path spreads the work
+// across all CPUs. The multi-exponentiations of a group, four to a
+// signature, go eight to a pass of the lane kernels
+// (bn256.MultiScalarMultLanes) where the CPU has them. It is the package's only Eq.2: the free
 // functions Verify and VerifyWithRevocation run on the key's own Verifier.
 //
 // A Verifier is safe for concurrent use.
@@ -110,7 +112,8 @@ func (v *Verifier) VerifyCounted(msg []byte, sig *Signature) (OpCounts, error) {
 // comparison, and what a group shares is the pass of the lane-parallel
 // tower (bn256.PairProductLanes) that computes up to bn256.Lanes of those
 // R̃2 at once — one squaring chain and one final exponentiation for eight
-// pairing products. A bad signature therefore costs what a good one does,
+// pairing products — and the lane passes of its G1 sums, one doubling chain
+// for eight. A bad signature therefore costs what a good one does,
 // is attributed directly, and leaves its neighbours' verdicts alone.
 func (v *Verifier) VerifyGroup(items []BatchItem) []error {
 	errs := make([]error, len(items))

@@ -51,10 +51,11 @@ func BenchmarkVerify(b *testing.B) {
 }
 
 // BenchmarkVerifyGroup8 is one full group through Verifier.VerifyGroup on
-// one goroutine — eight wire-decoded signatures, eight scalar prepares, one
-// lane pass for the eight pairing products, eight challenge hashes — and
-// reports the time per signature next to what Verifier.Verify costs the
-// same signature alone (BenchmarkVerify times the same through Verify).
+// one goroutine — eight wire-decoded signatures, four lane passes for their
+// 32 G1 sums, one lane pass for the eight pairing products, eight challenge
+// hashes — and reports the time per signature next to what Verifier.Verify
+// costs the same signature alone (BenchmarkVerify times the same through
+// Verify).
 func BenchmarkVerifyGroup8(b *testing.B) {
 	pk, keys := benchSetup(b, 2)
 	items := make([]BatchItem, 8)

@@ -53,10 +53,12 @@
 // Eq.2, and the Verifier (batch.go), which routers use: one implementation,
 // verifyGroup, in three steps — the G1 side of a signature (4
 // multi-exponentiations), the pairing product R̃2 = e(A, g2)·e(B, w) against
-// two prepared G2 points, the challenge comparison. Only the middle step
-// looks at how many signatures there are: two or more go through one pass of
-// the lane-parallel tower, eight R̃2 to a pass; one, or any number where the
-// CPU lacks the kernels, through MillerCombined and Finalize each. That is
+// two prepared G2 points, the challenge comparison. The first two look at
+// how many signatures there are: the G1 sums go to bn256's lane kernels
+// eight to a pass (two signatures fill one) from a lone signature on, and
+// the pairing products go through one pass of the lane-parallel tower from
+// two signatures on, eight R̃2 to a pass; where the CPU lacks the kernels
+// every sum and product is computed on the scalar tower one at a time. That is
 // SIMD over independent signatures, not aggregation — every challenge still
 // binds its own R̃2, so every slot keeps its own verdict, the verdict it
 // would get alone. Verify, VerifyGroup, BatchVerify and the router's M.2
