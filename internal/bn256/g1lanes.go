@@ -22,23 +22,6 @@ import (
 // gfpx8_amd64.s), eight and twelve products with the linear terms between
 // them reduced only where a product's bound needs it.
 
-// g1LaneBreakEven is the number of sums from which one pass
-// (MultiScalarMultLanes) is cheaper than computing each by the scalar
-// tower: a pass costs the same whatever the number of occupied lanes, and
-// on the IFMA kernels a pass of two-term sums costs what two such sums do
-// there (see DESIGN §3b for the measurement). It sits next to
-// laneBreakEven, the pairing passes' rule, and like it decides for the
-// lone signature too.
-const g1LaneBreakEven = 2
-
-// G1LanesPay reports whether MultiScalarMultLanes computes n sums faster
-// than the scalar tower does: on a CPU with AVX-512 IFMA, in a build with
-// the kernels, and from g1LaneBreakEven sums on. It is the one rule that
-// selects the lanes for G1.
-func G1LanesPay(n int) bool {
-	return supportsIFMA && n >= g1LaneBreakEven
-}
-
 // g1x8Proj is eight G1 points in homogeneous projective coordinates
 // (X : Y : Z), the affine point being (X/Z, Y/Z) and the identity
 // (0 : 1 : 0).
@@ -236,7 +219,7 @@ func (w *g1Work) pass(out []*G1, ps [][]*G1, ks [][]*big.Int) {
 			base[1] = base[0]
 			gfpMul(&base[1].x, &base[1].x, &g.betaGfP)
 			w.k.Mod(ks[i][k], Order)
-			w.decompose(&w.k)
+			glvDecomposeInto(&w.k1, &w.k2, &w.k, &w.tmp)
 			for h, s := range [2]*big.Int{&w.k1, &w.k2} {
 				if s.Sign() < 0 {
 					gfpNeg(&base[h].y, &base[h].y)
@@ -309,36 +292,6 @@ func (w *g1Work) pass(out []*G1, ps [][]*G1, ks [][]*big.Int) {
 		o.p.z, o.p.t = rOne, rOne
 	}
 }
-
-// decompose sets w.k1 and w.k2 to glvDecompose(k) in the work's own
-// integers, which stop allocating once they have grown.
-func (w *g1Work) decompose(k *big.Int) {
-	g := glv()
-	c1, c2, t := &w.tmp[0], &w.tmp[1], &w.tmp[2]
-	roundedDivInto(c1, &w.k1, t.Mul(g.b2, k))
-	t.Mul(g.b1, k)
-	roundedDivInto(c2, &w.k1, t.Neg(t))
-	w.k1.Sub(k, t.Mul(c1, g.a1))
-	w.k1.Sub(&w.k1, t.Mul(c2, g.a2))
-	w.k2.Mul(c1, g.b1)
-	w.k2.Neg(&w.k2)
-	w.k2.Sub(&w.k2, t.Mul(c2, g.b2))
-}
-
-// roundedDivInto sets q to roundedDiv(x, Order), with r as scratch.
-func roundedDivInto(q, r, x *big.Int) {
-	q.QuoRem(x, Order, r)
-	r.Lsh(r, 1)
-	if r.CmpAbs(Order) >= 0 {
-		if r.Sign() > 0 {
-			q.Add(q, bigOne)
-		} else {
-			q.Sub(q, bigOne)
-		}
-	}
-}
-
-var bigOne = big.NewInt(1)
 
 // setBase stores p, homogeneous (nil for the identity), as lane i of ladder
 // j's first table entry.

@@ -95,30 +95,47 @@ func computeGLVConstants() *glvConstants {
 // roundedDiv returns the nearest integer to x/n for n > 0 (ties away from
 // zero).
 func roundedDiv(x, n *big.Int) *big.Int {
-	q, r := new(big.Int).QuoRem(x, n, new(big.Int))
+	q := new(big.Int)
+	roundedDivInto(q, new(big.Int), x, n)
+	return q
+}
+
+// roundedDivInto sets q to roundedDiv(x, n), with r as scratch.
+func roundedDivInto(q, r, x, n *big.Int) {
+	q.QuoRem(x, n, r)
 	r.Lsh(r, 1)
 	switch {
 	case r.CmpAbs(n) >= 0 && r.Sign() > 0:
-		q.Add(q, big.NewInt(1))
+		q.Add(q, bigOne)
 	case r.CmpAbs(n) >= 0 && r.Sign() < 0:
-		q.Sub(q, big.NewInt(1))
+		q.Sub(q, bigOne)
 	}
-	return q
 }
+
+var bigOne = big.NewInt(1)
 
 // glvDecompose splits 0 ≤ k < n into (k1, k2) with k ≡ k1 + k2·λ (mod n)
 // and |k1|, |k2| = O(√n), by Babai rounding against the short basis.
 func glvDecompose(k *big.Int) (*big.Int, *big.Int) {
-	g := glv()
-	c1 := roundedDiv(new(big.Int).Mul(g.b2, k), Order)
-	c2 := roundedDiv(new(big.Int).Neg(new(big.Int).Mul(g.b1, k)), Order)
-
-	k1 := new(big.Int).Set(k)
-	k1.Sub(k1, new(big.Int).Mul(c1, g.a1))
-	k1.Sub(k1, new(big.Int).Mul(c2, g.a2))
-	k2 := new(big.Int).Neg(new(big.Int).Mul(c1, g.b1))
-	k2.Sub(k2, new(big.Int).Mul(c2, g.b2))
+	k1, k2 := new(big.Int), new(big.Int)
+	glvDecomposeInto(k1, k2, k, new([3]big.Int))
 	return k1, k2
+}
+
+// glvDecomposeInto is glvDecompose into k1 and k2, which must not be k,
+// with tmp as scratch: it allocates nothing once they have grown.
+func glvDecomposeInto(k1, k2, k *big.Int, tmp *[3]big.Int) {
+	g := glv()
+	c1, c2, t := &tmp[0], &tmp[1], &tmp[2]
+	roundedDivInto(c1, k1, t.Mul(g.b2, k), Order)
+	t.Mul(g.b1, k)
+	roundedDivInto(c2, k1, t.Neg(t), Order)
+
+	k1.Sub(k, t.Mul(c1, g.a1))
+	k1.Sub(k1, t.Mul(c2, g.a2))
+	k2.Mul(c1, g.b1)
+	k2.Neg(k2)
+	k2.Sub(k2, t.Mul(c2, g.b2))
 }
 
 // mulGLV computes c = k·a via the endomorphism split: two half-length

@@ -22,6 +22,15 @@ const Lanes = 8
 // runs, 2-vCPU IFMA host).
 const laneBreakEven = 2
 
+// g1LaneBreakEven is the number of G1 sums from which one pass
+// (MultiScalarMultLanes) is cheaper than computing each on the scalar
+// tower. A pass costs the same whatever the number of occupied lanes: on
+// the IFMA kernels a pass of two-term sums took 0.20–0.25 ms, where one
+// two-term sum by MultiScalarMult took 0.135–0.16 ms (BenchmarkG1MulLanes8,
+// three runs, 2-vCPU IFMA host), so two sums break even and a lone
+// signature's four, half a pass, already gain.
+const g1LaneBreakEven = 2
+
 // G1Lanes is a list of G1 points laid out for PairProductLanes: affine
 // coordinates in lane form, eight points to a chunk. It is immutable and
 // safe for concurrent use.
@@ -49,6 +58,14 @@ func PackG1Lanes(points []*G1) *G1Lanes {
 		return nil
 	}
 	return packG1Lanes(points)
+}
+
+// G1LanesPay reports whether MultiScalarMultLanes computes n sums faster
+// than the scalar tower does: on a CPU with AVX-512 IFMA, in a build with
+// the kernels, and from g1LaneBreakEven sums on. It is the one rule that
+// selects the lanes for G1.
+func G1LanesPay(n int) bool {
+	return supportsIFMA && n >= g1LaneBreakEven
 }
 
 func packG1Lanes(points []*G1) *G1Lanes {

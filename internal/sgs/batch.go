@@ -38,8 +38,9 @@ type BatchItem struct {
 // exponentiations and 3 pairings — and the batch path spreads the work
 // across all CPUs. The multi-exponentiations of a group, four to a
 // signature, go eight to a pass of the lane kernels
-// (bn256.MultiScalarMultLanes) where the CPU has them. It is the package's only Eq.2: the free
-// functions Verify and VerifyWithRevocation run on the key's own Verifier.
+// (bn256.MultiScalarMultLanes) where the CPU has them. It is the package's
+// only Eq.2: the free functions Verify and VerifyWithRevocation run on the
+// key's own Verifier.
 //
 // A Verifier is safe for concurrent use.
 type Verifier struct {
@@ -128,11 +129,10 @@ func (v *Verifier) verifyOne(msg []byte, sig *Signature, ct counter) error {
 	return err[0]
 }
 
-// verifyGroup is the verifier: Eq.2 in three steps, of which the first and
-// the last run a signature at a time and the pairing step in the middle is
-// the only one that looks at the size of the group — with the G1 sums at
-// the end of the first, which go to the lanes as a group too. errs has a
-// slot per item.
+// verifyGroup is the verifier: Eq.2 in three steps. The first and the last
+// run a signature at a time, but for the G1 sums that end the first, which
+// the group computes in one call; the pairing step in the middle takes the
+// group at once. errs has a slot per item.
 func (v *Verifier) verifyGroup(items []BatchItem, errs []error, ct counter) {
 	// Step 1, per signature: shape check, bases and exponents of the eight
 	// G1 exponentiations that give R̃1, R̃3 and the G1 sides A, B of the

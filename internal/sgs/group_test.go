@@ -284,6 +284,9 @@ func TestVerifyGroupAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times a dozen groups of eight")
 	}
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
 	s := newTestSetup(t, 2)
 	ver := NewVerifier(s.pk)
 	items := signedItems(t, s, bn256.Lanes)
