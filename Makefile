@@ -14,6 +14,11 @@ BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|
 # runs repeat them cheaply.
 TRANSPORT_STEP_TESTS = ^Test(DispatchGateMatrix|DispatchCorruptEscrow|ResumeExpiryBoundary|HandoffAnnouncedAfterFlush|DrainWaitsForAnnouncement|AccessGroupOneFlush|DrainWaitsForAccessReply|ClientStepMatrix)$$
 
+# The ingest queue's share rule, stepped with no drainer, and a group's
+# key pass, driven through handleGroup on the test's goroutine; the race
+# runs repeat them as they repeat the transport's steps.
+CORE_STEP_TESTS = ^Test(IngestFillsLanes|DHPassOnlySurvivors)$$
+
 .PHONY: all build test race bench bench-smoke experiments examples vet fmt cover clean ci fuzz staticcheck metrics-lint harness-lint meshd-loopback meshd-drill chaos-soak restart-soak metro-soak attack-soak
 
 all: build test
@@ -174,6 +179,7 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/sgs/ ./internal/transport/ ./internal/transport/batchio/ ./internal/bn256/ ./internal/chaos/ ./internal/backbone/ ./internal/metrics/ ./internal/puzzle/ ./internal/revocation/ ./internal/symcrypto/
 	$(GO) test -race -count=10 ./internal/backbone/ -run='$(BACKBONE_PLANE_TESTS)'
 	$(GO) test -race -count=20 ./internal/transport/ -run='$(TRANSPORT_STEP_TESTS)'
+	$(GO) test -race -count=20 ./internal/core/ -run='$(CORE_STEP_TESTS)'
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -207,13 +213,16 @@ bench:
 # PrepareG2 and MillerCombined2, and the verifier's G1 side
 # (G1MulLanes8, one pass of eight two-term sums against eight
 # MultiScalarMults). Then the G2 primitives (hash-to-G2, a GLS
-# exponentiation, a decode with the ψ subgroup test) and Sign, 200
+# exponentiation, a decode with the ψ subgroup test) and Sign (with its
+# allocations: it runs the scalar G1 multiplications), 200
 # iterations each. Then, at one and two CPUs, the 16-token sweep of one
 # signature (Sweep16), the same sweep for a verified group of eight with
 # its set-up shared (SweepGroup8, against the eight alone), a group of eight
 # signatures through one verify lane pass against one signature alone
-# (VerifyGroup8), and the router's whole M.2 path per request for 1, 8, 16
-# and 32 wire-decoded requests against a 16-token URL, and
+# (VerifyGroup8), the router's whole M.2 path per request for 1, 8, 16
+# and 32 wire-decoded requests against a 16-token URL, the same path for
+# 64 requests through a started ingest queue with 32 outstanding
+# (IngestBurst, which also prints the mean group its drainers cut), and
 # TestVerifyGroupAllocs, which holds a group of eight to its allocation
 # ceiling. Last the backbone: one tick of a
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
@@ -227,9 +236,10 @@ bench-smoke:
 	$(GO) test ./internal/bn256/ ./internal/sgs/ -run='^$$' -bench=. -benchtime=1x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(PairLanes8|CyclotomicSquareLanes8|FinalExpLanes8|PreparedMiller|FinalExponentiation|PrepareG2Lanes8|PrepareG2|MillerLanes2|MillerCombined2|G1MulLanes8)$$' -benchtime=200x
 	$(GO) test ./internal/bn256/ -run='^$$' -bench='^Benchmark(HashToG2|G2ScalarMult|G2Unmarshal)$$' -benchtime=200x
-	$(GO) test ./internal/sgs/ -run='^$$' -bench='^BenchmarkSign$$' -benchtime=200x
+	$(GO) test ./internal/sgs/ -run='^$$' -bench='^BenchmarkSign$$' -benchmem -benchtime=200x
 	$(GO) test ./internal/sgs/ -run='^$$' -bench='^Benchmark(Sweep16|SweepGroup8|VerifyGroup8)$$' -cpu 1,2 -benchtime=50x
 	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkHandleM2Batch$$' -cpu 1,2 -benchtime=10x
+	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkIngestBurst$$' -cpu 1,2 -benchtime=10x
 	$(GO) test ./internal/sgs/ -run='^TestVerifyGroupAllocs$$' -v -count=1
 	$(GO) test ./internal/backbone/ -run='^$$' -bench='^Benchmark(NodeTick|LinkUp)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/backbone/ -run='^TestHandoffAdoptedAllocs$$' -v -count=1

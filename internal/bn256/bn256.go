@@ -112,9 +112,10 @@ func (e *G1) MultiScalarMult(as []*G1, ks []*big.Int) *G1 {
 	if e.p == nil {
 		e.p = newCurvePoint()
 	}
-	pts := make([]*curvePoint, len(as))
-	for i, a := range as {
-		pts[i] = a.p
+	var buf [4]*curvePoint // the verifier's sums have at most three bases
+	pts := buf[:0]
+	for _, a := range as {
+		pts = append(pts, a.p)
 	}
 	e.p.mulGLVSum(pts, ks)
 	return e

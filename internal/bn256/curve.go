@@ -1,7 +1,6 @@
 package bn256
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -193,17 +192,26 @@ func (c *curvePoint) Double(a *curvePoint) *curvePoint {
 // multiples are needed) and cuts the expected addition count to one per
 // w+1 bits. Shared by the limb and reference cores.
 func wnafDigits(k *big.Int, w uint) []int8 {
-	// k as little-endian 64-bit words, with a spare word for the carry a
+	return appendWNAF(make([]int8, 0, k.BitLen()+1), k, w)
+}
+
+// appendWNAF is wnafDigits appending to out: with room in out for
+// k.BitLen()+1 digits and k below 2³²⁰ it allocates nothing.
+func appendWNAF(out []int8, k *big.Int, w uint) []int8 {
+	// |k| as little-endian 64-bit words, with a spare word for the carry a
 	// negative digit pushes up.
 	n := k.BitLen()/64 + 2
-	buf := k.FillBytes(make([]byte, 8*n))
-	d := make([]uint64, n)
-	for i := range d {
-		d[i] = binary.BigEndian.Uint64(buf[8*(n-1-i):])
+	var words [6]uint64
+	d := words[:]
+	if n > len(words) {
+		d = make([]uint64, n)
+	}
+	d = d[:n]
+	for i, x := range k.Bits() {
+		d[i*bits.UintSize/64] |= uint64(x) << (i * bits.UintSize % 64)
 	}
 	mask := uint64(1)<<w - 1
 	half := int64(1) << (w - 1)
-	out := make([]int8, 0, k.BitLen()+1)
 	for top := n - 1; ; {
 		for top >= 0 && d[top] == 0 {
 			top--
@@ -244,7 +252,9 @@ func wnafDigits(k *big.Int, w uint) []int8 {
 // through the GLV endomorphism split in mulGLV — E(F_p) has prime order,
 // so the decomposition is valid for every point and every k. Short scalars
 // use width-5 wNAF (odd-multiple table of 8 points, one addition per ~6
-// bits). mulGeneric remains as the cross-check reference for tests.
+// bits). mulGeneric remains as the cross-check reference for tests. The
+// tables and digits live on the stack or in mulGLV's pooled scratch, so a
+// non-negative k costs no allocation.
 func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
 	if k.Sign() < 0 {
 		neg := newCurvePoint().Negative(a)
@@ -259,27 +269,32 @@ func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
 	}
 
 	// odd[i] = (2i+1)·a for i in 0..7.
-	var odd [8]*curvePoint
-	odd[0] = newCurvePoint().Set(a)
-	twoA := newCurvePoint().Double(a)
+	var odd [8]curvePoint
+	var twoA, neg, sum curvePoint
+	odd[0].Set(a)
+	twoA.Double(a)
 	for i := 1; i < 8; i++ {
-		odd[i] = newCurvePoint().Add(odd[i-1], twoA)
+		odd[i].Add(&odd[i-1], &twoA)
 	}
-	neg := newCurvePoint()
 
-	digits := wnafDigits(k, 5)
-	sum := newCurvePoint().SetInfinity()
+	var buf [wnafShortDigits]int8
+	digits := appendWNAF(buf[:0], k, 5)
+	sum.SetInfinity()
 	for i := len(digits) - 1; i >= 0; i-- {
-		sum.Double(sum)
+		sum.Double(&sum)
 		switch d := digits[i]; {
 		case d > 0:
-			sum.Add(sum, odd[(d-1)/2])
+			sum.Add(&sum, &odd[(d-1)/2])
 		case d < 0:
-			sum.Add(sum, neg.Negative(odd[(-d-1)/2]))
+			sum.Add(&sum, neg.Negative(&odd[(-d-1)/2]))
 		}
 	}
-	return c.Set(sum)
+	return c.Set(&sum)
 }
+
+// wnafShortDigits holds the width-5 wNAF of any scalar Mul does not split:
+// at most Order.BitLen()/2 + 8 bits, and one digit more.
+const wnafShortDigits = 256/2 + 8 + 1
 
 // mulGeneric is the textbook double-and-add ladder.
 func (c *curvePoint) mulGeneric(a *curvePoint, k *big.Int) *curvePoint {

@@ -114,16 +114,10 @@ func roundedDivInto(q, r, x, n *big.Int) {
 
 var bigOne = big.NewInt(1)
 
-// glvDecompose splits 0 ≤ k < n into (k1, k2) with k ≡ k1 + k2·λ (mod n)
-// and |k1|, |k2| = O(√n), by Babai rounding against the short basis.
-func glvDecompose(k *big.Int) (*big.Int, *big.Int) {
-	k1, k2 := new(big.Int), new(big.Int)
-	glvDecomposeInto(k1, k2, k, new([3]big.Int))
-	return k1, k2
-}
-
-// glvDecomposeInto is glvDecompose into k1 and k2, which must not be k,
-// with tmp as scratch: it allocates nothing once they have grown.
+// glvDecomposeInto splits 0 ≤ k < n into (k1, k2) with k ≡ k1 + k2·λ
+// (mod n) and |k1|, |k2| = O(√n), by Babai rounding against the short
+// basis. k1 and k2 must not be k; tmp is scratch, and the call allocates
+// nothing once they have grown.
 func glvDecomposeInto(k1, k2, k *big.Int, tmp *[3]big.Int) {
 	g := glv()
 	c1, c2, t := &tmp[0], &tmp[1], &tmp[2]
@@ -147,44 +141,53 @@ func (c *curvePoint) mulGLV(a *curvePoint, k *big.Int) *curvePoint {
 	return c.mulGLVSum([]*curvePoint{a}, []*big.Int{k})
 }
 
+// glvLadder is one half-length ladder of mulGLVSum: its odd multiples 1P,
+// 3P, 5P, 7P and the width-4 wNAF digits of its half-scalar.
+type glvLadder struct {
+	odd    [4]curvePoint
+	digits []int8
+}
+
+// glvScratch is the working memory of one mulGLVSum call, reused through
+// glvPool so that a call allocates nothing once the pool holds grown
+// scratch: the ladders with their digit buffers, and the integers of the
+// decomposition.
+type glvScratch struct {
+	ladders   []glvLadder
+	k, k1, k2 big.Int
+	tmp       [3]big.Int
+}
+
+var glvPool = sync.Pool{New: func() any { return new(glvScratch) }}
+
 // mulGLVSum computes c = Σ kᵢ·aᵢ for k ≥ 0 with every scalar split as in
 // mulGLV: 2·len(a) half-length width-4 wNAF ladders over aᵢ and φ(aᵢ), all
 // on one doubling chain, so a second base costs its additions only.
 func (c *curvePoint) mulGLVSum(a []*curvePoint, k []*big.Int) *curvePoint {
 	g := glv()
-	type ladder struct {
-		odd    [4]curvePoint // 1P, 3P, 5P, 7P
-		digits []int8
+	w := glvPool.Get().(*glvScratch)
+	defer glvPool.Put(w)
+	if len(w.ladders) < 2*len(a) {
+		w.ladders = append(w.ladders, make([]glvLadder, 2*len(a)-len(w.ladders))...)
 	}
-	ls := make([]ladder, 0, 2*len(a))
-	add := func(p *curvePoint, s *big.Int) {
-		l := ladder{}
-		l.odd[0].Set(p)
-		if s.Sign() < 0 {
-			l.odd[0].Negative(p)
-			s.Neg(s)
-		}
-		twoP := newCurvePoint().Double(&l.odd[0])
-		for i := 1; i < 4; i++ {
-			l.odd[i].Add(&l.odd[i-1], twoP)
-		}
-		l.digits = wnafDigits(s, 4)
-		ls = append(ls, l)
-	}
+	ls := w.ladders[:2*len(a)]
 	n := 0
 	for i, p := range a {
-		k1, k2 := glvDecompose(new(big.Int).Mod(k[i], Order))
-		phi := newCurvePoint().Set(p)
-		gfpMul(&phi.x, &phi.x, &g.betaGfP)
-		add(p, k1)
-		add(phi, k2)
-		n = max(n, len(ls[len(ls)-2].digits), len(ls[len(ls)-1].digits))
+		w.k.Mod(k[i], Order)
+		glvDecomposeInto(&w.k1, &w.k2, &w.k, &w.tmp)
+		base, phi := &ls[2*i], &ls[2*i+1]
+		base.odd[0].Set(p)
+		phi.odd[0].Set(p)
+		gfpMul(&phi.odd[0].x, &phi.odd[0].x, &g.betaGfP)
+		base.init(&w.k1)
+		phi.init(&w.k2)
+		n = max(n, len(base.digits), len(phi.digits))
 	}
 
-	sum := newCurvePoint().SetInfinity()
-	neg := newCurvePoint()
+	var sum, neg curvePoint
+	sum.SetInfinity()
 	for i := n - 1; i >= 0; i-- {
-		sum.Double(sum)
+		sum.Double(&sum)
 		for j := range ls {
 			l := &ls[j]
 			if i >= len(l.digits) {
@@ -192,11 +195,27 @@ func (c *curvePoint) mulGLVSum(a []*curvePoint, k []*big.Int) *curvePoint {
 			}
 			switch d := l.digits[i]; {
 			case d > 0:
-				sum.Add(sum, &l.odd[(d-1)/2])
+				sum.Add(&sum, &l.odd[(d-1)/2])
 			case d < 0:
-				sum.Add(sum, neg.Negative(&l.odd[(-d-1)/2]))
+				sum.Add(&sum, neg.Negative(&l.odd[(-d-1)/2]))
 			}
 		}
 	}
-	return c.Set(sum)
+	return c.Set(&sum)
+}
+
+// init completes a ladder whose odd[0] holds its base P for the
+// half-scalar s, which it takes as |s| (negating P where s < 0): the odd
+// multiples and the digits.
+func (l *glvLadder) init(s *big.Int) {
+	if s.Sign() < 0 {
+		l.odd[0].Negative(&l.odd[0])
+		s.Neg(s)
+	}
+	var twoP curvePoint
+	twoP.Double(&l.odd[0])
+	for i := 1; i < 4; i++ {
+		l.odd[i].Add(&l.odd[i-1], &twoP)
+	}
+	l.digits = appendWNAF(l.digits[:0], s, 4)
 }

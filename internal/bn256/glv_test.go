@@ -30,6 +30,13 @@ func TestGLVConstants(t *testing.T) {
 	}
 }
 
+// glvDecompose is glvDecomposeInto into fresh integers.
+func glvDecompose(k *big.Int) (*big.Int, *big.Int) {
+	k1, k2 := new(big.Int), new(big.Int)
+	glvDecomposeInto(k1, k2, k, new([3]big.Int))
+	return k1, k2
+}
+
 func TestGLVDecompose(t *testing.T) {
 	g := glv()
 	// Sub-scalars must stay near √n: allow a few bits of slack over half
@@ -148,5 +155,32 @@ func TestNormalizeG1(t *testing.T) {
 	}
 	if !pts[5].IsInfinity() {
 		t.Fatal("identity disturbed")
+	}
+}
+
+// TestG1ScalarMultAllocs holds the scalar G1 multiplications, which Sign,
+// a lone request's Diffie–Hellman key and every CPU without the lane
+// kernels run, to no allocation into a point that has its storage: the
+// GLV split of a full-length scalar, a scalar short enough for the plain
+// wNAF ladder, and a two-term MultiScalarMult.
+func TestG1ScalarMultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	p := new(G1).ScalarBaseMult(randomScalarT(t))
+	q := new(G1).ScalarBaseMult(randomScalarT(t))
+	long, short := randomScalarT(t), new(big.Int).Rsh(randomScalarT(t), 130)
+	out := new(G1).ScalarMult(p, long)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"ScalarMult", func() { out.ScalarMult(p, long) }},
+		{"ScalarMult/short", func() { out.ScalarMult(p, short) }},
+		{"MultiScalarMult", func() { out.MultiScalarMult([]*G1{p, q}, []*big.Int{long, short}) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.f); allocs > 0 {
+			t.Errorf("%s: %.1f allocs, want 0", c.name, allocs)
+		}
 	}
 }

@@ -108,6 +108,12 @@ func (e *gfPx8) invertLanes() {
 // (scratch, as long as v) is the product of the non-zero elements before
 // v[i], the whole product is inverted, and a walk back peels one inverse
 // off at a time.
+//
+// The inversion is Fermat's and not invertVartime's because not every value
+// it inverts is public: the network operator's audit (sgs.OpenCounted)
+// pairs the secret group tokens in lane passes, whose norms come here, and
+// the router's Diffie–Hellman pass (MultiScalarMultLanes) normalizes points
+// that carry its secret r_R.
 func invertAll(v, prefix []gfP) {
 	acc := rOne
 	for i := range v {

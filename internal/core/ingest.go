@@ -26,11 +26,13 @@ type ingestJob[T any] struct {
 // takes the next, so no stage waits for another group to reach it and no
 // core idles while one request's serial work runs.
 //
-// A group is what one lane pass of the verifier holds, bn256.Lanes
-// signatures, when that many are waiting for every drainer; a shorter queue
-// is shared, each drainer taking ⌈waiting/GOMAXPROCS⌉, not hoarded by the
-// first to wake. A request that arrives alone on an idle router is a group of
-// one and runs the scalar verifier with the scan on all its workers.
+// A group is what one lane pass of the verifier holds: a drainer takes
+// min(bn256.Lanes, waiting) requests, filling the lanes before it leaves
+// work for another core, since a pass costs the same for two signatures as
+// for eight and more requests keep arriving for the other drainers. A
+// request that arrives alone on an idle router is served at once, with no
+// wait for company, as a group of one: the scalar verifier, the scan on all
+// its workers and the scalar Diffie–Hellman.
 //
 // T is the caller's tag: whatever it needs to deliver an answer. The queue
 // hands the tags of a group back to answer with the group's results.
@@ -38,7 +40,6 @@ type IngestQueue[T any] struct {
 	router *MeshRouter
 	jobs   chan ingestJob[T]
 	answer func(tags []T, out []AccessResult)
-	procs  int // drainers sharing the queue
 
 	mu       sync.Mutex
 	closed   bool
@@ -55,7 +56,6 @@ func NewIngestQueue[T any](router *MeshRouter, capacity int, answer func(tags []
 		router: router,
 		jobs:   make(chan ingestJob[T], max(1, capacity)),
 		answer: answer,
-		procs:  runtime.GOMAXPROCS(0),
 	}
 	// The depth gauge lives in the router's registry and re-binds to the
 	// newest queue (a restarted transport builds a fresh one).
@@ -68,8 +68,9 @@ func NewIngestQueue[T any](router *MeshRouter, capacity int, answer func(tags []
 
 // Start launches the drainers, one per GOMAXPROCS.
 func (q *IngestQueue[T]) Start() {
-	q.drainers.Add(q.procs)
-	for range q.procs {
+	procs := runtime.GOMAXPROCS(0)
+	q.drainers.Add(procs)
+	for range procs {
 		go q.drain()
 	}
 }
@@ -134,10 +135,10 @@ func (q *IngestQueue[T]) drain() {
 	}
 }
 
-// serve completes the group first opens with the drainer's share of the
+// serve completes the group first opens with up to a lane pass of the
 // waiting requests, runs it through the router and answers it.
 func (q *IngestQueue[T]) serve(first ingestJob[T]) {
-	share := min(bn256.Lanes, (1+len(q.jobs)+q.procs-1)/q.procs)
+	share := min(bn256.Lanes, 1+len(q.jobs))
 	group := append(make([]ingestJob[T], 0, share), first)
 fill:
 	for len(group) < share {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -472,5 +475,154 @@ func TestIngestPipelineExactlyOnce(t *testing.T) {
 		if _, _, err := r.HandleAccessRequest(m); verdict(err) != want[i] {
 			t.Errorf("request %d alone: %v, want %v", i, err, want[i])
 		}
+	}
+}
+
+// TestIngestFillsLanes pins the share rule: a drainer takes as many waiting
+// requests as one lane pass holds before it leaves any for another core,
+// whatever GOMAXPROCS, and a lone request is served at once. The queue is
+// stepped with no drainer, so what is waiting is exactly what was
+// submitted; every copy answers a retired beacon and fails its precheck,
+// since only the grouping is under test.
+func TestIngestFillsLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	tb := newTestbed(t, 1, 1, 1)
+	r := tb.routers["MR-0"]
+	m := batchM2s(t, tb, r, []*User{tb.user("0", 0)})[0]
+	r.RetireBeacon(m.GR)
+
+	for _, c := range []struct {
+		waiting int
+		groups  []int
+	}{
+		{1, []int{1}},
+		{5, []int{5}},
+		{8, []int{8}},
+		{9, []int{8, 1}},
+		{17, []int{8, 8, 1}},
+	} {
+		var groups []int
+		q := NewIngestQueue(r, c.waiting, func(tags []int, out []AccessResult) {
+			for _, res := range out {
+				if !errors.Is(res.Err, ErrReplay) {
+					t.Errorf("%d waiting: %v, want a replay", c.waiting, res.Err)
+				}
+			}
+			groups = append(groups, len(tags))
+		})
+		for i := 0; i < c.waiting; i++ {
+			if err := q.Submit(m, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for q.Step() {
+		}
+		q.Close()
+		if !slices.Equal(groups, c.groups) {
+			t.Errorf("%d waiting served as groups %v, want %v", c.waiting, groups, c.groups)
+		}
+	}
+}
+
+// TestDHPassOnlySurvivors pins the key pass's place in the M.2 path: in a
+// group of eight with a forged signature, a revoked signer and an answer to
+// a retired beacon, the pass is given the five survivors and nothing else,
+// every key it returns is byte-equal to the scalar ScalarMult(g^{r_j}, r_R),
+// and every confirm opens at its user with the router's session keys. A
+// lone survivor takes the scalar path to the same key, and a group with no
+// survivor runs no pass.
+func TestDHPassOnlySurvivors(t *testing.T) {
+	tb := newTestbed(t, 1, 8, 1)
+	r := tb.routers["MR-0"]
+	const forged, revoked, stale = 1, 4, 6
+	tok, err := tb.no.TokenOf("grp-0", revoked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.no.RevokeUserKey(tok)
+	tb.pushRevocations(t)
+	var passes [][]*bn256.G1
+	var keys []*bn256.G1
+	r.onDHPass = func(gjs, ks []*bn256.G1) {
+		passes = append(passes, slices.Clone(gjs))
+		keys = ks
+	}
+	// want checks that the last pass was given the requests in slots and
+	// that each key in it is what the scalar path computes for its request.
+	want := func(ms []*AccessRequest, slots []int) {
+		t.Helper()
+		if len(passes) == 0 {
+			t.Fatal("no key pass")
+		}
+		gjs := passes[len(passes)-1]
+		if !slices.EqualFunc(gjs, slots, func(gj *bn256.G1, slot int) bool { return gj == ms[slot].GJ }) {
+			t.Fatalf("the key pass was given %d requests, want slots %v", len(gjs), slots)
+		}
+		for i, slot := range slots {
+			r.mu.Lock()
+			st := r.outstanding[string(ms[slot].GR.Marshal())]
+			r.mu.Unlock()
+			scalar := new(bn256.G1).ScalarMult(ms[slot].GJ, st.rR)
+			if !bytes.Equal(keys[i].Marshal(), scalar.Marshal()) {
+				t.Errorf("slot %d: key pass and ScalarMult disagree", slot)
+			}
+		}
+	}
+
+	users := make([]*User, 8)
+	for i := range users {
+		users[i] = tb.user("0", i)
+	}
+	ms := batchM2s(t, tb, r, users)
+	ms[forged].Sig.SX = new(big.Int).Xor(ms[forged].Sig.SX, big.NewInt(1))
+	retired, err := r.Beacon()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RetireBeacon(retired.GR)
+	if ms[stale], err = users[stale].HandleBeacon(retired, "grp-0"); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]AccessResult, len(ms))
+	r.handleGroup(ms, out)
+	for i, class := range map[int]error{forged: ErrBadAccessRequest, revoked: ErrRevokedUser, stale: ErrReplay} {
+		if !errors.Is(out[i].Err, class) {
+			t.Errorf("slot %d: %v, want %v", i, out[i].Err, class)
+		}
+	}
+	survivors := []int{0, 2, 3, 5, 7}
+	want(ms, survivors)
+	for _, i := range survivors {
+		res := out[i]
+		if res.Err != nil {
+			t.Fatalf("slot %d: %v", i, res.Err)
+		}
+		us, err := users[i].HandleAccessConfirm(res.Confirm)
+		if err != nil {
+			t.Fatalf("slot %d: confirm refused: %v", i, err)
+		}
+		if us.ID != res.Session.ID || !us.keysEqual(res.Session) {
+			t.Errorf("slot %d: session halves disagree", i)
+		}
+	}
+
+	// One survivor among forgeries: the scalar path, the same key.
+	ms = batchM2s(t, tb, r, users[:3])
+	for _, m := range ms[1:] {
+		m.Sig.SX = new(big.Int).Xor(m.Sig.SX, big.NewInt(1))
+	}
+	r.handleGroup(ms, out[:3])
+	want(ms, []int{0})
+	if _, err := users[0].HandleAccessConfirm(out[0].Confirm); err != nil {
+		t.Fatalf("lone survivor: confirm refused: %v", err)
+	}
+
+	// No survivor: no pass.
+	n := len(passes)
+	ms = batchM2s(t, tb, r, []*User{users[revoked], users[forged]})
+	ms[1].Sig.SX = new(big.Int).Xor(ms[1].Sig.SX, big.NewInt(1))
+	r.handleGroup(ms, out[:2])
+	if len(passes) != n {
+		t.Errorf("a group with no survivor ran %d key passes", len(passes)-n)
 	}
 }

@@ -169,8 +169,10 @@ type MeshRouter struct {
 	stages  routerStages
 
 	// onSweepSetup, when a test sets it, is told what each group's
-	// revocation set-up ran.
+	// revocation set-up ran, and onDHPass what each group's key pass was
+	// given (the requests' g^{r_j}) and the keys it returned.
 	onSweepSetup func(sgs.OpCounts)
+	onDHPass     func(gjs, keys []*bn256.G1)
 }
 
 // beaconState remembers the secrets behind one broadcast beacon. Puzzles
@@ -527,8 +529,10 @@ func (r *MeshRouter) HandleAccessRequestBatch(ms []*AccessRequest) []AccessResul
 // request); then, for the signatures that verified and only for those, so a
 // forged M.2 never costs more than its verification, the URL revocation
 // scan's set-up for all of them at once (sgs.SweepState.Group) and, for each
-// in turn, its token passes on all the scan's workers and the session
-// establishment. out[i] receives the outcome of ms[i].
+// in turn, its token passes on all the scan's workers; then, for the
+// requests that are neither forged nor revoked, every Diffie–Hellman key
+// K = (g^{r_j})^{r_R} of the group in one G1 lane pass (dhKeys) and each
+// session's establishment. out[i] receives the outcome of ms[i].
 func (r *MeshRouter) handleGroup(ms []*AccessRequest, out []AccessResult) {
 	type admitted struct {
 		slot int
@@ -581,8 +585,8 @@ func (r *MeshRouter) handleGroup(ms []*AccessRequest, out []AccessResult) {
 		r.onSweepSetup(group.SetupCounts())
 	}
 	sw.lap(r.stages.sweepSetup)
+	live := vadm[:0]
 	for j, a := range vadm {
-		m := ms[a.slot]
 		revoked, _ := group.Check(j)
 		sw.lap(r.stages.sweep)
 		if revoked {
@@ -590,10 +594,55 @@ func (r *MeshRouter) handleGroup(ms []*AccessRequest, out []AccessResult) {
 			out[a.slot].Err = fmt.Errorf("router %q: %w", r.id, ErrRevokedUser)
 			continue
 		}
-		confirm, sess, escrow, err := r.establishSession(m, a.st, a.now)
+		live = append(live, a)
+	}
+	if len(live) == 0 {
+		return
+	}
+
+	gjs := make([]*bn256.G1, len(live))
+	rRs := make([]*big.Int, len(live))
+	for i, a := range live {
+		gjs[i], rRs[i] = ms[a.slot].GJ, a.st.rR
+	}
+	keys := dhKeys(gjs, rRs)
+	if r.onDHPass != nil {
+		r.onDHPass(gjs, keys)
+	}
+	// The key pass is timed with the first establishment, so the
+	// histogram's sum is the stage's time and its count one per session.
+	for i, a := range live {
+		confirm, sess, escrow, err := r.establishSession(ms[a.slot], keys[i], a.now)
 		sw.lap(r.stages.establish)
 		out[a.slot] = AccessResult{Confirm: confirm, Session: sess, Escrow: escrow, Err: err}
 	}
+}
+
+// dhKeys returns K_i = gjs[i]^{rRs[i]}, Step 3.4's Diffie–Hellman key, for
+// each admitted request of a group: all of them in one G1 lane pass
+// (bn256.MultiScalarMultLanes) where bn256.G1LanesPay says the lanes are the
+// faster way, one scalar multiplication each otherwise (a lone request, a
+// CPU without the kernels). Both give the same point, so the session keys
+// do not depend on the company a request was served in.
+func dhKeys(gjs []*bn256.G1, rRs []*big.Int) []*bn256.G1 {
+	keys := make([]*bn256.G1, len(gjs))
+	vals := make([]bn256.G1, len(gjs))
+	for i := range keys {
+		keys[i] = &vals[i]
+	}
+	if !bn256.G1LanesPay(len(gjs)) {
+		for i, k := range keys {
+			k.ScalarMult(gjs[i], rRs[i])
+		}
+		return keys
+	}
+	ps := make([][]*bn256.G1, len(gjs))
+	ks := make([][]*big.Int, len(gjs))
+	for i := range ps {
+		ps[i], ks[i] = gjs[i:i+1], rRs[i:i+1]
+	}
+	bn256.MultiScalarMultLanes(keys, ps, ks)
+	return keys
 }
 
 // precheckAccessRequest runs the cheap, pre-pairing checks of Step 3.1
@@ -635,12 +684,11 @@ func (r *MeshRouter) precheckAccessRequest(m *AccessRequest) (*beaconState, time
 	return st, now, nil
 }
 
-// establishSession runs Step 3.4 for an authenticated request:
-// K_{k,j} = (g^{r_j})^{r_R}, session keys, and M.3. It logs the M.2's
-// encoding and returns it with the confirm, so the attach marshals the
-// M.2 once.
-func (r *MeshRouter) establishSession(m *AccessRequest, st *beaconState, now time.Time) (*AccessConfirm, *Session, []byte, error) {
-	dh := new(bn256.G1).ScalarMult(m.GJ, st.rR)
+// establishSession runs the rest of Step 3.4 for an authenticated request
+// whose key K_{k,j} = (g^{r_j})^{r_R} the group's key pass computed (dh):
+// the session keys and M.3. It logs the M.2's encoding and returns it with
+// the confirm, so the attach marshals the M.2 once.
+func (r *MeshRouter) establishSession(m *AccessRequest, dh *bn256.G1, now time.Time) (*AccessConfirm, *Session, []byte, error) {
 	id := NewSessionID(m.GR, m.GJ)
 	sess := newSession(id, "user", dh.Marshal(), sessionTranscript(m.GR, m.GJ), now)
 

@@ -271,11 +271,11 @@ func TestForEachGroupCoversEverySlotOnce(t *testing.T) {
 // stack, so the count grows with nothing but what each signature keeps
 // (its exponents, its recovered values and the challenge hash's buffers).
 // With the G1 sums in lanes a signature allocates about 45 times; on the
-// scalar tower, where every multiplication allocates its own digits and
-// tables, about 150.
+// scalar tower, whose multiplications keep their digits and tables on the
+// stack or in a pool, about 52.
 const (
 	verifyGroupAllocsLanes  = 380
-	verifyGroupAllocsScalar = 1230
+	verifyGroupAllocsScalar = 430
 )
 
 // TestVerifyGroupAllocs holds VerifyGroup of eight to the ceiling of the
