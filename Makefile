@@ -228,7 +228,9 @@ bench:
 # two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
 # in time and in bytes), a link from AddPeer to reachable, and
 # TestHandoffAdoptedAllocs, which holds the shard loop's side of an
-# adoption (the inbox append and the loop's wake) at 0 allocs/op.
+# adoption (the inbox append and the loop's wake) at 0 allocs/op, and
+# TestEnvelopeReceiveAllocs, which holds a received backbone envelope
+# (decoded and opened in place in its ingest slot) at 0 allocs/op.
 bench-smoke:
 	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestKeepaliveAllocs|TestResumeExchangeAllocs|TestClientResumeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
@@ -242,7 +244,7 @@ bench-smoke:
 	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkIngestBurst$$' -cpu 1,2 -benchtime=10x
 	$(GO) test ./internal/sgs/ -run='^TestVerifyGroupAllocs$$' -v -count=1
 	$(GO) test ./internal/backbone/ -run='^$$' -bench='^Benchmark(NodeTick|LinkUp)$$' -benchmem -benchtime=100x
-	$(GO) test ./internal/backbone/ -run='^TestHandoffAdoptedAllocs$$' -v -count=1
+	$(GO) test ./internal/backbone/ -run='^Test(HandoffAdoptedAllocs|EnvelopeReceiveAllocs)$$' -v -count=1
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1
 
 experiments:

@@ -107,7 +107,7 @@ func serveDebug(addr string) {
 // delivered data frames per second over the last period, DataBytes the
 // cumulative plaintext bytes delivered, and BatchFillAvg the average
 // datagrams moved per ingest syscall (1.0 means batching buys nothing,
-// IOBatch means every recvmmsg comes back full).
+// 32, the router's batch width, means every recvmmsg comes back full).
 type statsLine struct {
 	At           string           `json:"at"`
 	DataPPS      float64          `json:"data_pps"`

@@ -1,0 +1,95 @@
+package main
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// citingDocs are the documents that cite peacebench experiments and
+// benchmarks by name, relative to the module root.
+var citingDocs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"}
+
+var (
+	// expCitation is a peacebench -exp argument: one name or a comma list.
+	expCitation = regexp.MustCompile(`-exp[ =]+([a-z0-9]+(?:,[a-z0-9]+)*)`)
+	// benchCitation is a Go benchmark named by its function.
+	benchCitation = regexp.MustCompile(`\bBenchmark[A-Z0-9]\w*`)
+)
+
+// TestDocsCiteLiveNames fails when a document cites an -exp name that is
+// not in experimentList, or a BenchmarkX that no _test.go file of the
+// module declares.
+func TestDocsCiteLiveNames(t *testing.T) {
+	root := filepath.Join("..", "..")
+	known := map[string]bool{"all": true}
+	for _, e := range experimentList {
+		known[e.name] = true
+	}
+	benchmarks := declaredBenchmarks(t, root)
+	if len(benchmarks) == 0 {
+		t.Fatal("found no benchmark declarations in the module")
+	}
+	for _, doc := range citingDocs {
+		buf, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(buf), "\n") {
+			for _, m := range expCitation.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1], ",") {
+					if !known[name] {
+						t.Errorf("%s:%d cites -exp %s; peacebench runs %s", doc, i+1, name, experimentNames())
+					}
+				}
+			}
+			for _, name := range benchCitation.FindAllString(line, -1) {
+				if !benchmarks[name] {
+					t.Errorf("%s:%d cites %s, which no _test.go file declares", doc, i+1, name)
+				}
+			}
+		}
+	}
+}
+
+// declaredBenchmarks parses every _test.go file under root and returns
+// the names of the Benchmark functions they declare.
+func declaredBenchmarks(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				out[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

@@ -1,112 +1,80 @@
-// Command peacebench regenerates the paper's evaluation as tables: one
-// experiment per quantitative claim of Section V (see EXPERIMENTS.md for
-// the paper-vs-measured record).
+// Command peacebench prints the paper's evaluation as tables: one
+// experiment per claim of Section V, E1–E9, each pinned by a test in
+// internal/experiments (see EXPERIMENTS.md for the paper-vs-measured
+// record). Timings of the running system are the business of peacemark
+// (go run ./bench) and the package benchmarks, not of these tables.
 //
 // Usage:
 //
-//	peacebench              # run every experiment
-//	peacebench -exp e3      # run one experiment
-//	peacebench -exp e10,e12 # run several
+//	peacebench                      # run every experiment
+//	peacebench -exp e3              # run one experiment
+//	peacebench -exp e1,e3           # run several
 //	peacebench -exp e3 -url 0,1,2,5,10,20,50 -iters 3
-//	peacebench -exp e13             # UDP loopback handshake throughput
-//	peacebench -json BENCH_results.json   # also write machine-readable results
-//	                                      # (merges into an existing file)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"github.com/peace-mesh/peace/internal/experiments"
 	"github.com/peace-mesh/peace/internal/transport"
 )
 
-// benchJSON is the machine-readable record written by -json: op counts,
-// primitive latencies and the two pipeline benchmarks, keyed by the same
-// names as the testing.B benchmarks in bench_test.go so CI can compare
-// either source.
-type benchJSON struct {
-	GeneratedAt string                 `json:"generated_at"`
-	GoOS        string                 `json:"goos"`
-	GoArch      string                 `json:"goarch"`
-	NumCPU      int                    `json:"num_cpu"`
-	OpCounts    map[string]opCountsRow `json:"op_counts,omitempty"`
-	Primitives  map[string]int64       `json:"primitives_ns,omitempty"`
-	Ablations   []ablationRow          `json:"ablations,omitempty"`
-	Benchmarks  map[string]any         `json:"benchmarks,omitempty"`
+// params are the sweeps and repetitions the flags set.
+type params struct {
+	urlSizes, grtSizes, floods []int
+	iters                      int
 }
 
-type opCountsRow struct {
-	Exps     int `json:"exps"`
-	Pairings int `json:"pairings"`
-	GTExps   int `json:"gt_exps"`
+// experimentList is every experiment peacebench runs, in order. It is the
+// one list the -exp flag's help, its unknown-name error and the docs lint
+// read.
+var experimentList = []struct {
+	name string
+	run  func(p params) error
+}{
+	{"e1", func(params) error { return runE1() }},
+	{"e2", func(p params) error { return runE2(p.urlSizes) }},
+	{"e3", func(p params) error { return runE3(p.urlSizes, p.iters) }},
+	{"e4", func(params) error { return runE4() }},
+	{"e5", func(p params) error { return runE5(p.iters) }},
+	{"e6", func(p params) error { return runE6(p.floods) }},
+	{"e7", func(p params) error { return runE7(p.grtSizes) }},
+	{"e8", func(params) error { return runE8() }},
+	{"e9", func(params) error { return runE9() }},
 }
 
-type ablationRow struct {
-	Name        string  `json:"name"`
-	BaselineNs  int64   `json:"baseline_ns"`
-	OptimizedNs int64   `json:"optimized_ns"`
-	Speedup     float64 `json:"speedup"`
+// experimentNames lists experimentList's names, comma-separated.
+func experimentNames() string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return strings.Join(names, ",")
 }
-
-// collect is non-nil when -json was requested; runners that produce
-// machine-readable data add to it.
-var collect *benchJSON
 
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: comma-separated e1..e13 and e15..e19, or all")
-	urlSizes := flag.String("url", "0,1,2,5,10,20", "comma-separated |URL| sweep for e3/e15")
+	exp := flag.String("exp", "all", "experiments to run: a comma-separated subset of "+experimentNames()+", or all")
+	urlSizes := flag.String("url", "0,1,2,5,10,20", "comma-separated |URL| sweep for e3 (e2 uses the last)")
 	grtSizes := flag.String("grt", "4,8,16,32,64", "comma-separated |grt| sweep for e7")
 	floods := flag.String("floods", "50,200", "comma-separated flood sizes for e6")
-	attacks := flag.String("attacks", "0,1,10", "comma-separated attack intensities (spoofed flood sources) for e19")
 	iters := flag.Int("iters", 1, "timing repetitions per point")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
 	flag.Parse()
 
-	if *jsonPath != "" {
-		collect = &benchJSON{}
-		// A partial run (-exp e13 -json BENCH_results.json) appends to the
-		// existing record instead of discarding the other experiments.
-		if buf, err := os.ReadFile(*jsonPath); err == nil {
-			if err := json.Unmarshal(buf, collect); err != nil {
-				log.Fatalf("existing %s: %v", *jsonPath, err)
-			}
-		}
-		collect.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-		collect.GoOS = runtime.GOOS
-		collect.GoArch = runtime.GOARCH
-		collect.NumCPU = runtime.NumCPU()
-		if collect.OpCounts == nil {
-			collect.OpCounts = map[string]opCountsRow{}
-		}
-		if collect.Primitives == nil {
-			collect.Primitives = map[string]int64{}
-		}
-		if collect.Benchmarks == nil {
-			collect.Benchmarks = map[string]any{}
-		}
+	p := params{
+		urlSizes: parseInts(*urlSizes),
+		grtSizes: parseInts(*grtSizes),
+		floods:   parseInts(*floods),
+		iters:    *iters,
 	}
-	if err := run(*exp, parseInts(*urlSizes), parseInts(*grtSizes), parseInts(*floods), parseInts(*attacks), *iters); err != nil {
+	if err := run(*exp, p); err != nil {
 		log.Fatal(err)
-	}
-	if collect != nil {
-		buf, err := json.MarshalIndent(collect, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonPath)
 	}
 }
 
@@ -126,45 +94,23 @@ func parseInts(s string) []int {
 	return out
 }
 
-func run(exp string, urlSizes, grtSizes, floods, attacks []int, iters int) error {
+func run(exp string, p params) error {
 	runAll := exp == "all"
 	want := map[string]bool{}
 	for _, name := range strings.Split(exp, ",") {
 		want[strings.TrimSpace(name)] = true
 	}
 	ran := 0
-	for _, e := range []struct {
-		name string
-		fn   func() error
-	}{
-		{"e1", func() error { return runE1() }},
-		{"e2", func() error { return runE2(urlSizes) }},
-		{"e3", func() error { return runE3(urlSizes, iters) }},
-		{"e4", func() error { return runE4() }},
-		{"e5", func() error { return runE5(iters) }},
-		{"e6", func() error { return runE6(floods) }},
-		{"e7", func() error { return runE7(grtSizes) }},
-		{"e8", func() error { return runE8() }},
-		{"e9", func() error { return runE9() }},
-		{"e10", func() error { return runE10(iters) }},
-		{"e11", func() error { return runE11(iters) }},
-		{"e12", func() error { return runE12(iters) }},
-		{"e13", func() error { return runE13() }},
-		{"e15", func() error { return runE15(urlSizes, iters) }},
-		{"e16", func() error { return runE16(iters) }},
-		{"e17", func() error { return runE17(iters) }},
-		{"e18", func() error { return runE18(iters) }},
-		{"e19", func() error { return runE19(attacks, iters) }},
-	} {
+	for _, e := range experimentList {
 		if runAll || want[e.name] {
 			ran++
-			if err := e.fn(); err != nil {
+			if err := e.run(p); err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)
 			}
 		}
 	}
 	if !runAll && ran != len(want) {
-		return fmt.Errorf("unknown experiment in %q (want comma-separated e1..e13 and e15..e19, or all)", exp)
+		return fmt.Errorf("unknown experiment in %q (want a comma-separated subset of %s, or all)", exp, experimentNames())
 	}
 	return nil
 }
@@ -175,47 +121,6 @@ func table() *tabwriter.Writer {
 
 func header(title string) {
 	fmt.Printf("\n=== %s ===\n", title)
-}
-
-// runE19 measures legitimate-client attach latency against the live
-// adaptive puzzle defense across attack intensities: the calm baseline
-// pays no puzzle, attacked points pay the demanded difficulty plus the
-// flood's queueing.
-func runE19(attacks []int, iters int) error {
-	header("E19: legit attach latency vs attack intensity (adaptive DoS defense)")
-	rows, err := experiments.RunE19AttackLatency(attacks, iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "intensity\tattached\tp50\tp99\tpeak difficulty\tflood datagrams\tpuzzles verified")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d/%d\t%v\t%v\t%d\t%d\t%d\n",
-			r.Intensity, r.Attached, r.Samples,
-			r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
-			r.PeakDifficulty, r.FloodDatagrams, r.PuzzlesVerified)
-	}
-	w.Flush()
-	fmt.Println("claim: attaches keep succeeding under flood; latency degrades gracefully with the demanded difficulty")
-	if collect != nil {
-		out := make([]map[string]any, 0, len(rows))
-		for _, r := range rows {
-			out = append(out, map[string]any{
-				"intensity":        r.Intensity,
-				"samples":          r.Samples,
-				"attached":         r.Attached,
-				"p50_ns":           int64(r.P50),
-				"p99_ns":           int64(r.P99),
-				"peak_difficulty":  r.PeakDifficulty,
-				"flood_datagrams":  r.FloodDatagrams,
-				"puzzles_verified": r.PuzzlesVerified,
-			})
-		}
-		collect.Benchmarks["E19AttackLatency"] = map[string]any{
-			"rows": out,
-		}
-	}
-	return nil
 }
 
 func runE1() error {
@@ -240,6 +145,15 @@ func runE1() error {
 	}
 	w.Flush()
 	fmt.Println("paper claim: group signature (1192 bits) ≈ RSA-1024 (1024 bits)  → holds")
+
+	fmt.Println("\nrevocation distribution (epoch references in M.1, signed lists fetched apart):")
+	w = table()
+	fmt.Fprintf(w, "  M.1 beacon at |URL| = 0, less its signature\t%d bytes\n", rep.BeaconBytes[0])
+	fmt.Fprintf(w, "  M.1 beacon at |URL| = %d, less its signature\t%d bytes\n", experiments.E1URLSize, rep.BeaconBytes[1])
+	fmt.Fprintf(w, "  URL snapshot at |URL| = %d (cold fetch)\t%d bytes\n", experiments.E1URLSize, rep.SnapshotBytes)
+	fmt.Fprintf(w, "  one-entry URL delta (warm fetch)\t%d bytes\n", rep.DeltaBytes)
+	w.Flush()
+	fmt.Println("claim: the beacon's size is independent of |URL|; warm clients pay delta bytes, not snapshot bytes")
 	return nil
 }
 
@@ -264,11 +178,6 @@ func runE2(urlSizes []int) error {
 		rep.PaperVerifyExps, rep.PaperVerifyPairings+rep.PaperPerTokenPairing*rep.URLSize)
 	w.Flush()
 	fmt.Println("note: this implementation caches e(g1,g2); the paper charges it as the third verify pairing")
-	if collect != nil {
-		collect.OpCounts["sign"] = opCountsRow{Exps: rep.Sign.Exps, Pairings: rep.Sign.Pairings, GTExps: rep.Sign.GTExps}
-		collect.OpCounts["verify"] = opCountsRow{Exps: rep.Verify.Exps, Pairings: rep.Verify.Pairings, GTExps: rep.Verify.GTExps}
-		collect.OpCounts["verify_with_url"] = opCountsRow{Exps: rep.VerifyWithURL.Exps, Pairings: rep.VerifyWithURL.Pairings, GTExps: rep.VerifyWithURL.GTExps}
-	}
 	return nil
 }
 
@@ -285,6 +194,8 @@ func runE3(urlSizes []int, iters int) error {
 	}
 	w.Flush()
 	fmt.Println("paper claim: linear in |URL|; fast variant constant at 5 pairings  → holds")
+	fmt.Println("trade-off: the fast variant signs with fixed generators. With û fixed, e(A, û) is constant per user,")
+	fmt.Println("so the O(1) index links a user's signatures for everyone; BS04 §7 scopes it to an epoch.")
 	return nil
 }
 
@@ -422,315 +333,6 @@ func runE9() error {
 	if !rep.SignaturesUnlinkable {
 		fmt.Println("  KNOWN GAP: H0's discrete logs are public, so sgs.RecoverSignerToken turns any")
 		fmt.Println("  (msg, sig) into the signer's token; unlinkability does not hold until ROADMAP item 1(1).")
-	}
-	return nil
-}
-
-func runE11(iters int) error {
-	header("E11: implementation ablations (DESIGN.md design choices)")
-	rows, err := experiments.RunE11Ablations(2 * iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "technique\tbaseline\twith technique\tgain\tnote")
-	for _, r := range rows {
-		if r.Name == "compressed signature encoding" {
-			fmt.Fprintf(w, "%s\t%dB\t%dB\t%.2fx\t%s\n", r.Name, int(r.Baseline), int(r.Optimized), r.Speedup, r.Detail)
-			continue
-		}
-		fmt.Fprintf(w, "%s\t%v\t%v\t%.2fx\t%s\n", r.Name, r.Baseline, r.Optimized, r.Speedup, r.Detail)
-	}
-	w.Flush()
-	if collect != nil {
-		// This run regenerates every ablation, so replace rather than append
-		// to any rows loaded from an existing -json file.
-		collect.Ablations = collect.Ablations[:0]
-		for _, r := range rows {
-			collect.Ablations = append(collect.Ablations, ablationRow{
-				Name:        r.Name,
-				BaselineNs:  int64(r.Baseline),
-				OptimizedNs: int64(r.Optimized),
-				Speedup:     r.Speedup,
-			})
-		}
-	}
-	return nil
-}
-
-func runE10(iters int) error {
-	header("E10: pairing-substrate microbenchmarks")
-	rows, err := experiments.RunE10Primitives(2 * iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "primitive\tlatency")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%v\n", r.Name, r.Time)
-	}
-	w.Flush()
-	if collect != nil {
-		for _, r := range rows {
-			collect.Primitives[r.Name] = int64(r.Time)
-		}
-	}
-	return nil
-}
-
-// runE12 measures the batch-verification pipeline against the sequential
-// path and the parallel URL sweep — the same quantities as the repo-level
-// BenchmarkE11BatchVerify / BenchmarkE12ParallelSweep, so the -json record
-// uses those benchmark names.
-func runE12(iters int) error {
-	header("E12: batch verification pipeline & parallel URL sweep (DESIGN.md)")
-	rep, err := experiments.RunE12Batch(16, 64, iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "path\tper signature\tspeedup")
-	fmt.Fprintf(w, "sequential Verify ×%d\t%v\t1.00x\n", rep.BatchSize, rep.SequentialPer)
-	fmt.Fprintf(w, "BatchVerify(%d)\t%v\t%.2fx\n", rep.BatchSize, rep.BatchPer, rep.Speedup)
-	w.Flush()
-	fmt.Printf("slot %d forged: BatchVerify rejects %v\n", rep.ForgedSlot, rep.BatchRejects)
-	fmt.Printf("\nrevocation sweep over %d tokens:\n", rep.URLSize)
-	w = table()
-	fmt.Fprintln(w, "workers\tper token")
-	for _, row := range rep.Sweep {
-		fmt.Fprintf(w, "%d\t%v\n", row.Workers, row.PerToken)
-	}
-	w.Flush()
-	if collect != nil {
-		collect.Benchmarks["BenchmarkE11BatchVerify"] = map[string]any{
-			"batch_size":            rep.BatchSize,
-			"sequential_ns_per_sig": int64(rep.SequentialPer),
-			"batch_ns_per_sig":      int64(rep.BatchPer),
-			"speedup":               rep.Speedup,
-		}
-		sweep := make([]map[string]any, 0, len(rep.Sweep))
-		for _, row := range rep.Sweep {
-			sweep = append(sweep, map[string]any{
-				"workers":      row.Workers,
-				"ns_per_token": int64(row.PerToken),
-			})
-		}
-		collect.Benchmarks["BenchmarkE12ParallelSweep"] = map[string]any{
-			"url_size": rep.URLSize,
-			"rows":     sweep,
-		}
-	}
-	return nil
-}
-
-// runE15 measures the epoch-based revocation distribution: beacon bytes
-// (flat in |URL|), full-snapshot vs one-entry-delta fetch sizes, and the
-// router sweep with and without the cached per-epoch index.
-func runE15(urlSizes []int, iters int) error {
-	header("E15: revocation distribution — update bandwidth & cached sweep (DESIGN.md)")
-	pts, err := experiments.RunE15RevDist(urlSizes, iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "|URL|\tbeacon\tsnapshot\tdelta(1)\tcold sweep\tindex build\tcached check")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d\t%dB\t%dB\t%dB\t%v\t%v\t%v\n",
-			p.URLSize, p.BeaconBytes, p.SnapshotBytes, p.DeltaBytes,
-			p.ColdSweep, p.CachedBuild, p.CachedCheck)
-	}
-	w.Flush()
-	fmt.Println("claim: beacon size is independent of |URL|; warm clients pay delta bytes, not snapshot bytes")
-	if collect != nil {
-		rows := make([]map[string]any, 0, len(pts))
-		for _, p := range pts {
-			rows = append(rows, map[string]any{
-				"url_size":        p.URLSize,
-				"beacon_bytes":    p.BeaconBytes,
-				"snapshot_bytes":  p.SnapshotBytes,
-				"delta_bytes":     p.DeltaBytes,
-				"cold_sweep_ns":   int64(p.ColdSweep),
-				"index_build_ns":  int64(p.CachedBuild),
-				"cached_check_ns": int64(p.CachedCheck),
-			})
-		}
-		collect.Benchmarks["E15RevocationDistribution"] = map[string]any{
-			"rows": rows,
-		}
-	}
-	return nil
-}
-
-func runE13() error {
-	header("E13: loopback handshake throughput over UDP (internal/transport)")
-	rep, err := experiments.RunE13Transport([]int{16, 64, 100}, []float64{0, 0.05})
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "users\tloss\testablished\thandshakes/s\tp50\tp99\tretransmits\tdropped")
-	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%d\t%.0f%%\t%d/%d\t%.1f\t%v\t%v\t%d\t%d\n",
-			r.Users, r.Loss*100, r.Established, r.Users, r.HandshakesPerSec,
-			r.P50.Round(time.Millisecond), r.P99.Round(time.Millisecond),
-			r.Retransmits, r.DatagramsDropped)
-	}
-	w.Flush()
-	if collect != nil {
-		rows := make([]map[string]any, 0, len(rep.Rows))
-		for _, r := range rep.Rows {
-			rows = append(rows, map[string]any{
-				"users":              r.Users,
-				"loss":               r.Loss,
-				"established":        r.Established,
-				"failed":             r.Failed,
-				"handshakes_per_sec": r.HandshakesPerSec,
-				"p50_ns":             int64(r.P50),
-				"p99_ns":             int64(r.P99),
-				"retransmits":        r.Retransmits,
-				"datagrams_dropped":  r.DatagramsDropped,
-			})
-		}
-		collect.Benchmarks["BenchmarkE13LoopbackHandshake"] = map[string]any{
-			"rows": rows,
-		}
-	}
-	return nil
-}
-
-// runE16 measures session-ticket resumption: re-attach latency with the
-// pairing off the hot path, resume throughput vs shard count, session
-// memory, and the restart-soak re-attach economics.
-func runE16(iters int) error {
-	header("E16: session resumption & sharded ingest (internal/transport)")
-	rep, err := experiments.RunE16Resume([]int{1, 2, 4}, iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "path\tp50 latency")
-	fmt.Fprintf(w, "full M.1–M.3 attach\t%v\n", rep.FullP50.Round(time.Microsecond))
-	fmt.Fprintf(w, "ticket resume\t%v\n", rep.ResumeP50.Round(time.Microsecond))
-	w.Flush()
-	fmt.Printf("resume is %.1fx cheaper than the full handshake\n", rep.SpeedupX)
-
-	w = table()
-	fmt.Fprintln(w, "shards\tresumes\telapsed\tresumes/s")
-	for _, r := range rep.ShardRows {
-		fmt.Fprintf(w, "%d\t%d\t%v\t%.0f\n", r.Shards, r.Resumes, r.Elapsed.Round(time.Millisecond), r.ResumesPerSec)
-	}
-	w.Flush()
-	if rep.NumCPU == 1 {
-		fmt.Println("note: single-core runner — shard scaling needs a multi-core host; rows show no regression only")
-	}
-	fmt.Printf("session table + network log: %dB/session, %.1fMB per 100k sessions\n",
-		rep.BytesPerSession, float64(rep.MemPer100kSessions)/(1<<20))
-	fmt.Printf("restart soak: %d clients × %d restarts → %d full handshakes, %d resumes\n",
-		rep.SoakUsers, rep.SoakRestarts, rep.SoakFullHandshakes, rep.SoakResumes)
-
-	if collect != nil {
-		rows := make([]map[string]any, 0, len(rep.ShardRows))
-		for _, r := range rep.ShardRows {
-			rows = append(rows, map[string]any{
-				"shards":          r.Shards,
-				"resumes":         r.Resumes,
-				"elapsed_ns":      int64(r.Elapsed),
-				"resumes_per_sec": r.ResumesPerSec,
-			})
-		}
-		collect.Benchmarks["E16SessionResumption"] = map[string]any{
-			"full_attach_p50_ns":    int64(rep.FullP50),
-			"resume_p50_ns":         int64(rep.ResumeP50),
-			"resume_speedup_x":      rep.SpeedupX,
-			"shard_rows":            rows,
-			"num_cpu":               rep.NumCPU,
-			"bytes_per_session":     rep.BytesPerSession,
-			"mem_per_100k_sessions": rep.MemPer100kSessions,
-			"soak_users":            rep.SoakUsers,
-			"soak_restarts":         rep.SoakRestarts,
-			"soak_full_handshakes":  rep.SoakFullHandshakes,
-			"soak_resumes":          rep.SoakResumes,
-		}
-	}
-	return nil
-}
-
-// runE17 measures the roaming-handoff price point: a cross-router ticket
-// handoff against the same-router resume it generalizes and the full
-// pairing it avoids.
-func runE17(iters int) error {
-	header("E17: cross-router roaming handoff (internal/backbone)")
-	rep, err := experiments.RunE17Handoff(iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "path\tp50 latency")
-	fmt.Fprintf(w, "full M.1–M.3 attach\t%v\n", rep.FullAttachP50.Round(time.Microsecond))
-	fmt.Fprintf(w, "same-router resume\t%v\n", rep.SameRouterResumeP50.Round(time.Microsecond))
-	fmt.Fprintf(w, "cross-router handoff\t%v\n", rep.CrossRouterHandoffP50.Round(time.Microsecond))
-	w.Flush()
-	fmt.Printf("handoff costs %.2fx a same-router resume and is %.1fx cheaper than re-pairing (%d handoffs measured)\n",
-		rep.HandoffVsResumeX, rep.AttachVsHandoffX, rep.Handoffs)
-
-	if collect != nil {
-		collect.Benchmarks["E17RoamingHandoff"] = map[string]any{
-			"full_attach_p50_ns":          int64(rep.FullAttachP50),
-			"same_router_resume_p50_ns":   int64(rep.SameRouterResumeP50),
-			"cross_router_handoff_p50_ns": int64(rep.CrossRouterHandoffP50),
-			"handoff_vs_resume_x":         rep.HandoffVsResumeX,
-			"attach_vs_handoff_x":         rep.AttachVsHandoffX,
-			"handoffs":                    rep.Handoffs,
-		}
-	}
-	return nil
-}
-
-// runE18 measures the batched data-plane ceiling: sealed DataFrame echo
-// round trips per second across shard counts and recvmmsg/sendmmsg batch
-// widths, against the one-datagram-per-syscall baseline.
-func runE18(iters int) error {
-	header("E18: batched data-plane packets/sec ceiling (internal/transport/batchio)")
-	rep, err := experiments.RunE18DataPlane([]int{1, 2, 4}, []int{1, 8, 32}, iters)
-	if err != nil {
-		return err
-	}
-	w := table()
-	fmt.Fprintln(w, "shards\tio batch\tround trips\tpps\tMB/s\tsrv batch fill")
-	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%.0f\t%.1f\t%.1f\n",
-			r.Shards, r.IOBatch, r.Packets, r.PPS, r.MBPS, r.BatchFillAvg)
-	}
-	w.Flush()
-	fmt.Printf("batched ceiling %.0f pps vs unbatched %.0f pps: %.1fx (payload %dB, mmsg engaged: %v)\n",
-		rep.BatchedPPS, rep.UnbatchedPPS, rep.SpeedupX, rep.PayloadBytes, rep.BatchedIO)
-	if rep.NumCPU == 1 {
-		fmt.Println("note: single-core runner — shard rows show syscall amortization only, not parallel scaling")
-	}
-
-	if collect != nil {
-		rows := make([]map[string]any, 0, len(rep.Rows))
-		for _, r := range rep.Rows {
-			rows = append(rows, map[string]any{
-				"shards":         r.Shards,
-				"io_batch":       r.IOBatch,
-				"round_trips":    r.Packets,
-				"echo_bytes":     r.Bytes,
-				"elapsed_ns":     int64(r.Elapsed),
-				"pps":            r.PPS,
-				"mb_per_sec":     r.MBPS,
-				"srv_batch_fill": r.BatchFillAvg,
-			})
-		}
-		collect.Benchmarks["E18DataPlane"] = map[string]any{
-			"rows":          rows,
-			"payload_bytes": rep.PayloadBytes,
-			"unbatched_pps": rep.UnbatchedPPS,
-			"batched_pps":   rep.BatchedPPS,
-			"speedup_x":     rep.SpeedupX,
-			"batched_io":    rep.BatchedIO,
-			"num_cpu":       rep.NumCPU,
-		}
 	}
 	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"net"
 	"time"
 
+	"github.com/peace-mesh/peace/internal/core"
 	"github.com/peace-mesh/peace/internal/transport"
+	"github.com/peace-mesh/peace/internal/transport/batchio"
 )
 
 // FrameSize is the egress buffer class no sealed gossip or announce
@@ -49,4 +51,57 @@ func (n *Node) Unacked() int {
 		total += len(l.unacked)
 	}
 	return total
+}
+
+// EnvelopeSlot is one ingest slot a test serves sealed envelopes to a
+// node from, reused for every envelope as the read loop's ring reuses its
+// slots.
+type EnvelopeSlot struct {
+	from, to *Node
+	l        *link
+	m        batchio.Message
+}
+
+// NewEnvelopeSlot returns a slot serving envelopes that from seals on its
+// established link to to.
+func NewEnvelopeSlot(from, to *Node) *EnvelopeSlot {
+	return &EnvelopeSlot{
+		from: from,
+		to:   to,
+		l:    from.link(to.id),
+		m:    batchio.Message{Buf: make([]byte, backboneFrameSize), Addr: from.Addr()},
+	}
+}
+
+// Serve seals plaintext as kind on the link into the slot, has the node
+// dispatch it at now, and then overwrites the slot as the next read into
+// it would.
+func (s *EnvelopeSlot) Serve(kind transport.Kind, plaintext []byte, now time.Time) {
+	frame, err := transport.AppendFrameHeader(s.m.Buf[:0], kind, linkEnvelopeLen(s.from.id, len(plaintext)))
+	if err != nil {
+		panic(err)
+	}
+	frame = s.l.sealAppend(frame, kind, s.from.id, plaintext)
+	s.m.N = len(frame)
+	s.to.dispatch(&s.m, now)
+	for i := range frame {
+		frame[i] = 0xa5
+	}
+}
+
+// AnnouncePlaintext is a handoff announce's plaintext listing one owner ad
+// per adopted session in next, numbered from 1: owner adopted it away from
+// prevRouter, and owns it until expires.
+func AnnouncePlaintext(owner, prevRouter string, expires time.Time, next ...core.SessionID) []byte {
+	ads := make([]ownerAd, len(next))
+	for i := range ads {
+		ads[i] = ownerAd{Seq: uint64(i + 1), Next: next[i], Owner: owner, PrevRouter: prevRouter, Expires: expires}
+	}
+	return appendOwnerAds(nil, ads)
+}
+
+// GossipPlaintext is a gossip round's plaintext that acknowledges no ads
+// and advertises router at hops.
+func GossipPlaintext(router string, hops uint32) []byte {
+	return (&gossipBody{Routes: []routeAd{{Router: router, Hops: hops}}}).Marshal()
 }

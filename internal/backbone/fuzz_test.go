@@ -13,7 +13,7 @@ import (
 // round trip below; the node itself only ever seals in place.
 func (m *linkEnvelope) Marshal() []byte {
 	w := wire.NewWriter(48 + len(m.From) + len(m.Ciphertext))
-	w.StringField(m.From)
+	w.BytesField(m.From)
 	w.Uint64(m.Seq)
 	w.BytesField(m.Ciphertext)
 	return w.Bytes()
@@ -72,11 +72,11 @@ func FuzzUnmarshalRouterWelcome(f *testing.F) {
 // FuzzUnmarshalLinkEnvelope covers the sealed-envelope decoder every
 // post-handshake backbone datagram passes through.
 func FuzzUnmarshalLinkEnvelope(f *testing.F) {
-	f.Add((&linkEnvelope{From: "metro-r01", Seq: 7, Ciphertext: []byte("aead box")}).Marshal())
+	f.Add((&linkEnvelope{From: []byte("metro-r01"), Seq: 7, Ciphertext: []byte("aead box")}).Marshal())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := unmarshalLinkEnvelope(data)
-		if err != nil {
+		var m linkEnvelope
+		if unmarshalLinkEnvelope(data, &m) != nil {
 			return
 		}
 		if !bytes.Equal(m.Marshal(), data) {

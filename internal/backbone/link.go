@@ -206,14 +206,17 @@ func (l *link) sealAppend(dst []byte, kind transport.Kind, self string, plaintex
 
 // open authenticates and decrypts an envelope received on this link at
 // now, enforcing the replay window, and refreshes the liveness clock. The
-// cached AEAD skips the per-envelope key schedule; the ciphertext field
-// is nonce ‖ ct ‖ tag.
+// caller found the link by the envelope's sender, so the AAD names this
+// link's peer. The cached AEAD skips the per-envelope key schedule; the
+// ciphertext field is nonce ‖ ct ‖ tag, and it is opened in place: the
+// plaintext overwrites the ciphertext in the envelope's datagram.
 func (l *link) open(kind transport.Kind, env *linkEnvelope, now time.Time) ([]byte, error) {
 	if len(env.Ciphertext) < symcrypto.GCMNonceSize+symcrypto.GCMOverhead {
 		return nil, symcrypto.ErrDecrypt
 	}
-	l.aadScratch = appendLinkEnvelopeAAD(l.aadScratch[:0], kind, env.From, env.Seq)
-	pt, err := l.aead.Open(nil, env.Ciphertext[:symcrypto.GCMNonceSize], env.Ciphertext[symcrypto.GCMNonceSize:], l.aadScratch)
+	l.aadScratch = appendLinkEnvelopeAAD(l.aadScratch[:0], kind, l.peer, env.Seq)
+	nonce, ct := env.Ciphertext[:symcrypto.GCMNonceSize], env.Ciphertext[symcrypto.GCMNonceSize:]
+	pt, err := l.aead.Open(ct[:0], nonce, ct, l.aadScratch)
 	if err != nil {
 		return nil, symcrypto.ErrDecrypt
 	}

@@ -2,6 +2,7 @@ package backbone
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -49,21 +50,22 @@ func TestLinkSealOpenReplayAndKindBinding(t *testing.T) {
 	a := newLink("r1", addr, keys, time.Now()) // r0's view
 	b := newLink("r0", addr, keys, time.Now()) // r1's view
 
-	env := sealEnvelope(t, a, transport.KindGossip, "r0", []byte("hello"))
-	pt, err := b.open(transport.KindGossip, env, time.Now())
+	enc := a.sealAppend(nil, transport.KindGossip, "r0", []byte("hello"))
+	pt, err := b.open(transport.KindGossip, decodeEnvelope(t, bytes.Clone(enc)), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(pt) != "hello" {
 		t.Fatalf("roundtrip = %q", pt)
 	}
-	// Replay of the same envelope is refused after decryption.
-	if _, err := b.open(transport.KindGossip, env, time.Now()); err == nil {
-		t.Fatal("replayed envelope accepted")
+	// Replay of the same envelope (a fresh copy: open decrypts in place) is
+	// refused after decryption, by the replay window.
+	if _, err := b.open(transport.KindGossip, decodeEnvelope(t, enc), time.Now()); !errors.Is(err, errLinkReplay) {
+		t.Fatalf("replayed envelope: %v, want errLinkReplay", err)
 	}
 	// The kind is bound into the AAD: a gossip envelope replayed as a
 	// relay fails authentication outright.
-	env2 := sealEnvelope(t, a, transport.KindGossip, "r0", []byte("hello"))
+	env2 := decodeEnvelope(t, a.sealAppend(nil, transport.KindGossip, "r0", []byte("hello")))
 	if _, err := b.open(transport.KindRelay, env2, time.Now()); err == nil {
 		t.Fatal("kind confusion accepted")
 	}
@@ -74,12 +76,12 @@ func TestLinkSealOpenReplayAndKindBinding(t *testing.T) {
 	}
 }
 
-// sealEnvelope seals plaintext on l and decodes the envelope back, the
-// way the receiving node sees it.
-func sealEnvelope(t *testing.T, l *link, kind transport.Kind, self string, plaintext []byte) *linkEnvelope {
+// decodeEnvelope decodes a sealed envelope the way the receiving node
+// does, aliasing enc.
+func decodeEnvelope(t *testing.T, enc []byte) *linkEnvelope {
 	t.Helper()
-	env, err := unmarshalLinkEnvelope(l.sealAppend(nil, kind, self, plaintext))
-	if err != nil {
+	env := new(linkEnvelope)
+	if err := unmarshalLinkEnvelope(enc, env); err != nil {
 		t.Fatal(err)
 	}
 	return env
@@ -102,11 +104,11 @@ func TestLinkSealAppendWireCompatible(t *testing.T) {
 			t.Fatalf("envelope %d: len %d, linkEnvelopeLen %d",
 				i, len(enc), linkEnvelopeLen("r0", len(pt)))
 		}
-		env, err := unmarshalLinkEnvelope(enc)
-		if err != nil {
+		var env linkEnvelope
+		if err := unmarshalLinkEnvelope(enc, &env); err != nil {
 			t.Fatalf("envelope %d: decode: %v", i, err)
 		}
-		out, err := b.open(transport.KindGossip, env, time.Now())
+		out, err := b.open(transport.KindGossip, &env, time.Now())
 		if err != nil {
 			t.Fatalf("envelope %d: open: %v", i, err)
 		}

@@ -517,6 +517,17 @@ func (n *Node) link(peer string) *link {
 	return nil
 }
 
+// linkFrom is link for an envelope's sender field, compared where it lies
+// in the datagram.
+func (n *Node) linkFrom(from []byte) *link {
+	for _, l := range n.links {
+		if l.peer == string(from) {
+			return l
+		}
+	}
+	return nil
+}
+
 // handleRelay processes one relay envelope: deliver at the target,
 // forward with a decremented TTL otherwise.
 func (n *Node) handleRelay(body *relayBody) {
@@ -800,10 +811,11 @@ func (n *Node) serve() error {
 	return nil
 }
 
-// dispatch decodes and serves one ingest slot at now. Every decoder below
-// copies what it keeps, so the slot is free for reuse on return; only
-// the hello path clones the peer address, which outlives the batch
-// inside the installed link.
+// dispatch decodes and serves one ingest slot at now. A sealed envelope
+// is decoded in place and opened in place in the slot; every decoder of
+// its plaintext, like the handshakes' decoders, copies what it keeps, so
+// the slot is free for reuse on return. Only the hello path clones the
+// peer address, which outlives the batch inside the installed link.
 func (n *Node) dispatch(m *batchio.Message, now time.Time) {
 	kind, payload, err := transport.DecodeFrame(m.Payload())
 	if err != nil {
@@ -823,18 +835,18 @@ func (n *Node) dispatch(m *batchio.Message, now time.Time) {
 		}
 		n.handleWelcome(w, now)
 	case transport.KindGossip, transport.KindRelay, transport.KindHandoffAnnounce:
-		env, err := unmarshalLinkEnvelope(payload)
-		if err != nil {
+		var env linkEnvelope
+		if unmarshalLinkEnvelope(payload, &env) != nil {
 			return
 		}
-		n.handleEnvelope(kind, env, now)
+		n.handleEnvelope(kind, &env, now)
 	}
 }
 
 // handleEnvelope opens a sealed envelope on the sender's link and
 // dispatches its plaintext.
 func (n *Node) handleEnvelope(kind transport.Kind, env *linkEnvelope, now time.Time) {
-	l := n.link(env.From)
+	l := n.linkFrom(env.From)
 	if l == nil {
 		n.envelopeDrops.Add(1)
 		return
@@ -865,7 +877,7 @@ func (n *Node) handleEnvelope(kind transport.Kind, env *linkEnvelope, now time.T
 			return
 		}
 		l.noteAds(ads)
-		n.integrateOwners(ads, env.From, now)
+		n.integrateOwners(ads, l.peer, now)
 	}
 }
 

@@ -196,9 +196,10 @@ func unmarshalRouterWelcome(data []byte) (*routerWelcome, error) {
 // increasing per-sender sequence number (replay window on the receiver),
 // and the AEAD ciphertext. The AAD binds kind, sender and sequence, so
 // an envelope cannot be replayed as a different kind or from a different
-// peer.
+// peer. A decoded envelope aliases the datagram it came in: From and
+// Ciphertext are slices of the ingest slot, valid until its next read.
 type linkEnvelope struct {
-	From       string
+	From       []byte
 	Seq        uint64
 	Ciphertext []byte
 }
@@ -240,26 +241,21 @@ func appendLinkEnvelopeHeader(dst []byte, from string, seq uint64, ptLen int) []
 	return binary.BigEndian.AppendUint32(dst, uint32(symcrypto.GCMNonceSize+ptLen+symcrypto.GCMOverhead))
 }
 
-// unmarshalLinkEnvelope decodes an envelope. The ciphertext is copied.
-func unmarshalLinkEnvelope(data []byte) (*linkEnvelope, error) {
+// unmarshalLinkEnvelope decodes an envelope into m, which aliases data:
+// nothing is copied.
+func unmarshalLinkEnvelope(data []byte, m *linkEnvelope) error {
 	r := wire.NewReader(data)
-	m := &linkEnvelope{}
 	var err error
-	if m.From, err = r.StringField(); err != nil {
-		return nil, err
+	if m.From, err = r.BytesField(); err != nil {
+		return err
 	}
 	if m.Seq, err = r.Uint64(); err != nil {
-		return nil, err
+		return err
 	}
-	ct, err := r.BytesField()
-	if err != nil {
-		return nil, err
+	if m.Ciphertext, err = r.BytesField(); err != nil {
+		return err
 	}
-	m.Ciphertext = append([]byte(nil), ct...)
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return r.Finish()
 }
 
 // routeAd advertises reachability of one router in a gossip round.

@@ -35,6 +35,45 @@ func TestPairingCheckProduct(t *testing.T) {
 	}
 }
 
+// TestSharedFinalExpDecidesProduct decides the Eq.3 token test's shape,
+// e(P, Q)·e(−P, Q) = 1, two ways: as two pairings (each a Miller loop and
+// a final exponentiation, as Pair is) multiplied in GT, and as two Miller
+// loops into one accumulator with one final exponentiation. Both reach the
+// same verdict, the second from half the final exponentiations.
+func TestSharedFinalExpDecidesProduct(t *testing.T) {
+	a, _ := RandomScalar(rand.Reader)
+	p := new(G1).ScalarBaseMult(a)
+	pNeg := new(G1).Neg(p)
+	q := new(G2).Base()
+
+	finalExps := 0
+	finalize := func(acc *GT) *GT {
+		finalExps++
+		return acc.Finalize()
+	}
+
+	e1, e2 := finalize(Miller(p, q)), finalize(Miller(pNeg, q))
+	if !e1.Equal(Pair(p, q)) || !e2.Equal(Pair(pNeg, q)) {
+		t.Fatal("Miller+Finalize != Pair")
+	}
+	if !e1.Add(e1, e2).IsOne() {
+		t.Error("two pairings: e(P,Q)·e(−P,Q) != 1")
+	}
+	if finalExps != 2 {
+		t.Fatalf("two pairings ran %d final exponentiations, want 2", finalExps)
+	}
+
+	finalExps = 0
+	acc := Miller(p, q)
+	acc.Add(acc, Miller(pNeg, q))
+	if !finalize(acc).IsOne() {
+		t.Error("shared accumulator: e(P,Q)·e(−P,Q) != 1")
+	}
+	if finalExps != 1 {
+		t.Fatalf("shared accumulator ran %d final exponentiations, want 1", finalExps)
+	}
+}
+
 func TestPairingCheckDHTriple(t *testing.T) {
 	// The classic co-DDH check: e(g1^a, g2^b) == e(g1^(ab), g2), phrased as
 	// a product: e(g1^a, g2^b)·e(g1^(−ab), g2) = 1.

@@ -9,7 +9,7 @@
 // with a backbone ring when N > 1 — and dials, maintains, restarts, re-keys
 // and probes them; and the acceptance drills, each a script over the testbed
 // whose report embeds one Verdict: Loopback, RevocationDrill, Soak,
-// RestartSoak, MetroSoak, AttackSoak and AttackLatency. cmd/meshsoak and
+// RestartSoak, MetroSoak and AttackSoak. cmd/meshsoak and
 // the tests run them. The invariants they judge:
 //
 //   - every client re-establishes a session with the final server

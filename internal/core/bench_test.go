@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/rand"
 	"fmt"
 	"testing"
 	"time"
@@ -123,4 +124,35 @@ func BenchmarkIngestBurst(b *testing.B) {
 	count, sigs := groupSize()
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "µs/req")
 	b.ReportMetric((sigs-sigs0)/float64(count-count0), "sigs/group")
+}
+
+// BenchmarkSessionAuth is the per-message cost of the hybrid design's
+// symmetric paths (paper V.C, experiment E5): an HMAC-tagged frame and an
+// AES-GCM sealed frame of 256 bytes, each made by the user's half of an
+// established session and opened by the router's. sgs's BenchmarkSign and
+// BenchmarkVerify are what a message would pay under a group signature.
+func BenchmarkSessionAuth(b *testing.B) {
+	tb := newTestbed(b, 1, 1, 1)
+	us, rs := tb.runAKA(b, tb.user("0", 0), tb.routers["MR-0"], "grp-0")
+	payload := make([]byte, 256)
+
+	b.Run("HMACPerMessage", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f := us.AuthData(payload)
+			if _, err := rs.OpenData(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("AESGCMPerMessage", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f, err := us.SealData(rand.Reader, payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rs.OpenData(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -427,13 +427,12 @@ func (v *Verifier) batchVerifyCounted(items []BatchItem) ([]error, OpCounts) {
 // Eq.3, see scan) using all CPUs. It returns whether a token matched and,
 // if so, the smallest matching index.
 func (v *Verifier) SweepURL(msg []byte, sig *Signature, tokens []*RevocationToken) (bool, int) {
-	return v.SweepURLWorkers(msg, sig, tokens, runtime.GOMAXPROCS(0))
+	return v.sweepURLWorkers(msg, sig, tokens, runtime.GOMAXPROCS(0))
 }
 
-// SweepURLWorkers is SweepURL with an explicit worker count (minimum 1).
-// It exists so benchmarks can pin the parallelism; SweepURL is the
-// convenience form.
-func (v *Verifier) SweepURLWorkers(msg []byte, sig *Signature, tokens []*RevocationToken, workers int) (bool, int) {
+// sweepURLWorkers is SweepURL with an explicit worker count (minimum 1),
+// so the tests can pin the parallelism.
+func (v *Verifier) sweepURLWorkers(msg []byte, sig *Signature, tokens []*RevocationToken, workers int) (bool, int) {
 	return v.setupSweep([]BatchItem{{Msg: msg, Sig: sig}}, newTokenSet(tokens), workers, nil).Check(0)
 }
 

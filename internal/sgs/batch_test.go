@@ -205,7 +205,7 @@ func TestSweepURLMatchesIsRevoked(t *testing.T) {
 			t.Fatalf("%v: reference scan got (%v,%d)", mode, wantRev, wantIdx)
 		}
 		for _, workers := range []int{1, 2, 4, 16} {
-			rev, idx := ver.SweepURLWorkers(msg, sig, tokens, workers)
+			rev, idx := ver.sweepURLWorkers(msg, sig, tokens, workers)
 			if rev != wantRev || idx != wantIdx {
 				t.Fatalf("%v workers=%d: got (%v,%d), want (%v,%d)", mode, workers, rev, idx, wantRev, wantIdx)
 			}

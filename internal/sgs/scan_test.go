@@ -96,8 +96,8 @@ func TestScanMatchesEq3(t *testing.T) {
 			revoked, idx := IsRevoked(s.pk, msg, sig, tc.tokens)
 			check("IsRevoked", revoked, idx)
 			for _, workers := range []int{1, 2, 5} {
-				revoked, idx = ver.SweepURLWorkers(msg, sig, tc.tokens, workers)
-				check(fmt.Sprintf("SweepURLWorkers(%d)", workers), revoked, idx)
+				revoked, idx = ver.sweepURLWorkers(msg, sig, tc.tokens, workers)
+				check(fmt.Sprintf("sweepURLWorkers(%d)", workers), revoked, idx)
 			}
 			if mode == PerMessageGenerators { // fixed generators take SweepState's index
 				st := NewSweepState(s.pk)

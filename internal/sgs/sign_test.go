@@ -275,7 +275,7 @@ func TestVerifiersAgreeOnRejections(t *testing.T) {
 }
 
 // TestKnownGapFixedGeneratorsLinkable states the price of FixedGenerators
-// (E11's "shared bases across signatures" row) from public data alone:
+// (the trade-off E3 prints under its fast variant) from public data alone:
 // with û and v̂ derived from the group key and the signature,
 // e(T2, û)/e(T1, v̂) = e(A, û) for every signature of the member holding
 // A. With û fixed, e(A, û) is constant per user, so E3's O(1) index links

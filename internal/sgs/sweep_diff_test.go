@@ -7,7 +7,7 @@ import (
 )
 
 // TestSweepDifferential pins the three ways into the revocation check to
-// one another: IsRevoked (bases derived per call), SweepURLWorkers at
+// one another: IsRevoked (bases derived per call), sweepURLWorkers at
 // several worker counts (a Verifier's cached bases) and the epoch-cached
 // SweepState (packed tokens, and the e(A, û) index for fixed generators).
 // All run the one scan (TestScanMatchesEq3 holds that to the paper's
@@ -53,9 +53,9 @@ func TestSweepDifferential(t *testing.T) {
 				wantRevoked, wantIdx := IsRevoked(pk, msg, sig, tc.tokens)
 
 				for _, w := range workerCounts {
-					gotRevoked, gotIdx := ver.SweepURLWorkers(msg, sig, tc.tokens, w)
+					gotRevoked, gotIdx := ver.sweepURLWorkers(msg, sig, tc.tokens, w)
 					if gotRevoked != wantRevoked || gotIdx != wantIdx {
-						t.Errorf("SweepURLWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
+						t.Errorf("sweepURLWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
 							w, gotRevoked, gotIdx, wantRevoked, wantIdx)
 					}
 				}
@@ -68,9 +68,9 @@ func TestSweepDifferential(t *testing.T) {
 						gotRevoked, gotIdx, wantRevoked, wantIdx)
 				}
 				for _, w := range workerCounts {
-					gotRevoked, gotIdx := st.CheckWorkers(msg, sig, w)
+					gotRevoked, gotIdx := st.checkWorkers(msg, sig, w)
 					if gotRevoked != wantRevoked || gotIdx != wantIdx {
-						t.Errorf("SweepState.CheckWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
+						t.Errorf("SweepState.checkWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
 							w, gotRevoked, gotIdx, wantRevoked, wantIdx)
 					}
 				}

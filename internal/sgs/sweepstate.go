@@ -112,12 +112,13 @@ func (s *SweepState) Tokens() []*RevocationToken {
 // of one (Group): FixedGenerators signatures take the constant-cost indexed
 // path; everything else sweeps.
 func (s *SweepState) Check(msg []byte, sig *Signature) (bool, int) {
-	return s.CheckWorkers(msg, sig, 0)
+	return s.checkWorkers(msg, sig, 0)
 }
 
-// CheckWorkers is Check with an explicit sweep worker count (0 means
-// GOMAXPROCS); the FixedGenerators path is single-lookup and ignores it.
-func (s *SweepState) CheckWorkers(msg []byte, sig *Signature, workers int) (bool, int) {
+// checkWorkers is Check with an explicit sweep worker count (0 means
+// GOMAXPROCS), so the tests can pin the parallelism; the FixedGenerators
+// path is single-lookup and ignores it.
+func (s *SweepState) checkWorkers(msg []byte, sig *Signature, workers int) (bool, int) {
 	return s.group([]BatchItem{{Msg: msg, Sig: sig}}, workers).Check(0)
 }
 

@@ -34,14 +34,9 @@ type ServerConfig struct {
 	// fresh ring (tickets then die with the process); operators that want
 	// tickets to survive restarts share one ring across incarnations.
 	TicketKeys *symcrypto.TicketKeyRing
-	// IOBatch is how many datagrams one recvmmsg/sendmmsg moves per
-	// syscall on each shard loop (and the egress coalescing width).
-	// 1 forces the portable single-datagram path — the unbatched
-	// baseline E18 compares against. Default 32.
-	IOBatch int
 	// EchoData makes the server seal each delivered data-frame payload
-	// back to its sender — the application-level echo sink E18 and the
-	// data-plane drills measure round trips against.
+	// back to its sender — the application-level echo sink the data-plane
+	// workloads and drills measure round trips against.
 	EchoData bool
 	// Metrics is the registry the server's instruments resolve in. Nil
 	// creates a private registry, reachable via Stats().Registry().
@@ -83,14 +78,14 @@ const (
 	// dosSampleInterval paces the load sampler that feeds the router's
 	// adaptive puzzle-difficulty controller (dosgate.go).
 	dosSampleInterval = 250 * time.Millisecond
+	// ioBatch is how many datagrams one recvmmsg/sendmmsg moves per
+	// syscall on each shard loop, and the egress coalescing width.
+	ioBatch = 32
 )
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Shards < 1 {
 		c.Shards = 1
-	}
-	if c.IOBatch < 1 {
-		c.IOBatch = 32
 	}
 	if c.BootEpoch == 0 {
 		var b [8]byte
@@ -485,7 +480,7 @@ func (s *Server) endBatch(l *shardLoop) {
 	}
 }
 
-// readLoop is one shard's socket reader. Datagrams arrive up to IOBatch
+// readLoop is one shard's socket reader. Datagrams arrive up to ioBatch
 // per recvmmsg into the ring's pooled slots; each slot's bytes and source
 // address belong to the ring until the next Prepare, so a handler that
 // keeps either copies it. Expensive work (signature verification) happens
@@ -497,26 +492,22 @@ func (s *Server) endBatch(l *shardLoop) {
 // (endBatch).
 func (s *Server) readLoop(conn net.PacketConn) {
 	defer s.loops.Done()
-	var bc batchio.Conn
-	if s.cfg.IOBatch > 1 {
-		var batched bool
-		bc, batched = batchio.Upgrade(conn)
-		if batched {
-			s.stats.batchedIO.Store(1)
-			// Every read of this socket is a recvmmsg into a 64 KiB ingest
-			// slot, so the kernel may hand a sender's GSO train over whole;
-			// ReadBatch cuts it back into the datagrams dispatch serves.
-			batchio.EnableGRO(bc, s.stats.NoteRxSplit)
-		}
-	} else {
-		bc = batchio.Single(conn)
+	// Where recvmmsg is missing, Upgrade falls back to one datagram per
+	// syscall behind the same interface.
+	bc, batched := batchio.Upgrade(conn)
+	if batched {
+		s.stats.batchedIO.Store(1)
+		// Every read of this socket is a recvmmsg into a 64 KiB ingest
+		// slot, so the kernel may hand a sender's GSO train over whole;
+		// ReadBatch cuts it back into the datagrams dispatch serves.
+		batchio.EnableGRO(bc, s.stats.NoteRxSplit)
 	}
-	ring := batchio.NewRing(s.cfg.IOBatch, s.ingestPool)
+	ring := batchio.NewRing(ioBatch, s.ingestPool)
 	l := &shardLoop{
 		// No flush deadline: every frame is queued either by this loop,
 		// which flushes after each ingest batch, or by an ingest drainer,
 		// which flushes after answering its group.
-		eg: batchio.NewEgress(bc, s.cfg.IOBatch, 0, s.framePool, s.noteFlush),
+		eg: batchio.NewEgress(bc, ioBatch, 0, s.framePool, s.noteFlush),
 		pt: make([]byte, 0, 65536),
 	}
 	defer ring.Close()

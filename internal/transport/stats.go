@@ -343,15 +343,6 @@ func (s *Stats) DoSPuzzlesRejected() int64 { return s.dosPuzzlesRejected.Load() 
 // gate suppressed.
 func (s *Stats) DoSSolutionReplays() int64 { return s.dosSolutionReplays.Load() }
 
-// AttachLatency returns the full-attach latency histogram.
-func (s *Stats) AttachLatency() *metrics.Histogram { return s.attachLatency }
-
-// ResumeLatency returns the ticket-resume latency histogram.
-func (s *Stats) ResumeLatency() *metrics.Histogram { return s.resumeLatency }
-
-// HandoffLatency returns the roaming-handoff latency histogram.
-func (s *Stats) HandoffLatency() *metrics.Histogram { return s.handoffLatency }
-
 // NoteDataBytes adds delivered plaintext bytes (called by the backbone
 // node for relayed-in frames that open under a local session).
 func (s *Stats) NoteDataBytes(n int) { s.dataBytes.Add(int64(n)) }
