@@ -12,29 +12,30 @@ import (
 	"testing"
 )
 
-// citingDocs are the documents that cite peacebench experiments and
-// benchmarks by name, relative to the module root.
-var citingDocs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"}
+// citingDocs are the documents that cite peacebench experiments, tests
+// and benchmarks by name, relative to the module root.
+var citingDocs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/PROTOCOL.md"}
 
 var (
 	// expCitation is a peacebench -exp argument: one name or a comma list.
 	expCitation = regexp.MustCompile(`-exp[ =]+([a-z0-9]+(?:,[a-z0-9]+)*)`)
-	// benchCitation is a Go benchmark named by its function.
-	benchCitation = regexp.MustCompile(`\bBenchmark[A-Z0-9]\w*`)
+	// testCitation is a Go test, fuzz target or benchmark named by its
+	// function.
+	testCitation = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9]\w*`)
 )
 
 // TestDocsCiteLiveNames fails when a document cites an -exp name that is
-// not in experimentList, or a BenchmarkX that no _test.go file of the
-// module declares.
+// not in experimentList, or a TestX, FuzzX or BenchmarkX that no _test.go
+// file of the module declares.
 func TestDocsCiteLiveNames(t *testing.T) {
 	root := filepath.Join("..", "..")
 	known := map[string]bool{"all": true}
 	for _, e := range experimentList {
 		known[e.name] = true
 	}
-	benchmarks := declaredBenchmarks(t, root)
-	if len(benchmarks) == 0 {
-		t.Fatal("found no benchmark declarations in the module")
+	declared := declaredTests(t, root)
+	if !declared["TestDocsCiteLiveNames"] {
+		t.Fatal("the declaration walk missed this very test")
 	}
 	for _, doc := range citingDocs {
 		buf, err := os.ReadFile(filepath.Join(root, doc))
@@ -49,8 +50,8 @@ func TestDocsCiteLiveNames(t *testing.T) {
 					}
 				}
 			}
-			for _, name := range benchCitation.FindAllString(line, -1) {
-				if !benchmarks[name] {
+			for _, name := range testCitation.FindAllString(line, -1) {
+				if !declared[name] {
 					t.Errorf("%s:%d cites %s, which no _test.go file declares", doc, i+1, name)
 				}
 			}
@@ -58,9 +59,9 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	}
 }
 
-// declaredBenchmarks parses every _test.go file under root and returns
-// the names of the Benchmark functions they declare.
-func declaredBenchmarks(t *testing.T, root string) map[string]bool {
+// declaredTests parses every _test.go file under root and returns the
+// names of the Test, Fuzz and Benchmark functions they declare.
+func declaredTests(t *testing.T, root string) map[string]bool {
 	t.Helper()
 	out := map[string]bool{}
 	fset := token.NewFileSet()
@@ -82,7 +83,7 @@ func declaredBenchmarks(t *testing.T, root string) map[string]bool {
 			return err
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testCitation.MatchString(fn.Name.Name) {
 				out[fn.Name.Name] = true
 			}
 		}

@@ -43,12 +43,10 @@ func HashToScalar(msg []byte) *big.Int {
 // HashToScalars hashes msg into count independent elements of Z_n*.
 func HashToScalars(msg []byte, count int) []*big.Int {
 	out := make([]*big.Int, count)
+	tagged := make([]byte, 4+len(msg)) // the index, then msg
+	copy(tagged[4:], msg)
 	for i := range out {
-		tagged := make([]byte, 0, len(msg)+4)
-		var idx [4]byte
-		binary.BigEndian.PutUint32(idx[:], uint32(i))
-		tagged = append(tagged, idx[:]...)
-		tagged = append(tagged, msg...)
+		binary.BigEndian.PutUint32(tagged[:4], uint32(i))
 		out[i] = HashToScalar(tagged)
 	}
 	return out

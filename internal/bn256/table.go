@@ -11,8 +11,7 @@ import (
 // at most 64 point additions and no doublings. The canonical generators
 // g1 and g2 get process-wide tables built lazily on first use, so a
 // binary that never exponentiates a generator never pays for them;
-// callers with other long-lived bases — a group public key's w, the
-// fixed-mode generators u and v — build their own via G1Table / G2Table.
+// G1Table / G2Table build the same for any other long-lived base.
 
 const (
 	tableWindowBits = 4

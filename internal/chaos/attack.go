@@ -263,10 +263,9 @@ func ForgedAccessFrame(gr *bn256.G1) ([]byte, error) {
 		GR:        gr,
 		Timestamp: time.Now(),
 		Sig: &sgs.Signature{
-			Mode: sgs.PerMessageGenerators,
-			T1:   new(bn256.G1).ScalarBaseMult(k[1]),
-			T2:   new(bn256.G1).ScalarBaseMult(k[2]),
-			R:    k[3], C: k[4], SAlpha: k[5], SX: k[6], SDelta: k[7],
+			T1: new(bn256.G1).ScalarBaseMult(k[1]),
+			T2: new(bn256.G1).ScalarBaseMult(k[2]),
+			R:  k[3], C: k[4], SAlpha: k[5], SX: k[6], SDelta: k[7],
 		},
 	})
 }

@@ -128,10 +128,7 @@ func forgeSignature(t testing.TB) *sgs.Signature {
 	sd, _ := bn256.RandomScalar(rand.Reader)
 	_, t1, _ := bn256.RandomG1(rand.Reader)
 	_, t2, _ := bn256.RandomG1(rand.Reader)
-	return &sgs.Signature{
-		Mode: sgs.PerMessageGenerators,
-		R:    r, T1: t1, T2: t2, C: c, SAlpha: sa, SX: sx, SDelta: sd,
-	}
+	return &sgs.Signature{R: r, T1: t1, T2: t2, C: c, SAlpha: sa, SX: sx, SDelta: sd}
 }
 
 func TestDoSFloodSheddingWithPuzzles(t *testing.T) {

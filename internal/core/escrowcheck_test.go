@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,7 +11,8 @@ import (
 )
 
 // Offsets into an encoded M.2: the two length-prefixed DH shares, ts_2,
-// the length-prefixed signature (mode, R, T1, T2, C, SAlpha, SX, SDelta),
+// the length-prefixed signature (leading byte, R, T1, T2, C, SAlpha, SX,
+// SDelta),
 // then the puzzle flag.
 const (
 	m2GJAt   = 4
@@ -44,7 +46,8 @@ func escrowSeeds(tb testing.TB) (plain, solved []byte) {
 // mutateM2 returns a copy of a valid M.2 hit by one of the faults a
 // corrupt or forged escrow can carry, each aimed at one rule of the
 // decoder: lengths and trailing bytes, coordinates and scalars out of
-// range, points off the curve or at infinity, the mode byte, the puzzle
+// range, points off the curve or at infinity, the signature's leading
+// byte, the puzzle
 // flag, and plain bit flips anywhere.
 func mutateM2(rng *rand.Rand, seed []byte) []byte {
 	m := append([]byte(nil), seed...)
@@ -78,7 +81,7 @@ func mutateM2(rng *rand.Rand, seed []byte) []byte {
 	case 7: // another valid point in place of this one
 		from, to := points[rng.Intn(4)], points[rng.Intn(4)]
 		copy(m[to:to+bn256.G1Size], seed[from:from+bn256.G1Size])
-	case 8: // the mode byte
+	case 8: // the signature's leading byte (only 1 is accepted)
 		m[m2SigAt] = byte(rng.Intn(4))
 	case 9: // the puzzle flag
 		m[m2FlagAt] = byte(rng.Intn(3))
@@ -86,6 +89,14 @@ func mutateM2(rng *rand.Rand, seed []byte) []byte {
 		at := [3]int{m2GJAt - 4, m2GRAt - 4, m2SigAt - 4}[rng.Intn(3)]
 		m[at+3] += byte(rng.Intn(3)) - 1
 	}
+	return m
+}
+
+// fixedModeM2 returns a copy of a valid M.2 with its signature's leading
+// byte set to 2, the fixed-generator mode the router no longer accepts.
+func fixedModeM2(m2 []byte) []byte {
+	m := append([]byte(nil), m2...)
+	m[m2SigAt] = 2
 	return m
 }
 
@@ -130,7 +141,8 @@ func TestCheckAccessRequestAgrees(t *testing.T) {
 // FuzzCheckAccessRequest is the differential of the escrow check against
 // the decoder: on any input, CheckAccessRequest accepts if and only if
 // UnmarshalAccessRequest does. The corpus starts from valid M.2s, with and
-// without a solution, and mutants of them.
+// without a solution, mutants of them, and an M.2 whose signature is led
+// by 2, the fixed-generator mode, which both must refuse.
 func FuzzCheckAccessRequest(f *testing.F) {
 	plain, solved := escrowSeeds(f)
 	f.Add(plain)
@@ -140,6 +152,11 @@ func FuzzCheckAccessRequest(f *testing.F) {
 		f.Add(mutateM2(rng, plain))
 	}
 	f.Add([]byte{})
+	fixed := fixedModeM2(plain)
+	if err := CheckAccessRequest(fixed); !errors.Is(err, sgs.ErrInvalidSignature) {
+		f.Fatalf("check of a fixed-mode M.2: %v, want ErrInvalidSignature", err)
+	}
+	f.Add(fixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agree(t, data)
 	})

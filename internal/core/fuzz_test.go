@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"github.com/peace-mesh/peace/internal/sgs"
 )
 
 // fuzzSeeds builds one valid marshaled copy of each AKA message so the
@@ -50,11 +53,19 @@ func FuzzUnmarshalBeacon(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalAccessRequest holds the M.2 decoder to a stable canonical
+// form. Its corpus includes an M.2 whose signature is led by 2, the
+// fixed-generator mode, which the decoder must refuse.
 func FuzzUnmarshalAccessRequest(f *testing.F) {
 	_, seed, _ := fuzzSeeds(f)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
+	fixed := fixedModeM2(seed)
+	if _, err := UnmarshalAccessRequest(fixed); !errors.Is(err, sgs.ErrInvalidSignature) {
+		f.Fatalf("decode of a fixed-mode M.2: %v, want ErrInvalidSignature", err)
+	}
+	f.Add(fixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalAccessRequest(data)
 		if err != nil {

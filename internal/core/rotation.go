@@ -50,7 +50,7 @@ func (n *NetworkOperator) RotateGroupSecret() (*sgs.PublicKey, error) {
 // UpdateGroupKey installs a new-epoch group public key on a router. Any
 // signature under the previous gpk stops verifying. The revocation sweep
 // cache is rebuilt for the new key from the currently installed URL
-// snapshot (its verifier tables and fast index are gpk-specific).
+// snapshot (a SweepState serves one gpk).
 func (r *MeshRouter) UpdateGroupKey(gpk *sgs.PublicKey) {
 	sweep := sgs.NewSweepState(gpk)
 	r.mu.Lock()

@@ -138,7 +138,7 @@ type MeshRouter struct {
 	// state is lost). Zero until the serving transport installs one.
 	bootEpoch uint64
 	// sweep is the epoch-keyed revocation sweep cache (shared verifier,
-	// parsed tokens, per-epoch fast index). Guarded by mu because group-key
+	// the epoch's tokens packed for the scan). Guarded by mu because group-key
 	// rotation replaces it wholesale; the state itself is concurrency-safe.
 	sweep       *sgs.SweepState
 	outstanding map[string]*beaconState // keyed by marshaled g^{r_R}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"crypto/rand"
 	"testing"
 
+	"github.com/peace-mesh/peace/internal/sgs"
 	"github.com/peace-mesh/peace/internal/transport"
 )
 
@@ -87,6 +89,48 @@ func TestE3RevocationSweepShape(t *testing.T) {
 	// fast variant charges fewer pairings.
 	if pts[2].FastPairings >= pts[2].LinearPairings {
 		t.Errorf("fast variant no cheaper at |URL|=32: fast=%d linear=%d pairings", pts[2].FastPairings, pts[2].LinearPairings)
+	}
+}
+
+// TestKnownGapFixedGeneratorsLinkable states the price of E3's fast
+// variant from public data alone: under bases fixed per group, every
+// encryption of one member's token gives the same index key e(A, û), so
+// the O(1) index links a user's signatures for everyone; BS04 §7 scopes it
+// to an epoch. It is why the protocol signs under per-message bases only.
+// It asserts the behaviour of fixedIndex, not a goal.
+func TestKnownGapFixedGeneratorsLinkable(t *testing.T) {
+	iss, err := sgs.NewIssuer(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grp, err := iss.NewGroupComponent(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := iss.IssueBatch(rand.Reader, grp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := newFixedIndex(iss.PublicKey(), []*sgs.RevocationToken{keys[1].Token()})
+	key := func(member int) string {
+		t.Helper()
+		t1, t2, err := idx.encrypt(rand.Reader, keys[member].Token())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if revoked, i := idx.check(t1, t2); revoked != (member == 1) || (revoked && i != 0) {
+			t.Fatalf("member %d: check = (%v, %d)", member, revoked, i)
+		}
+		return idx.key(t1, t2)
+	}
+
+	first, second := key(0), key(0)
+	if first != second {
+		t.Fatal("two encryptions of one member's token give different keys — " +
+			"if the fixed bases became per-epoch or per-message, restate this test")
+	}
+	if key(1) == first {
+		t.Fatal("two members' tokens give the same key")
 	}
 }
 

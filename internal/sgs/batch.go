@@ -17,8 +17,9 @@ type BatchItem struct {
 	Sig *Signature
 }
 
-// Verifier amortizes the fixed costs of signature verification across many
-// calls for one group public key. It rewrites the pairing side of the
+// Verifier checks signatures under one group public key, whose prepared
+// g2 and w lines it shares with every other Verifier and signer of that
+// key. It rewrites the pairing side of the
 // paper's Eq.2 so that both pairings have a constant G2 argument:
 //
 //	R̃2 = e(T2, g2^{s_x} · w^c) · e(v, w^{−s_α} · g2^{−s_δ}) · e(g1,g2)^{−c}
@@ -31,10 +32,9 @@ type BatchItem struct {
 // simultaneously with a shared squaring chain and share one final
 // exponentiation.
 //
-// With per-message generators, v = g1^b collapses the v-terms into powers
-// of g1 (v^{−s_δ} = g1^{−b·s_δ}); with fixed generators the Verifier holds
-// u and v and their window tables. Either way each signature costs 4 G1
-// multi-exponentiations and 2 pairings — against the paper's 6
+// The per-message bases are u = g1^a and v = g1^b, so the u- and v-terms
+// collapse into powers of g1 (v^{−s_δ} = g1^{−b·s_δ}), and each signature
+// costs 4 G1 multi-exponentiations and 2 pairings — against the paper's 6
 // exponentiations and 3 pairings — and the batch path spreads the work
 // across all CPUs. The multi-exponentiations of a group, four to a
 // signature, go eight to a pass of the lane kernels
@@ -45,53 +45,19 @@ type BatchItem struct {
 // A Verifier is safe for concurrent use.
 type Verifier struct {
 	pk *PublicKey
-
-	// fixed is the FixedGenerators state, built by the first signature in
-	// that mode: per-message signatures, which are all the protocol sends,
-	// never pay for it.
-	fixedOnce sync.Once
-	fixed     *fixedBases
-}
-
-// fixedBases is a Verifier's FixedGenerators cache: u = g1^a and v = g1^b
-// with their window tables, and the prepared û, v̂ for revocation sweeps.
-type fixedBases struct {
-	u, v               *bn256.G1
-	uTable, vTable     *bn256.G1Table
-	uhatPrep, vhatPrep *bn256.PreparedG2
 }
 
 // NewVerifier returns a verifier for pk. It precomputes nothing itself: the
 // prepared g2 and w lines live on pk and are built by the first signature
-// or verification under it, and the FixedGenerators tables by the first
-// signature in that mode.
+// or verification under it.
 func NewVerifier(pk *PublicKey) *Verifier {
 	return &Verifier{pk: pk}
-}
-
-// fixedGenerators returns the FixedGenerators cache, building it on first
-// use.
-func (v *Verifier) fixedGenerators() *fixedBases {
-	v.fixedOnce.Do(func() {
-		a, b := deriveScalars(v.pk, FixedGenerators, nil, nil, counter{})
-		u, vv := new(bn256.G1).ScalarBaseMult(a), new(bn256.G1).ScalarBaseMult(b)
-		bn256.NormalizeG1(u, vv)
-		v.fixed = &fixedBases{
-			u:        u,
-			v:        vv,
-			uTable:   bn256.NewG1Table(u),
-			vTable:   bn256.NewG1Table(vv),
-			uhatPrep: bn256.PrepareG2(new(bn256.G2).ScalarBaseMult(a)),
-			vhatPrep: bn256.PrepareG2(new(bn256.G2).ScalarBaseMult(b)),
-		}
-	})
-	return v.fixed
 }
 
 // PublicKey returns the group public key this verifier was built for.
 func (v *Verifier) PublicKey() *PublicKey { return v.pk }
 
-// Verify checks one signature using the precomputed tables.
+// Verify checks one signature.
 func (v *Verifier) Verify(msg []byte, sig *Signature) error {
 	return v.verifyOne(msg, sig, counter{})
 }
@@ -193,8 +159,8 @@ func g1SumsLanes(eqs []*eq2) {
 			sum := &e.sums[s]
 			*o = new(bn256.G1)
 			out = append(out, *o)
-			ps = append(ps, sum.bases[:sum.n])
-			ks = append(ks, sum.exps[:sum.n])
+			ps = append(ps, sum.bases[:])
+			ks = append(ks, sum.exps[:])
 		}
 	}
 	bn256.MultiScalarMultLanes(out, ps, ks)
@@ -246,49 +212,28 @@ type eq2 struct {
 // outs returns where the four sums go, in the order of sums.
 func (e *eq2) outs() [4]**bn256.G1 { return [4]**bn256.G1{&e.r1, &e.r3, &e.a, &e.b} }
 
-// g1Sum is one of a signature's G1 sums, Π bases[k]^exps[k] over its n
-// terms (two, or three for A in FixedGenerators mode).
+// g1Sum is one of a signature's G1 sums, g1^exps[0] · bases[1]^exps[1]:
+// a power of the generator (bases[0] is g1Base) and one of T1 or T2.
 type g1Sum struct {
-	n      int
-	bases  [3]*bn256.G1
-	exps   [3]*big.Int
-	tables [3]*bn256.G1Table // the base's window table, where the key has one
+	bases [2]*bn256.G1
+	exps  [2]*big.Int
 }
 
 // g1Base is the generator g1 as a base of a g1Sum.
 var g1Base = new(bn256.G1).Base()
 
-// add appends base^exp; table is base's window table or nil.
-func (s *g1Sum) add(base *bn256.G1, table *bn256.G1Table, exp *big.Int) {
-	s.bases[s.n], s.tables[s.n], s.exps[s.n] = base, table, exp
-	s.n++
+// newG1Sum returns g1^k · t^kt.
+func newG1Sum(k *big.Int, t *bn256.G1, kt *big.Int) g1Sum {
+	return g1Sum{bases: [2]*bn256.G1{g1Base, t}, exps: [2]*big.Int{k, kt}}
 }
 
-// scalar computes the sum on the scalar tower, each power the cheapest
-// way the scalar tower has: a key's window table, the generator's, or a
-// variable-base multiplication. (The powers after the first are written
-// out where they are added, which keeps them off the heap.)
+// scalar computes the sum on the scalar tower: the generator's power from
+// its fixed-base table, the other by variable-base multiplication. (The
+// second power is written out where it is added, which keeps it off the
+// heap.)
 func (s *g1Sum) scalar() *bn256.G1 {
-	var sum *bn256.G1
-	switch {
-	case s.tables[0] != nil:
-		sum = s.tables[0].Mul(new(bn256.G1), s.exps[0])
-	case s.bases[0] == g1Base:
-		sum = new(bn256.G1).ScalarBaseMult(s.exps[0])
-	default:
-		sum = new(bn256.G1).ScalarMult(s.bases[0], s.exps[0])
-	}
-	for k := 1; k < s.n; k++ {
-		switch {
-		case s.tables[k] != nil:
-			sum.Add(sum, s.tables[k].Mul(new(bn256.G1), s.exps[k]))
-		case s.bases[k] == g1Base:
-			sum.Add(sum, new(bn256.G1).ScalarBaseMult(s.exps[k]))
-		default:
-			sum.Add(sum, new(bn256.G1).ScalarMult(s.bases[k], s.exps[k]))
-		}
-	}
-	return sum
+	sum := new(bn256.G1).ScalarBaseMult(s.exps[0])
+	return sum.Add(sum, new(bn256.G1).ScalarMult(s.bases[1], s.exps[1]))
 }
 
 // prepare folds the G1 side of Eq.2 for one signature into its four sums.
@@ -299,40 +244,24 @@ func (v *Verifier) prepare(msg []byte, sig *Signature, ct counter) (*eq2, error)
 	e := new(eq2)
 	e.t1.Set(sig.T1)
 	e.t2.Set(sig.T2)
-	r1, r3, a, b := &e.sums[0], &e.sums[1], &e.sums[2], &e.sums[3]
 
 	negC := new(big.Int).Sub(bn256.Order, sig.C)
 	negC.Mod(negC, bn256.Order)
 
-	if sig.Mode == FixedGenerators {
-		// Dedicated per-key window tables for u and v.
-		f := v.fixedGenerators()
-		negSAlpha := new(big.Int).Sub(bn256.Order, sig.SAlpha)
-		negSDelta := new(big.Int).Sub(bn256.Order, sig.SDelta)
-		r1.add(f.u, f.uTable, sig.SAlpha)
-		r3.add(f.u, f.uTable, negSDelta)
-		a.add(f.v, f.vTable, negSDelta)
-		a.add(g1Base, nil, negC)
-		b.add(f.v, f.vTable, negSAlpha)
-	} else {
-		// Per-message generators: u = g1^a, v = g1^b, so every u/v power
-		// folds into the generator (u^{s_α} = g1^{a·s_α}).
-		ea, eb := deriveScalars(v.pk, sig.Mode, msg, sig.R, ct) // hash 1
-		r1.add(g1Base, nil, mulMod(ea, sig.SAlpha))
-		r3.add(g1Base, nil, negMulMod(ea, sig.SDelta))
-		bnd := negMulMod(eb, sig.SDelta)
-		bnd.Add(bnd, negC)
-		a.add(g1Base, nil, bnd.Mod(bnd, bn256.Order))
-		b.add(g1Base, nil, negMulMod(eb, sig.SAlpha))
+	// u = g1^a and v = g1^b, so every u/v power folds into the generator
+	// (u^{s_α} = g1^{a·s_α}).
+	ea, eb := deriveScalars(v.pk, msg, sig.R, ct) // hash 1
+	aExp := negMulMod(eb, sig.SDelta)
+	aExp.Add(aExp, negC)
+	e.sums = [4]g1Sum{
+		// R̃1 = u^{s_α} · T1^{−c} and R̃3 = T1^{s_x} · u^{−s_δ}.
+		newG1Sum(mulMod(ea, sig.SAlpha), &e.t1, negC),
+		newG1Sum(negMulMod(ea, sig.SDelta), &e.t1, sig.SX),
+		// A = T2^{s_x} · v^{−s_δ} · g1^{−c} and B = T2^{c} · v^{−s_α}: the
+		// G1 sides of the rearranged pairing product.
+		newG1Sum(aExp.Mod(aExp, bn256.Order), &e.t2, sig.SX),
+		newG1Sum(negMulMod(eb, sig.SAlpha), &e.t2, sig.C),
 	}
-
-	// R̃1 = u^{s_α} · T1^{−c} and R̃3 = T1^{s_x} · u^{−s_δ}.
-	r1.add(&e.t1, nil, negC)
-	r3.add(&e.t1, nil, sig.SX)
-	// A = T2^{s_x} · v^{−s_δ} · g1^{−c} and B = T2^{c} · v^{−s_α}: the G1
-	// sides of the rearranged pairing product.
-	a.add(&e.t2, nil, sig.SX)
-	b.add(&e.t2, nil, sig.C)
 	ct.exp(4)
 	return e, nil
 }
@@ -433,7 +362,7 @@ func (v *Verifier) SweepURL(msg []byte, sig *Signature, tokens []*RevocationToke
 // sweepURLWorkers is SweepURL with an explicit worker count (minimum 1),
 // so the tests can pin the parallelism.
 func (v *Verifier) sweepURLWorkers(msg []byte, sig *Signature, tokens []*RevocationToken, workers int) (bool, int) {
-	return v.setupSweep([]BatchItem{{Msg: msg, Sig: sig}}, newTokenSet(tokens), workers, nil).Check(0)
+	return v.setupSweep([]BatchItem{{Msg: msg, Sig: sig}}, newTokenSet(tokens), workers).Check(0)
 }
 
 // BatchCheckKeys verifies the SDH equation e(A_i, w·g2^{grp_i+x_i}) =

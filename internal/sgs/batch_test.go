@@ -5,83 +5,40 @@ import (
 	"errors"
 	"math/big"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/peace-mesh/peace/internal/bn256"
 )
 
-// TestVerifierMatchesVerify checks that the table-driven verifier accepts
-// and rejects exactly what the reference verifier does, in both generator
-// modes.
+// TestVerifierMatchesVerify checks that the Verifier accepts and rejects
+// exactly what the reference verifier does.
 func TestVerifierMatchesVerify(t *testing.T) {
 	s := newTestSetup(t, 1)
 	ver := NewVerifier(s.pk)
 	msg := []byte("batch equivalence")
 
-	for _, mode := range []GeneratorMode{PerMessageGenerators, FixedGenerators} {
-		sig, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ver.Verify(msg, sig); err != nil {
-			t.Fatalf("%v: valid signature rejected: %v", mode, err)
-		}
-		if err := ver.Verify([]byte("other message"), sig); !errors.Is(err, ErrInvalidSignature) {
-			t.Fatalf("%v: wrong message accepted: %v", mode, err)
-		}
-
-		// Tamper with each component; both verifiers must agree.
-		tampered := *sig
-		tampered.SAlpha = new(big.Int).Add(sig.SAlpha, big.NewInt(1))
-		tampered.SAlpha.Mod(tampered.SAlpha, bn256.Order)
-		if verifyReference(s.pk, msg, &tampered) == nil || ver.Verify(msg, &tampered) == nil {
-			t.Fatalf("%v: tampered s_α accepted", mode)
-		}
-		tampered = *sig
-		tampered.T2 = new(bn256.G1).Add(sig.T2, new(bn256.G1).Base())
-		if verifyReference(s.pk, msg, &tampered) == nil || ver.Verify(msg, &tampered) == nil {
-			t.Fatalf("%v: tampered T2 accepted", mode)
-		}
-	}
-}
-
-// TestVerifierCrossMode pins the mode interplay: one Verifier handles both
-// signature modes, and flipping the recorded mode bit invalidates the
-// challenge under either verifier.
-func TestVerifierCrossMode(t *testing.T) {
-	s := newTestSetup(t, 1)
-	ver := NewVerifier(s.pk)
-	msg := []byte("cross mode")
-
-	fixedSig, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, FixedGenerators)
+	sig, err := Sign(rand.Reader, s.pk, s.keys[0], msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perMsgSig, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, PerMessageGenerators)
-	if err != nil {
-		t.Fatal(err)
+	if err := ver.Verify(msg, sig); err != nil {
+		t.Fatalf("valid signature rejected: %v", err)
 	}
-	if err := ver.Verify(msg, fixedSig); err != nil {
-		t.Fatalf("verifier rejects fixed-mode signature: %v", err)
-	}
-	if err := ver.Verify(msg, perMsgSig); err != nil {
-		t.Fatalf("verifier rejects per-message signature: %v", err)
+	if err := ver.Verify([]byte("other message"), sig); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("wrong message accepted: %v", err)
 	}
 
-	for _, sig := range []*Signature{fixedSig, perMsgSig} {
-		flipped := *sig
-		if sig.Mode == FixedGenerators {
-			flipped.Mode = PerMessageGenerators
-		} else {
-			flipped.Mode = FixedGenerators
-		}
-		if verifyReference(s.pk, msg, &flipped) == nil {
-			t.Fatal("reference verifier accepted a mode-flipped signature")
-		}
-		if ver.Verify(msg, &flipped) == nil {
-			t.Fatal("Verifier accepted a mode-flipped signature")
-		}
+	// Tamper with each component; both verifiers must agree.
+	tampered := *sig
+	tampered.SAlpha = new(big.Int).Add(sig.SAlpha, big.NewInt(1))
+	tampered.SAlpha.Mod(tampered.SAlpha, bn256.Order)
+	if verifyReference(s.pk, msg, &tampered) == nil || ver.Verify(msg, &tampered) == nil {
+		t.Fatal("tampered s_α accepted")
+	}
+	tampered = *sig
+	tampered.T2 = new(bn256.G1).Add(sig.T2, new(bn256.G1).Base())
+	if verifyReference(s.pk, msg, &tampered) == nil || ver.Verify(msg, &tampered) == nil {
+		t.Fatal("tampered T2 accepted")
 	}
 }
 
@@ -105,18 +62,6 @@ func TestVerifierOpCounts(t *testing.T) {
 	}
 	if counts.Hashes != 2 {
 		t.Fatalf("per-message path: got %d hashes, want 2 (H0 + challenge)", counts.Hashes)
-	}
-
-	fixedSig, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, FixedGenerators)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err = ver.VerifyCounted(msg, fixedSig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.Exps != 4 || counts.Pairings != 2 || counts.GTExps != 0 || counts.Hashes != 1 {
-		t.Fatalf("fixed path: got %+v, want Exps=4 Pairings=2 GTExps=0 Hashes=1", counts)
 	}
 }
 
@@ -184,41 +129,39 @@ func TestSweepURLMatchesIsRevoked(t *testing.T) {
 	s := newTestSetup(t, 5)
 	ver := NewVerifier(s.pk)
 
-	for _, mode := range []GeneratorMode{PerMessageGenerators, FixedGenerators} {
-		msg := []byte("sweep " + mode.String())
-		sig, err := SignWithMode(rand.Reader, s.pk, s.keys[2], msg, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
+	msg := []byte("sweep per-message")
+	sig, err := Sign(rand.Reader, s.pk, s.keys[2], msg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		// Token list with the signer listed twice: the sweep must report
-		// the smallest matching index however many workers share it.
-		tokens := []*RevocationToken{
-			s.keys[0].Token(),
-			s.keys[2].Token(),
-			s.keys[1].Token(),
-			s.keys[2].Token(),
-			s.keys[3].Token(),
+	// Token list with the signer listed twice: the sweep must report the
+	// smallest matching index however many workers share it.
+	tokens := []*RevocationToken{
+		s.keys[0].Token(),
+		s.keys[2].Token(),
+		s.keys[1].Token(),
+		s.keys[2].Token(),
+		s.keys[3].Token(),
+	}
+	wantRev, wantIdx := IsRevoked(s.pk, msg, sig, tokens)
+	if !wantRev || wantIdx != 1 {
+		t.Fatalf("reference scan got (%v,%d)", wantRev, wantIdx)
+	}
+	for _, workers := range []int{1, 2, 4, 16} {
+		rev, idx := ver.sweepURLWorkers(msg, sig, tokens, workers)
+		if rev != wantRev || idx != wantIdx {
+			t.Fatalf("workers=%d: got (%v,%d), want (%v,%d)", workers, rev, idx, wantRev, wantIdx)
 		}
-		wantRev, wantIdx := IsRevoked(s.pk, msg, sig, tokens)
-		if !wantRev || wantIdx != 1 {
-			t.Fatalf("%v: reference scan got (%v,%d)", mode, wantRev, wantIdx)
-		}
-		for _, workers := range []int{1, 2, 4, 16} {
-			rev, idx := ver.sweepURLWorkers(msg, sig, tokens, workers)
-			if rev != wantRev || idx != wantIdx {
-				t.Fatalf("%v workers=%d: got (%v,%d), want (%v,%d)", mode, workers, rev, idx, wantRev, wantIdx)
-			}
-		}
+	}
 
-		// A non-revoked signer misses everywhere.
-		clean := tokens[:1]
-		if rev, idx := ver.SweepURL(msg, sig, clean); rev || idx != -1 {
-			t.Fatalf("%v: clean sweep got (%v,%d)", mode, rev, idx)
-		}
-		if rev, idx := ver.SweepURL(msg, sig, nil); rev || idx != -1 {
-			t.Fatalf("%v: empty sweep got (%v,%d)", mode, rev, idx)
-		}
+	// A non-revoked signer misses everywhere.
+	clean := tokens[:1]
+	if rev, idx := ver.SweepURL(msg, sig, clean); rev || idx != -1 {
+		t.Fatalf("clean sweep got (%v,%d)", rev, idx)
+	}
+	if rev, idx := ver.SweepURL(msg, sig, nil); rev || idx != -1 {
+		t.Fatalf("empty sweep got (%v,%d)", rev, idx)
 	}
 }
 
@@ -262,7 +205,7 @@ func TestParseRejectsOffCurvePoints(t *testing.T) {
 	// Corrupt the y coordinate of T1 inside the canonical encoding: the
 	// point leaves the curve and ParseSignature must reject it.
 	raw := sig.Bytes()
-	t1Off := 1 + scalarBytes // mode byte + r
+	t1Off := 1 + scalarBytes // leading byte + r
 	raw[t1Off+bn256.G1Size-1] ^= 0x01
 	if _, err := ParseSignature(raw); err == nil {
 		t.Fatal("off-curve T1 accepted")
@@ -300,61 +243,5 @@ func TestParseRejectsOffCurvePoints(t *testing.T) {
 	kRaw[bn256.G1Size-1] ^= 0x01
 	if _, err := ParsePrivateKey(kRaw); err == nil {
 		t.Fatal("off-curve private key A accepted")
-	}
-}
-
-// TestFastRevocationCheckerHeavyRace hammers a shared checker with
-// concurrent token additions and membership tests (run under -race by make
-// ci). After the dust settles every revoked signer must be detected.
-func TestFastRevocationCheckerHeavyRace(t *testing.T) {
-	const nKeys = 8
-	s := newTestSetup(t, nKeys)
-	checker := NewFastRevocationChecker(s.pk, nil)
-	msg := []byte("heavy race")
-
-	sigs := make([]*Signature, nKeys)
-	for i := range sigs {
-		var err error
-		sigs[i], err = SignWithMode(rand.Reader, s.pk, s.keys[i], msg, FixedGenerators)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	// Half the keys get revoked while every signature is being checked and
-	// the size is being read.
-	for i := 0; i < nKeys/2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			checker.AddToken(s.keys[i].Token())
-			// Duplicate adds must be idempotent under contention too.
-			checker.AddToken(s.keys[i].Token())
-		}(i)
-	}
-	for _, sig := range sigs {
-		wg.Add(1)
-		go func(sig *Signature) {
-			defer wg.Done()
-			if _, _, err := checker.IsRevoked(sig); err != nil {
-				t.Errorf("concurrent IsRevoked: %v", err)
-			}
-			_ = checker.Len()
-		}(sig)
-	}
-	wg.Wait()
-
-	if checker.Len() != nKeys/2 {
-		t.Fatalf("checker has %d tokens, want %d", checker.Len(), nKeys/2)
-	}
-	for i, sig := range sigs {
-		revoked, _, err := checker.IsRevoked(sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := i < nKeys/2; revoked != want {
-			t.Fatalf("key %d: revoked=%v, want %v", i, revoked, want)
-		}
 	}
 }

@@ -27,14 +27,14 @@
 // key. RecoverSignerToken is that attack; see DESIGN.md §2 and
 // TestKnownGapTokenRecoverableFromSignature.
 //
-// Two generator-derivation modes are supported:
-//
-//   - PerMessageGenerators (the paper's default): (u, v) depend on the
-//     message and the signature nonce r, maximizing unlinkability.
-//   - FixedGenerators: (u, v) depend on the group public key only, enabling
-//     the O(1)-per-token revocation test of BS04 §6 that the paper cites for
-//     its "far more efficient revocation check" ("with a little bit
-//     sacrifice on user privacy").
+// The bases (u, v) depend on the message and the signature nonce r, the
+// paper's default; it is the only mode. The paper also cites fixed bases,
+// derived from the group key alone, for the O(1)-per-token revocation test
+// of BS04 §6 ("with a little bit sacrifice on user privacy"): with û fixed,
+// e(A, û) is the same for every signature of a member, so anyone can link
+// them. This package does not offer that mode: a marshaled signature's
+// leading byte must be 1 (2 would name fixed bases), and E3 in
+// internal/experiments computes the fixed-base check off the protocol.
 //
 // Revocation checking, auditing and tracing are one computation, the
 // paper's Eq.3 over a token list — does e(T2/A_i, û) = e(T1, v̂) hold for

@@ -21,18 +21,13 @@ func sameVerdict(a, b error) bool {
 	return a.Error() == b.Error() && errors.Is(a, ErrInvalidSignature) && errors.Is(b, ErrInvalidSignature)
 }
 
-// signedItems signs n distinct messages, alternating generator modes and
-// the setup's keys, so one group mixes both derivations of (u, v).
+// signedItems signs n distinct messages, cycling through the setup's keys.
 func signedItems(t testing.TB, s *testSetup, n int) []BatchItem {
 	t.Helper()
 	items := make([]BatchItem, n)
 	for i := range items {
 		msg := []byte(fmt.Sprintf("group member %d", i))
-		mode := PerMessageGenerators
-		if i%3 == 1 {
-			mode = FixedGenerators
-		}
-		sig, err := SignWithMode(rand.Reader, s.pk, s.keys[i%len(s.keys)], msg, mode)
+		sig, err := Sign(rand.Reader, s.pk, s.keys[i%len(s.keys)], msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +65,7 @@ func forge(items []BatchItem, i int, apply func(*Signature)) {
 	items[i].Sig = &damaged
 }
 
-// identitySided crafts a per-message-mode signature on msg whose pairing
+// identitySided crafts a signature on msg whose pairing
 // sides A = T2^{s_x}·v^{−s_δ}·g1^{−c} and B = T2^{c}·v^{−s_α} are the
 // identity where asked: v = g1^b has a public discrete log, so with
 // T2 = g1^t the exponents of g1 in A and B are t·s_x − b·s_δ − c and
@@ -86,12 +81,12 @@ func identitySided(t testing.TB, pk *PublicKey, msg []byte, aIdentity, bIdentity
 		return k
 	}
 	sig := &Signature{
-		Mode: PerMessageGenerators, R: draw(), C: draw(), SAlpha: draw(), SX: draw(), SDelta: draw(),
+		R: draw(), C: draw(), SAlpha: draw(), SX: draw(), SDelta: draw(),
 		T1: new(bn256.G1).ScalarBaseMult(draw()),
 	}
 	tt := draw()
 	sig.T2 = new(bn256.G1).ScalarBaseMult(tt)
-	_, b := deriveScalars(pk, sig.Mode, msg, sig.R, counter{})
+	_, b := deriveScalars(pk, msg, sig.R, counter{})
 	bInv := new(big.Int).ModInverse(b, bn256.Order)
 	if aIdentity {
 		e := mulMod(tt, sig.SX)
@@ -106,10 +101,10 @@ func identitySided(t testing.TB, pk *PublicKey, msg []byte, aIdentity, bIdentity
 
 // TestVerifyGroupMatchesVerifyOne holds every slot of a group to the
 // verdict the same item gets alone, for groups below, at and above one lane
-// pass, with both generator modes in one group: untouched, one member forged
-// (each component in turn, at the first, a middle and the last slot), several
-// forged at once, one *Signature in two slots, and crafted signatures whose
-// pairing sides are the identity. A forged slot leaves its neighbours valid.
+// pass: untouched, one member forged (each component in turn, at the first,
+// a middle and the last slot), several forged at once, one *Signature in two
+// slots, and crafted signatures whose pairing sides are the identity. A
+// forged slot leaves its neighbours valid.
 func TestVerifyGroupMatchesVerifyOne(t *testing.T) {
 	s := newTestSetup(t, 3)
 	ver := NewVerifier(s.pk)
@@ -322,12 +317,11 @@ func parsedCopy(t testing.TB, sig *Signature) *Signature {
 }
 
 // exceptionalSignatures crafts signatures whose G1 sums meet the cases a
-// point formula may get wrong, in both generator modes: T1 = ±g1 and
-// T2 = ±T1 (so terms of one sum are equal or opposite points), every
-// scalar at 0, 1 and r − 1 in turn, and exponents chosen through the
-// per-message generator's public discrete log so that R̃1 or R̃3 is the
-// identity from two non-identity terms (A and B are identitySided's). None
-// of them is valid; each costs a forger nothing.
+// point formula may get wrong: T1 = ±g1 and T2 = ±T1 (so terms of one sum
+// are equal or opposite points), every scalar at 0, 1 and r − 1 in turn,
+// and exponents chosen through the generators' public discrete logs so
+// that R̃1 or R̃3 is the identity from two non-identity terms (A and B are
+// identitySided's). None of them is valid; each costs a forger nothing.
 func exceptionalSignatures(t testing.TB, pk *PublicKey, msg []byte) []*Signature {
 	t.Helper()
 	draw := func() *big.Int {
@@ -340,21 +334,19 @@ func exceptionalSignatures(t testing.TB, pk *PublicKey, msg []byte) []*Signature
 	g := new(bn256.G1).Base()
 	edges := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(bn256.Order, big.NewInt(1))}
 	var sigs []*Signature
-	for _, mode := range []GeneratorMode{PerMessageGenerators, FixedGenerators} {
-		for _, t1 := range []*bn256.G1{g, new(bn256.G1).Neg(g)} {
-			for _, t2 := range []*bn256.G1{t1, new(bn256.G1).Neg(t1)} {
-				for k := 0; k < 5; k++ {
-					for _, v := range edges {
-						sig := &Signature{Mode: mode, R: draw(), T1: t1, T2: t2,
-							C: draw(), SAlpha: draw(), SX: draw(), SDelta: draw()}
-						// k = 4 puts every scalar at the edge at once.
-						for j, s := range []**big.Int{&sig.C, &sig.SAlpha, &sig.SX, &sig.SDelta} {
-							if j == k || k == 4 {
-								*s = v
-							}
+	for _, t1 := range []*bn256.G1{g, new(bn256.G1).Neg(g)} {
+		for _, t2 := range []*bn256.G1{t1, new(bn256.G1).Neg(t1)} {
+			for k := 0; k < 5; k++ {
+				for _, v := range edges {
+					sig := &Signature{R: draw(), T1: t1, T2: t2,
+						C: draw(), SAlpha: draw(), SX: draw(), SDelta: draw()}
+					// k = 4 puts every scalar at the edge at once.
+					for j, s := range []**big.Int{&sig.C, &sig.SAlpha, &sig.SX, &sig.SDelta} {
+						if j == k || k == 4 {
+							*s = v
 						}
-						sigs = append(sigs, sig)
 					}
+					sigs = append(sigs, sig)
 				}
 			}
 		}
@@ -364,9 +356,9 @@ func exceptionalSignatures(t testing.TB, pk *PublicKey, msg []byte) []*Signature
 	// s_α = t·c/a and s_δ = t·s_x/a make them the identity.
 	for _, which := range []int{1, 3} {
 		tt := draw()
-		sig := &Signature{Mode: PerMessageGenerators, R: draw(), C: draw(), SAlpha: draw(), SX: draw(), SDelta: draw(),
+		sig := &Signature{R: draw(), C: draw(), SAlpha: draw(), SX: draw(), SDelta: draw(),
 			T1: new(bn256.G1).ScalarBaseMult(tt), T2: new(bn256.G1).ScalarBaseMult(draw())}
-		a, _ := deriveScalars(pk, sig.Mode, msg, sig.R, counter{})
+		a, _ := deriveScalars(pk, msg, sig.R, counter{})
 		aInv := new(big.Int).ModInverse(a, bn256.Order)
 		if which == 1 {
 			sig.SAlpha = mulMod(mulMod(tt, sig.C), aInv)

@@ -17,30 +17,6 @@ var (
 	ErrBadKey           = errors.New("sgs: private key fails the SDH equation")
 )
 
-// GeneratorMode selects how the bases (u, v) of the linear encryption are
-// derived. See the package documentation.
-type GeneratorMode uint8
-
-const (
-	// PerMessageGenerators derives (u, v) from the group public key, the
-	// message and the signature nonce (the paper's Eq.1).
-	PerMessageGenerators GeneratorMode = iota + 1
-	// FixedGenerators derives (u, v) from the group public key alone,
-	// enabling constant-time-per-token revocation checks.
-	FixedGenerators
-)
-
-func (m GeneratorMode) String() string {
-	switch m {
-	case PerMessageGenerators:
-		return "per-message"
-	case FixedGenerators:
-		return "fixed"
-	default:
-		return fmt.Sprintf("GeneratorMode(%d)", uint8(m))
-	}
-}
-
 // PublicKey is the group public key gpk = (g1, g2, w). The generators g1
 // and g2 are the canonical bn256 generators; only w = g2^γ varies.
 type PublicKey struct {
@@ -55,8 +31,7 @@ type PublicKey struct {
 	enc []byte
 
 	// ver is the key's own Verifier, behind the free functions Verify and
-	// VerifyWithRevocation, so that its FixedGenerators tables are built
-	// once per key rather than once per call.
+	// VerifyWithRevocation, so that a call builds no Verifier of its own.
 	verOnce sync.Once
 	ver     *Verifier
 

@@ -17,7 +17,7 @@ func RecoverSignerToken(pk *PublicKey, msg []byte, sig *Signature) (*RevocationT
 	if err := checkSignatureShape(sig); err != nil {
 		return nil, err
 	}
-	a, b := deriveScalars(pk, sig.Mode, msg, sig.R, counter{})
+	a, b := deriveScalars(pk, msg, sig.R, counter{})
 	negRatio := mulMod(new(big.Int).ModInverse(a, bn256.Order), b)
 	negRatio.Sub(bn256.Order, negRatio)
 	tok := new(bn256.G1).ScalarMult(sig.T1, negRatio)

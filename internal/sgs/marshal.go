@@ -11,12 +11,28 @@ import (
 const scalarBytes = 32
 
 // SignatureSize is the marshaled size of a Signature in bytes:
-// one mode byte, five Z_p scalars and two G1 points.
+// the leading byte, five Z_p scalars and two G1 points.
 const SignatureSize = 1 + 5*scalarBytes + 2*bn256.G1Size
 
 // CompactSignatureSize is the compressed wire size: the two G1 points are
 // encoded as x-coordinate plus sign (33 bytes each).
 const CompactSignatureSize = 1 + 5*scalarBytes + 2*bn256.G1CompressedSize
+
+// sigLead is the leading byte of every marshaled signature, in both
+// encodings. It names the generator mode, and per-message generators are
+// the only one, so a signature led by any other byte is refused (2 would
+// name fixed generators). The byte stays so that no signature's bytes
+// change.
+const sigLead = 1
+
+// checkLead is the rule on a marshaled signature's leading byte, the same
+// for both encodings.
+func checkLead(b byte) error {
+	if b != sigLead {
+		return fmt.Errorf("%w: leading byte %d, want %d", ErrInvalidSignature, b, sigLead)
+	}
+	return nil
+}
 
 // PaperSignatureBits returns the signature length under the paper's
 // parameterization (171-bit G1 elements, 170-bit scalars as in BLS [15]):
@@ -49,7 +65,7 @@ func ParsePublicKey(data []byte) (*PublicKey, error) {
 // Bytes marshals the signature into its canonical wire form.
 func (s *Signature) Bytes() []byte {
 	out := make([]byte, 0, SignatureSize)
-	out = append(out, byte(s.Mode))
+	out = append(out, sigLead)
 	out = appendScalar(out, s.R)
 	out = append(out, s.T1.Marshal()...)
 	out = append(out, s.T2.Marshal()...)
@@ -64,7 +80,7 @@ func (s *Signature) Bytes() []byte {
 // encoding that makes the paper's "≈ RSA-1024" size comparison tight.
 func (s *Signature) CompactBytes() []byte {
 	out := make([]byte, 0, CompactSignatureSize)
-	out = append(out, byte(s.Mode))
+	out = append(out, sigLead)
 	out = appendScalar(out, s.R)
 	out = append(out, s.T1.MarshalCompressed()...)
 	out = append(out, s.T2.MarshalCompressed()...)
@@ -80,7 +96,10 @@ func ParseCompactSignature(data []byte) (*Signature, error) {
 	if len(data) != CompactSignatureSize {
 		return nil, fmt.Errorf("%w: length %d, want %d", ErrInvalidSignature, len(data), CompactSignatureSize)
 	}
-	s := &Signature{Mode: GeneratorMode(data[0])}
+	if err := checkLead(data[0]); err != nil {
+		return nil, err
+	}
+	s := &Signature{}
 	off := 1
 
 	var err error
@@ -128,7 +147,7 @@ func CheckSignature(data []byte) error {
 	return walkSignature(data, nil)
 }
 
-// Offsets into a marshaled signature (Bytes): the mode byte, R, T1, T2,
+// Offsets into a marshaled signature (Bytes): the leading byte, R, T1, T2,
 // then C, SAlpha, SX and SDelta one scalar each from sigOffC.
 const (
 	sigOffR  = 1
@@ -138,17 +157,16 @@ const (
 )
 
 // walkSignature is the one acceptance rule of a marshaled signature,
-// which ParseSignature and CheckSignature both run: the exact length, a
-// known generator mode, five scalars below Order, and T1 and T2 valid G1
+// which ParseSignature and CheckSignature both run: the exact length, the
+// leading byte sigLead, five scalars below Order, and T1 and T2 valid G1
 // encodings other than the identity. With s it decodes into s as well;
 // with nil it only checks.
 func walkSignature(data []byte, s *Signature) error {
 	if len(data) != SignatureSize {
 		return fmt.Errorf("%w: length %d, want %d", ErrInvalidSignature, len(data), SignatureSize)
 	}
-	mode := GeneratorMode(data[0])
-	if mode != PerMessageGenerators && mode != FixedGenerators {
-		return fmt.Errorf("%w: unknown generator mode", ErrInvalidSignature)
+	if err := checkLead(data[0]); err != nil {
+		return err
 	}
 	scalars := [5]int{sigOffR, sigOffC, sigOffC + scalarBytes, sigOffC + 2*scalarBytes, sigOffC + 3*scalarBytes}
 	for _, off := range scalars {
@@ -174,7 +192,6 @@ func walkSignature(data []byte, s *Signature) error {
 	if s == nil {
 		return nil
 	}
-	s.Mode = mode
 	for i, dst := range [5]**big.Int{&s.R, &s.C, &s.SAlpha, &s.SX, &s.SDelta} {
 		*dst = new(big.Int).SetBytes(data[scalars[i] : scalars[i]+scalarBytes])
 	}

@@ -13,7 +13,7 @@ import (
 // token and nothing shared: the reference the one scan is held to, whatever
 // way bn256 lets it test the tokens on this CPU.
 func eq3Reference(pk *PublicKey, msg []byte, sig *Signature, tokens []*RevocationToken) int {
-	uhat, vhat := deriveG2Generators(pk, sig.Mode, msg, sig.R, counter{})
+	uhat, vhat := deriveG2Generators(pk, msg, sig.R, counter{})
 	right := bn256.Pair(sig.T1, vhat)
 	for i, tok := range tokens {
 		quot := new(bn256.G1).Neg(tok.A)
@@ -30,7 +30,7 @@ func eq3Reference(pk *PublicKey, msg []byte, sig *Signature, tokens []*Revocatio
 // passes of eight, the signer's token at each position of a list of 17
 // (every lane of a full chunk, and the first lane of a chunk of one), a
 // miss, the signer listed twice (the smaller index wins) and an innocent
-// token listed twice, in both generator modes. With the lane kernels the
+// token listed twice. With the lane kernels the
 // lists of two or more run eight to a pass; with -maskifma, under purego
 // and on other CPUs the same assertions run on the scalar loop.
 func TestScanMatchesEq3(t *testing.T) {
@@ -79,33 +79,29 @@ func TestScanMatchesEq3(t *testing.T) {
 		listCase{"innocent duplicates and a match", list(17, []int{10}, []int{3, 9, 16})},
 	)
 
-	for _, mode := range []GeneratorMode{PerMessageGenerators, FixedGenerators} {
-		msg := []byte("scan " + mode.String())
-		sig, err := SignWithMode(rand.Reader, s.pk, signer, msg, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range cases {
-			want := eq3Reference(s.pk, msg, sig, tc.tokens)
-			check := func(how string, revoked bool, idx int) {
-				t.Helper()
-				if idx != want || revoked != (want >= 0) {
-					t.Errorf("%v, %s: %s = (%v, %d), Eq.3 says %d", mode, tc.name, how, revoked, idx, want)
-				}
-			}
-			revoked, idx := IsRevoked(s.pk, msg, sig, tc.tokens)
-			check("IsRevoked", revoked, idx)
-			for _, workers := range []int{1, 2, 5} {
-				revoked, idx = ver.sweepURLWorkers(msg, sig, tc.tokens, workers)
-				check(fmt.Sprintf("sweepURLWorkers(%d)", workers), revoked, idx)
-			}
-			if mode == PerMessageGenerators { // fixed generators take SweepState's index
-				st := NewSweepState(s.pk)
-				st.Update(1, tc.tokens)
-				revoked, idx = st.Check(msg, sig)
-				check("SweepState.Check", revoked, idx)
+	msg := []byte("scan per-message")
+	sig, err := Sign(rand.Reader, s.pk, signer, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		want := eq3Reference(s.pk, msg, sig, tc.tokens)
+		check := func(how string, revoked bool, idx int) {
+			t.Helper()
+			if idx != want || revoked != (want >= 0) {
+				t.Errorf("%s: %s = (%v, %d), Eq.3 says %d", tc.name, how, revoked, idx, want)
 			}
 		}
+		revoked, idx := IsRevoked(s.pk, msg, sig, tc.tokens)
+		check("IsRevoked", revoked, idx)
+		for _, workers := range []int{1, 2, 5} {
+			revoked, idx = ver.sweepURLWorkers(msg, sig, tc.tokens, workers)
+			check(fmt.Sprintf("sweepURLWorkers(%d)", workers), revoked, idx)
+		}
+		st := NewSweepState(s.pk)
+		st.Update(1, tc.tokens)
+		revoked, idx = st.Check(msg, sig)
+		check("SweepState.Check", revoked, idx)
 	}
 }
 

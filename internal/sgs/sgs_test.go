@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -49,22 +48,6 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSignVerifyFixedMode(t *testing.T) {
-	s := newTestSetup(t, 1)
-	msg := []byte("fixed generator mode")
-
-	sig, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, FixedGenerators)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig.Mode != FixedGenerators {
-		t.Fatal("mode not recorded")
-	}
-	if err := Verify(s.pk, msg, sig); err != nil {
-		t.Fatalf("valid fixed-mode signature rejected: %v", err)
-	}
-}
-
 func TestVerifyRejectsWrongMessage(t *testing.T) {
 	s := newTestSetup(t, 1)
 	sig, err := Sign(rand.Reader, s.pk, s.keys[0], []byte("message A"))
@@ -93,7 +76,6 @@ func TestVerifyRejectsTamperedComponents(t *testing.T) {
 		"SDelta": func(m *Signature) { m.SDelta = new(big.Int).Add(m.SDelta, one) },
 		"T1":     func(m *Signature) { m.T1 = new(bn256.G1).Add(m.T1, new(bn256.G1).Base()) },
 		"T2":     func(m *Signature) { m.T2 = new(bn256.G1).Add(m.T2, new(bn256.G1).Base()) },
-		"Mode":   func(m *Signature) { m.Mode = FixedGenerators },
 	}
 	for name, mutate := range mutations {
 		m, err := ParseSignature(orig.Bytes()) // deep copy
@@ -236,71 +218,6 @@ func TestTraceSignerAndNonFrameability(t *testing.T) {
 	}
 }
 
-func TestFastRevocationChecker(t *testing.T) {
-	s := newTestSetup(t, 3)
-	msg := []byte("fast revocation")
-
-	checker := NewFastRevocationChecker(s.pk, []*RevocationToken{s.keys[1].Token()})
-	if checker.Len() != 1 {
-		t.Fatalf("checker has %d tokens, want 1", checker.Len())
-	}
-
-	sigOK, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, FixedGenerators)
-	if err != nil {
-		t.Fatal(err)
-	}
-	revoked, _, err := checker.IsRevoked(sigOK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if revoked {
-		t.Fatal("unrevoked signer flagged")
-	}
-
-	sigBad, err := SignWithMode(rand.Reader, s.pk, s.keys[1], msg, FixedGenerators)
-	if err != nil {
-		t.Fatal(err)
-	}
-	revoked, idx, err := checker.IsRevoked(sigBad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !revoked || idx != 0 {
-		t.Fatalf("revoked signer not flagged (revoked=%v idx=%d)", revoked, idx)
-	}
-
-	// Per-message signatures must be refused.
-	sigPM, _ := Sign(rand.Reader, s.pk, s.keys[0], msg)
-	if _, _, err := checker.IsRevoked(sigPM); err == nil {
-		t.Fatal("per-message signature accepted by fast checker")
-	}
-}
-
-func TestFastAndLinearRevocationAgree(t *testing.T) {
-	s := newTestSetup(t, 4)
-	msg := []byte("agreement")
-	tokens := []*RevocationToken{s.keys[2].Token(), s.keys[3].Token()}
-	checker := NewFastRevocationChecker(s.pk, tokens)
-
-	for signer := 0; signer < 4; signer++ {
-		sig, err := SignWithMode(rand.Reader, s.pk, s.keys[signer], msg, FixedGenerators)
-		if err != nil {
-			t.Fatal(err)
-		}
-		linRevoked, _ := IsRevoked(s.pk, msg, sig, tokens)
-		fastRevoked, _, err := checker.IsRevoked(sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if linRevoked != fastRevoked {
-			t.Fatalf("signer %d: linear=%v fast=%v", signer, linRevoked, fastRevoked)
-		}
-		if wantRevoked := signer >= 2; linRevoked != wantRevoked {
-			t.Fatalf("signer %d: revoked=%v want %v", signer, linRevoked, wantRevoked)
-		}
-	}
-}
-
 func TestSignatureMarshalRoundTrip(t *testing.T) {
 	s := newTestSetup(t, 1)
 	msg := []byte("marshal me")
@@ -337,6 +254,16 @@ func TestParseSignatureRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ParseSignature(bad); err == nil {
 		t.Error("off-curve T1 accepted")
+	}
+	// Only the leading byte 1 parses; 2 was the fixed-generator mode.
+	for _, lead := range []byte{0, 2, 0xFF} {
+		bad := append([]byte{lead}, data[1:]...)
+		if _, err := ParseSignature(bad); !errors.Is(err, ErrInvalidSignature) {
+			t.Errorf("ParseSignature, leading byte %d: err = %v", lead, err)
+		}
+		if err := CheckSignature(bad); !errors.Is(err, ErrInvalidSignature) {
+			t.Errorf("CheckSignature, leading byte %d: err = %v", lead, err)
+		}
 	}
 }
 
@@ -483,21 +410,6 @@ func TestSignatureFromWrongSubgroupComponentsRejected(t *testing.T) {
 	}
 }
 
-func TestOpenOnFixedModeSignature(t *testing.T) {
-	// Audits must work regardless of the generator mode in use.
-	s := newTestSetup(t, 3)
-	msg := []byte("fixed-mode audit")
-	grt := []*RevocationToken{s.keys[0].Token(), s.keys[1].Token(), s.keys[2].Token()}
-
-	sig, err := SignWithMode(rand.Reader, s.pk, s.keys[1], msg, FixedGenerators)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Open(s.pk, msg, sig, grt); got != 1 {
-		t.Fatalf("Open on fixed-mode signature = %d, want 1", got)
-	}
-}
-
 func TestCompactSignatureRoundTrip(t *testing.T) {
 	s := newTestSetup(t, 1)
 	msg := []byte("compact encoding")
@@ -524,6 +436,12 @@ func TestCompactSignatureRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseCompactSignature(data[:len(data)-1]); err == nil {
 		t.Fatal("short compact signature accepted")
+	}
+	for _, lead := range []byte{0, 2, 0xFF} { // 2 was the fixed-generator mode
+		bad := append([]byte{lead}, data[1:]...)
+		if _, err := ParseCompactSignature(bad); !errors.Is(err, ErrInvalidSignature) {
+			t.Errorf("compact signature led by %d: err = %v, want ErrInvalidSignature", lead, err)
+		}
 	}
 }
 
@@ -561,43 +479,5 @@ func TestIssuerKeysAreDistinct(t *testing.T) {
 		if k.Grp.Cmp(s.grp) != 0 {
 			t.Fatalf("key %d has wrong group component", i)
 		}
-	}
-}
-
-func TestFastRevocationCheckerConcurrent(t *testing.T) {
-	s := newTestSetup(t, 6)
-	checker := NewFastRevocationChecker(s.pk, nil)
-	msg := []byte("concurrent")
-
-	sigs := make([]*Signature, 3)
-	for i := range sigs {
-		var err error
-		sigs[i], err = SignWithMode(rand.Reader, s.pk, s.keys[i], msg, FixedGenerators)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	// Writers add tokens while readers check signatures.
-	for i := 3; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			checker.AddToken(s.keys[i].Token())
-		}(i)
-	}
-	for _, sig := range sigs {
-		wg.Add(1)
-		go func(sig *Signature) {
-			defer wg.Done()
-			if revoked, _, err := checker.IsRevoked(sig); err != nil || revoked {
-				t.Errorf("concurrent check: revoked=%v err=%v", revoked, err)
-			}
-		}(sig)
-	}
-	wg.Wait()
-	if checker.Len() != 3 {
-		t.Fatalf("checker has %d tokens, want 3", checker.Len())
 	}
 }

@@ -10,10 +10,7 @@ import (
 )
 
 // Signature is the PEACE group signature (r, T1, T2, c, s_α, s_x, s_δ).
-// Mode records which generator-derivation policy produced it; flipping the
-// mode bit invalidates the challenge check, so it carries no authority.
 type Signature struct {
-	Mode   GeneratorMode
 	R      *big.Int
 	T1, T2 *bn256.G1
 	C      *big.Int
@@ -22,11 +19,16 @@ type Signature struct {
 	SDelta *big.Int
 }
 
-// hashInput builds an unambiguous (length-prefixed) concatenation.
+// hashInput builds an unambiguous (length-prefixed) concatenation, in one
+// allocation.
 func hashInput(tag string, parts ...[]byte) []byte {
-	out := make([]byte, 0, 64)
-	out = append(out, []byte("peace/sgs:")...)
-	out = append(out, []byte(tag)...)
+	n := len("peace/sgs:") + len(tag)
+	for _, p := range parts {
+		n += 4 + len(p)
+	}
+	out := make([]byte, 0, n)
+	out = append(out, "peace/sgs:"...)
+	out = append(out, tag...)
 	var l [4]byte
 	for _, p := range parts {
 		binary.BigEndian.PutUint32(l[:], uint32(len(p)))
@@ -36,11 +38,21 @@ func hashInput(tag string, parts ...[]byte) []byte {
 	return out
 }
 
+// minBytes returns r.Bytes(), in buf where r fits, so that hashing a
+// scalar allocates nothing.
+func minBytes(r *big.Int, buf *[scalarBytes]byte) []byte {
+	n := (r.BitLen() + 7) / 8
+	if n > scalarBytes {
+		return r.Bytes()
+	}
+	return r.FillBytes(buf[:n])
+}
+
 // deriveG1Generators derives the G1 bases u = g1^a and v = g1^b of
 // deriveScalars (two exponentiations — the two ψ applications of the
 // paper's accounting).
-func deriveG1Generators(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.Int, ct counter) (u, v *bn256.G1) {
-	a, b := deriveScalars(pk, mode, msg, r, ct)
+func deriveG1Generators(pk *PublicKey, msg []byte, r *big.Int, ct counter) (u, v *bn256.G1) {
+	a, b := deriveScalars(pk, msg, r, ct)
 	ct.exp(2)
 	return new(bn256.G1).ScalarBaseMult(a), new(bn256.G1).ScalarBaseMult(b)
 }
@@ -48,59 +60,47 @@ func deriveG1Generators(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.In
 // deriveG2Generators derives their counterparts û = g2^a and v̂ = g2^b in
 // G2, which revocation checks and audits need (u = ψ(û) in the paper's
 // notation).
-func deriveG2Generators(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.Int, ct counter) (uhat, vhat *bn256.G2) {
-	a, b := deriveScalars(pk, mode, msg, r, ct)
+func deriveG2Generators(pk *PublicKey, msg []byte, r *big.Int, ct counter) (uhat, vhat *bn256.G2) {
+	a, b := deriveScalars(pk, msg, r, ct)
 	ct.exp(2)
 	return new(bn256.G2).ScalarBaseMult(a), new(bn256.G2).ScalarBaseMult(b)
 }
 
 // deriveScalars realizes H0 (the paper's Eq.1): a hash of the group key,
-// and of the message and nonce unless the generators are fixed, to the two
-// scalars (a, b) the bases are powers of.
-func deriveScalars(pk *PublicKey, mode GeneratorMode, msg []byte, r *big.Int, ct counter) (a, b *big.Int) {
+// the message and the nonce to the two scalars (a, b) the bases are
+// powers of.
+func deriveScalars(pk *PublicKey, msg []byte, r *big.Int, ct counter) (a, b *big.Int) {
 	ct.hash(1)
-	var input []byte
-	switch mode {
-	case FixedGenerators:
-		input = hashInput("h0-fixed", pk.Bytes())
-	default:
-		input = hashInput("h0", pk.Bytes(), msg, r.Bytes())
-	}
-	ks := bn256.HashToScalars(input, 2)
+	var rb [scalarBytes]byte
+	ks := bn256.HashToScalars(hashInput("h0", pk.Bytes(), msg, minBytes(r, &rb)), 2)
 	return ks[0], ks[1]
 }
 
 // challenge computes c = H(gpk, msg, r, T1, T2, R1, R2, R3) ∈ Z_p.
 func challenge(pk *PublicKey, msg []byte, r *big.Int, t1, t2 *bn256.G1, r1 *bn256.G1, r2 *bn256.GT, r3 *bn256.G1) *big.Int {
+	var rb [scalarBytes]byte
 	input := hashInput("challenge",
-		pk.Bytes(), msg, r.Bytes(),
+		pk.Bytes(), msg, minBytes(r, &rb),
 		t1.Marshal(), t2.Marshal(),
 		r1.Marshal(), r2.Marshal(), r3.Marshal(),
 	)
 	return bn256.HashToScalar(input)
 }
 
-// Sign produces a group signature on msg under the paper's default
-// per-message generator derivation.
+// Sign produces a group signature on msg, its bases derived per message
+// (the paper's Eq.1).
 func Sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte) (*Signature, error) {
-	sig, err := sign(rng, pk, key, msg, PerMessageGenerators, nil)
-	return sig, err
-}
-
-// SignWithMode is Sign with an explicit generator mode.
-func SignWithMode(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode GeneratorMode) (*Signature, error) {
-	sig, err := sign(rng, pk, key, msg, mode, nil)
-	return sig, err
+	return sign(rng, pk, key, msg, nil)
 }
 
 // SignCounted is Sign that additionally reports the operation counts.
 func SignCounted(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte) (*Signature, OpCounts, error) {
 	var counts OpCounts
-	sig, err := sign(rng, pk, key, msg, PerMessageGenerators, &counts)
+	sig, err := sign(rng, pk, key, msg, &counts)
 	return sig, counts, err
 }
 
-func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode GeneratorMode, counts *OpCounts) (*Signature, error) {
+func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, counts *OpCounts) (*Signature, error) {
 	ct := counter{counts}
 
 	// Step 2.2.1: nonce r and base derivation (u, v) ← ψ(H0(...)).
@@ -108,7 +108,7 @@ func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode Genera
 	if err != nil {
 		return nil, fmt.Errorf("sgs: sample r: %w", err)
 	}
-	u, v := deriveG1Generators(pk, mode, msg, r, ct) // 2 exps
+	u, v := deriveG1Generators(pk, msg, r, ct) // 2 exps
 
 	// Step 2.2.2: linear encryption of A under (u, v).
 	alpha, err := bn256.RandomScalar(rng)
@@ -185,7 +185,6 @@ func sign(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode Genera
 	sDelta.Mod(sDelta, bn256.Order)
 
 	sig := &Signature{
-		Mode:   mode,
 		R:      r,
 		T1:     t1,
 		T2:     t2,

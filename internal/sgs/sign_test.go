@@ -42,7 +42,7 @@ var (
 // signReference is the signer with R2 computed by form and R3 as the paper
 // writes it, T1^{r_x} · u^{−r_δ}, consuming the RNG in the same order as
 // sign. It is the oracle of the TestSignMatches tests.
-func signReference(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mode GeneratorMode, form r2Form) *Signature {
+func signReference(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, form r2Form) *Signature {
 	draw := func() *big.Int {
 		k, err := bn256.RandomScalar(rng)
 		if err != nil {
@@ -51,7 +51,7 @@ func signReference(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mo
 		return k
 	}
 	r := draw()
-	u, v := deriveG1Generators(pk, mode, msg, r, counter{})
+	u, v := deriveG1Generators(pk, msg, r, counter{})
 	alpha := draw()
 	t1 := new(bn256.G1).ScalarMult(u, alpha)
 	t2 := new(bn256.G1).ScalarMult(v, alpha)
@@ -73,7 +73,7 @@ func signReference(rng io.Reader, pk *PublicKey, key *PrivateKey, msg []byte, mo
 		return s.Mod(s, bn256.Order)
 	}
 	return &Signature{
-		Mode: mode, R: r, T1: t1, T2: t2, C: c,
+		R: r, T1: t1, T2: t2, C: c,
 		SAlpha: resp(alpha, rAlpha), SX: resp(grpX, rX), SDelta: resp(delta, rDelta),
 	}
 }
@@ -89,7 +89,7 @@ func verifyReference(pk *PublicKey, msg []byte, sig *Signature) error {
 	if err := checkSignatureShape(sig); err != nil {
 		return err
 	}
-	u, v := deriveG1Generators(pk, sig.Mode, msg, sig.R, counter{})
+	u, v := deriveG1Generators(pk, msg, sig.R, counter{})
 	negC := new(big.Int).Sub(bn256.Order, sig.C)
 	negC.Mod(negC, bn256.Order) // c = 0 wraps to Order
 	negSAlpha := new(big.Int).Sub(bn256.Order, sig.SAlpha)
@@ -122,21 +122,19 @@ func verifyReference(pk *PublicKey, msg []byte, sig *Signature) error {
 func checkSignMatches(t *testing.T, form r2Form) {
 	s := newTestSetup(t, 1)
 	key := s.keys[0]
-	for _, mode := range []GeneratorMode{PerMessageGenerators, FixedGenerators} {
-		for round := 0; round < 2; round++ {
-			msg := []byte{byte(mode), byte(round)}
-			seed := "reference sign " + mode.String()
-			got, err := SignWithMode(newDetReader(seed), s.pk, key, msg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := signReference(newDetReader(seed), s.pk, key, msg, mode, form)
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("%v round %d: Sign differs from the reference form", mode, round)
-			}
-			if err := verifyReference(s.pk, msg, got); err != nil {
-				t.Fatal(err)
-			}
+	for round := 0; round < 2; round++ {
+		msg := []byte{1, byte(round)}
+		const seed = "reference sign per-message"
+		got, err := Sign(newDetReader(seed), s.pk, key, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := signReference(newDetReader(seed), s.pk, key, msg, form)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("round %d: Sign differs from the reference form", round)
+		}
+		if err := verifyReference(s.pk, msg, got); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -148,8 +146,8 @@ func TestSignMatchesTwoPairingFormula(t *testing.T) { checkSignMatches(t, paperR
 func TestSignMatchesBS04Form(t *testing.T) { checkSignMatches(t, bs04R2) }
 
 // TestSignConcurrentColdKey is concurrent first use of a cold public key's
-// prepared lines by signers, and of a cold Verifier's FixedGenerators state
-// by verifiers and sweeps (run under -race in make race).
+// prepared lines by signers, then by verifiers and sweeps (run under -race
+// in make race).
 func TestSignConcurrentColdKey(t *testing.T) {
 	s := newTestSetup(t, 2)
 	msg := []byte("concurrent signers")
@@ -159,7 +157,7 @@ func TestSignConcurrentColdKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sig, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, GeneratorMode(1+i%2))
+			sig, err := Sign(rand.Reader, s.pk, s.keys[0], msg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -179,10 +177,10 @@ func TestSignConcurrentColdKey(t *testing.T) {
 		go func(i int, sig *Signature) {
 			defer wg.Done()
 			if err := ver.Verify(msg, sig); err != nil {
-				t.Errorf("signature %d (%v): %v", i, sig.Mode, err)
+				t.Errorf("signature %d: %v", i, err)
 			}
 			if revoked, idx := ver.SweepURL(msg, sig, tokens); !revoked || idx != 1 {
-				t.Errorf("signature %d (%v): sweep = (%v, %d), want (true, 1)", i, sig.Mode, revoked, idx)
+				t.Errorf("signature %d: sweep = (%v, %d), want (true, 1)", i, revoked, idx)
 			}
 		}(i, sig)
 	}
@@ -220,8 +218,6 @@ func TestVerifiersAgreeOnRejections(t *testing.T) {
 		{"valid", msg, func(m *Signature) *Signature { return m }},
 		{"nil signature", msg, func(*Signature) *Signature { return nil }},
 		{"missing component", msg, func(m *Signature) *Signature { m.SX = nil; return m }},
-		{"unknown mode", msg, func(m *Signature) *Signature { m.Mode = 9; return m }},
-		{"flipped mode", msg, func(m *Signature) *Signature { m.Mode = FixedGenerators; return m }},
 		{"T1 identity", msg, func(m *Signature) *Signature { m.T1.SetInfinity(); return m }},
 		{"T2 identity", msg, func(m *Signature) *Signature { m.T2.SetInfinity(); return m }},
 		{"scalar = order", msg, func(m *Signature) *Signature { m.SAlpha = new(big.Int).Set(bn256.Order); return m }},
@@ -274,44 +270,6 @@ func TestVerifiersAgreeOnRejections(t *testing.T) {
 	}
 }
 
-// TestKnownGapFixedGeneratorsLinkable states the price of FixedGenerators
-// (the trade-off E3 prints under its fast variant) from public data alone:
-// with û and v̂ derived from the group key and the signature,
-// e(T2, û)/e(T1, v̂) = e(A, û) for every signature of the member holding
-// A. With û fixed, e(A, û) is constant per user, so E3's O(1) index links
-// a user's signatures for everyone; BS04 §7 scopes it to an epoch. The
-// per-message mode derives a fresh û per signature and gives a different
-// value each time. It asserts today's behaviour, not a goal.
-func TestKnownGapFixedGeneratorsLinkable(t *testing.T) {
-	s := newTestSetup(t, 2)
-	link := func(mode GeneratorMode, key int, msg string) *bn256.GT {
-		t.Helper()
-		sig, err := SignWithMode(rand.Reader, s.pk, s.keys[key], []byte(msg), mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uhat, vhat := deriveG2Generators(s.pk, mode, []byte(msg), sig.R, counter{})
-		v := bn256.Pair(sig.T2, uhat)
-		v.Add(v, new(bn256.GT).Neg(bn256.Pair(sig.T1, vhat)))
-		if want := bn256.Pair(s.keys[key].A, uhat); !v.Equal(want) {
-			t.Fatalf("%v signature of member %d: e(T2, û)/e(T1, v̂) is not e(A, û)", mode, key)
-		}
-		return v
-	}
-
-	first, second := link(FixedGenerators, 0, "m0"), link(FixedGenerators, 0, "m1")
-	if !first.Equal(second) {
-		t.Fatal("two FixedGenerators signatures of one member give different values — " +
-			"if the fixed bases became per-epoch or per-message, restate this test")
-	}
-	if other := link(FixedGenerators, 1, "m0"); other.Equal(first) {
-		t.Fatal("two members' FixedGenerators signatures give the same value")
-	}
-	if link(PerMessageGenerators, 0, "m0").Equal(link(PerMessageGenerators, 0, "m1")) {
-		t.Fatal("two per-message signatures of one member give the same value")
-	}
-}
-
 // TestKnownGapTokenRecoverableFromSignature records a privacy gap of the
 // current generator derivation; it asserts today's behaviour, not a goal.
 //
@@ -323,24 +281,32 @@ func TestKnownGapFixedGeneratorsLinkable(t *testing.T) {
 // lands this test must flip to assert that the recovery fails.
 func TestKnownGapTokenRecoverableFromSignature(t *testing.T) {
 	s := newTestSetup(t, 2)
-	for _, mode := range []GeneratorMode{PerMessageGenerators, FixedGenerators} {
-		for i := 0; i < 2; i++ {
-			msg := []byte{byte('m'), byte(i)}
-			sig, err := SignWithMode(rand.Reader, s.pk, s.keys[0], msg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tok, err := RecoverSignerToken(s.pk, msg, sig)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tok.Equal(s.keys[0].Token()) {
-				t.Fatalf("%v signature %d: public data no longer yields the signer's token — "+
-					"if H0 was fixed, flip this test (see ROADMAP item 1)", mode, i)
-			}
-			if tok.Equal(s.keys[1].Token()) {
-				t.Fatalf("%v signature %d: recovered another member's token", mode, i)
-			}
+	var firstA *big.Int
+	for i := 0; i < 2; i++ {
+		msg := []byte{byte('m'), byte(i)}
+		sig, err := Sign(rand.Reader, s.pk, s.keys[0], msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bases are per message: a fixed û would make e(A, û) one
+		// value across a member's signatures for everyone, even once H0's
+		// logs are hidden (TestKnownGapFixedGeneratorsLinkable).
+		a, _ := deriveScalars(s.pk, msg, sig.R, counter{})
+		if firstA == nil {
+			firstA = a
+		} else if a.Cmp(firstA) == 0 {
+			t.Fatal("two signatures of one member share their H0 scalars")
+		}
+		tok, err := RecoverSignerToken(s.pk, msg, sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tok.Equal(s.keys[0].Token()) {
+			t.Fatalf("signature %d: public data no longer yields the signer's token — "+
+				"if H0 was fixed, flip this test (see ROADMAP item 1)", i)
+		}
+		if tok.Equal(s.keys[1].Token()) {
+			t.Fatalf("signature %d: recovered another member's token", i)
 		}
 	}
 	if _, err := RecoverSignerToken(s.pk, []byte("m"), nil); err == nil {

@@ -8,12 +8,10 @@ import (
 
 // TestSweepDifferential pins the three ways into the revocation check to
 // one another: IsRevoked (bases derived per call), sweepURLWorkers at
-// several worker counts (a Verifier's cached bases) and the epoch-cached
-// SweepState (packed tokens, and the e(A, û) index for fixed generators).
+// several worker counts and the epoch-cached SweepState (packed tokens).
 // All run the one scan (TestScanMatchesEq3 holds that to the paper's
-// equation) and must agree on the (revoked, index) verdict in both
-// signature modes, including the empty-list, first-token, last-token and
-// not-listed cases.
+// equation) and must agree on the (revoked, index) verdict, including the
+// empty-list, first-token, last-token and not-listed cases.
 func TestSweepDifferential(t *testing.T) {
 	const nKeys = 6
 	s := newTestSetup(t, nKeys)
@@ -39,53 +37,50 @@ func TestSweepDifferential(t *testing.T) {
 		{"single entry hit", 4, allTokens[4:5]},
 		{"single entry miss", 0, allTokens[5:6]},
 	}
-	modes := []GeneratorMode{PerMessageGenerators, FixedGenerators}
 	workerCounts := []int{1, 2, 3, 8}
 
-	for _, mode := range modes {
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%v/%s", mode, tc.name), func(t *testing.T) {
-				sig, err := SignWithMode(rand.Reader, pk, s.keys[tc.signer], msg, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("per-message/%s", tc.name), func(t *testing.T) {
+			sig, err := Sign(rand.Reader, pk, s.keys[tc.signer], msg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				wantRevoked, wantIdx := IsRevoked(pk, msg, sig, tc.tokens)
+			wantRevoked, wantIdx := IsRevoked(pk, msg, sig, tc.tokens)
 
-				for _, w := range workerCounts {
-					gotRevoked, gotIdx := ver.sweepURLWorkers(msg, sig, tc.tokens, w)
-					if gotRevoked != wantRevoked || gotIdx != wantIdx {
-						t.Errorf("sweepURLWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
-							w, gotRevoked, gotIdx, wantRevoked, wantIdx)
-					}
-				}
-
-				st := NewSweepState(pk)
-				st.Update(1, tc.tokens)
-				gotRevoked, gotIdx := st.Check(msg, sig)
+			for _, w := range workerCounts {
+				gotRevoked, gotIdx := ver.sweepURLWorkers(msg, sig, tc.tokens, w)
 				if gotRevoked != wantRevoked || gotIdx != wantIdx {
-					t.Errorf("SweepState.Check = (%v,%d), IsRevoked = (%v,%d)",
-						gotRevoked, gotIdx, wantRevoked, wantIdx)
+					t.Errorf("sweepURLWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
+						w, gotRevoked, gotIdx, wantRevoked, wantIdx)
 				}
-				for _, w := range workerCounts {
-					gotRevoked, gotIdx := st.checkWorkers(msg, sig, w)
-					if gotRevoked != wantRevoked || gotIdx != wantIdx {
-						t.Errorf("SweepState.checkWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
-							w, gotRevoked, gotIdx, wantRevoked, wantIdx)
-					}
+			}
+
+			st := NewSweepState(pk)
+			st.Update(1, tc.tokens)
+			gotRevoked, gotIdx := st.Check(msg, sig)
+			if gotRevoked != wantRevoked || gotIdx != wantIdx {
+				t.Errorf("SweepState.Check = (%v,%d), IsRevoked = (%v,%d)",
+					gotRevoked, gotIdx, wantRevoked, wantIdx)
+			}
+			for _, w := range workerCounts {
+				gotRevoked, gotIdx := st.checkWorkers(msg, sig, w)
+				if gotRevoked != wantRevoked || gotIdx != wantIdx {
+					t.Errorf("SweepState.checkWorkers(%d) = (%v,%d), IsRevoked = (%v,%d)",
+						w, gotRevoked, gotIdx, wantRevoked, wantIdx)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestSweepStateEpochMonotonic pins the sweep cache's anti-rollback rule
-// and its per-epoch fast-index rebuild.
+// and that a new epoch's list replaces the old one.
 func TestSweepStateEpochMonotonic(t *testing.T) {
 	s := newTestSetup(t, 2)
 	pk := s.pk
 	msg := []byte("epoch monotonic")
-	sig, err := SignWithMode(rand.Reader, pk, s.keys[0], msg, FixedGenerators)
+	sig, err := Sign(rand.Reader, pk, s.keys[0], msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +110,6 @@ func TestSweepStateEpochMonotonic(t *testing.T) {
 		t.Fatal("forward update refused")
 	}
 	if revoked, _ := st.Check(msg, sig); revoked {
-		t.Fatal("stale fast index survived epoch change")
+		t.Fatal("stale token list survived epoch change")
 	}
 }

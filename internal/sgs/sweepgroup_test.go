@@ -10,13 +10,12 @@ import (
 
 // TestSweepGroupDifferential holds the group check to the check of one:
 // for groups of one to nine signatures — signers repeated, the same
-// signature twice, FixedGenerators signatures among per-message ones —
-// against URLs of 0, 1, 2, 8, 16 and 17 tokens with revoked signers at
+// signature twice — against URLs of 0, 1, 2, 8, 16 and 17 tokens with revoked signers at
 // tokens 0, 7, 8 and 15 (and token 7's signer listed again at 16), every
 // signature's (revoked, index) from the group equals SweepState.Check on
 // that signature alone and the smallest index its token sits at. Where the
-// lanes exist, a group with two or more per-message signatures against a
-// packed list must have set up on them.
+// lanes exist, a group of two or more signatures against a packed list must
+// have set up on them.
 func TestSweepGroupDifferential(t *testing.T) {
 	const signers, fillers = 6, 13
 	s := newTestSetup(t, signers+fillers)
@@ -47,21 +46,17 @@ func TestSweepGroupDifferential(t *testing.T) {
 		item   BatchItem
 	}
 	var pool []signed
-	sign := func(signer int, mode GeneratorMode) {
+	sign := func(signer int) {
 		msg := []byte(fmt.Sprintf("group sweep %d", len(pool)))
-		sig, err := SignWithMode(rand.Reader, pk, s.keys[signer], msg, mode)
+		sig, err := Sign(rand.Reader, pk, s.keys[signer], msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pool = append(pool, signed{signer, BatchItem{Msg: msg, Sig: sig}})
 	}
-	for signer := 0; signer < signers; signer++ {
-		sign(signer, PerMessageGenerators)
+	for _, signer := range []int{0, 1, 2, 3, 4, 5, 0, 2, 4, 3} {
+		sign(signer)
 	}
-	sign(0, FixedGenerators)
-	sign(2, PerMessageGenerators)
-	sign(4, FixedGenerators)
-	sign(3, PerMessageGenerators)
 
 	g := new(bn256.G1).Base()
 	lanesExist := bn256.PackG1Lanes([]*bn256.G1{g, g}) != nil
@@ -93,17 +88,13 @@ func TestSweepGroupDifferential(t *testing.T) {
 				picks[size-1] = picks[0]
 			}
 			items := make([]BatchItem, size)
-			perMsg := 0
 			for k, p := range picks {
 				items[k] = pool[p].item
-				if items[k].Sig.Mode == PerMessageGenerators {
-					perMsg++
-				}
 			}
 
 			grp := st.Group(items)
-			if grp.onLanes != (lanesExist && n >= 2 && perMsg >= 2) {
-				t.Errorf("url %d, group of %d with %d per-message: set up on the lanes = %v", n, size, perMsg, grp.onLanes)
+			if grp.onLanes != (lanesExist && n >= 2 && size >= 2) {
+				t.Errorf("url %d, group of %d: set up on the lanes = %v", n, size, grp.onLanes)
 			}
 			for k, p := range picks {
 				if revoked, idx := grp.Check(k); revoked != (want[p] >= 0) || idx != want[p] {

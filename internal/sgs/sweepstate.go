@@ -11,19 +11,12 @@ import (
 // current epoch in the form the Eq.3 scan reads (a tokenSet: the A_i
 // already packed in lane form when the scan will test them eight at a
 // time), so per-request work never re-derives what the epoch already
-// fixes:
-//
-//   - PerMessageGenerators signatures run the parallel Eq.3 scan over the
-//     cached set; what a signature adds is its own û, v̂ and the Miller
-//     product every token's pairing is multiplied by. A group of verified
-//     signatures (Group) sets those up together: û prepared eight to a
-//     walk of the lane-parallel tower and every signature's Miller product
-//     in one more pass that walks v̂, the scalar set-up of a lone signature
-//     otherwise.
-//   - FixedGenerators signatures use a FastRevocationChecker whose
-//     e(A, û) index is built once per epoch (one pairing per token,
-//     amortized) and answers each check with two pairings and a hash
-//     lookup regardless of |URL| (BS04 §6).
+// fixes. A signature runs the parallel Eq.3 scan over the cached set; what
+// it adds is its own û, v̂ and the Miller product every token's pairing is
+// multiplied by. A group of verified signatures (Group) sets those up
+// together: û prepared eight to a walk of the lane-parallel tower and every
+// signature's Miller product in one more pass that walks v̂, the scalar
+// set-up of a lone signature otherwise.
 //
 // Update is epoch-monotonic: a lower epoch is refused, so a delayed or
 // replayed older list can never displace newer sweep state. All methods
@@ -37,10 +30,6 @@ type SweepState struct {
 	mu    sync.RWMutex
 	epoch uint64
 	set   tokenSet
-
-	fastMu    sync.Mutex
-	fastEpoch uint64
-	fast      *FastRevocationChecker
 }
 
 // NewSweepState creates sweep state for one group public key with no
@@ -109,15 +98,13 @@ func (s *SweepState) Tokens() []*RevocationToken {
 
 // Check reports whether the signer of sig is revoked and, if so, the
 // token index within the current epoch's list. It is the check of a group
-// of one (Group): FixedGenerators signatures take the constant-cost indexed
-// path; everything else sweeps.
+// of one (Group).
 func (s *SweepState) Check(msg []byte, sig *Signature) (bool, int) {
 	return s.checkWorkers(msg, sig, 0)
 }
 
 // checkWorkers is Check with an explicit sweep worker count (0 means
-// GOMAXPROCS), so the tests can pin the parallelism; the FixedGenerators
-// path is single-lookup and ignores it.
+// GOMAXPROCS), so the tests can pin the parallelism.
 func (s *SweepState) checkWorkers(msg []byte, sig *Signature, workers int) (bool, int) {
 	return s.group([]BatchItem{{Msg: msg, Sig: sig}}, workers).Check(0)
 }
@@ -132,24 +119,10 @@ func (s *SweepState) Group(items []BatchItem) *SweepGroup {
 
 func (s *SweepState) group(items []BatchItem, workers int) *SweepGroup {
 	s.mu.RLock()
-	epoch, set := s.epoch, s.set
+	set := s.set
 	s.mu.RUnlock()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fast := func() *FastRevocationChecker { return s.fastChecker(epoch, set) }
-	return s.Verifier().setupSweep(items, set, workers, fast)
-}
-
-// fastChecker returns the per-epoch e(A, û) index, building it when the
-// epoch moved since the last build. Concurrent callers at the same epoch
-// share one build.
-func (s *SweepState) fastChecker(epoch uint64, set tokenSet) *FastRevocationChecker {
-	s.fastMu.Lock()
-	defer s.fastMu.Unlock()
-	if s.fast == nil || s.fastEpoch != epoch {
-		s.fast = newFastRevocationChecker(s.pk, set)
-		s.fastEpoch = epoch
-	}
-	return s.fast
+	return s.Verifier().setupSweep(items, set, workers)
 }

@@ -60,7 +60,7 @@ func TestGoldenVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("golden vector message")
-	sig, err := SignWithMode(rng, iss.PublicKey(), key, msg, PerMessageGenerators)
+	sig, err := Sign(rng, iss.PublicKey(), key, msg)
 	if err != nil {
 		t.Fatal(err)
 	}

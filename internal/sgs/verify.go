@@ -62,9 +62,6 @@ func checkSignatureShape(sig *Signature) error {
 		sig.C == nil || sig.SAlpha == nil || sig.SX == nil || sig.SDelta == nil {
 		return fmt.Errorf("%w: missing components", ErrInvalidSignature)
 	}
-	if sig.Mode != PerMessageGenerators && sig.Mode != FixedGenerators {
-		return fmt.Errorf("%w: unknown generator mode", ErrInvalidSignature)
-	}
 	if sig.T1.IsInfinity() || sig.T2.IsInfinity() {
 		return fmt.Errorf("%w: degenerate T1/T2", ErrInvalidSignature)
 	}

@@ -583,7 +583,7 @@ func TestDispatchGateMatrix(t *testing.T) {
 const m2SigAt = 2*(4+bn256.G1Size) + 8 + 4
 
 // Offsets of the signature's fields in an M.2 encoding (sgs's layout:
-// mode, R, T1, T2, then C, SAlpha, SX, SDelta).
+// the leading byte, R, T1, T2, then C, SAlpha, SX, SDelta).
 const (
 	m2T1At = m2SigAt + 1 + 32
 	m2T2At = m2T1At + bn256.G1Size
@@ -621,6 +621,8 @@ func TestDispatchCorruptEscrow(t *testing.T) {
 		{"scalar-at-least-order", func(m []byte) []byte { copy(m[m2CAt:], order); return m }, sgs.ErrInvalidSignature, nil},
 		{"T2-at-infinity", func(m []byte) []byte { clear(m[m2T2At:m2CAt]); return m }, sgs.ErrInvalidSignature, nil},
 		{"unknown-mode", func(m []byte) []byte { m[m2SigAt] = 3; return m }, sgs.ErrInvalidSignature, nil},
+		// 2 was the fixed-generator mode, which the router no longer accepts.
+		{"fixed-mode", func(m []byte) []byte { m[m2SigAt] = 2; return m }, sgs.ErrInvalidSignature, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/peace-mesh/peace/internal/core"
+	"github.com/peace-mesh/peace/internal/revocation"
 	"github.com/peace-mesh/peace/internal/symcrypto"
 	"github.com/peace-mesh/peace/internal/transport/batchio"
 )
@@ -591,4 +592,112 @@ func TestEscrowSurvivesRoam(t *testing.T) {
 	}
 	logged(ln.Routers[1], last.ID, "after the ticket scratch was overwritten")
 	logged(ln.Routers[1], handed.ID, "after the ticket scratch was overwritten")
+}
+
+// TestKnownGapSTEKHolderResumesAsVictim records that every router of a
+// metro seals and opens tickets under one STEK ring, so whoever holds the
+// ring can resume as any user at any router, and the honest router then
+// logs the victim's M.2 as the escrow of the holder's session. It asserts
+// today's behaviour, not a goal: when each router seals under its own
+// ring (ROADMAP item 20(b)) both forgeries must be refused and this test
+// flips, as TestKnownGapTokenRecoverableFromSignature will for item 1(1).
+//
+// A client attaches at the first of two routers on one ring. The ring's
+// holder then sends two resume requests through the second router's
+// dispatch, on a shard loop the test holds: (i) with the victim's ticket,
+// opened with the ring for its secret, and (ii) with a ticket it minted
+// with the ring around the victim's M.2, as any router logs it, and a
+// secret of its own choosing. Both draw a ResumeConfirm, the second router
+// logs the victim's M.2 for each session, and the operator's audit names
+// the victim's group.
+func TestKnownGapSTEKHolderResumesAsVictim(t *testing.T) {
+	const group = "grp-victim"
+	ln, err := NewLocalNetwork(core.Config{}, group, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := symcrypto.NewTicketKeyRing(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := NewServer(mustListen(t), ln.Routers[0], ServerConfig{TicketKeys: ring, BootEpoch: 81})
+	t.Cleanup(home.Close)
+	away := NewServer(mustListen(t), ln.Routers[1], ServerConfig{TicketKeys: ring, BootEpoch: 82})
+	t.Cleanup(away.Close)
+
+	conn := mustListen(t)
+	t.Cleanup(func() { conn.Close() })
+	cl := NewClient(conn, home.Addr(), ln.Users[0], testClientConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	attached, err := cl.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, ok := ln.Routers[0].LoggedAccessRequest(attached.ID)
+	if !ok {
+		t.Fatal("the attach logged no M.2")
+	}
+	victimM2 := logged.Marshal()
+
+	out := &lastDatagramConn{}
+	eg := batchio.NewEgress(out, 32, time.Hour, batchio.NewPool(egressFrameSize), nil)
+	t.Cleanup(eg.Close)
+	l := &shardLoop{eg: eg}
+	// resumeAsVictim steps one resume request for held through the second
+	// router and checks what it adopted and logged.
+	resumeAsVictim := func(step string, held *resumeTicket) {
+		t.Helper()
+		req, frame, err := resumeRequest(held, away.router.Now(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		away.dispatch(l, away.router.Now(), &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}, frame)
+		away.endBatch(l)
+		kind, payload, err := DecodeFrame(out.last)
+		if err != nil || kind != KindResumeConfirm {
+			t.Fatalf("%s: answered %v (%v) — if tickets no longer open at another router, flip this test (ROADMAP item 20(b))", step, kind, err)
+		}
+		var confirm ResumeConfirm
+		if err := UnmarshalResumeConfirmInto(payload, &confirm); err != nil {
+			t.Fatal(err)
+		}
+		sess, _, err := openResumeConfirm(held, &req.Nonce, &confirm, away.router.Now())
+		if err != nil {
+			t.Fatalf("%s: the holder cannot open its confirm: %v", step, err)
+		}
+		m, ok := ln.Routers[1].LoggedAccessRequest(sess.ID)
+		if !ok || !bytes.Equal(m.Marshal(), victimM2) {
+			t.Fatalf("%s: the second router did not log the victim's M.2 for the holder's session", step)
+		}
+		if res, err := ln.NO.AuditSession(ln.Routers[1], sess.ID); err != nil || res.Group != group {
+			t.Fatalf("%s: audit named %q (%v), want the victim's group %q", step, res.Group, err, group)
+		}
+	}
+
+	// (i) The victim's ticket, as a resume request carries it, opened with
+	// the ring for the secret that keys the request's MAC.
+	blob := cl.heldTicket().blob
+	opened, err := OpenTicket(blob, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeAsVictim("opened ticket", &resumeTicket{blob: blob, secret: opened.Secret[:], prev: opened.Prev})
+
+	// (ii) A ticket minted around the victim's M.2, with a secret the
+	// holder chose and the epochs every beacon announces.
+	minted := &Ticket{
+		Prev:     core.SessionID{0x5e},
+		Router:   ln.Routers[0].ID(),
+		URLEpoch: ln.Routers[1].RevocationEpoch(revocation.ListURL),
+		CRLEpoch: ln.Routers[1].RevocationEpoch(revocation.ListCRL),
+		Expiry:   away.router.Now().Add(time.Hour),
+		Escrow:   victimM2,
+	}
+	copy(minted.Secret[:], "a secret of the ring holder's own")
+	forged, err := minted.Seal(rand.Reader, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeAsVictim("minted ticket", &resumeTicket{blob: forged, secret: minted.Secret[:], prev: minted.Prev})
 }
