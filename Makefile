@@ -6,7 +6,7 @@ GO ?= go
 # fabric with seeded faults, no goroutine and no sleep, plus the two that
 # drive started nodes' one loop over loopback and the shard loop's side of
 # an adoption; the race runs repeat them.
-BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce|DuplicatedAdsCountOnce|PlaneSchedules|NodeDriverWakes|HandoffAdoptedAllocs)$$
+BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsRoutedNotFlooded|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce|DuplicatedAdsCountOnce|PlaneSchedules|NodeDriverWakes|HandoffAdoptedAllocs)$$
 
 # The router's and the client's step tests: dispatch driven one datagram
 # at a time through a recording egress, and the client's phases stepped
@@ -225,12 +225,17 @@ bench:
 # (IngestBurst, which also prints the mean group its drainers cut), and
 # TestVerifyGroupAllocs, which holds a group of eight to its allocation
 # ceiling. Last the backbone: one tick of a
-# two-link router holding 0, 600 and 6,000 acknowledged owner ads (flat,
-# in time and in bytes), a link from AddPeer to reachable, and
+# two-link router holding the ownership records of 0, 600 and 6,000
+# sessions handed off from it, every owner ad acknowledged (flat, in time
+# and in bytes), a link from AddPeer to reachable, and
 # TestHandoffAdoptedAllocs, which holds the shard loop's side of an
-# adoption (the inbox append and the loop's wake) at 0 allocs/op, and
+# adoption (the inbox append and the loop's wake) at 0 allocs/op,
 # TestEnvelopeReceiveAllocs, which holds a received backbone envelope
-# (decoded and opened in place in its ingest slot) at 0 allocs/op.
+# (decoded and opened in place in its ingest slot) at 0 allocs/op, and
+# TestRelayReceiveAllocs, which holds a relayed data frame at 0 allocs/op
+# both where a router forwards it (the relay body decoded in place and
+# its plaintext sealed again) and where the router holding its session
+# opens it.
 bench-smoke:
 	$(GO) test ./internal/transport/ ./internal/wire/ -run='^(TestSteadyStateDecodeAllocs|TestDataPlaneAllocs|TestKeepaliveAllocs|TestResumeExchangeAllocs|TestClientResumeAllocs|TestHandoffExchangeAllocs|TestAccessAnswerAllocs|TestEscrowCheckAllocs)$$' -bench=. -benchmem -benchtime=1x
 	$(GO) test ./internal/symcrypto/ -run='^TestKDFAllocs$$' -v -count=1
@@ -244,7 +249,7 @@ bench-smoke:
 	$(GO) test ./internal/core/ -run='^$$' -bench='^BenchmarkIngestBurst$$' -cpu 1,2 -benchtime=10x
 	$(GO) test ./internal/sgs/ -run='^TestVerifyGroupAllocs$$' -v -count=1
 	$(GO) test ./internal/backbone/ -run='^$$' -bench='^Benchmark(NodeTick|LinkUp)$$' -benchmem -benchtime=100x
-	$(GO) test ./internal/backbone/ -run='^Test(HandoffAdoptedAllocs|EnvelopeReceiveAllocs)$$' -v -count=1
+	$(GO) test ./internal/backbone/ -run='^Test(HandoffAdoptedAllocs|EnvelopeReceiveAllocs|RelayReceiveAllocs)$$' -v -count=1
 	$(GO) test ./internal/core/ -run='^TestSealOpenAllocs$$' -v -count=1
 
 experiments:

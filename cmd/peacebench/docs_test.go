@@ -13,8 +13,10 @@ import (
 )
 
 // citingDocs are the documents that cite peacebench experiments, tests
-// and benchmarks by name, relative to the module root.
-var citingDocs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/PROTOCOL.md"}
+// and benchmarks by name, relative to the module root. The Makefile is
+// one: a -run or -bench pattern that names no test matches nothing, and
+// go test skips it without a word.
+var citingDocs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/PROTOCOL.md", "Makefile"}
 
 var (
 	// expCitation is a peacebench -exp argument: one name or a comma list.
@@ -22,11 +24,26 @@ var (
 	// testCitation is a Go test, fuzz target or benchmark named by its
 	// function.
 	testCitation = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9]\w*`)
+	// groupCitation is a -run or -bench group such as Test(A|B), which
+	// names TestA and TestB.
+	groupCitation = regexp.MustCompile(`\b(Test|Fuzz|Benchmark)\(([\w|]+)\)`)
 )
 
+// citedTests returns the tests, fuzz targets and benchmarks a line names,
+// singly or in groups.
+func citedTests(line string) []string {
+	names := testCitation.FindAllString(line, -1)
+	for _, m := range groupCitation.FindAllStringSubmatch(line, -1) {
+		for _, alt := range strings.Split(m[2], "|") {
+			names = append(names, m[1]+alt)
+		}
+	}
+	return names
+}
+
 // TestDocsCiteLiveNames fails when a document cites an -exp name that is
-// not in experimentList, or a TestX, FuzzX or BenchmarkX that no _test.go
-// file of the module declares.
+// not in experimentList, or a TestX, FuzzX or BenchmarkX, alone or in a
+// Test(X|Y) group, that no _test.go file of the module declares.
 func TestDocsCiteLiveNames(t *testing.T) {
 	root := filepath.Join("..", "..")
 	known := map[string]bool{"all": true}
@@ -50,7 +67,7 @@ func TestDocsCiteLiveNames(t *testing.T) {
 					}
 				}
 			}
-			for _, name := range testCitation.FindAllString(line, -1) {
+			for _, name := range citedTests(line) {
 				if !declared[name] {
 					t.Errorf("%s:%d cites %s, which no _test.go file declares", doc, i+1, name)
 				}

@@ -13,25 +13,26 @@ import (
 )
 
 // BenchmarkNodeTick is one tick of a router with two links that holds
-// live unexpired owner ads, every one acknowledged by both peers: the
-// state of a busy metro between two losses. The tick's time and bytes
-// must not depend on live — rounds carry routes and acknowledgements,
-// and ads only while a peer has not confirmed them.
+// the ownership records of live sessions handed off from it, half to each
+// neighbour, every ad acknowledged: the state of a busy metro between two
+// losses. The tick's time and bytes must not depend on live — rounds
+// carry routes, and ads leave only while unacknowledged.
 func BenchmarkNodeTick(b *testing.B) {
 	for _, live := range []int{0, 600, 6000} {
 		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
 			p := newPlane(b, 3, backbone.Config{})
 			p.linkLine(3)
-			ids := p.adopt(1, 0, "tick", 0, live)
+			left := p.adopt(0, 1, "tick-left", 0, live/2)
+			right := p.adopt(2, 1, "tick-right", 0, live-live/2)
 			acked := func() bool {
-				return p.knows(0, ids, p.nodes[1].ID()) == live && p.knows(2, ids, p.nodes[1].ID()) == live &&
-					p.nodes[1].Unacked() == 0
+				return p.knows(1, left, p.nodes[0].ID()) == len(left) && p.knows(1, right, p.nodes[2].ID()) == len(right) &&
+					p.nodes[0].Unacked()+p.nodes[2].Unacked() == 0
 			}
 			for r := 0; r < 5 && !acked(); r++ {
 				p.step()
 			}
 			if !acked() {
-				b.Fatal("the ads are not acknowledged at both peers after five rounds")
+				b.Fatal("the ads are not held and acknowledged after five rounds")
 			}
 			// The rounds the loop below seals go no further than the node's
 			// own fault layer, so the fabric's copies stay out of the count.

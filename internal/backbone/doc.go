@@ -1,8 +1,9 @@
 // Package backbone is the inter-router plane of a metropolitan PEACE
 // deployment: N mesh routers under one network operator discover each
 // other over configured links, gossip peer liveness and distance-vector
-// reachability, flood session-ownership hints, and relay data frames
-// multi-hop across the backbone.
+// reachability, and route messages multi-hop to one router: data frames
+// for sessions that moved, and each handoff's ownership to the router
+// the session left.
 //
 // Links are authenticated under the routers' NO-issued certificates
 // (internal/cert): a router hello / welcome exchange signs fresh DH
@@ -21,10 +22,12 @@
 //
 // A handoff goes like this. A user moving to a new AP presents its
 // resumption ticket there. The adopting router checks the epoch pins,
-// re-logs the M.2 escrow, and hands the node an owner ad for the backbone.
-// During the grace window the previous router relays in-flight frames to
-// the adopter, then releases the session; its audit log entry stays. Ads
-// are numbered per link and re-sent until a round acknowledges them, and
-// a link that comes up again starts from every unexpired ad, so a router
-// that was cut off catches up after the partition heals.
+// re-logs the M.2 escrow, and hands the node an owner ad, which the node
+// relays to the previous router and to no other. During the grace window
+// the previous router relays in-flight frames to the adopter, then
+// releases the session; its audit log entry stays. The previous router
+// acknowledges each ad end to end, and the adopter re-sends an ad at the
+// tick until it is acknowledged or expires, so a loss or a partition
+// heals by itself. Routers on the path forward the ad without keeping
+// it.
 package backbone

@@ -114,13 +114,16 @@ func TestHandoffAdoptedAllocs(t *testing.T) {
 		}
 	}
 	// The step takes the inbox once its window has passed; two such drains
-	// leave capacity on both sides of the inbox's swap.
+	// leave capacity on both sides of the inbox's swap. They run on the one
+	// P the count runs on: shrinking GOMAXPROCS moves the other Ps' timers
+	// into its timer heap, and the wake's read deadline could then be the
+	// timer that grows it inside the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	drain := func() { node.Step(time.Now().Add(backbone.FlushDelay)) }
 	for round := 0; round < 2; round++ {
 		adopt()
 		drain()
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	var mallocs uint64
 	for r := 0; r < runs; r++ {

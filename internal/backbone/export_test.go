@@ -9,8 +9,8 @@ import (
 	"github.com/peace-mesh/peace/internal/transport/batchio"
 )
 
-// FrameSize is the egress buffer class no sealed gossip or announce
-// frame may exceed.
+// FrameSize is the egress buffer class no sealed gossip or relay frame
+// may exceed.
 const FrameSize = backboneFrameSize
 
 // FlushDelay is how long the inbox holds work before the loop wakes for
@@ -43,15 +43,12 @@ func (n *Node) Tick(now time.Time) {
 	n.eg.Flush()
 }
 
-// Unacked returns how many owner ads the node holds numbered and not yet
-// acknowledged, over all its links.
-func (n *Node) Unacked() int {
-	total := 0
-	for _, l := range n.links {
-		total += len(l.unacked)
-	}
-	return total
-}
+// Flush sends what the node has queued.
+func (n *Node) Flush() { n.eg.Flush() }
+
+// Unacked returns how many owner ads the node adopted that their previous
+// routers have not acknowledged.
+func (n *Node) Unacked() int { return len(n.unacked) }
 
 // EnvelopeSlot is one ingest slot a test serves sealed envelopes to a
 // node from, reused for every envelope as the read loop's ring reuses its
@@ -89,19 +86,35 @@ func (s *EnvelopeSlot) Serve(kind transport.Kind, plaintext []byte, now time.Tim
 	}
 }
 
-// AnnouncePlaintext is a handoff announce's plaintext listing one owner ad
-// per adopted session in next, numbered from 1: owner adopted it away from
-// prevRouter, and owns it until expires.
-func AnnouncePlaintext(owner, prevRouter string, expires time.Time, next ...core.SessionID) []byte {
+// AdsRelay is the plaintext of a relay from origin to target listing one
+// owner ad per adopted session in next: origin adopted it away from
+// target, and owns it until expires.
+func AdsRelay(target, origin string, expires time.Time, next ...core.SessionID) []byte {
 	ads := make([]ownerAd, len(next))
 	for i := range ads {
-		ads[i] = ownerAd{Seq: uint64(i + 1), Next: next[i], Owner: owner, PrevRouter: prevRouter, Expires: expires}
+		ads[i] = ownerAd{Next: next[i], Owner: origin, PrevRouter: target, Expires: expires}
 	}
-	return appendOwnerAds(nil, ads)
+	return appendRelay(nil, target, origin, relayAds, appendOwnerAds(nil, ads))
 }
 
-// GossipPlaintext is a gossip round's plaintext that acknowledges no ads
-// and advertises router at hops.
+// AcksRelay is the plaintext of a relay from origin to target
+// acknowledging the owner ads of the sessions in next.
+func AcksRelay(target, origin string, next ...core.SessionID) []byte {
+	ads := make([]ownerAd, len(next))
+	for i := range ads {
+		ads[i].Next = next[i]
+	}
+	return appendRelay(nil, target, origin, relayAcks, appendAcks(nil, ads))
+}
+
+// DataRelay is the plaintext of a relay from origin to target carrying a
+// marshaled data frame.
+func DataRelay(target, origin string, frame []byte) []byte {
+	return appendRelay(nil, target, origin, relayData, frame)
+}
+
+// GossipPlaintext is a gossip round's plaintext that advertises router at
+// hops.
 func GossipPlaintext(router string, hops uint32) []byte {
 	return (&gossipBody{Routes: []routeAd{{Router: router, Hops: hops}}}).Marshal()
 }

@@ -19,6 +19,18 @@ func (m *linkEnvelope) Marshal() []byte {
 	return w.Bytes()
 }
 
+// Marshal encodes the relay body as appendRelay lays it out, with the hop
+// budget and kind the body holds, for the round trip below.
+func (m *relayBody) Marshal() []byte {
+	w := wire.NewWriter(16 + len(m.Target) + len(m.Origin) + len(m.Payload))
+	w.BytesField(m.Target)
+	w.BytesField(m.Origin)
+	w.Byte(m.TTL)
+	w.Byte(byte(m.Kind))
+	w.BytesField(m.Payload)
+	return w.Bytes()
+}
+
 // fuzzBackboneCert builds a structurally complete (unsigned, unverified)
 // router certificate for backbone handshake fuzz seeds — the decoders
 // under test parse structure only; signature checks happen later.
@@ -88,25 +100,23 @@ func FuzzUnmarshalLinkEnvelope(f *testing.F) {
 // FuzzUnmarshalGossipBody covers the gossip-round decoder. The body is
 // authenticated link plaintext, but a hostile (certified-then-compromised)
 // peer controls it fully, so it must fail cleanly on any mutation —
-// a truncated acknowledgement or base field included.
+// a truncated route count included.
 func FuzzUnmarshalGossipBody(f *testing.F) {
 	body := &gossipBody{
 		BootEpoch: 42,
-		AdAck:     6000,
-		AdBase:    17,
 		Routes:    []routeAd{{Router: "metro-r02", Hops: 2}},
 	}
 	f.Add(body.Marshal())
 	f.Add((&gossipBody{}).Marshal())
 	f.Add([]byte{})
-	f.Add(body.Marshal()[:12]) // cut inside the acknowledgement
+	f.Add(body.Marshal()[:10]) // cut inside the route count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := unmarshalGossipBody(data)
 		if err != nil {
 			return
 		}
-		if len(data) < 28 {
-			t.Fatalf("accepted a %d-byte body: epoch, ack, base and route count need 28", len(data))
+		if len(data) < 12 {
+			t.Fatalf("accepted a %d-byte body: epoch and route count need 12", len(data))
 		}
 		if !bytes.Equal(m.Marshal(), data) {
 			t.Fatal("gossip body decode/encode round trip not identical")
@@ -114,25 +124,25 @@ func FuzzUnmarshalGossipBody(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalOwnerAds covers the handoff-announce plaintext: the
-// numbered owner ads of a flood, a retransmission or a link-up backlog.
-// Like the gossip body it is peer-controlled link plaintext; the ad count
-// must be bounded by the bytes present and a truncated sequence refused.
+// FuzzUnmarshalOwnerAds covers the owner-ad relay payload: the ads an
+// adopter relays to their previous router, first copies and re-sends
+// alike. Like the gossip body it is peer-controlled link plaintext; the
+// ad count must be bounded by the bytes present and a truncated session
+// ID refused.
 func FuzzUnmarshalOwnerAds(f *testing.F) {
 	var next, prev [32]byte
 	next[0], prev[0] = 1, 2
 	ad := ownerAd{
-		Seq:  7,
 		Next: next, Prev: prev,
 		Owner: "metro-r01", PrevRouter: "metro-r00",
 		Expires: time.Unix(1700000003, 0).UTC(),
 	}
 	one := appendOwnerAds(nil, []ownerAd{ad})
 	f.Add(one)
-	f.Add(appendOwnerAds(nil, []ownerAd{ad, {Seq: 8}}))
+	f.Add(appendOwnerAds(nil, []ownerAd{ad, {}}))
 	f.Add(appendOwnerAds(nil, nil))
 	f.Add([]byte{})
-	f.Add(one[:8])                        // cut inside the sequence
+	f.Add(one[:20])                       // cut inside the first session ID
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // four billion ads in four bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ads, err := unmarshalOwnerAds(data)
@@ -151,18 +161,47 @@ func FuzzUnmarshalOwnerAds(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalRelayBody covers the relay-wrapper decoder that carries
-// forwarded data frames across the backbone.
+// FuzzUnmarshalRelayBody covers the decoder of everything routed across
+// the backbone — data frames, owner ads and their acknowledgements — and
+// at the target the decoder of each payload kind. The body is decoded in
+// place, and a forwarding router patches the hop budget where ttlOffset
+// says it lies.
 func FuzzUnmarshalRelayBody(f *testing.F) {
-	f.Add((&relayBody{Target: "metro-r03", Origin: "metro-r00", TTL: 8, Payload: []byte("data frame")}).Marshal())
+	ad := ownerAd{Owner: "metro-r00", PrevRouter: "metro-r03", Expires: time.Unix(1700000003, 0).UTC()}
+	ad.Next[0] = 1
+	f.Add(appendRelay(nil, "metro-r03", "metro-r00", relayData, []byte("data frame")))
 	f.Add([]byte{})
+	f.Add(appendRelay(nil, "metro-r03", "metro-r00", relayAds, appendOwnerAds(nil, []ownerAd{ad})))
+	f.Add(appendRelay(nil, "metro-r00", "metro-r03", relayAcks, appendAcks(nil, []ownerAd{ad, {}})))
+	f.Add(appendRelay(nil, "metro-r03", "metro-r00", 7, []byte("a kind from a later build")))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := unmarshalRelayBody(data)
-		if err != nil {
+		var m relayBody
+		if unmarshalRelayBody(data, &m) != nil {
 			return
 		}
 		if !bytes.Equal(m.Marshal(), data) {
 			t.Fatal("relay body decode/encode round trip not identical")
+		}
+		if data[m.ttlOffset()] != m.TTL {
+			t.Fatalf("ttlOffset %d does not hold the hop budget", m.ttlOffset())
+		}
+		switch m.Kind {
+		case relayAds:
+			if ads, err := unmarshalOwnerAds(m.Payload); err == nil && !bytes.Equal(appendOwnerAds(nil, ads), m.Payload) {
+				t.Fatal("owner-ad payload decode/encode round trip not identical")
+			}
+		case relayAcks:
+			ids, err := unmarshalAcks(m.Payload)
+			if err != nil {
+				return
+			}
+			acked := make([]ownerAd, len(ids))
+			for i := range ids {
+				acked[i].Next = ids[i]
+			}
+			if !bytes.Equal(appendAcks(nil, acked), m.Payload) {
+				t.Fatal("acknowledgement payload decode/encode round trip not identical")
+			}
 		}
 	})
 }

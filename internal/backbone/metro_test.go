@@ -124,9 +124,9 @@ func TestStaleEpochPinsAtAdoptingRouter(t *testing.T) {
 
 // TestHandoffDuringBackbonePartition cuts the previous router off the
 // backbone while the user roams. The handoff itself succeeds (the user
-// plane is unaffected), and once the partition heals the periodic gossip
-// — not the one-shot flood, which was lost — delivers the ownership
-// announcement, after which in-flight frames forward. What the cut-off
+// plane is unaffected), and once the partition heals the adopter's
+// re-send — not its first copy, which was lost — delivers the owner ad,
+// after which in-flight frames forward. What the cut-off
 // router knows during the partition is pinned, stepped, by
 // TestOwnerAdsCrossPartitions.
 func TestHandoffDuringBackbonePartition(t *testing.T) {
@@ -157,7 +157,7 @@ func TestHandoffDuringBackbonePartition(t *testing.T) {
 		t.Fatalf("handoffs_in = %d, want 1", got)
 	}
 
-	// Heal. Gossip re-advertises the unexpired owner ad until it lands.
+	// Heal. The adopter re-sends the unexpired owner ad until it lands.
 	m.Backbone[0].PartitionFor(0)
 	waitFor(t, func() bool {
 		owner, ok := m.Nodes[0].OwnerOf(sess.ID)

@@ -1,13 +1,17 @@
 package backbone
 
 import (
+	"bytes"
+	"cmp"
 	"container/heap"
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/big"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +56,8 @@ func (c Config) withDefaults() Config {
 
 // backboneIOBatch is how many datagrams one recvmmsg/sendmmsg moves on
 // the backbone socket; backboneFrameSize is the egress buffer class
-// (gossip rounds and relayed data frames fit, owner ads are cut to it);
+// (gossip rounds and relayed data frames fit, owner ads and their
+// acknowledgements are cut to it);
 // backboneFlushDelay is how long work handed to the loop waits in the
 // inbox for batch-mates; triggerSpacing is how far ahead a route change
 // pulls the next gossip round in, so that whatever else changes meanwhile
@@ -113,9 +118,24 @@ type pendingDial struct {
 // handed back and allocates nothing in steady state.
 type inbox struct {
 	ads    []ownerAd
-	relays []relayBody
+	relays []dataRelay
 	peers  []peer
 	since  time.Time
+}
+
+// dataRelay is a data frame for a session that moved, to relay to the
+// router that adopted it.
+type dataRelay struct {
+	owner string
+	frame []byte // marshaled core.DataFrame
+}
+
+// unackedAd is an owner ad this node adopted that its previous router
+// has not acknowledged, and when its last copy left (zero while none
+// has).
+type unackedAd struct {
+	ad   ownerAd
+	sent time.Time
 }
 
 type peer struct {
@@ -127,15 +147,16 @@ func (b *inbox) empty() bool { return len(b.ads)+len(b.relays)+len(b.peers) == 0
 
 // Node is one router's presence on the metro backbone: it owns the
 // backbone socket, runs the link handshakes, gossips liveness and routes,
-// floods session ownership and re-sends it until acknowledged, relays
-// data frames multi-hop, and implements the transport server's Forwarder
-// / HandoffObserver hooks.
+// routes each session's ownership to the router it left and re-sends it
+// until that router acknowledges it, relays data frames multi-hop, and
+// implements the transport server's Forwarder / HandoffObserver hooks.
 //
 // One goroutine owns all of it: links, routes, pending dials, the
-// ownership table and its expiry heap, and the egress. Everything the
-// node does at a time now goes through step, which returns the next
-// deadline. Other goroutines hand work in through the inbox, and read the
-// ownership and hop tables under view, which only the owner writes.
+// ownership table and its expiry heap, the unacknowledged ads, and the
+// egress. Everything the node does at a time now goes through step, which
+// returns the next deadline. Other goroutines hand work in through the
+// inbox, and read the ownership and hop tables under view, which only the
+// owner writes.
 type Node struct {
 	cfg    Config
 	id     string
@@ -151,24 +172,33 @@ type Node struct {
 	eg        *batchio.Egress
 	framePool *batchio.Pool
 
-	// The decode frame and open-plaintext buffer of relayed-in data frames.
+	// The decode frame and open-plaintext buffer of relayed-in data frames,
+	// and the scratch the loop builds relay bodies in.
 	scratchFrame core.DataFrame
 	pt           []byte
-
-	maxAdsPlaintext int // the largest announce plaintext one egress buffer seals
+	relayPT      []byte
 
 	dials   map[string]net.Addr // configured peers, by router id
 	links   []*link             // in the order they came up
 	pending map[string]*pendingDial
 	expiry  expiryQueue
 	// epoch anchors the interval's beat; nextRound is the next beat, or
-	// sooner when a route change pulled a round in.
-	epoch, nextRound time.Time
+	// sooner when a route change pulled a round in; lastTick is when the
+	// previous tick ran.
+	epoch, nextRound, lastTick time.Time
 	// work is the inbox the loop took last, kept for its capacity.
 	work inbox
 
-	// view guards routes (every reachable router) and owners (every
-	// ownership record until it expires, keyed by the adopted session).
+	// unacked holds the owner ads this node adopted, by adopted session,
+	// until their previous routers acknowledge them or they expire. acks
+	// holds the ads that arrived here since the last step, to acknowledge
+	// to their owners.
+	unacked map[core.SessionID]*unackedAd
+	acks    []ownerAd
+
+	// view guards routes (every reachable router) and owners (the
+	// ownership records of sessions adopted away from this router, until
+	// they expire, keyed by the adopted session).
 	view   sync.RWMutex
 	routes map[string]routeEntry
 	owners map[core.SessionID]*ownerAd
@@ -177,9 +207,10 @@ type Node struct {
 	in   inbox
 
 	// Instruments in the server's registry: rounds and owner-ad copies
-	// sealed (flood, retransmission and backlog alike), handshakes done
-	// (both roles), envelopes dropped before dispatch (no link, bad key,
-	// replay) and refused at sealing (no datagram could carry them).
+	// sealed (first copies, re-sends and hops on the path alike),
+	// handshakes done (both roles), envelopes dropped before dispatch (no
+	// link, bad key, replay) and refused at sealing (no datagram could
+	// carry them).
 	gossipRounds   *metrics.Counter
 	ownerAdsSent   *metrics.Counter
 	handshakesDone *metrics.Counter
@@ -217,10 +248,11 @@ func newNode(conn net.PacketConn, server *transport.Server, cfg Config) *Node {
 		pending:   make(map[string]*pendingDial),
 		routes:    make(map[string]routeEntry),
 		owners:    make(map[core.SessionID]*ownerAd),
+		unacked:   make(map[core.SessionID]*unackedAd),
 		epoch:     now,
 		nextRound: now.Add(cfg.GossipInterval),
+		lastTick:  now,
 	}
-	n.maxAdsPlaintext = backboneFrameSize - transport.HeaderSize - linkEnvelopeLen(n.id, 0)
 	reg := server.Stats().Registry()
 	n.gossipRounds = reg.Counter("backbone_gossip_rounds", "gossip rounds sealed to backbone links")
 	n.ownerAdsSent = reg.Counter("backbone_owner_ads_sent", "owner ad copies sealed to backbone links")
@@ -287,8 +319,9 @@ func (n *Node) HopsTo(router string) (int, bool) {
 	return int(e.hops), ok
 }
 
-// OwnerOf returns which router currently owns a roamed session, if this
-// node has seen its ownership announcement and the grace window is open.
+// OwnerOf returns which router currently owns a session that roamed away
+// from this router, if its owner ad arrived and the grace window is open.
+// No other router learns of the handoff.
 func (n *Node) OwnerOf(sid core.SessionID) (string, bool) {
 	now := n.cfg.Clock.Now()
 	n.view.RLock()
@@ -343,16 +376,16 @@ func (n *Node) ForwardData(f *core.DataFrame) bool {
 	if !routed || !now.Before(ad.Expires) {
 		return false
 	}
-	body := relayBody{Target: ad.Owner, Origin: n.id, TTL: relayTTL, Payload: f.Marshal()}
+	frame := f.Marshal()
 	opened := n.lockInbox(now)
-	n.in.relays = append(n.in.relays, body)
+	n.in.relays = append(n.in.relays, dataRelay{owner: ad.Owner, frame: frame})
 	n.unlockInbox(opened)
 	return true
 }
 
 // HandoffAdopted implements transport.HandoffObserver: the local server
-// adopted a roamed session, so the loop installs the ownership record
-// and floods it, together with the adoptions handed in with it.
+// adopted a roamed session, so the loop routes its owner ad to the
+// previous router, together with the adoptions handed in with it.
 func (n *Node) HandoffAdopted(prev, next core.SessionID, prevRouter string) {
 	now := n.cfg.Clock.Now()
 	opened := n.lockInbox(now)
@@ -395,8 +428,8 @@ func (n *Node) window() (time.Time, bool) {
 }
 
 // drain takes the inbox, due or not, hands back the last one's capacity,
-// and does the work at now: configured peers are dialled, adoptions
-// integrated and flooded, relays sealed.
+// and does the work at now: configured peers are dialled, adoptions sent
+// to their previous routers, relays sealed.
 func (n *Node) drain(now time.Time) {
 	n.inMu.Lock()
 	n.in, n.work = n.work, n.in
@@ -408,9 +441,9 @@ func (n *Node) drain(now time.Time) {
 			n.eg.Queue(frame, p.addr)
 		}
 	}
-	n.integrateOwners(w.ads, "", now)
+	n.adopt(w.ads, now)
 	for i := range w.relays {
-		n.relay(&w.relays[i])
+		n.originate(w.relays[i].owner, relayData, w.relays[i].frame)
 	}
 	clear(w.ads)
 	clear(w.relays)
@@ -420,62 +453,118 @@ func (n *Node) drain(now time.Time) {
 
 // ---- owner / handoff plane -------------------------------------------
 
-// integrateOwners installs the ownership records that are new and still
-// open at now, counts each transfer away from this router (the tick
-// releases it at expiry), and floods the new ones to every link but the
-// one they came on: numbered for the link, queued there until the peer
-// acknowledges them, sealed at once. Duplicates — flood echoes,
-// retransmissions, backlogs — dedup on the adopted session ID; an ad
-// that arrives expired is dropped, never resurrected.
-func (n *Node) integrateOwners(ads []ownerAd, from string, now time.Time) {
-	var fresh []*ownerAd
-	n.view.Lock()
-	for i := range ads {
-		if !now.Before(ads[i].Expires) || n.owners[ads[i].Next] != nil {
-			continue
-		}
-		rec := new(ownerAd)
-		*rec = ads[i]
-		rec.Seq = 0
-		n.owners[rec.Next] = rec
-		heap.Push(&n.expiry, rec)
-		fresh = append(fresh, rec)
-	}
-	n.view.Unlock()
-	for _, rec := range fresh {
-		if rec.PrevRouter == n.id && rec.Owner != n.id {
-			n.stats.NoteHandoffOut()
+// adopt takes the owner ads of adoptions handed in: each still open at
+// now and not yet held waits for its previous router's acknowledgement,
+// and its first copy leaves at once. The adopter keeps no ownership
+// record: only the previous router forwards frames.
+func (n *Node) adopt(ads []ownerAd, now time.Time) {
+	var fresh []*unackedAd
+	for _, ad := range ads {
+		if now.Before(ad.Expires) && n.unacked[ad.Next] == nil {
+			u := &unackedAd{ad: ad}
+			n.unacked[ad.Next] = u
+			fresh = append(fresh, u)
 		}
 	}
-	for _, l := range n.links {
-		if l.peer == from || len(fresh) == 0 {
-			continue
+	n.sendAds(fresh, now)
+}
+
+// resendAds is the ad half of the tick at now: expired ads leave, and
+// every other whose last copy left before the previous tick goes again —
+// its previous router has had a whole round to answer.
+func (n *Node) resendAds(now time.Time) {
+	var due []*unackedAd
+	for next, u := range n.unacked {
+		if !now.Before(u.ad.Expires) {
+			delete(n.unacked, next)
+		} else if u.sent.Before(n.lastTick) {
+			due = append(due, u)
 		}
-		seq := l.enqueueAds(now, fresh...)
-		numbered := make([]ownerAd, len(fresh))
-		for i, rec := range fresh {
-			numbered[i] = *rec
-			numbered[i].Seq = seq + uint64(i)
+	}
+	n.lastTick = now
+	n.sendAds(due, now)
+}
+
+// sendAds relays ads to their previous routers, as few relays to each as
+// ownerAdsFit packs them in, and marks them sent at now. An ad whose
+// previous router has no route stays unsent, due at the next tick. The
+// ads are sorted first, so what a step sends depends on its inputs only.
+func (n *Node) sendAds(ads []*unackedAd, now time.Time) {
+	slices.SortFunc(ads, func(a, b *unackedAd) int {
+		return cmp.Or(strings.Compare(a.ad.PrevRouter, b.ad.PrevRouter), bytes.Compare(a.ad.Next[:], b.ad.Next[:]))
+	})
+	for len(ads) > 0 {
+		target := ads[0].ad.PrevRouter
+		routed := n.link(n.routes[target].via) != nil
+		var list []ownerAd
+		for ; len(ads) > 0 && ads[0].ad.PrevRouter == target; ads = ads[1:] {
+			if routed {
+				ads[0].sent = now
+				list = append(list, ads[0].ad)
+			}
 		}
-		n.sendAds(l, numbered)
+		for max := n.maxPayload(target); len(list) > 0; {
+			k := ownerAdsFit(list, max)
+			n.originate(target, relayAds, appendOwnerAds(nil, list[:k]))
+			list = list[k:]
+		}
 	}
 }
 
-// sendAds seals numbered owner ads on one link as handoff announces,
-// each cut to fit one egress buffer. It is the only way an ad leaves:
-// the flood of fresh handoffs, a round's retransmissions and a new
-// link's backlog differ in how many ads they pass.
-func (n *Node) sendAds(l *link, ads []ownerAd) {
-	if len(ads) == 0 {
+// takeAds installs the owner ads relayed to this router, the previous
+// router of each: one ownership record per adopted session, counted as a
+// handoff away and released by the tick at expiry. Every copy still open
+// at now is acknowledged, fresh or duplicate (a re-sent copy means the
+// last acknowledgement was lost); one that arrives expired is dropped,
+// never resurrected.
+func (n *Node) takeAds(body *relayBody, now time.Time) {
+	ads, err := unmarshalOwnerAds(body.Payload)
+	if err != nil {
 		return
 	}
-	n.ownerAdsSent.Add(int64(len(ads)))
-	var pt []byte
-	for len(ads) > 0 {
-		k := ownerAdsFit(ads, n.maxAdsPlaintext)
-		pt = appendOwnerAds(pt[:0], ads[:k])
-		n.sendSealed(l, transport.KindHandoffAnnounce, pt)
-		ads = ads[k:]
+	n.view.Lock()
+	defer n.view.Unlock()
+	for i := range ads {
+		ad := &ads[i]
+		if !now.Before(ad.Expires) || ad.PrevRouter != n.id || ad.Owner == n.id {
+			continue
+		}
+		n.acks = append(n.acks, *ad)
+		if n.owners[ad.Next] == nil {
+			n.owners[ad.Next] = ad
+			heap.Push(&n.expiry, ad)
+			n.stats.NoteHandoffOut()
+		}
+	}
+}
+
+// sendAcks relays the acknowledgements the step owes back to the
+// adopters: one relay to each, unless more are owed than a datagram
+// carries.
+func (n *Node) sendAcks() {
+	slices.SortStableFunc(n.acks, func(a, b ownerAd) int { return strings.Compare(a.Owner, b.Owner) })
+	for acks := n.acks; len(acks) > 0; {
+		owner, k := acks[0].Owner, 1
+		for per := (n.maxPayload(owner) - 4) / sessionIDLen; k < len(acks) && k < per && acks[k].Owner == owner; k++ {
+		}
+		n.originate(owner, relayAcks, appendAcks(nil, acks[:k]))
+		acks = acks[k:]
+	}
+	clear(n.acks)
+	n.acks = n.acks[:0]
+}
+
+// takeAcks takes in the acknowledgements a previous router relayed back:
+// the ads it names, and that were for it, are no longer re-sent.
+func (n *Node) takeAcks(body *relayBody) {
+	ids, err := unmarshalAcks(body.Payload)
+	if err != nil {
+		return
+	}
+	for _, id := range ids {
+		if u := n.unacked[id]; u != nil && u.ad.PrevRouter == string(body.Origin) {
+			delete(n.unacked, id)
+		}
 	}
 }
 
@@ -499,11 +588,33 @@ func (n *Node) sendSealed(l *link, kind transport.Kind, plaintext []byte) bool {
 
 // ---- relay plane ------------------------------------------------------
 
-// relay sends one relay body toward its target and counts the hop.
-func (n *Node) relay(body *relayBody) {
-	e, ok := n.routes[body.Target]
-	if l := n.link(e.via); ok && l != nil && n.sendSealed(l, transport.KindRelay, body.Marshal()) {
+// maxPayload is the largest relay payload from this node to target that
+// one egress buffer seals.
+func (n *Node) maxPayload(target string) int {
+	return backboneFrameSize - transport.HeaderSize - linkEnvelopeLen(n.id, 0) - relayHeaderLen(target, n.id)
+}
+
+// originate sends a relay body of this node's toward target.
+func (n *Node) originate(target string, kind relayKind, payload []byte) {
+	n.relayPT = appendRelay(n.relayPT[:0], target, n.id, kind, payload)
+	n.sendRelay(n.routes[target].via, kind, payload, n.relayPT)
+}
+
+// sendRelay seals a relay plaintext on the link to via, the next hop
+// toward its target (none when via is empty), and counts the data frame
+// or the owner ads it carries.
+func (n *Node) sendRelay(via string, kind relayKind, payload, pt []byte) {
+	l := n.link(via)
+	if l == nil || !n.sendSealed(l, transport.KindRelay, pt) {
+		return
+	}
+	switch kind {
+	case relayData:
 		n.stats.NoteFrameRelayed()
+	case relayAds:
+		if len(payload) >= 4 {
+			n.ownerAdsSent.Add(int64(binary.BigEndian.Uint32(payload)))
+		}
 	}
 }
 
@@ -528,45 +639,60 @@ func (n *Node) linkFrom(from []byte) *link {
 	return nil
 }
 
-// handleRelay processes one relay envelope: deliver at the target,
-// forward with a decremented TTL otherwise.
-func (n *Node) handleRelay(body *relayBody) {
-	if body.Target == n.id {
-		// Zero-copy delivery: decode into the node's scratch frame and
-		// open into its plaintext buffer.
-		if err := core.UnmarshalDataFrameInto(body.Payload, &n.scratchFrame); err != nil {
-			n.logf("backbone %s: relayed frame: %v", n.id, err)
+// handleRelay processes one relay body decoded from pt, the opened
+// plaintext it aliases. A body for another router is forwarded whatever
+// its kind: the hop budget is decremented in place and pt sealed again.
+// At its target the kind says what it is.
+func (n *Node) handleRelay(body *relayBody, pt []byte, now time.Time) {
+	if string(body.Target) != n.id {
+		if body.TTL == 0 {
+			n.logf("backbone %s: relay TTL exhausted toward %s", n.id, body.Target)
 			return
 		}
-		sess, ok := n.router.SessionByID(n.scratchFrame.Session)
-		if !ok {
-			n.logf("backbone %s: relayed frame for unknown session", n.id)
-			return
-		}
-		pt, err := sess.OpenDataInto(&n.scratchFrame, n.pt[:0])
-		if err != nil {
-			n.logf("backbone %s: relayed frame rejected: %v", n.id, err)
-			return
-		}
-		n.pt = pt[:0]
-		n.stats.NoteDataDelivered()
-		n.stats.NoteDataBytes(len(pt))
+		pt[body.ttlOffset()] = body.TTL - 1
+		n.sendRelay(n.routes[string(body.Target)].via, body.Kind, body.Payload, pt)
 		return
 	}
-	if body.TTL == 0 {
-		n.logf("backbone %s: relay TTL exhausted toward %s", n.id, body.Target)
+	switch body.Kind {
+	case relayData:
+		n.deliver(body.Payload)
+	case relayAds:
+		n.takeAds(body, now)
+	case relayAcks:
+		n.takeAcks(body)
+	}
+}
+
+// deliver opens a data frame relayed to this router, the session's
+// owner, without a copy: it is decoded into the node's scratch frame and
+// opened into its plaintext buffer.
+func (n *Node) deliver(frame []byte) {
+	if err := core.UnmarshalDataFrameInto(frame, &n.scratchFrame); err != nil {
+		n.logf("backbone %s: relayed frame: %v", n.id, err)
 		return
 	}
-	body.TTL--
-	n.relay(body)
+	sess, ok := n.router.SessionByID(n.scratchFrame.Session)
+	if !ok {
+		n.logf("backbone %s: relayed frame for unknown session", n.id)
+		return
+	}
+	pt, err := sess.OpenDataInto(&n.scratchFrame, n.pt[:0])
+	if err != nil {
+		n.logf("backbone %s: relayed frame rejected: %v", n.id, err)
+		return
+	}
+	n.pt = pt[:0]
+	n.stats.NoteDataDelivered()
+	n.stats.NoteDataBytes(len(pt))
 }
 
 // ---- gossip plane ------------------------------------------------------
 
 // step is everything the node does at now but serve datagrams: take the
-// inbox once its window closed, tick once a round is due, and flush that
-// and what the datagrams served since provoked in one sendmmsg. It
-// returns the next deadline: the round or the inbox window.
+// inbox once its window closed, tick once a round is due, relay the
+// acknowledgements the datagrams served since owe, and flush all of it
+// and the rest they provoked in one sendmmsg. It returns the next
+// deadline: the round or the inbox window.
 func (n *Node) step(now time.Time) time.Time {
 	if due, ok := n.window(); ok && !now.Before(due) {
 		n.drain(now)
@@ -577,6 +703,7 @@ func (n *Node) step(now time.Time) time.Time {
 		// clock jumped or a route change pulled this one in.
 		n.nextRound = now.Add(n.cfg.GossipInterval - now.Sub(n.epoch)%n.cfg.GossipInterval)
 	}
+	n.sendAcks()
 	n.eg.Flush()
 	return n.deadline()
 }
@@ -599,9 +726,10 @@ func (n *Node) pullRound(now time.Time) {
 
 // tick is the maintenance pass at now: expire silent links, (re)send the
 // hellos of configured-but-down links, drop expired ownership records,
-// releasing the sessions handed off from here, and seal a round on every
-// link. Its cost follows the links, routes and unacknowledged ads, not
-// the ads held. A closed node does nothing.
+// releasing the sessions handed off from here, re-send the unacknowledged
+// ads that are due, and seal a round on every link. Its cost follows the
+// links, routes and unacknowledged ads, not the ownership records held. A
+// closed node does nothing.
 func (n *Node) tick(now time.Time) {
 	if n.closed.Load() {
 		return
@@ -632,25 +760,20 @@ func (n *Node) tick(now time.Time) {
 		n.view.Unlock()
 		// The grace window of this handoff closed: in-flight frames stop
 		// forwarding, the audit log entry survives the release.
-		if ad.PrevRouter == n.id && ad.Owner != n.id {
-			n.router.ReleaseSession(ad.Prev)
-		}
+		n.router.ReleaseSession(ad.Prev)
 	}
+	n.resendAds(now)
 	n.stats.SetGossipPeers(int64(len(n.links)))
 	for _, l := range n.links {
-		n.sendRound(l, now)
+		n.sendRound(l)
 	}
 }
 
-// sendRound seals one round on a link: the gossip body — boot epoch,
-// routes with split horizon (the peer itself and routes via it are
-// withheld), the acknowledgement of the peer's ads — and behind it the
-// link's own ads that are due, which on a link that just came up is
-// every unexpired ad and otherwise only what the peer has left
-// unacknowledged over a whole round of its own.
-func (n *Node) sendRound(l *link, now time.Time) {
-	due, ack, base := l.dueAds(now)
-	body := &gossipBody{BootEpoch: n.server.BootEpoch(), AdAck: ack, AdBase: base}
+// sendRound seals one gossip round on a link: the boot epoch and the
+// routes, with split horizon (the peer itself and routes via it are
+// withheld).
+func (n *Node) sendRound(l *link) {
+	body := &gossipBody{BootEpoch: n.server.BootEpoch()}
 	for r, e := range n.routes {
 		if e.via != l.peer && r != l.peer {
 			body.Routes = append(body.Routes, routeAd{Router: r, Hops: e.hops})
@@ -659,7 +782,6 @@ func (n *Node) sendRound(l *link, now time.Time) {
 	if n.sendSealed(l, transport.KindGossip, body.Marshal()) {
 		n.gossipRounds.Add(1)
 	}
-	n.sendAds(l, due)
 }
 
 // dial returns the hello to send toward a configured peer at now, or
@@ -718,11 +840,9 @@ func (n *Node) newDial(now time.Time) (*pendingDial, error) {
 	return p, nil
 }
 
-// install makes l the link to its peer after a handshake in either role.
-// Every unexpired ownership record is queued on l as never sealed (the
-// rewind: the new link's ad sequence starts over, so a router cut off or
-// rebooted catches up), its first round leaves at once, and the other
-// links hear of the new neighbour within triggerSpacing.
+// install makes l the link to its peer after a handshake in either role:
+// its first round leaves at once, and the other links hear of the new
+// neighbour within triggerSpacing.
 func (n *Node) install(l *link, now time.Time) {
 	if i := slices.IndexFunc(n.links, func(old *link) bool { return old.peer == l.peer }); i >= 0 {
 		n.links[i] = l
@@ -732,23 +852,15 @@ func (n *Node) install(l *link, now time.Time) {
 	n.view.Lock()
 	n.routes[l.peer] = routeEntry{via: l.peer, hops: 1}
 	n.view.Unlock()
-	backlog := make([]*ownerAd, 0, len(n.expiry))
-	for _, ad := range n.expiry {
-		if now.Before(ad.Expires) {
-			backlog = append(backlog, ad)
-		}
-	}
-	l.enqueueAds(time.Time{}, backlog...)
 	n.handshakesDone.Add(1)
-	n.sendRound(l, now)
+	n.sendRound(l)
 	n.pullRound(now)
 }
 
-// integrateGossip folds one gossip round from a live peer into the link's
-// ad queue and the routing table; a route learned or shortened asks for
-// a round to pass it on.
+// integrateGossip folds one gossip round from a live peer into the
+// routing table; a route learned or shortened asks for a round to pass it
+// on.
 func (n *Node) integrateGossip(l *link, body *gossipBody, now time.Time) {
-	l.peerRound(body.AdAck, body.AdBase)
 	n.view.Lock()
 	defer n.view.Unlock()
 	for _, ad := range body.Routes {
@@ -834,7 +946,7 @@ func (n *Node) dispatch(m *batchio.Message, now time.Time) {
 			return
 		}
 		n.handleWelcome(w, now)
-	case transport.KindGossip, transport.KindRelay, transport.KindHandoffAnnounce:
+	case transport.KindGossip, transport.KindRelay:
 		var env linkEnvelope
 		if unmarshalLinkEnvelope(payload, &env) != nil {
 			return
@@ -866,18 +978,11 @@ func (n *Node) handleEnvelope(kind transport.Kind, env *linkEnvelope, now time.T
 		}
 		n.integrateGossip(l, body, now)
 	case transport.KindRelay:
-		body, err := unmarshalRelayBody(pt)
-		if err != nil {
+		var body relayBody
+		if unmarshalRelayBody(pt, &body) != nil {
 			return
 		}
-		n.handleRelay(body)
-	case transport.KindHandoffAnnounce:
-		ads, err := unmarshalOwnerAds(pt)
-		if err != nil {
-			return
-		}
-		l.noteAds(ads)
-		n.integrateOwners(ads, l.peer, now)
+		n.handleRelay(&body, pt, now)
 	}
 }
 

@@ -319,28 +319,43 @@ func (p *plane) held(i int, id core.SessionID) bool {
 	return ok
 }
 
+// placedAt reports whether node i alone resolves ids to owner: every
+// other router knows none of them.
+func (p *plane) placedAt(i int, ids []core.SessionID, owner string) bool {
+	for j := range p.nodes {
+		want := 0
+		if j == i {
+			want = len(ids)
+		}
+		if p.knows(j, ids, owner) != want {
+			return false
+		}
+	}
+	return true
+}
+
 // TestGossipRoundFitsBufferAtAnyRate holds a three-node line at 6,000
 // live ads — one benchmark epoch of roam_handoff — for longer than
 // PeerTimeout. Every tick must seal a round on every link, no gossip or
-// announce frame may outgrow the egress buffer class, nothing may be
-// refused at sealing, the links must stay up on those rounds alone, and
-// a router that joins late must still be routed to by the far end and
-// handed the whole table in buffer-sized pieces.
+// relay frame may outgrow the egress buffer class, nothing may be
+// refused at sealing, the links must stay up on those rounds alone, every
+// ad must be at its previous router and nowhere else, and the ads must
+// leave packed into buffer-sized relays, not one relay per ad.
 func TestGossipRoundFitsBufferAtAnyRate(t *testing.T) {
-	p := newPlane(t, 4, backbone.Config{})
+	p := newPlane(t, 3, backbone.Config{})
 	p.linkLine(3)
 
+	// Router i adopts away from router i+1 (mod 3): the last batch crosses
+	// the middle router.
 	const perNode = 2000
 	var ids [3][]core.SessionID
 	for i := range ids {
 		ids[i] = p.adopt(i, (i+1)%3, fmt.Sprintf("rate-%d", i), 0, perNode)
 	}
-	everyoneKnows := func(nodes int) bool {
-		for i := 0; i < nodes; i++ {
-			for o := range ids {
-				if p.knows(i, ids[o], p.nodes[o].ID()) != perNode {
-					return false
-				}
+	placed := func() bool {
+		for o := range ids {
+			if !p.placedAt((o+1)%3, ids[o], p.nodes[o].ID()) {
+				return false
 			}
 		}
 		return true
@@ -363,32 +378,22 @@ func TestGossipRoundFitsBufferAtAnyRate(t *testing.T) {
 		}
 		p.deliver()
 	}
-	if !everyoneKnows(3) {
-		t.Fatal("6,000 ads not at every node after 20 rounds")
+	if !placed() {
+		t.Fatal("6,000 ads not each at their previous router alone after 20 rounds")
 	}
 	for i := 0; i < 3; i++ {
 		if got := len(p.nodes[i].LivePeers()); got != links[i] {
 			t.Errorf("%s holds %d live links after 4 s of rounds, want %d", p.nodes[i].ID(), got, links[i])
 		}
-	}
-
-	// A fourth router joins the far end: routes still travel, and its link
-	// starts from every unexpired ad.
-	p.connect([][2]int{{2, 3}}, func() bool {
-		h, ok := p.nodes[0].HopsTo(p.nodes[3].ID())
-		return ok && h == 3
-	})
-	for tick := 0; tick < 3 && !everyoneKnows(4); tick++ {
-		p.step()
-	}
-	if !everyoneKnows(4) {
-		t.Fatal("the late joiner lacks part of the table three rounds after joining")
+		if left := p.nodes[i].Unacked(); left != 0 {
+			t.Errorf("%s holds %d unacknowledged ads after 4 s of rounds", p.nodes[i].ID(), left)
+		}
 	}
 
 	for i, l := range p.logs {
-		for _, kind := range []transport.Kind{transport.KindGossip, transport.KindHandoffAnnounce} {
+		for _, kind := range []transport.Kind{transport.KindGossip, transport.KindRelay} {
 			wrote, widest := l.stat(kind)
-			if wrote == 0 && i < 3 { // the late joiner has no ad to pass on
+			if wrote == 0 {
 				t.Errorf("%s wrote no %v frame", p.nodes[i].ID(), kind)
 			}
 			if widest > backbone.FrameSize {
@@ -399,19 +404,59 @@ func TestGossipRoundFitsBufferAtAnyRate(t *testing.T) {
 			t.Errorf("%s: backbone_oversize_drops = %d", p.nodes[i].ID(), got)
 		}
 	}
-	// The late joiner's backlog came in buffer-sized announces, not one
-	// per ad: the cut fills the buffers it is bounded by.
-	if wrote, widest := p.logs[2].stat(transport.KindHandoffAnnounce); widest < backbone.FrameSize*3/4 {
-		t.Errorf("%s: widest announce %d bytes of %d written — the backlog was not packed", p.nodes[2].ID(), widest, wrote)
+	// The 2,000 ads of one drain left in buffer-sized relays: the cut
+	// fills the buffers it is bounded by.
+	if wrote, widest := p.logs[0].stat(transport.KindRelay); widest < backbone.FrameSize*3/4 {
+		t.Errorf("%s: widest relay %d bytes of %d written — the ads were not packed", p.nodes[0].ID(), widest, wrote)
+	}
+}
+
+// TestOwnerAdsRoutedNotFlooded adopts sessions on a four-router line,
+// first at one end away from the other, then next door. Each time the
+// ownership is known at the previous router and at no other: the routers
+// on the path forward the ads without keeping them. The ad copies sealed
+// per handoff, summed over the routers, follow the path — three hops,
+// then one — not the three links a flood from either adopter crosses.
+func TestOwnerAdsRoutedNotFlooded(t *testing.T) {
+	p := newPlane(t, 4, backbone.Config{})
+	p.linkLine(4)
+	sent := func() (sum int64) {
+		for i := range p.nodes {
+			sum += p.counter(i, "backbone_owner_ads_sent")
+		}
+		return sum
+	}
+	const n = 20
+	for _, tc := range []struct{ at, from, hops int }{{3, 0, 3}, {1, 0, 1}} {
+		before := sent()
+		ids := p.adopt(tc.at, tc.from, fmt.Sprintf("routed-%d", tc.at), 0, n)
+		p.flushInboxes()
+		for i := range p.nodes {
+			want := 0
+			if i == tc.from {
+				want = n
+			}
+			if got := p.knows(i, ids, p.nodes[tc.at].ID()); got != want {
+				t.Errorf("adoption at %s: %s knows %d of %d ads, want %d", p.nodes[tc.at].ID(), p.nodes[i].ID(), got, n, want)
+			}
+		}
+		if got := sent() - before; got != n*int64(tc.hops) {
+			t.Errorf("adoption at %s: %d ad copies sealed for %d handoffs %d hops away, want %d",
+				p.nodes[tc.at].ID(), got, n, tc.hops, n*tc.hops)
+		}
+		p.step()
+		if left := p.nodes[tc.at].Unacked(); left != 0 {
+			t.Errorf("adoption at %s: %d ads unacknowledged a round later", p.nodes[tc.at].ID(), left)
+		}
 	}
 }
 
 // TestOwnerAdsSurviveLoss loses 30 % of the datagrams, each way, on one
-// link that stays up. Every ad must still be known at every node before
-// it expires, healed by the missing acknowledgement — and only by it: an
-// ad is re-sent until acknowledged and no longer, so the copies sealed on
-// the lossy link stay within 5× the ads (the tick-only design sealed one
-// copy per tick of the grace window: 50×).
+// link of a line that stays up. Every ad must still reach its previous
+// router before it expires, healed by the missing acknowledgement — and
+// only by it: an ad is re-sent until acknowledged and no longer, so the
+// copies sealed onto the lossy link stay within 5× the ads (the tick-only
+// design sealed one copy per tick of the grace window: 50×).
 func TestOwnerAdsSurviveLoss(t *testing.T) {
 	p := newPlane(t, 3, backbone.Config{})
 	p.linkLine(len(p.nodes))
@@ -419,56 +464,52 @@ func TestOwnerAdsSurviveLoss(t *testing.T) {
 	p.faults[0].SetPeerPlans(p.nodes[1].Addr().String(), lossy, lossy)
 
 	const ads, perTick = 300, 30
-	// wave announces ads handoffs at node origin, a few per tick, and keeps
-	// ticking until every node knows all of them — or the first is about
-	// to expire.
-	wave := func(origin int, label string) {
+	// wave has node origin adopt ads sessions away from node prev, a few
+	// per tick, and keeps ticking until prev knows all of them — or the
+	// first is about to expire.
+	wave := func(origin, prev int, label string) {
 		t.Helper()
 		var ids []core.SessionID
+		owner := p.nodes[origin].ID()
 		firstExpires := p.clock.Now().Add(planeGrace)
-		known := func() bool {
-			for i := range p.nodes {
-				if p.knows(i, ids, p.nodes[origin].ID()) != len(ids) {
-					return false
-				}
-			}
-			return true
-		}
-		for len(ids) < ads || !known() {
+		for len(ids) < ads || p.knows(prev, ids, owner) != len(ids) {
 			if len(ids) < ads {
-				ids = append(ids, p.adopt(origin, 1, label, len(ids), len(ids)+perTick)...)
+				ids = append(ids, p.adopt(origin, prev, label, len(ids), len(ids)+perTick)...)
 			}
 			if now := p.step(); !now.Add(planeInterval).Before(firstExpires) {
-				t.Fatalf("%s: %d/%d ads at the far node as the first expires", label,
-					p.knows(2-origin, ids, p.nodes[origin].ID()), len(ids))
+				t.Fatalf("%s: %d/%d ads at the previous router as the first expires", label,
+					p.knows(prev, ids, owner), len(ids))
 			}
 		}
-		// The acknowledgements are lossy too; the senders stop once one
+		if !p.placedAt(prev, ids, owner) {
+			t.Fatalf("%s: a router other than the previous one knows an ad", label)
+		}
+		// The acknowledgements are lossy too; the adopter stops once one
 		// gets through.
-		for tick := 0; tick < 10 && p.nodes[0].Unacked()+p.nodes[1].Unacked() > 0; tick++ {
+		for tick := 0; tick < 10 && p.nodes[origin].Unacked() > 0; tick++ {
 			p.step()
 		}
-		if left := p.nodes[0].Unacked() + p.nodes[1].Unacked(); left != 0 {
+		if left := p.nodes[origin].Unacked(); left != 0 {
 			t.Fatalf("%s: %d ads still unacknowledged ten rounds after the last arrived", label, left)
 		}
 	}
 
-	// From the first router, every ad crosses the lossy link out of it:
-	// its sealed copies are that link's.
-	wave(0, "loss-out")
+	// From the first router to the far one, every ad crosses the lossy
+	// link first: the first router's sealed copies are that link's.
+	wave(0, 2, "loss-out")
 	if got := p.counter(0, "backbone_owner_ads_sent"); got > 5*ads {
 		t.Errorf("%d ad copies sealed on the lossy link for %d ads, want ≤ %d", got, ads, 5*ads)
 	} else {
 		t.Logf("lossy link, outbound: %d copies for %d ads", got, ads)
 	}
-	// From the far router, the middle one relays them onto the lossy link
-	// and nowhere else (split horizon).
+	// From the far router to the first, the middle one forwards them onto
+	// the lossy link.
 	before := p.counter(1, "backbone_owner_ads_sent")
-	wave(2, "loss-in")
+	wave(2, 0, "loss-in")
 	if got := p.counter(1, "backbone_owner_ads_sent") - before; got > 5*ads {
-		t.Errorf("%d ad copies relayed onto the lossy link for %d ads, want ≤ %d", got, ads, 5*ads)
+		t.Errorf("%d ad copies forwarded onto the lossy link for %d ads, want ≤ %d", got, ads, 5*ads)
 	} else {
-		t.Logf("lossy link, relayed: %d copies for %d ads", got, ads)
+		t.Logf("lossy link, forwarded: %d copies for %d ads", got, ads)
 	}
 	if drops := p.faults[0].Counters().Dropped; drops == 0 {
 		t.Fatal("the lossy link dropped nothing")
@@ -481,12 +522,13 @@ func TestOwnerAdsSurviveLoss(t *testing.T) {
 }
 
 // TestOwnerAdsCrossPartitions cuts the first router of a line off while
-// the far router adopts sessions: once for less than PeerTimeout (the
-// link survives and the missing acknowledgement heals it) and once for
-// longer (the link dies, and its successor starts from every unexpired
-// ad). During the partition the cut-off router learns nothing and counts
-// no handoff; after the heal every unexpired ad arrives, and one that
-// expired meanwhile is never resurrected.
+// the far router adopts sessions away from it: once for less than
+// PeerTimeout (the link survives) and once for longer (the link dies and
+// is dialled again). Either way the adopter keeps re-sending. During the
+// partition the cut-off router learns nothing and counts no handoff, and
+// the middle router, which forwards the ads, keeps none of them; after
+// the heal every unexpired ad arrives, and one that expired meanwhile is
+// never resurrected.
 func TestOwnerAdsCrossPartitions(t *testing.T) {
 	const grace = 10 // rounds; PeerTimeout is 15
 	for _, tc := range []struct {
@@ -514,8 +556,8 @@ func TestOwnerAdsCrossPartitions(t *testing.T) {
 			for r := 0; r < 3; r++ {
 				p.step()
 			}
-			if _, ok := p.nodes[1].OwnerOf(early[0]); ok {
-				t.Fatal("the early ad should have expired during the partition")
+			if got := p.nodes[2].Unacked(); got != len(late) {
+				t.Fatalf("the adopter holds %d unacknowledged ads, want the %d unexpired ones", got, len(late))
 			}
 			if got := p.knows(0, late, owner); got != 0 {
 				t.Fatalf("%d ads crossed the partition", got)
@@ -523,8 +565,8 @@ func TestOwnerAdsCrossPartitions(t *testing.T) {
 			if got := p.counter(0, "handoffs_out"); got != 0 {
 				t.Fatalf("handoffs_out = %d at the partitioned router", got)
 			}
-			if got := p.knows(1, late, owner); got != len(late) {
-				t.Fatalf("the middle router knows %d/%d ads", got, len(late))
+			if got := p.knows(1, late, owner); got != 0 {
+				t.Fatalf("the middle router keeps %d/%d ads it forwarded", got, len(late))
 			}
 
 			p.faults[0].PartitionFor(0)

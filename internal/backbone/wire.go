@@ -20,8 +20,9 @@ import (
 //     handshake between two routers of one NO.
 //   - linkEnvelope is the AEAD-sealed carrier of everything the two
 //     routers exchange after the handshake; its plaintext is a
-//     gossipBody, a relayBody or a list of ownerAds depending on the
-//     frame kind.
+//     gossipBody or a relayBody depending on the frame kind, and a
+//     relayBody carries a data frame, a list of ownerAds or a list of
+//     their acknowledgements depending on its payload kind.
 
 // helloNonceSize is the length of the handshake nonces mixed into a
 // backbone link's keys.
@@ -204,8 +205,11 @@ type linkEnvelope struct {
 	Ciphertext []byte
 }
 
-// linkAADTag versions the envelope AAD.
-const linkAADTag = "peace/backbone-aad:v1"
+// linkAADTag versions the envelope AAD, and with it the plaintexts sealed
+// under it, which carry no label of their own: v2 gave the relay body its
+// payload kind and took the ad acknowledgement out of the gossip body, so
+// an envelope of a v1 router fails to open instead of being misparsed.
+const linkAADTag = "peace/backbone-aad:v2"
 
 // appendLinkEnvelopeAAD appends the additional authenticated data
 // sealing one envelope of the given kind: the tag, the kind, the sender
@@ -264,18 +268,12 @@ type routeAd struct {
 	Hops   uint32
 }
 
-// ownerAd advertises that Owner adopted the session Next (resumed from
-// Prev, previously attached at PrevRouter) and owns it until Expires —
-// the grace window during which the previous router forwards in-flight
-// frames instead of rejecting them.
-//
-// Seq numbers one copy of the ad on the link it is sealed for: every
-// link direction counts its ads from 1, the receiver acknowledges the
-// highest sequence below which it misses nothing (gossipBody.AdAck), and
-// the sender re-sends what stays unacknowledged. It is not part of the
-// ownership record; a stored record carries 0.
+// ownerAd tells PrevRouter that Owner adopted the session Next (resumed
+// from Prev, previously attached at PrevRouter) and owns it until Expires
+// — the grace window during which the previous router forwards in-flight
+// frames instead of rejecting them. It is relayed to PrevRouter alone,
+// which acknowledges it by Next.
 type ownerAd struct {
-	Seq        uint64
 	Next       core.SessionID
 	Prev       core.SessionID
 	Owner      string
@@ -283,49 +281,46 @@ type ownerAd struct {
 	Expires    time.Time
 }
 
+// sessionIDLen is the encoded size of a session ID: length-prefixed.
+const sessionIDLen = 4 + len(core.SessionID{})
+
 // ownerAdMinLen is the encoded size of an ownerAd with empty router IDs:
-// the sequence, two length-prefixed 32-byte session IDs, two string
-// headers and the expiry.
-const ownerAdMinLen = 8 + 2*(4+32) + 2*4 + 8
+// two session IDs, two string headers and the expiry.
+const ownerAdMinLen = 2*sessionIDLen + 2*4 + 8
 
 func (a *ownerAd) encodedLen() int {
 	return ownerAdMinLen + len(a.Owner) + len(a.PrevRouter)
 }
 
 func appendOwnerAd(dst []byte, a *ownerAd) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, a.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Next)))
-	dst = append(dst, a.Next[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Prev)))
-	dst = append(dst, a.Prev[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Owner)))
-	dst = append(dst, a.Owner...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.PrevRouter)))
-	dst = append(dst, a.PrevRouter...)
-	return binary.BigEndian.AppendUint64(dst, uint64(a.Expires.UnixNano()))
+	dst = wire.AppendBytesField(dst, a.Next[:])
+	dst = wire.AppendBytesField(dst, a.Prev[:])
+	dst = wire.AppendStringField(dst, a.Owner)
+	dst = wire.AppendStringField(dst, a.PrevRouter)
+	return wire.AppendTime(dst, a.Expires)
+}
+
+// readSessionID reads one length-prefixed session ID into id.
+func readSessionID(r *wire.Reader, id *core.SessionID) error {
+	b, err := r.BytesField()
+	if err != nil {
+		return err
+	}
+	if len(b) != len(id) {
+		return fmt.Errorf("backbone: session id size %d", len(b))
+	}
+	copy(id[:], b)
+	return nil
 }
 
 func readOwnerAd(r *wire.Reader, a *ownerAd) error {
+	if err := readSessionID(r, &a.Next); err != nil {
+		return err
+	}
+	if err := readSessionID(r, &a.Prev); err != nil {
+		return err
+	}
 	var err error
-	if a.Seq, err = r.Uint64(); err != nil {
-		return err
-	}
-	next, err := r.BytesField()
-	if err != nil {
-		return err
-	}
-	if len(next) != len(a.Next) {
-		return fmt.Errorf("backbone: owner ad session id size %d", len(next))
-	}
-	copy(a.Next[:], next)
-	prev, err := r.BytesField()
-	if err != nil {
-		return err
-	}
-	if len(prev) != len(a.Prev) {
-		return fmt.Errorf("backbone: owner ad session id size %d", len(prev))
-	}
-	copy(a.Prev[:], prev)
 	if a.Owner, err = r.StringField(); err != nil {
 		return err
 	}
@@ -338,9 +333,9 @@ func readOwnerAd(r *wire.Reader, a *ownerAd) error {
 	return nil
 }
 
-// ownerAdsFit returns how many of the leading ads one handoff-announce
-// plaintext of at most max bytes can list — at least one, so a sender
-// cutting a backlog into announces always makes progress.
+// ownerAdsFit returns how many of the leading ads one owner-ad payload
+// of at most max bytes can list — at least one, so a sender cutting a
+// list into relays always makes progress.
 func ownerAdsFit(ads []ownerAd, max int) int {
 	size := 4
 	for n := range ads {
@@ -352,10 +347,7 @@ func ownerAdsFit(ads []ownerAd, max int) int {
 	return len(ads)
 }
 
-// appendOwnerAds appends the handoff-announce plaintext listing ads to
-// dst. Every owner ad travels this way and no other: the immediate flood
-// of a fresh handoff lists one, a retransmission round or the backlog of
-// a new link as many as ownerAdsFit allows per envelope.
+// appendOwnerAds appends the relay payload listing ads to dst.
 func appendOwnerAds(dst []byte, ads []ownerAd) []byte {
 	size := 4
 	for i := range ads {
@@ -369,7 +361,8 @@ func appendOwnerAds(dst []byte, ads []ownerAd) []byte {
 	return dst
 }
 
-// unmarshalOwnerAds decodes a handoff-announce plaintext.
+// unmarshalOwnerAds decodes an owner-ad relay payload. Every field is
+// copied.
 func unmarshalOwnerAds(data []byte) ([]ownerAd, error) {
 	r := wire.NewReader(data)
 	n, err := r.Count(ownerAdMinLen)
@@ -388,30 +381,48 @@ func unmarshalOwnerAds(data []byte) ([]ownerAd, error) {
 	return ads, nil
 }
 
-// gossipBody is one gossip round on a link: the sender's boot epoch, its
-// acknowledgement of the receiver's owner ads, and its distance-vector
-// view of router reachability. It carries no owner ads itself, so its
-// size depends on the number of routers, never on the handoff rate.
+// appendAcks appends the relay payload acknowledging ads to dst: their
+// adopted sessions.
+func appendAcks(dst []byte, ads []ownerAd) []byte {
+	dst = slices.Grow(dst, 4+len(ads)*sessionIDLen)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ads)))
+	for i := range ads {
+		dst = wire.AppendBytesField(dst, ads[i].Next[:])
+	}
+	return dst
+}
+
+// unmarshalAcks decodes an acknowledgement relay payload.
+func unmarshalAcks(data []byte) ([]core.SessionID, error) {
+	r := wire.NewReader(data)
+	n, err := r.Count(sessionIDLen)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]core.SessionID, n)
+	for i := range ids {
+		if err := readSessionID(r, &ids[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// gossipBody is one gossip round on a link: the sender's boot epoch and
+// its distance-vector view of router reachability. Its size depends on
+// the number of routers, never on the handoff rate.
 type gossipBody struct {
 	BootEpoch uint64
-	// AdAck is the highest ad sequence such that the sender holds every
-	// ad the receiver numbered at or below it on this link (or the
-	// receiver gave it up, see AdBase).
-	AdAck uint64
-	// AdBase is the lowest ad sequence the sender still holds
-	// unacknowledged for the receiver; one past the last it assigned when
-	// it holds none. Everything below is acknowledged or expired, so the
-	// receiver stops waiting for it.
-	AdBase uint64
-	Routes []routeAd
+	Routes    []routeAd
 }
 
 // Marshal encodes the gossip body.
 func (m *gossipBody) Marshal() []byte {
-	w := wire.NewWriter(32 + 32*len(m.Routes))
+	w := wire.NewWriter(16 + 32*len(m.Routes))
 	w.Uint64(m.BootEpoch)
-	w.Uint64(m.AdAck)
-	w.Uint64(m.AdBase)
 	w.Uint32(uint32(len(m.Routes)))
 	for i := range m.Routes {
 		w.StringField(m.Routes[i].Router)
@@ -426,12 +437,6 @@ func unmarshalGossipBody(data []byte) (*gossipBody, error) {
 	m := &gossipBody{}
 	var err error
 	if m.BootEpoch, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	if m.AdAck, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	if m.AdBase, err = r.Uint64(); err != nil {
 		return nil, err
 	}
 	nr, err := r.Count(8) // ≥ 4-byte string header + 4-byte hops each
@@ -453,49 +458,71 @@ func unmarshalGossipBody(data []byte) (*gossipBody, error) {
 	return m, nil
 }
 
-// relayBody is one multi-hop forwarded data frame: the router that owns
-// the session (Target), the router that first accepted the frame from
-// the user (Origin), a hop budget, and the marshaled core.DataFrame —
-// still sealed under the user's session key; intermediate routers relay
-// ciphertext they cannot open.
+// relayKind says what a relay body's payload is. Routers on the path
+// forward every kind alike; only the target reads it.
+type relayKind uint8
+
+const (
+	relayData relayKind = iota // a marshaled core.DataFrame
+	relayAds                   // a list of ownerAds, for their previous router
+	relayAcks                  // a list of acknowledged ownerAd Next IDs, for the adopter
+)
+
+// relayBody is one message routed multi-hop across the backbone: the
+// router it is for (Target), the router that sent it (Origin), a hop
+// budget, and a payload of a kind. A data frame stays sealed under the
+// user's session key; intermediate routers relay ciphertext they cannot
+// open, and owner ads and their acknowledgements they do not read. A
+// decoded body aliases the plaintext it came in.
 type relayBody struct {
-	Target  string
-	Origin  string
+	Target  []byte
+	Origin  []byte
 	TTL     uint8
-	Payload []byte // marshaled core.DataFrame
+	Kind    relayKind
+	Payload []byte
 }
 
-// Marshal encodes the relay body.
-func (m *relayBody) Marshal() []byte {
-	w := wire.NewWriter(32 + len(m.Target) + len(m.Origin) + len(m.Payload))
-	w.StringField(m.Target)
-	w.StringField(m.Origin)
-	w.Byte(m.TTL)
-	w.BytesField(m.Payload)
-	return w.Bytes()
+// relayHeaderLen is the encoded size of a relay body's fields before the
+// payload's bytes.
+func relayHeaderLen(target, origin string) int {
+	return 4 + len(target) + 4 + len(origin) + 1 + 1 + 4
 }
 
-// unmarshalRelayBody decodes a relay body. The payload is copied.
-func unmarshalRelayBody(data []byte) (*relayBody, error) {
+// appendRelay appends a relay body from origin to target, with the full
+// hop budget, to dst.
+func appendRelay(dst []byte, target, origin string, kind relayKind, payload []byte) []byte {
+	dst = slices.Grow(dst, relayHeaderLen(target, origin)+len(payload))
+	dst = wire.AppendStringField(dst, target)
+	dst = wire.AppendStringField(dst, origin)
+	dst = append(dst, relayTTL, byte(kind))
+	return wire.AppendBytesField(dst, payload)
+}
+
+// ttlOffset is where the hop budget of m lies in the plaintext it was
+// decoded from, for a router that forwards it in place.
+func (m *relayBody) ttlOffset() int { return 4 + len(m.Target) + 4 + len(m.Origin) }
+
+// unmarshalRelayBody decodes a relay body into m, which aliases data:
+// nothing is copied.
+func unmarshalRelayBody(data []byte, m *relayBody) error {
 	r := wire.NewReader(data)
-	m := &relayBody{}
 	var err error
-	if m.Target, err = r.StringField(); err != nil {
-		return nil, err
+	if m.Target, err = r.BytesField(); err != nil {
+		return err
 	}
-	if m.Origin, err = r.StringField(); err != nil {
-		return nil, err
+	if m.Origin, err = r.BytesField(); err != nil {
+		return err
 	}
 	if m.TTL, err = r.Byte(); err != nil {
-		return nil, err
+		return err
 	}
-	p, err := r.BytesField()
+	kind, err := r.Byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m.Payload = append([]byte(nil), p...)
-	if err := r.Finish(); err != nil {
-		return nil, err
+	m.Kind = relayKind(kind)
+	if m.Payload, err = r.BytesField(); err != nil {
+		return err
 	}
-	return m, nil
+	return r.Finish()
 }

@@ -19,10 +19,12 @@ func wirePattern(n int, mul, add byte) []byte {
 	return b
 }
 
-// Vectors produced by the backbone codecs as they stood in the transport
-// package. The round-trip tests and fuzz targets run the same code at
-// both ends and would pass a change that moved bytes on both; these pin
-// the bytes a router of another build reads.
+// Vectors produced by the backbone codecs: the handshake and envelope
+// header ones as they stood in the transport package, the envelope AAD
+// and the plaintexts sealed under it as of the AAD label v2. The
+// round-trip tests and fuzz targets run the same code at both ends and
+// would pass a change that moved bytes on both; these pin the bytes a
+// router of another build reads.
 const (
 	katHelloSigned = "0000001770656163652f6261636b626f6e652d68656c6c6f3a76310000009d000000096d6574726f2d72303000000040" +
 		"070a0d101316191c1f2225282b2e3134373a3d404346494c4f5255585b5e6164676a6d707376797c7f8285888b8e9194" +
@@ -52,17 +54,18 @@ const (
 		"5c697683909daab7c40000001004172a3d506376899cafc2d5e8fb0e2117979cfeaca332b100000046091a2b3c4d5e6f" +
 		"8091a2b3c4d5e6f708192a3b4c5d6e7f90a1b2c3d4e5f60718293a4b5c6d7e8fa0b1c2d3e4f5061728394a5b6c7d8e9f" +
 		"b0c1d2e3f405162738495a6b7c8d9e"
-	katEnvelopeAAD  = "0000001570656163652f6261636b626f6e652d6161643a763116000000096d6574726f2d7230310102030405060708"
+	katEnvelopeAAD  = "0000001570656163652f6261636b626f6e652d6161643a763216000000096d6574726f2d7230310102030405060708"
 	katEnvelopeHead = "000000096d6574726f2d723031010203040506070800000080"
-	katOwnerAds     = "000000020000000000000007000000200104070a0d101316191c1f2225282b2e3134373a3d404346494c4f5255585b5e" +
-		"0000002002070c11161b20252a2f34393e43484d52575c61666b70757a7f84898e93989d000000096d6574726f2d7230" +
-		"31000000096d6574726f2d72303017979d008a35e405000000000000000800000020030a11181f262d343b424950575e" +
-		"656c737a81888f969da4abb2b9c0c7ced5dc000000200000000000000000000000000000000000000000000000000000" +
-		"000000000000000000096d6574726f2d7230320000000017979d00c5d0ae00"
-	katGossip = "000000000000002a0000000000001770000000000000001100000002000000096d6574726f2d72303200000001000000" +
-		"096d6574726f2d72303300000002"
-	katRelay = "000000096d6574726f2d723033000000096d6574726f2d723030080000002806111c27323d48535e69747f8a95a0abb6" +
-		"c1ccd7e2edf8030e19242f3a45505b66717c87929da8b3"
+	katOwnerAds     = "00000002000000200104070a0d101316191c1f2225282b2e3134373a3d404346494c4f5255585b5e0000002002070c11" +
+		"161b20252a2f34393e43484d52575c61666b70757a7f84898e93989d000000096d6574726f2d723031000000096d6574" +
+		"726f2d72303017979d008a35e40500000020030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ce" +
+		"d5dc000000200000000000000000000000000000000000000000000000000000000000000000000000096d6574726f2d" +
+		"7230320000000017979d00c5d0ae00"
+	katAcks = "00000002000000200104070a0d101316191c1f2225282b2e3134373a3d404346494c4f5255585b5e00000020030a1118" +
+		"1f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dc"
+	katGossip = "000000000000002a00000002000000096d6574726f2d72303200000001000000096d6574726f2d72303300000002"
+	katRelay  = "000000096d6574726f2d723033000000096d6574726f2d72303008000000002806111c27323d48535e69747f8a95a0ab" +
+		"b6c1ccd7e2edf8030e19242f3a45505b66717c87929da8b3"
 )
 
 func TestWireKnownAnswers(t *testing.T) {
@@ -97,18 +100,19 @@ func TestWireKnownAnswers(t *testing.T) {
 	}
 
 	ads := []ownerAd{
-		{Seq: 7, Owner: "metro-r01", PrevRouter: "metro-r00", Expires: time.Unix(1700000010, 5)},
-		{Seq: 8, Owner: "metro-r02", PrevRouter: "", Expires: time.Unix(1700000011, 0)},
+		{Owner: "metro-r01", PrevRouter: "metro-r00", Expires: time.Unix(1700000010, 5)},
+		{Owner: "metro-r02", PrevRouter: "", Expires: time.Unix(1700000011, 0)},
 	}
 	copy(ads[0].Next[:], wirePattern(len(core.SessionID{}), 3, 1))
 	copy(ads[0].Prev[:], wirePattern(len(core.SessionID{}), 5, 2))
 	copy(ads[1].Next[:], wirePattern(len(core.SessionID{}), 7, 3))
 	check("AppendOwnerAds", appendOwnerAds(nil, ads), katOwnerAds)
 
-	gossip := &gossipBody{BootEpoch: 42, AdAck: 6000, AdBase: 17,
+	check("appendAcks", appendAcks(nil, ads), katAcks)
+
+	gossip := &gossipBody{BootEpoch: 42,
 		Routes: []routeAd{{Router: "metro-r02", Hops: 1}, {Router: "metro-r03", Hops: 2}}}
 	check("GossipBody.Marshal", gossip.Marshal(), katGossip)
 
-	relay := &relayBody{Target: "metro-r03", Origin: "metro-r00", TTL: 8, Payload: wirePattern(40, 11, 6)}
-	check("RelayBody.Marshal", relay.Marshal(), katRelay)
+	check("appendRelay", appendRelay(nil, "metro-r03", "metro-r00", relayData, wirePattern(40, 11, 6)), katRelay)
 }

@@ -47,30 +47,6 @@ func TestBaseTablesMatchGenericMul(t *testing.T) {
 	}
 }
 
-// TestG1G2TablesMatchScalarMult checks user-built tables for non-generator
-// bases.
-func TestG1G2TablesMatchScalarMult(t *testing.T) {
-	base1 := new(G1).ScalarBaseMult(big.NewInt(99991))
-	base2 := new(G2).ScalarBaseMult(big.NewInt(1234577))
-	t1 := NewG1Table(base1)
-	t2 := NewG2Table(base2)
-
-	for i := 0; i < 4; i++ {
-		k := randomScalarT(t)
-		want1 := new(G1).ScalarMult(base1, k)
-		if got := t1.Mul(new(G1), k); !got.Equal(want1) {
-			t.Errorf("G1Table mismatch at iteration %d", i)
-		}
-		want2 := new(G2).ScalarMult(base2, k)
-		if got := t2.Mul(new(G2), k); !got.Equal(want2) {
-			t.Errorf("G2Table mismatch at iteration %d", i)
-		}
-	}
-	if got := t1.Mul(new(G1), big.NewInt(0)); !got.IsInfinity() {
-		t.Error("G1Table k=0 should yield the identity")
-	}
-}
-
 // TestWNAFDigits checks that the digit expansion reconstructs the scalar
 // and respects the non-adjacency/oddness invariants.
 func TestWNAFDigits(t *testing.T) {

@@ -10,8 +10,7 @@ import (
 // every window position j and digit d, so a 256-bit multiplication costs
 // at most 64 point additions and no doublings. The canonical generators
 // g1 and g2 get process-wide tables built lazily on first use, so a
-// binary that never exponentiates a generator never pays for them;
-// G1Table / G2Table build the same for any other long-lived base.
+// binary that never exponentiates a generator never pays for them.
 
 const (
 	tableWindowBits = 4
@@ -115,46 +114,4 @@ func baseCurveTable() *curveTable {
 func baseTwistTable() *twistTable {
 	twistGenTableOnce.Do(func() { twistGenTable = newTwistTable(twistGen) })
 	return twistGenTable
-}
-
-// G1Table is a precomputed fixed-base table for a G1 element. It is
-// immutable after construction and safe for concurrent use.
-type G1Table struct {
-	t *curveTable
-}
-
-// NewG1Table precomputes the window table for base (≈ 1000 point
-// additions, paid once). The base must not be the identity.
-func NewG1Table(base *G1) *G1Table {
-	return &G1Table{t: newCurveTable(base.p)}
-}
-
-// Mul sets e = base^k and returns e.
-func (tb *G1Table) Mul(e *G1, k *big.Int) *G1 {
-	if e.p == nil {
-		e.p = newCurvePoint()
-	}
-	tb.t.mul(e.p, k)
-	return e
-}
-
-// G2Table is a precomputed fixed-base table for a G2 element. It is
-// immutable after construction and safe for concurrent use.
-type G2Table struct {
-	t *twistTable
-}
-
-// NewG2Table precomputes the window table for base. The base must not be
-// the identity and must lie in the order-n subgroup.
-func NewG2Table(base *G2) *G2Table {
-	return &G2Table{t: newTwistTable(base.p)}
-}
-
-// Mul sets e = base^k and returns e.
-func (tb *G2Table) Mul(e *G2, k *big.Int) *G2 {
-	if e.p == nil {
-		e.p = newTwistPoint()
-	}
-	tb.t.mul(e.p, k)
-	return e
 }

@@ -141,8 +141,9 @@ func (tb *Testbed) RoamingWave(ctx context.Context, moves int) *MetroReport {
 				// enforces strictly increasing sequence numbers, so a
 				// late-relayed lower sequence would be dropped as a replay.
 				// Wait for the ownership announcement to reach the previous
-				// router (it floods immediately; a partition delays it until
-				// gossip heals), then send through it.
+				// router (it is relayed there at once; a partition delays it
+				// until the route heals and the adopter re-sends), then send
+				// through it.
 				sid := sess.ID
 				ownerDeadline := time.Now().Add(ownerWait)
 				for {
@@ -246,7 +247,7 @@ func (tb *Testbed) RoamingWave(ctx context.Context, moves int) *MetroReport {
 	if rep.Delivered < wantDelivered {
 		rep.violate("delivered = %d, want ≥ %d", rep.Delivered, wantDelivered)
 	}
-	// Rounds and announces are cut to the egress buffer class, far below a
+	// Rounds and ad relays are cut to the egress buffer class, far below a
 	// datagram; a refusal means some backbone message grew past both.
 	for _, s := range tb.Servers {
 		rep.OversizeDrops += s.Stats().Snapshot().Value("backbone_oversize_drops")

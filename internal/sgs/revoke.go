@@ -1,7 +1,9 @@
 package sgs
 
 // IsRevoked scans the token list and reports whether the signer of sig is
-// one of the listed (revoked) keys, and if so at which index. It implements
+// one of the listed (revoked) keys, and if so at which index. A
+// malformed signature (a nil or out-of-range component) matches no
+// token. It implements
 // the paper's Eq.3: token A matches iff e(T2/A, û) = e(T1, v̂). The scan
 // itself is scan (scan.go): what is shared across the list is computed once
 // per signature, and each token then costs one Miller loop and one final
@@ -23,7 +25,9 @@ func isRevoked(pk *PublicKey, msg []byte, sig *Signature, tokens []*RevocationTo
 		counts = &local
 	}
 	ct := counter{counts}
-	if len(tokens) == 0 {
+	// A malformed signature names nobody: it is a miss, checked before
+	// anything reads its components.
+	if len(tokens) == 0 || checkSignatureShape(sig) != nil {
 		return false, -1, *counts
 	}
 

@@ -103,6 +103,56 @@ func TestVerifyRejectsNilAndMalformed(t *testing.T) {
 	}
 }
 
+// TestAuditMissesMalformedSignature holds the audit entry points —
+// IsRevoked, Open, OpenCounted, TraceSigner and SignerMatchesKey — to
+// reading a malformed signature as a miss rather than panicking on it:
+// the empty signature, and a valid one with each component in turn nil.
+func TestAuditMissesMalformedSignature(t *testing.T) {
+	s := newTestSetup(t, 1)
+	msg := []byte("audit")
+	grt := []*RevocationToken{s.keys[0].Token()}
+	valid, err := Sign(rand.Reader, s.pk, s.keys[0], msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]*Signature{"empty": {}}
+	for name, clear := range map[string]func(*Signature){
+		"R":      func(sig *Signature) { sig.R = nil },
+		"T1":     func(sig *Signature) { sig.T1 = nil },
+		"T2":     func(sig *Signature) { sig.T2 = nil },
+		"C":      func(sig *Signature) { sig.C = nil },
+		"SAlpha": func(sig *Signature) { sig.SAlpha = nil },
+		"SX":     func(sig *Signature) { sig.SX = nil },
+		"SDelta": func(sig *Signature) { sig.SDelta = nil },
+	} {
+		sig := *valid
+		clear(&sig)
+		cases["nil "+name] = &sig
+	}
+	for name, sig := range cases {
+		t.Run(name, func(t *testing.T) {
+			if revoked, idx := IsRevoked(s.pk, msg, sig, grt); revoked || idx != -1 {
+				t.Errorf("IsRevoked = %v, %d; want false, -1", revoked, idx)
+			}
+			if idx := Open(s.pk, msg, sig, grt); idx != -1 {
+				t.Errorf("Open = %d, want -1", idx)
+			}
+			if idx, _ := OpenCounted(s.pk, msg, sig, grt); idx != -1 {
+				t.Errorf("OpenCounted = %d, want -1", idx)
+			}
+			if TraceSigner(s.pk, msg, sig, grt[0]) {
+				t.Error("TraceSigner matched")
+			}
+			if SignerMatchesKey(s.pk, msg, sig, s.keys[0]) {
+				t.Error("SignerMatchesKey matched")
+			}
+		})
+	}
+	if idx := Open(s.pk, msg, valid, grt); idx != 0 {
+		t.Fatalf("Open on the valid signature = %d, want 0", idx)
+	}
+}
+
 func TestVerifyRejectsWrongGroupKey(t *testing.T) {
 	s1 := newTestSetup(t, 1)
 	s2 := newTestSetup(t, 1)

@@ -83,15 +83,15 @@ const (
 	KindSessionData
 	// Inter-router backbone plane, whose formats live in internal/backbone.
 	// KindRouterHello / KindRouterWelcome run the certificate-authenticated
-	// link handshake between two routers of one NO; KindGossip, KindRelay
-	// and KindHandoffAnnounce are link-encrypted envelopes carrying peer
-	// liveness + routing state, multi-hop forwarded data frames, and
-	// session-ownership transfer announcements respectively.
+	// link handshake between two routers of one NO; KindGossip and
+	// KindRelay are link-encrypted envelopes carrying peer liveness and
+	// routing state, and messages routed multi-hop to one router: data
+	// frames for a session that moved, and a handoff's owner ad to the
+	// previous router and its acknowledgement back.
 	KindRouterHello
 	KindRouterWelcome
 	KindGossip
 	KindRelay
-	KindHandoffAnnounce
 
 	kindEnd // one past the last valid kind
 )
@@ -143,8 +143,6 @@ func (k Kind) String() string {
 		return "gossip"
 	case KindRelay:
 		return "relay"
-	case KindHandoffAnnounce:
-		return "handoff-announce"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

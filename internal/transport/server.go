@@ -340,7 +340,7 @@ type Forwarder interface {
 // HandoffObserver learns that this server adopted a roaming session whose
 // ticket another router issued: prev is the session the ticket resumed
 // from, next the freshly derived session, prevRouter the issuer. The
-// backbone node announces the transfer on the gossip plane.
+// backbone node routes the transfer to the previous router.
 type HandoffObserver interface {
 	HandoffAdopted(prev, next core.SessionID, prevRouter string)
 }
@@ -462,7 +462,7 @@ type handoff struct {
 
 // endBatch closes one ingest batch, in order: the batch's replies leave,
 // the backbone hears of its handoffs, and its resumes leave admission. So
-// sealing and flooding an ownership announcement is on no client's round
+// sealing and routing an ownership announcement is on no client's round
 // trip, and Drain, which waits on admission, returns only once every
 // confirm is flushed and every handoff announced.
 func (s *Server) endBatch(l *shardLoop) {
