@@ -6,7 +6,7 @@ GO ?= go
 # fabric with seeded faults, no goroutine and no sleep, plus the two that
 # drive started nodes' one loop over loopback and the shard loop's side of
 # an adoption; the race runs repeat them.
-BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsRoutedNotFlooded|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce|DuplicatedAdsCountOnce|PlaneSchedules|NodeDriverWakes|HandoffAdoptedAllocs)$$
+BACKBONE_PLANE_TESTS = ^Test(GossipRoundFitsBufferAtAnyRate|OwnerAdsRoutedNotFlooded|OwnerAdsSurviveLoss|OwnerAdsCrossPartitions|OwnerAdsRouteAroundCutLink|LinkUpWithoutWaitingForTick|StaleHelloIsRedrawn|HandoffOutReleasesOnce|DuplicatedAdsCountOnce|PlaneSchedules|NodeDriverWakes|HandoffAdoptedAllocs)$$
 
 # The router's and the client's step tests: dispatch driven one datagram
 # at a time through a recording egress, and the client's phases stepped

@@ -46,6 +46,14 @@ func (n *Node) Tick(now time.Time) {
 // Flush sends what the node has queued.
 func (n *Node) Flush() { n.eg.Flush() }
 
+// RouteVia returns the linked peer the node reaches router through.
+func (n *Node) RouteVia(router string) (string, bool) {
+	n.view.RLock()
+	defer n.view.RUnlock()
+	e, ok := n.routes[router]
+	return e.via, ok
+}
+
 // Unacked returns how many owner ads the node adopted that their previous
 // routers have not acknowledged.
 func (n *Node) Unacked() int { return len(n.unacked) }

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"container/heap"
 	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/big"
@@ -443,7 +442,9 @@ func (n *Node) drain(now time.Time) {
 	}
 	n.adopt(w.ads, now)
 	for i := range w.relays {
-		n.originate(w.relays[i].owner, relayData, w.relays[i].frame)
+		if n.originate(w.relays[i].owner, relayData, w.relays[i].frame) {
+			n.stats.NoteFrameRelayed()
+		}
 	}
 	clear(w.ads)
 	clear(w.relays)
@@ -505,7 +506,9 @@ func (n *Node) sendAds(ads []*unackedAd, now time.Time) {
 		}
 		for max := n.maxPayload(target); len(list) > 0; {
 			k := ownerAdsFit(list, max)
-			n.originate(target, relayAds, appendOwnerAds(nil, list[:k]))
+			if n.originate(target, relayAds, appendOwnerAds(nil, list[:k])) {
+				n.ownerAdsSent.Add(int64(k))
+			}
 			list = list[k:]
 		}
 	}
@@ -594,28 +597,19 @@ func (n *Node) maxPayload(target string) int {
 	return backboneFrameSize - transport.HeaderSize - linkEnvelopeLen(n.id, 0) - relayHeaderLen(target, n.id)
 }
 
-// originate sends a relay body of this node's toward target.
-func (n *Node) originate(target string, kind relayKind, payload []byte) {
+// originate sends a relay body of this node's toward target and reports
+// whether it left.
+func (n *Node) originate(target string, kind relayKind, payload []byte) bool {
 	n.relayPT = appendRelay(n.relayPT[:0], target, n.id, kind, payload)
-	n.sendRelay(n.routes[target].via, kind, payload, n.relayPT)
+	return n.sendRelay(n.routes[target].via, n.relayPT)
 }
 
 // sendRelay seals a relay plaintext on the link to via, the next hop
-// toward its target (none when via is empty), and counts the data frame
-// or the owner ads it carries.
-func (n *Node) sendRelay(via string, kind relayKind, payload, pt []byte) {
+// toward its target (none when via is empty), and reports whether it
+// left.
+func (n *Node) sendRelay(via string, pt []byte) bool {
 	l := n.link(via)
-	if l == nil || !n.sendSealed(l, transport.KindRelay, pt) {
-		return
-	}
-	switch kind {
-	case relayData:
-		n.stats.NoteFrameRelayed()
-	case relayAds:
-		if len(payload) >= 4 {
-			n.ownerAdsSent.Add(int64(binary.BigEndian.Uint32(payload)))
-		}
-	}
+	return l != nil && n.sendSealed(l, transport.KindRelay, pt)
 }
 
 // link returns the established link to a peer, or nil.
@@ -650,7 +644,15 @@ func (n *Node) handleRelay(body *relayBody, pt []byte, now time.Time) {
 			return
 		}
 		pt[body.ttlOffset()] = body.TTL - 1
-		n.sendRelay(n.routes[string(body.Target)].via, body.Kind, body.Payload, pt)
+		if !n.sendRelay(n.routes[string(body.Target)].via, pt) {
+			return
+		}
+		switch body.Kind {
+		case relayData:
+			n.stats.NoteFrameRelayed()
+		case relayAds:
+			n.ownerAdsSent.Add(int64(ownerAdsCount(body.Payload)))
+		}
 		return
 	}
 	switch body.Kind {
@@ -858,8 +860,11 @@ func (n *Node) install(l *link, now time.Time) {
 }
 
 // integrateGossip folds one gossip round from a live peer into the
-// routing table; a route learned or shortened asks for a round to pass it
-// on.
+// routing table. A round lists every route its sender holds but those
+// split horizon withholds, so a route via the peer that the round no
+// longer lists within maxHops is withdrawn: the peer lost it, and a
+// better one via another peer is taken at that peer's next round. A route
+// learned, shortened or withdrawn asks for a round to pass it on.
 func (n *Node) integrateGossip(l *link, body *gossipBody, now time.Time) {
 	n.view.Lock()
 	defer n.view.Unlock()
@@ -874,6 +879,14 @@ func (n *Node) integrateGossip(l *link, body *gossipBody, now time.Time) {
 			if better {
 				n.pullRound(now)
 			}
+		}
+	}
+	for r, e := range n.routes {
+		if e.via == l.peer && r != l.peer && !slices.ContainsFunc(body.Routes, func(ad routeAd) bool {
+			return ad.Router == r && ad.Hops+1 <= maxHops
+		}) {
+			delete(n.routes, r)
+			n.pullRound(now)
 		}
 	}
 }

@@ -597,6 +597,49 @@ func TestOwnerAdsCrossPartitions(t *testing.T) {
 	}
 }
 
+// TestOwnerAdsRouteAroundCutLink cuts one link of a four-router ring,
+// 0–1–2–3–0, while router 2 reaches router 0 through router 1 and adopts
+// sessions away from router 0. Once router 1 declares the cut link dead
+// and stops advertising router 0, router 2 must drop its route through
+// router 1 and take the one through router 3, so every ad reaches router
+// 0 over the other half of the ring before it expires, is known nowhere
+// else, and is acknowledged.
+func TestOwnerAdsRouteAroundCutLink(t *testing.T) {
+	p := newPlane(t, 4, backbone.Config{})
+	p.linkLine(4)
+	p.connect([][2]int{{3, 0}}, func() bool {
+		h, ok := p.nodes[3].HopsTo(p.nodes[0].ID())
+		return ok && h == 1
+	})
+	prev, owner := p.nodes[0].ID(), p.nodes[2].ID()
+	if via, _ := p.nodes[2].RouteVia(prev); via != p.nodes[1].ID() {
+		t.Fatalf("router 2 reaches router 0 via %q before the cut, want via router 1", via)
+	}
+
+	p.faults[0].PartitionPeerFor(p.nodes[1].Addr().String(), time.Hour)
+	defer p.faults[0].PartitionPeerFor(p.nodes[1].Addr().String(), 0)
+	expires := p.clock.Now().Add(planeGrace)
+	ids := p.adopt(2, 0, "ring-cut", 0, 20)
+	p.flushInboxes()
+	rounds := 0
+	for ; p.knows(0, ids, owner) != len(ids) || p.nodes[2].Unacked() != 0; rounds++ {
+		if now := p.step(); !now.Add(planeInterval).Before(expires) {
+			t.Fatalf("%d/%d ads at router 0 and %d unacknowledged as they expire (router 2 routes via %q)",
+				p.knows(0, ids, owner), len(ids), p.nodes[2].Unacked(), func() string { v, _ := p.nodes[2].RouteVia(prev); return v }())
+		}
+	}
+	t.Logf("every ad at router 0 and acknowledged %d rounds after the cut", rounds)
+	if !p.placedAt(0, ids, owner) {
+		t.Error("a router other than the previous one knows an ad")
+	}
+	if via, _ := p.nodes[2].RouteVia(prev); via != p.nodes[3].ID() {
+		t.Errorf("router 2 reaches router 0 via %q after the cut, want via router 3", via)
+	}
+	if got := p.counter(3, "backbone_owner_ads_sent"); got < int64(len(ids)) {
+		t.Errorf("router 3 forwarded %d ad copies, want at least the %d ads", got, len(ids))
+	}
+}
+
 // TestLinkUpWithoutWaitingForTick configures a line whose gossip interval
 // is an hour. AddPeer alone must bring each link up once the inbox window
 // has passed, and the middle router's triggered round, one triggerSpacing

@@ -361,6 +361,16 @@ func appendOwnerAds(dst []byte, ads []ownerAd) []byte {
 	return dst
 }
 
+// ownerAdsCount returns how many ads an owner-ad relay payload lists, read
+// from its count prefix without decoding them (and never more than its
+// length can hold): what a router forwarding the payload counts as sent.
+func ownerAdsCount(payload []byte) int {
+	if len(payload) < 4 {
+		return 0
+	}
+	return int(min(binary.BigEndian.Uint32(payload), uint32((len(payload)-4)/ownerAdMinLen)))
+}
+
 // unmarshalOwnerAds decodes an owner-ad relay payload. Every field is
 // copied.
 func unmarshalOwnerAds(data []byte) ([]ownerAd, error) {
